@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Run the counting pipeline across the fixture curves and print a table:
-totals, oracle agreement, cover-curve counts versus budgets, timings."""
+totals, oracle agreement, cover-curve counts versus budgets, timings.  The
+last line is the SHA-256 of the reports' JSON (sorted keys), so two versions
+of the library can be checked for identical reports."""
 
 import argparse
+import hashlib
+import json
 import time
 
 from latcurve import determinant_method_count, parse
@@ -34,11 +38,13 @@ def main() -> int:
     header = f"{'curve':24} {'N':>5} {'total':>6} {'oracle':>6} {'curves':>7} {'budgets':>8} {'time':>7}"
     print(header)
     print("-" * len(header))
+    reports = []
     for text, box in FIXTURES:
         n = args.box or box
         start = time.monotonic()
         rep = determinant_method_count(parse(text), n, delta=delta)
         elapsed = time.monotonic() - start
+        reports.append(rep.to_json_dict())
         emitted = sum(pr.emitted_curves for br in rep.per_branch for pr in br.pieces)
         budgets = sum(
             pr.budget for br in rep.per_branch for pr in br.pieces if pr.budget is not None
@@ -50,6 +56,8 @@ def main() -> int:
         )
         for w in rep.warnings:
             print(f"    warning: {w}")
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    print(f"reports sha256: {digest}")
     return 0
 
 

@@ -82,6 +82,7 @@ from .poly2 import (
     resultant_eliminating_y,
 )
 from .unipoly import (
+    RefinementLimitError,
     RootInterval,
     UniPoly,
     ZeroPolynomialError,

@@ -19,20 +19,23 @@ from typing import NamedTuple, Optional
 from .detmethod import LatticePoint
 from .poly2 import BiPoly, divides, ingestion_check, partial, resultant_eliminating_y
 from .unipoly import (
+    REFINE_DEPTH,
     RootInterval,
     UniPoly,
-    cauchy_root_bound,
+    all_real_roots,
+    bisect_step,
     count_real_roots,
+    integer_in,
     integer_roots,
     isolate_real_roots,
     poly_gcd,
+    primitive_ints,
     rational_root_in,
+    refine_clear_of,
     refine_disjoint,
     refine_root,
     squarefree_part,
 )
-
-_REFINE_DEPTH = 256
 
 
 class BranchError(ValueError):
@@ -80,11 +83,6 @@ class AlgebraicBranch:
         }
 
 
-def _isolate_all(u: UniPoly) -> list[RootInterval]:
-    bound = int(cauchy_root_bound(u)) + 1
-    return isolate_real_roots(u, -bound, bound)
-
-
 def branch_from_point(
     curve: BiPoly,
     x0: Fraction | int,
@@ -110,7 +108,7 @@ def branch_from_point(
         raise BranchError("branch is singular/vertical at the seed")
     _certify_smooth_over(curve, lo, hi)
     u = curve.at_x(x0)
-    roots = _isolate_all(u)
+    roots = all_real_roots(u)
     idx = next(
         (k for k, r in enumerate(roots) if r.lo <= y0 <= r.hi and (r.is_exact() or u.evaluate(y0) == 0)),
         None,
@@ -170,7 +168,7 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
         u = branch.curve.at_x(x0)
         return RootInterval(branch.seed_lo, branch.seed_lo, squarefree_part(u))
     u = branch.curve.at_x(x0)
-    roots = _isolate_all(u)
+    roots = all_real_roots(u)
     if len(roots) != branch.root_count:
         raise BranchError("root structure changed inside the domain")
     return roots[branch.root_index]
@@ -179,14 +177,7 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
 @lru_cache(maxsize=1024)
 def _primitive_int_coeffs(p: UniPoly) -> tuple[int, ...]:
     """Integer coefficients after a positive rescaling (sign-faithful)."""
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = _gcd(g, v)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+    return tuple(primitive_ints(p.coeffs))
 
 
 def _hull_sign(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> Optional[int]:
@@ -214,9 +205,7 @@ def _hull_sign(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> Optional[
 def branch_sign(branch: AlgebraicBranch, x0: Fraction | int, p: BiPoly) -> int:
     """Exact sign of p(x0, f(x0)) along the branch."""
     x0 = Fraction(x0)
-    v = p.at_x(x0)
-    bracket = branch_value_bracket(branch, x0)
-    return _sign_at_isolated_root(bracket.polynomial, bracket, v)
+    return _tracked_sign_at_root(branch_value_bracket(branch, x0), p.at_x(x0))[0]
 
 
 class BranchPointEvaluator:
@@ -229,13 +218,10 @@ class BranchPointEvaluator:
     def __init__(self, branch: AlgebraicBranch, x0: Fraction | int) -> None:
         self.x0 = Fraction(x0)
         self.bracket = refine_root(branch_value_bracket(branch, self.x0), Fraction(1, 16))
-        self.u = self.bracket.polynomial
 
     def sign(self, p: BiPoly, assume_nonzero: bool = False) -> int:
         v = p.at_x(self.x0)
-        s, self.bracket = _tracked_sign_at_root(
-            self.u, self.bracket, v, assume_nonzero=assume_nonzero
-        )
+        s, self.bracket = _tracked_sign_at_root(self.bracket, v, assume_nonzero=assume_nonzero)
         return s
 
 
@@ -249,29 +235,8 @@ def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Option
 
 def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoint]:
     """(k, f(k)) when the branch value at the integer abscissa k is integral."""
-    u = branch.curve.at_x(k)
-    bracket = refine_root(branch_value_bracket(branch, k), Fraction(1, 2))
-    lo, hi = bracket.lo, bracket.hi
-    if bracket.is_exact():
-        return LatticePoint(k, int(lo)) if lo.denominator == 1 else None
-    p = bracket.polynomial
-    s_lo = p.evaluate(lo)
-    for _ in range(_REFINE_DEPTH):
-        lo_c, hi_c = ceil(lo), floor(hi)
-        if lo_c > hi_c:
-            return None
-        found = [c for c in range(lo_c, hi_c + 1) if u.evaluate(c) == 0]
-        if found:
-            return LatticePoint(k, found[0])
-        mid = (lo + hi) / 2
-        pm = p.evaluate(mid)
-        if pm == 0:
-            return LatticePoint(k, int(mid)) if mid.denominator == 1 else None
-        if (s_lo > 0) != (pm > 0):
-            hi = mid
-        else:
-            lo, s_lo = mid, pm
-    raise BranchError("integer test exceeded the refinement depth limit")
+    y = integer_in(branch_value_bracket(branch, k))
+    return None if y is None else LatticePoint(k, y)
 
 
 # -- implicit derivative machinery ------------------------------------------
@@ -459,35 +424,12 @@ class Piece:
     def all_small(self) -> bool:
         return all(f == "small" for f in self.flags)
 
-    def minimal_large_index(self) -> Optional[int]:
-        for i, f in enumerate(self.flags, start=1):
-            if f == "large":
-                return i
-        return None
-
 
 @dataclass
 class IntervalPartition:
     domain: tuple[Fraction, Fraction]
     pieces: list[Piece]
     thresholds: tuple[Fraction, ...]  # N*delta^i for i = 1..D-1
-
-
-def _root_strictly_inside(r: RootInterval, lo: Fraction, hi: Fraction) -> tuple[bool, RootInterval]:
-    """Decide whether the isolated root lies in the open interval (lo, hi)."""
-    p = r.polynomial
-    for _ in range(_REFINE_DEPTH):
-        if r.is_exact():
-            return (lo < r.lo < hi), r
-        if lo < r.lo and r.hi < hi:
-            return True, r
-        if r.hi <= lo or r.lo >= hi:
-            return False, r
-        for edge in (lo, hi):
-            if r.lo <= edge <= r.hi and p.evaluate(edge) == 0:
-                return False, RootInterval(edge, edge, p)
-        r = refine_root(r, r.width / 4)
-    raise BranchError("range test exceeded the refinement depth limit")
 
 
 def _assign_side(cut: RootInterval, k: int) -> int:
@@ -530,9 +472,9 @@ def partition_by_bounds(
     cuts: list[RootInterval] = []
     if raw_cuts:
         for r in refine_disjoint(raw_cuts, Fraction(1, 4)):
-            inside, r2 = _root_strictly_inside(r, lo, hi)
-            if inside:
-                cuts.append(r2)
+            r = refine_clear_of(r, lo, hi)
+            if lo < r.lo and r.hi < hi:
+                cuts.append(r)
     fy = partial(branch.curve, "y")
 
     bounds: list[tuple[Fraction, Fraction, Optional[RootInterval], Optional[RootInterval]]] = []
@@ -581,13 +523,8 @@ def partition_by_bounds(
     return IntervalPartition((lo, hi), pieces, thresholds)
 
 
-def large_interval_check(
-    piece: Piece, k: int, x_bound: Fraction | int, delta: Fraction | int
-) -> bool:
-    """Length test |piece| <= 2/delta for a piece whose flags are small below
-    level k and large at k (the hypothesis pattern is the caller's duty)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def large_interval_check(piece: Piece, delta: Fraction | int) -> bool:
+    """Length test |piece| <= 2/delta for a piece with a large-derivative flag."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -608,27 +545,10 @@ def _roots_in_box(poly: UniPoly, n_box: int) -> list[RootInterval]:
     return isolate_real_roots(poly, Fraction(0), Fraction(n_box))
 
 
-def _root_in_closed_range(r: RootInterval, lo: Fraction, hi: Fraction) -> tuple[bool, RootInterval]:
-    """Decide whether the isolated root lies in [lo, hi], refining as needed."""
-    p = r.polynomial
-    for _ in range(_REFINE_DEPTH):
-        if r.is_exact():
-            return (lo <= r.lo <= hi), r
-        if lo <= r.lo and r.hi <= hi:
-            return True, r
-        if r.hi < lo or r.lo > hi:
-            return False, r
-        for edge in (lo, hi):
-            if r.lo <= edge <= r.hi and p.evaluate(edge) == 0:
-                return True, RootInterval(edge, edge, p)
-        r = refine_root(r, r.width / 4)
-    raise BranchError("range test exceeded the refinement depth limit")
-
-
 def _tracked_sign_at_root(
-    u: UniPoly, r: RootInterval, v: UniPoly, assume_nonzero: bool = False
+    r: RootInterval, v: UniPoly, assume_nonzero: bool = False
 ) -> tuple[int, RootInterval]:
-    """Exact sign of v at the root of u isolated by r, plus the refined bracket.
+    """Exact sign of v at the root isolated by r, plus the refined bracket.
 
     Zero is decided through the gcd (any common root inside the bracket must
     be the isolated one); a nonzero sign is then certified by shrinking the
@@ -639,32 +559,20 @@ def _tracked_sign_at_root(
     if r.is_exact():
         val = v.evaluate(r.lo)
         return (val > 0) - (val < 0), r
+    p = r.polynomial
     if not assume_nonzero and v.degree >= 1:
-        g = poly_gcd(u, v)
+        g = poly_gcd(p, v)
         if g.degree >= 1 and count_real_roots(g, r.lo, r.hi) > 0:
             return 0, r
     coeffs = _primitive_int_coeffs(v)
     lo, hi = r.lo, r.hi
-    s_lo = u.evaluate(lo)
-    for _ in range(_REFINE_DEPTH):
+    s_lo = p.evaluate(lo)
+    for _ in range(REFINE_DEPTH):
         s = _hull_sign(coeffs, lo, hi)
         if s is not None:
-            return s, RootInterval(lo, hi, r.polynomial)
-        mid = (lo + hi) / 2
-        um = u.evaluate(mid)
-        if um == 0:
-            exact = RootInterval(mid, mid, r.polynomial)
-            val = v.evaluate(mid)
-            return (val > 0) - (val < 0), exact
-        if (s_lo > 0) != (um > 0):
-            hi = mid
-        else:
-            lo, s_lo = mid, um
+            return s, RootInterval(lo, hi, p)
+        lo, hi, s_lo = bisect_step(p, lo, hi, s_lo)
     raise BranchError("sign refinement exceeded the depth limit")
-
-
-def _sign_at_isolated_root(u: UniPoly, r: RootInterval, v: UniPoly) -> int:
-    return _tracked_sign_at_root(u, r, v)[0]
 
 
 def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[UniPoly], bool]:
@@ -775,13 +683,13 @@ def _decompose_frame(
             raise BranchError("curve contains a vertical line; input is reducible")
         if u.degree < 1:
             continue
-        roots = _isolate_all(u)
+        roots = all_real_roots(u)
         for j, r in enumerate(roots):
-            inside, r2 = _root_in_closed_range(r, Fraction(0), Fraction(n_box))
-            if not inside:
+            r2 = refine_clear_of(r, Fraction(0), Fraction(n_box))
+            if not 0 <= r2.lo <= r2.hi <= n_box:
                 continue
             if not slope_degenerate:
-                s = _sign_at_isolated_root(u, r2, regime_poly.at_x(sample))
+                s = _tracked_sign_at_root(r2, regime_poly.at_x(sample))[0]
                 if s > 0:
                     continue  # the transposed frame covers this piece
                 if s == 0:

@@ -47,22 +47,6 @@ class CommonComponentError(CountingError):
 # -- brute-force oracle ---------------------------------------------------------
 
 
-def _sweep_range(curve: BiPoly, lo: int, hi: int, n_box: int) -> list[LatticePoint]:
-    """Pure sweep over x in [lo, hi]; chunks may run on independent workers
-    and merge deterministically in range order."""
-    points: list[LatticePoint] = []
-    for x0 in range(lo, hi + 1):
-        u = curve.at_x(x0)
-        if u.is_zero():
-            raise LineFactorError(f"vertical line x = {x0} lies inside the box")
-        if u.degree < 1:
-            continue
-        points.extend(
-            LatticePoint(x0, y0) for y0 in integer_roots(u) if 1 <= y0 <= n_box
-        )
-    return points
-
-
 def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint]]:
     """Integer solutions in {1..N}^2 by an exact sweep over x = 1..N."""
     if curve.is_zero():
@@ -82,10 +66,16 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
         for y0 in integer_roots(probe):
             if 1 <= y0 <= n_box and curve.at_y(y0).is_zero():
                 raise LineFactorError(f"horizontal line y = {y0} lies inside the box")
-    chunk = 1024
     points: list[LatticePoint] = []
-    for lo in range(1, n_box + 1, chunk):
-        points.extend(_sweep_range(curve, lo, min(lo + chunk - 1, n_box), n_box))
+    for x0 in range(1, n_box + 1):
+        u = curve.at_x(x0)
+        if u.is_zero():
+            raise LineFactorError(f"vertical line x = {x0} lies inside the box")
+        if u.degree < 1:
+            continue
+        points.extend(
+            LatticePoint(x0, y0) for y0 in integer_roots(u) if 1 <= y0 <= n_box
+        )
     return len(points), points
 
 
@@ -315,8 +305,7 @@ def determinant_method_count(
                     PieceReport(interval, piece.flags, "cover", len(cert.curves), budget, curve_dicts)
                 )
             else:
-                k_large = piece.minimal_large_index() or 1
-                if not large_interval_check(piece, k_large, spec.X, delta):
+                if not large_interval_check(piece, delta):
                     warnings.append(
                         f"large-derivative piece {interval} exceeds 2/delta"
                     )

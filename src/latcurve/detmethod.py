@@ -8,6 +8,7 @@ root is ever taken on a decision path.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -199,6 +200,12 @@ def _permanent_limit() -> int:
     try:
         return int(raw)
     except ValueError:
+        warnings.warn(
+            f"{PERMANENT_LIMIT_ENV}={raw!r} is not an integer; "
+            f"using the default {_DEFAULT_PERMANENT_LIMIT}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return _DEFAULT_PERMANENT_LIMIT
 
 

@@ -9,11 +9,10 @@ priority inside each total degree; printing lists highest terms first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .exactlinalg import bareiss_determinant
-from .unipoly import UniPoly
+from .unipoly import UniPoly, primitive_ints
 
 ExponentPair = tuple[int, int]
 
@@ -223,16 +222,8 @@ class BiPoly:
         leading coefficient (display order) positive."""
         if self.is_zero():
             return self
-        denom = 1
-        for c in self.terms.values():
-            denom = lcm(denom, c.denominator)
-        ints = {j: int(c * denom) for j, c in self.terms.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        scaled = {j: Fraction(v, g) for j, v in ints.items()}
-        lead = max(scaled, key=display_order_key)
-        if scaled[lead] < 0:
+        scaled = dict(zip(self.terms, primitive_ints(list(self.terms.values()))))
+        if scaled[max(scaled, key=display_order_key)] < 0:
             scaled = {j: -c for j, c in scaled.items()}
         return BiPoly(scaled)
 
@@ -396,24 +387,12 @@ def ingestion_check(f: BiPoly) -> BiPoly:
     if f.is_zero() or f.degree < 1:
         raise IngestionError("curve must be a nonconstant polynomial")
     g = f.primitive_integer()
-    fy = partial(g, "y")
-    if g.degree_y() >= 1 and not fy.is_zero():
-        if g.degree_y() >= 1 and fy.degree_y() >= 0:
-            if fy.degree_y() >= 1:
-                if resultant_eliminating_y(g, fy).is_zero():
-                    raise IngestionError("curve has a repeated factor")
-            else:
-                # fy is y-free; a repeated factor would force gcd checks in x
-                pass
-    else:
-        fx = partial(g, "x")
-        if fx.is_zero():
-            raise IngestionError("curve must be a nonconstant polynomial")
-        gs = g.swap_xy()
-        fxs = partial(gs, "y")
-        if gs.degree_y() >= 1 and fxs.degree_y() >= 1:
-            if resultant_eliminating_y(gs, fxs).is_zero():
-                raise IngestionError("curve has a repeated factor")
+    # a frame in which the curve depends on y: Res_y(h, h_y) vanishes when h
+    # has a repeated factor involving y (not checked at y-degree 1)
+    h = g if g.degree_y() >= 1 else g.swap_xy()
+    hy = partial(h, "y")
+    if hy.degree_y() >= 1 and resultant_eliminating_y(h, hy).is_zero():
+        raise IngestionError("curve has a repeated factor")
     return g
 
 

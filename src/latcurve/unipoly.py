@@ -2,7 +2,9 @@
 
 All decisions (root counts, signs, refinements) are made in exact rational
 arithmetic.  Roots are reported as rational-endpoint isolating intervals;
-a degenerate interval [r, r] marks an exactly known rational root.
+a degenerate interval [r, r] marks an exactly known rational root.  The
+package locates roots only through this module: one content normaliser, one
+bisection step, one integer test and one range test.
 """
 
 from __future__ import annotations
@@ -18,6 +20,15 @@ from typing import Iterable, Sequence
 
 class ZeroPolynomialError(ValueError):
     """An operation that needs a nonzero polynomial received the zero one."""
+
+
+class RefinementLimitError(ValueError):
+    """A bracket refinement reached its depth limit without a decision."""
+
+
+# Safety bound on refinement rounds in loops that stop on a decision rather
+# than on a width.
+REFINE_DEPTH = 256
 
 
 class UniPoly:
@@ -140,19 +151,6 @@ class UniPoly:
     def derivative(self) -> UniPoly:
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def primitive(self) -> UniPoly:
-        """Scale by a positive rational to integer coefficients with gcd 1."""
-        if self.is_zero():
-            return self
-        denom = 1
-        for c in self.coeffs:
-            denom = lcm(denom, c.denominator)
-        ints = [int(c * denom) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return UniPoly([Fraction(v, g) for v in ints])
-
     def pretty(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"
@@ -182,25 +180,19 @@ def poly_from_ints(values: Sequence[int]) -> UniPoly:
     return UniPoly([Fraction(v) for v in values])
 
 
-def _int_coeffs(p: UniPoly) -> list[int]:
-    """Primitive integer coefficient list (positive content scaling)."""
+def primitive_ints(coeffs: Sequence[Fraction | int]) -> list[int]:
+    """Integer coefficients with gcd 1 after a positive rational rescaling.
+
+    Signs are kept; the zero polynomial (an empty sequence) maps to [].
+    """
     denom = 1
-    for c in p.coeffs:
+    for c in coeffs:
         denom = lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
+    ints = [c.numerator * (denom // c.denominator) for c in coeffs]
     g = 0
     for v in ints:
         g = gcd(g, v)
     return [v // g for v in ints] if g > 1 else ints
-
-
-def _int_primitive(v: list[int]) -> list[int]:
-    while v and v[-1] == 0:
-        v.pop()
-    g = 0
-    for c in v:
-        g = gcd(g, c)
-    return [c // g for c in v] if g > 1 else v
 
 
 def _int_prem_signed(f: list[int], g: list[int]) -> list[int]:
@@ -226,7 +218,7 @@ def _int_prem_signed(f: list[int], g: list[int]) -> list[int]:
             r.pop()
     if lead < 0 and steps % 2:
         r = [-c for c in r]
-    return _int_primitive(r)
+    return primitive_ints(r)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -235,7 +227,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         return b if b.is_zero() else b * (1 / b.leading)
     if b.is_zero():
         return a * (1 / a.leading)
-    fa, fb = _int_coeffs(a), _int_coeffs(b)
+    fa, fb = primitive_ints(a.coeffs), primitive_ints(b.coeffs)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
@@ -269,11 +261,11 @@ def sturm_chain(p: UniPoly) -> tuple[UniPoly, ...]:
     chain element, so sign variations are unchanged)."""
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    cur = _int_coeffs(p)
+    cur = primitive_ints(p.coeffs)
     chain = [cur]
     d = UniPoly(cur).derivative()
     if not d.is_zero():
-        chain.append(_int_coeffs(d))
+        chain.append(primitive_ints(d.coeffs))
         while True:
             r = _int_prem_signed(chain[-2], chain[-1])
             if not r:
@@ -286,23 +278,26 @@ def _variations_at(chain: Sequence[UniPoly], x: Fraction) -> int:
     return sign_variations([q.evaluate(x) for q in chain])
 
 
+def _deflate_ends(sf: UniPoly, lo: Fraction, hi: Fraction) -> tuple[UniPoly, list[Fraction]]:
+    """The squarefree sf with its roots at lo and hi divided out, and those roots."""
+    ends: list[Fraction] = []
+    for end in (lo, hi) if hi > lo else (lo,):
+        if sf.evaluate(end) == 0:
+            ends.append(end)
+            sf = sf // UniPoly([-end, 1])
+    return sf, ends
+
+
 def count_real_roots(p: UniPoly, lo: Fraction | int, hi: Fraction | int) -> int:
     """Number of distinct real roots of p in the closed interval [lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    sf = squarefree_part(p)
-    n = 0
-    if sf.evaluate(lo) == 0:
-        n += 1
-        sf = sf // UniPoly([-lo, 1])
-    if hi > lo and sf.evaluate(hi) == 0:
-        n += 1
-        sf = sf // UniPoly([-hi, 1])
-    if hi == lo or sf.degree < 1:
-        return n
-    chain = sturm_chain(sf)
-    return n + _variations_at(chain, lo) - _variations_at(chain, hi)
+    inner, ends = _deflate_ends(squarefree_part(p), lo, hi)
+    if hi == lo or inner.degree < 1:
+        return len(ends)
+    chain = sturm_chain(inner)
+    return len(ends) + _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 @dataclass(frozen=True)
@@ -339,20 +334,36 @@ _SPLIT_FRACTIONS = (
 )
 
 
-def _nonroot_split(p: UniPoly, a: Fraction, b: Fraction) -> Fraction:
-    """A rational point strictly inside (a, b) that is not a root of p."""
+def _nonroot_split(p: UniPoly, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """A rational point m strictly inside (a, b) with p(m) != 0, and p(m)."""
     for t in _SPLIT_FRACTIONS:
         m = a + (b - a) * t
-        if p.evaluate(m) != 0:
-            return m
+        pm = p.evaluate(m)
+        if pm != 0:
+            return m, pm
     # p has finitely many roots; walk a finer grid until one point is free.
     k = 8
     while True:
         for i in range(1, k):
             m = a + (b - a) * Fraction(i, k)
-            if p.evaluate(m) != 0:
-                return m
+            pm = p.evaluate(m)
+            if pm != 0:
+                return m, pm
         k *= 2
+
+
+def bisect_step(
+    p: UniPoly, lo: Fraction, hi: Fraction, s_lo: Fraction
+) -> tuple[Fraction, Fraction, Fraction]:
+    """One exact bisection of a bracket [lo, hi] across which p changes sign.
+
+    `s_lo` is p(lo).  Splits at a non-root of p and returns the half that
+    keeps the sign change as (lo, hi, p(lo)).
+    """
+    m, pm = _nonroot_split(p, lo, hi)
+    if (s_lo > 0) != (pm > 0):
+        return lo, m, s_lo
+    return m, hi, pm
 
 
 def isolate_real_roots(
@@ -365,15 +376,8 @@ def isolate_real_roots(
     if lo > hi:
         raise ValueError("empty range")
     sf = squarefree_part(p)
-    out: list[RootInterval] = []
-    if sf.evaluate(lo) == 0:
-        out.append(RootInterval(lo, lo, sf))
-        sf_int = sf // UniPoly([-lo, 1])
-    else:
-        sf_int = sf
-    if hi > lo and sf_int.evaluate(hi) == 0:
-        out.append(RootInterval(hi, hi, sf))
-        sf_int = sf_int // UniPoly([-hi, 1])
+    sf_int, ends = _deflate_ends(sf, lo, hi)
+    out = [RootInterval(end, end, sf) for end in ends]
     if hi == lo or sf_int.degree < 1:
         return sorted(out, key=lambda r: r.lo)
     chain = sturm_chain(sf_int)
@@ -387,7 +391,7 @@ def isolate_real_roots(
             # deflated away, [a, b] isolates only for the deflated form
             out.append(RootInterval(a, b, sf_int))
             return
-        m = _nonroot_split(sf_int, a, b)
+        m, _ = _nonroot_split(sf_int, a, b)
         vm = _variations_at(chain, m)
         split(a, m, va, vm)
         split(m, b, vm, vb)
@@ -411,13 +415,39 @@ def refine_root(r: RootInterval, width: Fraction | int) -> RootInterval:
     if p.evaluate(hi) == 0:
         return RootInterval(hi, hi, p)
     while hi - lo > width:
-        m = _nonroot_split(p, lo, hi)
-        # keep the half with the sign change
-        if (s_lo > 0) != (p.evaluate(m) > 0):
-            hi = m
-        else:
-            lo, s_lo = m, p.evaluate(m)
+        lo, hi, s_lo = bisect_step(p, lo, hi, s_lo)
     return RootInterval(lo, hi, p)
+
+
+def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval:
+    """The bracket r refined until it is exact or contains neither lo nor hi.
+
+    The result decides whether the isolated root lies in the open range
+    (lo, hi) or in the closed range [lo, hi]: a non-exact result lies either
+    strictly inside (lo, hi) or strictly outside [lo, hi].
+    """
+    p = r.polynomial
+    for _ in range(REFINE_DEPTH):
+        if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
+            return r
+        for end in (lo, hi):
+            if r.lo <= end <= r.hi and p.evaluate(end) == 0:
+                return RootInterval(end, end, p)
+        r = refine_root(r, r.width / 4)
+    raise RefinementLimitError("range test exceeded the refinement depth limit")
+
+
+def integer_in(r: RootInterval) -> int | None:
+    """The root isolated by r when it is an integer, else None.
+
+    Below width 1/2 the bracket holds at most one integer, so one exact
+    evaluation decides.
+    """
+    r = refine_root(r, Fraction(1, 2))
+    k = math.ceil(r.lo)
+    if k <= r.hi and r.polynomial.evaluate(k) == 0:
+        return k
+    return None
 
 
 def _same_root(a: RootInterval, b: RootInterval) -> bool:
@@ -469,21 +499,20 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
 
 
+def all_real_roots(p: UniPoly) -> list[RootInterval]:
+    """Isolating intervals for every real root of p, in increasing order."""
+    bound = int(cauchy_root_bound(p)) + 1
+    return isolate_real_roots(p, -bound, bound)
+
+
 def integer_roots(p: UniPoly) -> list[int]:
     """All integer roots of p, found by isolation plus exact candidate checks."""
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial has no root enumeration")
     if p.degree == 0:
         return []
-    b = cauchy_root_bound(p)
-    bound = int(b) + 1
-    found: set[int] = set()
-    for r in isolate_real_roots(p, -bound, bound):
-        r = refine_root(r, Fraction(1, 2))
-        for k in range(math.ceil(r.lo), math.floor(r.hi) + 1):
-            if p.evaluate(k) == 0:
-                found.add(k)
-    return sorted(found)
+    found = (integer_in(r) for r in all_real_roots(p))
+    return [k for k in found if k is not None]
 
 
 def rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
@@ -495,13 +524,12 @@ def rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
     """
     if lo == hi:
         return lo if p.evaluate(lo) == 0 else None
-    prim = p.primitive()
-    lead = abs(prim.leading.numerator)
+    sf = squarefree_part(p)
+    lead = abs(primitive_ints(p.coeffs)[-1])
     # refine [lo, hi] below 1/(2*lead^2) so at most one denominator-dividing
     # rational fits, then take the best rational approximation
     target = Fraction(1, 2 * lead * lead + 1)
-    r = RootInterval(lo, hi, squarefree_part(p))
-    r = refine_root(r, target)
+    r = refine_root(RootInterval(lo, hi, sf), target)
     if r.is_exact():
         return r.lo if p.evaluate(r.lo) == 0 else None
     cand = Fraction(r.midpoint()).limit_denominator(lead)

@@ -179,6 +179,19 @@ def test_branch_value_identification():
     assert branch_integer_point(top, 2) is None
 
 
+def test_branch_integer_point_near_integer():
+    # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
+    c = parse("y^2 - x - 1000000000000")
+    k = 2 * 10**6 + 1  # f(k) = 10^6 + 1 on the upper branch
+    top = branch_from_point(c, 0, 10**6, (0, k))
+    bottom = branch_from_point(c, 0, -(10**6), (0, k))
+    assert branch_integer_point(top, 0) == LatticePoint(0, 10**6)
+    assert branch_integer_point(top, k) == LatticePoint(k, 10**6 + 1)
+    assert branch_integer_point(bottom, k) == LatticePoint(k, -(10**6) - 1)
+    assert branch_integer_point(top, 1) is None
+    assert branch_integer_point(bottom, 1) is None
+
+
 def test_branch_sign_exact():
     c = parse("x*y - 12")
     br = branch_from_point(c, 3, 4, (1, 12))
@@ -296,9 +309,9 @@ def test_large_interval_check():
     from latcurve.branch import Piece
 
     mk = lambda length: Piece(Fraction(0), Fraction(length), ("large",), (), None, None)
-    assert large_interval_check(mk(4), 1, 10, Fraction(1, 2))
-    assert not large_interval_check(mk(5), 1, 10, Fraction(1, 2))
-    assert large_interval_check(mk(Fraction(15, 2)), 1, 100, Fraction(1, 20))
+    assert large_interval_check(mk(4), Fraction(1, 2))
+    assert not large_interval_check(mk(5), Fraction(1, 2))
+    assert large_interval_check(mk(Fraction(15, 2)), Fraction(1, 20))
 
 
 # -- graph decomposition ------------------------------------------------------------------

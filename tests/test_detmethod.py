@@ -301,6 +301,10 @@ def test_interp_bound_size_cap(monkeypatch):
         interpolation_determinant_bound(xs, a)
     monkeypatch.setenv("LATCURVE_PERMANENT_LIMIT", "12")
     assert interpolation_determinant_bound(xs, a) > 0
+    monkeypatch.setenv("LATCURVE_PERMANENT_LIMIT", "ten")
+    with pytest.warns(RuntimeWarning, match="LATCURVE_PERMANENT_LIMIT='ten'"):
+        with pytest.raises(BoundMatrixTooLarge):  # the default cap of 10 applies
+            interpolation_determinant_bound(xs, a)
 
 
 def test_interp_bound_dominates_determinant():

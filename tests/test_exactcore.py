@@ -20,10 +20,13 @@ from latcurve.unipoly import (
     ZeroPolynomialError,
     cauchy_root_bound,
     count_real_roots,
+    integer_in,
     integer_roots,
     isolate_real_roots,
     poly_gcd,
     poly_sup_bound,
+    primitive_ints,
+    refine_clear_of,
     refine_disjoint,
     refine_root,
     squarefree_part,
@@ -259,7 +262,45 @@ def test_refine_disjoint_merges_same_root():
     assert len(merged) == 1
 
 
+def test_refine_clear_of_root_at_an_end():
+    p = UniPoly([-3, 1])  # root 3
+    r = refine_clear_of(RootInterval(Fraction(2), Fraction(4), p), Fraction(3), Fraction(5))
+    assert r.is_exact() and r.lo == 3
+    assert not 3 < r.lo < 5  # outside the open range (3, 5)
+    assert 3 <= r.lo <= 5  # inside the closed range [3, 5]
+    # an irrational root ends strictly inside or strictly outside
+    [s2] = isolate_real_roots(UniPoly([-2, 0, 1]), 0, 2)
+    clear = refine_clear_of(s2, Fraction(7, 5), Fraction(3, 2))
+    assert Fraction(7, 5) < clear.lo and clear.hi < Fraction(3, 2)
+    outside = refine_clear_of(s2, Fraction(1), Fraction(7, 5))
+    assert outside.lo > Fraction(7, 5)
+
+
+# -- content normaliser ------------------------------------------------------------------
+
+
+def test_primitive_ints():
+    assert primitive_ints([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]) == [3, -4, 5]
+    assert primitive_ints([Fraction(4), Fraction(-6, 1), Fraction(-2, 1)]) == [2, -3, -1]
+    assert primitive_ints([6, 0, -9]) == [2, 0, -3]  # integer input
+    assert primitive_ints([-1, 1]) == [-1, 1]
+    assert primitive_ints([]) == []
+
+
 # -- integer roots ---------------------------------------------------------------------
+
+
+def test_integer_in():
+    p = UniPoly([-6, 1, 1])  # (x - 2)(x + 3)
+    assert integer_in(RootInterval(Fraction(2), Fraction(2), p)) == 2
+    assert integer_in(RootInterval(Fraction(5, 2), Fraction(5, 2), UniPoly([-5, 2]))) is None
+    assert [integer_in(r) for r in isolate_real_roots(p, -10, 10)] == [-3, 2]
+    # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
+    near = UniPoly([-(10**12 + 1), 0, 1])
+    roots = isolate_real_roots(near, -(10**7), 10**7)
+    assert [integer_in(r) for r in roots] == [None, None]
+    assert integer_roots(near) == []
+    assert integer_roots(near * UniPoly([10**6, 1])) == [-(10**6)]
 
 
 def test_integer_roots_examples():

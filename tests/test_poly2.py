@@ -258,6 +258,8 @@ def test_ingestion_normalizes_and_rejects():
         ingestion_check(BiPoly.constant(3))
     with pytest.raises(IngestionError):
         ingestion_check(parse("(y - x)^2"))  # repeated factor
+    with pytest.raises(IngestionError):
+        ingestion_check(parse("(x - 1)^2"))  # repeated factor free of y
 
 
 def test_swap_and_specializations():
