@@ -657,10 +657,7 @@ def _decompose_frame(
             u = curve.at_x(k)
             if u.is_zero():
                 raise BranchError("curve contains a vertical line; input is reducible")
-            if u.degree >= 1:
-                for yv in integer_roots(u):
-                    if 0 <= yv <= n_box:
-                        direct.append(LatticePoint(k, yv))
+            direct.extend(LatticePoint(k, yv) for yv in integer_roots(u, 0, n_box))
 
     cells: list[tuple[Fraction, Fraction]] = []
     prev = Fraction(0)

@@ -57,25 +57,21 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
         fx = curve.as_unipoly_x()
         if fx.degree < 1:
             raise CountingError("curve must be nonconstant")
-        hits = [k for k in integer_roots(fx) if 1 <= k <= n_box]
+        hits = integer_roots(fx, 1, n_box)
         if hits:
             raise LineFactorError(f"vertical line x = {hits[0]} lies inside the box")
         return 0, []
     probe = curve.at_x(1)
-    if not probe.is_zero() and probe.degree >= 1:
-        for y0 in integer_roots(probe):
-            if 1 <= y0 <= n_box and curve.at_y(y0).is_zero():
+    if not probe.is_zero():
+        for y0 in integer_roots(probe, 1, n_box):
+            if curve.at_y(y0).is_zero():
                 raise LineFactorError(f"horizontal line y = {y0} lies inside the box")
     points: list[LatticePoint] = []
     for x0 in range(1, n_box + 1):
         u = curve.at_x(x0)
         if u.is_zero():
             raise LineFactorError(f"vertical line x = {x0} lies inside the box")
-        if u.degree < 1:
-            continue
-        points.extend(
-            LatticePoint(x0, y0) for y0 in integer_roots(u) if 1 <= y0 <= n_box
-        )
+        points.extend(LatticePoint(x0, y0) for y0 in integer_roots(u, 1, n_box))
     return len(points), points
 
 
@@ -94,7 +90,7 @@ def bezout_intersect(f: BiPoly, g: BiPoly, n_box: int) -> list[LatticePoint]:
         res = resultant_eliminating_y(f, g)
         if res.is_zero():
             raise CommonComponentError("Bezout hypothesis violated: common component")
-        xs = [k for k in integer_roots(res) if 1 <= k <= n_box] if res.degree >= 1 else []
+        xs = integer_roots(res, 1, n_box)
     elif dy_f == 0 and dy_g == 0:
         fx, gx = f.as_unipoly_x(), g.as_unipoly_x()
         if poly_gcd(fx, gx).degree >= 1:
@@ -102,7 +98,7 @@ def bezout_intersect(f: BiPoly, g: BiPoly, n_box: int) -> list[LatticePoint]:
         xs = []
     else:
         yfree = f if dy_f == 0 else g
-        xs = [k for k in integer_roots(yfree.as_unipoly_x()) if 1 <= k <= n_box]
+        xs = integer_roots(yfree.as_unipoly_x(), 1, n_box)
     points: list[LatticePoint] = []
     for x0 in xs:
         uf, ug = f.at_x(x0), g.at_x(x0)
@@ -110,12 +106,12 @@ def bezout_intersect(f: BiPoly, g: BiPoly, n_box: int) -> list[LatticePoint]:
             raise CommonComponentError(f"both curves contain the line x = {x0}")
         if uf.is_zero() or ug.is_zero():
             live = ug if uf.is_zero() else uf
-            ys = integer_roots(live) if live.degree >= 1 else []
+            ys = integer_roots(live, 1, n_box)
         elif uf.degree < 1 or ug.degree < 1:
             ys = []  # one side is a nonzero constant at this abscissa
         else:
-            ys = [y0 for y0 in integer_roots(uf) if ug.evaluate(y0) == 0]
-        points.extend(LatticePoint(x0, y0) for y0 in ys if 1 <= y0 <= n_box)
+            ys = [y0 for y0 in integer_roots(uf, 1, n_box) if ug.evaluate(y0) == 0]
+        points.extend(LatticePoint(x0, y0) for y0 in ys)
     points = sorted(set(points))
     cap = f.degree * g.degree
     if len(points) > cap:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .exactlinalg import bareiss_determinant
-from .unipoly import UniPoly, primitive_ints
+from .unipoly import UniPoly, poly_gcd, primitive_ints
 
 ExponentPair = tuple[int, int]
 
@@ -380,9 +380,9 @@ def ingestion_check(f: BiPoly) -> BiPoly:
     """Necessary (not sufficient) checks for an irreducible input curve.
 
     Returns the primitive integer normalization.  Rejects constants and
-    repeated factors (detected through the resultant with the y- or
-    x-derivative vanishing identically).  Full irreducibility is a documented
-    precondition and is not verified.
+    repeated factors (a factor involving y through Res_y(h, h_y) vanishing
+    identically, a factor free of y through the x-content of h).  Full
+    irreducibility is a documented precondition and is not verified.
     """
     if f.is_zero() or f.degree < 1:
         raise IngestionError("curve must be a nonconstant polynomial")
@@ -392,6 +392,13 @@ def ingestion_check(f: BiPoly) -> BiPoly:
     h = g if g.degree_y() >= 1 else g.swap_xy()
     hy = partial(h, "y")
     if hy.degree_y() >= 1 and resultant_eliminating_y(h, hy).is_zero():
+        raise IngestionError("curve has a repeated factor")
+    # a repeated factor free of y divides the x-content, the gcd of the
+    # y-coefficients, at least twice
+    content = UniPoly([])
+    for c in h.y_coefficients():
+        content = poly_gcd(content, c)
+    if content.degree >= 1 and poly_gcd(content, content.derivative()).degree >= 1:
         raise IngestionError("curve has a repeated factor")
     return g
 

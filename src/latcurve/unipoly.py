@@ -2,9 +2,10 @@
 
 All decisions (root counts, signs, refinements) are made in exact rational
 arithmetic.  Roots are reported as rational-endpoint isolating intervals;
-a degenerate interval [r, r] marks an exactly known rational root.  The
-package locates roots only through this module: one content normaliser, one
-bisection step, one integer test and one range test.
+a degenerate interval [r, r] marks an exactly known rational root.  Integer
+roots in a range are found on integer endpoints only, with integer Sturm
+chains.  The package locates roots only through this module: one content
+normaliser, one bisection step, one integer test and one range test.
 """
 
 from __future__ import annotations
@@ -261,17 +262,41 @@ def sturm_chain(p: UniPoly) -> tuple[UniPoly, ...]:
     chain element, so sign variations are unchanged)."""
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    cur = primitive_ints(p.coeffs)
-    chain = [cur]
-    d = UniPoly(cur).derivative()
-    if not d.is_zero():
-        chain.append(primitive_ints(d.coeffs))
+    return tuple(UniPoly(c) for c in _int_sturm_chain(primitive_ints(p.coeffs)))
+
+
+def _int_sturm_chain(f: list[int]) -> list[list[int]]:
+    """Sturm chain of the nonzero integer polynomial f as integer lists."""
+    chain = [f]
+    d = primitive_ints([i * c for i, c in enumerate(f)][1:])
+    if d:
+        chain.append(d)
         while True:
             r = _int_prem_signed(chain[-2], chain[-1])
             if not r:
                 break
             chain.append([-c for c in r])
-    return tuple(UniPoly(c) for c in chain)
+    return chain
+
+
+def _int_eval(f: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _int_variations(chain: Sequence[list[int]], x: int) -> int:
+    """Sign variations of the chain at x; zero values are skipped."""
+    count = 0
+    last = 0
+    for q in chain:
+        v = _int_eval(q, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
 
 
 def _variations_at(chain: Sequence[UniPoly], x: Fraction) -> int:
@@ -505,14 +530,51 @@ def all_real_roots(p: UniPoly) -> list[RootInterval]:
     return isolate_real_roots(p, -bound, bound)
 
 
-def integer_roots(p: UniPoly) -> list[int]:
-    """All integer roots of p, found by isolation plus exact candidate checks."""
+def integer_roots(p: UniPoly, lo: int | None = None, hi: int | None = None) -> list[int]:
+    """The integer roots of p in [lo, hi] (unbounded where None), increasing.
+
+    Every decision is made on integers: an integer Sturm chain counts the
+    roots in (a, b] at integer endpoints, parts with several roots split at
+    integer midpoints, and a part with one root is bisected on the sign of
+    the squarefree part down to width 1, where one exact test decides.
+    """
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial has no root enumeration")
     if p.degree == 0:
         return []
-    found = (integer_in(r) for r in all_real_roots(p))
-    return [k for k in found if k is not None]
+    sf = primitive_ints(squarefree_part(p).coeffs)
+    lead = abs(sf[-1])
+    bound = 1 + -(-max(abs(c) for c in sf[:-1]) // lead)
+    lo = -bound if lo is None else max(lo, -bound)
+    hi = bound if hi is None else min(hi, bound)
+    if lo > hi:
+        return []
+    found = [lo] if _int_eval(sf, lo) == 0 else []
+    chain = _int_sturm_chain(sf)
+    # parts (a, b] with their variation counts, leftmost on top
+    parts = [(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))]
+    while parts:
+        a, b, va, vb = parts.pop()
+        if va == vb:
+            continue
+        if va - vb > 1 and b - a > 1:
+            m = (a + b) // 2
+            vm = _int_variations(chain, m)
+            parts.append((m, b, vm, vb))
+            parts.append((a, m, va, vm))
+            continue
+        # one root in (a, b], or width 1: bisect while sf(b) != 0
+        sb = _int_eval(sf, b)
+        while sb and b - a > 1:
+            m = (a + b) // 2
+            sm = _int_eval(sf, m)
+            if sm == 0 or (sm > 0) == (sb > 0):
+                b, sb = m, sm  # the root lies in (a, m]
+            else:
+                a = m  # the root lies in (m, b)
+        if sb == 0:
+            found.append(b)
+    return found
 
 
 def rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:

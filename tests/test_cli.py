@@ -71,6 +71,12 @@ def test_count_line_factor_exit_2(capsys):
     assert "line" in err
 
 
+def test_count_repeated_factor_exit_2(capsys):
+    code, _, err = run_cli(capsys, "count", "--poly", "(x*y - 2)*(x - 30)^2", "--box", "10")
+    assert code == 2
+    assert "repeated factor" in err
+
+
 def test_jarnik_points(capsys):
     code, out, _ = run_cli(capsys, "jarnik", "--H", "3")
     assert code == 0

@@ -1,6 +1,7 @@
 """Brute-force oracle, pairwise intersections, and the counting pipeline."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,42 @@ def test_brute_examples():
     assert total == 6
     total, points = brute_force_count(parse("x^2 + y^2 - 25"), 5)
     assert set(points) == {LatticePoint(3, 4), LatticePoint(4, 3)}
+
+
+def test_brute_matches_grid_scan():
+    """The sweep against a direct evaluation of every point of {1..N}^2."""
+    rng = random.Random(31)
+    cases = lines = 0
+    while cases < 120:
+        deg = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            j1 = rng.randint(0, deg)
+            terms[(j1, rng.randint(0, deg - j1))] = rng.randint(-6, 6)
+        curve = BiPoly(terms)
+        if curve.degree < 1:
+            continue
+        cases += 1
+        n = rng.randint(1, 25)
+        grid = [
+            LatticePoint(x, y)
+            for x in range(1, n + 1)
+            for y in range(1, n + 1)
+            if curve.evaluate(x, y) == 0
+        ]
+        try:
+            total, points = brute_force_count(curve, n)
+        except LineFactorError as exc:
+            # the named line must lie on the curve inside the box
+            var, k = re.search(r"(x|y) = (-?\d+)", str(exc)).groups()
+            k = int(k)
+            assert 1 <= k <= n, (curve.pretty(), n, str(exc))
+            line = [(k, t) if var == "x" else (t, k) for t in range(1, n + 1)]
+            assert all(curve.evaluate(*pt) == 0 for pt in line), (curve.pretty(), n)
+            lines += 1
+            continue
+        assert (total, points) == (len(grid), grid), (curve.pretty(), n)
+    assert 0 < lines < cases
 
 
 def test_brute_rejects_lines_in_box():

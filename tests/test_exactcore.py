@@ -324,6 +324,69 @@ def test_integer_roots_random():
             assert p.evaluate(r) == 0
 
 
+def _with_roots(roots, extra=(1,)):
+    p = UniPoly(extra)
+    for r in roots:
+        p = p * UniPoly([-r, 1])
+    return p
+
+
+def test_integer_roots_range_ends_and_midpoints():
+    p = _with_roots([2, 5, 9])
+    assert integer_roots(p, 2, 9) == [2, 5, 9]  # at lo, at the first midpoint, at hi
+    assert integer_roots(p, 3, 8) == [5]
+    assert integer_roots(p, 5, 5) == [5]
+    assert integer_roots(p, 6, 8) == []
+    # one root in (0, 8]: the sign bisection meets it at a midpoint
+    assert integer_roots(_with_roots([3], extra=(1, 0, 1)), 0, 8) == [3]
+    assert integer_roots(_with_roots([-4, 7]), None, 0) == [-4]
+    assert integer_roots(_with_roots([-4, 7]), 0, None) == [7]
+
+
+def test_integer_roots_double_root():
+    p = _with_roots([3, 3, -1])  # (y - 3)^2 (y + 1)
+    assert integer_roots(p) == [-1, 3]
+    assert integer_roots(p, 0, 10) == [3]
+    assert integer_roots(p, -1, 2) == [-1]
+
+
+def test_integer_roots_wide_empty_and_constant_ranges():
+    p = _with_roots([3, 3, -1])  # Cauchy bound 10
+    assert integer_roots(p, -(10**9), 10**9) == [-1, 3]
+    assert integer_roots(UniPoly([-7, 1]), -100, 100) == [7]  # root next to the bound
+    assert integer_roots(UniPoly([7, 1]), -7, 100) == [-7]
+    assert integer_roots(p, 5, 4) == []
+    assert integer_roots(p, 11, 10**6) == []
+    assert integer_roots(UniPoly([3])) == []
+    assert integer_roots(UniPoly([3]), 0, 10) == []
+
+
+def test_integer_roots_near_integer():
+    # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
+    near = UniPoly([-(10**12 + 1), 0, 1])
+    assert integer_roots(near, 1, 10**7) == []
+    assert integer_roots(near * UniPoly([-(10**6), 1]), 0, 2 * 10**6) == [10**6]
+    # two roots in one width-1 part (10^6, 10^6 + 1]
+    assert integer_roots(near * UniPoly([-(10**6 + 1), 1]), 1, 10**7) == [10**6 + 1]
+
+
+def test_integer_roots_range_matches_isolation():
+    rng = random.Random(17)
+    for _ in range(300):
+        roots = [rng.randint(-30, 30) for _ in range(rng.randint(0, 4))]
+        extra = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+        if not any(extra):
+            extra = [1]
+        p = _with_roots(roots, extra)
+        lo = rng.randint(-40, 40)
+        hi = lo + rng.randint(-3, 60)
+        expected = []
+        if lo <= hi:
+            found = (integer_in(r) for r in isolate_real_roots(p, lo, hi))
+            expected = [k for k in found if k is not None]
+        assert integer_roots(p, lo, hi) == expected, (p, lo, hi)
+
+
 # -- k-th roots -----------------------------------------------------------------------
 
 

@@ -260,6 +260,8 @@ def test_ingestion_normalizes_and_rejects():
         ingestion_check(parse("(y - x)^2"))  # repeated factor
     with pytest.raises(IngestionError):
         ingestion_check(parse("(x - 1)^2"))  # repeated factor free of y
+    with pytest.raises(IngestionError):
+        ingestion_check(parse("(x*y - 2)*(x - 30)^2"))  # y-free repeated factor of a y-curve
 
 
 def test_swap_and_specializations():
