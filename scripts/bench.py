@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Time the brute-force oracle and the determinant-method pipeline on fixed
+rows and write BENCH_4.json at the repository root.
+
+Each row is one call in this process, timed with `time.perf_counter`:
+`brute_force_count(curve, N)` for the oracle rows (the ROADMAP baseline)
+and `determinant_method_count(curve, N, compare_oracle=False)` for the
+pipeline rows.  The file holds each call, curve, box, count and seconds,
+plus the interpreter and machine they were measured on.
+
+    PYTHONPATH=src python3 scripts/bench.py
+"""
+
+import json
+import os
+import platform
+import time
+from pathlib import Path
+
+from latcurve import brute_force_count, determinant_method_count, parse
+
+ROWS = [
+    ("oracle", "x - y^2", 10**4),
+    ("oracle", "x - y^2", 10**5),
+    ("oracle", "y^2 - x^3 - x - 1", 10**4),
+    ("oracle", "y^2 - x^3 - x - 1", 10**5),
+    ("pipeline", "x^2 + y^2 - 250000", 500),
+    ("pipeline", "x - 2*y^2 - 53*y", 500),
+]
+
+OUT = Path(__file__).resolve().parent.parent / "BENCH_4.json"
+
+
+def count(kind: str, text: str, n_box: int) -> int:
+    curve = parse(text)
+    if kind == "oracle":
+        return brute_force_count(curve, n_box)[0]
+    return determinant_method_count(curve, n_box, compare_oracle=False).total
+
+
+def time_row(kind: str, text: str, n_box: int) -> dict:
+    start = time.perf_counter()
+    total = count(kind, text, n_box)
+    seconds = time.perf_counter() - start
+    return {"kind": kind, "curve": text, "N": n_box, "count": total, "seconds": seconds}
+
+
+def main() -> int:
+    rows = []
+    for kind, text, n_box in ROWS:
+        row = time_row(kind, text, n_box)
+        print(f"{kind:8} {text:20} N = {n_box:>6}  count {row['count']:>4}  {row['seconds']:8.2f} s")
+        rows.append(row)
+    payload = {
+        "benchmark": "brute_force_count oracle sweep and determinant_method_count pipeline",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "rows": rows,
+    }
+    OUT.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {OUT.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

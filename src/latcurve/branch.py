@@ -25,11 +25,11 @@ from .unipoly import (
     all_real_roots,
     bisect_step,
     count_real_roots,
-    integer_in,
     integer_roots,
     isolate_real_roots,
     poly_gcd,
     primitive_ints,
+    ranked_integer_root,
     rational_root_in,
     refine_clear_of,
     refine_disjoint,
@@ -234,8 +234,17 @@ def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Option
 
 
 def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoint]:
-    """(k, f(k)) when the branch value at the integer abscissa k is integral."""
-    y = integer_in(branch_value_bracket(branch, k))
+    """(k, f(k)) when the branch value at the integer abscissa k is integral.
+
+    An integer rank search for root number `root_index` of curve(k, .): no
+    isolation and no shared cache.
+    """
+    lo, hi = branch.domain
+    if not lo <= k <= hi:
+        raise BranchError("abscissa outside the branch domain")
+    count, y = ranked_integer_root(_column(branch.curve, k), branch.root_index)
+    if count != branch.root_count:
+        raise BranchError("root structure changed inside the domain")
     return None if y is None else LatticePoint(k, y)
 
 
@@ -611,6 +620,14 @@ def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[UniPoly], bool]:
     return out, degenerate
 
 
+def _column(curve: BiPoly, x0: Fraction | int) -> UniPoly:
+    """curve(x0, .), which must not vanish identically."""
+    u = curve.at_x(x0)
+    if u.is_zero():
+        raise BranchError("curve contains a vertical line; input is reducible")
+    return u
+
+
 def _decompose_frame(
     curve: BiPoly, n_box: int, swapped: bool
 ) -> tuple[list[AlgebraicBranch], list[LatticePoint]]:
@@ -654,10 +671,7 @@ def _decompose_frame(
             if k in seen:
                 continue
             seen.add(k)
-            u = curve.at_x(k)
-            if u.is_zero():
-                raise BranchError("curve contains a vertical line; input is reducible")
-            direct.extend(LatticePoint(k, yv) for yv in integer_roots(u, 0, n_box))
+            direct.extend(LatticePoint(k, yv) for yv in integer_roots(_column(curve, k), 0, n_box))
 
     cells: list[tuple[Fraction, Fraction]] = []
     prev = Fraction(0)
@@ -675,9 +689,7 @@ def _decompose_frame(
     branches: list[AlgebraicBranch] = []
     for clo, chi in cells:
         sample = (clo + chi) / 2
-        u = curve.at_x(sample)
-        if u.is_zero():
-            raise BranchError("curve contains a vertical line; input is reducible")
+        u = _column(curve, sample)
         if u.degree < 1:
             continue
         roots = all_real_roots(u)

@@ -39,6 +39,15 @@ def display_order_key(j: ExponentPair) -> tuple[int, int]:
     return (j[0] + j[1], j[0])
 
 
+def _powers(v: Fraction | int, n: int) -> list[Fraction | int]:
+    """[v^0, v^1, ..., v^n], each power computed once (ints stay ints)."""
+    v = v if isinstance(v, int) else Fraction(v)
+    out: list[Fraction | int] = [1]
+    for _ in range(n):
+        out.append(out[-1] * v)
+    return out
+
+
 class BiPoly:
     """Immutable sparse bivariate polynomial keyed by (x-exponent, y-exponent)."""
 
@@ -175,17 +184,17 @@ class BiPoly:
 
     def at_x(self, x0: Fraction | int) -> UniPoly:
         """Specialize x = x0; the result is a univariate polynomial in y."""
-        deg = self.degree_y()
-        coeffs = [Fraction(0)] * (deg + 1)
+        xp = _powers(x0, self.degree_x())
+        coeffs = [Fraction(0)] * (self.degree_y() + 1)
         for (j1, j2), c in self.terms.items():
-            coeffs[j2] += c * Fraction(x0) ** j1
+            coeffs[j2] += c * xp[j1]
         return UniPoly(coeffs)
 
     def at_y(self, y0: Fraction | int) -> UniPoly:
-        deg = self.degree_x()
-        coeffs = [Fraction(0)] * (deg + 1)
+        yp = _powers(y0, self.degree_y())
+        coeffs = [Fraction(0)] * (self.degree_x() + 1)
         for (j1, j2), c in self.terms.items():
-            coeffs[j1] += c * Fraction(y0) ** j2
+            coeffs[j1] += c * yp[j2]
         return UniPoly(coeffs)
 
     def as_unipoly_x(self) -> UniPoly:

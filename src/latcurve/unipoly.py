@@ -3,9 +3,12 @@
 All decisions (root counts, signs, refinements) are made in exact rational
 arithmetic.  Roots are reported as rational-endpoint isolating intervals;
 a degenerate interval [r, r] marks an exactly known rational root.  Integer
-roots in a range are found on integer endpoints only, with integer Sturm
-chains.  The package locates roots only through this module: one content
-normaliser, one bisection step, one integer test and one range test.
+roots are found on integer endpoints only, from one integer squarefree part
+and its Sturm chain (`integer_squarefree_chain`): `integer_roots` lists those
+in a range, and `ranked_integer_root` tests the root of a given rank, with
+no isolation and no shared cache.  The package locates roots only through
+this module: one content normaliser, one bisection step, one integer test
+and one range test.
 """
 
 from __future__ import annotations
@@ -255,7 +258,7 @@ def sign_variations(values: Iterable[Fraction]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def sturm_chain(p: UniPoly) -> tuple[UniPoly, ...]:
     """Sturm chain of p, built as a sign-faithful primitive integer remainder
     sequence (every element is a positive rational multiple of the classical
@@ -277,6 +280,41 @@ def _int_sturm_chain(f: list[int]) -> list[list[int]]:
                 break
             chain.append([-c for c in r])
     return chain
+
+
+def _int_exact_quotient(f: list[int], g: list[int]) -> list[int]:
+    """f / g for integer polynomials where the primitive g divides f."""
+    n = len(g) - 1
+    lead = g[-1]
+    r = list(f)
+    q = [0] * (len(f) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + n] // lead
+        if c:
+            for k in range(n + 1):
+                r[i + k] -= c * g[k]
+    return q
+
+
+def integer_squarefree_chain(p: UniPoly) -> tuple[list[int], list[list[int]]]:
+    """The squarefree part of the nonzero p as a primitive integer polynomial,
+    with its integer Sturm chain.
+
+    The last element of the Sturm chain of p is gcd(p, p'); only when it is
+    not constant is it divided out, exactly on integers, and the chain rebuilt.
+    Nothing is cached.
+    """
+    f = primitive_ints(p.coeffs)
+    chain = _int_sturm_chain(f)
+    if len(chain[-1]) > 1:
+        f = _int_exact_quotient(f, chain[-1])
+        chain = _int_sturm_chain(f)
+    return f, chain
+
+
+def _int_root_bound(f: Sequence[int]) -> int:
+    """An integer B > |r| for every complex root r of f (degree >= 1)."""
+    return 1 + -(-max(abs(c) for c in f[:-1]) // abs(f[-1]))
 
 
 def _int_eval(f: Sequence[int], x: int) -> int:
@@ -542,15 +580,13 @@ def integer_roots(p: UniPoly, lo: int | None = None, hi: int | None = None) -> l
         raise ZeroPolynomialError("zero polynomial has no root enumeration")
     if p.degree == 0:
         return []
-    sf = primitive_ints(squarefree_part(p).coeffs)
-    lead = abs(sf[-1])
-    bound = 1 + -(-max(abs(c) for c in sf[:-1]) // lead)
+    sf, chain = integer_squarefree_chain(p)
+    bound = _int_root_bound(sf)
     lo = -bound if lo is None else max(lo, -bound)
     hi = bound if hi is None else min(hi, bound)
     if lo > hi:
         return []
     found = [lo] if _int_eval(sf, lo) == 0 else []
-    chain = _int_sturm_chain(sf)
     # parts (a, b] with their variation counts, leftmost on top
     parts = [(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))]
     while parts:
@@ -575,6 +611,35 @@ def integer_roots(p: UniPoly, lo: int | None = None, hi: int | None = None) -> l
         if sb == 0:
             found.append(b)
     return found
+
+
+def ranked_integer_root(p: UniPoly, index: int) -> tuple[int, int | None]:
+    """The number n of distinct real roots of p, and the root of rank `index`
+    (0 is the smallest) when it is an integer, else None.
+
+    A rank search on integers: n comes from the chain's signs at -inf and
+    +inf; bisection finds the smallest integer t with more than `index` roots
+    <= t, so the root lies in (t - 1, t].  It is t exactly when sf(t) == 0
+    and t is root number index + 1 from the left.
+    """
+    if p.is_zero():
+        raise ZeroPolynomialError("zero polynomial has no root enumeration")
+    sf, chain = integer_squarefree_chain(p)
+    v_neg = sign_variations([-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain])
+    n = v_neg - sign_variations([q[-1] for q in chain])
+    if not 0 <= index < n:
+        return n, None
+    # (a, b] holds the root: at most `index` roots are <= a, count_b > index are <= b
+    bound = _int_root_bound(sf)
+    a, b, count_b = -bound, bound, n
+    while b - a > 1:
+        m = (a + b) // 2
+        count_m = v_neg - _int_variations(chain, m)
+        if count_m > index:
+            b, count_b = m, count_m
+        else:
+            a = m
+    return n, b if count_b == index + 1 and _int_eval(sf, b) == 0 else None
 
 
 def rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:

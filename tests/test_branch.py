@@ -1,11 +1,14 @@
 """Branch machinery: implicit derivative recurrence, level sets, partitions,
 and the box decomposition."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from latcurve.branch import (
+    AlgebraicBranch,
     BranchError,
     DegenerateLevelSetError,
     branch_from_point,
@@ -22,8 +25,8 @@ from latcurve.branch import (
 )
 from latcurve.counting import brute_force_count
 from latcurve.detmethod import LatticePoint
-from latcurve.poly2 import parse, partial
-from latcurve.unipoly import UniPoly
+from latcurve.poly2 import BiPoly, IngestionError, parse, partial
+from latcurve.unipoly import UniPoly, integer_in, integer_roots, squarefree_part, sturm_chain
 
 
 def series_taylor_oracle(curve, x0, y0, kmax):
@@ -190,6 +193,76 @@ def test_branch_integer_point_near_integer():
     assert branch_integer_point(bottom, k) == LatticePoint(k, -(10**6) - 1)
     assert branch_integer_point(top, 1) is None
     assert branch_integer_point(bottom, 1) is None
+
+
+def test_branch_integer_point_errors():
+    # x = 3 is a vertical line of (x - 3)(y - x): the column polynomial is zero
+    c = parse("(x - 3)*(y - x)")
+    br = AlgebraicBranch(c, Fraction(1), Fraction(1), Fraction(1), 0, 1, (Fraction(0), Fraction(5)))
+    assert branch_integer_point(br, 2) == LatticePoint(2, 2)
+    with pytest.raises(BranchError, match="vertical line"):
+        branch_integer_point(br, 3)
+    with pytest.raises(BranchError, match="outside the branch domain"):
+        branch_integer_point(br, 6)
+    # two values of x^2 + y^2 = 25 at x = 3, none at x = 6
+    circle = parse("x^2 + y^2 - 25")
+    wide = AlgebraicBranch(circle, Fraction(3), Fraction(4), Fraction(4), 1, 2, (Fraction(0), Fraction(6)))
+    assert branch_integer_point(wide, 3) == LatticePoint(3, 4)
+    with pytest.raises(BranchError, match="root structure changed"):
+        branch_integer_point(wide, 6)
+
+
+def _point_or_error(fn):
+    try:
+        return fn()
+    except BranchError as exc:
+        return ("BranchError", str(exc))
+
+
+def test_branch_integer_point_matches_bracket_reference():
+    """The rank search against the isolating bracket and `integer_in` on every
+    integer abscissa of the branches of random curves."""
+    rng = random.Random(43)
+    curves = columns = hits = 0
+    while curves < 150:
+        deg = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            j1 = rng.randint(0, deg)
+            terms[(j1, rng.randint(0, deg - j1))] = rng.randint(-6, 6)
+        curve = BiPoly(terms)
+        if curve.degree < 1:
+            continue
+        n = rng.randint(1, 40)
+        try:
+            branches = graph_decompose(curve, n).branches
+        except (BranchError, IngestionError):
+            continue
+        curves += 1
+        for br in branches:
+            # one abscissa past each end checks agreement on the domain error
+            for k in range(math.ceil(br.domain[0]) - 1, math.floor(br.domain[1]) + 2):
+
+                def reference():
+                    y = integer_in(branch_value_bracket(br, k))
+                    return None if y is None else LatticePoint(k, y)
+
+                got = _point_or_error(lambda: branch_integer_point(br, k))
+                assert got == _point_or_error(reference), (curve.pretty(), n, br, k)
+                columns += 1
+                hits += isinstance(got, LatticePoint)
+    assert columns > 1000 and hits > 50
+
+
+def test_integer_point_searches_leave_shared_caches_alone():
+    c = parse("x^2 + y^2 - 250000")
+    br = branch_from_point(c, 300, 400, (0, 350))
+    before = (sturm_chain.cache_info(), squarefree_part.cache_info())
+    hits = [p for k in range(351) if (p := branch_integer_point(br, k)) is not None]
+    assert LatticePoint(300, 400) in hits and LatticePoint(0, 500) in hits
+    assert integer_roots(c.at_x(140), 0, 500) == [480]
+    assert integer_roots(UniPoly([3, 0, -1]) * UniPoly([-7, 1]) ** 2) == [7]
+    assert (sturm_chain.cache_info(), squarefree_part.cache_info()) == before
 
 
 def test_branch_sign_exact():

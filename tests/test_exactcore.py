@@ -22,10 +22,12 @@ from latcurve.unipoly import (
     count_real_roots,
     integer_in,
     integer_roots,
+    integer_squarefree_chain,
     isolate_real_roots,
     poly_gcd,
     poly_sup_bound,
     primitive_ints,
+    ranked_integer_root,
     refine_clear_of,
     refine_disjoint,
     refine_root,
@@ -348,6 +350,51 @@ def test_integer_roots_double_root():
     assert integer_roots(p) == [-1, 3]
     assert integer_roots(p, 0, 10) == [3]
     assert integer_roots(p, -1, 2) == [-1]
+    assert integer_roots(UniPoly([0, 1]) * UniPoly([-2, 0, 1]) ** 2) == [0]  # y (y^2 - 2)^2
+    cube = _with_roots([5, 5, 5], extra=(-2, 0, 1))  # (y - 5)^3 (y^2 - 2)
+    assert integer_roots(cube) == [5]
+    assert integer_roots(cube, 6, 100) == []
+    assert integer_roots(_with_roots([-4, -4, 0, 0, 9]), -4, 8) == [-4, 0]
+
+
+def test_integer_squarefree_chain():
+    sf, chain = integer_squarefree_chain(_with_roots([3, 3, -1]))  # (y - 3)^2 (y + 1)
+    assert sf in ([-3, -2, 1], [3, 2, -1])
+    assert chain[0] == sf and len(chain[-1]) == 1
+    sf, chain = integer_squarefree_chain(UniPoly([0, 1]) * UniPoly([-2, 0, 1]) ** 2)  # y (y^2 - 2)^2
+    assert sf in ([0, -2, 0, 1], [0, 2, 0, -1])
+    assert len(chain) == 4
+    # squarefree input: its primitive form and chain, untouched
+    sf, chain = integer_squarefree_chain(UniPoly([-2, 0, Fraction(1, 2)]))
+    assert sf == [-4, 0, 1] and chain == [[-4, 0, 1], [0, 1], [1]]
+    assert integer_squarefree_chain(UniPoly([Fraction(-3, 2)])) == ([-1], [[-1]])
+
+
+def test_ranked_integer_root():
+    p = _with_roots([3, 3, -1])  # (y - 3)^2 (y + 1): two distinct roots
+    assert [ranked_integer_root(p, i) for i in (-1, 0, 1, 2)] == [(2, None), (2, -1), (2, 3), (2, None)]
+    # three roots in (2, 3]: only the last of them is the integer
+    close = UniPoly([Fraction(-7, 3), 1]) * UniPoly([Fraction(-8, 3), 1]) * UniPoly([-3, 1])
+    assert [ranked_integer_root(close, i)[1] for i in range(3)] == [None, None, 3]
+    # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
+    near = UniPoly([-(10**12 + 1), 0, 1])
+    assert [ranked_integer_root(near, i) for i in range(2)] == [(2, None), (2, None)]
+    assert ranked_integer_root(near * UniPoly([-(10**6), 1]), 1) == (3, 10**6)
+    assert ranked_integer_root(UniPoly([1, 0, 1]), 0) == (0, None)
+    assert ranked_integer_root(UniPoly([5]), 0) == (0, None)
+    with pytest.raises(ZeroPolynomialError):
+        ranked_integer_root(UniPoly([]), 0)
+
+
+def test_ranked_integer_root_matches_isolation():
+    rng = random.Random(23)
+    for _ in range(300):
+        roots = [Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(0, 4))]
+        p = _with_roots(roots, [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 3))])
+        isolated = isolate_real_roots(p, -(10**4), 10**4) if p.degree >= 1 else []
+        expected = [integer_in(r) for r in isolated]
+        got = [ranked_integer_root(p, i) for i in range(len(isolated))]
+        assert got == [(len(isolated), y) for y in expected], p
 
 
 def test_integer_roots_wide_empty_and_constant_ranges():
