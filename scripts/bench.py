@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_4.json at the repository root.
+rows and write BENCH_5.json at the repository root.
 
 Each row is one call in this process, timed with `time.perf_counter`:
 `brute_force_count(curve, N)` for the oracle rows (the ROADMAP baseline)
@@ -26,9 +26,12 @@ ROWS = [
     ("oracle", "y^2 - x^3 - x - 1", 10**5),
     ("pipeline", "x^2 + y^2 - 250000", 500),
     ("pipeline", "x - 2*y^2 - 53*y", 500),
+    # the two partition-bound ROADMAP baseline rows
+    ("pipeline", "y^2 - x^3 - x - 1", 50),
+    ("pipeline", "4*y^3 - x^2 + 6*x*y + 2*y", 33),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_4.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_5.json"
 
 
 def count(kind: str, text: str, n_box: int) -> int:
@@ -49,7 +52,7 @@ def main() -> int:
     rows = []
     for kind, text, n_box in ROWS:
         row = time_row(kind, text, n_box)
-        print(f"{kind:8} {text:20} N = {n_box:>6}  count {row['count']:>4}  {row['seconds']:8.2f} s")
+        print(f"{kind:8} {text:26} N = {n_box:>6}  count {row['count']:>4}  {row['seconds']:8.2f} s")
         rows.append(row)
     payload = {
         "benchmark": "brute_force_count oracle sweep and determinant_method_count pipeline",

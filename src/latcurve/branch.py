@@ -25,6 +25,7 @@ from .unipoly import (
     all_real_roots,
     bisect_step,
     count_real_roots,
+    int_exact_quotient,
     integer_roots,
     isolate_real_roots,
     poly_gcd,
@@ -35,6 +36,7 @@ from .unipoly import (
     refine_disjoint,
     refine_root,
     squarefree_part,
+    sturm_chain,
 )
 
 
@@ -351,8 +353,9 @@ def _level_curve(curve: BiPoly, i: int, c: Fraction) -> BiPoly:
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPoly, UniPoly, UniPoly]:
-    """(level curve, eliminant, its squarefree part, repeated-root part)."""
+def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPoly, UniPoly]:
+    """(level curve, eliminant, repeated-root part: the eliminant over its
+    squarefree part)."""
     rc = _level_curve(curve, i, c)
     if rc.is_zero() or divides(curve, rc):
         raise DegenerateLevelSetError(
@@ -365,10 +368,9 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPol
     if res.is_zero():
         raise DegenerateLevelSetError("level-set eliminant vanished identically")
     if res.degree < 1:
-        return rc, res, UniPoly([1]), UniPoly([1])
-    mult = poly_gcd(res, res.derivative())
-    ssf = res // mult if mult.degree >= 1 else res
-    return rc, res, ssf, mult
+        return rc, res, UniPoly([1])
+    mult = int_exact_quotient(primitive_ints(res.coeffs), sturm_chain(res)[0])
+    return rc, res, UniPoly(mult)
 
 
 def level_set_abscissas(
@@ -378,14 +380,14 @@ def level_set_abscissas(
     if i < 1:
         raise ValueError("derivative order must be >= 1")
     c = Fraction(c)
-    rc, res, ssf, mult = _level_resultant(branch.curve, i, c)
+    rc, res, mult = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     if res.degree < 1:
         return []
+    roots = isolate_real_roots(res, lo, hi)
     if rc.degree_y() < 1:
         # the level curve does not involve y: every eliminant root is on the branch
-        return isolate_real_roots(res, lo, hi)
-    roots = isolate_real_roots(ssf, lo, hi)
+        return roots
     if not roots:
         return []
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)

@@ -45,7 +45,11 @@ def _cmd_count(args) -> int:
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    delta = _parse_fraction(args.delta) if args.delta else None
+    try:
+        delta = _parse_fraction(args.delta) if args.delta else None
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: bad --delta {args.delta!r}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.method == "brute":
             total, points = brute_force_count(curve, args.box)

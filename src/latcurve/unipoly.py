@@ -2,13 +2,16 @@
 
 All decisions (root counts, signs, refinements) are made in exact rational
 arithmetic.  Roots are reported as rational-endpoint isolating intervals;
-a degenerate interval [r, r] marks an exactly known rational root.  Integer
-roots are found on integer endpoints only, from one integer squarefree part
-and its Sturm chain (`integer_squarefree_chain`): `integer_roots` lists those
-in a range, and `ranked_integer_root` tests the root of a given rank, with
-no isolation and no shared cache.  The package locates roots only through
-this module: one content normaliser, one bisection step, one integer test
-and one range test.
+a degenerate interval [r, r] marks an exactly known rational root.  One
+integer squarefree part and its integer Sturm chain
+(`integer_squarefree_chain`, cached as `sturm_chain`) stand behind every
+count, isolation and integer search; at x = num/den a chain element f is
+evaluated as the integer den^deg * f(x).  Integer roots are found on integer
+endpoints only: `integer_roots` lists those in a range, and
+`ranked_integer_root` tests the root of a given rank, with no isolation and
+no shared cache.  The package locates roots only through this module: one
+content normaliser, one squarefree part and chain, one bisection step, one
+integer test and one range test.
 """
 
 from __future__ import annotations
@@ -240,32 +243,9 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return g * (1 / g.leading)
 
 
-@lru_cache(maxsize=512)
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'): same roots, all simple."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    if p.degree == 0:
-        return UniPoly([1])
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p
-    return p // g
-
-
 def sign_variations(values: Iterable[Fraction]) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-@lru_cache(maxsize=64)
-def sturm_chain(p: UniPoly) -> tuple[UniPoly, ...]:
-    """Sturm chain of p, built as a sign-faithful primitive integer remainder
-    sequence (every element is a positive rational multiple of the classical
-    chain element, so sign variations are unchanged)."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    return tuple(UniPoly(c) for c in _int_sturm_chain(primitive_ints(p.coeffs)))
 
 
 def _int_sturm_chain(f: list[int]) -> list[list[int]]:
@@ -282,7 +262,7 @@ def _int_sturm_chain(f: list[int]) -> list[list[int]]:
     return chain
 
 
-def _int_exact_quotient(f: list[int], g: list[int]) -> list[int]:
+def int_exact_quotient(f: list[int], g: list[int]) -> list[int]:
     """f / g for integer polynomials where the primitive g divides f."""
     n = len(g) - 1
     lead = g[-1]
@@ -307,14 +287,31 @@ def integer_squarefree_chain(p: UniPoly) -> tuple[list[int], list[list[int]]]:
     f = primitive_ints(p.coeffs)
     chain = _int_sturm_chain(f)
     if len(chain[-1]) > 1:
-        f = _int_exact_quotient(f, chain[-1])
+        f = int_exact_quotient(f, chain[-1])
         chain = _int_sturm_chain(f)
     return f, chain
 
 
+@lru_cache(maxsize=64)
+def sturm_chain(p: UniPoly) -> tuple[list[int], list[list[int]]]:
+    """The cached `integer_squarefree_chain(p)`: (sf, Sturm chain of sf).
+
+    Every caller shares the returned lists; none may modify them.
+    """
+    if p.is_zero():
+        raise ZeroPolynomialError("zero polynomial")
+    return integer_squarefree_chain(p)
+
+
+@lru_cache(maxsize=512)
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """p divided by gcd(p, p'): same roots, all simple (primitive integer form)."""
+    return UniPoly(sturm_chain(p)[0])
+
+
 def _int_root_bound(f: Sequence[int]) -> int:
-    """An integer B > |r| for every complex root r of f (degree >= 1)."""
-    return 1 + -(-max(abs(c) for c in f[:-1]) // abs(f[-1]))
+    """An integer B > |r| for every complex root r of the nonzero f."""
+    return 1 + -(-max((abs(c) for c in f[:-1]), default=0) // abs(f[-1]))
 
 
 def _int_eval(f: Sequence[int], x: int) -> int:
@@ -324,12 +321,25 @@ def _int_eval(f: Sequence[int], x: int) -> int:
     return acc
 
 
-def _int_variations(chain: Sequence[list[int]], x: int) -> int:
-    """Sign variations of the chain at x; zero values are skipped."""
+def _rat_eval(f: Sequence[int], x: Fraction | int) -> int:
+    """den^deg(f) * f(x) for x = num/den, den > 0, by homogeneous Horner: an
+    integer with the sign of f(x)."""
+    num, den = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(f):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _int_variations(chain: Sequence[list[int]], x: Fraction | int) -> int:
+    """Sign variations of the chain at the rational x; zero values are skipped."""
+    evaluate = _int_eval if type(x) is int else _rat_eval
     count = 0
     last = 0
     for q in chain:
-        v = _int_eval(q, x)
+        v = evaluate(q, x)
         if v:
             if last and (v > 0) != (last > 0):
                 count += 1
@@ -337,30 +347,13 @@ def _int_variations(chain: Sequence[list[int]], x: int) -> int:
     return count
 
 
-def _variations_at(chain: Sequence[UniPoly], x: Fraction) -> int:
-    return sign_variations([q.evaluate(x) for q in chain])
-
-
-def _deflate_ends(sf: UniPoly, lo: Fraction, hi: Fraction) -> tuple[UniPoly, list[Fraction]]:
-    """The squarefree sf with its roots at lo and hi divided out, and those roots."""
-    ends: list[Fraction] = []
-    for end in (lo, hi) if hi > lo else (lo,):
-        if sf.evaluate(end) == 0:
-            ends.append(end)
-            sf = sf // UniPoly([-end, 1])
-    return sf, ends
-
-
 def count_real_roots(p: UniPoly, lo: Fraction | int, hi: Fraction | int) -> int:
-    """Number of distinct real roots of p in the closed interval [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
+    """Number of distinct real roots of p in the closed interval [lo, hi]:
+    V(lo) - V(hi) counts those in (lo, hi], and a root at lo adds one."""
     if lo > hi:
         raise ValueError("empty interval")
-    inner, ends = _deflate_ends(squarefree_part(p), lo, hi)
-    if hi == lo or inner.degree < 1:
-        return len(ends)
-    chain = sturm_chain(inner)
-    return len(ends) + _variations_at(chain, lo) - _variations_at(chain, hi)
+    sf, chain = sturm_chain(p)
+    return (_rat_eval(sf, lo) == 0) + _int_variations(chain, lo) - _int_variations(chain, hi)
 
 
 @dataclass(frozen=True)
@@ -438,28 +431,32 @@ def isolate_real_roots(
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty range")
-    sf = squarefree_part(p)
-    sf_int, ends = _deflate_ends(sf, lo, hi)
-    out = [RootInterval(end, end, sf) for end in ends]
-    if hi == lo or sf_int.degree < 1:
-        return sorted(out, key=lambda r: r.lo)
-    chain = sturm_chain(sf_int)
+    sf, chain = sturm_chain(p)
+    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(sf, e) == 0]
+    out = [RootInterval(e, e, UniPoly(sf)) for e in ends]
+    inner = sf
+    for e in ends:
+        inner = int_exact_quotient(inner, [-e.numerator, e.denominator])
+    if hi == lo or len(inner) < 2:
+        return out
+    # reference the deflated polynomial: with an endpoint root deflated
+    # away, a bracket ending there isolates only for the deflated form
+    bracket = UniPoly(inner)
+    hi_root = hi in ends
 
     def split(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        k = va - vb
+        k = va - vb - (b == hi and hi_root)  # roots in the open (a, b)
         if k == 0:
             return
         if k == 1:
-            # reference the deflated polynomial: with an endpoint root
-            # deflated away, [a, b] isolates only for the deflated form
-            out.append(RootInterval(a, b, sf_int))
+            out.append(RootInterval(a, b, bracket))
             return
-        m, _ = _nonroot_split(sf_int, a, b)
-        vm = _variations_at(chain, m)
+        m, _ = _nonroot_split(bracket, a, b)
+        vm = _int_variations(chain, m)
         split(a, m, va, vm)
         split(m, b, vm, vb)
 
-    split(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))
+    split(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))
     return sorted(out, key=lambda r: r.lo)
 
 
@@ -552,19 +549,9 @@ def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) ->
     return items
 
 
-def cauchy_root_bound(p: UniPoly) -> Fraction:
-    """B with every real root of p in [-B, B]."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    if p.degree == 0:
-        return Fraction(0)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
-
-
 def all_real_roots(p: UniPoly) -> list[RootInterval]:
     """Isolating intervals for every real root of p, in increasing order."""
-    bound = int(cauchy_root_bound(p)) + 1
+    bound = _int_root_bound(sturm_chain(p)[0])
     return isolate_real_roots(p, -bound, bound)
 
 

@@ -77,6 +77,14 @@ def test_count_repeated_factor_exit_2(capsys):
     assert "repeated factor" in err
 
 
+def test_count_bad_delta_exit_2(capsys):
+    for delta in ("1/0", "abc"):
+        code, out, err = run_cli(capsys, "count", "--poly", "x - y^2", "--box", "10", "--delta", delta)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_jarnik_points(capsys):
     code, out, _ = run_cli(capsys, "jarnik", "--H", "3")
     assert code == 0

@@ -18,7 +18,7 @@ from latcurve.unipoly import (
     RootInterval,
     UniPoly,
     ZeroPolynomialError,
-    cauchy_root_bound,
+    all_real_roots,
     count_real_roots,
     integer_in,
     integer_roots,
@@ -211,22 +211,42 @@ def test_isolate_endpoint_roots_degenerate():
     assert len(roots) == 1 and roots[0].is_exact() and roots[0].lo == 0
 
 
+def _check_isolation(p, lo, hi):
+    roots = isolate_real_roots(p, lo, hi)
+    # counts agree with an independent Sturm count
+    assert len(roots) == count_real_roots(p, lo, hi) == naive_sturm_count(p, lo, hi), (p, lo, hi)
+    for r in roots:
+        assert lo <= r.lo <= r.hi <= hi
+        if r.is_exact():
+            assert p.evaluate(r.lo) == 0
+            continue
+        for q in (r, refine_root(r, Fraction(1, 1000))):
+            assert q.polynomial.evaluate(q.lo) * q.polynomial.evaluate(q.hi) < 0, (p, lo, hi, q)
+    for a, b in zip(roots, roots[1:]):
+        assert a.hi <= b.lo
+
+
 def test_isolation_properties_random():
     rng = random.Random(21)
     for _ in range(60):
         deg = rng.randint(1, 6)
         coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [rng.randint(1, 6)]
-        p = UniPoly(coeffs)
-        roots = isolate_real_roots(p, -12, 12)
-        # count agrees with an independent Sturm count
-        assert len(roots) == naive_sturm_count(p, -12, 12)
+        _check_isolation(UniPoly(coeffs), -12, 12)
+    # products of rational linear factors (b*y - a), some repeated, with
+    # Fraction coefficients, on ranges that often end on a root
+    for _ in range(120):
+        roots = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        roots += rng.sample(roots, rng.randint(0, len(roots)))
+        p = UniPoly([Fraction(rng.choice([-7, -3, 1, 2, 5]), rng.randint(1, 6))])
         for r in roots:
-            if not r.is_exact():
-                assert r.polynomial.evaluate(r.lo) * r.polynomial.evaluate(r.hi) < 0
-            else:
-                assert p.evaluate(r.lo) == 0
-        for a, b in zip(roots, roots[1:]):
-            assert a.hi <= b.lo
+            p = p * UniPoly([-r.numerator, r.denominator]) * Fraction(1, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            p = p * UniPoly([Fraction(-2, 3), 0, 1])  # roots +-sqrt(2/3)
+        ends = [
+            rng.choice(roots) if rng.random() < 0.6 else Fraction(rng.randint(-40, 40), rng.randint(1, 3))
+            for _ in range(2)
+        ]
+        _check_isolation(p, min(ends), max(ends))
 
 
 def test_refine_root():
@@ -478,7 +498,18 @@ def test_sup_bound_certifies():
     assert b <= 12  # reasonably tight
 
 
-def test_cauchy_bound_contains_roots():
-    p = UniPoly([-6, 11, -6, 1])
-    b = cauchy_root_bound(p)
-    assert b >= 3
+def test_all_real_roots_finds_every_root():
+    roots = all_real_roots(UniPoly([-6, 11, -6, 1]))  # (x-1)(x-2)(x-3)
+    assert [integer_in(r) for r in roots] == [1, 2, 3]
+    roots = all_real_roots(_with_roots([10**6, -3]))
+    assert [integer_in(r) for r in roots] == [-3, 10**6]
+    # (3x - 1)^2 (x^2 - 2): -sqrt(2) < 1/3 < sqrt(2), the double root once
+    p = UniPoly([-1, 3]) ** 2 * UniPoly([-2, 0, 1])
+    low, third, high = all_real_roots(p)
+    assert low.hi <= third.lo and third.hi <= high.lo
+    assert low.hi <= 0 and low.lo * low.lo >= 2 >= low.hi * low.hi
+    assert third.lo <= Fraction(1, 3) <= third.hi
+    assert 0 <= high.lo and high.lo * high.lo <= 2 <= high.hi * high.hi
+    assert all_real_roots(UniPoly([5])) == []
+    with pytest.raises(ZeroPolynomialError):
+        all_real_roots(UniPoly([]))
