@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_5.json at the repository root.
+rows and write BENCH_6.json at the repository root.
 
 Each row is one call in this process, timed with `time.perf_counter`:
 `brute_force_count(curve, N)` for the oracle rows (the ROADMAP baseline)
@@ -26,12 +26,14 @@ ROWS = [
     ("oracle", "y^2 - x^3 - x - 1", 10**5),
     ("pipeline", "x^2 + y^2 - 250000", 500),
     ("pipeline", "x - 2*y^2 - 53*y", 500),
+    # the ROADMAP baseline pipeline row
+    ("pipeline", "x - y^5", 1000),
     # the two partition-bound ROADMAP baseline rows
     ("pipeline", "y^2 - x^3 - x - 1", 50),
     ("pipeline", "4*y^3 - x^2 + 6*x*y + 2*y", 33),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_5.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_6.json"
 
 
 def count(kind: str, text: str, n_box: int) -> int:

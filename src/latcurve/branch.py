@@ -17,7 +17,7 @@ from math import ceil, comb, factorial, floor, gcd as _gcd
 from typing import NamedTuple, Optional
 
 from .detmethod import LatticePoint
-from .poly2 import BiPoly, divides, ingestion_check, partial, resultant_eliminating_y
+from .poly2 import BiPoly, ingestion_check, partial, resultant_eliminating_y
 from .unipoly import (
     REFINE_DEPTH,
     RootInterval,
@@ -357,7 +357,7 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPol
     """(level curve, eliminant, repeated-root part: the eliminant over its
     squarefree part)."""
     rc = _level_curve(curve, i, c)
-    if rc.is_zero() or divides(curve, rc):
+    if rc.is_zero():
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
         )

@@ -4,6 +4,9 @@ Provides parsing/printing in a small text grammar, partial derivatives,
 divisibility, resultants eliminating y, and the corner-index used to build
 punctured monomial sets.  Term order is graded lexicographic with x taking
 priority inside each total degree; printing lists highest terms first.
+
+The one resultant algorithm is a pseudo-remainder descent (Collins) on the
+primitive integer y-coefficient rows, the rational contents multiplied back.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactlinalg import bareiss_determinant
-from .unipoly import UniPoly, poly_gcd, primitive_ints
+from .unipoly import UniPoly, int_exact_quotient, poly_gcd, primitive_ints
 
 ExponentPair = tuple[int, int]
 
@@ -212,15 +214,6 @@ class BiPoly:
             rows[j2][j1] = c
         return [UniPoly(r) for r in rows]
 
-    @staticmethod
-    def from_y_coefficients(coeffs: Iterable[UniPoly]) -> BiPoly:
-        terms: dict[ExponentPair, Fraction] = {}
-        for j2, u in enumerate(coeffs):
-            for j1, c in enumerate(u.coeffs):
-                if c:
-                    terms[(j1, j2)] = c
-        return BiPoly(terms)
-
     def swap_xy(self) -> BiPoly:
         return BiPoly({(j2, j1): c for (j1, j2), c in self.terms.items()})
 
@@ -304,78 +297,91 @@ def divides(f: BiPoly, g: BiPoly) -> bool:
 
 # -- resultants ------------------------------------------------------------
 
-_SYLVESTER_LIMIT = 14
+
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _sylvester_resultant(fc: list[UniPoly], gc: list[UniPoly]) -> UniPoly:
-    """Determinant of the Sylvester matrix w.r.t. y; entries live in Q[x]."""
-    m, n = len(fc) - 1, len(gc) - 1
-    size = m + n
-    zero = UniPoly([])
-    rows: list[list[UniPoly]] = []
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(fc)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(gc)):
-            row[i + k] = c
-        rows.append(row)
-    return bareiss_determinant(rows, lambda a, b: a // b)
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
 
 
-def _pseudo_remainder(fc: list[UniPoly], gc: list[UniPoly]) -> list[UniPoly]:
+def _int_pow(a: list[int], e: int) -> list[int]:
+    out = [1]
+    for _ in range(e):
+        out = _int_mul(out, a)
+    return out
+
+
+def _primitive_rows(p: BiPoly) -> tuple[Fraction, list[list[int]]]:
+    """(c, rows) with p = c * sum_j rows[j](x) * y^j: c > 0 rational, each row an
+    integer coefficient list in x (index = degree, [] for zero), all the
+    coefficients with gcd 1 and the signs of p."""
+    ints = dict(zip(p.terms, primitive_ints(list(p.terms.values()))))
+    rows: list[list[int]] = [[] for _ in range(p.degree_y() + 1)]
+    for (j1, j2), v in ints.items():
+        rows[j2].extend([0] * (j1 + 1 - len(rows[j2])))
+        rows[j2][j1] = v
+    j = next(iter(ints))
+    return p.terms[j] / ints[j], rows
+
+
+def _pseudo_remainder(fc: list[list[int]], gc: list[list[int]]) -> list[list[int]]:
     """Pseudo-remainder of f by g in y: lc(g)^(deg f - deg g + 1) * f mod g."""
-    m, n = len(fc) - 1, len(gc) - 1
+    n = len(gc) - 1
     lead = gc[-1]
     r = list(fc)
-    for i in range(m, n - 1, -1):
+    for i in range(len(fc) - 1, n - 1, -1):
         top = r[i]
-        r = [c * lead for c in r]
-        if not top.is_zero():
-            for k in range(n + 1):
-                r[i - n + k] = r[i - n + k] - top * gc[k]
-        r = r[:i]
-    while r and r[-1].is_zero():
+        r = [_int_mul(c, lead) for c in r[:i]]
+        if top:
+            for k in range(n):
+                r[i - n + k] = _int_sub(r[i - n + k], _int_mul(top, gc[k]))
+    while r and not r[-1]:
         r.pop()
     return r
 
 
-def _euclid_resultant(fc: list[UniPoly], gc: list[UniPoly]) -> UniPoly:
-    """Resultant via pseudo-remainder descent, tracking leading-coefficient powers."""
+def _int_resultant(fc: list[list[int]], gc: list[list[int]]) -> list[int]:
+    """Res_y(f, g) via pseudo-remainder descent, tracking leading-coefficient
+    powers; the one division is exact in Z[x]."""
     m, n = len(fc) - 1, len(gc) - 1
     if m < n:
-        res = _euclid_resultant(gc, fc)
-        return -res if (m * n) % 2 else res
+        res = _int_resultant(gc, fc)
+        return [-c for c in res] if (m * n) % 2 else res
     if n == 0:
         # Res(f, const) = const^deg(f)
-        return gc[0] ** m
+        return _int_pow(gc[0], m)
     r = _pseudo_remainder(fc, gc)
     if not r:
-        return UniPoly([])
-    degr = len(r) - 1
-    sub = _euclid_resultant(gc, r)
-    sign = -1 if (m * n) % 2 else 1
-    # lc(g)^(m - degr - n*(m - n + 1)) scales Res(g, r) up to Res(g, f)
-    e = m - degr - n * (m - n + 1)
-    lead = gc[-1]
-    if e >= 0:
-        out = sub * lead**e
-    else:
-        out = sub // lead ** (-e)
-    return -out if sign < 0 else out
+        return []
+    sub = _int_resultant(gc, r)
+    # lc(g)^(m - deg r - n*(m - n + 1)) scales Res(g, r) up to Res(g, f)
+    e = m - (len(r) - 1) - n * (m - n + 1)
+    out = _int_mul(sub, _int_pow(gc[-1], e)) if e >= 0 else int_exact_quotient(sub, _int_pow(gc[-1], -e))
+    return [-c for c in out] if (m * n) % 2 else out
 
 
 def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
-    """Sylvester resultant of p and q with respect to y, as a polynomial in x."""
+    """Sylvester resultant of p and q with respect to y, as a polynomial in x:
+    Res_y of the primitive integer rows times cp^deg_y(q) * cq^deg_y(p)."""
     if p.degree_y() < 1 or q.degree_y() < 1:
         raise ResultantDomainError("resultant requires positive y-degree")
-    fc, gc = p.y_coefficients(), q.y_coefficients()
-    if len(fc) + len(gc) - 2 <= _SYLVESTER_LIMIT:
-        return _sylvester_resultant(fc, gc)
-    return _euclid_resultant(fc, gc)
+    cp, fc = _primitive_rows(p)
+    cq, gc = _primitive_rows(q)
+    return UniPoly(_int_resultant(fc, gc)) * (cp ** (len(gc) - 1) * cq ** (len(fc) - 1))
 
 
 # -- ingestion sanity check ---------------------------------------------------

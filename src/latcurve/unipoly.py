@@ -183,10 +183,6 @@ class UniPoly:
         return " ".join(parts)
 
 
-def poly_from_ints(values: Sequence[int]) -> UniPoly:
-    return UniPoly([Fraction(v) for v in values])
-
-
 def primitive_ints(coeffs: Sequence[Fraction | int]) -> list[int]:
     """Integer coefficients with gcd 1 after a positive rational rescaling.
 
@@ -515,13 +511,9 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
         return False
-    if a.polynomial == b.polynomial:
-        return True  # overlapping isolating intervals of one squarefree polynomial
-    g = poly_gcd(a.polynomial, b.polynomial)
-    if g.degree < 1:
-        return False
+    g = a.polynomial if a.polynomial == b.polynomial else poly_gcd(a.polynomial, b.polynomial)
     # a common root inside both brackets must be each bracket's isolated root
-    return count_real_roots(g, lo, hi) > 0
+    return g.degree >= 1 and count_real_roots(g, lo, hi) > 0
 
 
 def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) -> list[RootInterval]:

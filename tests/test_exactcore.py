@@ -284,6 +284,18 @@ def test_refine_disjoint_merges_same_root():
     assert len(merged) == 1
 
 
+def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
+    # overlapping brackets of one polynomial around its two different roots
+    p = UniPoly([3, -4, 1])  # (x - 1)(x - 3)
+    [r1] = isolate_real_roots(p, 0, Fraction(5, 2))
+    [r3] = isolate_real_roots(p, 2, 4)
+    assert r1.hi > r3.lo
+    kept = refine_disjoint([r1, r3], 10)
+    assert len(kept) == 2
+    assert kept[0].lo <= 1 <= kept[0].hi and kept[1].lo <= 3 <= kept[1].hi
+    assert kept[0].hi <= kept[1].lo
+
+
 def test_refine_clear_of_root_at_an_end():
     p = UniPoly([-3, 1])  # root 3
     r = refine_clear_of(RootInterval(Fraction(2), Fraction(4), p), Fraction(3), Fraction(5))

@@ -164,23 +164,36 @@ def _sylvester_oracle(p, q):
 
 
 def test_resultant_euclidean_path_matches_sylvester():
-    """The pseudo-remainder descent must reproduce the Sylvester determinant
-    exactly, signs included, across degree combinations."""
-    from latcurve.poly2 import _euclid_resultant
-
+    """The integer pseudo-remainder descent must reproduce the Sylvester
+    determinant exactly, signs included: rational coefficients with non-unit
+    content, negative leading coefficients, y-degree sums m + n on both
+    sides of 14, and pairs with a common factor, whose resultant is zero."""
     rng = random.Random(5150)
-    for _ in range(120):
-        dy1, dy2 = rng.randint(1, 4), rng.randint(1, 12)
 
-        def rand_with_ydeg(dy):
-            terms = {}
-            for _ in range(rng.randint(2, 5)):
-                terms[(rng.randint(0, 3), rng.randint(0, dy - 1))] = Fraction(rng.randint(-4, 4))
-            terms[(rng.randint(0, 2), dy)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-            return BiPoly(terms)
+    def rand_with_ydeg(dy):
+        scale = Fraction(rng.choice([-6, -1, 1, 4, 10]), rng.choice([1, 3, 7]))
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            terms[(rng.randint(0, 3), rng.randint(0, dy - 1))] = scale * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms[(rng.randint(0, 2), dy)] = scale * rng.choice([-3, -2, -1, 1, 2, 3])
+        return BiPoly(terms)
 
+    sums = set()
+    negative_leads = 0
+    for _ in range(100):
+        dy1, dy2 = rng.randint(1, 5), rng.randint(1, 11)
+        sums.add(dy1 + dy2)
         p, q = rand_with_ydeg(dy1), rand_with_ydeg(dy2)
-        assert _euclid_resultant(p.y_coefficients(), q.y_coefficients()) == _sylvester_oracle(p, q)
+        if rng.random() < 0.5:
+            p, q = q, p
+        negative_leads += p.y_coefficients()[-1].leading < 0
+        assert resultant_eliminating_y(p, q) == _sylvester_oracle(p, q)
+    assert min(sums) <= 14 < max(sums) and negative_leads > 15
+    for _ in range(30):
+        h = rand_with_ydeg(rng.randint(1, 2))
+        p, q = rand_with_ydeg(rng.randint(1, 3)) * h, rand_with_ydeg(rng.randint(1, 4)) * h
+        assert resultant_eliminating_y(p, q).is_zero()
+        assert _sylvester_oracle(p, q).is_zero()
 
 
 def test_resultant_vanishes_at_common_zeros():
