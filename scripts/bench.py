@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_6.json at the repository root.
+rows and write BENCH_7.json at the repository root.
 
 Each row is one call in this process, timed with `time.perf_counter`:
 `brute_force_count(curve, N)` for the oracle rows (the ROADMAP baseline)
@@ -31,9 +31,13 @@ ROWS = [
     # the two partition-bound ROADMAP baseline rows
     ("pipeline", "y^2 - x^3 - x - 1", 50),
     ("pipeline", "4*y^3 - x^2 + 6*x*y + 2*y", 33),
+    # the ROADMAP item 2 cubic, found by the item-4 fuzz
+    ("pipeline", "-x^3 - 5*x^2*y + 4*y^3 + 3*x*y - 3*x", 27),
+    # a long |f'| <= 1 branch for greedy covering (ROADMAP item 3)
+    ("pipeline", "x - y^2", 4000),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_6.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_7.json"
 
 
 def count(kind: str, text: str, n_box: int) -> int:

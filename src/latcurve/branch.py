@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, floor, gcd as _gcd
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
 from .poly2 import BiPoly, ingestion_check, partial, resultant_eliminating_y
@@ -22,6 +22,8 @@ from .unipoly import (
     REFINE_DEPTH,
     RootInterval,
     UniPoly,
+    _int_eval,
+    _rat_eval,
     all_real_roots,
     bisect_step,
     count_real_roots,
@@ -109,7 +111,7 @@ def branch_from_point(
     if partial(curve, "y").evaluate(x0, y0) == 0:
         raise BranchError("branch is singular/vertical at the seed")
     _certify_smooth_over(curve, lo, hi)
-    u = curve.at_x(x0)
+    u = UniPoly(_column(curve, x0))
     roots = all_real_roots(u)
     idx = next(
         (k for k, r in enumerate(roots) if r.lo <= y0 <= r.hi and (r.is_exact() or u.evaluate(y0) == 0)),
@@ -166,23 +168,16 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
     lo, hi = branch.domain
     if not lo <= x0 <= hi:
         raise BranchError("abscissa outside the branch domain")
+    u = UniPoly(_column(branch.curve, x0))
     if x0 == branch.seed_x and branch.seed_lo == branch.seed_hi:
-        u = branch.curve.at_x(x0)
         return RootInterval(branch.seed_lo, branch.seed_lo, squarefree_part(u))
-    u = branch.curve.at_x(x0)
     roots = all_real_roots(u)
     if len(roots) != branch.root_count:
         raise BranchError("root structure changed inside the domain")
     return roots[branch.root_index]
 
 
-@lru_cache(maxsize=1024)
-def _primitive_int_coeffs(p: UniPoly) -> tuple[int, ...]:
-    """Integer coefficients after a positive rescaling (sign-faithful)."""
-    return tuple(primitive_ints(p.coeffs))
-
-
-def _hull_sign(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> Optional[int]:
+def _hull_sign(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> Optional[int]:
     """Sign of p on [lo, hi] when the interval enclosure decides it, else None.
 
     Denominators are cleared once so the Horner recursion runs on integers.
@@ -207,7 +202,7 @@ def _hull_sign(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> Optional[
 def branch_sign(branch: AlgebraicBranch, x0: Fraction | int, p: BiPoly) -> int:
     """Exact sign of p(x0, f(x0)) along the branch."""
     x0 = Fraction(x0)
-    return _tracked_sign_at_root(branch_value_bracket(branch, x0), p.at_x(x0))[0]
+    return _tracked_sign_at_root(branch_value_bracket(branch, x0), p.int_column(x0))[0]
 
 
 class BranchPointEvaluator:
@@ -222,7 +217,7 @@ class BranchPointEvaluator:
         self.bracket = refine_root(branch_value_bracket(branch, self.x0), Fraction(1, 16))
 
     def sign(self, p: BiPoly, assume_nonzero: bool = False) -> int:
-        v = p.at_x(self.x0)
+        v = p.int_column(self.x0)
         s, self.bracket = _tracked_sign_at_root(self.bracket, v, assume_nonzero=assume_nonzero)
         return s
 
@@ -232,7 +227,7 @@ def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Option
     bracket = branch_value_bracket(branch, Fraction(x0))
     if bracket.is_exact():
         return bracket.lo
-    return rational_root_in(branch.curve.at_x(Fraction(x0)), bracket.lo, bracket.hi)
+    return rational_root_in(UniPoly(_column(branch.curve, Fraction(x0))), bracket.lo, bracket.hi)
 
 
 def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoint]:
@@ -344,12 +339,17 @@ def taylor_coefficients(
 # -- level sets and partitioning ---------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _level_parts(curve: BiPoly, i: int) -> tuple[BiPoly, BiPoly]:
+    """(H_i, i! * F_y^(2i-1)): built once per curve and order, for every level."""
+    return hk_sequence(curve, i)[-1], partial(curve, "y") ** (2 * i - 1) * factorial(i)
+
+
 @lru_cache(maxsize=512)
 def _level_curve(curve: BiPoly, i: int, c: Fraction) -> BiPoly:
     """H_i + F_y^(2i-1) * (i! * c): vanishes on branch points with f^(i)/i! = c."""
-    hk = hk_sequence(curve, i)[-1]
-    fy = partial(curve, "y")
-    return hk + fy ** (2 * i - 1) * (factorial(i) * c)
+    hk, fy_pow = _level_parts(curve, i)
+    return hk + fy_pow * c
 
 
 @lru_cache(maxsize=512)
@@ -450,7 +450,7 @@ def _assign_side(cut: RootInterval, k: int) -> int:
     if k > cut.hi:
         return 1
     p = cut.polynomial
-    if p.evaluate(k) == 0:
+    if _int_eval(primitive_ints(p.coeffs), k) == 0:
         return 0
     # the cut root and k both lie in [lo, hi]; compare by counting on one side
     return 1 if count_real_roots(p, cut.lo, Fraction(k)) > 0 else -1
@@ -557,32 +557,33 @@ def _roots_in_box(poly: UniPoly, n_box: int) -> list[RootInterval]:
 
 
 def _tracked_sign_at_root(
-    r: RootInterval, v: UniPoly, assume_nonzero: bool = False
+    r: RootInterval, v: list[int], assume_nonzero: bool = False
 ) -> tuple[int, RootInterval]:
-    """Exact sign of v at the root isolated by r, plus the refined bracket.
+    """Exact sign of the integer polynomial v at the root isolated by r, plus
+    the refined bracket.
 
     Zero is decided through the gcd (any common root inside the bracket must
     be the isolated one); a nonzero sign is then certified by shrinking the
     bracket until the integer interval enclosure of v excludes zero.
     """
-    if v.is_zero():
+    if not v:
         return 0, r
     if r.is_exact():
-        val = v.evaluate(r.lo)
+        val = _rat_eval(v, r.lo)
         return (val > 0) - (val < 0), r
     p = r.polynomial
-    if not assume_nonzero and v.degree >= 1:
-        g = poly_gcd(p, v)
+    if not assume_nonzero and len(v) > 1:
+        g = poly_gcd(p, UniPoly(v))
         if g.degree >= 1 and count_real_roots(g, r.lo, r.hi) > 0:
             return 0, r
-    coeffs = _primitive_int_coeffs(v)
+    f = primitive_ints(p.coeffs)
     lo, hi = r.lo, r.hi
-    s_lo = p.evaluate(lo)
+    s_lo = _rat_eval(f, lo)
     for _ in range(REFINE_DEPTH):
-        s = _hull_sign(coeffs, lo, hi)
+        s = _hull_sign(v, lo, hi)
         if s is not None:
             return s, RootInterval(lo, hi, p)
-        lo, hi, s_lo = bisect_step(p, lo, hi, s_lo)
+        lo, hi, s_lo = bisect_step(f, lo, hi, s_lo)
     raise BranchError("sign refinement exceeded the depth limit")
 
 
@@ -622,10 +623,10 @@ def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[UniPoly], bool]:
     return out, degenerate
 
 
-def _column(curve: BiPoly, x0: Fraction | int) -> UniPoly:
-    """curve(x0, .), which must not vanish identically."""
-    u = curve.at_x(x0)
-    if u.is_zero():
+def _column(curve: BiPoly, x0: Fraction | int) -> list[int]:
+    """`curve.int_column(x0)`, which must not vanish identically."""
+    u = curve.int_column(x0)
+    if not u:
         raise BranchError("curve contains a vertical line; input is reducible")
     return u
 
@@ -692,15 +693,15 @@ def _decompose_frame(
     for clo, chi in cells:
         sample = (clo + chi) / 2
         u = _column(curve, sample)
-        if u.degree < 1:
+        if len(u) < 2:
             continue
-        roots = all_real_roots(u)
+        roots = all_real_roots(UniPoly(u))
         for j, r in enumerate(roots):
             r2 = refine_clear_of(r, Fraction(0), Fraction(n_box))
             if not 0 <= r2.lo <= r2.hi <= n_box:
                 continue
             if not slope_degenerate:
-                s = _tracked_sign_at_root(r2, regime_poly.at_x(sample))[0]
+                s = _tracked_sign_at_root(r2, regime_poly.int_column(sample))[0]
                 if s > 0:
                     continue  # the transposed frame covers this piece
                 if s == 0:

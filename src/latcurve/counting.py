@@ -28,7 +28,7 @@ from .detmethod import (
 )
 from .monomials import punctured_set
 from .poly2 import BiPoly, corner_index, divides, ingestion_check, resultant_eliminating_y
-from .unipoly import integer_roots, poly_gcd
+from .unipoly import _int_eval, integer_roots, poly_gcd
 
 
 class CountingError(ValueError):
@@ -61,15 +61,15 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
         if hits:
             raise LineFactorError(f"vertical line x = {hits[0]} lies inside the box")
         return 0, []
-    probe = curve.at_x(1)
-    if not probe.is_zero():
+    probe = curve.int_column(1)
+    if probe:
         for y0 in integer_roots(probe, 1, n_box):
             if curve.at_y(y0).is_zero():
                 raise LineFactorError(f"horizontal line y = {y0} lies inside the box")
     points: list[LatticePoint] = []
     for x0 in range(1, n_box + 1):
-        u = curve.at_x(x0)
-        if u.is_zero():
+        u = curve.int_column(x0)
+        if not u:
             raise LineFactorError(f"vertical line x = {x0} lies inside the box")
         points.extend(LatticePoint(x0, y0) for y0 in integer_roots(u, 1, n_box))
     return len(points), points
@@ -101,16 +101,15 @@ def bezout_intersect(f: BiPoly, g: BiPoly, n_box: int) -> list[LatticePoint]:
         xs = integer_roots(yfree.as_unipoly_x(), 1, n_box)
     points: list[LatticePoint] = []
     for x0 in xs:
-        uf, ug = f.at_x(x0), g.at_x(x0)
-        if uf.is_zero() and ug.is_zero():
+        uf, ug = f.int_column(x0), g.int_column(x0)
+        if not uf and not ug:
             raise CommonComponentError(f"both curves contain the line x = {x0}")
-        if uf.is_zero() or ug.is_zero():
-            live = ug if uf.is_zero() else uf
-            ys = integer_roots(live, 1, n_box)
-        elif uf.degree < 1 or ug.degree < 1:
+        if not uf or not ug:
+            ys = integer_roots(uf or ug, 1, n_box)
+        elif len(uf) < 2 or len(ug) < 2:
             ys = []  # one side is a nonzero constant at this abscissa
         else:
-            ys = [y0 for y0 in integer_roots(uf, 1, n_box) if ug.evaluate(y0) == 0]
+            ys = [y0 for y0 in integer_roots(uf, 1, n_box) if _int_eval(ug, y0) == 0]
         points.extend(LatticePoint(x0, y0) for y0 in ys)
     points = sorted(set(points))
     cap = f.degree * g.degree

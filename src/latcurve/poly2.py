@@ -53,7 +53,7 @@ def _powers(v: Fraction | int, n: int) -> list[Fraction | int]:
 class BiPoly:
     """Immutable sparse bivariate polynomial keyed by (x-exponent, y-exponent)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_int_terms")
 
     def __init__(self, terms: Mapping[ExponentPair, Fraction | int] | Iterable[tuple[ExponentPair, Fraction | int]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -191,6 +191,25 @@ class BiPoly:
         for (j1, j2), c in self.terms.items():
             coeffs[j2] += c * xp[j1]
         return UniPoly(coeffs)
+
+    def int_column(self, x0: Fraction | int) -> list[int]:
+        """A positive multiple of self(x0, y) as an integer list in y, [] when
+        it is zero: at x0 = a/b the primitive integer terms c*x^j1*y^j2 are
+        evaluated homogeneously as c * a^j1 * b^(deg_x - j1)."""
+        try:
+            dx, dy, terms = self._int_terms
+        except AttributeError:
+            ints = primitive_ints(list(self.terms.values()))
+            dx, dy, terms = self._int_terms = (
+                self.degree_x(), self.degree_y(), [(j1, j2, c) for (j1, j2), c in zip(self.terms, ints)]
+            )
+        apow, bpow = _powers(x0.numerator, dx), _powers(x0.denominator, dx)
+        out = [0] * (dy + 1)
+        for j1, j2, c in terms:
+            out[j2] += c * apow[j1] * bpow[dx - j1]
+        while out and not out[-1]:
+            out.pop()
+        return out
 
     def at_y(self, y0: Fraction | int) -> UniPoly:
         yp = _powers(y0, self.degree_y())

@@ -9,9 +9,12 @@ count, isolation and integer search; at x = num/den a chain element f is
 evaluated as the integer den^deg * f(x).  Integer roots are found on integer
 endpoints only: `integer_roots` lists those in a range, and
 `ranked_integer_root` tests the root of a given rank, with no isolation and
-no shared cache.  The package locates roots only through this module: one
-content normaliser, one squarefree part and chain, one bisection step, one
-integer test and one range test.
+no shared cache; both take a `UniPoly` or an integer coefficient list.
+Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
+evaluation of the bracket polynomial's primitive integer form, computed once
+per call.  The package locates roots only through this module: one content
+normaliser, one squarefree part and chain, one bisection step, one integer
+test and one range test.
 """
 
 from __future__ import annotations
@@ -272,15 +275,15 @@ def int_exact_quotient(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
-def integer_squarefree_chain(p: UniPoly) -> tuple[list[int], list[list[int]]]:
-    """The squarefree part of the nonzero p as a primitive integer polynomial,
-    with its integer Sturm chain.
+def integer_squarefree_chain(p: UniPoly | Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The squarefree part of p, a `UniPoly` or an integer coefficient list, as
+    a primitive integer polynomial, with its integer Sturm chain.
 
     The last element of the Sturm chain of p is gcd(p, p'); only when it is
     not constant is it divided out, exactly on integers, and the chain rebuilt.
-    Nothing is cached.
+    The zero polynomial gives ([], [[]]).  Nothing is cached.
     """
-    f = primitive_ints(p.coeffs)
+    f = primitive_ints(p.coeffs if isinstance(p, UniPoly) else p)
     chain = _int_sturm_chain(f)
     if len(chain[-1]) > 1:
         f = int_exact_quotient(f, chain[-1])
@@ -386,33 +389,35 @@ _SPLIT_FRACTIONS = (
 )
 
 
-def _nonroot_split(p: UniPoly, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """A rational point m strictly inside (a, b) with p(m) != 0, and p(m)."""
+def _nonroot_split(f: Sequence[int], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
+    """A rational point m strictly inside (a, b) where the nonzero integer
+    polynomial f does not vanish, and `_rat_eval(f, m)`, which has its sign."""
     for t in _SPLIT_FRACTIONS:
         m = a + (b - a) * t
-        pm = p.evaluate(m)
-        if pm != 0:
-            return m, pm
-    # p has finitely many roots; walk a finer grid until one point is free.
+        fm = _rat_eval(f, m)
+        if fm:
+            return m, fm
+    # f has finitely many roots; walk a finer grid until one point is free.
     k = 8
     while True:
         for i in range(1, k):
             m = a + (b - a) * Fraction(i, k)
-            pm = p.evaluate(m)
-            if pm != 0:
-                return m, pm
+            fm = _rat_eval(f, m)
+            if fm:
+                return m, fm
         k *= 2
 
 
 def bisect_step(
-    p: UniPoly, lo: Fraction, hi: Fraction, s_lo: Fraction
-) -> tuple[Fraction, Fraction, Fraction]:
-    """One exact bisection of a bracket [lo, hi] across which p changes sign.
+    f: Sequence[int], lo: Fraction, hi: Fraction, s_lo: int
+) -> tuple[Fraction, Fraction, int]:
+    """One exact bisection of a bracket [lo, hi] across which the integer
+    polynomial f changes sign.
 
-    `s_lo` is p(lo).  Splits at a non-root of p and returns the half that
-    keeps the sign change as (lo, hi, p(lo)).
+    `s_lo` is an integer with the sign of f(lo).  Splits at a non-root of f
+    and returns the half that keeps the sign change as (lo, hi, s_lo).
     """
-    m, pm = _nonroot_split(p, lo, hi)
+    m, pm = _nonroot_split(f, lo, hi)
     if (s_lo > 0) != (pm > 0):
         return lo, m, s_lo
     return m, hi, pm
@@ -447,7 +452,7 @@ def isolate_real_roots(
         if k == 1:
             out.append(RootInterval(a, b, bracket))
             return
-        m, _ = _nonroot_split(bracket, a, b)
+        m, _ = _nonroot_split(inner, a, b)
         vm = _int_variations(chain, m)
         split(a, m, va, vm)
         split(m, b, vm, vb)
@@ -464,14 +469,15 @@ def refine_root(r: RootInterval, width: Fraction | int) -> RootInterval:
     if r.is_exact():
         return r
     p = r.polynomial
+    f = primitive_ints(p.coeffs)
     lo, hi = r.lo, r.hi
-    s_lo = p.evaluate(lo)
+    s_lo = _rat_eval(f, lo)
     if s_lo == 0:
         return RootInterval(lo, lo, p)
-    if p.evaluate(hi) == 0:
+    if _rat_eval(f, hi) == 0:
         return RootInterval(hi, hi, p)
     while hi - lo > width:
-        lo, hi, s_lo = bisect_step(p, lo, hi, s_lo)
+        lo, hi, s_lo = bisect_step(f, lo, hi, s_lo)
     return RootInterval(lo, hi, p)
 
 
@@ -483,11 +489,12 @@ def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval
     strictly inside (lo, hi) or strictly outside [lo, hi].
     """
     p = r.polynomial
+    f = primitive_ints(p.coeffs)
     for _ in range(REFINE_DEPTH):
         if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
             return r
         for end in (lo, hi):
-            if r.lo <= end <= r.hi and p.evaluate(end) == 0:
+            if r.lo <= end <= r.hi and _rat_eval(f, end) == 0:
                 return RootInterval(end, end, p)
         r = refine_root(r, r.width / 4)
     raise RefinementLimitError("range test exceeded the refinement depth limit")
@@ -501,7 +508,7 @@ def integer_in(r: RootInterval) -> int | None:
     """
     r = refine_root(r, Fraction(1, 2))
     k = math.ceil(r.lo)
-    if k <= r.hi and r.polynomial.evaluate(k) == 0:
+    if k <= r.hi and _int_eval(primitive_ints(r.polynomial.coeffs), k) == 0:
         return k
     return None
 
@@ -547,7 +554,7 @@ def all_real_roots(p: UniPoly) -> list[RootInterval]:
     return isolate_real_roots(p, -bound, bound)
 
 
-def integer_roots(p: UniPoly, lo: int | None = None, hi: int | None = None) -> list[int]:
+def integer_roots(p: UniPoly | Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
     """The integer roots of p in [lo, hi] (unbounded where None), increasing.
 
     Every decision is made on integers: an integer Sturm chain counts the
@@ -555,11 +562,11 @@ def integer_roots(p: UniPoly, lo: int | None = None, hi: int | None = None) -> l
     integer midpoints, and a part with one root is bisected on the sign of
     the squarefree part down to width 1, where one exact test decides.
     """
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no root enumeration")
-    if p.degree == 0:
-        return []
     sf, chain = integer_squarefree_chain(p)
+    if not sf:
+        raise ZeroPolynomialError("zero polynomial has no root enumeration")
+    if len(sf) == 1:
+        return []
     bound = _int_root_bound(sf)
     lo = -bound if lo is None else max(lo, -bound)
     hi = bound if hi is None else min(hi, bound)
@@ -592,7 +599,7 @@ def integer_roots(p: UniPoly, lo: int | None = None, hi: int | None = None) -> l
     return found
 
 
-def ranked_integer_root(p: UniPoly, index: int) -> tuple[int, int | None]:
+def ranked_integer_root(p: UniPoly | Sequence[int], index: int) -> tuple[int, int | None]:
     """The number n of distinct real roots of p, and the root of rank `index`
     (0 is the smallest) when it is an integer, else None.
 
@@ -601,9 +608,9 @@ def ranked_integer_root(p: UniPoly, index: int) -> tuple[int, int | None]:
     <= t, so the root lies in (t - 1, t].  It is t exactly when sf(t) == 0
     and t is root number index + 1 from the left.
     """
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no root enumeration")
     sf, chain = integer_squarefree_chain(p)
+    if not sf:
+        raise ZeroPolynomialError("zero polynomial has no root enumeration")
     v_neg = sign_variations([-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain])
     n = v_neg - sign_variations([q[-1] for q in chain])
     if not 0 <= index < n:

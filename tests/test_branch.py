@@ -274,6 +274,41 @@ def test_branch_sign_exact():
     assert branch_sign(br, 4, parse("x*y - 12")) == 0  # on the curve
 
 
+def test_branch_sign_matches_fraction_evaluation():
+    """branch_sign on integer columns against the `Fraction` value p(x0, f(x0))
+    at rational branch points, zero signs included."""
+    rng = random.Random(31)
+    circle = parse("x^2 + y^2 - 1")
+    upper = branch_from_point(circle, Fraction(3, 5), Fraction(4, 5), (0, Fraction(99, 100)))
+    cubic = parse("8*y^3 - 3*x")
+    real_cube_root = branch_from_point(cubic, Fraction(1, 3), Fraction(1, 2), (Fraction(1, 9), 40))
+    points = []
+    for t in {Fraction(a, b) for b in range(2, 9) for a in range(1, b)}:
+        # the rational parametrisation of the unit circle
+        x0, y0 = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        if x0 < Fraction(99, 100):
+            points.append((upper, x0, y0))
+        y1 = 3 * t  # 8*y^3 = 3*x at x = 8 * y^3 / 3
+        if Fraction(1, 9) <= 8 * y1**3 / 3 <= 40:
+            points.append((real_cube_root, 8 * y1**3 / 3, y1))
+    signs = {-1: 0, 0: 0, 1: 0}
+    for br, x0, y0 in points:
+        assert branch_value_rational(br, x0) == y0
+        for _ in range(4):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            p = BiPoly(terms)
+            if rng.random() < 0.25:
+                # vanish at the point: through the curve, or through y = y0
+                p = p * br.curve if rng.random() < 0.5 else p * BiPoly({(0, 1): 1, (0, 0): -y0})
+            value = p.evaluate(x0, y0)
+            want = (value > 0) - (value < 0)
+            assert branch_sign(br, x0, p) == want, (br.curve, x0, p)
+            signs[want] += 1
+    assert min(signs.values()) > 20
+
+
 # -- level sets --------------------------------------------------------------------------
 
 

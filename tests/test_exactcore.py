@@ -1,5 +1,6 @@
 """Exact linear algebra and univariate root machinery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -308,6 +309,111 @@ def test_refine_clear_of_root_at_an_end():
     assert Fraction(7, 5) < clear.lo and clear.hi < Fraction(3, 2)
     outside = refine_clear_of(s2, Fraction(1), Fraction(7, 5))
     assert outside.lo > Fraction(7, 5)
+
+
+# -- bracket identity against a Fraction reference -----------------------------------
+
+REFERENCE_SPLITS = (
+    Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
+    Fraction(3, 4), Fraction(2, 5), Fraction(3, 5), Fraction(1, 5),
+    Fraction(4, 5), Fraction(3, 7), Fraction(4, 7),
+)
+
+
+def reference_split(p, a, b, skipped):
+    """Bisection split point with `Fraction` Horner evaluations; records in
+    `skipped` "split" for each split point passed over because p vanishes
+    there, and "grid" each time the finer grid is walked."""
+    for t in REFERENCE_SPLITS:
+        m = a + (b - a) * t
+        pm = p.evaluate(m)
+        if pm != 0:
+            return m, pm
+        skipped.append("split")
+    skipped.append("grid")
+    k = 8
+    while True:
+        for i in range(1, k):
+            m = a + (b - a) * Fraction(i, k)
+            pm = p.evaluate(m)
+            if pm != 0:
+                return m, pm
+        k *= 2
+
+
+def reference_refine(r, width, skipped):
+    if r.is_exact():
+        return r
+    p, lo, hi = r.polynomial, r.lo, r.hi
+    s_lo = p.evaluate(lo)
+    if s_lo == 0:
+        return RootInterval(lo, lo, p)
+    if p.evaluate(hi) == 0:
+        return RootInterval(hi, hi, p)
+    while hi - lo > width:
+        m, pm = reference_split(p, lo, hi, skipped)
+        if (s_lo > 0) != (pm > 0):
+            hi = m
+        else:
+            lo, s_lo = m, pm
+    return RootInterval(lo, hi, p)
+
+
+def reference_clear_of(r, lo, hi, skipped):
+    p = r.polynomial
+    for _ in range(256):
+        if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
+            return r
+        for end in (lo, hi):
+            if r.lo <= end <= r.hi and p.evaluate(end) == 0:
+                return RootInterval(end, end, p)
+        r = reference_refine(r, r.width / 4, skipped)
+    raise AssertionError("reference refinement did not stop")
+
+
+def reference_integer_in(r, skipped):
+    r = reference_refine(r, Fraction(1, 2), skipped)
+    k = math.ceil(r.lo)
+    return k if k <= r.hi and r.polynomial.evaluate(k) == 0 else None
+
+
+def _split_point_brackets(rng, count):
+    """Sign-changing brackets [a, b] of polynomials with rational `Fraction`
+    coefficients whose rational roots lie on split points a + (b - a) * t,
+    some on every one of them so the grid fallback runs too."""
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.3:
+            a = Fraction(rng.randint(-20, 20))
+            b = a + rng.choice([6, 12, 24, 60])  # integer split points
+        else:
+            a = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            b = a + Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        ts = REFERENCE_SPLITS if rng.random() < 0.15 else rng.sample(REFERENCE_SPLITS, rng.randint(1, 4))
+        p = UniPoly([Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([-1, 1])])
+        for t in ts:
+            m = a + (b - a) * t
+            p = p * UniPoly([-m.numerator, m.denominator]) ** rng.randint(1, 2)
+        # one more root, rational or irrational, anywhere in (a, b)
+        c = a + (b - a) * Fraction(rng.randint(1, 99), 100)
+        p = p * (UniPoly([-c, 1]) if rng.random() < 0.5 else UniPoly([-c * c - Fraction(1, 7), 0, 1]))
+        if p.evaluate(a) * p.evaluate(b) < 0:
+            out.append(RootInterval(a, b, p))
+    return out
+
+
+def test_brackets_identical_to_fraction_reference():
+    rng = random.Random(2024)
+    skipped = []
+    for r in _split_point_brackets(rng, 120):
+        for width in (r.width / 3, Fraction(1, 64), Fraction(1, 10**6)):
+            assert refine_root(r, width) == reference_refine(r, width, skipped), (r, width)
+        assert integer_in(r) == reference_integer_in(r, skipped), r
+        for t, u in ((Fraction(1, 2), Fraction(2, 3)), (Fraction(1, 5), Fraction(4, 7)), (Fraction(-1), Fraction(3, 10))):
+            lo, hi = r.lo + r.width * t, r.lo + r.width * u
+            assert refine_clear_of(r, lo, hi) == reference_clear_of(r, lo, hi, skipped), (r, lo, hi)
+    # both skip paths ran: split points that were roots, and the finer grid
+    assert skipped.count("split") > 1000 and skipped.count("grid") > 20
 
 
 # -- content normaliser ------------------------------------------------------------------

@@ -284,3 +284,45 @@ def test_swap_and_specializations():
     assert p.at_y(2) == UniPoly([-9, 0, 1])
     coeffs = p.y_coefficients()
     assert len(coeffs) == 3 and coeffs[2] == UniPoly([-2])
+
+
+def test_int_column_is_a_positive_multiple_of_at_x():
+    """Seeded differential of the integer column against the `Fraction` one,
+    at integer, negative, zero and rational abscissas."""
+    rng = random.Random(71)
+    zeros = 0
+    for trial in range(400):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            j1, j2 = rng.randint(0, 4), rng.randint(0, 3)
+            terms[(j1, j2)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        p = BiPoly(terms)
+        if trial % 5 == 0 and not p.is_zero():
+            # a factor (b*x - a) makes the column vanish at x0 = a/b
+            a, b = rng.randint(-5, 5), rng.randint(1, 4)
+            p = p * BiPoly({(1, 0): b, (0, 0): -a})
+            abscissas = [Fraction(a, b)]
+        else:
+            abscissas = [0, rng.randint(1, 9), -rng.randint(1, 9), Fraction(rng.randint(-20, 20), rng.randint(2, 7))]
+        for x0 in abscissas:
+            want = p.at_x(x0).coeffs
+            got = p.int_column(x0)
+            assert all(type(c) is int for c in got)
+            assert (got == []) == (want == ())
+            zeros += got == []
+            if got:
+                assert len(got) == len(want)
+                ratio = Fraction(got[-1]) / want[-1]
+                assert ratio > 0
+                assert [ratio * c for c in want] == got
+    assert zeros >= 80
+
+
+def test_int_column_examples():
+    p = parse("x^2 - 2*y^2 - 1")
+    assert p.int_column(3) == [8, 0, -2]
+    assert p.int_column(Fraction(1, 2)) == [-3, 0, -8]  # 4 * (1/4 - 1 - 2*y^2)
+    assert parse("(2*x + 3)*y - x").int_column(Fraction(-3, 2)) == [3]
+    assert parse("(2*x + 3)*(y - x)").int_column(Fraction(-3, 2)) == []
+    assert BiPoly({}).int_column(5) == []
+    assert parse("(1/2)*y^2 - (1/3)*x").int_column(-2) == [4, 0, 3]
