@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_7.json at the repository root.
+rows and write BENCH_8.json at the repository root.
 
 Each row is one call in this process, timed with `time.perf_counter`:
 `brute_force_count(curve, N)` for the oracle rows (the ROADMAP baseline)
@@ -37,7 +37,7 @@ ROWS = [
     ("pipeline", "x - y^2", 4000),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_7.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_8.json"
 
 
 def count(kind: str, text: str, n_box: int) -> int:

@@ -5,7 +5,10 @@ A branch is identified by its curve, an x-interval, and the index of its
 y-value among the real roots of the specialized curve; the index is stable
 because construction forbids discriminant and leading-coefficient roots
 inside the open interval.  Branch values are handled as isolating intervals
-and every sign decision is made exactly.
+and every sign decision is made exactly: the sign of p(x0, f(x0)) is one
+`unipoly.sign_at_root` Tarski query of the integer column p(x0, y) at the
+bracket of f(x0), zero included, for `branch_sign`, the piece flags of
+`partition_by_bounds` and the slope regime of a frame cell.
 """
 
 from __future__ import annotations
@@ -13,30 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, floor, gcd as _gcd
-from typing import NamedTuple, Optional, Sequence
+from math import ceil, comb, factorial, floor
+from typing import NamedTuple, Optional
 
 from .detmethod import LatticePoint
 from .poly2 import BiPoly, ingestion_check, partial, resultant_eliminating_y
 from .unipoly import (
-    REFINE_DEPTH,
     RootInterval,
     UniPoly,
     _int_eval,
-    _rat_eval,
     all_real_roots,
-    bisect_step,
     count_real_roots,
     int_exact_quotient,
     integer_roots,
     isolate_real_roots,
-    poly_gcd,
     primitive_ints,
     ranked_integer_root,
     rational_root_in,
     refine_clear_of,
     refine_disjoint,
-    refine_root,
+    sign_at_root,
     squarefree_part,
     sturm_chain,
 )
@@ -177,49 +176,10 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
     return roots[branch.root_index]
 
 
-def _hull_sign(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> Optional[int]:
-    """Sign of p on [lo, hi] when the interval enclosure decides it, else None.
-
-    Denominators are cleared once so the Horner recursion runs on integers.
-    """
-    c = lo.denominator * hi.denominator // _gcd(lo.denominator, hi.denominator)
-    a = lo.numerator * (c // lo.denominator)
-    b = hi.numerator * (c // hi.denominator)
-    qlo = qhi = coeffs[-1]
-    power = 1
-    for ci in reversed(coeffs[:-1]):
-        power *= c
-        prods = (qlo * a, qlo * b, qhi * a, qhi * b)
-        scaled = ci * power
-        qlo, qhi = min(prods) + scaled, max(prods) + scaled
-    if qlo > 0:
-        return 1
-    if qhi < 0:
-        return -1
-    return None
-
-
 def branch_sign(branch: AlgebraicBranch, x0: Fraction | int, p: BiPoly) -> int:
     """Exact sign of p(x0, f(x0)) along the branch."""
     x0 = Fraction(x0)
-    return _tracked_sign_at_root(branch_value_bracket(branch, x0), p.int_column(x0))[0]
-
-
-class BranchPointEvaluator:
-    """Sign evaluations of many polynomials at one branch point.
-
-    Shares the progressively refined value bracket across evaluations, so a
-    batch of sign queries at the same abscissa refines it only once.
-    """
-
-    def __init__(self, branch: AlgebraicBranch, x0: Fraction | int) -> None:
-        self.x0 = Fraction(x0)
-        self.bracket = refine_root(branch_value_bracket(branch, self.x0), Fraction(1, 16))
-
-    def sign(self, p: BiPoly, assume_nonzero: bool = False) -> int:
-        v = p.int_column(self.x0)
-        s, self.bracket = _tracked_sign_at_root(self.bracket, v, assume_nonzero=assume_nonzero)
-        return s
+    return sign_at_root(branch_value_bracket(branch, x0), p.int_column(x0))
 
 
 def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Optional[Fraction]:
@@ -346,17 +306,12 @@ def _level_parts(curve: BiPoly, i: int) -> tuple[BiPoly, BiPoly]:
 
 
 @lru_cache(maxsize=512)
-def _level_curve(curve: BiPoly, i: int, c: Fraction) -> BiPoly:
-    """H_i + F_y^(2i-1) * (i! * c): vanishes on branch points with f^(i)/i! = c."""
-    hk, fy_pow = _level_parts(curve, i)
-    return hk + fy_pow * c
-
-
-@lru_cache(maxsize=512)
 def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPoly, UniPoly]:
-    """(level curve, eliminant, repeated-root part: the eliminant over its
+    """(level curve H_i + F_y^(2i-1) * (i! * c), which vanishes on branch points
+    with f^(i)/i! = c; eliminant; repeated-root part: the eliminant over its
     squarefree part)."""
-    rc = _level_curve(curve, i, c)
+    hk, fy_pow = _level_parts(curve, i)
+    rc = hk + fy_pow * c
     if rc.is_zero():
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
@@ -499,8 +454,8 @@ def partition_by_bounds(
     pieces: list[Piece] = []
     for plo, phi, lcut, rcut in bounds:
         mid = (plo + phi) / 2
-        ev = BranchPointEvaluator(branch, mid)
-        sfy = ev.sign(fy)
+        bracket = branch_value_bracket(branch, mid)
+        sfy = sign_at_root(bracket, fy.int_column(mid))
         if sfy == 0:
             raise BranchError("branch derivative degenerate at a piece midpoint")
         flags: list[str] = []
@@ -509,8 +464,9 @@ def partition_by_bounds(
                 flags.append("small")
                 continue
             thr = thresholds[i - 1]
-            s_plus = ev.sign(_level_curve(branch.curve, i, thr), assume_nonzero=True)
-            s_minus = ev.sign(_level_curve(branch.curve, i, -thr), assume_nonzero=True)
+            # both level sets of order i succeeded above, so these are cached
+            s_plus = sign_at_root(bracket, _level_resultant(branch.curve, i, thr)[0].int_column(mid))
+            s_minus = sign_at_root(bracket, _level_resultant(branch.curve, i, -thr)[0].int_column(mid))
             if s_plus == 0 or s_minus == 0:
                 raise BranchError("piece midpoint fell on a level set")
             v_minus_thr = -s_plus * sfy  # sign of f^(i)/i! - thr
@@ -554,37 +510,6 @@ def _roots_in_box(poly: UniPoly, n_box: int) -> list[RootInterval]:
     if poly.is_zero() or poly.degree < 1:
         return []
     return isolate_real_roots(poly, Fraction(0), Fraction(n_box))
-
-
-def _tracked_sign_at_root(
-    r: RootInterval, v: list[int], assume_nonzero: bool = False
-) -> tuple[int, RootInterval]:
-    """Exact sign of the integer polynomial v at the root isolated by r, plus
-    the refined bracket.
-
-    Zero is decided through the gcd (any common root inside the bracket must
-    be the isolated one); a nonzero sign is then certified by shrinking the
-    bracket until the integer interval enclosure of v excludes zero.
-    """
-    if not v:
-        return 0, r
-    if r.is_exact():
-        val = _rat_eval(v, r.lo)
-        return (val > 0) - (val < 0), r
-    p = r.polynomial
-    if not assume_nonzero and len(v) > 1:
-        g = poly_gcd(p, UniPoly(v))
-        if g.degree >= 1 and count_real_roots(g, r.lo, r.hi) > 0:
-            return 0, r
-    f = primitive_ints(p.coeffs)
-    lo, hi = r.lo, r.hi
-    s_lo = _rat_eval(f, lo)
-    for _ in range(REFINE_DEPTH):
-        s = _hull_sign(v, lo, hi)
-        if s is not None:
-            return s, RootInterval(lo, hi, p)
-        lo, hi, s_lo = bisect_step(f, lo, hi, s_lo)
-    raise BranchError("sign refinement exceeded the depth limit")
 
 
 def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[UniPoly], bool]:
@@ -701,7 +626,7 @@ def _decompose_frame(
             if not 0 <= r2.lo <= r2.hi <= n_box:
                 continue
             if not slope_degenerate:
-                s = _tracked_sign_at_root(r2, regime_poly.int_column(sample))[0]
+                s = sign_at_root(r2, regime_poly.int_column(sample))
                 if s > 0:
                     continue  # the transposed frame covers this piece
                 if s == 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .unipoly import UniPoly, int_exact_quotient, poly_gcd, primitive_ints
+from .unipoly import UniPoly, _int_mul, int_exact_quotient, poly_gcd, primitive_ints
 
 ExponentPair = tuple[int, int]
 
@@ -326,17 +326,6 @@ def _int_sub(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return out
-
-
 def _int_pow(a: list[int], e: int) -> list[int]:
     out = [1]
     for _ in range(e):
@@ -400,7 +389,9 @@ def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
         raise ResultantDomainError("resultant requires positive y-degree")
     cp, fc = _primitive_rows(p)
     cq, gc = _primitive_rows(q)
-    return UniPoly(_int_resultant(fc, gc)) * (cp ** (len(gc) - 1) * cq ** (len(fc) - 1))
+    res = _int_resultant(fc, gc)
+    scale = cp ** (len(gc) - 1) * cq ** (len(fc) - 1)
+    return UniPoly(res if scale == 1 else [c * scale for c in res])
 
 
 # -- ingestion sanity check ---------------------------------------------------

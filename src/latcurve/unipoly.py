@@ -12,9 +12,13 @@ endpoints only: `integer_roots` lists those in a range, and
 no shared cache; both take a `UniPoly` or an integer coefficient list.
 Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
 evaluation of the bracket polynomial's primitive integer form, computed once
-per call.  The package locates roots only through this module: one content
+per call.  The sign of an integer polynomial v at an isolated root is a
+Tarski query (`sign_at_root`): sign variations at the bracket ends of the
+signed remainder sequence of the bracket polynomial f and f'*v mod f, built
+by the same integer chain builder, with no gcd and no interval enclosure.
+The package locates roots only through this module: one content
 normaliser, one squarefree part and chain, one bisection step, one integer
-test and one range test.
+test, one range test and one sign test.
 """
 
 from __future__ import annotations
@@ -201,29 +205,48 @@ def primitive_ints(coeffs: Sequence[Fraction | int]) -> list[int]:
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _int_prem_signed(f: list[int], g: list[int]) -> list[int]:
-    """Integer remainder of c*f by g for some positive rational c > 0.
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists ([] for zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
 
-    Plain pseudo-remainders scale by lc(g)^(deg f - deg g + 1), which may be
-    negative; the sign is corrected so the result is a positive multiple of
-    the true remainder, as Sturm chains require.
+
+def _int_prem_signed(f: list[int], g: list[int]) -> list[int]:
+    """Integer remainder of c*f by g for some positive rational c > 0, primitive.
+
+    Top-down pseudo-division with |lc(g)| as the multiplier, so the result
+    is a positive multiple of the true remainder, as Sturm chains require.
+    A step rescales only the deg g coefficients below the top; a lower
+    coefficient of f enters already multiplied by the power of |lc(g)| taken
+    so far, and a zero top takes no power.  The cost is O(deg f * deg g),
+    on the operands of rescaling the whole remainder at every nonzero top.
     """
-    lead = g[-1]
     n = len(g) - 1
-    r = list(f)
-    steps = 0
-    while len(r) - 1 >= n:
-        top = r[-1]
-        steps += 1
-        r = [c * lead for c in r[:-1]]
+    e = len(f) - n
+    if e <= 0:
+        return primitive_ints(f)
+    lead = g[-1]
+    a = abs(lead)
+    # r holds the deg g coefficients below the current top, then the top
+    r = f[e - 1:]
+    scale = 1
+    for j in range(e - 2, -2, -1):
+        top = r.pop()
         if top:
-            off = len(r) - n
-            for k in range(n):
-                r[off + k] -= top * g[k]
-        while r and r[-1] == 0:
-            r.pop()
-    if lead < 0 and steps % 2:
-        r = [-c for c in r]
+            if lead < 0:
+                top = -top
+            r = [c * a - top * d for c, d in zip(r, g)]
+            scale *= a
+        if j >= 0:
+            r.insert(0, f[j] * scale)
+    while r and r[-1] == 0:
+        r.pop()
     return primitive_ints(r)
 
 
@@ -247,10 +270,12 @@ def sign_variations(values: Iterable[Fraction]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _int_sturm_chain(f: list[int]) -> list[list[int]]:
-    """Sturm chain of the nonzero integer polynomial f as integer lists."""
+def _int_sturm_chain(f: list[int], second: list[int] | None = None) -> list[list[int]]:
+    """Signed remainder sequence of the nonzero integer polynomial f and
+    `second` (by default f', which makes it the Sturm chain of f) as integer
+    lists, each element a positive multiple of the exact one."""
     chain = [f]
-    d = primitive_ints([i * c for i, c in enumerate(f)][1:])
+    d = primitive_ints([i * c for i, c in enumerate(f)][1:]) if second is None else second
     if d:
         chain.append(d)
         while True:
@@ -511,6 +536,27 @@ def integer_in(r: RootInterval) -> int | None:
     if k <= r.hi and _int_eval(primitive_ints(r.polynomial.coeffs), k) == 0:
         return k
     return None
+
+
+def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
+    """Exact sign (-1, 0 or 1) of the integer polynomial v at the root r isolates.
+
+    An exact bracket takes one evaluation.  Otherwise the bracket polynomial
+    f is nonzero at both ends with one root between them, and the sign is
+    the Tarski query V(lo) - V(hi) on the signed remainder sequence of f and
+    a positive multiple of f'*v mod f: by Sturm's theorem for f and f'*v it
+    sums the signs of v over the roots of f in (lo, hi).  A zero needs no gcd
+    test; when f divides f'*v the sequence is [f] and the query reads 0.
+    """
+    if not v:
+        return 0
+    if r.is_exact():
+        val = _rat_eval(v, r.lo)
+        return (val > 0) - (val < 0)
+    f = primitive_ints(r.polynomial.coeffs)
+    df = [i * c for i, c in enumerate(f)][1:]
+    chain = _int_sturm_chain(f, _int_prem_signed(_int_mul(df, v), f))
+    return _int_variations(chain, r.lo) - _int_variations(chain, r.hi)
 
 
 def _same_root(a: RootInterval, b: RootInterval) -> bool:

@@ -347,9 +347,9 @@ def test_level_set_bezout_cap():
         for i in (1, 2):
             for c in (1, Fraction(-1, 2)):
                 roots = level_set_abscissas(br, i, c)
-                from latcurve.branch import _level_curve
+                from latcurve.branch import _level_resultant
 
-                rc = _level_curve(curve, i, Fraction(c))
+                rc = _level_resultant(curve, i, Fraction(c))[0]
                 assert len(roots) <= curve.degree * rc.degree
 
 

@@ -132,6 +132,10 @@ def test_verify_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "monomials")
     assert code == 0
     assert "[ok]" in out
+    # every built-in suite, the pipeline-equals-oracle checks included
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert "16/16 checks passed" in out
 
 
 def test_verify_unknown_suite(capsys):

@@ -17,6 +17,7 @@ from latcurve.exactlinalg import (
 )
 from latcurve.unipoly import (
     RootInterval,
+    _int_prem_signed,
     UniPoly,
     ZeroPolynomialError,
     all_real_roots,
@@ -32,6 +33,7 @@ from latcurve.unipoly import (
     refine_clear_of,
     refine_disjoint,
     refine_root,
+    sign_at_root,
     squarefree_part,
 )
 
@@ -414,6 +416,138 @@ def test_brackets_identical_to_fraction_reference():
             assert refine_clear_of(r, lo, hi) == reference_clear_of(r, lo, hi, skipped), (r, lo, hi)
     # both skip paths ran: split points that were roots, and the finer grid
     assert skipped.count("split") > 1000 and skipped.count("grid") > 20
+
+
+# -- signs at an isolated root ----------------------------------------------------------
+
+
+def reference_sign_at_root(r, v):
+    """Sign of the integer polynomial v at the root r isolates, in `Fraction`
+    arithmetic: a gcd zero test, then bisection until v has no root in the
+    bracket, then the sign at its left end."""
+    vp = UniPoly(v)
+    if vp.is_zero():
+        return 0
+    if r.is_exact():
+        val = vp.evaluate(r.lo)
+        return (val > 0) - (val < 0)
+    g = poly_gcd(r.polynomial, vp)
+    if g.degree >= 1 and count_real_roots(g, r.lo, r.hi) > 0:
+        return 0
+    while count_real_roots(vp, r.lo, r.hi) > 0:
+        r = refine_root(r, r.width / 2)
+    val = vp.evaluate(r.lo)
+    return (val > 0) - (val < 0)
+
+
+def test_sign_at_root_sqrt2(monkeypatch):
+    def no_gcd(*args):
+        raise AssertionError("sign_at_root must not take a gcd")
+
+    monkeypatch.setattr("latcurve.unipoly.poly_gcd", no_gcd)
+    sqrt2 = RootInterval(Fraction(1), Fraction(2), UniPoly([-2, 0, 1]))
+    assert sign_at_root(sqrt2, [0, -2, 0, 1]) == 0  # y^3 - 2y
+    assert sign_at_root(sqrt2, [-10, -2, 5, 1]) == 0  # (y^2 - 2)(y + 5)
+    # 4y - 5 has its root 5/4 inside (1, 2) but below sqrt(2)
+    assert sign_at_root(sqrt2, [-5, 4]) == 1
+    assert sign_at_root(sqrt2, [5, -4]) == -1
+    assert sign_at_root(sqrt2, [-7]) == -1
+    assert sign_at_root(sqrt2, []) == 0
+
+
+def test_sign_at_root_exact_bracket():
+    three = RootInterval(Fraction(3), Fraction(3), UniPoly([-3, 1]))
+    assert sign_at_root(three, [-9, 0, 1]) == 0
+    assert sign_at_root(three, [1, 1]) == 1
+    assert sign_at_root(three, [-4, 1]) == -1
+    assert sign_at_root(three, []) == 0
+    half = RootInterval(Fraction(1, 2), Fraction(1, 2), UniPoly([-1, 2]))
+    assert sign_at_root(half, [-1, 2]) == 0
+    assert sign_at_root(half, [-1, 0, 8]) == 1  # 8/4 - 1
+
+
+def test_sign_at_root_sparse_degree_70():
+    """A sparse degree-70 v against the degree-4 f = y^4 - 10y^2 + 1, whose
+    roots are +-sqrt(3) +- sqrt(2)."""
+    f = UniPoly([1, 0, -10, 0, 1])
+    roots = all_real_roots(f)
+    assert len(roots) == 4
+
+    def sparse(terms):
+        v = [0] * (max(terms) + 1)
+        for k, c in terms.items():
+            v[k] = c
+        return v
+
+    cases = [
+        sparse({70: 3, 35: -2, 0: -5}),
+        sparse({70: -1, 3: 7, 1: 1}),
+        sparse({70: 1, 0: -(2**35)}),  # y^70 - 2^35 vanishes at +-sqrt(2) only
+        primitive_ints((f * UniPoly(sparse({66: 1, 0: 1}))).coeffs),  # f * (y^66 + 1)
+        primitive_ints((UniPoly([-1, 0, 1]) * f * UniPoly(sparse({64: -4, 9: 1}))).coeffs),
+    ]
+    for v in cases:
+        assert len(v) == 71
+        for r in roots:
+            assert sign_at_root(r, v) == reference_sign_at_root(r, v), (v, r)
+    for r in roots:
+        assert sign_at_root(r, cases[3]) == 0
+        assert sign_at_root(r, cases[4]) == 0
+    # 3y^70 dominates at sqrt(3) + sqrt(2); -5 dominates at sqrt(3) - sqrt(2)
+    assert [sign_at_root(r, cases[0]) for r in roots] == [1, -1, -1, 1]
+
+
+def test_sign_at_root_matches_fraction_reference():
+    rng = random.Random(808)
+
+    def rand_poly(deg, height=9):
+        c = [rng.randint(-height, height) for _ in range(deg)]
+        return c + [rng.choice([-1, 1]) * rng.randint(1, height)]
+
+    seen = {-1: 0, 0: 0, 1: 0}
+    negative_lead = 0
+    for _ in range(150):
+        a = UniPoly(rand_poly(rng.randint(1, 3)))
+        b = UniPoly(rand_poly(rng.randint(1, 3)))
+        scale = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 7]))
+        p = a * b * scale
+        negative_lead += p.leading < 0
+        roots = all_real_roots(p)
+        if rng.random() < 0.5:
+            roots = [refine_root(r, Fraction(1, 10**rng.randint(1, 4))) for r in roots]
+        vs = [
+            rand_poly(rng.randint(0, 8)),
+            [-rng.randint(-40, 40), rng.randint(1, 12)],  # a root inside some brackets
+            primitive_ints((a * UniPoly(rand_poly(rng.randint(0, 5)))).coeffs),  # zero on a's roots
+            primitive_ints((squarefree_part(p) * UniPoly(rand_poly(2))).coeffs),  # zero everywhere
+        ]
+        for r in roots:
+            for v in vs:
+                want = reference_sign_at_root(r, v)
+                assert sign_at_root(r, v) == want, (r, v)
+                seen[want] += 1
+    assert min(seen.values()) > 100 and negative_lead > 20
+
+
+def test_int_prem_signed_matches_fraction_remainder():
+    """The primitive remainder of f by g, with the sign of the true `Fraction`
+    remainder: both sides primitive, so equal up to a positive factor means
+    equal.  deg f is often far above deg g (up to 80 against 0-5), and the
+    leading coefficients are often negative."""
+    rng = random.Random(31)
+    negative = 0
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        m = rng.choice([n, n + 1, rng.randint(n, 80)])
+        g = [rng.randint(-50, 50) for _ in range(n)] + [rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 8))]
+        f = [rng.randint(-10**6, 10**6) if rng.random() < 0.6 else 0 for _ in range(m)]
+        f.append(rng.choice([-1, 1]) * rng.randint(1, 99))
+        negative += g[-1] < 0 and f[-1] < 0
+        want = primitive_ints((UniPoly(f) % UniPoly(g)).coeffs)
+        assert _int_prem_signed(f, g) == want, (f, g)
+    assert negative > 30
+    # deg f < deg g: the remainder is f itself, made primitive
+    assert _int_prem_signed([4, -6], [1, 2, 3]) == [2, -3]
 
 
 # -- content normaliser ------------------------------------------------------------------
