@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_8.json at the repository root.
+rows and write BENCH_9.json at the repository root.
 
-Each row is one call in this process, timed with `time.perf_counter`:
-`brute_force_count(curve, N)` for the oracle rows (the ROADMAP baseline)
-and `determinant_method_count(curve, N, compare_oracle=False)` for the
-pipeline rows.  The file holds each call, curve, box, count and seconds,
-plus the interpreter and machine they were measured on.
+Each row is timed RUNS = 3 times, each run one call in a fresh interpreter
+(so the package's caches start empty, as in a CLI call), timed there with
+`time.perf_counter`: `brute_force_count(curve, N)` for the oracle rows (the
+ROADMAP baseline) and `determinant_method_count(curve, N,
+compare_oracle=False)` for the pipeline rows.  A row's seconds are the
+median of its runs.  The file holds each call, curve, box, count, median
+and all runs, plus the interpreter and machine they were measured on.
 
     PYTHONPATH=src python3 scripts/bench.py
 """
 
 import json
+import multiprocessing
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -37,7 +41,8 @@ ROWS = [
     ("pipeline", "x - y^2", 4000),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_8.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_9.json"
+RUNS = 3
 
 
 def count(kind: str, text: str, n_box: int) -> int:
@@ -47,21 +52,41 @@ def count(kind: str, text: str, n_box: int) -> int:
     return determinant_method_count(curve, n_box, compare_oracle=False).total
 
 
-def time_row(kind: str, text: str, n_box: int) -> dict:
+def timed_count(kind: str, text: str, n_box: int) -> tuple[int, float]:
     start = time.perf_counter()
     total = count(kind, text, n_box)
-    seconds = time.perf_counter() - start
-    return {"kind": kind, "curve": text, "N": n_box, "count": total, "seconds": seconds}
+    return total, time.perf_counter() - start
+
+
+def time_row(kind: str, text: str, n_box: int) -> dict:
+    runs = []
+    for _ in range(RUNS):
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            runs.append(pool.apply(timed_count, (kind, text, n_box)))
+    totals = {total for total, _ in runs}
+    if len(totals) != 1:
+        raise RuntimeError(f"{kind} {text} N = {n_box}: runs disagree on the count: {sorted(totals)}")
+    seconds = [s for _, s in runs]
+    return {
+        "kind": kind,
+        "curve": text,
+        "N": n_box,
+        "count": totals.pop(),
+        "seconds": statistics.median(seconds),
+        "runs": seconds,
+    }
 
 
 def main() -> int:
     rows = []
     for kind, text, n_box in ROWS:
         row = time_row(kind, text, n_box)
-        print(f"{kind:8} {text:26} N = {n_box:>6}  count {row['count']:>4}  {row['seconds']:8.2f} s")
+        spread = " ".join(f"{s:.2f}" for s in row["runs"])
+        print(f"{kind:8} {text:26} N = {n_box:>6}  count {row['count']:>4}  {row['seconds']:8.2f} s  ({spread})")
         rows.append(row)
     payload = {
         "benchmark": "brute_force_count oracle sweep and determinant_method_count pipeline",
+        "runs_per_row": RUNS,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),

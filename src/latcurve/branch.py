@@ -301,8 +301,11 @@ def taylor_coefficients(
 
 @lru_cache(maxsize=64)
 def _level_parts(curve: BiPoly, i: int) -> tuple[BiPoly, BiPoly]:
-    """(H_i, i! * F_y^(2i-1)): built once per curve and order, for every level."""
-    return hk_sequence(curve, i)[-1], partial(curve, "y") ** (2 * i - 1) * factorial(i)
+    """(H_i, i! * F_y^(2i-1)), built once per curve and order for every level;
+    the power is order i - 1's times i * F_y^2, as H_i comes from H_(i-1)."""
+    fy = _curve_parts(curve)[1]
+    fy_pow = fy if i == 1 else _level_parts(curve, i - 1)[1] * (fy * fy * i)
+    return hk_sequence(curve, i)[-1], fy_pow
 
 
 @lru_cache(maxsize=512)

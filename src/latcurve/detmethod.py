@@ -1,5 +1,6 @@
-"""Cover-curve extraction from monomial matrices, greedy covering, and the
-exact bound evaluators that certify the covering step.
+"""Cover curves from one integer echelon of the points' monomial rows (a
+kernel vector read by back-substitution), greedy covering with one echelon
+per run, and the exact bound evaluators that certify the covering step.
 
 Thresholds compare C(D,2)-th powers in rational arithmetic, so no irrational
 root is ever taken on a decision path.
@@ -11,15 +12,10 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .exactlinalg import (
-    integer_determinant,
-    integer_kth_root_ceiling,
-    row_echelon_pivots,
-    ryser_permanent,
-)
+from .exactlinalg import echelon_step, integer_kth_root_ceiling, ryser_permanent
 from .monomials import MonomialSet, non_divisibility_guard
 from .poly2 import BiPoly, ExponentPair
 
@@ -78,33 +74,34 @@ def monomial_matrix(points: Sequence[LatticePoint], mset: MonomialSet) -> list[l
     return [[p.x**j1 * p.y**j2 for (j1, j2) in mset.members] for p in pts]
 
 
+def _kernel_curve(pivots: list[tuple[int, list[int]]], mset: MonomialSet) -> BiPoly:
+    """The span curve of an echelon of rank below D: its kernel vector on the
+    pivot columns plus the first free column, by one back-substitution."""
+    taken = {c for c, _ in pivots}
+    x = [0] * mset.D
+    x[next(c for c in range(mset.D) if c not in taken)] = 1
+    for col, pv in reversed(pivots):
+        s = sum(f * e for f, e in zip(pv, x) if e)
+        g = gcd(s, pv[col])
+        x = [e * (pv[col] // g) for e in x]
+        x[col] = -s // g
+    return BiPoly(zip(mset.members, x)).primitive_integer()
+
+
 def extract_cover_curve(
     points: Sequence[LatticePoint], mset: MonomialSet
 ) -> Optional[BiPoly]:
     """A nonzero integer curve in the span vanishing on all points, or None.
 
     Exists exactly when the monomial matrix has rank below D; the curve is
-    the bordered-minor expansion of the first maximal nonsingular minor
-    (rows in input order, columns in canonical order), normalized to
-    primitive integer coefficients with positive leading coefficient.
+    the kernel vector of its integer echelon (rows in input order) on the
+    pivot columns plus the first free column, unique up to scale since the
+    pivot block is nonsingular; primitive, with positive leading coefficient.
     """
-    if mset.D < 2:
-        raise ValueError("monomial set must have at least two members")
-    matrix = monomial_matrix(points, mset)
-    rank, pivot_rows, pivot_cols = row_echelon_pivots(matrix) if points else (0, [], [])
-    if rank >= mset.D:
-        return None
-    extra = next(c for c in range(mset.D) if c not in pivot_cols)
-    cols = sorted(pivot_cols + [extra])
-    base_rows = [[matrix[r][c] for c in cols] for r in pivot_rows]
-    terms: dict[ExponentPair, int] = {}
-    for pos, c in enumerate(cols):
-        minor = [[row[k] for k in range(len(cols)) if k != pos] for row in base_rows]
-        det = integer_determinant(minor) if minor else 1
-        if det:
-            terms[mset.members[c]] = -det if pos % 2 else det
-    curve = BiPoly({j: Fraction(v) for j, v in terms.items()})
-    return curve.primitive_integer()
+    pivots: list[tuple[int, list[int]]] = []
+    for row in monomial_matrix(points, mset):
+        echelon_step(pivots, row)
+    return _kernel_curve(pivots, mset) if len(pivots) < mset.D else None
 
 
 def _power_form(interval_length: Fraction, spec: DerivativeBoundSpec, mset: MonomialSet) -> Fraction:
@@ -120,8 +117,6 @@ def segment_coverable(
     """Single-curve test: the power-form product must be strictly below 1."""
     if Fraction(interval_length) < 0:
         raise ValueError("interval length must be nonnegative")
-    if mset.D < 2:
-        raise ValueError("monomial set must have at least two members")
     return _power_form(Fraction(interval_length), spec, mset) < 1
 
 
@@ -136,8 +131,6 @@ def curve_budget(
     length = Fraction(interval_length)
     if length < 0:
         raise ValueError("interval length must be nonnegative")
-    if mset.D < 2:
-        raise ValueError("monomial set must have at least two members")
     v = _power_form(length, spec, mset)
     if v == 0:
         return 1
@@ -152,33 +145,30 @@ def greedy_cover(
 ) -> CoverCertificate:
     """Cover points (strictly increasing x) by maximal consecutive runs.
 
-    Each run is grown while a single curve in the span still vanishes on it;
-    when `curve` is given, every emitted cover curve is checked against it
-    for divisibility.
+    Each run grows one integer echelon and ends at the first point that
+    would raise its rank to D, which starts the next run; its cover curve is
+    read once from the echelon.  When `curve` is given, every emitted cover
+    curve is checked against it for divisibility.
     """
     pts = [LatticePoint(*p) for p in points]
     for a, b in zip(pts, pts[1:]):
         if a.x >= b.x:
             raise ValueError("points must be sorted with strictly increasing x")
+    rows = monomial_matrix(pts, mset)
     curves: list[BiPoly] = []
     assignment: dict[LatticePoint, int] = {}
     start = 0
     while start < len(pts):
-        end = start + 1
-        cover = extract_cover_curve(pts[start:end], mset)
-        if cover is None:
-            raise ValueError("monomial set cannot cover even a single point")
-        while end < len(pts):
-            candidate = extract_cover_curve(pts[start : end + 1], mset)
-            if candidate is None:
-                break
-            cover, end = candidate, end + 1
+        pivots: list[tuple[int, list[int]]] = []
+        end = start
+        while end < len(pts) and not (echelon_step(pivots, rows[end]) and len(pivots) == mset.D):
+            end += 1
+        cover = _kernel_curve(pivots[: mset.D - 1], mset)
         if curve is not None:
             non_divisibility_guard(curve, cover)
-        idx = len(curves)
-        curves.append(cover)
         for p in pts[start:end]:
-            assignment[p] = idx
+            assignment[p] = len(curves)
+        curves.append(cover)
         start = end
     return CoverCertificate(curves, assignment, dict(parameters or {}))
 

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals and integers.
 
-Fraction-free (Bareiss) determinants, exact rank and echelon pivots,
-Ryser permanents and integer k-th roots.  Everything here is pure and
-deterministic; no floating point anywhere.
+A fraction-free integer echelon grown one row at a time, exact rank,
+Bareiss determinants, Ryser permanents and integer k-th roots.  Everything
+here is pure and deterministic; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -39,10 +40,25 @@ def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     return rank
 
 
-def row_echelon_pivots(
-    rows: Sequence[Sequence[Fraction | int]],
-) -> tuple[int, list[int], list[int]]:
-    """Echelonize scanning rows in input order, pivot columns left to right.
+def echelon_step(pivots: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
+    """Reduce an integer row fraction-free against the (pivot column, primitive
+    row) pairs in insertion order; append it as a pair if nonzero, and say so.
+    Each pair's row is zero left of its column and at earlier pairs' columns."""
+    v = list(row)
+    for col, pv in pivots:
+        if v[col]:
+            g = gcd(v[col], pv[col])
+            a, b = v[col] // g, pv[col] // g
+            v = [b * e - a * f for e, f in zip(v, pv)]
+    lead = next((c for c, e in enumerate(v) if e), None)
+    if lead is not None:
+        g = gcd(*v)
+        pivots.append((lead, [e // g for e in v]))
+    return lead is not None
+
+
+def row_echelon_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
+    """Echelonize an integer matrix scanning rows in input order (`echelon_step`).
 
     Returns (rank, pivot_row_indices, pivot_column_indices).  The selected
     rows form the lexicographically first maximal independent row set, and
@@ -50,21 +66,9 @@ def row_echelon_pivots(
     """
     if not rows:
         raise ValueError("matrix must be nonempty")
-    ncols = len(rows[0])
-    pivots: list[tuple[int, list[Fraction]]] = []  # (col, reduced row)
-    pivot_rows: list[int] = []
-    for ri, row in enumerate(rows):
-        v = [Fraction(e) for e in row]
-        for col, pv in pivots:
-            if v[col] != 0:
-                f = v[col] / pv[col]
-                v = [a - f * b for a, b in zip(v, pv)]
-        lead = next((c for c in range(ncols) if v[c] != 0), None)
-        if lead is not None:
-            pivots.append((lead, v))
-            pivot_rows.append(ri)
-    cols = [c for c, _ in pivots]
-    return len(pivots), pivot_rows, cols
+    pivots: list[tuple[int, list[int]]] = []
+    pivot_rows = [ri for ri, row in enumerate(rows) if echelon_step(pivots, row)]
+    return len(pivots), pivot_rows, [c for c, _ in pivots]
 
 
 def _int_exact_div(a: int, b: int) -> int:

@@ -26,6 +26,8 @@ class MonomialSet:
     def __post_init__(self) -> None:
         if len(set(self.members)) != len(self.members):
             raise ValueError("members must be distinct")
+        if len(self.members) < 2:
+            raise ValueError("monomial set must have at least two members")
         ordered = tuple(sorted(self.members, key=term_order_key))
         object.__setattr__(self, "members", ordered)
         object.__setattr__(self, "D", len(ordered))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from latcurve import detmethod, exactlinalg
 from latcurve.detmethod import (
     BoundMatrixTooLarge,
     DerivativeBoundSpec,
@@ -17,9 +18,15 @@ from latcurve.detmethod import (
     monomial_matrix,
     segment_coverable,
 )
-from latcurve.exactlinalg import fraction_determinant, integer_kth_root_ceiling, matrix_rank
+from latcurve.exactlinalg import (
+    fraction_determinant,
+    integer_determinant,
+    integer_kth_root_ceiling,
+    matrix_rank,
+    row_echelon_pivots,
+)
 from latcurve.monomials import PunctureError, full_set, punctured_set
-from latcurve.poly2 import parse
+from latcurve.poly2 import BiPoly, parse
 from latcurve.unipoly import UniPoly, poly_sup_bound
 
 
@@ -236,6 +243,148 @@ def test_cover_soundness_random():
             for cov in cert.curves:
                 assert cov.has_integer_coefficients()
                 assert all(j in mset.members for j in cov.terms)
+
+
+# -- differential against the bordered-minor construction ----------------------------------
+
+
+def fraction_echelon(rows):
+    """Reference (rank, pivot rows, pivot columns): Fraction elimination of each
+    row, in input order, against the reduced rows kept so far."""
+    pivots, pivot_rows = [], []
+    for ri, row in enumerate(rows):
+        v = [Fraction(e) for e in row]
+        for col, pv in pivots:
+            if v[col]:
+                f = v[col] / pv[col]
+                v = [a - f * b for a, b in zip(v, pv)]
+        lead = next((c for c, e in enumerate(v) if e), None)
+        if lead is not None:
+            pivots.append((lead, v))
+            pivot_rows.append(ri)
+    return len(pivots), pivot_rows, [c for c, _ in pivots]
+
+
+def bordered_minor_curve(points, mset):
+    """Reference cover curve: the signed maximal minors of the first maximal
+    nonsingular row set, bordered by the first free column, made primitive."""
+    matrix = monomial_matrix(points, mset)
+    rank, pivot_rows, pivot_cols = fraction_echelon(matrix) if points else (0, [], [])
+    if rank >= mset.D:
+        return None
+    extra = next(c for c in range(mset.D) if c not in pivot_cols)
+    cols = sorted(pivot_cols + [extra])
+    base_rows = [[matrix[r][c] for c in cols] for r in pivot_rows]
+    terms = {}
+    for pos, c in enumerate(cols):
+        minor = [[row[k] for k in range(len(cols)) if k != pos] for row in base_rows]
+        det = integer_determinant(minor) if minor else 1
+        if det:
+            terms[mset.members[c]] = -det if pos % 2 else det
+    return BiPoly(terms).primitive_integer()
+
+
+def prefix_greedy(points, mset):
+    """Reference greedy cover: a run grows while the reference curve of the
+    longer prefix exists.  Returns (curves, runs)."""
+    curves, runs, start = [], [], 0
+    while start < len(points):
+        end = start + 1
+        cover = bordered_minor_curve(points[start:end], mset)
+        while end < len(points):
+            candidate = bordered_minor_curve(points[start : end + 1], mset)
+            if candidate is None:
+                break
+            cover, end = candidate, end + 1
+        curves.append(cover)
+        runs.append(points[start:end])
+        start = end
+    return curves, runs
+
+
+DIFFERENTIAL_SETS = (
+    full_set(1),
+    full_set(2),
+    full_set(3),
+    punctured_set(2, 2, 0),
+    punctured_set(2, 3, 1),
+    punctured_set(3, 3, 2),
+)
+
+
+def mixed_points(rng):
+    """Sorted points with strictly increasing x: random points with collinear
+    runs and conic runs (on y = a*x^2 + b*x + c) mixed in; zeros included."""
+    out, x = [], rng.randint(-6, 3)
+    for _ in range(rng.randint(1, 4)):
+        kind, n = rng.choice(("random", "line", "conic")), rng.randint(1, 7)
+        a, b, c = rng.randint(-2, 2), rng.randint(-3, 3), rng.randint(-4, 4)
+        for _ in range(n):
+            x += rng.randint(1, 3)
+            y = {"random": rng.randint(-9, 9), "line": b * x + c, "conic": a * x * x + b * x + c}[kind]
+            out.append(LatticePoint(x, y))
+    return out
+
+
+def test_row_echelon_pivots_matches_fraction_reference():
+    rng = random.Random(901)
+    for _ in range(200):
+        ncols = rng.randint(1, 7)
+        base = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            weights = [rng.randint(-3, 3) for _ in base]
+            rows.append([sum(w * r[j] for w, r in zip(weights, base)) for j in range(ncols)])
+        assert row_echelon_pivots(rows) == fraction_echelon(rows)
+    for mset in DIFFERENTIAL_SETS:
+        for _ in range(15):
+            rows = monomial_matrix(mixed_points(rng), mset)
+            assert row_echelon_pivots(rows) == fraction_echelon(rows)
+
+
+def test_cover_curves_match_bordered_minor_reference():
+    rng = random.Random(902)
+    for mset in DIFFERENTIAL_SETS:
+        for _ in range(12):
+            points = mixed_points(rng)
+            for k in range(1, len(points) + 1):
+                window = points[max(0, k - mset.D) : k]
+                shuffled = rng.sample(window, len(window))
+                assert extract_cover_curve(shuffled, mset) == bordered_minor_curve(shuffled, mset)
+            cert = greedy_cover(points, mset)
+            curves, runs = prefix_greedy(points, mset)
+            assert cert.curves == curves
+            assert cert.runs() == runs
+            assert [cert.assignment[p] for p in points] == [
+                i for i, run in enumerate(runs) for _ in run
+            ]
+    assert extract_cover_curve([], full_set(2)) == bordered_minor_curve([], full_set(2)) == parse("1")
+
+
+def test_greedy_cover_reduces_each_row_at_most_twice(monkeypatch):
+    reduced = []
+    step = detmethod.echelon_step
+
+    def counting_step(pivots, row):
+        reduced.append(tuple(row))
+        return step(pivots, row)
+
+    def forbidden(*args):
+        raise AssertionError("greedy_cover must not re-extract or expand minors")
+
+    monkeypatch.setattr(detmethod, "echelon_step", counting_step)
+    for module in (detmethod, exactlinalg):
+        for name in ("extract_cover_curve", "integer_determinant", "bareiss_determinant"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    rng = random.Random(903)
+    for mset in DIFFERENTIAL_SETS:
+        for _ in range(10):
+            points = mixed_points(rng)
+            reduced.clear()
+            cert = greedy_cover(points, mset)
+            rows = monomial_matrix(points, mset)
+            assert len(reduced) == len(points) + len(cert.curves) - 1
+            assert all(reduced.count(tuple(row)) <= 2 * rows.count(row) for row in rows)
 
 
 # -- derivative bound formula ----------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from latcurve.monomials import PunctureError, full_set, non_divisibility_guard, punctured_set
+from latcurve.monomials import MonomialSet, PunctureError, full_set, non_divisibility_guard, punctured_set
 from latcurve.poly2 import parse
 
 
@@ -61,6 +61,16 @@ def test_punctured_rejects_bad_arguments():
         punctured_set(3, 2, 0)
     with pytest.raises(ValueError):
         punctured_set(2, 3, 3)
+
+
+def test_monomial_set_rejects_fewer_than_two_members():
+    # a span curve needs D >= 2; greedy covering and the bounds rely on it
+    for members in ((), ((1, 0),)):
+        with pytest.raises(ValueError, match="at least two members"):
+            MonomialSet(members)
+    with pytest.raises(ValueError, match="distinct"):
+        MonomialSet(((1, 0), (1, 0)))
+    assert MonomialSet(((0, 1), (1, 0))).D == 2
 
 
 def test_member_order_is_canonical():
