@@ -12,7 +12,9 @@ identical outputs:
 
 Each hash is the SHA-256 of `json.dumps(items, sort_keys=True)` over the
 cases in order (round by round, family slot by slot).  The workloads are
-read from latbench/workloads.py, which this script only imports.
+read from latbench/workloads.py, which this script only imports.  Each hash
+is compared with its expected value in `EXPECTED`; the exit status is 1 when
+any differs, else 0.
 
     PYTHONPATH=src python3 scripts/output_hashes.py
 """
@@ -32,6 +34,12 @@ from workloads import WORKLOADS  # noqa: E402
 
 SEED = 1
 ROUNDS = {"partition": 7, "columns": 8, "sweep": 4}
+EXPECTED = {
+    "fixtures": "4a5bda952af1f39dcbcf04cbc88922fd1c62ab89122f405f4d506ab42fd582ba",
+    "partition": "df0491a446a2dbf1d4c9a429b1568fe4ad5ae89b4552c7edc9923af528acbbb8",
+    "columns": "085dcadbb3d3f4f32d9afe02aaf1423bb6729f65c30354f6622a9c9cd65df414",
+    "sweep": "3833272fd356e6abf3e11d943f6c87005b80e163319100290e66a5c783d9d172",
+}
 
 
 def digest(items: list) -> str:
@@ -59,11 +67,16 @@ def sweep_rows() -> list:
 
 def main() -> int:
     fixtures = [determinant_method_count(parse(text), box).to_json_dict() for text, box in FIXTURES]
-    print(f"fixtures  {digest(fixtures)}")
-    for name in ("partition", "columns"):
-        print(f"{name:9} {digest(pipeline_reports(name))}")
-    print(f"sweep     {digest(sweep_rows())}")
-    return 0
+    hashes = {
+        "fixtures": digest(fixtures),
+        "partition": digest(pipeline_reports("partition")),
+        "columns": digest(pipeline_reports("columns")),
+        "sweep": digest(sweep_rows()),
+    }
+    for name, value in hashes.items():
+        status = "ok" if value == EXPECTED[name] else f"MISMATCH, expected {EXPECTED[name]}"
+        print(f"{name:9} {value} {status}")
+    return 0 if hashes == EXPECTED else 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,11 @@ inside the open interval.  Branch values are handled as isolating intervals
 and every sign decision is made exactly: the sign of p(x0, f(x0)) is one
 `unipoly.sign_at_root` Tarski query of the integer column p(x0, y) at the
 bracket of f(x0), zero included, for `branch_sign`, the piece flags of
-`partition_by_bounds` and the slope regime of a frame cell.
+`partition_by_bounds` and the slope regime of a frame cell.  A level set
+builds its eliminant's repeated-root part only when an eliminant root
+reaches the tangential test.  Partition pieces come straight from the sorted
+cuts: piece j spans the gap between cuts j - 1 and j and takes the integer
+abscissas in (floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .poly2 import BiPoly, ingestion_check, partial, resultant_eliminating_y
 from .unipoly import (
     RootInterval,
     UniPoly,
-    _int_eval,
     all_real_roots,
     count_real_roots,
     int_exact_quotient,
@@ -35,6 +38,7 @@ from .unipoly import (
     rational_root_in,
     refine_clear_of,
     refine_disjoint,
+    root_floor,
     sign_at_root,
     squarefree_part,
     sturm_chain,
@@ -309,10 +313,9 @@ def _level_parts(curve: BiPoly, i: int) -> tuple[BiPoly, BiPoly]:
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPoly, UniPoly]:
+def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPoly]:
     """(level curve H_i + F_y^(2i-1) * (i! * c), which vanishes on branch points
-    with f^(i)/i! = c; eliminant; repeated-root part: the eliminant over its
-    squarefree part)."""
+    with f^(i)/i! = c; eliminant)."""
     hk, fy_pow = _level_parts(curve, i)
     rc = hk + fy_pow * c
     if rc.is_zero():
@@ -325,20 +328,23 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPol
         res = rc.as_unipoly_x()
     if res.is_zero():
         raise DegenerateLevelSetError("level-set eliminant vanished identically")
-    if res.degree < 1:
-        return rc, res, UniPoly([1])
-    mult = int_exact_quotient(primitive_ints(res.coeffs), sturm_chain(res)[0])
-    return rc, res, UniPoly(mult)
+    return rc, res
 
 
 def level_set_abscissas(
     branch: AlgebraicBranch, i: int, c: Fraction | int
 ) -> list[RootInterval]:
-    """Isolating intervals for the x in the domain with f^(i)(x)/i! = c."""
+    """Isolating intervals for the x in the domain with f^(i)(x)/i! = c.
+
+    An eliminant root where the level curve keeps its sign along the branch
+    is a tangential contact only when it is a repeated root; the repeated-root
+    part (the eliminant over its squarefree part) is built for the first such
+    root only.
+    """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
     c = Fraction(c)
-    rc, res, mult = _level_resultant(branch.curve, i, c)
+    rc, res = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     if res.degree < 1:
         return []
@@ -351,6 +357,7 @@ def level_set_abscissas(
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
     roots = refine_disjoint(roots, width)
     included: list[RootInterval] = []
+    mult: Optional[UniPoly] = None
     for r in roots:
         if r.is_exact():
             if branch_sign(branch, r.lo, rc) == 0:
@@ -363,6 +370,8 @@ def level_set_abscissas(
         if s_lo * s_hi < 0:
             included.append(r)
             continue
+        if mult is None:
+            mult = UniPoly(int_exact_quotient(primitive_ints(res.coeffs), sturm_chain(res)[0]))
         if mult.degree < 1 or count_real_roots(mult, r.lo, r.hi) == 0:
             continue  # simple eliminant root without a crossing: not on this branch
         rr = rational_root_in(r.polynomial, r.lo, r.hi)
@@ -384,8 +393,6 @@ class Piece:
     hi: Fraction
     flags: tuple[str, ...]  # entry i-1 covers derivative order i
     integer_abscissas: tuple[int, ...]
-    left_cut: Optional[RootInterval]
-    right_cut: Optional[RootInterval]
 
     def length(self) -> Fraction:
         return self.hi - self.lo
@@ -398,20 +405,6 @@ class Piece:
 class IntervalPartition:
     domain: tuple[Fraction, Fraction]
     pieces: list[Piece]
-    thresholds: tuple[Fraction, ...]  # N*delta^i for i = 1..D-1
-
-
-def _assign_side(cut: RootInterval, k: int) -> int:
-    """-1 when the integer k lies left of the isolated cut root, +1 right, 0 equal."""
-    if k < cut.lo:
-        return -1
-    if k > cut.hi:
-        return 1
-    p = cut.polynomial
-    if _int_eval(primitive_ints(p.coeffs), k) == 0:
-        return 0
-    # the cut root and k both lie in [lo, hi]; compare by counting on one side
-    return 1 if count_real_roots(p, cut.lo, Fraction(k)) > 0 else -1
 
 
 def partition_by_bounds(
@@ -419,18 +412,21 @@ def partition_by_bounds(
 ) -> IntervalPartition:
     """Split the branch domain at all |f^(i)/i!| = N*delta^i crossings and
     certify on each piece, for every 1 <= i < D, whether the normalized
-    derivative stays below (small) or above (large) the threshold."""
+    derivative stays below (small) or above (large) the threshold.
+
+    Piece j spans (cut_(j-1).hi, cut_j.lo) between the sorted cuts and takes
+    the integer abscissas in (floor(root_(j-1)), floor(root_j)].
+    """
     if big_d < 2:
         raise ValueError("D must be >= 2")
     n_box, delta = Fraction(n_box), Fraction(delta)
     lo, hi = branch.domain
     if delta <= 0 or delta * n_box < 1:
         raise ValueError("delta * N must be at least 1")
-    thresholds = tuple(n_box * delta**i for i in range(1, big_d))
+    thresholds = [n_box * delta**i for i in range(1, big_d)]
     raw_cuts: list[RootInterval] = []
     forced_small: set[int] = set()
-    for i in range(1, big_d):
-        thr = thresholds[i - 1]
+    for i, thr in enumerate(thresholds, start=1):
         for c in (thr, -thr):
             try:
                 raw_cuts.extend(level_set_abscissas(branch, i, c))
@@ -446,27 +442,21 @@ def partition_by_bounds(
                 cuts.append(r)
     fy = partial(branch.curve, "y")
 
-    bounds: list[tuple[Fraction, Fraction, Optional[RootInterval], Optional[RootInterval]]] = []
-    prev = lo
-    prev_cut: Optional[RootInterval] = None
-    for cut in cuts:
-        bounds.append((prev, cut.lo, prev_cut, cut))
-        prev, prev_cut = cut.hi, cut
-    bounds.append((prev, hi, prev_cut, None))
-
+    # piece j ends at cut j's bracket and at the floor of its root
+    ends = [(cut.lo, cut.hi, root_floor(cut)) for cut in cuts] + [(hi, hi, floor(hi))]
     pieces: list[Piece] = []
-    for plo, phi, lcut, rcut in bounds:
+    plo, first = lo, ceil(lo)
+    for phi, next_lo, last in ends:
         mid = (plo + phi) / 2
         bracket = branch_value_bracket(branch, mid)
         sfy = sign_at_root(bracket, fy.int_column(mid))
         if sfy == 0:
             raise BranchError("branch derivative degenerate at a piece midpoint")
         flags: list[str] = []
-        for i in range(1, big_d):
+        for i, thr in enumerate(thresholds, start=1):
             if i in forced_small:
                 flags.append("small")
                 continue
-            thr = thresholds[i - 1]
             # both level sets of order i succeeded above, so these are cached
             s_plus = sign_at_root(bracket, _level_resultant(branch.curve, i, thr)[0].int_column(mid))
             s_minus = sign_at_root(bracket, _level_resultant(branch.curve, i, -thr)[0].int_column(mid))
@@ -475,22 +465,9 @@ def partition_by_bounds(
             v_minus_thr = -s_plus * sfy  # sign of f^(i)/i! - thr
             v_plus_thr = -s_minus * sfy  # sign of f^(i)/i! + thr
             flags.append("small" if (v_minus_thr < 0 and v_plus_thr > 0) else "large")
-        pieces.append(Piece(plo, phi, tuple(flags), (), lcut, rcut))
-
-    # assign every integer abscissa of the domain to exactly one piece
-    assigned: dict[int, list[int]] = {idx: [] for idx in range(len(pieces))}
-    for k in range(ceil(lo), floor(hi) + 1):
-        idx = 0
-        for j, cut in enumerate(cuts):
-            side = _assign_side(cut, k)
-            if side <= 0:
-                idx = j
-                break
-            idx = j + 1
-        assigned[idx].append(k)
-    for idx, piece in enumerate(pieces):
-        piece.integer_abscissas = tuple(assigned[idx])
-    return IntervalPartition((lo, hi), pieces, thresholds)
+        pieces.append(Piece(plo, phi, tuple(flags), tuple(range(first, last + 1))))
+        plo, first = next_lo, last + 1
+    return IntervalPartition((lo, hi), pieces)
 
 
 def large_interval_check(piece: Piece, delta: Fraction | int) -> bool:

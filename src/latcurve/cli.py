@@ -14,9 +14,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .branch import hk_sequence
+from .branch import LevelSetContactError, hk_sequence
 from .counting import (
     CountingError,
+    CountReport,
     LineFactorError,
     brute_force_count,
     determinant_method_count,
@@ -53,16 +54,15 @@ def _cmd_count(args) -> int:
     try:
         if args.method == "brute":
             total, points = brute_force_count(curve, args.box)
-            payload = {
-                "parameters": {"poly": curve.pretty(), "N": args.box, "box": "{1..N}^2"},
-                "total": total,
-                "oracle_total": None,
-                "branches": [],
-                "exceptions": [list(p) for p in points],
-                "warnings": [],
-            }
-            rows = [(p.x, p.y, -1) for p in points]
-            ok = True
+            report = CountReport(
+                parameters={"poly": curve.pretty(), "N": args.box, "box": "{1..N}^2"},
+                total=total,
+                oracle_total=None,
+                per_branch=[],
+                exceptions=points,
+                warnings=[],
+                ok=True,
+            )
         else:
             report = determinant_method_count(
                 curve,
@@ -71,19 +71,18 @@ def _cmd_count(args) -> int:
                 delta=delta,
                 compare_oracle=(args.method == "both"),
             )
-            payload = report.to_json_dict()
-            rows = report.csv_rows()
-            ok = report.ok
-    except (CountingError, LineFactorError, IngestionError, ValueError) as exc:
+    except (
+        CountingError, LineFactorError, IngestionError, LevelSetContactError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_json_dict(), indent=2))
     else:
         print("x,y,curve_index")
-        for x0, y0, idx in rows:
+        for x0, y0, idx in report.csv_rows():
             print(f"{x0},{y0},{idx}")
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
 def _read_points_file(path: str) -> list[LatticePoint]:

@@ -148,7 +148,6 @@ class CountReport:
     exceptions: list[LatticePoint]
     warnings: list[str]
     ok: bool
-    curve_points: list[LatticePoint] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,18 +267,7 @@ def determinant_method_count(
                     pts.append(hit)
             interval = (str(piece.lo), str(piece.hi))
             if piece.all_small():
-                cert = greedy_cover(
-                    pts,
-                    mset,
-                    curve=frame_curve,
-                    parameters={
-                        "N": n_box,
-                        "X": str(spec.X),
-                        "delta": str(delta),
-                        "monomials": mset.describe(),
-                        "interval": list(interval),
-                    },
-                )
+                cert = greedy_cover(pts, mset, curve=frame_curve)
                 certificates.append(cert)
                 budget = curve_budget(piece.length(), spec, mset)
                 if len(cert.curves) > budget:
@@ -312,10 +300,8 @@ def determinant_method_count(
                 )
         branch_reports.append(BranchReport(br.describe(), certificates, piece_reports))
 
-    boxed_direct = {p for p in direct_points if _in_box(p, n_box)}
-    boxed_curve = {p for p in curve_points if _in_box(p, n_box)}
-    exceptions = sorted(boxed_direct - boxed_curve)
-    total = len(boxed_curve) + len(exceptions)
+    exceptions = sorted({p for p in direct_points if _in_box(p, n_box)} - curve_points)
+    total = len(curve_points) + len(exceptions)
 
     if compare_oracle and oracle_total != total:
         warnings.append(f"oracle mismatch: pipeline {total} vs sweep {oracle_total}")
@@ -336,5 +322,4 @@ def determinant_method_count(
         exceptions=exceptions,
         warnings=warnings,
         ok=ok,
-        curve_points=sorted(boxed_curve),
     )

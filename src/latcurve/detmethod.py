@@ -8,9 +8,7 @@ root is ever taken on a decision path.
 
 from __future__ import annotations
 
-import os
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from typing import NamedTuple, Optional, Sequence
@@ -19,8 +17,7 @@ from .exactlinalg import echelon_step, integer_kth_root_ceiling, ryser_permanent
 from .monomials import MonomialSet, non_divisibility_guard
 from .poly2 import BiPoly, ExponentPair
 
-PERMANENT_LIMIT_ENV = "LATCURVE_PERMANENT_LIMIT"
-_DEFAULT_PERMANENT_LIMIT = 10
+PERMANENT_LIMIT = 10
 
 
 class LatticePoint(NamedTuple):
@@ -29,7 +26,7 @@ class LatticePoint(NamedTuple):
 
 
 class BoundMatrixTooLarge(ValueError):
-    """The permanent evaluator refuses matrices beyond the configured size."""
+    """The permanent evaluator refuses matrices beyond `PERMANENT_LIMIT` rows."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,6 @@ class CoverCertificate:
 
     curves: list[BiPoly]
     assignment: dict[LatticePoint, int]
-    parameters: dict = field(default_factory=dict)
 
     def runs(self) -> list[list[LatticePoint]]:
         by_curve: list[list[LatticePoint]] = [[] for _ in self.curves]
@@ -141,7 +137,6 @@ def greedy_cover(
     points: Sequence[LatticePoint],
     mset: MonomialSet,
     curve: Optional[BiPoly] = None,
-    parameters: Optional[dict] = None,
 ) -> CoverCertificate:
     """Cover points (strictly increasing x) by maximal consecutive runs.
 
@@ -170,7 +165,7 @@ def greedy_cover(
             assignment[p] = len(curves)
         curves.append(cover)
         start = end
-    return CoverCertificate(curves, assignment, dict(parameters or {}))
+    return CoverCertificate(curves, assignment)
 
 
 def fj_derivative_bound(
@@ -183,22 +178,6 @@ def fj_derivative_bound(
     return (2 * spec.N) ** j1 * (i * spec.X) ** j2 * spec.delta ** (i - 1)
 
 
-def _permanent_limit() -> int:
-    raw = os.environ.get(PERMANENT_LIMIT_ENV)
-    if raw is None:
-        return _DEFAULT_PERMANENT_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"{PERMANENT_LIMIT_ENV}={raw!r} is not an integer; "
-            f"using the default {_DEFAULT_PERMANENT_LIMIT}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return _DEFAULT_PERMANENT_LIMIT
-
-
 def interpolation_determinant_bound(
     xs: Sequence[Fraction | int], bounds: Sequence[Sequence[Fraction | int]]
 ) -> Fraction:
@@ -206,7 +185,7 @@ def interpolation_determinant_bound(
 
     prod_{i>j} |x_i - x_j| multiplied by the permanent of the entry-wise
     derivative bounds; the permanent uses Ryser's method and refuses sizes
-    beyond the configured cap.
+    beyond `PERMANENT_LIMIT`.
     """
     n = len(xs)
     if n == 0:
@@ -215,7 +194,7 @@ def interpolation_determinant_bound(
         raise ValueError("bound matrix must be n x n")
     if any(Fraction(e) < 0 for row in bounds for e in row):
         raise ValueError("bounds must be nonnegative")
-    if n > _permanent_limit():
+    if n > PERMANENT_LIMIT:
         raise BoundMatrixTooLarge("bound matrix too large")
     spread = Fraction(1)
     vals = [Fraction(v) for v in xs]

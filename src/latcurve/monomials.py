@@ -34,21 +34,6 @@ class MonomialSet:
         object.__setattr__(self, "p", sum(j1 for j1, _ in ordered))
         object.__setattr__(self, "q", sum(j2 for _, j2 in ordered))
 
-    def describe(self) -> str:
-        return "{" + ", ".join(_monomial_name(j) for j in self.members) + "}"
-
-
-def _monomial_name(j: ExponentPair) -> str:
-    j1, j2 = j
-    if j1 == j2 == 0:
-        return "1"
-    parts = []
-    if j1:
-        parts.append("x" if j1 == 1 else f"x^{j1}")
-    if j2:
-        parts.append("y" if j2 == 1 else f"y^{j2}")
-    return "*".join(parts)
-
 
 def full_set(d: int) -> MonomialSet:
     """All monomials of total degree at most d; D=(d+1)(d+2)/2 and p=q=dD/3."""

@@ -18,7 +18,7 @@ signed remainder sequence of the bracket polynomial f and f'*v mod f, built
 by the same integer chain builder, with no gcd and no interval enclosure.
 The package locates roots only through this module: one content
 normaliser, one squarefree part and chain, one bisection step, one integer
-test, one range test and one sign test.
+test, one floor, one range test and one sign test.
 """
 
 from __future__ import annotations
@@ -536,6 +536,18 @@ def integer_in(r: RootInterval) -> int | None:
     if k <= r.hi and _int_eval(primitive_ints(r.polynomial.coeffs), k) == 0:
         return k
     return None
+
+
+def root_floor(r: RootInterval) -> int:
+    """The floor of the root r isolates.
+
+    k = floor(hi) is it unless the root lies strictly below k, which needs a
+    non-exact bracket with lo < k and no root in [k, hi]: one count decides.
+    """
+    k = math.floor(r.hi)
+    if not r.is_exact() and k > r.lo and count_real_roots(r.polynomial, k, r.hi) == 0:
+        return k - 1
+    return k
 
 
 def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:

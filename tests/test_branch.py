@@ -4,6 +4,7 @@ and the box decomposition."""
 import math
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -11,6 +12,7 @@ from latcurve.branch import (
     AlgebraicBranch,
     BranchError,
     DegenerateLevelSetError,
+    LevelSetContactError,
     branch_from_point,
     branch_integer_point,
     branch_sign,
@@ -26,7 +28,19 @@ from latcurve.branch import (
 from latcurve.counting import brute_force_count
 from latcurve.detmethod import LatticePoint
 from latcurve.poly2 import BiPoly, IngestionError, parse, partial
-from latcurve.unipoly import UniPoly, integer_in, integer_roots, squarefree_part, sturm_chain
+from latcurve import branch as branch_module
+from latcurve.unipoly import (
+    RootInterval,
+    UniPoly,
+    count_real_roots,
+    integer_in,
+    integer_roots,
+    refine_clear_of,
+    refine_disjoint,
+    root_floor,
+    squarefree_part,
+    sturm_chain,
+)
 
 
 def series_taylor_oracle(curve, x0, y0, kmax):
@@ -353,6 +367,51 @@ def test_level_set_bezout_cap():
                 assert len(roots) <= curve.degree * rc.degree
 
 
+def _count_repeated_part_builds(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append(len(f))
+        return original(f, g)
+
+    original = branch_module.int_exact_quotient
+    monkeypatch.setattr(branch_module, "int_exact_quotient", counted)
+    return calls
+
+
+def test_level_set_rational_tangential_contact(monkeypatch):
+    # f''/2 = -25/(2 y^3) on the upper circle branch is at most -1/10, with
+    # equality only at x = 0: a double eliminant root without a crossing
+    calls = _count_repeated_part_builds(monkeypatch)
+    br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
+    roots = level_set_abscissas(br, 2, Fraction(-1, 10))
+    assert [(r.lo, r.hi) for r in roots] == [(0, 0)]
+    assert len(calls) == 1
+
+
+def test_level_set_simple_root_without_crossing_skipped(monkeypatch):
+    # f' = -x/y = -3/4 at (3, 4) on the upper branch; the eliminant's other
+    # simple root x = -3 belongs to the lower branch point (-3, -4)
+    calls = _count_repeated_part_builds(monkeypatch)
+    br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
+    roots = level_set_abscissas(br, 1, Fraction(-3, 4))
+    assert len(roots) == 1 and roots[0].lo <= 3 <= roots[0].hi
+    assert len(calls) == 1
+    # crossings alone never build the repeated-root part
+    calls.clear()
+    hyperbola = branch_from_point(FIXTURES["hyperbola"], 3, 4, (1, 12))
+    assert len(level_set_abscissas(hyperbola, 1, -3)) == 1
+    assert calls == []
+
+
+def test_level_set_irrational_tangential_contact_raises():
+    # 15x = 3y^5 - 20y^3 + 75y has f' = 1/((y^2 - 2)^2 + 1) <= 1, with
+    # equality at y = sqrt(2), x = 47*sqrt(2)/15: an irrational contact
+    br = branch_from_point(parse("15*x - 3*y^5 + 20*y^3 - 75*y"), 0, 0, (0, 10))
+    with pytest.raises(LevelSetContactError, match="irrational"):
+        level_set_abscissas(br, 1, 1)
+
+
 # -- partitions --------------------------------------------------------------------------
 
 
@@ -413,10 +472,104 @@ def test_partition_piece_count_bound():
         assert len(part.pieces) <= 64 * big_d**2 * d**2
 
 
+def test_partition_integer_root_inside_cut():
+    # f' = 2x = 6 at x = 3, strictly inside the cut's bracket: the integer
+    # root belongs to the left piece
+    br = branch_from_point(parse("y - x^2"), 3, 9, (0, 10))
+    first, second = partition_by_bounds(br, 2, 120, Fraction(1, 20)).pieces
+    assert first.hi < 3 < second.lo
+    assert first.integer_abscissas == (0, 1, 2, 3)
+    assert second.integer_abscissas == tuple(range(4, 11))
+
+
+def test_root_floor_cut_edge_cases():
+    sqrt2 = UniPoly([-2, 0, 1])
+    # an integer bracket end
+    assert root_floor(RootInterval(Fraction(1), Fraction(3, 2), sqrt2)) == 1
+    assert root_floor(RootInterval(Fraction(5, 4), Fraction(2), sqrt2)) == 1
+    assert root_floor(RootInterval(Fraction(-2), Fraction(-1), sqrt2)) == -2
+    assert root_floor(RootInterval(Fraction(2), Fraction(5, 2), UniPoly([-5, 0, 1]))) == 2
+    # an exact root, integer or not
+    assert root_floor(RootInterval(Fraction(3), Fraction(3), UniPoly([-3, 1]))) == 3
+    assert root_floor(RootInterval(Fraction(-5, 2), Fraction(-5, 2), UniPoly([5, 2]))) == -3
+    # an integer strictly inside the bracket: the root below, above or at it
+    for poly, want in ((UniPoly([-299, 100]), 2), (UniPoly([-301, 100]), 3), (UniPoly([-3, 1]), 3)):
+        assert root_floor(RootInterval(Fraction(5, 2), Fraction(7, 2), poly)) == want
+
+
+def _reference_integer_abscissas(br, big_d, n_box, delta):
+    """The cuts and the per-piece integer abscissas as assigned by testing
+    every (abscissa, cut) pair: k goes to the first cut whose root is >= k."""
+    lo, hi = br.domain
+    raw = []
+    for i in range(1, big_d):
+        thr = n_box * delta**i
+        for c in (thr, -thr):
+            try:
+                raw.extend(level_set_abscissas(br, i, c))
+            except DegenerateLevelSetError:
+                pass
+    cuts = []
+    for r in refine_disjoint(raw, Fraction(1, 4)) if raw else []:
+        r = refine_clear_of(r, lo, hi)
+        if lo < r.lo and r.hi < hi:
+            cuts.append(r)
+
+    def side(cut, k):
+        if k < cut.lo:
+            return -1
+        if k > cut.hi:
+            return 1
+        if cut.polynomial.evaluate(k) == 0:
+            return 0
+        return 1 if count_real_roots(cut.polynomial, cut.lo, Fraction(k)) > 0 else -1
+
+    assigned = [[] for _ in range(len(cuts) + 1)]
+    for k in range(ceil(lo), floor(hi) + 1):
+        assigned[next((j for j, cut in enumerate(cuts) if side(cut, k) <= 0), len(cuts))].append(k)
+    return cuts, [tuple(a) for a in assigned]
+
+
+def test_partition_integer_abscissas_match_pairwise_assignment():
+    """Seeded differential on the branches of random curves (degree <= 3,
+    |c| <= 6, N <= 40): pieces span the gaps between the cuts, and each takes
+    the integers that a test of every (abscissa, cut) pair assigns to it."""
+    rng = random.Random(2024)
+    curves = cuts_seen = integer_in_bracket = 0
+    while curves < 200:
+        deg = rng.choice([2, 3])
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            j1 = rng.randint(0, deg)
+            terms[(j1, rng.randint(0, deg - j1))] = rng.randint(-6, 6)
+        terms[(0, 0)] = rng.choice([-5, -3, -2, -1, 1, 2, 3, 5])
+        curve = BiPoly(terms)
+        if curve.degree < 2:
+            continue
+        n_box = rng.randint(5, 40)
+        try:
+            dec = graph_decompose(curve, n_box)
+        except (BranchError, IngestionError):
+            continue
+        curves += 1
+        for br in dec.branches:
+            big_d = rng.choice([2, 3, 4])
+            delta = rng.choice([Fraction(1, n_box), Fraction(2, n_box), Fraction(1, 4), Fraction(1, 2)])
+            part = partition_by_bounds(br, big_d, n_box, delta)
+            cuts, want = _reference_integer_abscissas(br, big_d, n_box, delta)
+            assert [p.integer_abscissas for p in part.pieces] == want, curve.pretty()
+            lo, hi = br.domain
+            spans = list(zip([lo] + [c.hi for c in cuts], [c.lo for c in cuts] + [hi]))
+            assert [(p.lo, p.hi) for p in part.pieces] == spans, curve.pretty()
+            cuts_seen += len(cuts)
+            integer_in_bracket += sum(ceil(c.lo) <= c.hi for c in cuts)
+    assert cuts_seen >= 50 and integer_in_bracket >= 3
+
+
 def test_large_interval_check():
     from latcurve.branch import Piece
 
-    mk = lambda length: Piece(Fraction(0), Fraction(length), ("large",), (), None, None)
+    mk = lambda length: Piece(Fraction(0), Fraction(length), ("large",), ())
     assert large_interval_check(mk(4), Fraction(1, 2))
     assert not large_interval_check(mk(5), Fraction(1, 2))
     assert large_interval_check(mk(Fraction(15, 2)), Fraction(1, 20))

@@ -2,6 +2,8 @@
 
 import json
 
+from latcurve import cli
+from latcurve.branch import LevelSetContactError
 from latcurve.cli import main
 
 
@@ -33,6 +35,26 @@ def test_count_brute_method(capsys):
     payload = json.loads(out)
     assert payload["total"] == 10
     assert payload["branches"] == []
+    assert payload["exceptions"] == [[k * k, k] for k in range(1, 11)]
+
+
+def test_count_brute_method_csv(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--poly", "x - y^2", "--box", "100", "--method", "brute", "--out", "csv"
+    )
+    assert code == 0
+    assert out.splitlines() == ["x,y,curve_index"] + [f"{k * k},{k},-1" for k in range(1, 11)]
+
+
+def test_count_irrational_contact_exit_2(capsys, monkeypatch):
+    def contact(*args, **kwargs):
+        raise LevelSetContactError("cannot certify a tangential level-set contact at an irrational abscissa")
+
+    monkeypatch.setattr(cli, "determinant_method_count", contact)
+    code, out, err = run_cli(capsys, "count", "--poly", "x*y - 12", "--box", "12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot certify") and len(err.splitlines()) == 1
 
 
 def test_count_csv(capsys):

@@ -442,18 +442,12 @@ def test_interp_bound_examples():
     assert interpolation_determinant_bound([1, 1], [[2, 2], [2, 2]]) == 0
 
 
-def test_interp_bound_size_cap(monkeypatch):
+def test_interp_bound_size_cap():
     n = 11
     xs = list(range(n))
     a = [[1] * n for _ in range(n)]
     with pytest.raises(BoundMatrixTooLarge):
         interpolation_determinant_bound(xs, a)
-    monkeypatch.setenv("LATCURVE_PERMANENT_LIMIT", "12")
-    assert interpolation_determinant_bound(xs, a) > 0
-    monkeypatch.setenv("LATCURVE_PERMANENT_LIMIT", "ten")
-    with pytest.warns(RuntimeWarning, match="LATCURVE_PERMANENT_LIMIT='ten'"):
-        with pytest.raises(BoundMatrixTooLarge):  # the default cap of 10 applies
-            interpolation_determinant_bound(xs, a)
 
 
 def test_interp_bound_dominates_determinant():
