@@ -1,15 +1,23 @@
-"""Univariate polynomials over Q with Sturm-sequence real root isolation.
+"""Univariate polynomials over Q with exact real root isolation.
 
 All decisions (root counts, signs, refinements) are made in exact rational
 arithmetic.  Roots are reported as rational-endpoint isolating intervals;
-a degenerate interval [r, r] marks an exactly known rational root.  One
-integer squarefree part and its integer Sturm chain
-(`integer_squarefree_chain`, cached as `sturm_chain`) stand behind every
-count, isolation and integer search; at x = num/den a chain element f is
-evaluated as the integer den^deg * f(x).  Integer roots are found on integer
-endpoints only: `integer_roots` lists those in a range, and
-`ranked_integer_root` tests the root of a given rank, with no isolation and
-no shared cache; both take a `UniPoly` or an integer coefficient list.
+a degenerate interval [r, r] marks an exactly known rational root.
+`count_real_roots` and `isolate_real_roots` test the domain ends on p's
+primitive integer form f, which has the same zeros as its squarefree part,
+and divide the end roots out of f.  A Descartes certificate
+(`descartes_bound`) then decides most domains with no Sturm chain: v = 0
+means no root inside, v = 1 one simple root, whose bracket is the domain
+itself.  It is the sign variations of f's own coefficients when lo >= 0,
+and otherwise, or when that count is 2 or more, those of f mapped from
+(lo, hi) onto (0, inf) by an integer Moebius map (two Taylor shifts).  Only
+when v >= 2 is the integer squarefree part and its integer Sturm chain
+(`integer_squarefree_chain`, cached as `sturm_chain`) built, and the domain
+split by chain counts; both routes give the same brackets.  At x = num/den a
+chain element f is evaluated as the integer den^deg * f(x).  Integer roots
+are found on integer endpoints only: `integer_roots` lists those in a range,
+and `ranked_integer_root` tests the root of a given rank, with no isolation
+and no shared cache; both take a `UniPoly` or an integer coefficient list.
 Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
 evaluation of the bracket polynomial's primitive integer form, computed once
 per call.  The sign of an integer polynomial v at an isolated root is a
@@ -17,8 +25,9 @@ Tarski query (`sign_at_root`): sign variations at the bracket ends of the
 signed remainder sequence of the bracket polynomial f and f'*v mod f, built
 by the same integer chain builder, with no gcd and no interval enclosure.
 The package locates roots only through this module: one content
-normaliser, one squarefree part and chain, one bisection step, one integer
-test, one floor, one range test and one sign test.
+normaliser, one Descartes certificate, one squarefree part and chain, one
+bisection step, one integer test, one floor, one range test and one sign
+test.
 """
 
 from __future__ import annotations
@@ -371,11 +380,81 @@ def _int_variations(chain: Sequence[list[int]], x: Fraction | int) -> int:
     return count
 
 
+def _taylor_shift(f: Sequence[int], c: int) -> list[int]:
+    """Coefficients of f(x + c), by repeated synthetic division: O(deg^2)."""
+    g = list(f)
+    n = len(g) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            g[j] += c * g[j + 1]
+    return g
+
+
+def descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Descartes' bound v on the roots of the integer polynomial f in the open
+    (lo, hi), lo < hi, where f is nonzero at lo and at hi.
+
+    v is never below the number of roots counted with multiplicity, and has
+    its parity, so v = 0 means no root and v = 1 one simple root.  When
+    lo >= 0, the sign variations of f's own coefficients bound the roots in
+    (0, inf): at most one then leaves at most one simple root, which lies in
+    (lo, hi) exactly when f changes sign there.  Otherwise v is the number of
+    sign variations of (1 + t)^n f((lo + hi*t)/(1 + t)), built on integers
+    with two Taylor shifts.
+    """
+    if lo >= 0:
+        v = sign_variations(f)
+        if v == 0:
+            return 0
+        if v == 1:
+            return int((_rat_eval(f, lo) > 0) != (_rat_eval(f, hi) > 0))
+    # lo = a/d and hi = b/d; h(s) = d^n f((b + (a - b) s)/d) maps s = 1/(1 + t)
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    n = len(f) - 1
+    g = [c * d ** (n - i) for i, c in enumerate(f)]
+    g = _taylor_shift(g, b)
+    w, scale = a - b, 1
+    for i in range(n + 1):
+        g[i] *= scale
+        scale *= w
+    g.reverse()
+    return sign_variations(_taylor_shift(g, 1))
+
+
+def _deflate(f: list[int], ends: Iterable[Fraction], lo: Fraction, hi: Fraction) -> list[int]:
+    """f with the factor (den*x - num) of each root num/den in `ends` divided
+    out completely, and its factor x^m when 0 lies outside the open (lo, hi):
+    the same zeros in (lo, hi), and none at an end."""
+    if not lo < 0 < hi:
+        f = f[next(i for i, c in enumerate(f) if c):]
+    for e in ends:
+        while _rat_eval(f, e) == 0:
+            f = int_exact_quotient(f, [-e.numerator, e.denominator])
+    return f
+
+
 def count_real_roots(p: UniPoly, lo: Fraction | int, hi: Fraction | int) -> int:
-    """Number of distinct real roots of p in the closed interval [lo, hi]:
-    V(lo) - V(hi) counts those in (lo, hi], and a root at lo adds one."""
+    """Number of distinct real roots of p in the closed interval [lo, hi].
+
+    The ends are tested on p's primitive form f, and their roots divided out
+    of f; a Descartes bound v <= 1 (`descartes_bound`) then counts the open
+    interval with no Sturm chain.  Otherwise, on the chain of p's squarefree
+    part, V(lo) - V(hi) counts the roots in (lo, hi], and a root at lo adds
+    one.
+    """
     if lo > hi:
         raise ValueError("empty interval")
+    if p.is_zero():
+        raise ZeroPolynomialError("zero polynomial")
+    lo, hi = Fraction(lo), Fraction(hi)
+    f = primitive_ints(p.coeffs)
+    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(f, e) == 0]
+    if hi == lo:
+        return len(ends)
+    v = descartes_bound(_deflate(f, ends, lo, hi), lo, hi)
+    if v <= 1:
+        return len(ends) + v
     sf, chain = sturm_chain(p)
     return (_rat_eval(sf, lo) == 0) + _int_variations(chain, lo) - _int_variations(chain, hi)
 
@@ -384,8 +463,11 @@ def count_real_roots(p: UniPoly, lo: Fraction | int, hi: Fraction | int) -> int:
 class RootInterval:
     """Rational-endpoint interval isolating one real root of `polynomial`.
 
-    Either the endpoint polynomial signs differ (simple interior root of the
-    squarefree isolating polynomial) or lo == hi is an exact rational root.
+    Either lo == hi is an exact rational root, or lo < hi and `polynomial`
+    is nonzero at both ends, so its signs there differ, with exactly one
+    zero in (lo, hi), a simple one.  The polynomial has the zeros of the
+    isolated one in the bracket but is not necessarily squarefree: a
+    repeated root may remain outside the bracket.
     """
 
     lo: Fraction
@@ -457,14 +539,19 @@ def isolate_real_roots(
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty range")
-    sf, chain = sturm_chain(p)
-    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(sf, e) == 0]
-    out = [RootInterval(e, e, UniPoly(sf)) for e in ends]
-    inner = sf
-    for e in ends:
-        inner = int_exact_quotient(inner, [-e.numerator, e.denominator])
-    if hi == lo or len(inner) < 2:
+    f = primitive_ints(p.coeffs)
+    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(f, e) == 0]
+    out = [RootInterval(e, e, UniPoly(f)) for e in ends]
+    if hi == lo:
         return out
+    inner = _deflate(f, ends, lo, hi)
+    v = descartes_bound(inner, lo, hi)
+    if v == 1:
+        out.append(RootInterval(lo, hi, UniPoly(inner)))
+    if v <= 1:
+        return sorted(out, key=lambda r: r.lo)
+    sf, chain = sturm_chain(p)
+    inner = _deflate(sf, ends, lo, hi)
     # reference the deflated polynomial: with an endpoint root deflated
     # away, a bracket ending there isolates only for the deflated form
     bracket = UniPoly(inner)
@@ -538,14 +625,26 @@ def integer_in(r: RootInterval) -> int | None:
     return None
 
 
+def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool:
+    """Whether [lo, hi], inside the non-exact bracket r, holds its root.
+
+    The bracket polynomial has no other zero in the bracket, and its root is
+    simple, so it lies in [lo, hi] exactly when the polynomial vanishes at an
+    end or changes sign between them.
+    """
+    f = primitive_ints(r.polynomial.coeffs)
+    s_lo, s_hi = _rat_eval(f, lo), _rat_eval(f, hi)
+    return s_lo == 0 or s_hi == 0 or (s_lo > 0) != (s_hi > 0)
+
+
 def root_floor(r: RootInterval) -> int:
     """The floor of the root r isolates.
 
     k = floor(hi) is it unless the root lies strictly below k, which needs a
-    non-exact bracket with lo < k and no root in [k, hi]: one count decides.
+    non-exact bracket with lo < k and no root in [k, hi]: one sign test decides.
     """
     k = math.floor(r.hi)
-    if not r.is_exact() and k > r.lo and count_real_roots(r.polynomial, k, r.hi) == 0:
+    if not r.is_exact() and k > r.lo and not _holds_root(r, k, r.hi):
         return k - 1
     return k
 
@@ -576,8 +675,13 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
         return False
-    g = a.polynomial if a.polynomial == b.polynomial else poly_gcd(a.polynomial, b.polynomial)
+    # both isolated roots must lie in the overlap; an exact one always does
+    if any(not r.is_exact() and not _holds_root(r, lo, hi) for r in (a, b)):
+        return False
+    if a.polynomial == b.polynomial:
+        return True  # the overlap holds one root of the common polynomial
     # a common root inside both brackets must be each bracket's isolated root
+    g = poly_gcd(a.polynomial, b.polynomial)
     return g.degree >= 1 and count_real_roots(g, lo, hi) > 0
 
 

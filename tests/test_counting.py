@@ -14,6 +14,7 @@ from latcurve.counting import (
     brute_force_count,
     determinant_method_count,
 )
+from latcurve import branch, unipoly
 from latcurve.detmethod import LatticePoint
 from latcurve.poly2 import BiPoly, divides, parse
 
@@ -264,6 +265,19 @@ def test_pipeline_random_curves_match_oracle():
         assert rep.total == rep.oracle_total, curve.pretty()
         agree += 1
     assert agree >= 20
+
+
+def test_pipeline_sturm_chain_builds():
+    """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
+    builds 11 Sturm chains (52 when every level set built one to show it has
+    no crossing; the Descartes certificates decide those domains)."""
+    for module in (unipoly, branch):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
+    assert rep.total == 0
+    assert unipoly.sturm_chain.cache_info().misses == 11
 
 
 def test_pipeline_small_delta_enumerate_path():

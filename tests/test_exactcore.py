@@ -15,9 +15,15 @@ from latcurve.exactlinalg import (
     row_echelon_pivots,
     ryser_permanent,
 )
+from latcurve import unipoly
 from latcurve.unipoly import (
     RootInterval,
     _int_prem_signed,
+    _int_variations,
+    _nonroot_split,
+    _rat_eval,
+    descartes_bound,
+    int_exact_quotient,
     UniPoly,
     ZeroPolynomialError,
     all_real_roots,
@@ -33,8 +39,10 @@ from latcurve.unipoly import (
     refine_clear_of,
     refine_disjoint,
     refine_root,
+    root_floor,
     sign_at_root,
     squarefree_part,
+    sturm_chain,
 )
 
 
@@ -765,3 +773,222 @@ def test_all_real_roots_finds_every_root():
     assert all_real_roots(UniPoly([5])) == []
     with pytest.raises(ZeroPolynomialError):
         all_real_roots(UniPoly([]))
+
+
+# -- Descartes certificates ------------------------------------------------------------
+
+
+def sturm_only_count(p, lo, hi):
+    """`count_real_roots` as it was before the Descartes certificates: every
+    count on the Sturm chain of p's squarefree part."""
+    sf, chain = integer_squarefree_chain(p)
+    return (_rat_eval(sf, lo) == 0) + _int_variations(chain, lo) - _int_variations(chain, hi)
+
+
+def sturm_only_isolation(p, lo, hi):
+    """`isolate_real_roots` as it was before the Descartes certificates."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    sf, chain = integer_squarefree_chain(p)
+    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(sf, e) == 0]
+    out = [RootInterval(e, e, UniPoly(sf)) for e in ends]
+    inner = sf
+    for e in ends:
+        inner = int_exact_quotient(inner, [-e.numerator, e.denominator])
+    if hi == lo or len(inner) < 2:
+        return out
+    bracket = UniPoly(inner)
+    hi_root = hi in ends
+
+    def split(a, b, va, vb):
+        k = va - vb - (b == hi and hi_root)
+        if k == 0:
+            return
+        if k == 1:
+            out.append(RootInterval(a, b, bracket))
+            return
+        m, _ = _nonroot_split(inner, a, b)
+        vm = _int_variations(chain, m)
+        split(a, m, va, vm)
+        split(m, b, vm, vb)
+
+    split(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))
+    return sorted(out, key=lambda r: r.lo)
+
+
+def sturm_only_same_root(a, b):
+    """`_same_root` as it was before its sign tests."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        return False
+    g = a.polynomial if a.polynomial == b.polynomial else poly_gcd(a.polynomial, b.polynomial)
+    return g.degree >= 1 and sturm_only_count(g, lo, hi) > 0
+
+
+def _certificate_cases(rng, count):
+    """(p, lo, hi) with repeated roots, rational roots of multiplicity >= 2 at
+    a domain end, c*x^n - d binomials, domains with lo < 0 and lo == hi."""
+    cases = []
+    while len(cases) < count:
+        kind = rng.randrange(4)
+        if kind == 0:  # random dense polynomial, sometimes squared in part
+            p = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))] + [rng.randint(1, 9)])
+            if rng.random() < 0.4:
+                p = p * UniPoly([rng.randint(-5, 5), rng.randint(1, 3)]) ** 2
+        elif kind == 1:  # rational roots with multiplicities, ends often on one
+            roots = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            p = UniPoly([rng.choice([-3, -1, 2, 5])])
+            for r in roots:
+                p = p * UniPoly([-r.numerator, r.denominator]) ** rng.randint(1, 3)
+            if rng.random() < 0.5:
+                p = p * UniPoly([Fraction(-2, 3), 0, 1])
+        elif kind == 2:  # c*x^n - d, the partition workload's x - c*y^k columns
+            n = rng.randint(1, 40)
+            p = UniPoly([-rng.randint(1, 10**6)] + [0] * (n - 1) + [rng.randint(1, 50)])
+            p = p * rng.choice([1, -1])
+        else:  # clustered roots that need several splits
+            base = rng.randint(-20, 20)
+            p = UniPoly([1])
+            for _ in range(rng.randint(2, 5)):
+                p = p * UniPoly([-(base * 7 + rng.randint(-3, 3)), 7])
+            p = p * UniPoly([rng.randint(1, 30), 0, rng.choice([-1, 1])])
+        ends = []
+        for _ in range(2):
+            roll = rng.random()
+            if roll < 0.3 and kind == 1:
+                ends.append(rng.choice(roots))
+            elif roll < 0.5:
+                ends.append(Fraction(rng.randint(0, 60), rng.randint(1, 3)))
+            else:
+                ends.append(Fraction(rng.randint(-60, 60), rng.randint(1, 3)))
+        if rng.random() < 0.06:
+            ends[1] = ends[0]
+        cases.append((p, min(ends), max(ends)))
+    return cases
+
+
+def test_isolation_and_count_match_sturm_only_reference():
+    rng = random.Random(1976)
+    seen = {"negative_lo": 0, "point": 0, "end_multiple_root": 0, "binomial": 0, "repeated": 0}
+    for p, lo, hi in _certificate_cases(rng, 400):
+        got, want = isolate_real_roots(p, lo, hi), sturm_only_isolation(p, lo, hi)
+        assert [(r.lo, r.hi) for r in got] == [(r.lo, r.hi) for r in want], (p, lo, hi)
+        assert count_real_roots(p, lo, hi) == sturm_only_count(p, lo, hi) == len(want), (p, lo, hi)
+        for r, s in zip(got, want):
+            if r.is_exact():
+                assert p.evaluate(r.lo) == 0
+                continue
+            # the bracket polynomial may keep repeated roots outside the bracket,
+            # but refines to the same brackets as the squarefree one
+            assert r.polynomial.evaluate(r.lo) * r.polynomial.evaluate(r.hi) < 0
+            for w in (r.width / 5, Fraction(1, 10**4)):
+                a, b = refine_root(r, w), refine_root(s, w)
+                assert (a.lo, a.hi) == (b.lo, b.hi)
+        sf = squarefree_part(p)
+        seen["negative_lo"] += lo < 0
+        seen["point"] += lo == hi
+        seen["repeated"] += sf.degree < p.degree
+        seen["binomial"] += sum(1 for c in p.coeffs if c) == 2 and p.degree > 2
+        seen["end_multiple_root"] += any(
+            p.evaluate(e) == 0 and (p // UniPoly([-e, 1])).evaluate(e) == 0 for e in (lo, hi)
+        )
+    assert min(seen.values()) >= 15, seen
+
+
+def test_same_root_matches_sturm_only_reference():
+    rng = random.Random(2004)
+    agree = {True: 0, False: 0}
+    for p, lo, hi in _certificate_cases(rng, 150):
+        q = p * UniPoly([rng.randint(-9, 9), rng.randint(1, 4)])
+        brackets = isolate_real_roots(p, lo, hi) + isolate_real_roots(q, lo - 1, hi + 1)
+        brackets += [refine_root(r, r.width / 3) for r in brackets if not r.is_exact()]
+        for a in brackets:
+            for b in brackets:
+                want = sturm_only_same_root(a, b)
+                assert unipoly._same_root(a, b) == want, (a, b)
+                agree[want] += 1
+    assert min(agree.values()) > 200, agree
+
+
+def _true_open_count(factors, lo, hi):
+    """Roots of a product of (x - r)^m and x^2 - q in (lo, hi), counted with
+    multiplicity, for rational r and positive rational q; +-sqrt(q) is
+    compared with lo and hi exactly through squares."""
+    count = 0
+    for kind, value, mult in factors:
+        if kind == "linear":
+            count += mult * (lo < value < hi)
+            continue
+        plus = (lo < 0 or lo * lo < value) and (hi > 0 and hi * hi > value)
+        minus = (lo < 0 and lo * lo > value) and (hi >= 0 or hi * hi < value)
+        count += mult * (plus + minus)
+    return count
+
+
+def test_descartes_bound_is_an_upper_bound_of_the_same_parity():
+    rng = random.Random(162)
+    decided = {0: 0, 1: 0, "more": 0}
+    for _ in range(400):
+        factors = []
+        p = UniPoly([rng.choice([-5, -2, 1, 3])])
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.6:
+                r = Fraction(rng.randint(-15, 15), rng.randint(1, 3))
+                m = rng.randint(1, 3)
+                factors.append(("linear", r, m))
+                p = p * UniPoly([-r, 1]) ** m
+            else:
+                q = Fraction(rng.randint(1, 200), rng.randint(1, 3))
+                factors.append(("square", q, 1))
+                p = p * UniPoly([-q, 0, 1])
+        if rng.random() < 0.3:
+            p = p * UniPoly([5, 2, 1])  # no real root
+        f = unipoly.primitive_ints(p.coeffs)
+        lo = Fraction(rng.randint(-40, 40), rng.randint(1, 3))
+        hi = lo + Fraction(rng.randint(1, 60), rng.randint(1, 3))
+        if _rat_eval(f, lo) == 0 or _rat_eval(f, hi) == 0:
+            continue
+        v = descartes_bound(f, lo, hi)
+        true = _true_open_count(factors, lo, hi)
+        assert v >= true and (v - true) % 2 == 0, (p, lo, hi, v, true)
+        decided[v if v <= 1 else "more"] += 1
+    assert min(decided.values()) > 40, decided
+
+
+def test_certified_domains_build_no_chain(monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("a certified domain must not build a Sturm chain")
+
+    monkeypatch.setattr(unipoly, "_int_sturm_chain", no_chain)
+    sturm_chain.cache_clear()
+    p = UniPoly([-2, 0, 1]) * UniPoly([-3, 1]) ** 2  # (x^2 - 2)(x - 3)^2
+    # v = 0: no root in (2, 3), a double root at the end 3, none in (-1, 1)
+    [three] = isolate_real_roots(p, 2, 3)
+    assert three.is_exact() and three.lo == 3
+    assert count_real_roots(p, 2, 3) == 1
+    assert isolate_real_roots(p, -1, 1) == [] and count_real_roots(p, -1, 1) == 0
+    # v = 1: one simple root, the bracket is the whole domain
+    [r] = isolate_real_roots(p, 1, 2)
+    assert (r.lo, r.hi) == (1, 2) and count_real_roots(p, 1, 2) == 1
+    [r] = isolate_real_roots(p, -2, 0)
+    assert (r.lo, r.hi) == (-2, 0) and count_real_roots(p, -2, 0) == 1
+    assert root_floor(refine_root(r, Fraction(1, 2))) == -2
+    # x - c*y^k binomials: one sign variation on a domain with lo >= 0
+    binomial = UniPoly([-(10**6)] + [0] * 86 + [7])
+    assert count_real_roots(binomial, 0, 2) == 1 and count_real_roots(binomial, 2, 3) == 0
+    # v >= 2 still needs the chain
+    with pytest.raises(AssertionError, match="certified domain"):
+        isolate_real_roots(p, 0, 4)
+    assert sturm_chain.cache_info().currsize == 0
+
+
+def test_root_floor_matches_count_real_roots():
+    rng = random.Random(87)
+    lowered = 0
+    for p, lo, hi in _certificate_cases(rng, 300):
+        for r in isolate_real_roots(p, lo, hi):
+            for s in (r, refine_root(r, Fraction(1, 3)), refine_root(r, r.width / 7 or 1)):
+                k = math.floor(s.hi)
+                want = k - 1 if not s.is_exact() and k > s.lo and count_real_roots(s.polynomial, k, s.hi) == 0 else k
+                assert root_floor(s) == want, s
+                lowered += want < k
+    assert lowered > 100
