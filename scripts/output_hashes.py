@@ -35,8 +35,8 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 1
 ROUNDS = {"partition": 7, "columns": 8, "sweep": 4}
 EXPECTED = {
-    "fixtures": "4a5bda952af1f39dcbcf04cbc88922fd1c62ab89122f405f4d506ab42fd582ba",
-    "partition": "df0491a446a2dbf1d4c9a429b1568fe4ad5ae89b4552c7edc9923af528acbbb8",
+    "fixtures": "720b09f2059255aa67d62b3a6c0e0aee6eca8e3f67643e630ff80cb4d2e03276",
+    "partition": "cad7e8395ace0f0883e3d5aa81ea010c76d2b23edf9065f30e6f3b363f934f40",
     "columns": "085dcadbb3d3f4f32d9afe02aaf1423bb6729f65c30354f6622a9c9cd65df414",
     "sweep": "3833272fd356e6abf3e11d943f6c87005b80e163319100290e66a5c783d9d172",
 }

@@ -240,8 +240,6 @@ def determinant_method_count(
     if ell < d:
         raise CountingError("ell must be at least the curve degree")
     delta = Fraction(delta) if delta is not None else default_delta(d, ell, n_box)
-    i_f = corner_index(g)
-    mset = punctured_set(d, ell, i_f)
     spec = DerivativeBoundSpec(X=Fraction(n_box), delta=delta, N=Fraction(n_box))
 
     warnings: list[str] = []
@@ -256,6 +254,8 @@ def determinant_method_count(
 
     for br in decomposition.branches:
         frame_curve = br.curve
+        # a swapped branch is covered in its frame, so puncture at its corner
+        mset = punctured_set(d, ell, corner_index(frame_curve))
         part = partition_by_bounds(br, mset.D, Fraction(n_box), delta)
         piece_reports: list[PieceReport] = []
         certificates: list[CoverCertificate] = []

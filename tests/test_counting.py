@@ -267,6 +267,26 @@ def test_pipeline_random_curves_match_oracle():
     assert agree >= 20
 
 
+def test_pipeline_parabolas_puncture_each_branch_frame():
+    """x^2 - m*y and m*y - x^2 are covered on swapped branches, whose frame
+    curve has its own corner index.  A set punctured at the input curve's
+    corner let greedy covering return a multiple of the frame curve, and the
+    non-divisibility guard raised PunctureError."""
+    swapped_covers = 0
+    for m in range(1, 7):
+        for text in (f"x^2 - {m}*y", f"{m}*y - x^2"):
+            for n in (12, 18, 25, 33, 40):
+                rep = determinant_method_count(parse(text), n)
+                assert rep.ok and rep.total == rep.oracle_total, (text, n)
+                swapped_covers += sum(
+                    len(cert.curves)
+                    for br in rep.per_branch
+                    if br.descriptor["orientation"] == "y-over-x"
+                    for cert in br.certificates
+                )
+    assert swapped_covers >= 30
+
+
 def test_pipeline_sturm_chain_builds():
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
     builds 11 Sturm chains (52 when every level set built one to show it has
