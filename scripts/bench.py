@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_11.json at the repository root.
+rows and write BENCH_12.json at the repository root.
 
 Each row is timed RUNS = 3 times, each run one call in a fresh interpreter
 (so the package's caches start empty, as in a CLI call), timed there with
@@ -37,11 +37,14 @@ ROWS = [
     ("pipeline", "4*y^3 - x^2 + 6*x*y + 2*y", 33),
     # the ROADMAP item 2 cubic, found by the item-4 fuzz
     ("pipeline", "-x^3 - 5*x^2*y + 4*y^3 + 3*x*y - 3*x", 27),
+    # a fuzz curve whose level sets meet many simple eliminant roots with no
+    # crossing along the branch
+    ("pipeline", "-3*x^3 + 6*x*y^2 - 5", 34),
     # a long |f'| <= 1 branch for greedy covering (ROADMAP item 3)
     ("pipeline", "x - y^2", 4000),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_11.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_12.json"
 RUNS = 3
 
 

@@ -8,11 +8,14 @@ inside the open interval.  Branch values are handled as isolating intervals
 and every sign decision is made exactly: the sign of p(x0, f(x0)) is one
 `unipoly.sign_at_root` Tarski query of the integer column p(x0, y) at the
 bracket of f(x0), zero included, for `branch_sign`, the piece flags of
-`partition_by_bounds` and the slope regime of a frame cell.  A level set
+`partition_by_bounds` and the slope regime of a frame cell.  The implicit
+derivatives H_k and the level curves are built on integer y-rows, and a
+level curve is kept only as the integer terms of a positive multiple.  A level set
 builds its eliminant's repeated-root part only when an eliminant root
-reaches the tangential test.  Partition pieces come straight from the sorted
-cuts: piece j spans the gap between cuts j - 1 and j and takes the integer
-abscissas in (floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
+reaches the tangential test and Descartes' rule does not prove it simple.
+Partition pieces come straight from the sorted cuts: piece j spans the gap
+between cuts j - 1 and j and takes the integer abscissas in
+(floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
 """
 
 from __future__ import annotations
@@ -24,7 +27,25 @@ from math import ceil, comb, factorial, floor
 from typing import NamedTuple, Optional
 
 from .detmethod import LatticePoint
-from .poly2 import BiPoly, ingestion_check, partial, resultant_eliminating_y
+from .poly2 import (
+    BiPoly,
+    IntTerms,
+    Rows,
+    _int_column,
+    _int_resultant,
+    _int_terms,
+    _primitive_rows,
+    _rows_add,
+    _rows_dx,
+    _rows_dy,
+    _rows_mul,
+    _rows_poly,
+    _rows_primitive,
+    _rows_scale,
+    ingestion_check,
+    partial,
+    resultant_eliminating_y,
+)
 from .unipoly import (
     RootInterval,
     UniPoly,
@@ -40,6 +61,7 @@ from .unipoly import (
     refine_disjoint,
     root_floor,
     sign_at_root,
+    simple_root,
     squarefree_part,
     sturm_chain,
 )
@@ -213,29 +235,39 @@ def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoi
 
 
 @lru_cache(maxsize=64)
-def _curve_parts(curve: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly]:
-    fx = partial(curve, "x")
-    fy = partial(curve, "y")
-    mixed = fy * partial(fx, "y") - fx * partial(fy, "y")
-    return fx, fy, mixed
+def _curve_rows(curve: BiPoly) -> tuple[Fraction, Rows, Rows, Rows, Rows]:
+    """(c, G, G_x, G_y, G_y*G_xy - G_x*G_yy) as integer y-rows, where
+    curve = c * G for G's primitive integer rows (`_primitive_rows`)."""
+    c, g = _primitive_rows(curve)
+    gx, gy = _rows_dx(g), _rows_dy(g)
+    mixed = _rows_add(_rows_mul(gy, _rows_dy(gx)), _rows_scale(_rows_mul(gx, _rows_dy(gy)), -1))
+    return c, g, gx, gy, mixed
 
 
 @lru_cache(maxsize=256)
 def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
     """Polynomials H_1..H_kmax with H_k(x, f) + F_y(x, f)^(2k-1) f^(k)(x) = 0
-    along any smooth branch y = f(x) of the curve F."""
+    along any smooth branch y = f(x) of the curve F.
+
+    H_1 = F_x and H_(k+1) = F_y^2 (H_k)_x - F_y F_x (H_k)_y - (2k - 1) H_k M
+    with M = F_y F_xy - F_x F_yy, run on integer y-rows: for F = c * G with G
+    primitive, each H_k is a positive rational times its primitive rows, which
+    the next step and the level curves read through `_primitive_rows`.
+    """
     if curve.degree < 1:
         raise ValueError("curve must be nonconstant")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    fx, fy, mixed = _curve_parts(curve)
+    c, _, gx, gy, mixed = _curve_rows(curve)
     if kmax == 1:
-        return (fx,)
+        return (_rows_poly(c, gx),)
     prev = hk_sequence(curve, kmax - 1)
-    h = prev[-1]
+    scale, h = _primitive_rows(prev[-1])
     k = kmax - 1
-    nxt = fy * fy * partial(h, "x") - fy * fx * partial(h, "y") - (2 * k - 1) * h * mixed
-    return prev + (nxt,)
+    fy2, fyfx = _rows_mul(gy, gy), _rows_mul(gy, gx)
+    nxt = _rows_add(_rows_mul(fy2, _rows_dx(h)), _rows_scale(_rows_mul(fyfx, _rows_dy(h)), -1))
+    nxt = _rows_add(nxt, _rows_scale(_rows_mul(h, mixed), 1 - 2 * k))
+    return prev + (_rows_poly(scale * c * c, nxt),)
 
 
 def _undetermined_taylor(
@@ -304,31 +336,39 @@ def taylor_coefficients(
 
 
 @lru_cache(maxsize=64)
-def _level_parts(curve: BiPoly, i: int) -> tuple[BiPoly, BiPoly]:
-    """(H_i, i! * F_y^(2i-1)), built once per curve and order for every level;
-    the power is order i - 1's times i * F_y^2, as H_i comes from H_(i-1)."""
-    fy = _curve_parts(curve)[1]
-    fy_pow = fy if i == 1 else _level_parts(curve, i - 1)[1] * (fy * fy * i)
-    return hk_sequence(curve, i)[-1], fy_pow
+def _level_parts(curve: BiPoly, i: int) -> tuple[Fraction, Rows, Rows]:
+    """(t, R, Q), built once per curve and order for every level: H_i is a
+    positive rational s times its primitive rows R, and i! * F_y^(2i-1) is
+    c^(2i-1) times the integer rows Q = i! * G_y^(2i-1), where curve = c * G;
+    t = c^(2i-1) / s.  Q is order i - 1's times i * G_y^2."""
+    c, _, _, gy, _ = _curve_rows(curve)
+    q = gy if i == 1 else _rows_scale(_rows_mul(_level_parts(curve, i - 1)[2], _rows_mul(gy, gy)), i)
+    s, r = _primitive_rows(hk_sequence(curve, i)[-1])
+    return c ** (2 * i - 1) / s, r, q
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, UniPoly]:
-    """(level curve H_i + F_y^(2i-1) * (i! * c), which vanishes on branch points
-    with f^(i)/i! = c; eliminant)."""
-    hk, fy_pow = _level_parts(curve, i)
-    rc = hk + fy_pow * c
-    if rc.is_zero():
+def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[IntTerms, UniPoly]:
+    """(the primitive integer terms of the level curve H_i + F_y^(2i-1) * (i! * c),
+    which vanishes on branch points with f^(i)/i! = c, up to a positive factor;
+    a positive multiple of its eliminant).
+
+    The level curve is s * (R + c*t * Q) in the terms of `_level_parts`; for
+    c*t = num/den it is built on integers as den * R + num * Q, and its rows
+    go straight to the integer resultant with the curve's.  A positive factor
+    keeps every sign and every root.
+    """
+    t, hk, fy_pow = _level_parts(curve, i)
+    u = c * t
+    rows = _rows_primitive(_rows_add(_rows_scale(hk, u.denominator), _rows_scale(fy_pow, u.numerator)))[1]
+    if not rows:
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
         )
-    if rc.degree_y() >= 1:
-        res = resultant_eliminating_y(curve, rc)
-    else:
-        res = rc.as_unipoly_x()
+    res = UniPoly(_int_resultant(_curve_rows(curve)[1], rows) if len(rows) > 1 else rows[0])
     if res.is_zero():
         raise DegenerateLevelSetError("level-set eliminant vanished identically")
-    return rc, res
+    return _int_terms(rows), res
 
 
 def level_set_abscissas(
@@ -337,46 +377,53 @@ def level_set_abscissas(
     """Isolating intervals for the x in the domain with f^(i)(x)/i! = c.
 
     An eliminant root where the level curve keeps its sign along the branch
-    is a tangential contact only when it is a repeated root; the repeated-root
-    part (the eliminant over its squarefree part) is built for the first such
-    root only.
+    is a tangential contact only when it is a repeated root.  A Descartes
+    certificate on the bracket (`simple_root`) proves most such roots simple;
+    only for the first root it leaves open is the repeated-root part (the
+    eliminant over its squarefree part) built.
     """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
     c = Fraction(c)
-    rc, res = _level_resultant(branch.curve, i, c)
+    level, res = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     if res.degree < 1:
         return []
     roots = isolate_real_roots(res, lo, hi)
-    if rc.degree_y() < 1:
+    if level[1] < 1:
         # the level curve does not involve y: every eliminant root is on the branch
         return roots
     if not roots:
         return []
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
     roots = refine_disjoint(roots, width)
+
+    def level_sign(x: Fraction) -> int:
+        return sign_at_root(branch_value_bracket(branch, x), _int_column(level, x))
+
     included: list[RootInterval] = []
     mult: Optional[UniPoly] = None
     for r in roots:
         if r.is_exact():
-            if branch_sign(branch, r.lo, rc) == 0:
+            if level_sign(r.lo) == 0:
                 included.append(r)
             continue
-        s_lo = branch_sign(branch, r.lo, rc)
-        s_hi = branch_sign(branch, r.hi, rc)
+        s_lo = level_sign(r.lo)
+        s_hi = level_sign(r.hi)
         if s_lo == 0 or s_hi == 0:
             raise LevelSetContactError("sample point unexpectedly on the level set")
         if s_lo * s_hi < 0:
             included.append(r)
             continue
+        if simple_root(res, r):
+            continue  # simple eliminant root without a crossing: not on this branch
         if mult is None:
             mult = UniPoly(int_exact_quotient(primitive_ints(res.coeffs), sturm_chain(res)[0]))
         if mult.degree < 1 or count_real_roots(mult, r.lo, r.hi) == 0:
-            continue  # simple eliminant root without a crossing: not on this branch
+            continue
         rr = rational_root_in(r.polynomial, r.lo, r.hi)
         if rr is not None:
-            if branch_sign(branch, rr, rc) == 0:
+            if level_sign(rr) == 0:
                 included.append(RootInterval(rr, rr, r.polynomial))
             continue
         raise LevelSetContactError(
@@ -458,8 +505,8 @@ def partition_by_bounds(
                 flags.append("small")
                 continue
             # both level sets of order i succeeded above, so these are cached
-            s_plus = sign_at_root(bracket, _level_resultant(branch.curve, i, thr)[0].int_column(mid))
-            s_minus = sign_at_root(bracket, _level_resultant(branch.curve, i, -thr)[0].int_column(mid))
+            s_plus = sign_at_root(bracket, _int_column(_level_resultant(branch.curve, i, thr)[0], mid))
+            s_minus = sign_at_root(bracket, _int_column(_level_resultant(branch.curve, i, -thr)[0], mid))
             if s_plus == 0 or s_minus == 0:
                 raise BranchError("piece midpoint fell on a level set")
             v_minus_thr = -s_plus * sfy  # sign of f^(i)/i! - thr

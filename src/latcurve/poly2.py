@@ -7,16 +7,23 @@ priority inside each total degree; printing lists highest terms first.
 
 The one resultant algorithm is a pseudo-remainder descent (Collins) on the
 primitive integer y-coefficient rows, the rational contents multiplied back.
+The same integer y-rows carry the sums, products and partial derivatives of
+the implicit-derivative recurrence and the level curves, with no `Fraction`
+arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .unipoly import UniPoly, _int_mul, int_exact_quotient, poly_gcd, primitive_ints
 
 ExponentPair = tuple[int, int]
+# an integer polynomial's y-rows, and its sparse (deg_x, deg_y, [(j1, j2, c)])
+Rows = list[list[int]]
+IntTerms = tuple[int, int, list[tuple[int, int, int]]]
 
 
 class PolyParseError(ValueError):
@@ -53,7 +60,7 @@ def _powers(v: Fraction | int, n: int) -> list[Fraction | int]:
 class BiPoly:
     """Immutable sparse bivariate polynomial keyed by (x-exponent, y-exponent)."""
 
-    __slots__ = ("terms", "_int_terms")
+    __slots__ = ("terms", "_rows", "_int_terms")
 
     def __init__(self, terms: Mapping[ExponentPair, Fraction | int] | Iterable[tuple[ExponentPair, Fraction | int]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -194,22 +201,12 @@ class BiPoly:
 
     def int_column(self, x0: Fraction | int) -> list[int]:
         """A positive multiple of self(x0, y) as an integer list in y, [] when
-        it is zero: at x0 = a/b the primitive integer terms c*x^j1*y^j2 are
-        evaluated homogeneously as c * a^j1 * b^(deg_x - j1)."""
+        it is zero: `_int_column` of the primitive integer rows' terms."""
         try:
-            dx, dy, terms = self._int_terms
+            form = self._int_terms
         except AttributeError:
-            ints = primitive_ints(list(self.terms.values()))
-            dx, dy, terms = self._int_terms = (
-                self.degree_x(), self.degree_y(), [(j1, j2, c) for (j1, j2), c in zip(self.terms, ints)]
-            )
-        apow, bpow = _powers(x0.numerator, dx), _powers(x0.denominator, dx)
-        out = [0] * (dy + 1)
-        for j1, j2, c in terms:
-            out[j2] += c * apow[j1] * bpow[dx - j1]
-        while out and not out[-1]:
-            out.pop()
-        return out
+            form = self._int_terms = _int_terms(_primitive_rows(self)[1])
+        return _int_column(form, x0)
 
     def at_y(self, y0: Fraction | int) -> UniPoly:
         yp = _powers(y0, self.degree_y())
@@ -333,17 +330,119 @@ def _int_pow(a: list[int], e: int) -> list[int]:
     return out
 
 
-def _primitive_rows(p: BiPoly) -> tuple[Fraction, list[list[int]]]:
+def _primitive_rows(p: BiPoly) -> tuple[Fraction, Rows]:
     """(c, rows) with p = c * sum_j rows[j](x) * y^j: c > 0 rational, each row an
     integer coefficient list in x (index = degree, [] for zero), all the
-    coefficients with gcd 1 and the signs of p."""
+    coefficients with gcd 1 and the signs of p; (1, []) for the zero
+    polynomial.  Computed once per polynomial; callers share the rows and
+    must not modify them."""
+    try:
+        return p._rows
+    except AttributeError:
+        pass
     ints = dict(zip(p.terms, primitive_ints(list(p.terms.values()))))
-    rows: list[list[int]] = [[] for _ in range(p.degree_y() + 1)]
+    rows: Rows = [[] for _ in range(p.degree_y() + 1)]
     for (j1, j2), v in ints.items():
         rows[j2].extend([0] * (j1 + 1 - len(rows[j2])))
         rows[j2][j1] = v
-    j = next(iter(ints))
-    return p.terms[j] / ints[j], rows
+    j = next(iter(ints), None)
+    p._rows = (Fraction(1) if j is None else p.terms[j] / ints[j], rows)
+    return p._rows
+
+
+# -- integer y-rows ------------------------------------------------------------
+#
+# An integer bivariate polynomial as its y-rows: rows[j] is the integer
+# coefficient list in x of y^j ([] for zero), and the top row is nonzero.
+# Callers share rows and never modify them.
+
+
+def _int_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _rows_add(a: Rows, b: Rows) -> Rows:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [_int_add(r, s) for r, s in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _rows_scale(a: Rows, k: int) -> Rows:
+    return [[c * k for c in r] for r in a] if k else []
+
+
+def _rows_mul(a: Rows, b: Rows) -> Rows:
+    if not a or not b:
+        return []
+    out: Rows = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, r in enumerate(a):
+        if r:
+            for j, s in enumerate(b):
+                if s:
+                    out[i + j] = _int_add(out[i + j], _int_mul(r, s))
+    return out
+
+
+def _rows_dx(a: Rows) -> Rows:
+    out = [[j1 * c for j1, c in enumerate(r)][1:] for r in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _rows_dy(a: Rows) -> Rows:
+    return [[j2 * c for c in r] for j2, r in enumerate(a)][1:]
+
+
+def _rows_primitive(a: Rows) -> tuple[int, Rows]:
+    """(g, a / g) for the content g >= 0 of the integer rows a; (0, []) for zero."""
+    g = 0
+    for r in a:
+        for c in r:
+            g = gcd(g, c)
+    return g, ([[c // g for c in r] for r in a] if g > 1 else a)
+
+
+def _int_terms(a: Rows) -> IntTerms:
+    """(deg_x, deg_y, [(j1, j2, c), ...]) for the nonzero entries c*x^j1*y^j2
+    of the integer rows a: the sparse form `_int_column` evaluates."""
+    return max(map(len, a), default=1) - 1, len(a) - 1, [(j1, j2, c) for j2, r in enumerate(a) for j1, c in enumerate(r) if c]
+
+
+def _int_column(form: IntTerms, x0: Fraction | int) -> list[int]:
+    """A positive multiple of p(x0, y) as an integer list in y for p's integer
+    terms `form` (`_int_terms`), [] when it is zero: at x0 = a/b each term
+    c*x^j1*y^j2 is evaluated homogeneously as c * a^j1 * b^(deg_x - j1)."""
+    dx, dy, terms = form
+    apow, bpow = _powers(x0.numerator, dx), _powers(x0.denominator, dx)
+    out = [0] * (dy + 1)
+    for j1, j2, c in terms:
+        out[j2] += c * apow[j1] * bpow[dx - j1]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _rows_poly(scale: Fraction, rows: Rows) -> BiPoly:
+    """scale * sum_j rows[j](x) * y^j as a `BiPoly`, for a positive rational
+    scale, with its primitive rows kept for `_primitive_rows`."""
+    g, rows = _rows_primitive(rows)
+    p = BiPoly()
+    if g:
+        num, den = scale.numerator * g, scale.denominator
+        p.terms = {(j1, j2): Fraction(c * num, den) for j2, r in enumerate(rows) for j1, c in enumerate(r) if c}
+        p._rows = (Fraction(num, den), rows)
+    return p
 
 
 def _pseudo_remainder(fc: list[list[int]], gc: list[list[int]]) -> list[list[int]]:

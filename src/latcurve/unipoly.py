@@ -17,13 +17,16 @@ split by chain counts; both routes give the same brackets.  At x = num/den a
 chain element f is evaluated as the integer den^deg * f(x).  Integer roots
 are found on integer endpoints only: `integer_roots` lists those in a range,
 and `ranked_integer_root` tests the root of a given rank, with no isolation
-and no shared cache; both take a `UniPoly` or an integer coefficient list.
+and no shared cache; both take a `UniPoly` or an integer coefficient list,
+and decide degree <= 2 in closed form, with no chain.
 Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
 evaluation of the bracket polynomial's primitive integer form, computed once
 per call.  The sign of an integer polynomial v at an isolated root is a
 Tarski query (`sign_at_root`): sign variations at the bracket ends of the
 signed remainder sequence of the bracket polynomial f and f'*v mod f, built
 by the same integer chain builder, with no gcd and no interval enclosure.
+Two brackets of coprime polynomials are told apart by a gcd modulo a prime,
+and a bracket's root is proved simple by Descartes' rule (`simple_root`).
 The package locates roots only through this module: one content
 normaliser, one Descartes certificate, one squarefree part and chain, one
 bisection step, one integer test, one floor, one range test and one sign
@@ -670,6 +673,51 @@ def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
     return _int_variations(chain, r.lo) - _int_variations(chain, r.hi)
 
 
+def simple_root(p: UniPoly, r: RootInterval) -> bool:
+    """Whether Descartes' rule proves the root that the non-exact bracket r
+    isolates to be a simple root of p, a polynomial that vanishes there.
+
+    The roots of p at the bracket ends are divided out; v = 1 from
+    `descartes_bound` then means one root in the open bracket counted with
+    multiplicity.  False means v >= 2, which decides nothing.
+    """
+    f = primitive_ints(p.coeffs)
+    ends = [e for e in (r.lo, r.hi) if _rat_eval(f, e) == 0]
+    return descartes_bound(_deflate(f, ends, r.lo, r.hi), r.lo, r.hi) == 1
+
+
+# Primes for the modular coprimality test of `_same_root`.
+_GCD_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1)
+
+
+def _coprime_mod_p(f: Sequence[int], g: Sequence[int]) -> bool:
+    """True when the integer polynomials f and g are proved coprime over Q
+    by their gcd over GF(p), for the first prime p of `_GCD_PRIMES` that
+    divides neither leading coefficient.
+
+    The primitive gcd over Q divides f and g in Z[x], and its leading
+    coefficient divides theirs, so it keeps its degree modulo p: a constant
+    gcd over GF(p) proves a constant one over Q.  False decides nothing.
+    """
+    p = next((p for p in _GCD_PRIMES if f[-1] % p and g[-1] % p), None)
+    if p is None:
+        return False
+    a, b = [c % p for c in f], [c % p for c in g]
+    while len(b) > 1:
+        inv, n = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > n:  # a mod b, one leading term at a time
+            q, shift = a[-1] * inv % p, len(a) - 1 - n
+            for k in range(n):
+                a[shift + k] = (a[shift + k] - q * b[k]) % p
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            return False  # b, of degree >= 1, divides a
+        a, b = b, a
+    return True
+
+
 def _same_root(a: RootInterval, b: RootInterval) -> bool:
     """Decide exactly whether two isolating intervals enclose the same real root."""
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
@@ -680,6 +728,8 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
         return False
     if a.polynomial == b.polynomial:
         return True  # the overlap holds one root of the common polynomial
+    if _coprime_mod_p(primitive_ints(a.polynomial.coeffs), primitive_ints(b.polynomial.coeffs)):
+        return False
     # a common root inside both brackets must be each bracket's isolated root
     g = poly_gcd(a.polynomial, b.polynomial)
     return g.degree >= 1 and count_real_roots(g, lo, hi) > 0
@@ -716,19 +766,64 @@ def all_real_roots(p: UniPoly) -> list[RootInterval]:
     return isolate_real_roots(p, -bound, bound)
 
 
+def _small_real_roots(f: Sequence[int]) -> list[int | None]:
+    """The distinct real roots of the nonzero integer polynomial f of degree
+    at most 2, increasing, each as an int when it is an integer, else None.
+
+    Degree 0 has no root and degree 1 one exact division.  Degree 2 reads
+    the sign of b^2 - 4ac: a negative one means no real root, zero one double
+    root, and a positive non-square two irrational roots; for a square s^2
+    each candidate (-b -+ s)/(2a) takes one exact division, and the sign of a
+    orders them.
+    """
+    if len(f) == 1:
+        return []
+    if len(f) == 2:
+        q, r = divmod(-f[0], f[1])
+        return [None if r else q]
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return [None, None]
+    if s == 0:
+        nums = (-b,)
+    else:
+        nums = (-b - s, -b + s) if a > 0 else (-b + s, -b - s)
+    roots = []
+    for num in nums:
+        q, r = divmod(num, 2 * a)
+        roots.append(None if r else q)
+    return roots
+
+
+def _integer_form(p: UniPoly | Sequence[int]) -> list[int]:
+    """p as a nonzero integer coefficient list: a `UniPoly`'s primitive
+    integer form, or the integer list itself."""
+    f = primitive_ints(p.coeffs) if isinstance(p, UniPoly) else p
+    if not f:
+        raise ZeroPolynomialError("zero polynomial has no root enumeration")
+    return f
+
+
 def integer_roots(p: UniPoly | Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
     """The integer roots of p in [lo, hi] (unbounded where None), increasing.
 
-    Every decision is made on integers: an integer Sturm chain counts the
+    Every decision is made on integers.  Degree at most 2 takes the closed
+    form (`_small_real_roots`).  Otherwise an integer Sturm chain counts the
     roots in (a, b] at integer endpoints, parts with several roots split at
     integer midpoints, and a part with one root is bisected on the sign of
     the squarefree part down to width 1, where one exact test decides.
     """
-    sf, chain = integer_squarefree_chain(p)
-    if not sf:
-        raise ZeroPolynomialError("zero polynomial has no root enumeration")
-    if len(sf) == 1:
-        return []
+    f = _integer_form(p)
+    if len(f) <= 3:
+        return [
+            r for r in _small_real_roots(f)
+            if r is not None and (lo is None or lo <= r) and (hi is None or r <= hi)
+        ]
+    sf, chain = integer_squarefree_chain(f)
     bound = _int_root_bound(sf)
     lo = -bound if lo is None else max(lo, -bound)
     hi = bound if hi is None else min(hi, bound)
@@ -765,14 +860,17 @@ def ranked_integer_root(p: UniPoly | Sequence[int], index: int) -> tuple[int, in
     """The number n of distinct real roots of p, and the root of rank `index`
     (0 is the smallest) when it is an integer, else None.
 
-    A rank search on integers: n comes from the chain's signs at -inf and
+    Degree at most 2 takes the closed form (`_small_real_roots`).  Otherwise
+    a rank search on integers: n comes from the chain's signs at -inf and
     +inf; bisection finds the smallest integer t with more than `index` roots
     <= t, so the root lies in (t - 1, t].  It is t exactly when sf(t) == 0
     and t is root number index + 1 from the left.
     """
-    sf, chain = integer_squarefree_chain(p)
-    if not sf:
-        raise ZeroPolynomialError("zero polynomial has no root enumeration")
+    f = _integer_form(p)
+    if len(f) <= 3:
+        roots = _small_real_roots(f)
+        return len(roots), roots[index] if 0 <= index < len(roots) else None
+    sf, chain = integer_squarefree_chain(f)
     v_neg = sign_variations([-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain])
     n = v_neg - sign_variations([q[-1] for q in chain])
     if not 0 <= index < n:

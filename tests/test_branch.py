@@ -27,7 +27,7 @@ from latcurve.branch import (
 )
 from latcurve.counting import brute_force_count
 from latcurve.detmethod import LatticePoint
-from latcurve.poly2 import BiPoly, IngestionError, parse, partial
+from latcurve.poly2 import BiPoly, IngestionError, parse, partial, resultant_eliminating_y
 from latcurve import branch as branch_module
 from latcurve.unipoly import (
     RootInterval,
@@ -35,9 +35,11 @@ from latcurve.unipoly import (
     count_real_roots,
     integer_in,
     integer_roots,
+    isolate_real_roots,
     refine_clear_of,
     refine_disjoint,
     root_floor,
+    simple_root,
     squarefree_part,
     sturm_chain,
 )
@@ -139,6 +141,87 @@ def test_hk_identity_exact(name, points):
             assert lhs == 0
 
 
+def fraction_hk(curve, kmax):
+    """H_1..H_kmax by the recurrence in `Fraction` `BiPoly` arithmetic, as
+    `hk_sequence` computed them before the integer rows."""
+    fx, fy = partial(curve, "x"), partial(curve, "y")
+    mixed = fy * partial(fx, "y") - fx * partial(fy, "y")
+    out = [fx]
+    for k in range(1, kmax):
+        h = out[-1]
+        out.append(fy * fy * partial(h, "x") - fy * fx * partial(h, "y") - (2 * k - 1) * h * mixed)
+    return out
+
+
+def _positive_ratio(a, b):
+    """The positive rational t with a == t * b, else None; a, b nonzero, and
+    both `BiPoly`s or both `UniPoly`s."""
+    if isinstance(a, BiPoly):
+        j = next(iter(b.terms))
+        t = a.terms.get(j, 0) / b.terms[j]
+    else:
+        t = a.leading / b.leading
+    return t if t > 0 and a == b * t else None
+
+
+def _random_rational_curve(rng):
+    """A curve of degree 1-3 with rational coefficients, often scaled by a
+    non-unit rational so that it is not primitive."""
+    while True:
+        deg = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(2, 6)):
+            j1 = rng.randint(0, deg)
+            terms[(j1, rng.randint(0, deg - j1))] = Fraction(rng.randint(-7, 7), rng.choice([1, 1, 2, 3, 5]))
+        curve = BiPoly(terms) * rng.choice([1, 1, 6, -4, Fraction(3, 14), Fraction(-1, 9)])
+        if curve.degree >= 1:
+            return curve
+
+
+def test_hk_integer_recurrence_matches_fraction_recurrence():
+    rng = random.Random(2718)
+    kinds = {"rational": 0, "non_primitive": 0}
+    for _ in range(120):
+        curve = _random_rational_curve(rng)
+        assert list(hk_sequence(curve, 5)) == fraction_hk(curve, 5), curve
+        kinds["rational"] += not curve.has_integer_coefficients()
+        kinds["non_primitive"] += curve.has_integer_coefficients() and curve != curve.primitive_integer()
+    for text in ("y^2 - x^3", "(1/2)*y^2 - (3/4)*x", "6*x*y - 12", "y - 2", "x^4 - y"):
+        curve = parse(text)
+        assert list(hk_sequence(curve, 6)) == fraction_hk(curve, 6), text
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_level_curves_are_positive_multiples_of_fraction_construction():
+    """`_level_resultant`'s level curve and eliminant against H_i +
+    F_y^(2i-1) * (i! * c) built in `Fraction` arithmetic and its resultant."""
+    rng = random.Random(1414)
+    checked = degenerate = 0
+    while checked < 150:
+        curve = _random_rational_curve(rng)
+        if curve.degree_y() < 1:
+            continue
+        fy = partial(curve, "y")
+        for i in (1, 2, 3):
+            for c in (Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 40))):
+                ref = fraction_hk(curve, i)[-1] + fy ** (2 * i - 1) * (math.factorial(i) * c)
+                ref_res = None
+                if not ref.is_zero():
+                    ref_res = resultant_eliminating_y(curve, ref) if ref.degree_y() >= 1 else ref.as_unipoly_x()
+                if ref_res is None or ref_res.is_zero():
+                    with pytest.raises(DegenerateLevelSetError):
+                        branch_module._level_resultant(curve, i, c)
+                    degenerate += 1
+                    continue
+                (_, _, terms), res = branch_module._level_resultant(curve, i, c)
+                rc = BiPoly({(j1, j2): v for j1, j2, v in terms})
+                assert rc == rc.primitive_integer() or rc == -rc.primitive_integer()
+                assert _positive_ratio(rc, ref) is not None, (curve, i, c)
+                assert _positive_ratio(res, ref_res) is not None, (curve, i, c)
+                checked += 1
+    assert degenerate >= 5
+
+
 # -- taylor coefficients -----------------------------------------------------------
 
 
@@ -233,26 +316,44 @@ def _point_or_error(fn):
         return ("BranchError", str(exc))
 
 
+# conics and hyperbolas whose columns are quadratic or linear in y: square,
+# non-square and zero discriminants, either sign of the leading coefficient
+COLUMN_CURVES = (
+    ("x^2 + y^2 - 625", 30),
+    ("x^2 + y^2 - 1000", 35),
+    ("x^2 - 2*y^2 - 1", 40),
+    ("2*y^2 - x^2 - 7", 30),
+    ("x*y - 36", 40),
+    ("x*y + 3*x - 2*y - 60", 40),
+    ("3*y^2 - x + 18*y", 60),
+    ("-y^2 + 4*x*y - x^2 - 5", 30),
+    ("x^2 - x*y + y^2 - 3*x - 49", 30),
+)
+
+
 def test_branch_integer_point_matches_bracket_reference():
     """The rank search against the isolating bracket and `integer_in` on every
-    integer abscissa of the branches of random curves."""
+    integer abscissa of the branches of random curves and of conics and
+    hyperbolas, one abscissa past each end included."""
     rng = random.Random(43)
-    curves = columns = hits = 0
-    while curves < 150:
+    curves = []
+    while len(curves) < 150:
         deg = rng.randint(1, 3)
         terms = {}
         for _ in range(rng.randint(1, 5)):
             j1 = rng.randint(0, deg)
             terms[(j1, rng.randint(0, deg - j1))] = rng.randint(-6, 6)
         curve = BiPoly(terms)
-        if curve.degree < 1:
-            continue
-        n = rng.randint(1, 40)
+        if curve.degree >= 1:
+            curves.append((curve, rng.randint(1, 40)))
+    curves += [(parse(text), n) for text, n in COLUMN_CURVES]
+    columns = hits = 0
+    discriminants = {"linear": 0, "square": 0, "nonsquare": 0, "zero": 0, "negative": 0}
+    for curve, n in curves:
         try:
             branches = graph_decompose(curve, n).branches
         except (BranchError, IngestionError):
             continue
-        curves += 1
         for br in branches:
             # one abscissa past each end checks agreement on the domain error
             for k in range(math.ceil(br.domain[0]) - 1, math.floor(br.domain[1]) + 2):
@@ -265,7 +366,17 @@ def test_branch_integer_point_matches_bracket_reference():
                 assert got == _point_or_error(reference), (curve.pretty(), n, br, k)
                 columns += 1
                 hits += isinstance(got, LatticePoint)
+                col = br.curve.int_column(k)
+                if len(col) == 2:
+                    discriminants["linear"] += 1
+                elif len(col) == 3:
+                    disc = col[1] ** 2 - 4 * col[0] * col[2]
+                    discriminants[
+                        "negative" if disc < 0 else "zero" if disc == 0
+                        else "square" if math.isqrt(disc) ** 2 == disc else "nonsquare"
+                    ] += 1
     assert columns > 1000 and hits > 50
+    assert min(discriminants.values()) >= 3, discriminants
 
 
 def test_integer_point_searches_leave_shared_caches_alone():
@@ -363,8 +474,8 @@ def test_level_set_bezout_cap():
                 roots = level_set_abscissas(br, i, c)
                 from latcurve.branch import _level_resultant
 
-                rc = _level_resultant(curve, i, Fraction(c))[0]
-                assert len(roots) <= curve.degree * rc.degree
+                terms = _level_resultant(curve, i, Fraction(c))[0][2]
+                assert len(roots) <= curve.degree * max(j1 + j2 for j1, j2, _ in terms)
 
 
 def _count_repeated_part_builds(monkeypatch):
@@ -396,7 +507,12 @@ def test_level_set_simple_root_without_crossing_skipped(monkeypatch):
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
     roots = level_set_abscissas(br, 1, Fraction(-3, 4))
     assert len(roots) == 1 and roots[0].lo <= 3 <= roots[0].hi
-    assert len(calls) == 1
+    # Descartes v = 1 on the bracket of x = -3 proves it simple: no
+    # repeated-root part is built
+    res = branch_module._level_resultant(br.curve, 1, Fraction(-3, 4))[1]
+    other = [r for r in refine_disjoint(isolate_real_roots(res, -4, 4), Fraction(1, 4)) if r.lo <= -3 <= r.hi]
+    assert len(other) == 1 and simple_root(res, other[0])
+    assert calls == []
     # crossings alone never build the repeated-root part
     calls.clear()
     hyperbola = branch_from_point(FIXTURES["hyperbola"], 3, 4, (1, 12))

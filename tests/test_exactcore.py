@@ -714,6 +714,151 @@ def test_integer_roots_range_matches_isolation():
         assert integer_roots(p, lo, hi) == expected, (p, lo, hi)
 
 
+def chain_integer_roots(p, lo=None, hi=None):
+    """`integer_roots` on the integer Sturm chain alone, as it was before the
+    closed form for degree <= 2."""
+    sf, chain = integer_squarefree_chain(p)
+    if not sf:
+        raise ZeroPolynomialError("zero polynomial has no root enumeration")
+    if len(sf) == 1:
+        return []
+    bound = unipoly._int_root_bound(sf)
+    lo = -bound if lo is None else max(lo, -bound)
+    hi = bound if hi is None else min(hi, bound)
+    if lo > hi:
+        return []
+    found = [lo] if unipoly._int_eval(sf, lo) == 0 else []
+    parts = [(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))]
+    while parts:
+        a, b, va, vb = parts.pop()
+        if va == vb:
+            continue
+        if va - vb > 1 and b - a > 1:
+            m = (a + b) // 2
+            vm = _int_variations(chain, m)
+            parts.append((m, b, vm, vb))
+            parts.append((a, m, va, vm))
+            continue
+        sb = unipoly._int_eval(sf, b)
+        while sb and b - a > 1:
+            m = (a + b) // 2
+            sm = unipoly._int_eval(sf, m)
+            if sm == 0 or (sm > 0) == (sb > 0):
+                b, sb = m, sm
+            else:
+                a = m
+        if sb == 0:
+            found.append(b)
+    return found
+
+
+def chain_ranked_integer_root(p, index):
+    """`ranked_integer_root` on the integer Sturm chain alone, as it was
+    before the closed form for degree <= 2."""
+    sf, chain = integer_squarefree_chain(p)
+    if not sf:
+        raise ZeroPolynomialError("zero polynomial has no root enumeration")
+    v_neg = unipoly.sign_variations([-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain])
+    n = v_neg - unipoly.sign_variations([q[-1] for q in chain])
+    if not 0 <= index < n:
+        return n, None
+    bound = unipoly._int_root_bound(sf)
+    a, b, count_b = -bound, bound, n
+    while b - a > 1:
+        m = (a + b) // 2
+        count_m = v_neg - _int_variations(chain, m)
+        if count_m > index:
+            b, count_b = m, count_m
+        else:
+            a = m
+    return n, b if count_b == index + 1 and unipoly._int_eval(sf, b) == 0 else None
+
+
+def _small_cases(rng, count):
+    """Polynomials of degree <= 2 as integer lists or `UniPoly`s (some with
+    `Fraction` coefficients): constants, lines with integer and non-integer
+    roots, and quadratics with square, non-square, zero and negative
+    discriminants, either sign of the leading coefficient."""
+    cases = []
+    for _ in range(count):
+        kind = rng.randrange(6)
+        if kind == 0:
+            f = [rng.choice([-7, -1, 2, 9])]
+        elif kind == 1:
+            f = [rng.randint(-40, 40), rng.choice([-6, -3, -1, 1, 2, 5])]
+        elif kind == 2:  # integer or rational roots: a square discriminant
+            r, s = rng.randint(-20, 20), rng.randint(-20, 20)
+            d = rng.choice([1, 1, 2, 3])
+            f = [r * s, -(r + s * d), d]
+        elif kind == 3:  # a double root: a zero discriminant
+            r, d = rng.randint(-20, 20), rng.choice([1, 1, 2, 4])
+            f = [r * r, -2 * r * d, d * d]
+        elif kind == 4:  # irrational roots: a positive non-square discriminant
+            m = rng.choice([2, 3, 5, 7, 10**12 + 1])
+            f = [-m, 0, 1] if rng.random() < 0.5 else [rng.randint(-9, 9), rng.randint(-9, 9) * 2 + 1, 1]
+        else:  # no real root
+            f = [rng.randint(1, 30), rng.randint(-3, 3), rng.randint(1, 5)]
+        k = rng.choice([1, 1, -1, -3, 6])
+        f = [c * k for c in f]
+        roll = rng.random()
+        if roll < 0.3:
+            cases.append(UniPoly(f))
+        elif roll < 0.5:
+            cases.append(UniPoly([Fraction(c, 6) for c in f]))
+        else:
+            cases.append(f)
+    return cases
+
+
+def test_closed_form_matches_chain_route():
+    rng = random.Random(412)
+    seen = {"square": 0, "nonsquare": 0, "zero": 0, "negative": 0, "linear": 0, "constant": 0,
+            "negative_lead": 0, "fraction": 0, "bound_on_root": 0, "rank_out": 0}
+    for p in _small_cases(rng, 600):
+        f = primitive_ints(p.coeffs) if isinstance(p, UniPoly) else p
+        n = chain_ranked_integer_root(p, 0)[0]
+        for index in range(-1, n + 2):
+            assert ranked_integer_root(p, index) == chain_ranked_integer_root(p, index), (p, index)
+            seen["rank_out"] += not 0 <= index < n
+        want = chain_integer_roots(p)
+        assert integer_roots(p) == want, p
+        ends = {rng.randint(-25, 25) for _ in range(3)} | set(want)
+        for lo in sorted(ends) + [None]:
+            for hi in sorted(ends) + [None]:
+                got = integer_roots(p, lo, hi)
+                assert got == chain_integer_roots(p, lo, hi), (p, lo, hi)
+                seen["bound_on_root"] += bool(set(got) & {lo, hi})
+        if len(f) == 3:
+            disc = f[1] ** 2 - 4 * f[0] * f[2]
+            key = "negative" if disc < 0 else "zero" if disc == 0 else (
+                "square" if math.isqrt(disc) ** 2 == disc else "nonsquare")
+            seen[key] += 1
+        else:
+            seen["linear" if len(f) == 2 else "constant"] += 1
+        seen["negative_lead"] += f[-1] < 0
+        seen["fraction"] += isinstance(p, UniPoly) and any(c.denominator > 1 for c in p.coeffs)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_closed_form_builds_no_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chain was built for a polynomial of degree <= 2")
+
+    monkeypatch.setattr(unipoly, "integer_squarefree_chain", refuse)
+    monkeypatch.setattr(unipoly, "_int_sturm_chain", refuse)
+    assert integer_roots([-30, 1, 1]) == [-6, 5]
+    assert integer_roots(UniPoly([Fraction(-1, 2), 0, Fraction(1, 8)]), 0, 2) == [2]
+    assert ranked_integer_root([49, -14, 1], 0) == (1, 7)  # (y - 7)^2
+    assert ranked_integer_root([-2, 0, -1], 0) == (0, None)
+    assert ranked_integer_root([2, 0, -1], 1) == (2, None)
+    assert ranked_integer_root([-12, -4, 3], 1) == (2, None)  # roots -4/3 and 3, in order
+    assert ranked_integer_root([-12, -5, -3], 0) == (0, None)
+    assert ranked_integer_root([12, 5, -3], 1) == (2, 3)  # -(3y + 4)(y - 3)
+    assert integer_roots([7, -2]) == [] and integer_roots([8, -2]) == [4]
+    with pytest.raises(ZeroPolynomialError):
+        integer_roots(UniPoly([]))
+
+
 # -- k-th roots -----------------------------------------------------------------------
 
 
@@ -907,6 +1052,67 @@ def test_same_root_matches_sturm_only_reference():
                 assert unipoly._same_root(a, b) == want, (a, b)
                 agree[want] += 1
     assert min(agree.values()) > 200, agree
+
+
+def test_same_root_modular_coprimality(monkeypatch):
+    """Near-equal roots of coprime polynomials in identical brackets are told
+    apart with no integer gcd; a prime dividing a leading coefficient is
+    skipped, since the reduction modulo it can lose a common factor."""
+    m31 = unipoly._GCD_PRIMES[0]
+    sqrt2 = UniPoly([-2, 0, 1])
+    near = UniPoly([-(2 * 10**9 + 1), 0, 10**9])  # sqrt(2 + 10^-9)
+    common = UniPoly([1, m31])  # the root -1/m31 vanishes modulo m31
+    cases = [
+        (sqrt2, near, 1, 2, False),
+        (sqrt2 * UniPoly([0, m31]) + UniPoly([1]), near, 1, 2, False),
+        (common * UniPoly([-2, 1]), common * UniPoly([-3, 1]), -1, 0, True),
+    ]
+    gcd_calls = []
+
+    def counted(a, b):
+        gcd_calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(unipoly, "poly_gcd", counted)
+    for p, q, lo, hi, want in cases:
+        (a,), (b,) = isolate_real_roots(p, lo, hi), isolate_real_roots(q, lo, hi)
+        a, b = refine_root(a, Fraction(1, 10**4)), refine_root(b, Fraction(1, 10**4))
+        assert (a.lo, a.hi) == (b.lo, b.hi) and a.polynomial != b.polynomial
+        gcd_calls.clear()
+        assert unipoly._same_root(a, b) == sturm_only_same_root(a, b) == want
+        # coprime pairs are decided modulo a prime; a common factor needs the gcd
+        assert len(gcd_calls) == (1 if want else 0)
+    # the first prime divides the leading coefficient m31 of f, and the second
+    # proves f and g coprime; the first alone would lose the factor (m31*x + 1)
+    f, g = primitive_ints((common * UniPoly([-2, 1])).coeffs), primitive_ints((common * UniPoly([-3, 1])).coeffs)
+    assert f[-1] % m31 == 0 and not unipoly._coprime_mod_p(f, g)
+    assert unipoly._coprime_mod_p(f, [-3, 1]) and unipoly._coprime_mod_p([-5, 0, 1], [-2, 0, 1])
+    assert not unipoly._coprime_mod_p([-4, 0, 1], [2, 1])
+
+
+def test_simple_root_certificate():
+    """`simple_root` never calls a repeated root simple, and decides most
+    simple roots in tight brackets."""
+    rng = random.Random(77)
+    decided = {True: 0, False: 0, "repeated": 0}
+    for p, lo, hi in _certificate_cases(rng, 300):
+        if lo == hi:
+            continue
+        repeated = UniPoly(int_exact_quotient(primitive_ints(p.coeffs), primitive_ints(squarefree_part(p).coeffs)))
+        for r in isolate_real_roots(p, lo, hi):
+            if r.is_exact():
+                continue
+            for w in (r.width, r.width / 7):
+                s = refine_root(r, w)
+                got = unipoly.simple_root(p, s)
+                inside = 0  # repeated roots of p in the open bracket
+                if repeated.degree >= 1:
+                    inside = count_real_roots(repeated, s.lo, s.hi)
+                    inside -= sum(repeated.evaluate(e) == 0 for e in (s.lo, s.hi))
+                assert not (got and inside), (p, s)
+                decided[got] += 1
+                decided["repeated"] += inside > 0
+    assert decided[True] > 100 and decided[False] > 5 and decided["repeated"] > 5, decided
 
 
 def _true_open_count(factors, lo, hi):
