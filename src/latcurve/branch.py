@@ -48,7 +48,8 @@ from .poly2 import (
 )
 from .unipoly import (
     RootInterval,
-    UniPoly,
+    _primitive,
+    _rat_eval,
     all_real_roots,
     count_real_roots,
     int_exact_quotient,
@@ -62,7 +63,6 @@ from .unipoly import (
     root_floor,
     sign_at_root,
     simple_root,
-    squarefree_part,
     sturm_chain,
 )
 
@@ -136,10 +136,10 @@ def branch_from_point(
     if partial(curve, "y").evaluate(x0, y0) == 0:
         raise BranchError("branch is singular/vertical at the seed")
     _certify_smooth_over(curve, lo, hi)
-    u = UniPoly(_column(curve, x0))
+    u = _column(curve, x0)
     roots = all_real_roots(u)
     idx = next(
-        (k for k, r in enumerate(roots) if r.lo <= y0 <= r.hi and (r.is_exact() or u.evaluate(y0) == 0)),
+        (k for k, r in enumerate(roots) if r.lo <= y0 <= r.hi and (r.is_exact() or _rat_eval(u, y0) == 0)),
         None,
     )
     if idx is None:
@@ -157,9 +157,10 @@ def branch_from_point(
 
 
 @lru_cache(maxsize=64)
-def _smoothness_obstructions(curve: BiPoly) -> tuple[UniPoly, ...]:
-    """Polynomials whose roots bound where branch structure can change."""
-    out: list[UniPoly] = []
+def _smoothness_obstructions(curve: BiPoly) -> tuple[list[int], ...]:
+    """Integer polynomials in x whose roots bound where branch structure can
+    change."""
+    out = []
     fy = partial(curve, "y")
     if fy.degree_y() >= 1:
         out.append(resultant_eliminating_y(curve, fy))
@@ -168,21 +169,17 @@ def _smoothness_obstructions(curve: BiPoly) -> tuple[UniPoly, ...]:
     lead = curve.y_coefficients()[-1]
     if lead.degree >= 1:
         out.append(lead)
-    return tuple(out)
+    return tuple(primitive_ints(p.coeffs) for p in out)
 
 
 def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
     if hi <= lo:
         return
     for obs in _smoothness_obstructions(curve):
-        if obs.is_zero():
+        if not obs:
             raise BranchError("curve fails the smoothness certificate (zero obstruction)")
         # roots strictly inside (lo, hi) are forbidden
-        inner = count_real_roots(obs, lo, hi)
-        if obs.evaluate(lo) == 0:
-            inner -= 1
-        if hi > lo and obs.evaluate(hi) == 0:
-            inner -= 1
+        inner = count_real_roots(obs, lo, hi) - (_rat_eval(obs, lo) == 0) - (_rat_eval(obs, hi) == 0)
         if inner > 0:
             raise BranchError("branch is singular/vertical inside the requested domain")
 
@@ -193,9 +190,9 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
     lo, hi = branch.domain
     if not lo <= x0 <= hi:
         raise BranchError("abscissa outside the branch domain")
-    u = UniPoly(_column(branch.curve, x0))
+    u = _column(branch.curve, x0)
     if x0 == branch.seed_x and branch.seed_lo == branch.seed_hi:
-        return RootInterval(branch.seed_lo, branch.seed_lo, squarefree_part(u))
+        return RootInterval(branch.seed_lo, branch.seed_lo, _primitive(u))
     roots = all_real_roots(u)
     if len(roots) != branch.root_count:
         raise BranchError("root structure changed inside the domain")
@@ -213,7 +210,7 @@ def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Option
     bracket = branch_value_bracket(branch, Fraction(x0))
     if bracket.is_exact():
         return bracket.lo
-    return rational_root_in(UniPoly(_column(branch.curve, Fraction(x0))), bracket.lo, bracket.hi)
+    return rational_root_in(_column(branch.curve, Fraction(x0)), bracket.lo, bracket.hi)
 
 
 def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoint]:
@@ -348,10 +345,10 @@ def _level_parts(curve: BiPoly, i: int) -> tuple[Fraction, Rows, Rows]:
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[IntTerms, UniPoly]:
+def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[IntTerms, tuple[int, ...]]:
     """(the primitive integer terms of the level curve H_i + F_y^(2i-1) * (i! * c),
     which vanishes on branch points with f^(i)/i! = c, up to a positive factor;
-    a positive multiple of its eliminant).
+    the primitive integer tuple of a positive multiple of its eliminant).
 
     The level curve is s * (R + c*t * Q) in the terms of `_level_parts`; for
     c*t = num/den it is built on integers as den * R + num * Q, and its rows
@@ -365,10 +362,10 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[IntTerms, UniP
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
         )
-    res = UniPoly(_int_resultant(_curve_rows(curve)[1], rows) if len(rows) > 1 else rows[0])
-    if res.is_zero():
+    res = _int_resultant(_curve_rows(curve)[1], rows) if len(rows) > 1 else rows[0]
+    if not any(res):
         raise DegenerateLevelSetError("level-set eliminant vanished identically")
-    return _int_terms(rows), res
+    return _int_terms(rows), _primitive(res)
 
 
 def level_set_abscissas(
@@ -387,8 +384,6 @@ def level_set_abscissas(
     c = Fraction(c)
     level, res = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
-    if res.degree < 1:
-        return []
     roots = isolate_real_roots(res, lo, hi)
     if level[1] < 1:
         # the level curve does not involve y: every eliminant root is on the branch
@@ -402,7 +397,7 @@ def level_set_abscissas(
         return sign_at_root(branch_value_bracket(branch, x), _int_column(level, x))
 
     included: list[RootInterval] = []
-    mult: Optional[UniPoly] = None
+    mult: Optional[list[int]] = None
     for r in roots:
         if r.is_exact():
             if level_sign(r.lo) == 0:
@@ -418,8 +413,8 @@ def level_set_abscissas(
         if simple_root(res, r):
             continue  # simple eliminant root without a crossing: not on this branch
         if mult is None:
-            mult = UniPoly(int_exact_quotient(primitive_ints(res.coeffs), sturm_chain(res)[0]))
-        if mult.degree < 1 or count_real_roots(mult, r.lo, r.hi) == 0:
+            mult = int_exact_quotient(res, sturm_chain(res)[0])
+        if len(mult) < 2 or count_real_roots(mult, r.lo, r.hi) == 0:
             continue
         rr = rational_root_in(r.polynomial, r.lo, r.hi)
         if rr is not None:
@@ -533,20 +528,14 @@ class GraphDecomposition(NamedTuple):
     direct_points: list[LatticePoint]
 
 
-def _roots_in_box(poly: UniPoly, n_box: int) -> list[RootInterval]:
-    if poly.is_zero() or poly.degree < 1:
-        return []
-    return isolate_real_roots(poly, Fraction(0), Fraction(n_box))
-
-
-def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[UniPoly], bool]:
-    """Univariate polynomials in x whose roots delimit the frame cells.
+def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[list[int]], bool]:
+    """Integer polynomials in x whose roots delimit the frame cells.
 
     Returns (polynomials, slope_locus_degenerate): the latter is set when
     F_x = +-F_y identically, in which case the whole frame sits on the
     boundary slope and is kept in this orientation.
     """
-    out: list[UniPoly] = []
+    out: list[list[int]] = []
     fy = partial(curve, "y")
     fx = partial(curve, "x")
 
@@ -557,9 +546,9 @@ def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[UniPoly], bool]:
             res = resultant_eliminating_y(curve, p)
             if res.is_zero():
                 raise BranchError("unexpected common component with a derivative locus")
-            out.append(res)
+            out.append(primitive_ints(res.coeffs))
         elif p.degree_x() >= 1:
-            out.append(p.as_unipoly_x())
+            out.append(primitive_ints(p.as_unipoly_x().coeffs))
 
     eliminate(fy)
     eliminate(fx)
@@ -571,7 +560,7 @@ def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[UniPoly], bool]:
             eliminate(s)
     lead = curve.y_coefficients()[-1]
     if lead.degree >= 1:
-        out.append(lead)
+        out.append(primitive_ints(lead.coeffs))
     return out, degenerate
 
 
@@ -598,10 +587,10 @@ def _decompose_frame(
         if e.is_zero():
             raise BranchError("curve contains a horizontal box edge; input is reducible")
         if e.degree >= 1:
-            polys.append(e)
+            polys.append(primitive_ints(e.coeffs))
     cuts: list[RootInterval] = []
     for p in polys:
-        cuts.extend(_roots_in_box(p, n_box))
+        cuts.extend(isolate_real_roots(p, 0, n_box))
     cuts = refine_disjoint(cuts, Fraction(1, 4)) if cuts else []
 
     # an exactly-rational critical abscissa has a width-zero bracket; widen it
@@ -647,7 +636,7 @@ def _decompose_frame(
         u = _column(curve, sample)
         if len(u) < 2:
             continue
-        roots = all_real_roots(UniPoly(u))
+        roots = all_real_roots(u)
         for j, r in enumerate(roots):
             r2 = refine_clear_of(r, Fraction(0), Fraction(n_box))
             if not 0 <= r2.lo <= r2.hi <= n_box:

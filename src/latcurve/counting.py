@@ -28,7 +28,7 @@ from .detmethod import (
 )
 from .monomials import punctured_set
 from .poly2 import BiPoly, corner_index, divides, ingestion_check, resultant_eliminating_y
-from .unipoly import _int_eval, integer_roots, poly_gcd
+from .unipoly import _int_eval, integer_roots, poly_gcd, primitive_ints
 
 
 class CountingError(ValueError):
@@ -57,7 +57,7 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
         fx = curve.as_unipoly_x()
         if fx.degree < 1:
             raise CountingError("curve must be nonconstant")
-        hits = integer_roots(fx, 1, n_box)
+        hits = integer_roots(primitive_ints(fx.coeffs), 1, n_box)
         if hits:
             raise LineFactorError(f"vertical line x = {hits[0]} lies inside the box")
         return 0, []
@@ -90,7 +90,7 @@ def bezout_intersect(f: BiPoly, g: BiPoly, n_box: int) -> list[LatticePoint]:
         res = resultant_eliminating_y(f, g)
         if res.is_zero():
             raise CommonComponentError("Bezout hypothesis violated: common component")
-        xs = integer_roots(res, 1, n_box)
+        xs = integer_roots(primitive_ints(res.coeffs), 1, n_box)
     elif dy_f == 0 and dy_g == 0:
         fx, gx = f.as_unipoly_x(), g.as_unipoly_x()
         if poly_gcd(fx, gx).degree >= 1:
@@ -98,7 +98,7 @@ def bezout_intersect(f: BiPoly, g: BiPoly, n_box: int) -> list[LatticePoint]:
         xs = []
     else:
         yfree = f if dy_f == 0 else g
-        xs = integer_roots(yfree.as_unipoly_x(), 1, n_box)
+        xs = integer_roots(primitive_ints(yfree.as_unipoly_x().coeffs), 1, n_box)
     points: list[LatticePoint] = []
     for x0 in xs:
         uf, ug = f.int_column(x0), g.int_column(x0)

@@ -52,7 +52,7 @@ def suite_exactcore() -> list[Check]:
         return True
 
     def roots_exact():
-        p = UniPoly([-6, 11, -6, 1])
+        p = [-6, 11, -6, 1]
         if count_real_roots(p, 0, 4) != 3:
             return False
         if integer_roots(p) != [1, 2, 3]:

@@ -1,36 +1,38 @@
 """Univariate polynomials over Q with exact real root isolation.
 
 All decisions (root counts, signs, refinements) are made in exact rational
-arithmetic.  Roots are reported as rational-endpoint isolating intervals;
-a degenerate interval [r, r] marks an exactly known rational root.
-`count_real_roots` and `isolate_real_roots` test the domain ends on p's
-primitive integer form f, which has the same zeros as its squarefree part,
-and divide the end roots out of f.  A Descartes certificate
-(`descartes_bound`) then decides most domains with no Sturm chain: v = 0
-means no root inside, v = 1 one simple root, whose bracket is the domain
-itself.  It is the sign variations of f's own coefficients when lo >= 0,
-and otherwise, or when that count is 2 or more, those of f mapped from
-(lo, hi) onto (0, inf) by an integer Moebius map (two Taylor shifts).  Only
-when v >= 2 is the integer squarefree part and its integer Sturm chain
-(`integer_squarefree_chain`, cached as `sturm_chain`) built, and the domain
-split by chain counts; both routes give the same brackets.  At x = num/den a
-chain element f is evaluated as the integer den^deg * f(x).  Integer roots
-are found on integer endpoints only: `integer_roots` lists those in a range,
-and `ranked_integer_root` tests the root of a given rank, with no isolation
-and no shared cache; both take a `UniPoly` or an integer coefficient list,
-and decide degree <= 2 in closed form, with no chain.
-Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
-evaluation of the bracket polynomial's primitive integer form, computed once
-per call.  The sign of an integer polynomial v at an isolated root is a
-Tarski query (`sign_at_root`): sign variations at the bracket ends of the
-signed remainder sequence of the bracket polynomial f and f'*v mod f, built
-by the same integer chain builder, with no gcd and no interval enclosure.
-Two brackets of coprime polynomials are told apart by a gcd modulo a prime,
-and a bracket's root is proved simple by Descartes' rule (`simple_root`).
-The package locates roots only through this module: one content
-normaliser, one Descartes certificate, one squarefree part and chain, one
-bisection step, one integer test, one floor, one range test and one sign
-test.
+arithmetic.  Every root query takes an integer coefficient list p and works
+on its primitive form f (`_primitive`, once on entry); a `UniPoly`, which
+has rational coefficients, is converted by its caller with `primitive_ints`.
+Roots are reported as rational-endpoint isolating intervals that carry a
+primitive integer tuple; a degenerate interval [r, r] marks an exactly
+known rational root.  `count_real_roots`, `isolate_real_roots` and
+`simple_root` test the domain ends on f, which has the same zeros as its
+squarefree part, and divide the end roots out of f (`_end_roots`).  A
+Descartes certificate (`descartes_bound`) then decides most domains with no
+Sturm chain: v = 0 means no root inside, v = 1 one simple root, whose
+bracket is the domain itself.  It is the sign variations of f's own
+coefficients when lo >= 0, and otherwise, or when that count is 2 or more,
+those of f mapped from (lo, hi) onto (0, inf) by an integer Moebius map
+(two Taylor shifts).  Only when v >= 2 is the integer squarefree part and
+its integer Sturm chain (`integer_squarefree_chain`, cached on f as
+`sturm_chain`) built, and the domain split by chain counts; both routes
+give the same brackets.  At x = num/den a chain element f is evaluated as
+the integer den^deg * f(x).  Integer roots are found on integer endpoints
+only: `integer_roots` lists those in a range, and `ranked_integer_root`
+tests the root of a given rank, with no isolation and no shared cache; both
+decide degree <= 2 in closed form, with no chain.  Bisection keeps
+`Fraction` endpoints, but every sign it tests is an integer evaluation of
+the bracket polynomial.  The sign of an integer polynomial v at an isolated
+root is a Tarski query (`sign_at_root`): sign variations at the bracket
+ends of the signed remainder sequence of the bracket polynomial f and
+f'*v mod f, built by the same integer chain builder, with no gcd and no
+interval enclosure.  Two brackets of coprime polynomials are told apart by
+a gcd modulo a prime, and a bracket's root is proved simple by Descartes'
+rule (`simple_root`).  The package locates roots only through this module:
+one entry normaliser, one Descartes certificate, one squarefree part and
+chain, one bisection step, one integer test, one floor, one range test and
+one sign test.
 """
 
 from __future__ import annotations
@@ -217,6 +219,21 @@ def primitive_ints(coeffs: Sequence[Fraction | int]) -> list[int]:
     return [v // g for v in ints] if g > 1 else ints
 
 
+def _primitive(p: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero integer polynomial p divided by its content, with trailing
+    zeros dropped, as a tuple: the form every root query works on.  Signs
+    are kept."""
+    g = gcd(*p)
+    if g == 1 and p[-1]:
+        return tuple(p)
+    if not g:
+        raise ZeroPolynomialError("zero polynomial")
+    n = len(p)
+    while not p[n - 1]:
+        n -= 1
+    return tuple(c // g for c in p[:n])
+
+
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two integer coefficient lists ([] for zero)."""
     if not a or not b:
@@ -277,16 +294,17 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return g * (1 / g.leading)
 
 
-def sign_variations(values: Iterable[Fraction]) -> int:
+def sign_variations(values: Iterable[Fraction | int]) -> int:
+    """Sign changes along `values`, zeros skipped."""
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _int_sturm_chain(f: list[int], second: list[int] | None = None) -> list[list[int]]:
+def _int_sturm_chain(f: Sequence[int], second: list[int] | None = None) -> list[list[int]]:
     """Signed remainder sequence of the nonzero integer polynomial f and
     `second` (by default f', which makes it the Sturm chain of f) as integer
     lists, each element a positive multiple of the exact one."""
-    chain = [f]
+    chain = [list(f)]
     d = primitive_ints([i * c for i, c in enumerate(f)][1:]) if second is None else second
     if d:
         chain.append(d)
@@ -312,37 +330,36 @@ def int_exact_quotient(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
-def integer_squarefree_chain(p: UniPoly | Sequence[int]) -> tuple[list[int], list[list[int]]]:
-    """The squarefree part of p, a `UniPoly` or an integer coefficient list, as
-    a primitive integer polynomial, with its integer Sturm chain.
+def integer_squarefree_chain(p: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The squarefree part of the nonzero p, as a primitive integer
+    polynomial, with its integer Sturm chain.
 
     The last element of the Sturm chain of p is gcd(p, p'); only when it is
     not constant is it divided out, exactly on integers, and the chain rebuilt.
-    The zero polynomial gives ([], [[]]).  Nothing is cached.
+    Nothing is cached.
     """
-    f = primitive_ints(p.coeffs if isinstance(p, UniPoly) else p)
+    f = _primitive(p)
     chain = _int_sturm_chain(f)
     if len(chain[-1]) > 1:
-        f = int_exact_quotient(f, chain[-1])
-        chain = _int_sturm_chain(f)
-    return f, chain
+        chain = _int_sturm_chain(int_exact_quotient(f, chain[-1]))
+    return chain[0], chain
 
 
 @lru_cache(maxsize=64)
-def sturm_chain(p: UniPoly) -> tuple[list[int], list[list[int]]]:
+def sturm_chain(p: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
     """The cached `integer_squarefree_chain(p)`: (sf, Sturm chain of sf).
 
-    Every caller shares the returned lists; none may modify them.
+    p is a primitive integer tuple, so positive multiples of one polynomial
+    share one entry.  Every caller shares the returned lists; none may
+    modify them.
     """
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
     return integer_squarefree_chain(p)
 
 
 @lru_cache(maxsize=512)
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'): same roots, all simple (primitive integer form)."""
-    return UniPoly(sturm_chain(p)[0])
+def squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive integer tuple p divided by gcd(p, p'): same roots, all simple."""
+    return tuple(sturm_chain(p)[0])
 
 
 def _int_root_bound(f: Sequence[int]) -> int:
@@ -425,7 +442,7 @@ def descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     return sign_variations(_taylor_shift(g, 1))
 
 
-def _deflate(f: list[int], ends: Iterable[Fraction], lo: Fraction, hi: Fraction) -> list[int]:
+def _deflate(f: Sequence[int], ends: Iterable[Fraction], lo: Fraction, hi: Fraction) -> Sequence[int]:
     """f with the factor (den*x - num) of each root num/den in `ends` divided
     out completely, and its factor x^m when 0 lies outside the open (lo, hi):
     the same zeros in (lo, hi), and none at an end."""
@@ -437,7 +454,17 @@ def _deflate(f: list[int], ends: Iterable[Fraction], lo: Fraction, hi: Fraction)
     return f
 
 
-def count_real_roots(p: UniPoly, lo: Fraction | int, hi: Fraction | int) -> int:
+def _end_roots(f: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[list[Fraction], Sequence[int], int]:
+    """(the ends of [lo, hi], lo <= hi, where f vanishes; f with their roots
+    divided out; the Descartes bound v of that on (lo, hi), 0 if lo == hi)."""
+    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(f, e) == 0]
+    if hi == lo:
+        return ends, f, 0
+    inner = _deflate(f, ends, lo, hi)
+    return ends, inner, descartes_bound(inner, lo, hi)
+
+
+def count_real_roots(p: Sequence[int], lo: Fraction | int, hi: Fraction | int) -> int:
     """Number of distinct real roots of p in the closed interval [lo, hi].
 
     The ends are tested on p's primitive form f, and their roots divided out
@@ -448,34 +475,31 @@ def count_real_roots(p: UniPoly, lo: Fraction | int, hi: Fraction | int) -> int:
     """
     if lo > hi:
         raise ValueError("empty interval")
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
+    f = _primitive(p)
     lo, hi = Fraction(lo), Fraction(hi)
-    f = primitive_ints(p.coeffs)
-    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(f, e) == 0]
-    if hi == lo:
-        return len(ends)
-    v = descartes_bound(_deflate(f, ends, lo, hi), lo, hi)
+    ends, _, v = _end_roots(f, lo, hi)
     if v <= 1:
         return len(ends) + v
-    sf, chain = sturm_chain(p)
+    sf, chain = sturm_chain(f)
     return (_rat_eval(sf, lo) == 0) + _int_variations(chain, lo) - _int_variations(chain, hi)
 
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Rational-endpoint interval isolating one real root of `polynomial`.
+    """Rational-endpoint interval isolating one real root of `polynomial`,
+    a primitive integer tuple (coefficient index = degree).
 
-    Either lo == hi is an exact rational root, or lo < hi and `polynomial`
-    is nonzero at both ends, so its signs there differ, with exactly one
-    zero in (lo, hi), a simple one.  The polynomial has the zeros of the
-    isolated one in the bracket but is not necessarily squarefree: a
-    repeated root may remain outside the bracket.
+    Either lo == hi is an exact rational root, at which `polynomial` need
+    only vanish, or lo < hi and `polynomial` is nonzero at both ends, so its
+    signs there differ, with exactly one zero in (lo, hi), a simple one.
+    The polynomial has the zeros of the isolated one in the bracket but is
+    not necessarily squarefree: a repeated root may remain outside the
+    bracket.
     """
 
     lo: Fraction
     hi: Fraction
-    polynomial: UniPoly
+    polynomial: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -534,30 +558,24 @@ def bisect_step(
 
 
 def isolate_real_roots(
-    p: UniPoly, lo: Fraction | int, hi: Fraction | int
+    p: Sequence[int], lo: Fraction | int, hi: Fraction | int
 ) -> list[RootInterval]:
     """Disjoint isolating intervals, one per distinct real root in [lo, hi]."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no isolation")
+    f = _primitive(p)
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty range")
-    f = primitive_ints(p.coeffs)
-    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(f, e) == 0]
-    out = [RootInterval(e, e, UniPoly(f)) for e in ends]
-    if hi == lo:
-        return out
-    inner = _deflate(f, ends, lo, hi)
-    v = descartes_bound(inner, lo, hi)
+    ends, inner, v = _end_roots(f, lo, hi)
+    out = [RootInterval(e, e, f) for e in ends]
     if v == 1:
-        out.append(RootInterval(lo, hi, UniPoly(inner)))
+        out.append(RootInterval(lo, hi, tuple(inner)))
     if v <= 1:
         return sorted(out, key=lambda r: r.lo)
-    sf, chain = sturm_chain(p)
+    sf, chain = sturm_chain(f)
     inner = _deflate(sf, ends, lo, hi)
     # reference the deflated polynomial: with an endpoint root deflated
     # away, a bracket ending there isolates only for the deflated form
-    bracket = UniPoly(inner)
+    bracket = tuple(inner)
     hi_root = hi in ends
 
     def split(a: Fraction, b: Fraction, va: int, vb: int) -> None:
@@ -583,17 +601,16 @@ def refine_root(r: RootInterval, width: Fraction | int) -> RootInterval:
         raise ValueError("width must be positive")
     if r.is_exact():
         return r
-    p = r.polynomial
-    f = primitive_ints(p.coeffs)
+    f = r.polynomial
     lo, hi = r.lo, r.hi
     s_lo = _rat_eval(f, lo)
     if s_lo == 0:
-        return RootInterval(lo, lo, p)
+        return RootInterval(lo, lo, f)
     if _rat_eval(f, hi) == 0:
-        return RootInterval(hi, hi, p)
+        return RootInterval(hi, hi, f)
     while hi - lo > width:
         lo, hi, s_lo = bisect_step(f, lo, hi, s_lo)
-    return RootInterval(lo, hi, p)
+    return RootInterval(lo, hi, f)
 
 
 def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval:
@@ -603,14 +620,13 @@ def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval
     (lo, hi) or in the closed range [lo, hi]: a non-exact result lies either
     strictly inside (lo, hi) or strictly outside [lo, hi].
     """
-    p = r.polynomial
-    f = primitive_ints(p.coeffs)
+    f = r.polynomial
     for _ in range(REFINE_DEPTH):
         if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
             return r
         for end in (lo, hi):
             if r.lo <= end <= r.hi and _rat_eval(f, end) == 0:
-                return RootInterval(end, end, p)
+                return RootInterval(end, end, f)
         r = refine_root(r, r.width / 4)
     raise RefinementLimitError("range test exceeded the refinement depth limit")
 
@@ -623,7 +639,7 @@ def integer_in(r: RootInterval) -> int | None:
     """
     r = refine_root(r, Fraction(1, 2))
     k = math.ceil(r.lo)
-    if k <= r.hi and _int_eval(primitive_ints(r.polynomial.coeffs), k) == 0:
+    if k <= r.hi and _int_eval(r.polynomial, k) == 0:
         return k
     return None
 
@@ -635,7 +651,7 @@ def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool
     simple, so it lies in [lo, hi] exactly when the polynomial vanishes at an
     end or changes sign between them.
     """
-    f = primitive_ints(r.polynomial.coeffs)
+    f = r.polynomial
     s_lo, s_hi = _rat_eval(f, lo), _rat_eval(f, hi)
     return s_lo == 0 or s_hi == 0 or (s_lo > 0) != (s_hi > 0)
 
@@ -667,23 +683,21 @@ def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
     if r.is_exact():
         val = _rat_eval(v, r.lo)
         return (val > 0) - (val < 0)
-    f = primitive_ints(r.polynomial.coeffs)
+    f = r.polynomial
     df = [i * c for i, c in enumerate(f)][1:]
     chain = _int_sturm_chain(f, _int_prem_signed(_int_mul(df, v), f))
     return _int_variations(chain, r.lo) - _int_variations(chain, r.hi)
 
 
-def simple_root(p: UniPoly, r: RootInterval) -> bool:
+def simple_root(p: Sequence[int], r: RootInterval) -> bool:
     """Whether Descartes' rule proves the root that the non-exact bracket r
     isolates to be a simple root of p, a polynomial that vanishes there.
 
-    The roots of p at the bracket ends are divided out; v = 1 from
-    `descartes_bound` then means one root in the open bracket counted with
-    multiplicity.  False means v >= 2, which decides nothing.
+    The roots of p at the bracket ends are divided out (`_end_roots`); v = 1
+    from `descartes_bound` then means one root in the open bracket counted
+    with multiplicity.  False means v >= 2, which decides nothing.
     """
-    f = primitive_ints(p.coeffs)
-    ends = [e for e in (r.lo, r.hi) if _rat_eval(f, e) == 0]
-    return descartes_bound(_deflate(f, ends, r.lo, r.hi), r.lo, r.hi) == 1
+    return _end_roots(_primitive(p), r.lo, r.hi)[2] == 1
 
 
 # Primes for the modular coprimality test of `_same_root`.
@@ -728,11 +742,11 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
         return False
     if a.polynomial == b.polynomial:
         return True  # the overlap holds one root of the common polynomial
-    if _coprime_mod_p(primitive_ints(a.polynomial.coeffs), primitive_ints(b.polynomial.coeffs)):
+    if _coprime_mod_p(a.polynomial, b.polynomial):
         return False
     # a common root inside both brackets must be each bracket's isolated root
-    g = poly_gcd(a.polynomial, b.polynomial)
-    return g.degree >= 1 and count_real_roots(g, lo, hi) > 0
+    g = poly_gcd(UniPoly(a.polynomial), UniPoly(b.polynomial))
+    return g.degree >= 1 and count_real_roots(primitive_ints(g.coeffs), lo, hi) > 0
 
 
 def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) -> list[RootInterval]:
@@ -760,10 +774,11 @@ def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) ->
     return items
 
 
-def all_real_roots(p: UniPoly) -> list[RootInterval]:
+def all_real_roots(p: Sequence[int]) -> list[RootInterval]:
     """Isolating intervals for every real root of p, in increasing order."""
-    bound = _int_root_bound(sturm_chain(p)[0])
-    return isolate_real_roots(p, -bound, bound)
+    f = _primitive(p)
+    bound = _int_root_bound(sturm_chain(f)[0])
+    return isolate_real_roots(f, -bound, bound)
 
 
 def _small_real_roots(f: Sequence[int]) -> list[int | None]:
@@ -799,16 +814,7 @@ def _small_real_roots(f: Sequence[int]) -> list[int | None]:
     return roots
 
 
-def _integer_form(p: UniPoly | Sequence[int]) -> list[int]:
-    """p as a nonzero integer coefficient list: a `UniPoly`'s primitive
-    integer form, or the integer list itself."""
-    f = primitive_ints(p.coeffs) if isinstance(p, UniPoly) else p
-    if not f:
-        raise ZeroPolynomialError("zero polynomial has no root enumeration")
-    return f
-
-
-def integer_roots(p: UniPoly | Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
+def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
     """The integer roots of p in [lo, hi] (unbounded where None), increasing.
 
     Every decision is made on integers.  Degree at most 2 takes the closed
@@ -817,7 +823,7 @@ def integer_roots(p: UniPoly | Sequence[int], lo: int | None = None, hi: int | N
     integer midpoints, and a part with one root is bisected on the sign of
     the squarefree part down to width 1, where one exact test decides.
     """
-    f = _integer_form(p)
+    f = _primitive(p)
     if len(f) <= 3:
         return [
             r for r in _small_real_roots(f)
@@ -856,7 +862,7 @@ def integer_roots(p: UniPoly | Sequence[int], lo: int | None = None, hi: int | N
     return found
 
 
-def ranked_integer_root(p: UniPoly | Sequence[int], index: int) -> tuple[int, int | None]:
+def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     """The number n of distinct real roots of p, and the root of rank `index`
     (0 is the smallest) when it is an integer, else None.
 
@@ -866,7 +872,7 @@ def ranked_integer_root(p: UniPoly | Sequence[int], index: int) -> tuple[int, in
     <= t, so the root lies in (t - 1, t].  It is t exactly when sf(t) == 0
     and t is root number index + 1 from the left.
     """
-    f = _integer_form(p)
+    f = _primitive(p)
     if len(f) <= 3:
         roots = _small_real_roots(f)
         return len(roots), roots[index] if 0 <= index < len(roots) else None
@@ -888,25 +894,26 @@ def ranked_integer_root(p: UniPoly | Sequence[int], index: int) -> tuple[int, in
     return n, b if count_b == index + 1 and _int_eval(sf, b) == 0 else None
 
 
-def rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
+def rational_root_in(p: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction | None:
     """The rational root of p inside the isolating interval [lo, hi], if any.
 
     Certified both ways: any rational root has denominator dividing the
     leading coefficient of the primitive form, so after refining below the
     spacing of such fractions the single candidate decides it.
     """
+    f = _primitive(p)
     if lo == hi:
-        return lo if p.evaluate(lo) == 0 else None
-    sf = squarefree_part(p)
-    lead = abs(primitive_ints(p.coeffs)[-1])
+        return lo if _rat_eval(f, lo) == 0 else None
+    sf = squarefree_part(f)
+    lead = abs(f[-1])
     # refine [lo, hi] below 1/(2*lead^2) so at most one denominator-dividing
     # rational fits, then take the best rational approximation
     target = Fraction(1, 2 * lead * lead + 1)
     r = refine_root(RootInterval(lo, hi, sf), target)
     if r.is_exact():
-        return r.lo if p.evaluate(r.lo) == 0 else None
+        return r.lo if _rat_eval(f, r.lo) == 0 else None
     cand = Fraction(r.midpoint()).limit_denominator(lead)
-    if r.lo <= cand <= r.hi and p.evaluate(cand) == 0:
+    if r.lo <= cand <= r.hi and _rat_eval(f, cand) == 0:
         return cand
     return None
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from latcurve.exactlinalg import (
     fraction_determinant,
@@ -49,6 +49,12 @@ from latcurve.unipoly import (
 # -- independent oracles -------------------------------------------------------
 
 
+def ints(p):
+    """The primitive integer tuple of the `UniPoly` p: the form the root
+    queries take and every bracket carries."""
+    return tuple(primitive_ints(p.coeffs))
+
+
 def rref_nonzero_rows(rows):
     """Plain Gauss-Jordan; rank = number of surviving nonzero rows."""
     m = [[Fraction(e) for e in row] for row in rows]
@@ -89,7 +95,7 @@ def cofactor_det(rows):
 
 def naive_sturm_count(p: UniPoly, lo, hi):
     """Distinct roots in [lo, hi] via a from-scratch Sturm chain."""
-    sf = squarefree_part(p)
+    sf = UniPoly(squarefree_part(ints(p)))
     lo, hi = Fraction(lo), Fraction(hi)
     extra = 0
     if sf.evaluate(lo) == 0:
@@ -187,21 +193,21 @@ def test_permanent_small():
 
 
 def test_isolate_sqrt2():
-    p = UniPoly([-2, 0, 1])
+    p = [-2, 0, 1]
     roots = isolate_real_roots(p, 0, 2)
     assert len(roots) == 1
     r = roots[0]
     assert r.lo <= Fraction(3, 2) and r.hi >= Fraction(1)  # contains sqrt(2)
-    assert r.polynomial.evaluate(r.lo) * r.polynomial.evaluate(r.hi) <= 0
+    assert UniPoly(r.polynomial).evaluate(r.lo) * UniPoly(r.polynomial).evaluate(r.hi) <= 0
 
 
 def test_isolate_no_real_roots():
-    assert isolate_real_roots(UniPoly([1, 0, 1]), -10, 10) == []
+    assert isolate_real_roots([1, 0, 1], -10, 10) == []
 
 
 def test_isolate_three_roots():
     # (x-1)(x-2)(x-3)
-    p = UniPoly([-6, 11, -6, 1])
+    p = [-6, 11, -6, 1]
     roots = isolate_real_roots(p, 0, 4)
     assert len(roots) == 3
     for a, b in zip(roots, roots[1:]):
@@ -211,28 +217,28 @@ def test_isolate_three_roots():
 
 def test_isolate_rejects_zero_polynomial():
     with pytest.raises(ZeroPolynomialError):
-        isolate_real_roots(UniPoly([]), 0, 1)
+        isolate_real_roots([], 0, 1)
     with pytest.raises(ZeroPolynomialError):
-        integer_roots(UniPoly([]))
+        integer_roots([])
 
 
 def test_isolate_endpoint_roots_degenerate():
-    p = UniPoly([0, 1])  # x
+    p = [0, 1]  # x
     roots = isolate_real_roots(p, 0, 1)
     assert len(roots) == 1 and roots[0].is_exact() and roots[0].lo == 0
 
 
 def _check_isolation(p, lo, hi):
-    roots = isolate_real_roots(p, lo, hi)
+    roots = isolate_real_roots(ints(p), lo, hi)
     # counts agree with an independent Sturm count
-    assert len(roots) == count_real_roots(p, lo, hi) == naive_sturm_count(p, lo, hi), (p, lo, hi)
+    assert len(roots) == count_real_roots(ints(p), lo, hi) == naive_sturm_count(p, lo, hi), (p, lo, hi)
     for r in roots:
         assert lo <= r.lo <= r.hi <= hi
         if r.is_exact():
             assert p.evaluate(r.lo) == 0
             continue
         for q in (r, refine_root(r, Fraction(1, 1000))):
-            assert q.polynomial.evaluate(q.lo) * q.polynomial.evaluate(q.hi) < 0, (p, lo, hi, q)
+            assert UniPoly(q.polynomial).evaluate(q.lo) * UniPoly(q.polynomial).evaluate(q.hi) < 0, (p, lo, hi, q)
     for a, b in zip(roots, roots[1:]):
         assert a.hi <= b.lo
 
@@ -260,24 +266,61 @@ def test_isolation_properties_random():
         _check_isolation(p, min(ends), max(ends))
 
 
+def _is_primitive_tuple(f):
+    return type(f) is tuple and all(type(c) is int for c in f) and f[-1] != 0 and math.gcd(*f) == 1
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6).filter(any),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=0, max_value=24),
+    st.booleans(),
+)
+def test_brackets_hold_primitive_integer_tuples(coeffs, scale, lo, width, root_at_lo):
+    """Every bracket carries a tuple of ints with gcd 1, whatever integer
+    multiple, with or without trailing zeros, the caller passed, and also
+    when isolation divides a root at a domain end out."""
+    if root_at_lo:  # times (x - lo)
+        coeffs = [a - lo * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    p = [c * scale for c in coeffs]
+    brackets = isolate_real_roots(p, lo, lo + width) + all_real_roots(p)
+    brackets += refine_disjoint(brackets, Fraction(1, 8))
+    assert all(_is_primitive_tuple(r.polynomial) for r in brackets), (p, brackets)
+
+
+def test_rational_multiples_share_one_sturm_chain():
+    """The chain cache is keyed on the primitive integer tuple, so positive
+    rational multiples of one polynomial build one chain."""
+    sturm_chain.cache_clear()
+    p = [-6, 11, -6, 1]  # (x - 1)(x - 2)(x - 3): Descartes v = 3 on (0, 4)
+    for q in (p, [2 * c for c in p], ints(UniPoly(p) * Fraction(5, 3))):
+        assert count_real_roots(q, 0, 4) == 3
+        assert [integer_in(r) for r in isolate_real_roots(q, 0, 4)] == [1, 2, 3]
+        assert [integer_in(r) for r in all_real_roots(q)] == [1, 2, 3]
+    info = sturm_chain.cache_info()
+    assert info.currsize == 1 and info.misses == 1, info
+
+
 def test_refine_root():
-    p = UniPoly([-2, 0, 1])
+    p = [-2, 0, 1]
     [r] = isolate_real_roots(p, 0, 2)
     fine = refine_root(r, Fraction(1, 100))
     assert fine.width <= Fraction(1, 100)
-    assert fine.polynomial.evaluate(fine.lo) * fine.polynomial.evaluate(fine.hi) <= 0
+    assert UniPoly(fine.polynomial).evaluate(fine.lo) * UniPoly(fine.polynomial).evaluate(fine.hi) <= 0
     # still contains sqrt(2)
     assert fine.lo * fine.lo <= 2 <= fine.hi * fine.hi
 
 
 def test_refine_degenerate():
-    p = UniPoly([-2, 1])
+    p = (-2, 1)
     r = RootInterval(Fraction(2), Fraction(2), p)
     assert refine_root(r, Fraction(1, 7)) == r
 
 
 def test_refine_root_inside_wide_interval():
-    p = UniPoly([-3, 1])  # root 3
+    p = (-3, 1)  # root 3
     r = RootInterval(Fraction(0), Fraction(4), p)
     fine = refine_root(r, Fraction(1, 2))
     assert fine.width <= Fraction(1, 2)
@@ -285,10 +328,10 @@ def test_refine_root_inside_wide_interval():
 
 
 def test_refine_disjoint_merges_same_root():
-    p1 = UniPoly([-2, 0, 1])  # sqrt 2
-    p2 = UniPoly([2, -3, 0, 1])  # (x-1)(x^2+x-2) = has root 1, also sqrt-2-ish? use x^3-3x+2
+    p1 = [-2, 0, 1]  # sqrt 2
+    p2 = [2, -3, 0, 1]  # (x-1)(x^2+x-2) = has root 1, also sqrt-2-ish? use x^3-3x+2
     # use two isolations of the same polynomial root through different polys
-    q = UniPoly([-4, 0, 2])  # 2x^2-4: same roots as p1
+    q = [-4, 0, 2]  # 2x^2-4: same roots as p1
     r1 = isolate_real_roots(p1, 0, 2)[0]
     r2 = isolate_real_roots(q, 0, 2)[0]
     merged = refine_disjoint([r1, r2], Fraction(1, 4))
@@ -297,7 +340,7 @@ def test_refine_disjoint_merges_same_root():
 
 def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
     # overlapping brackets of one polynomial around its two different roots
-    p = UniPoly([3, -4, 1])  # (x - 1)(x - 3)
+    p = [3, -4, 1]  # (x - 1)(x - 3)
     [r1] = isolate_real_roots(p, 0, Fraction(5, 2))
     [r3] = isolate_real_roots(p, 2, 4)
     assert r1.hi > r3.lo
@@ -308,13 +351,13 @@ def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
 
 
 def test_refine_clear_of_root_at_an_end():
-    p = UniPoly([-3, 1])  # root 3
+    p = (-3, 1)  # root 3
     r = refine_clear_of(RootInterval(Fraction(2), Fraction(4), p), Fraction(3), Fraction(5))
     assert r.is_exact() and r.lo == 3
     assert not 3 < r.lo < 5  # outside the open range (3, 5)
     assert 3 <= r.lo <= 5  # inside the closed range [3, 5]
     # an irrational root ends strictly inside or strictly outside
-    [s2] = isolate_real_roots(UniPoly([-2, 0, 1]), 0, 2)
+    [s2] = isolate_real_roots([-2, 0, 1], 0, 2)
     clear = refine_clear_of(s2, Fraction(7, 5), Fraction(3, 2))
     assert Fraction(7, 5) < clear.lo and clear.hi < Fraction(3, 2)
     outside = refine_clear_of(s2, Fraction(1), Fraction(7, 5))
@@ -354,29 +397,30 @@ def reference_split(p, a, b, skipped):
 def reference_refine(r, width, skipped):
     if r.is_exact():
         return r
-    p, lo, hi = r.polynomial, r.lo, r.hi
+    f, lo, hi = r.polynomial, r.lo, r.hi
+    p = UniPoly(f)
     s_lo = p.evaluate(lo)
     if s_lo == 0:
-        return RootInterval(lo, lo, p)
+        return RootInterval(lo, lo, f)
     if p.evaluate(hi) == 0:
-        return RootInterval(hi, hi, p)
+        return RootInterval(hi, hi, f)
     while hi - lo > width:
         m, pm = reference_split(p, lo, hi, skipped)
         if (s_lo > 0) != (pm > 0):
             hi = m
         else:
             lo, s_lo = m, pm
-    return RootInterval(lo, hi, p)
+    return RootInterval(lo, hi, f)
 
 
 def reference_clear_of(r, lo, hi, skipped):
-    p = r.polynomial
+    p = UniPoly(r.polynomial)
     for _ in range(256):
         if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
             return r
         for end in (lo, hi):
             if r.lo <= end <= r.hi and p.evaluate(end) == 0:
-                return RootInterval(end, end, p)
+                return RootInterval(end, end, r.polynomial)
         r = reference_refine(r, r.width / 4, skipped)
     raise AssertionError("reference refinement did not stop")
 
@@ -384,7 +428,7 @@ def reference_clear_of(r, lo, hi, skipped):
 def reference_integer_in(r, skipped):
     r = reference_refine(r, Fraction(1, 2), skipped)
     k = math.ceil(r.lo)
-    return k if k <= r.hi and r.polynomial.evaluate(k) == 0 else None
+    return k if k <= r.hi and UniPoly(r.polynomial).evaluate(k) == 0 else None
 
 
 def _split_point_brackets(rng, count):
@@ -408,7 +452,7 @@ def _split_point_brackets(rng, count):
         c = a + (b - a) * Fraction(rng.randint(1, 99), 100)
         p = p * (UniPoly([-c, 1]) if rng.random() < 0.5 else UniPoly([-c * c - Fraction(1, 7), 0, 1]))
         if p.evaluate(a) * p.evaluate(b) < 0:
-            out.append(RootInterval(a, b, p))
+            out.append(RootInterval(a, b, ints(p)))
     return out
 
 
@@ -439,10 +483,10 @@ def reference_sign_at_root(r, v):
     if r.is_exact():
         val = vp.evaluate(r.lo)
         return (val > 0) - (val < 0)
-    g = poly_gcd(r.polynomial, vp)
-    if g.degree >= 1 and count_real_roots(g, r.lo, r.hi) > 0:
+    g = poly_gcd(UniPoly(r.polynomial), vp)
+    if g.degree >= 1 and count_real_roots(ints(g), r.lo, r.hi) > 0:
         return 0
-    while count_real_roots(vp, r.lo, r.hi) > 0:
+    while count_real_roots(ints(vp), r.lo, r.hi) > 0:
         r = refine_root(r, r.width / 2)
     val = vp.evaluate(r.lo)
     return (val > 0) - (val < 0)
@@ -453,7 +497,7 @@ def test_sign_at_root_sqrt2(monkeypatch):
         raise AssertionError("sign_at_root must not take a gcd")
 
     monkeypatch.setattr("latcurve.unipoly.poly_gcd", no_gcd)
-    sqrt2 = RootInterval(Fraction(1), Fraction(2), UniPoly([-2, 0, 1]))
+    sqrt2 = RootInterval(Fraction(1), Fraction(2), (-2, 0, 1))
     assert sign_at_root(sqrt2, [0, -2, 0, 1]) == 0  # y^3 - 2y
     assert sign_at_root(sqrt2, [-10, -2, 5, 1]) == 0  # (y^2 - 2)(y + 5)
     # 4y - 5 has its root 5/4 inside (1, 2) but below sqrt(2)
@@ -464,12 +508,12 @@ def test_sign_at_root_sqrt2(monkeypatch):
 
 
 def test_sign_at_root_exact_bracket():
-    three = RootInterval(Fraction(3), Fraction(3), UniPoly([-3, 1]))
+    three = RootInterval(Fraction(3), Fraction(3), (-3, 1))
     assert sign_at_root(three, [-9, 0, 1]) == 0
     assert sign_at_root(three, [1, 1]) == 1
     assert sign_at_root(three, [-4, 1]) == -1
     assert sign_at_root(three, []) == 0
-    half = RootInterval(Fraction(1, 2), Fraction(1, 2), UniPoly([-1, 2]))
+    half = RootInterval(Fraction(1, 2), Fraction(1, 2), (-1, 2))
     assert sign_at_root(half, [-1, 2]) == 0
     assert sign_at_root(half, [-1, 0, 8]) == 1  # 8/4 - 1
 
@@ -478,7 +522,7 @@ def test_sign_at_root_sparse_degree_70():
     """A sparse degree-70 v against the degree-4 f = y^4 - 10y^2 + 1, whose
     roots are +-sqrt(3) +- sqrt(2)."""
     f = UniPoly([1, 0, -10, 0, 1])
-    roots = all_real_roots(f)
+    roots = all_real_roots(ints(f))
     assert len(roots) == 4
 
     def sparse(terms):
@@ -520,14 +564,14 @@ def test_sign_at_root_matches_fraction_reference():
         scale = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 7]))
         p = a * b * scale
         negative_lead += p.leading < 0
-        roots = all_real_roots(p)
+        roots = all_real_roots(ints(p))
         if rng.random() < 0.5:
             roots = [refine_root(r, Fraction(1, 10**rng.randint(1, 4))) for r in roots]
         vs = [
             rand_poly(rng.randint(0, 8)),
             [-rng.randint(-40, 40), rng.randint(1, 12)],  # a root inside some brackets
             primitive_ints((a * UniPoly(rand_poly(rng.randint(0, 5)))).coeffs),  # zero on a's roots
-            primitive_ints((squarefree_part(p) * UniPoly(rand_poly(2))).coeffs),  # zero everywhere
+            primitive_ints((UniPoly(squarefree_part(ints(p))) * UniPoly(rand_poly(2))).coeffs),  # zero everywhere
         ]
         for r in roots:
             for v in vs:
@@ -573,22 +617,22 @@ def test_primitive_ints():
 
 
 def test_integer_in():
-    p = UniPoly([-6, 1, 1])  # (x - 2)(x + 3)
+    p = (-6, 1, 1)  # (x - 2)(x + 3)
     assert integer_in(RootInterval(Fraction(2), Fraction(2), p)) == 2
-    assert integer_in(RootInterval(Fraction(5, 2), Fraction(5, 2), UniPoly([-5, 2]))) is None
+    assert integer_in(RootInterval(Fraction(5, 2), Fraction(5, 2), (-5, 2))) is None
     assert [integer_in(r) for r in isolate_real_roots(p, -10, 10)] == [-3, 2]
     # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
     near = UniPoly([-(10**12 + 1), 0, 1])
-    roots = isolate_real_roots(near, -(10**7), 10**7)
+    roots = isolate_real_roots(ints(near), -(10**7), 10**7)
     assert [integer_in(r) for r in roots] == [None, None]
-    assert integer_roots(near) == []
-    assert integer_roots(near * UniPoly([10**6, 1])) == [-(10**6)]
+    assert integer_roots(ints(near)) == []
+    assert integer_roots(ints(near * UniPoly([10**6, 1]))) == [-(10**6)]
 
 
 def test_integer_roots_examples():
-    assert integer_roots(UniPoly([-25, 0, 1])) == [-5, 5]
-    assert integer_roots(UniPoly([0, 0, 1])) == [0]
-    assert integer_roots(UniPoly([-2, 0, 1])) == []
+    assert integer_roots([-25, 0, 1]) == [-5, 5]
+    assert integer_roots([0, 0, 1]) == [0]
+    assert integer_roots([-2, 0, 1]) == []
 
 
 def test_integer_roots_random():
@@ -600,7 +644,7 @@ def test_integer_roots_random():
             p = p * UniPoly([-r, 1])
         if rng.random() < 0.5:
             p = p * UniPoly([1, 0, 1])  # irreducible quadratic factor
-        found = integer_roots(p)
+        found = integer_roots(ints(p))
         assert found == roots
         for r in found:
             assert p.evaluate(r) == 0
@@ -610,7 +654,7 @@ def _with_roots(roots, extra=(1,)):
     p = UniPoly(extra)
     for r in roots:
         p = p * UniPoly([-r, 1])
-    return p
+    return ints(p)
 
 
 def test_integer_roots_range_ends_and_midpoints():
@@ -630,7 +674,7 @@ def test_integer_roots_double_root():
     assert integer_roots(p) == [-1, 3]
     assert integer_roots(p, 0, 10) == [3]
     assert integer_roots(p, -1, 2) == [-1]
-    assert integer_roots(UniPoly([0, 1]) * UniPoly([-2, 0, 1]) ** 2) == [0]  # y (y^2 - 2)^2
+    assert integer_roots(ints(UniPoly([0, 1]) * UniPoly([-2, 0, 1]) ** 2)) == [0]  # y (y^2 - 2)^2
     cube = _with_roots([5, 5, 5], extra=(-2, 0, 1))  # (y - 5)^3 (y^2 - 2)
     assert integer_roots(cube) == [5]
     assert integer_roots(cube, 6, 100) == []
@@ -641,13 +685,13 @@ def test_integer_squarefree_chain():
     sf, chain = integer_squarefree_chain(_with_roots([3, 3, -1]))  # (y - 3)^2 (y + 1)
     assert sf in ([-3, -2, 1], [3, 2, -1])
     assert chain[0] == sf and len(chain[-1]) == 1
-    sf, chain = integer_squarefree_chain(UniPoly([0, 1]) * UniPoly([-2, 0, 1]) ** 2)  # y (y^2 - 2)^2
+    sf, chain = integer_squarefree_chain(ints(UniPoly([0, 1]) * UniPoly([-2, 0, 1]) ** 2))  # y (y^2 - 2)^2
     assert sf in ([0, -2, 0, 1], [0, 2, 0, -1])
     assert len(chain) == 4
     # squarefree input: its primitive form and chain, untouched
-    sf, chain = integer_squarefree_chain(UniPoly([-2, 0, Fraction(1, 2)]))
+    sf, chain = integer_squarefree_chain(ints(UniPoly([-2, 0, Fraction(1, 2)])))
     assert sf == [-4, 0, 1] and chain == [[-4, 0, 1], [0, 1], [1]]
-    assert integer_squarefree_chain(UniPoly([Fraction(-3, 2)])) == ([-1], [[-1]])
+    assert integer_squarefree_chain(ints(UniPoly([Fraction(-3, 2)]))) == ([-1], [[-1]])
 
 
 def test_ranked_integer_root():
@@ -655,15 +699,15 @@ def test_ranked_integer_root():
     assert [ranked_integer_root(p, i) for i in (-1, 0, 1, 2)] == [(2, None), (2, -1), (2, 3), (2, None)]
     # three roots in (2, 3]: only the last of them is the integer
     close = UniPoly([Fraction(-7, 3), 1]) * UniPoly([Fraction(-8, 3), 1]) * UniPoly([-3, 1])
-    assert [ranked_integer_root(close, i)[1] for i in range(3)] == [None, None, 3]
+    assert [ranked_integer_root(ints(close), i)[1] for i in range(3)] == [None, None, 3]
     # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
     near = UniPoly([-(10**12 + 1), 0, 1])
-    assert [ranked_integer_root(near, i) for i in range(2)] == [(2, None), (2, None)]
-    assert ranked_integer_root(near * UniPoly([-(10**6), 1]), 1) == (3, 10**6)
-    assert ranked_integer_root(UniPoly([1, 0, 1]), 0) == (0, None)
-    assert ranked_integer_root(UniPoly([5]), 0) == (0, None)
+    assert [ranked_integer_root(ints(near), i) for i in range(2)] == [(2, None), (2, None)]
+    assert ranked_integer_root(ints(near * UniPoly([-(10**6), 1])), 1) == (3, 10**6)
+    assert ranked_integer_root([1, 0, 1], 0) == (0, None)
+    assert ranked_integer_root([5], 0) == (0, None)
     with pytest.raises(ZeroPolynomialError):
-        ranked_integer_root(UniPoly([]), 0)
+        ranked_integer_root([], 0)
 
 
 def test_ranked_integer_root_matches_isolation():
@@ -671,7 +715,7 @@ def test_ranked_integer_root_matches_isolation():
     for _ in range(300):
         roots = [Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(0, 4))]
         p = _with_roots(roots, [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 3))])
-        isolated = isolate_real_roots(p, -(10**4), 10**4) if p.degree >= 1 else []
+        isolated = isolate_real_roots(p, -(10**4), 10**4) if len(p) >= 2 else []
         expected = [integer_in(r) for r in isolated]
         got = [ranked_integer_root(p, i) for i in range(len(isolated))]
         assert got == [(len(isolated), y) for y in expected], p
@@ -680,21 +724,21 @@ def test_ranked_integer_root_matches_isolation():
 def test_integer_roots_wide_empty_and_constant_ranges():
     p = _with_roots([3, 3, -1])  # Cauchy bound 10
     assert integer_roots(p, -(10**9), 10**9) == [-1, 3]
-    assert integer_roots(UniPoly([-7, 1]), -100, 100) == [7]  # root next to the bound
-    assert integer_roots(UniPoly([7, 1]), -7, 100) == [-7]
+    assert integer_roots([-7, 1], -100, 100) == [7]  # root next to the bound
+    assert integer_roots([7, 1], -7, 100) == [-7]
     assert integer_roots(p, 5, 4) == []
     assert integer_roots(p, 11, 10**6) == []
-    assert integer_roots(UniPoly([3])) == []
-    assert integer_roots(UniPoly([3]), 0, 10) == []
+    assert integer_roots([3]) == []
+    assert integer_roots([3], 0, 10) == []
 
 
 def test_integer_roots_near_integer():
     # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
     near = UniPoly([-(10**12 + 1), 0, 1])
-    assert integer_roots(near, 1, 10**7) == []
-    assert integer_roots(near * UniPoly([-(10**6), 1]), 0, 2 * 10**6) == [10**6]
+    assert integer_roots(ints(near), 1, 10**7) == []
+    assert integer_roots(ints(near * UniPoly([-(10**6), 1])), 0, 2 * 10**6) == [10**6]
     # two roots in one width-1 part (10^6, 10^6 + 1]
-    assert integer_roots(near * UniPoly([-(10**6 + 1), 1]), 1, 10**7) == [10**6 + 1]
+    assert integer_roots(ints(near * UniPoly([-(10**6 + 1), 1])), 1, 10**7) == [10**6 + 1]
 
 
 def test_integer_roots_range_matches_isolation():
@@ -816,17 +860,17 @@ def test_closed_form_matches_chain_route():
             "negative_lead": 0, "fraction": 0, "bound_on_root": 0, "rank_out": 0}
     for p in _small_cases(rng, 600):
         f = primitive_ints(p.coeffs) if isinstance(p, UniPoly) else p
-        n = chain_ranked_integer_root(p, 0)[0]
+        n = chain_ranked_integer_root(f, 0)[0]
         for index in range(-1, n + 2):
-            assert ranked_integer_root(p, index) == chain_ranked_integer_root(p, index), (p, index)
+            assert ranked_integer_root(f, index) == chain_ranked_integer_root(f, index), (p, index)
             seen["rank_out"] += not 0 <= index < n
-        want = chain_integer_roots(p)
-        assert integer_roots(p) == want, p
+        want = chain_integer_roots(f)
+        assert integer_roots(f) == want, p
         ends = {rng.randint(-25, 25) for _ in range(3)} | set(want)
         for lo in sorted(ends) + [None]:
             for hi in sorted(ends) + [None]:
-                got = integer_roots(p, lo, hi)
-                assert got == chain_integer_roots(p, lo, hi), (p, lo, hi)
+                got = integer_roots(f, lo, hi)
+                assert got == chain_integer_roots(f, lo, hi), (p, lo, hi)
                 seen["bound_on_root"] += bool(set(got) & {lo, hi})
         if len(f) == 3:
             disc = f[1] ** 2 - 4 * f[0] * f[2]
@@ -847,7 +891,7 @@ def test_closed_form_builds_no_chain(monkeypatch):
     monkeypatch.setattr(unipoly, "integer_squarefree_chain", refuse)
     monkeypatch.setattr(unipoly, "_int_sturm_chain", refuse)
     assert integer_roots([-30, 1, 1]) == [-6, 5]
-    assert integer_roots(UniPoly([Fraction(-1, 2), 0, Fraction(1, 8)]), 0, 2) == [2]
+    assert integer_roots(ints(UniPoly([Fraction(-1, 2), 0, Fraction(1, 8)])), 0, 2) == [2]
     assert ranked_integer_root([49, -14, 1], 0) == (1, 7)  # (y - 7)^2
     assert ranked_integer_root([-2, 0, -1], 0) == (0, None)
     assert ranked_integer_root([2, 0, -1], 1) == (2, None)
@@ -856,7 +900,7 @@ def test_closed_form_builds_no_chain(monkeypatch):
     assert ranked_integer_root([12, 5, -3], 1) == (2, 3)  # -(3y + 4)(y - 3)
     assert integer_roots([7, -2]) == [] and integer_roots([8, -2]) == [4]
     with pytest.raises(ZeroPolynomialError):
-        integer_roots(UniPoly([]))
+        integer_roots([])
 
 
 # -- k-th roots -----------------------------------------------------------------------
@@ -891,9 +935,9 @@ def test_poly_gcd_and_squarefree():
     q = UniPoly([-1, 1]) * UniPoly([-1, 1]) * UniPoly([1, 1])
     g = poly_gcd(p, q)
     assert g.degree == 2  # (x-1)(x+1)
-    sf = squarefree_part(q)
+    sf = UniPoly(squarefree_part(ints(q)))
     assert sf.degree == 2
-    assert count_real_roots(q, -2, 2) == 2
+    assert count_real_roots(ints(q), -2, 2) == 2
 
 
 def test_sup_bound_certifies():
@@ -904,20 +948,20 @@ def test_sup_bound_certifies():
 
 
 def test_all_real_roots_finds_every_root():
-    roots = all_real_roots(UniPoly([-6, 11, -6, 1]))  # (x-1)(x-2)(x-3)
+    roots = all_real_roots([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
     assert [integer_in(r) for r in roots] == [1, 2, 3]
     roots = all_real_roots(_with_roots([10**6, -3]))
     assert [integer_in(r) for r in roots] == [-3, 10**6]
     # (3x - 1)^2 (x^2 - 2): -sqrt(2) < 1/3 < sqrt(2), the double root once
     p = UniPoly([-1, 3]) ** 2 * UniPoly([-2, 0, 1])
-    low, third, high = all_real_roots(p)
+    low, third, high = all_real_roots(ints(p))
     assert low.hi <= third.lo and third.hi <= high.lo
     assert low.hi <= 0 and low.lo * low.lo >= 2 >= low.hi * low.hi
     assert third.lo <= Fraction(1, 3) <= third.hi
     assert 0 <= high.lo and high.lo * high.lo <= 2 <= high.hi * high.hi
-    assert all_real_roots(UniPoly([5])) == []
+    assert all_real_roots([5]) == []
     with pytest.raises(ZeroPolynomialError):
-        all_real_roots(UniPoly([]))
+        all_real_roots([])
 
 
 # -- Descartes certificates ------------------------------------------------------------
@@ -935,13 +979,13 @@ def sturm_only_isolation(p, lo, hi):
     lo, hi = Fraction(lo), Fraction(hi)
     sf, chain = integer_squarefree_chain(p)
     ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(sf, e) == 0]
-    out = [RootInterval(e, e, UniPoly(sf)) for e in ends]
+    out = [RootInterval(e, e, tuple(sf)) for e in ends]
     inner = sf
     for e in ends:
         inner = int_exact_quotient(inner, [-e.numerator, e.denominator])
     if hi == lo or len(inner) < 2:
         return out
-    bracket = UniPoly(inner)
+    bracket = tuple(inner)
     hi_root = hi in ends
 
     def split(a, b, va, vb):
@@ -965,8 +1009,8 @@ def sturm_only_same_root(a, b):
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
         return False
-    g = a.polynomial if a.polynomial == b.polynomial else poly_gcd(a.polynomial, b.polynomial)
-    return g.degree >= 1 and sturm_only_count(g, lo, hi) > 0
+    g = UniPoly(a.polynomial) if a.polynomial == b.polynomial else poly_gcd(UniPoly(a.polynomial), UniPoly(b.polynomial))
+    return g.degree >= 1 and sturm_only_count(ints(g), lo, hi) > 0
 
 
 def _certificate_cases(rng, count):
@@ -1015,20 +1059,20 @@ def test_isolation_and_count_match_sturm_only_reference():
     rng = random.Random(1976)
     seen = {"negative_lo": 0, "point": 0, "end_multiple_root": 0, "binomial": 0, "repeated": 0}
     for p, lo, hi in _certificate_cases(rng, 400):
-        got, want = isolate_real_roots(p, lo, hi), sturm_only_isolation(p, lo, hi)
+        got, want = isolate_real_roots(ints(p), lo, hi), sturm_only_isolation(ints(p), lo, hi)
         assert [(r.lo, r.hi) for r in got] == [(r.lo, r.hi) for r in want], (p, lo, hi)
-        assert count_real_roots(p, lo, hi) == sturm_only_count(p, lo, hi) == len(want), (p, lo, hi)
+        assert count_real_roots(ints(p), lo, hi) == sturm_only_count(ints(p), lo, hi) == len(want), (p, lo, hi)
         for r, s in zip(got, want):
             if r.is_exact():
                 assert p.evaluate(r.lo) == 0
                 continue
             # the bracket polynomial may keep repeated roots outside the bracket,
             # but refines to the same brackets as the squarefree one
-            assert r.polynomial.evaluate(r.lo) * r.polynomial.evaluate(r.hi) < 0
+            assert UniPoly(r.polynomial).evaluate(r.lo) * UniPoly(r.polynomial).evaluate(r.hi) < 0
             for w in (r.width / 5, Fraction(1, 10**4)):
                 a, b = refine_root(r, w), refine_root(s, w)
                 assert (a.lo, a.hi) == (b.lo, b.hi)
-        sf = squarefree_part(p)
+        sf = UniPoly(squarefree_part(ints(p)))
         seen["negative_lo"] += lo < 0
         seen["point"] += lo == hi
         seen["repeated"] += sf.degree < p.degree
@@ -1044,7 +1088,7 @@ def test_same_root_matches_sturm_only_reference():
     agree = {True: 0, False: 0}
     for p, lo, hi in _certificate_cases(rng, 150):
         q = p * UniPoly([rng.randint(-9, 9), rng.randint(1, 4)])
-        brackets = isolate_real_roots(p, lo, hi) + isolate_real_roots(q, lo - 1, hi + 1)
+        brackets = isolate_real_roots(ints(p), lo, hi) + isolate_real_roots(ints(q), lo - 1, hi + 1)
         brackets += [refine_root(r, r.width / 3) for r in brackets if not r.is_exact()]
         for a in brackets:
             for b in brackets:
@@ -1075,7 +1119,7 @@ def test_same_root_modular_coprimality(monkeypatch):
 
     monkeypatch.setattr(unipoly, "poly_gcd", counted)
     for p, q, lo, hi, want in cases:
-        (a,), (b,) = isolate_real_roots(p, lo, hi), isolate_real_roots(q, lo, hi)
+        (a,), (b,) = isolate_real_roots(ints(p), lo, hi), isolate_real_roots(ints(q), lo, hi)
         a, b = refine_root(a, Fraction(1, 10**4)), refine_root(b, Fraction(1, 10**4))
         assert (a.lo, a.hi) == (b.lo, b.hi) and a.polynomial != b.polynomial
         gcd_calls.clear()
@@ -1098,16 +1142,16 @@ def test_simple_root_certificate():
     for p, lo, hi in _certificate_cases(rng, 300):
         if lo == hi:
             continue
-        repeated = UniPoly(int_exact_quotient(primitive_ints(p.coeffs), primitive_ints(squarefree_part(p).coeffs)))
-        for r in isolate_real_roots(p, lo, hi):
+        repeated = UniPoly(int_exact_quotient(primitive_ints(p.coeffs), squarefree_part(ints(p))))
+        for r in isolate_real_roots(ints(p), lo, hi):
             if r.is_exact():
                 continue
             for w in (r.width, r.width / 7):
                 s = refine_root(r, w)
-                got = unipoly.simple_root(p, s)
+                got = unipoly.simple_root(ints(p), s)
                 inside = 0  # repeated roots of p in the open bracket
                 if repeated.degree >= 1:
-                    inside = count_real_roots(repeated, s.lo, s.hi)
+                    inside = count_real_roots(ints(repeated), s.lo, s.hi)
                     inside -= sum(repeated.evaluate(e) == 0 for e in (s.lo, s.hi))
                 assert not (got and inside), (p, s)
                 decided[got] += 1
@@ -1166,7 +1210,7 @@ def test_certified_domains_build_no_chain(monkeypatch):
 
     monkeypatch.setattr(unipoly, "_int_sturm_chain", no_chain)
     sturm_chain.cache_clear()
-    p = UniPoly([-2, 0, 1]) * UniPoly([-3, 1]) ** 2  # (x^2 - 2)(x - 3)^2
+    p = ints(UniPoly([-2, 0, 1]) * UniPoly([-3, 1]) ** 2)  # (x^2 - 2)(x - 3)^2
     # v = 0: no root in (2, 3), a double root at the end 3, none in (-1, 1)
     [three] = isolate_real_roots(p, 2, 3)
     assert three.is_exact() and three.lo == 3
@@ -1179,7 +1223,7 @@ def test_certified_domains_build_no_chain(monkeypatch):
     assert (r.lo, r.hi) == (-2, 0) and count_real_roots(p, -2, 0) == 1
     assert root_floor(refine_root(r, Fraction(1, 2))) == -2
     # x - c*y^k binomials: one sign variation on a domain with lo >= 0
-    binomial = UniPoly([-(10**6)] + [0] * 86 + [7])
+    binomial = [-(10**6)] + [0] * 86 + [7]
     assert count_real_roots(binomial, 0, 2) == 1 and count_real_roots(binomial, 2, 3) == 0
     # v >= 2 still needs the chain
     with pytest.raises(AssertionError, match="certified domain"):
@@ -1191,7 +1235,7 @@ def test_root_floor_matches_count_real_roots():
     rng = random.Random(87)
     lowered = 0
     for p, lo, hi in _certificate_cases(rng, 300):
-        for r in isolate_real_roots(p, lo, hi):
+        for r in isolate_real_roots(ints(p), lo, hi):
             for s in (r, refine_root(r, Fraction(1, 3)), refine_root(r, r.width / 7 or 1)):
                 k = math.floor(s.hi)
                 want = k - 1 if not s.is_exact() and k > s.lo and count_real_roots(s.polynomial, k, s.hi) == 0 else k
