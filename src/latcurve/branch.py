@@ -9,10 +9,12 @@ and every sign decision is made exactly: the sign of p(x0, f(x0)) is one
 `unipoly.sign_at_root` Tarski query of the integer column p(x0, y) at the
 bracket of f(x0), zero included, for `branch_sign`, the piece flags of
 `partition_by_bounds` and the slope regime of a frame cell.  The implicit
-derivatives H_k and the level curves are built on integer y-rows, and a
-level curve is kept only as the integer terms of a positive multiple.  A level set
-builds its eliminant's repeated-root part only when an eliminant root
-reaches the tangential test and Descartes' rule does not prove it simple.
+derivatives H_k and the level curves are built with the `BiPoly` operators;
+a level curve is kept as its positive multiple with content 1, and its
+eliminant comes from `resultant_eliminating_y`, or from its one row when it
+is free of y.  A level set builds its eliminant's repeated-root part only
+when an eliminant root reaches the tangential test and Descartes' rule does
+not prove it simple.
 Partition pieces come straight from the sorted cuts: piece j spans the gap
 between cuts j - 1 and j and takes the integer abscissas in
 (floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
@@ -24,28 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, floor
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
-from .poly2 import (
-    BiPoly,
-    IntTerms,
-    Rows,
-    _int_column,
-    _int_resultant,
-    _int_terms,
-    _primitive_rows,
-    _rows_add,
-    _rows_dx,
-    _rows_dy,
-    _rows_mul,
-    _rows_poly,
-    _rows_primitive,
-    _rows_scale,
-    ingestion_check,
-    partial,
-    resultant_eliminating_y,
-)
+from .poly2 import BiPoly, ingestion_check, partial, resultant_eliminating_y
 from .unipoly import (
     RootInterval,
     _primitive,
@@ -157,19 +141,18 @@ def branch_from_point(
 
 
 @lru_cache(maxsize=64)
-def _smoothness_obstructions(curve: BiPoly) -> tuple[list[int], ...]:
+def _smoothness_obstructions(curve: BiPoly) -> tuple[Sequence[int], ...]:
     """Integer polynomials in x whose roots bound where branch structure can
     change."""
     out = []
     fy = partial(curve, "y")
     if fy.degree_y() >= 1:
-        out.append(resultant_eliminating_y(curve, fy))
-    elif not fy.is_zero() and fy.degree_x() >= 1:
-        out.append(fy.as_unipoly_x())
-    lead = curve.y_coefficients()[-1]
-    if lead.degree >= 1:
-        out.append(lead)
-    return tuple(primitive_ints(p.coeffs) for p in out)
+        out.append(primitive_ints(resultant_eliminating_y(curve, fy).coeffs))
+    elif fy.degree_x() >= 1:
+        out.append(fy.rows[0])
+    if len(curve.rows[-1]) >= 2:
+        out.append(curve.rows[-1])
+    return tuple(out)
 
 
 def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
@@ -231,40 +214,25 @@ def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoi
 # -- implicit derivative machinery ------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _curve_rows(curve: BiPoly) -> tuple[Fraction, Rows, Rows, Rows, Rows]:
-    """(c, G, G_x, G_y, G_y*G_xy - G_x*G_yy) as integer y-rows, where
-    curve = c * G for G's primitive integer rows (`_primitive_rows`)."""
-    c, g = _primitive_rows(curve)
-    gx, gy = _rows_dx(g), _rows_dy(g)
-    mixed = _rows_add(_rows_mul(gy, _rows_dy(gx)), _rows_scale(_rows_mul(gx, _rows_dy(gy)), -1))
-    return c, g, gx, gy, mixed
-
-
 @lru_cache(maxsize=256)
 def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
     """Polynomials H_1..H_kmax with H_k(x, f) + F_y(x, f)^(2k-1) f^(k)(x) = 0
     along any smooth branch y = f(x) of the curve F.
 
     H_1 = F_x and H_(k+1) = F_y^2 (H_k)_x - F_y F_x (H_k)_y - (2k - 1) H_k M
-    with M = F_y F_xy - F_x F_yy, run on integer y-rows: for F = c * G with G
-    primitive, each H_k is a positive rational times its primitive rows, which
-    the next step and the level curves read through `_primitive_rows`.
+    with M = F_y F_xy - F_x F_yy.
     """
     if curve.degree < 1:
         raise ValueError("curve must be nonconstant")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    c, _, gx, gy, mixed = _curve_rows(curve)
+    fx, fy = partial(curve, "x"), partial(curve, "y")
     if kmax == 1:
-        return (_rows_poly(c, gx),)
+        return (fx,)
     prev = hk_sequence(curve, kmax - 1)
-    scale, h = _primitive_rows(prev[-1])
-    k = kmax - 1
-    fy2, fyfx = _rows_mul(gy, gy), _rows_mul(gy, gx)
-    nxt = _rows_add(_rows_mul(fy2, _rows_dx(h)), _rows_scale(_rows_mul(fyfx, _rows_dy(h)), -1))
-    nxt = _rows_add(nxt, _rows_scale(_rows_mul(h, mixed), 1 - 2 * k))
-    return prev + (_rows_poly(scale * c * c, nxt),)
+    h, k = prev[-1], kmax - 1
+    mixed = fy * partial(fx, "y") - fx * partial(fy, "y")
+    return prev + (fy * fy * partial(h, "x") - fy * fx * partial(h, "y") - h * mixed * (2 * k - 1),)
 
 
 def _undetermined_taylor(
@@ -333,39 +301,33 @@ def taylor_coefficients(
 
 
 @lru_cache(maxsize=64)
-def _level_parts(curve: BiPoly, i: int) -> tuple[Fraction, Rows, Rows]:
-    """(t, R, Q), built once per curve and order for every level: H_i is a
-    positive rational s times its primitive rows R, and i! * F_y^(2i-1) is
-    c^(2i-1) times the integer rows Q = i! * G_y^(2i-1), where curve = c * G;
-    t = c^(2i-1) / s.  Q is order i - 1's times i * G_y^2."""
-    c, _, _, gy, _ = _curve_rows(curve)
-    q = gy if i == 1 else _rows_scale(_rows_mul(_level_parts(curve, i - 1)[2], _rows_mul(gy, gy)), i)
-    s, r = _primitive_rows(hk_sequence(curve, i)[-1])
-    return c ** (2 * i - 1) / s, r, q
+def _level_parts(curve: BiPoly, i: int) -> tuple[BiPoly, BiPoly]:
+    """(H_i, i! * F_y^(2i-1)), built once per curve and order for every
+    level; the second is order i - 1's times i * F_y^2."""
+    fy = partial(curve, "y")
+    fy_pow = fy if i == 1 else _level_parts(curve, i - 1)[1] * (fy * fy) * i
+    return hk_sequence(curve, i)[-1], fy_pow
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[IntTerms, tuple[int, ...]]:
-    """(the primitive integer terms of the level curve H_i + F_y^(2i-1) * (i! * c),
-    which vanishes on branch points with f^(i)/i! = c, up to a positive factor;
-    the primitive integer tuple of a positive multiple of its eliminant).
-
-    The level curve is s * (R + c*t * Q) in the terms of `_level_parts`; for
-    c*t = num/den it is built on integers as den * R + num * Q, and its rows
-    go straight to the integer resultant with the curve's.  A positive factor
-    keeps every sign and every root.
-    """
-    t, hk, fy_pow = _level_parts(curve, i)
-    u = c * t
-    rows = _rows_primitive(_rows_add(_rows_scale(hk, u.denominator), _rows_scale(fy_pow, u.numerator)))[1]
-    if not rows:
+def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[int, ...]]:
+    """(the level curve H_i + F_y^(2i-1) * (i! * c), which vanishes on branch
+    points with f^(i)/i! = c, as its positive multiple with coprime integer
+    coefficients; the primitive integer tuple of its eliminant, Res_y with
+    the curve, or the level curve itself when it is free of y)."""
+    hk, fy_pow = _level_parts(curve, i)
+    level = hk + fy_pow * c
+    if level.is_zero():
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
         )
-    res = _int_resultant(_curve_rows(curve)[1], rows) if len(rows) > 1 else rows[0]
-    if not any(res):
+    # a positive factor keeps every sign and root; content 1 leaves the
+    # eliminant of an integer curve with no rational rescaling
+    level = level * (1 / level.content)
+    res = primitive_ints(resultant_eliminating_y(curve, level).coeffs) if level.degree_y() >= 1 else level.rows[0]
+    if not res:
         raise DegenerateLevelSetError("level-set eliminant vanished identically")
-    return _int_terms(rows), _primitive(res)
+    return level, _primitive(res)
 
 
 def level_set_abscissas(
@@ -385,7 +347,7 @@ def level_set_abscissas(
     level, res = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     roots = isolate_real_roots(res, lo, hi)
-    if level[1] < 1:
+    if level.degree_y() < 1:
         # the level curve does not involve y: every eliminant root is on the branch
         return roots
     if not roots:
@@ -394,7 +356,7 @@ def level_set_abscissas(
     roots = refine_disjoint(roots, width)
 
     def level_sign(x: Fraction) -> int:
-        return sign_at_root(branch_value_bracket(branch, x), _int_column(level, x))
+        return sign_at_root(branch_value_bracket(branch, x), level.int_column(x))
 
     included: list[RootInterval] = []
     mult: Optional[list[int]] = None
@@ -500,8 +462,8 @@ def partition_by_bounds(
                 flags.append("small")
                 continue
             # both level sets of order i succeeded above, so these are cached
-            s_plus = sign_at_root(bracket, _int_column(_level_resultant(branch.curve, i, thr)[0], mid))
-            s_minus = sign_at_root(bracket, _int_column(_level_resultant(branch.curve, i, -thr)[0], mid))
+            s_plus = sign_at_root(bracket, _level_resultant(branch.curve, i, thr)[0].int_column(mid))
+            s_minus = sign_at_root(bracket, _level_resultant(branch.curve, i, -thr)[0].int_column(mid))
             if s_plus == 0 or s_minus == 0:
                 raise BranchError("piece midpoint fell on a level set")
             v_minus_thr = -s_plus * sfy  # sign of f^(i)/i! - thr
@@ -528,14 +490,14 @@ class GraphDecomposition(NamedTuple):
     direct_points: list[LatticePoint]
 
 
-def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[list[int]], bool]:
+def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[Sequence[int]], bool]:
     """Integer polynomials in x whose roots delimit the frame cells.
 
     Returns (polynomials, slope_locus_degenerate): the latter is set when
     F_x = +-F_y identically, in which case the whole frame sits on the
     boundary slope and is kept in this orientation.
     """
-    out: list[list[int]] = []
+    out: list[Sequence[int]] = []
     fy = partial(curve, "y")
     fx = partial(curve, "x")
 
@@ -548,7 +510,7 @@ def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[list[int]], bool]:
                 raise BranchError("unexpected common component with a derivative locus")
             out.append(primitive_ints(res.coeffs))
         elif p.degree_x() >= 1:
-            out.append(primitive_ints(p.as_unipoly_x().coeffs))
+            out.append(p.rows[0])
 
     eliminate(fy)
     eliminate(fx)
@@ -558,9 +520,8 @@ def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[list[int]], bool]:
             degenerate = True
         else:
             eliminate(s)
-    lead = curve.y_coefficients()[-1]
-    if lead.degree >= 1:
-        out.append(primitive_ints(lead.coeffs))
+    if len(curve.rows[-1]) >= 2:
+        out.append(curve.rows[-1])
     return out, degenerate
 
 
@@ -582,12 +543,13 @@ def _decompose_frame(
     if slope_degenerate and swapped:
         # the slope is identically +-1: the unswapped frame alone covers
         return [], []
+    across = curve.swap_xy()
     for edge_val in (0, n_box):
-        e = curve.at_y(edge_val)
-        if e.is_zero():
+        e = across.int_column(edge_val)
+        if not e:
             raise BranchError("curve contains a horizontal box edge; input is reducible")
-        if e.degree >= 1:
-            polys.append(primitive_ints(e.coeffs))
+        if len(e) >= 2:
+            polys.append(e)
     cuts: list[RootInterval] = []
     for p in polys:
         cuts.extend(isolate_real_roots(p, 0, n_box))

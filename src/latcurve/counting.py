@@ -54,17 +54,18 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
     if n_box < 1:
         raise CountingError("box size must be >= 1")
     if curve.degree_y() == 0:
-        fx = curve.as_unipoly_x()
-        if fx.degree < 1:
+        fx = curve.rows[0]
+        if len(fx) < 2:
             raise CountingError("curve must be nonconstant")
-        hits = integer_roots(primitive_ints(fx.coeffs), 1, n_box)
+        hits = integer_roots(fx, 1, n_box)
         if hits:
             raise LineFactorError(f"vertical line x = {hits[0]} lies inside the box")
         return 0, []
     probe = curve.int_column(1)
     if probe:
+        across = curve.swap_xy()
         for y0 in integer_roots(probe, 1, n_box):
-            if curve.at_y(y0).is_zero():
+            if not across.int_column(y0):
                 raise LineFactorError(f"horizontal line y = {y0} lies inside the box")
     points: list[LatticePoint] = []
     for x0 in range(1, n_box + 1):
@@ -92,13 +93,12 @@ def bezout_intersect(f: BiPoly, g: BiPoly, n_box: int) -> list[LatticePoint]:
             raise CommonComponentError("Bezout hypothesis violated: common component")
         xs = integer_roots(primitive_ints(res.coeffs), 1, n_box)
     elif dy_f == 0 and dy_g == 0:
-        fx, gx = f.as_unipoly_x(), g.as_unipoly_x()
-        if poly_gcd(fx, gx).degree >= 1:
+        if len(poly_gcd(f.rows[0], g.rows[0])) >= 2:
             raise CommonComponentError("Bezout hypothesis violated: common vertical lines")
         xs = []
     else:
         yfree = f if dy_f == 0 else g
-        xs = integer_roots(primitive_ints(yfree.as_unipoly_x().coeffs), 1, n_box)
+        xs = integer_roots(yfree.rows[0], 1, n_box)
     points: list[LatticePoint] = []
     for x0 in xs:
         uf, ug = f.int_column(x0), g.int_column(x0)

@@ -1,29 +1,32 @@
-"""Sparse exact bivariate polynomials in x, y over Q.
+"""Exact bivariate polynomials in x, y over Q.
 
-Provides parsing/printing in a small text grammar, partial derivatives,
-divisibility, resultants eliminating y, and the corner-index used to build
-punctured monomial sets.  Term order is graded lexicographic with x taking
-priority inside each total degree; printing lists highest terms first.
+A `BiPoly` is one positive rational `content` times primitive integer
+y-rows: `rows[j]` is the integer coefficient tuple in x of y^j (index =
+x-degree, () for a zero row), each row and the row tuple end in a nonzero
+entry, and all the coefficients have gcd 1 and the signs of the polynomial.
+This form is canonical, so equality and hashing read it, and `terms` is
+computed from it.  Sums, products, powers, partial derivatives, the x/y
+swap, evaluation and integer columns run on the rows: a result takes one
+content fraction and one integer gcd.
+
+Also provides parsing/printing in a small text grammar, divisibility,
+resultants eliminating y, and the corner index used to build punctured
+monomial sets.  Term order is graded lexicographic with x taking priority
+inside each total degree; printing lists highest terms first.
 
 The one resultant algorithm is a pseudo-remainder descent (Collins) on the
-primitive integer y-coefficient rows, the rational contents multiplied back.
-The same integer y-rows carry the sums, products and partial derivatives of
-the implicit-derivative recurrence and the level curves, with no `Fraction`
-arithmetic.
+primitive integer y-rows, the rational contents multiplied back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
-from .unipoly import UniPoly, _int_mul, int_exact_quotient, poly_gcd, primitive_ints
+from .unipoly import UniPoly, _int_mul, int_exact_quotient, poly_gcd
 
 ExponentPair = tuple[int, int]
-# an integer polynomial's y-rows, and its sparse (deg_x, deg_y, [(j1, j2, c)])
-Rows = list[list[int]]
-IntTerms = tuple[int, int, list[tuple[int, int, int]]]
 
 
 class PolyParseError(ValueError):
@@ -48,19 +51,41 @@ def display_order_key(j: ExponentPair) -> tuple[int, int]:
     return (j[0] + j[1], j[0])
 
 
-def _powers(v: Fraction | int, n: int) -> list[Fraction | int]:
-    """[v^0, v^1, ..., v^n], each power computed once (ints stay ints)."""
-    v = v if isinstance(v, int) else Fraction(v)
-    out: list[Fraction | int] = [1]
+def _powers(v: int, n: int) -> list[int]:
+    """[v^0, v^1, ..., v^n], each power computed once."""
+    out = [1]
     for _ in range(n):
         out.append(out[-1] * v)
     return out
 
 
-class BiPoly:
-    """Immutable sparse bivariate polynomial keyed by (x-exponent, y-exponent)."""
+def _canonical(content: Fraction, rows: list[list[int]]) -> BiPoly:
+    """content * sum_j rows[j](x) * y^j for a positive rational content and
+    integer rows (lists, modified in place): trailing zeros dropped and the
+    integer content of the rows moved into `content`."""
+    for r in rows:
+        while r and not r[-1]:
+            r.pop()
+    while rows and not rows[-1]:
+        rows.pop()
+    g = 0
+    for r in rows:
+        g = gcd(g, *r)
+        if g == 1:
+            break
+    if not g:
+        return _ZERO
+    if g > 1:
+        content *= g
+        return BiPoly._of(content, tuple(tuple(c // g for c in r) for r in rows))
+    return BiPoly._of(content, tuple(map(tuple, rows)))
 
-    __slots__ = ("terms", "_rows", "_int_terms")
+
+class BiPoly:
+    """Immutable bivariate polynomial over Q: `content` > 0 times the primitive
+    integer y-rows `rows` (see the module docstring)."""
+
+    __slots__ = ("content", "rows")
 
     def __init__(self, terms: Mapping[ExponentPair, Fraction | int] | Iterable[tuple[ExponentPair, Fraction | int]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -68,16 +93,29 @@ class BiPoly:
         for (j1, j2), c in items:
             if j1 < 0 or j2 < 0:
                 raise ValueError("negative exponent")
-            c = Fraction(c)
-            if c == 0:
-                continue
             key = (int(j1), int(j2))
-            c = acc.get(key, Fraction(0)) + c
-            if c == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-        object.__setattr__(self, "terms", dict(acc))
+            acc[key] = acc.get(key, 0) + Fraction(c)
+        acc = {j: c for j, c in acc.items() if c}
+        den = lcm(*(c.denominator for c in acc.values()))
+        rows: list[list[int]] = [[] for _ in range(max((j2 for _, j2 in acc), default=-1) + 1)]
+        for (j1, j2), c in acc.items():
+            r = rows[j2]
+            r.extend([0] * (j1 + 1 - len(r)))
+            r[j1] = c.numerator * (den // c.denominator)
+        p = _canonical(Fraction(1, den), rows)
+        object.__setattr__(self, "content", p.content)
+        object.__setattr__(self, "rows", p.rows)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BiPoly is immutable")
+
+    @staticmethod
+    def _of(content: Fraction, rows: tuple[tuple[int, ...], ...]) -> BiPoly:
+        """The polynomial with this canonical (content, rows) pair, unchecked."""
+        p = object.__new__(BiPoly)
+        object.__setattr__(p, "content", content)
+        object.__setattr__(p, "rows", rows)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -99,34 +137,43 @@ class BiPoly:
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[ExponentPair, Fraction]:
+        """The nonzero coefficients keyed by (x-exponent, y-exponent)."""
+        k = self.content
+        return {(j1, j2): k * c for j2, r in enumerate(self.rows) for j1, c in enumerate(r) if c}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((j1 + j2 for j1, j2 in self.terms), default=-1)
+        return max((j2 + len(r) - 1 for j2, r in enumerate(self.rows) if r), default=-1)
 
     def degree_x(self) -> int:
-        return max((j1 for j1, _ in self.terms), default=-1)
+        return max(map(len, self.rows), default=0) - 1
 
     def degree_y(self) -> int:
-        return max((j2 for _, j2 in self.terms), default=-1)
+        return len(self.rows) - 1
 
     def leading_term(self) -> tuple[ExponentPair, Fraction]:
-        if not self.terms:
+        """The top term in display order: highest total degree, then highest x-power."""
+        if not self.rows:
             raise ValueError("zero polynomial has no leading term")
-        j = max(self.terms, key=display_order_key)
-        return j, self.terms[j]
+        d = self.degree
+        j2 = next(j2 for j2, r in enumerate(self.rows) if r and j2 + len(r) - 1 == d)
+        r = self.rows[j2]
+        return (len(r) - 1, j2), self.content * r[-1]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
+        return isinstance(other, BiPoly) and self.content == other.content and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.content, self.rows))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.rows)
 
     def __repr__(self) -> str:
         return f"BiPoly({self.pretty()!r})"
@@ -134,34 +181,51 @@ class BiPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> BiPoly:
-        return BiPoly({j: -c for j, c in self.terms.items()})
+        return BiPoly._of(self.content, tuple(tuple(-c for c in r) for r in self.rows))
 
     def __add__(self, other: BiPoly) -> BiPoly:
-        out = dict(self.terms)
-        for j, c in other.terms.items():
-            s = out.get(j, Fraction(0)) + c
-            if s == 0:
-                out.pop(j, None)
-            else:
-                out[j] = s
-        return BiPoly(out)
+        if not other.rows:
+            return self
+        if not self.rows:
+            return other
+        # a*A + b*B = u * (ka*A + kb*B) with u = gcd(a, b) and integers ka, kb
+        a, b = self.content, other.content
+        num, den = gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)
+        ra, ka = self.rows, a.numerator // num * (den // a.denominator)
+        rb, kb = other.rows, b.numerator // num * (den // b.denominator)
+        if len(ra) < len(rb):
+            ra, ka, rb, kb = rb, kb, ra, ka
+        out = [[c * ka for c in r] for r in ra]
+        for row, s in zip(out, rb):
+            row.extend([0] * (len(s) - len(row)))
+            for i, c in enumerate(s):
+                row[i] += c * kb
+        return _canonical(Fraction(num, den), out)
 
     def __sub__(self, other: BiPoly) -> BiPoly:
         return self + (-other)
 
     def __mul__(self, other: "BiPoly | Fraction | int") -> BiPoly:
-        if isinstance(other, (Fraction, int)):
-            return BiPoly({j: c * other for j, c in self.terms.items()})
-        out: dict[ExponentPair, Fraction] = {}
-        for (a1, a2), ca in self.terms.items():
-            for (b1, b2), cb in other.terms.items():
-                key = (a1 + b1, a2 + b2)
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return BiPoly(out)
+        if not isinstance(other, BiPoly):
+            k = Fraction(other)
+            if not k or not self.rows:
+                return _ZERO
+            p = BiPoly._of(self.content * abs(k), self.rows)
+            return p if k > 0 else -p
+        if not self.rows or not other.rows:
+            return _ZERO
+        out: list[list[int]] = [[] for _ in range(len(self.rows) + len(other.rows) - 1)]
+        for i, r in enumerate(self.rows):
+            if r:
+                for j, s in enumerate(other.rows):
+                    if s:
+                        row = out[i + j]
+                        row.extend([0] * (len(r) + len(s) - 1 - len(row)))
+                        for k, c in enumerate(r):
+                            if c:
+                                for m, d in enumerate(s, k):
+                                    row[m] += c * d
+        return _canonical(self.content * other.content, out)
 
     __rmul__ = __mul__
 
@@ -180,82 +244,72 @@ class BiPoly:
     # -- evaluation and specialization ---------------------------------------
 
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
+        x, y = Fraction(x), Fraction(y)
         total = Fraction(0)
-        xp: dict[int, Fraction] = {}
-        yp: dict[int, Fraction] = {}
-        for (j1, j2), c in self.terms.items():
-            if j1 not in xp:
-                xp[j1] = Fraction(x) ** j1
-            if j2 not in yp:
-                yp[j2] = Fraction(y) ** j2
-            total += c * xp[j1] * yp[j2]
-        return total
-
-    def at_x(self, x0: Fraction | int) -> UniPoly:
-        """Specialize x = x0; the result is a univariate polynomial in y."""
-        xp = _powers(x0, self.degree_x())
-        coeffs = [Fraction(0)] * (self.degree_y() + 1)
-        for (j1, j2), c in self.terms.items():
-            coeffs[j2] += c * xp[j1]
-        return UniPoly(coeffs)
+        for r in reversed(self.rows):
+            v = Fraction(0)
+            for c in reversed(r):
+                v = v * x + c
+            total = total * y + v
+        return self.content * total
 
     def int_column(self, x0: Fraction | int) -> list[int]:
         """A positive multiple of self(x0, y) as an integer list in y, [] when
-        it is zero: `_int_column` of the primitive integer rows' terms."""
-        try:
-            form = self._int_terms
-        except AttributeError:
-            form = self._int_terms = _int_terms(_primitive_rows(self)[1])
-        return _int_column(form, x0)
-
-    def at_y(self, y0: Fraction | int) -> UniPoly:
-        yp = _powers(y0, self.degree_y())
-        coeffs = [Fraction(0)] * (self.degree_x() + 1)
-        for (j1, j2), c in self.terms.items():
-            coeffs[j1] += c * yp[j2]
-        return UniPoly(coeffs)
-
-    def as_unipoly_x(self) -> UniPoly:
-        """Reinterpret a y-free polynomial as univariate in x."""
-        if self.degree_y() > 0:
-            raise ValueError("polynomial depends on y")
-        return self.at_y(0)
-
-    def y_coefficients(self) -> list[UniPoly]:
-        """Coefficients of powers of y; each one a univariate polynomial in x."""
-        degy = self.degree_y()
-        degx = self.degree_x()
-        rows: list[list[Fraction]] = [[Fraction(0)] * (degx + 1) for _ in range(degy + 1)]
-        for (j1, j2), c in self.terms.items():
-            rows[j2][j1] = c
-        return [UniPoly(r) for r in rows]
+        it is zero.  At an integer x0 each row is one Horner pass; at x0 =
+        a/b each entry c*x^j1 of a row is evaluated homogeneously as
+        c * a^j1 * b^(deg_x - j1)."""
+        a, b = x0.numerator, x0.denominator
+        if b == 1:
+            out = []
+            for r in self.rows:
+                v = 0
+                for c in reversed(r):
+                    v = v * a + c
+                out.append(v)
+        else:
+            dx = self.degree_x()
+            apow, bpow = _powers(a, dx), _powers(b, dx)
+            out = [0] * len(self.rows)
+            for j2, r in enumerate(self.rows):
+                if r:
+                    v = 0
+                    for j1, c in enumerate(r):
+                        if c:
+                            v += c * apow[j1] * bpow[dx - j1]
+                    out[j2] = v
+        while out and not out[-1]:
+            out.pop()
+        return out
 
     def swap_xy(self) -> BiPoly:
-        return BiPoly({(j2, j1): c for (j1, j2), c in self.terms.items()})
+        cols: list[list[int]] = [[0] * len(self.rows) for _ in range(self.degree_x() + 1)]
+        for j2, r in enumerate(self.rows):
+            for j1, c in enumerate(r):
+                cols[j1][j2] = c
+        return _canonical(self.content, cols)
 
     # -- normalization ---------------------------------------------------------
 
     def primitive_integer(self) -> BiPoly:
         """Positive rational rescaling to integer coefficients with gcd 1,
         leading coefficient (display order) positive."""
-        if self.is_zero():
+        if not self.rows:
             return self
-        scaled = dict(zip(self.terms, primitive_ints(list(self.terms.values()))))
-        if scaled[max(scaled, key=display_order_key)] < 0:
-            scaled = {j: -c for j, c in scaled.items()}
-        return BiPoly(scaled)
+        p = BiPoly._of(Fraction(1), self.rows)
+        return p if self.leading_term()[1] > 0 else -p
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.content.denominator == 1
 
     # -- printing ---------------------------------------------------------------
 
     def pretty(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts: list[str] = []
-        for j in sorted(self.terms, key=display_order_key, reverse=True):
-            c = self.terms[j]
+        for j in sorted(terms, key=display_order_key, reverse=True):
+            c = terms[j]
             mag = abs(c)
             factors: list[str] = []
             if mag != 1 or j == (0, 0):
@@ -276,12 +330,15 @@ class BiPoly:
         return " ".join(parts)
 
 
+_ZERO = BiPoly._of(Fraction(1), ())
+
+
 def partial(p: BiPoly, variable: str) -> BiPoly:
     """Exact partial derivative with respect to "x" or "y"."""
     if variable == "x":
-        return BiPoly({(j1 - 1, j2): c * j1 for (j1, j2), c in p.terms.items() if j1 > 0})
+        return _canonical(p.content, [[j1 * c for j1, c in enumerate(r)][1:] for r in p.rows])
     if variable == "y":
-        return BiPoly({(j1, j2 - 1): c * j2 for (j1, j2), c in p.terms.items() if j2 > 0})
+        return _canonical(p.content, [[j2 * c for c in r] for j2, r in enumerate(p.rows)][1:])
     raise ValueError("variable must be 'x' or 'y'")
 
 
@@ -290,8 +347,7 @@ def corner_index(p: BiPoly) -> int:
     d = p.degree
     if d < 1:
         raise ValueError("polynomial must be nonconstant")
-    tops = [j2 for (j1, j2) in p.terms if j1 + j2 == d]
-    return max(tops)
+    return max(j2 for j2, r in enumerate(p.rows) if r and j2 + len(r) - 1 == d)
 
 
 def divides(f: BiPoly, g: BiPoly) -> bool:
@@ -314,7 +370,7 @@ def divides(f: BiPoly, g: BiPoly) -> bool:
 # -- resultants ------------------------------------------------------------
 
 
-def _int_sub(a: list[int], b: list[int]) -> list[int]:
+def _int_sub(a: list[int], b: Sequence[int]) -> list[int]:
     out = a + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
@@ -323,129 +379,14 @@ def _int_sub(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _int_pow(a: list[int], e: int) -> list[int]:
+def _int_pow(a: Sequence[int], e: int) -> list[int]:
     out = [1]
     for _ in range(e):
         out = _int_mul(out, a)
     return out
 
 
-def _primitive_rows(p: BiPoly) -> tuple[Fraction, Rows]:
-    """(c, rows) with p = c * sum_j rows[j](x) * y^j: c > 0 rational, each row an
-    integer coefficient list in x (index = degree, [] for zero), all the
-    coefficients with gcd 1 and the signs of p; (1, []) for the zero
-    polynomial.  Computed once per polynomial; callers share the rows and
-    must not modify them."""
-    try:
-        return p._rows
-    except AttributeError:
-        pass
-    ints = dict(zip(p.terms, primitive_ints(list(p.terms.values()))))
-    rows: Rows = [[] for _ in range(p.degree_y() + 1)]
-    for (j1, j2), v in ints.items():
-        rows[j2].extend([0] * (j1 + 1 - len(rows[j2])))
-        rows[j2][j1] = v
-    j = next(iter(ints), None)
-    p._rows = (Fraction(1) if j is None else p.terms[j] / ints[j], rows)
-    return p._rows
-
-
-# -- integer y-rows ------------------------------------------------------------
-#
-# An integer bivariate polynomial as its y-rows: rows[j] is the integer
-# coefficient list in x of y^j ([] for zero), and the top row is nonzero.
-# Callers share rows and never modify them.
-
-
-def _int_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _rows_add(a: Rows, b: Rows) -> Rows:
-    if len(a) < len(b):
-        a, b = b, a
-    out = [_int_add(r, s) for r, s in zip(a, b)] + a[len(b):]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _rows_scale(a: Rows, k: int) -> Rows:
-    return [[c * k for c in r] for r in a] if k else []
-
-
-def _rows_mul(a: Rows, b: Rows) -> Rows:
-    if not a or not b:
-        return []
-    out: Rows = [[] for _ in range(len(a) + len(b) - 1)]
-    for i, r in enumerate(a):
-        if r:
-            for j, s in enumerate(b):
-                if s:
-                    out[i + j] = _int_add(out[i + j], _int_mul(r, s))
-    return out
-
-
-def _rows_dx(a: Rows) -> Rows:
-    out = [[j1 * c for j1, c in enumerate(r)][1:] for r in a]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _rows_dy(a: Rows) -> Rows:
-    return [[j2 * c for c in r] for j2, r in enumerate(a)][1:]
-
-
-def _rows_primitive(a: Rows) -> tuple[int, Rows]:
-    """(g, a / g) for the content g >= 0 of the integer rows a; (0, []) for zero."""
-    g = 0
-    for r in a:
-        for c in r:
-            g = gcd(g, c)
-    return g, ([[c // g for c in r] for r in a] if g > 1 else a)
-
-
-def _int_terms(a: Rows) -> IntTerms:
-    """(deg_x, deg_y, [(j1, j2, c), ...]) for the nonzero entries c*x^j1*y^j2
-    of the integer rows a: the sparse form `_int_column` evaluates."""
-    return max(map(len, a), default=1) - 1, len(a) - 1, [(j1, j2, c) for j2, r in enumerate(a) for j1, c in enumerate(r) if c]
-
-
-def _int_column(form: IntTerms, x0: Fraction | int) -> list[int]:
-    """A positive multiple of p(x0, y) as an integer list in y for p's integer
-    terms `form` (`_int_terms`), [] when it is zero: at x0 = a/b each term
-    c*x^j1*y^j2 is evaluated homogeneously as c * a^j1 * b^(deg_x - j1)."""
-    dx, dy, terms = form
-    apow, bpow = _powers(x0.numerator, dx), _powers(x0.denominator, dx)
-    out = [0] * (dy + 1)
-    for j1, j2, c in terms:
-        out[j2] += c * apow[j1] * bpow[dx - j1]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _rows_poly(scale: Fraction, rows: Rows) -> BiPoly:
-    """scale * sum_j rows[j](x) * y^j as a `BiPoly`, for a positive rational
-    scale, with its primitive rows kept for `_primitive_rows`."""
-    g, rows = _rows_primitive(rows)
-    p = BiPoly()
-    if g:
-        num, den = scale.numerator * g, scale.denominator
-        p.terms = {(j1, j2): Fraction(c * num, den) for j2, r in enumerate(rows) for j1, c in enumerate(r) if c}
-        p._rows = (Fraction(num, den), rows)
-    return p
-
-
-def _pseudo_remainder(fc: list[list[int]], gc: list[list[int]]) -> list[list[int]]:
+def _pseudo_remainder(fc: Sequence[Sequence[int]], gc: Sequence[Sequence[int]]) -> list[Sequence[int]]:
     """Pseudo-remainder of f by g in y: lc(g)^(deg f - deg g + 1) * f mod g."""
     n = len(gc) - 1
     lead = gc[-1]
@@ -461,7 +402,7 @@ def _pseudo_remainder(fc: list[list[int]], gc: list[list[int]]) -> list[list[int
     return r
 
 
-def _int_resultant(fc: list[list[int]], gc: list[list[int]]) -> list[int]:
+def _int_resultant(fc: Sequence[Sequence[int]], gc: Sequence[Sequence[int]]) -> list[int]:
     """Res_y(f, g) via pseudo-remainder descent, tracking leading-coefficient
     powers; the one division is exact in Z[x]."""
     m, n = len(fc) - 1, len(gc) - 1
@@ -486,10 +427,8 @@ def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
     Res_y of the primitive integer rows times cp^deg_y(q) * cq^deg_y(p)."""
     if p.degree_y() < 1 or q.degree_y() < 1:
         raise ResultantDomainError("resultant requires positive y-degree")
-    cp, fc = _primitive_rows(p)
-    cq, gc = _primitive_rows(q)
-    res = _int_resultant(fc, gc)
-    scale = cp ** (len(gc) - 1) * cq ** (len(fc) - 1)
+    res = _int_resultant(p.rows, q.rows)
+    scale = p.content ** q.degree_y() * q.content ** p.degree_y()
     return UniPoly(res if scale == 1 else [c * scale for c in res])
 
 
@@ -518,11 +457,11 @@ def ingestion_check(f: BiPoly) -> BiPoly:
     if hy.degree_y() >= 1 and resultant_eliminating_y(h, hy).is_zero():
         raise IngestionError("curve has a repeated factor")
     # a repeated factor free of y divides the x-content, the gcd of the
-    # y-coefficients, at least twice
-    content = UniPoly([])
-    for c in h.y_coefficients():
-        content = poly_gcd(content, c)
-    if content.degree >= 1 and poly_gcd(content, content.derivative()).degree >= 1:
+    # y-rows, at least twice
+    content: list[int] = []
+    for r in h.rows:
+        content = poly_gcd(content, r)
+    if len(content) >= 2 and len(poly_gcd(content, [i * c for i, c in enumerate(content)][1:])) >= 2:
         raise IngestionError("curve has a repeated factor")
     return g
 

@@ -2,9 +2,10 @@
 
 All decisions (root counts, signs, refinements) are made in exact rational
 arithmetic.  Every root query takes an integer coefficient list p and works
-on its primitive form f (`_primitive`, once on entry); a `UniPoly`, which
-has rational coefficients, is converted by its caller with `primitive_ints`.
-Roots are reported as rational-endpoint isolating intervals that carry a
+on its primitive form f (`_primitive`, once on entry), except that
+`integer_roots` and `ranked_integer_root` keep any p with a nonzero top
+coefficient as it is: their closed forms hold for every integer multiple,
+and their chain builder normalises.  Roots are reported as rational-endpoint isolating intervals that carry a
 primitive integer tuple; a degenerate interval [r, r] marks an exactly
 known rational root.  `count_real_roots`, `isolate_real_roots` and
 `simple_root` test the domain ends on f, which has the same zeros as its
@@ -179,30 +180,6 @@ class UniPoly:
     def derivative(self) -> UniPoly:
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def pretty(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if mag.denominator == 1:
-                coeff = str(mag.numerator)
-            else:
-                coeff = f"({mag.numerator}/{mag.denominator})"
-            if i == 0:
-                term = coeff
-            else:
-                base = var if i == 1 else f"{var}^{i}"
-                term = base if mag == 1 else f"{coeff}*{base}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
 
 def primitive_ints(coeffs: Sequence[Fraction | int]) -> list[int]:
     """Integer coefficients with gcd 1 after a positive rational rescaling.
@@ -279,19 +256,16 @@ def _int_prem_signed(f: list[int], g: list[int]) -> list[int]:
     return primitive_ints(r)
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q via a primitive integer remainder sequence."""
-    if a.is_zero():
-        return b if b.is_zero() else b * (1 / b.leading)
-    if b.is_zero():
-        return a * (1 / a.leading)
-    fa, fb = primitive_ints(a.coeffs), primitive_ints(b.coeffs)
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive integer gcd of two integer polynomials (no trailing
+    zeros), leading coefficient positive, by a primitive integer remainder
+    sequence; [] when both are zero."""
+    fa, fb = primitive_ints(a), primitive_ints(b)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
         fa, fb = fb, _int_prem_signed(fa, fb)
-    g = UniPoly(fa)
-    return g * (1 / g.leading)
+    return [-c for c in fa] if fa and fa[-1] < 0 else fa
 
 
 def sign_variations(values: Iterable[Fraction | int]) -> int:
@@ -745,8 +719,8 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
     if _coprime_mod_p(a.polynomial, b.polynomial):
         return False
     # a common root inside both brackets must be each bracket's isolated root
-    g = poly_gcd(UniPoly(a.polynomial), UniPoly(b.polynomial))
-    return g.degree >= 1 and count_real_roots(primitive_ints(g.coeffs), lo, hi) > 0
+    g = poly_gcd(a.polynomial, b.polynomial)
+    return len(g) >= 2 and count_real_roots(g, lo, hi) > 0
 
 
 def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) -> list[RootInterval]:
@@ -823,7 +797,7 @@ def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None
     integer midpoints, and a part with one root is bisected on the sign of
     the squarefree part down to width 1, where one exact test decides.
     """
-    f = _primitive(p)
+    f = p if p and p[-1] else _primitive(p)
     if len(f) <= 3:
         return [
             r for r in _small_real_roots(f)
@@ -872,7 +846,7 @@ def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     <= t, so the root lies in (t - 1, t].  It is t exactly when sf(t) == 0
     and t is root number index + 1 from the left.
     """
-    f = _primitive(p)
+    f = p if p and p[-1] else _primitive(p)
     if len(f) <= 3:
         roots = _small_real_roots(f)
         return len(roots), roots[index] if 0 <= index < len(roots) else None

@@ -45,6 +45,8 @@ from latcurve.unipoly import (
     sturm_chain,
 )
 
+from fraction_bipoly import FractionBiPoly
+
 
 def series_taylor_oracle(curve, x0, y0, kmax):
     """Independent Taylor expansion via exact truncated series in UniPoly.
@@ -143,14 +145,15 @@ def test_hk_identity_exact(name, points):
 
 
 def fraction_hk(curve, kmax):
-    """H_1..H_kmax by the recurrence in `Fraction` `BiPoly` arithmetic, as
-    `hk_sequence` computed them before the integer rows."""
-    fx, fy = partial(curve, "x"), partial(curve, "y")
-    mixed = fy * partial(fx, "y") - fx * partial(fy, "y")
+    """H_1..H_kmax by the recurrence in the `Fraction` term-dict reference
+    arithmetic, which shares no operator with `BiPoly`."""
+    f = FractionBiPoly(curve.terms)
+    fx, fy = f.partial("x"), f.partial("y")
+    mixed = fy * fx.partial("y") - fx * fy.partial("y")
     out = [fx]
     for k in range(1, kmax):
         h = out[-1]
-        out.append(fy * fy * partial(h, "x") - fy * fx * partial(h, "y") - (2 * k - 1) * h * mixed)
+        out.append(fy * fy * h.partial("x") - fy * fx * h.partial("y") - h * mixed * (2 * k - 1))
     return out
 
 
@@ -184,40 +187,43 @@ def test_hk_integer_recurrence_matches_fraction_recurrence():
     kinds = {"rational": 0, "non_primitive": 0}
     for _ in range(120):
         curve = _random_rational_curve(rng)
-        assert list(hk_sequence(curve, 5)) == fraction_hk(curve, 5), curve
+        assert [h.terms for h in hk_sequence(curve, 5)] == [h.terms for h in fraction_hk(curve, 5)], curve
         kinds["rational"] += not curve.has_integer_coefficients()
         kinds["non_primitive"] += curve.has_integer_coefficients() and curve != curve.primitive_integer()
     for text in ("y^2 - x^3", "(1/2)*y^2 - (3/4)*x", "6*x*y - 12", "y - 2", "x^4 - y"):
         curve = parse(text)
-        assert list(hk_sequence(curve, 6)) == fraction_hk(curve, 6), text
+        assert [h.terms for h in hk_sequence(curve, 6)] == [h.terms for h in fraction_hk(curve, 6)], text
     assert min(kinds.values()) >= 20, kinds
 
 
 def test_level_curves_are_positive_multiples_of_fraction_construction():
     """`_level_resultant`'s level curve and eliminant against H_i +
-    F_y^(2i-1) * (i! * c) built in `Fraction` arithmetic and its resultant."""
+    F_y^(2i-1) * (i! * c) built in the `Fraction` term-dict reference
+    arithmetic and its resultant."""
     rng = random.Random(1414)
     checked = degenerate = 0
     while checked < 150:
         curve = _random_rational_curve(rng)
         if curve.degree_y() < 1:
             continue
-        fy = partial(curve, "y")
+        fy = FractionBiPoly(curve.terms).partial("y")
         for i in (1, 2, 3):
             for c in (Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 40))):
                 ref = fraction_hk(curve, i)[-1] + fy ** (2 * i - 1) * (math.factorial(i) * c)
                 ref_res = None
-                if not ref.is_zero():
-                    ref_res = resultant_eliminating_y(curve, ref) if ref.degree_y() >= 1 else ref.as_unipoly_x()
+                if ref.terms:
+                    if any(j2 for _, j2 in ref.terms):
+                        ref_res = resultant_eliminating_y(curve, BiPoly(ref.terms))
+                    else:
+                        ref_res = UniPoly(ref.swap_xy().at_x(0))
                 if ref_res is None or ref_res.is_zero():
                     with pytest.raises(DegenerateLevelSetError):
                         branch_module._level_resultant(curve, i, c)
                     degenerate += 1
                     continue
-                (_, _, terms), res = branch_module._level_resultant(curve, i, c)
-                rc = BiPoly({(j1, j2): v for j1, j2, v in terms})
-                assert rc == rc.primitive_integer() or rc == -rc.primitive_integer()
-                assert _positive_ratio(rc, ref) is not None, (curve, i, c)
+                level, res = branch_module._level_resultant(curve, i, c)
+                assert level.content == 1 and _positive_ratio(level, BiPoly(ref.terms)) is not None, (curve, i, c)
+                assert math.gcd(*res) == 1 and res[-1] != 0
                 assert _positive_ratio(UniPoly(res), ref_res) is not None, (curve, i, c)
                 checked += 1
     assert degenerate >= 5
@@ -386,7 +392,7 @@ def test_integer_point_searches_leave_shared_caches_alone():
     before = (sturm_chain.cache_info(), squarefree_part.cache_info())
     hits = [p for k in range(351) if (p := branch_integer_point(br, k)) is not None]
     assert LatticePoint(300, 400) in hits and LatticePoint(0, 500) in hits
-    assert integer_roots(primitive_ints(c.at_x(140).coeffs), 0, 500) == [480]
+    assert integer_roots(c.int_column(140), 0, 500) == [480]
     assert integer_roots(primitive_ints((UniPoly([3, 0, -1]) * UniPoly([-7, 1]) ** 2).coeffs)) == [7]
     assert (sturm_chain.cache_info(), squarefree_part.cache_info()) == before
 
@@ -475,8 +481,41 @@ def test_level_set_bezout_cap():
                 roots = level_set_abscissas(br, i, c)
                 from latcurve.branch import _level_resultant
 
-                terms = _level_resultant(curve, i, Fraction(c))[0][2]
-                assert len(roots) <= curve.degree * max(j1 + j2 for j1, j2, _ in terms)
+                level = _level_resultant(curve, i, Fraction(c))[0]
+                assert len(roots) <= curve.degree * level.degree
+
+
+def test_level_set_rational_root_at_domain_end():
+    # f' = -x/y = -3/4 on the circle at (3, 4) and (-3, -4): the eliminant
+    # of the level curve 2x - (3/2)y has the rational roots -3 and 3, and a
+    # domain ending there isolates them as exact brackets [r, r]
+    circle = FIXTURES["circle"]
+    upper_right = branch_from_point(circle, 3, 4, (0, 3))
+    assert [(r.lo, r.hi) for r in level_set_abscissas(upper_right, 1, Fraction(-3, 4))] == [(3, 3)]
+    # f'(-3) = 3/4 on the upper branch: the exact root is the lower branch's
+    upper_left = branch_from_point(circle, 0, 5, (-3, 0))
+    assert level_set_abscissas(upper_left, 1, Fraction(-3, 4)) == []
+    lower_left = branch_from_point(circle, 0, -5, (-3, 0))
+    assert [(r.lo, r.hi) for r in level_set_abscissas(lower_left, 1, Fraction(-3, 4))] == [(-3, -3)]
+
+
+def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
+    """From empty caches, one level set takes its eliminant from one call of
+    `poly2.resultant_eliminating_y`, through the binding in `branch` that a
+    tracer replaces, with the level curve as its second argument."""
+    br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
+    for cached in (branch_module._level_resultant, branch_module._level_parts, hk_sequence):
+        cached.cache_clear()
+    calls = []
+    original = branch_module.resultant_eliminating_y
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(branch_module, "resultant_eliminating_y", counted)
+    assert len(level_set_abscissas(br, 2, Fraction(-1, 8))) >= 1
+    assert calls == [(br.curve, branch_module._level_resultant(br.curve, 2, Fraction(-1, 8))[0])]
 
 
 def _count_repeated_part_builds(monkeypatch):

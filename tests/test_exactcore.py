@@ -483,8 +483,8 @@ def reference_sign_at_root(r, v):
     if r.is_exact():
         val = vp.evaluate(r.lo)
         return (val > 0) - (val < 0)
-    g = poly_gcd(UniPoly(r.polynomial), vp)
-    if g.degree >= 1 and count_real_roots(ints(g), r.lo, r.hi) > 0:
+    g = poly_gcd(r.polynomial, ints(vp))
+    if len(g) >= 2 and count_real_roots(g, r.lo, r.hi) > 0:
         return 0
     while count_real_roots(ints(vp), r.lo, r.hi) > 0:
         r = refine_root(r, r.width / 2)
@@ -857,15 +857,20 @@ def _small_cases(rng, count):
 def test_closed_form_matches_chain_route():
     rng = random.Random(412)
     seen = {"square": 0, "nonsquare": 0, "zero": 0, "negative": 0, "linear": 0, "constant": 0,
-            "negative_lead": 0, "fraction": 0, "bound_on_root": 0, "rank_out": 0}
+            "negative_lead": 0, "fraction": 0, "bound_on_root": 0, "rank_out": 0, "non_primitive": 0}
     for p in _small_cases(rng, 600):
         f = primitive_ints(p.coeffs) if isinstance(p, UniPoly) else p
+        # the closed forms take no content division: non-primitive multiples
+        k = rng.choice([-6, 4, 15])
+        multiples = [f, [c * k for c in f]]
         n = chain_ranked_integer_root(f, 0)[0]
         for index in range(-1, n + 2):
-            assert ranked_integer_root(f, index) == chain_ranked_integer_root(f, index), (p, index)
+            for g in multiples:
+                assert ranked_integer_root(g, index) == chain_ranked_integer_root(f, index), (g, index)
             seen["rank_out"] += not 0 <= index < n
         want = chain_integer_roots(f)
-        assert integer_roots(f) == want, p
+        assert [integer_roots(g) for g in multiples] == [want, want], p
+        seen["non_primitive"] += math.gcd(*f) > 1
         ends = {rng.randint(-25, 25) for _ in range(3)} | set(want)
         for lo in sorted(ends) + [None]:
             for hi in sorted(ends) + [None]:
@@ -933,8 +938,10 @@ def test_kth_root_property(num, den, k):
 def test_poly_gcd_and_squarefree():
     p = UniPoly([-1, 0, 1])  # (x-1)(x+1)
     q = UniPoly([-1, 1]) * UniPoly([-1, 1]) * UniPoly([1, 1])
-    g = poly_gcd(p, q)
-    assert g.degree == 2  # (x-1)(x+1)
+    assert poly_gcd(ints(p), ints(q)) == [-1, 0, 1]  # (x-1)(x+1)
+    assert poly_gcd([2, 0, -2], [6, -6]) == [-1, 1]  # primitive, leading coefficient positive
+    assert poly_gcd([], [0, -3]) == [0, 1] and poly_gcd([], []) == []
+    assert poly_gcd([-4, 0, 2], [3, 1]) == [1]
     sf = UniPoly(squarefree_part(ints(q)))
     assert sf.degree == 2
     assert count_real_roots(ints(q), -2, 2) == 2
@@ -1009,8 +1016,8 @@ def sturm_only_same_root(a, b):
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
         return False
-    g = UniPoly(a.polynomial) if a.polynomial == b.polynomial else poly_gcd(UniPoly(a.polynomial), UniPoly(b.polynomial))
-    return g.degree >= 1 and sturm_only_count(ints(g), lo, hi) > 0
+    g = a.polynomial if a.polynomial == b.polynomial else poly_gcd(a.polynomial, b.polynomial)
+    return len(g) >= 2 and sturm_only_count(g, lo, hi) > 0
 
 
 def _certificate_cases(rng, count):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,8 @@ from latcurve.poly2 import (
     resultant_eliminating_y,
 )
 from latcurve.unipoly import UniPoly
+
+from fraction_bipoly import FractionBiPoly
 
 
 def rand_bipoly(rng, max_deg=3, max_terms=5, span=5):
@@ -72,12 +75,16 @@ def test_parse_print_roundtrip_random():
         assert parse(p.pretty()) == p
 
 
-def bipoly_strategy(max_deg=3, span=6):
+def term_lists(max_deg=3, span=6):
     term = st.tuples(
         st.tuples(st.integers(0, max_deg), st.integers(0, max_deg)),
         st.fractions(min_value=-span, max_value=span, max_denominator=4),
     )
-    return st.lists(term, min_size=0, max_size=5).map(BiPoly)
+    return st.lists(term, min_size=0, max_size=5)
+
+
+def bipoly_strategy(max_deg=3, span=6):
+    return term_lists(max_deg, span).map(BiPoly)
 
 
 @given(bipoly_strategy(), bipoly_strategy(), bipoly_strategy())
@@ -92,6 +99,47 @@ def test_ring_axioms(p, q, r):
 def test_evaluate_is_ring_morphism(p, x, y):
     q = p * p + p
     assert q.evaluate(x, y) == p.evaluate(x, y) ** 2 + p.evaluate(x, y)
+
+
+def assert_canonical(p):
+    """`content` > 0 and primitive integer rows, each row and the row tuple
+    ending in a nonzero entry: the one stored form."""
+    assert type(p.content) is Fraction and p.content > 0
+    assert type(p.rows) is tuple and all(type(r) is tuple for r in p.rows)
+    assert all(type(c) is int for r in p.rows for c in r)
+    assert all(r[-1] for r in p.rows if r) and (not p.rows or p.rows[-1])
+    assert gcd(*(c for r in p.rows for c in r)) == (1 if p.rows else 0)
+
+
+@given(
+    term_lists(), term_lists(), st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.integers(0, 3), st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+def test_operators_match_fraction_dict_reference(ta, tb, k, n, x, y):
+    """Every `BiPoly` operator on the rows against the `Fraction` term-dict
+    arithmetic of `FractionBiPoly`, terms compared exactly."""
+    p, q = BiPoly(ta), BiPoly(tb)
+    rp, rq = FractionBiPoly(ta), FractionBiPoly(tb)
+    assert p.terms == rp.terms and q.terms == rq.terms
+    pairs = [
+        (p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq), (-p, -rp),
+        (p * k, rp * k), (k * p, rp * k), (p**n, rp**n),
+        (partial(p, "x"), rp.partial("x")), (partial(p, "y"), rp.partial("y")),
+        (p.swap_xy(), rp.swap_xy()), (p.primitive_integer(), rp.primitive_integer()),
+    ]
+    for got, want in pairs:
+        assert_canonical(got)
+        assert got.terms == want.terms
+        assert got == BiPoly(want.terms) and hash(got) == hash(BiPoly(want.terms))
+    assert p.evaluate(x, y) == rp.evaluate(x, y)
+    assert type(p.evaluate(x, y)) is Fraction
+    assert p.is_zero() == (not rp.terms) and bool(p) == bool(rp.terms)
+    assert p.degree == max((j1 + j2 for j1, j2 in rp.terms), default=-1)
+    assert p.degree_x() == max((j1 for j1, _ in rp.terms), default=-1)
+    assert p.degree_y() == max((j2 for _, j2 in rp.terms), default=-1)
+    assert p.has_integer_coefficients() == all(c.denominator == 1 for c in rp.terms.values())
+    if rp.terms:
+        assert p.leading_term() == rp.leading_term()
 
 
 # -- evaluation, derivatives ------------------------------------------------------
@@ -143,9 +191,17 @@ def test_resultant_requires_positive_y_degree():
         resultant_eliminating_y(parse("y - 1"), parse("x^2 - 1"))
 
 
+def _y_coefficients(p):
+    """The coefficient of each power of y, a `UniPoly` in x, from the terms."""
+    rows = [[Fraction(0)] * (p.degree_x() + 1) for _ in range(p.degree_y() + 1)]
+    for (j1, j2), c in p.terms.items():
+        rows[j2][j1] = c
+    return [UniPoly(r) for r in rows]
+
+
 def _sylvester_oracle(p, q):
     """Sylvester determinant assembled directly and expanded by Bareiss."""
-    fc, gc = p.y_coefficients(), q.y_coefficients()
+    fc, gc = _y_coefficients(p), _y_coefficients(q)
     m, n = len(fc) - 1, len(gc) - 1
     size = m + n
     zero = UniPoly([])
@@ -186,7 +242,7 @@ def test_resultant_euclidean_path_matches_sylvester():
         p, q = rand_with_ydeg(dy1), rand_with_ydeg(dy2)
         if rng.random() < 0.5:
             p, q = q, p
-        negative_leads += p.y_coefficients()[-1].leading < 0
+        negative_leads += p.rows[-1][-1] < 0
         assert resultant_eliminating_y(p, q) == _sylvester_oracle(p, q)
     assert min(sums) <= 14 < max(sums) and negative_leads > 15
     for _ in range(30):
@@ -280,15 +336,17 @@ def test_ingestion_normalizes_and_rejects():
 def test_swap_and_specializations():
     p = parse("x^2 - 2*y^2 - 1")
     assert p.swap_xy() == parse("y^2 - 2*x^2 - 1")
-    assert p.at_x(3) == UniPoly([8, 0, -2])
-    assert p.at_y(2) == UniPoly([-9, 0, 1])
-    coeffs = p.y_coefficients()
-    assert len(coeffs) == 3 and coeffs[2] == UniPoly([-2])
+    assert p.int_column(3) == [8, 0, -2]
+    assert p.swap_xy().int_column(2) == [-9, 0, 1]  # p(x, 2)
+    assert (p.content, p.rows) == (1, ((-1, 0, 1), (), (-2,)))
+    q = parse("(3/4)*x*y^2 - (3/2)*x")
+    assert (q.content, q.rows) == (Fraction(3, 4), ((0, -2), (), (0, 1)))
 
 
 def test_int_column_is_a_positive_multiple_of_at_x():
-    """Seeded differential of the integer column against the `Fraction` one,
-    at integer, negative, zero and rational abscissas."""
+    """Seeded differential of the integer column against the `Fraction`
+    specialisation of the term-dict reference, at integer, negative, zero
+    and rational abscissas."""
     rng = random.Random(71)
     zeros = 0
     for trial in range(400):
@@ -305,10 +363,10 @@ def test_int_column_is_a_positive_multiple_of_at_x():
         else:
             abscissas = [0, rng.randint(1, 9), -rng.randint(1, 9), Fraction(rng.randint(-20, 20), rng.randint(2, 7))]
         for x0 in abscissas:
-            want = p.at_x(x0).coeffs
+            want = FractionBiPoly(p.terms).at_x(x0)
             got = p.int_column(x0)
             assert all(type(c) is int for c in got)
-            assert (got == []) == (want == ())
+            assert (got == []) == (want == [])
             zeros += got == []
             if got:
                 assert len(got) == len(want)
