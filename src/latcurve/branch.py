@@ -3,18 +3,25 @@ derivative level sets, interval partitioning, and box decomposition.
 
 A branch is identified by its curve, an x-interval, and the index of its
 y-value among the real roots of the specialized curve; the index is stable
-because construction forbids discriminant and leading-coefficient roots
-inside the open interval.  Branch values are handled as isolating intervals
-and every sign decision is made exactly: the sign of p(x0, f(x0)) is one
-`unipoly.sign_at_root` Tarski query of the integer column p(x0, y) at the
-bracket of f(x0), zero included, for `branch_sign`, the piece flags of
-`partition_by_bounds` and the slope regime of a frame cell.  The implicit
-derivatives H_k and the level curves are built with the `BiPoly` operators;
-a level curve is kept as its positive multiple with content 1, and its
-eliminant comes from `resultant_eliminating_y`, or from its one row when it
-is free of y.  A level set builds its eliminant's repeated-root part only
-when an eliminant root reaches the tangential test and Descartes' rule does
-not prove it simple.
+because construction forbids discriminant roots inside the open interval
+and leading-coefficient roots on the closed one.  Branch values are handled
+as isolating intervals and every sign decision is made exactly: the sign of
+p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
+column p(x0, y) at the bracket of f(x0), zero included, for `branch_sign`,
+the piece flags of `partition_by_bounds` and the slope regime of a frame
+cell.  The implicit derivatives H_k and the level curves L = H_i +
+F_y^(2i-1) * (i! * c) are built with the `BiPoly` operators.  A level curve
+that involves y is kept reduced modulo the curve (`reduce_modulo`): R =
+lc_y(F)^E * L mod F with E even and content 1, which has L's sign at every
+branch point, so each level sign reads a column of y-degree below deg_y F.
+Its eliminant, Res_y(F, L) as a primitive integer tuple, comes from
+`resultant_eliminating_y(F, R)`, or from R^(deg_y F) when R is free of y,
+with the power of the leading coefficient that the reduction brings divided
+out; a level curve free of y is its own eliminant.  A piece flag of order i
+is one query on the product of the columns of the two reduced +-thr level
+curves, whose sign along the branch is that of (f^(i)/i!)^2 - thr^2.  A level set builds its
+eliminant's repeated-root part only when an eliminant root reaches the
+tangential test and Descartes' rule does not prove it simple.
 Partition pieces come straight from the sorted cuts: piece j spans the gap
 between cuts j - 1 and j and takes the integer abscissas in
 (floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
@@ -29,9 +36,10 @@ from math import ceil, comb, factorial, floor
 from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
-from .poly2 import BiPoly, ingestion_check, partial, resultant_eliminating_y
+from .poly2 import BiPoly, divide_lc_power, ingestion_check, partial, reduce_modulo, resultant_eliminating_y
 from .unipoly import (
     RootInterval,
+    _int_mul,
     _primitive,
     _rat_eval,
     all_real_roots,
@@ -105,9 +113,9 @@ def branch_from_point(
 ) -> AlgebraicBranch:
     """Construct a branch through the rational curve point (x0, y0).
 
-    Certifies at construction that no discriminant or leading-coefficient
-    root lies in the open domain, so the branch function exists and stays
-    smooth across it.
+    Certifies at construction that no discriminant root lies in the open
+    domain and no leading-coefficient root in the closed one, so the branch
+    function exists and stays smooth across it.
     """
     x0, y0 = Fraction(x0), Fraction(y0)
     lo, hi = Fraction(domain[0]), Fraction(domain[1])
@@ -156,6 +164,11 @@ def _smoothness_obstructions(curve: BiPoly) -> tuple[Sequence[int], ...]:
 
 
 def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
+    lead = curve.rows[-1]
+    if len(lead) >= 2 and (_rat_eval(lead, lo) == 0 or _rat_eval(lead, hi) == 0):
+        # a level curve reduced modulo the curve keeps its sign only where
+        # lc_y(F) != 0, so the closed domain must avoid its roots
+        raise BranchError("leading coefficient in y vanishes at a domain end")
     if hi <= lo:
         return
     for obs in _smoothness_obstructions(curve):
@@ -310,24 +323,35 @@ def _level_parts(curve: BiPoly, i: int) -> tuple[BiPoly, BiPoly]:
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[int, ...]]:
-    """(the level curve H_i + F_y^(2i-1) * (i! * c), which vanishes on branch
-    points with f^(i)/i! = c, as its positive multiple with coprime integer
-    coefficients; the primitive integer tuple of its eliminant, Res_y with
-    the curve, or the level curve itself when it is free of y)."""
+def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[int, ...], bool]:
+    """(R, the primitive integer tuple of the level curve's eliminant, whether
+    the level curve is free of y) for the level curve L = H_i + F_y^(2i-1) *
+    (i! * c), which vanishes on branch points with f^(i)/i! = c.
+
+    A level curve free of y is its own R and its own eliminant.  Otherwise R
+    is `reduce_modulo(curve, L)`: of y-degree below the curve's, with L's sign
+    at every branch point.  The eliminant is Res_y(curve, L), read from
+    Res_y(curve, R), or from R^(deg_y F) when R is free of y, with the power
+    of the leading coefficient that the reduction brings divided out."""
     hk, fy_pow = _level_parts(curve, i)
     level = hk + fy_pow * c
     if level.is_zero():
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
         )
+    if level.degree_y() < 1:
+        return level * (1 / level.content), _primitive(level.rows[0]), True
+    reduced, k = reduce_modulo(curve, level)
     # a positive factor keeps every sign and root; content 1 leaves the
     # eliminant of an integer curve with no rational rescaling
-    level = level * (1 / level.content)
-    res = primitive_ints(resultant_eliminating_y(curve, level).coeffs) if level.degree_y() >= 1 else level.rows[0]
+    reduced = reduced * (1 / reduced.content)
+    if reduced.degree_y() >= 1:
+        res = primitive_ints(resultant_eliminating_y(curve, reduced).coeffs)
+    else:
+        res = (reduced ** curve.degree_y()).rows[0] if reduced else []
     if not res:
         raise DegenerateLevelSetError("level-set eliminant vanished identically")
-    return level, _primitive(res)
+    return reduced, _primitive(divide_lc_power(curve, res, k)), False
 
 
 def level_set_abscissas(
@@ -344,10 +368,10 @@ def level_set_abscissas(
     if i < 1:
         raise ValueError("derivative order must be >= 1")
     c = Fraction(c)
-    level, res = _level_resultant(branch.curve, i, c)
+    level, res, free_of_y = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     roots = isolate_real_roots(res, lo, hi)
-    if level.degree_y() < 1:
+    if free_of_y:
         # the level curve does not involve y: every eliminant root is on the branch
         return roots
     if not roots:
@@ -453,22 +477,23 @@ def partition_by_bounds(
     for phi, next_lo, last in ends:
         mid = (plo + phi) / 2
         bracket = branch_value_bracket(branch, mid)
-        sfy = sign_at_root(bracket, fy.int_column(mid))
-        if sfy == 0:
+        if sign_at_root(bracket, fy.int_column(mid)) == 0:
             raise BranchError("branch derivative degenerate at a piece midpoint")
         flags: list[str] = []
         for i, thr in enumerate(thresholds, start=1):
             if i in forced_small:
                 flags.append("small")
                 continue
-            # both level sets of order i succeeded above, so these are cached
-            s_plus = sign_at_root(bracket, _level_resultant(branch.curve, i, thr)[0].int_column(mid))
-            s_minus = sign_at_root(bracket, _level_resultant(branch.curve, i, -thr)[0].int_column(mid))
-            if s_plus == 0 or s_minus == 0:
+            # along the branch L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 *
+            # ((f^(i)/i!)^2 - thr^2), so one sign of the product of their
+            # reduced columns decides the flag; both level sets of order i
+            # succeeded above, so these are cached
+            plus = _level_resultant(branch.curve, i, thr)[0].int_column(mid)
+            minus = _level_resultant(branch.curve, i, -thr)[0].int_column(mid)
+            s = sign_at_root(bracket, _int_mul(plus, minus))
+            if s == 0:
                 raise BranchError("piece midpoint fell on a level set")
-            v_minus_thr = -s_plus * sfy  # sign of f^(i)/i! - thr
-            v_plus_thr = -s_minus * sfy  # sign of f^(i)/i! + thr
-            flags.append("small" if (v_minus_thr < 0 and v_plus_thr > 0) else "large")
+            flags.append("small" if s < 0 else "large")
         pieces.append(Piece(plo, phi, tuple(flags), tuple(range(first, last + 1))))
         plo, first = next_lo, last + 1
     return IntervalPartition((lo, hi), pieces)

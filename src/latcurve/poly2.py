@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .unipoly import UniPoly, _int_mul, int_exact_quotient, poly_gcd
+from .unipoly import UniPoly, _int_mul, _primitive, int_exact_quotient, poly_gcd
 
 ExponentPair = tuple[int, int]
 
@@ -387,16 +387,30 @@ def _int_pow(a: Sequence[int], e: int) -> list[int]:
 
 
 def _pseudo_remainder(fc: Sequence[Sequence[int]], gc: Sequence[Sequence[int]]) -> list[Sequence[int]]:
-    """Pseudo-remainder of f by g in y: lc(g)^(deg f - deg g + 1) * f mod g."""
+    """Pseudo-remainder of f by g in y: lc(g)^(deg f - deg g + 1) * f mod g.
+
+    A step rescales only the deg g rows below the top; a lower row of f
+    enters already multiplied by the power of lc(g) taken so far.  That is
+    O((deg f - deg g + 1) * deg g) row products, where rescaling the whole
+    remainder at every step takes O(deg f^2).
+    """
     n = len(gc) - 1
-    lead = gc[-1]
-    r = list(fc)
-    for i in range(len(fc) - 1, n - 1, -1):
-        top = r[i]
-        r = [_int_mul(c, lead) for c in r[:i]]
-        if top:
-            for k in range(n):
-                r[i - n + k] = _int_sub(r[i - n + k], _int_mul(top, gc[k]))
+    e = len(fc) - n
+    if e <= 0:
+        r = list(fc)
+    else:
+        lead = gc[-1]
+        # r holds the n rows below the current top, then the top
+        r = list(fc[e - 1:])
+        scale = [1]
+        for j in range(e - 2, -2, -1):
+            top = r.pop()
+            r = [_int_mul(c, lead) for c in r]
+            if top:
+                r = [_int_sub(c, _int_mul(top, d)) for c, d in zip(r, gc)]
+            scale = _int_mul(scale, lead)
+            if j >= 0:
+                r.insert(0, _int_mul(fc[j], scale))
     while r and not r[-1]:
         r.pop()
     return r
@@ -430,6 +444,45 @@ def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
     res = _int_resultant(p.rows, q.rows)
     scale = p.content ** q.degree_y() * q.content ** p.degree_y()
     return UniPoly(res if scale == 1 else [c * scale for c in res])
+
+
+def reduce_modulo(f: BiPoly, p: BiPoly) -> tuple[BiPoly, int]:
+    """(R, k): R = lc_y(f)^E * p mod f in y for an even E >= 0, so deg_y R <
+    deg_y f and R has the sign of p wherever f = 0 and lc_y(f) != 0; and k >=
+    0 with Res_y(f, R) a positive multiple of Res_y(f, p) * lc_y(f)^k.
+
+    E is the pseudo-remainder's deg_y p - deg_y f + 1, raised by one when
+    odd; p of lower y-degree than f is its own R, with E = k = 0.  Since R =
+    lc_y(f)^E * p - Q * f, Res_y(f, R) = lc_y(f)^(E * deg_y f - deg_y p +
+    deg_y R) * Res_y(f, p), for R nonzero.
+    """
+    m, n = p.degree_y(), f.degree_y()
+    if n < 1:
+        raise ResultantDomainError("reduction requires a curve of positive y-degree")
+    if m < n:
+        return p, 0
+    rows = _pseudo_remainder(p.rows, f.rows)
+    e = m - n + 1
+    if e % 2:
+        rows = [_int_mul(r, f.rows[-1]) for r in rows]
+        e += 1
+    r = _canonical(p.content, rows)
+    return r, e * n - m + max(r.degree_y(), 0)
+
+
+def divide_lc_power(f: BiPoly, res: Sequence[int], k: int) -> list[int]:
+    """res / prim(lc_y f)^k for an integer polynomial res that it divides,
+    exactly and with no content division: from a positive multiple of Res_y(f,
+    R), with (R, k) from `reduce_modulo(f, p)`, a positive multiple of Res_y(f,
+    p).  prim(lc_y f) is lc_y(f) over its positive content, so a constant
+    leading coefficient only sets the sign."""
+    lead = _primitive(f.rows[-1])
+    out = list(res)
+    if len(lead) == 1:
+        return [-c for c in out] if lead[0] < 0 and k % 2 else out
+    for _ in range(k):
+        out = int_exact_quotient(out, lead)
+    return out
 
 
 # -- ingestion sanity check ---------------------------------------------------

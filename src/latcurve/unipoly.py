@@ -645,15 +645,18 @@ def root_floor(r: RootInterval) -> int:
 def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
     """Exact sign (-1, 0 or 1) of the integer polynomial v at the root r isolates.
 
-    An exact bracket takes one evaluation.  Otherwise the bracket polynomial
-    f is nonzero at both ends with one root between them, and the sign is
-    the Tarski query V(lo) - V(hi) on the signed remainder sequence of f and
-    a positive multiple of f'*v mod f: by Sturm's theorem for f and f'*v it
-    sums the signs of v over the roots of f in (lo, hi).  A zero needs no gcd
-    test; when f divides f'*v the sequence is [f] and the query reads 0.
+    A constant v has its own sign, and an exact bracket takes one
+    evaluation.  Otherwise the bracket polynomial f is nonzero at both ends
+    with one root between them, and the sign is the Tarski query V(lo) -
+    V(hi) on the signed remainder sequence of f and a positive multiple of
+    f'*v mod f: by Sturm's theorem for f and f'*v it sums the signs of v over
+    the roots of f in (lo, hi).  A zero needs no gcd test; when f divides
+    f'*v the sequence is [f] and the query reads 0.
     """
     if not v:
         return 0
+    if len(v) == 1:
+        return (v[0] > 0) - (v[0] < 0)
     if r.is_exact():
         val = _rat_eval(v, r.lo)
         return (val > 0) - (val < 0)

@@ -40,6 +40,7 @@ from latcurve.unipoly import (
     refine_clear_of,
     refine_disjoint,
     root_floor,
+    sign_at_root,
     simple_root,
     squarefree_part,
     sturm_chain,
@@ -196,10 +197,29 @@ def test_hk_integer_recurrence_matches_fraction_recurrence():
     assert min(kinds.values()) >= 20, kinds
 
 
+def fraction_reduced(ref, curve):
+    """lc_y(F)^E * ref mod F in y for the even E that `reduce_modulo` takes, in
+    the `Fraction` term-dict reference arithmetic: one step per y-degree
+    from deg_y ref down to deg_y F, each multiplying by lc_y(F), then one
+    more when their number is odd; ref itself below deg_y F."""
+    f = FractionBiPoly(curve.terms)
+    n = curve.degree_y()
+    lc = FractionBiPoly({(j1, 0): c for (j1, j2), c in f.terms.items() if j2 == n})
+    m = max((j2 for _, j2 in ref.terms), default=-1)
+    if m < n:
+        return ref, 0
+    r = ref
+    for d in range(m, n - 1, -1):
+        top = FractionBiPoly({(j1, d - n): c for (j1, j2), c in r.terms.items() if j2 == d})
+        r = lc * r - top * f
+    e = m - n + 1
+    return (r * lc, e + 1) if e % 2 else (r, e)
+
+
 def test_level_curves_are_positive_multiples_of_fraction_construction():
-    """`_level_resultant`'s level curve and eliminant against H_i +
+    """`_level_resultant`'s reduced level curve and eliminant against H_i +
     F_y^(2i-1) * (i! * c) built in the `Fraction` term-dict reference
-    arithmetic and its resultant."""
+    arithmetic, its reduction modulo the curve and its resultant."""
     rng = random.Random(1414)
     checked = degenerate = 0
     while checked < 150:
@@ -221,12 +241,87 @@ def test_level_curves_are_positive_multiples_of_fraction_construction():
                         branch_module._level_resultant(curve, i, c)
                     degenerate += 1
                     continue
-                level, res = branch_module._level_resultant(curve, i, c)
-                assert level.content == 1 and _positive_ratio(level, BiPoly(ref.terms)) is not None, (curve, i, c)
+                level, res, free_of_y = branch_module._level_resultant(curve, i, c)
+                # R == lc^E * ref mod F, E even, deg_y R < deg_y F
+                ref_reduced, e = fraction_reduced(ref, curve)
+                assert e % 2 == 0 and level.degree_y() < curve.degree_y()
+                assert free_of_y == (not any(j2 for _, j2 in ref.terms))
+                assert level.content == 1 and _positive_ratio(level, BiPoly(ref_reduced.terms)) is not None, (curve, i, c)
                 assert math.gcd(*res) == 1 and res[-1] != 0
                 assert _positive_ratio(UniPoly(res), ref_res) is not None, (curve, i, c)
                 checked += 1
     assert degenerate >= 5
+
+
+def _unreduced_level_curve(curve, i, c):
+    """H_i + F_y^(2i-1) * (i! * c), with no reduction modulo the curve."""
+    return hk_sequence(curve, i)[-1] + partial(curve, "y") ** (2 * i - 1) * (math.factorial(i) * c)
+
+
+def _unreduced_eliminant(curve, i, c):
+    """The level-set eliminant by the route with no reduction: the primitive
+    resultant of the curve and the unreduced level curve, or that curve's own
+    row when it is free of y."""
+    level = _unreduced_level_curve(curve, i, c)
+    if level.is_zero():
+        raise DegenerateLevelSetError("level curve vanishes")
+    if level.degree_y() < 1:
+        return _primitive_tuple(level.rows[0])
+    res = primitive_ints(resultant_eliminating_y(curve, level).coeffs)
+    if not res:
+        raise DegenerateLevelSetError("eliminant vanishes")
+    return _primitive_tuple(res)
+
+
+def _primitive_tuple(p):
+    g = math.gcd(*p)
+    return tuple(v // g for v in p)
+
+
+def _eliminant_case_curve(rng):
+    """A curve of y-degree >= 1 from one of four kinds: random degree 1-3
+    rational curves, and integer curves with leading y-coefficient a positive
+    constant, a negative constant or a polynomial in x."""
+    kind = rng.choice(["random", "positive", "negative", "polynomial"])
+    if kind == "random":
+        while True:
+            curve = _random_rational_curve(rng)
+            if curve.degree_y() >= 1:
+                return curve
+    n = rng.randint(1, 3)
+    terms = {(rng.randint(0, 2), rng.randint(0, n - 1)): rng.randint(-6, 6) for _ in range(rng.randint(1, 4))}
+    if kind == "polynomial":
+        terms[(rng.randint(1, 2), n)] = rng.choice([-3, -1, 1, 2])
+        terms[(0, n)] = rng.randint(-3, 3)
+    else:
+        terms[(0, n)] = rng.randint(1, 4) * (1 if kind == "positive" else -1)
+    return BiPoly(terms)
+
+
+def test_level_eliminant_matches_unreduced_route():
+    """On 1000 seeded (curve, i, c), `_level_resultant`'s eliminant equals the
+    route with no reduction, and a degenerate case raises on both sides."""
+    rng = random.Random(4242)
+    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0, "reduced_free_of_y": 0, "degenerate": 0}
+    for _ in range(1000):
+        curve = _eliminant_case_curve(rng)
+        i = rng.choice([1, 1, 2, 2, 3])
+        c = rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 40))])
+        try:
+            want = _unreduced_eliminant(curve, i, c)
+        except DegenerateLevelSetError:
+            with pytest.raises(DegenerateLevelSetError):
+                branch_module._level_resultant(curve, i, c)
+            seen["degenerate"] += 1
+            continue
+        reduced, res, free_of_y = branch_module._level_resultant(curve, i, c)
+        assert res == want, (curve, i, c)
+        lead = curve.rows[-1]
+        seen["positive_lead"] += len(lead) == 1 and lead[0] > 0
+        seen["negative_lead"] += len(lead) == 1 and lead[0] < 0
+        seen["polynomial_lead"] += len(lead) > 1
+        seen["reduced_free_of_y"] += not free_of_y and reduced.degree_y() < 1
+    assert min(seen.values()) >= 20, seen
 
 
 # -- taylor coefficients -----------------------------------------------------------
@@ -720,6 +815,109 @@ def test_partition_integer_abscissas_match_pairwise_assignment():
             cuts_seen += len(cuts)
             integer_in_bracket += sum(ceil(c.lo) <= c.hi for c in cuts)
     assert cuts_seen >= 50 and integer_in_bracket >= 3
+
+
+def _random_branches(rng, count):
+    """The branches of `count` random curves (degree 2-3, |c| <= 6, N from 5
+    to 30) that `graph_decompose` accepts, with their box sizes."""
+    out = []
+    curves = 0
+    while curves < count:
+        deg = rng.choice([2, 3])
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            j1 = rng.randint(0, deg)
+            terms[(j1, rng.randint(0, deg - j1))] = rng.randint(-6, 6)
+        terms[(0, 0)] = rng.choice([-5, -3, -2, -1, 1, 2, 3, 5])
+        curve = BiPoly(terms)
+        if curve.degree < 2:
+            continue
+        n_box = rng.randint(5, 30)
+        try:
+            dec = graph_decompose(curve, n_box)
+        except (BranchError, IngestionError):
+            continue
+        curves += 1
+        out += [(br, n_box) for br in dec.branches]
+    return out
+
+
+def _lead_kind(curve):
+    lead = curve.rows[-1]
+    return "polynomial_lead" if len(lead) > 1 else "negative_lead" if lead[0] < 0 else "positive_lead"
+
+
+def test_reduced_level_signs_match_unreduced_at_branch_points():
+    """At seeded rational points of random branches (domain ends included),
+    the Tarski sign of the reduced level curve's column equals that of the
+    unreduced level curve's column; the closed domains avoid the roots of
+    lc_y(F)."""
+    rng = random.Random(777)
+    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0, "zero": 0, "nonzero": 0}
+    for br, n_box in _random_branches(rng, 60):
+        lo, hi = br.domain
+        lead = br.curve.rows[-1]
+        assert all(UniPoly(lead).evaluate(x) != 0 for x in (lo, hi))
+        points = [lo, hi] + [lo + (hi - lo) * Fraction(rng.randint(1, 15), 16) for _ in range(3)]
+        # a level through an integer branch point gives a zero sign there
+        hits = [k for k in range(ceil(lo), floor(hi) + 1) if branch_integer_point(br, k) is not None]
+        points += hits[:1]
+        for i in (1, 2, 3):
+            levels = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)), Fraction(n_box) / 4**i]
+            levels += [taylor_coefficients(br, k, i)[i] for k in hits[:1]]
+            for c in levels:
+                try:
+                    reduced = branch_module._level_resultant(br.curve, i, c)[0]
+                except DegenerateLevelSetError:
+                    continue
+                level = _unreduced_level_curve(br.curve, i, c)
+                assert reduced.degree_y() < br.curve.degree_y()
+                for x in points:
+                    bracket = branch_value_bracket(br, x)
+                    want = sign_at_root(bracket, level.int_column(x))
+                    assert sign_at_root(bracket, reduced.int_column(x)) == want, (br.curve, i, c, x)
+                    seen["zero" if want == 0 else "nonzero"] += 1
+                    seen[_lead_kind(br.curve)] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _two_query_flags(br, piece, thresholds):
+    """The flags of a piece from the signs of F_y and of the two unreduced
+    level curves of each order at its midpoint."""
+    mid = (piece.lo + piece.hi) / 2
+    bracket = branch_value_bracket(br, mid)
+    sfy = sign_at_root(bracket, partial(br.curve, "y").int_column(mid))
+    flags = []
+    for i, thr in enumerate(thresholds, start=1):
+        try:
+            _unreduced_eliminant(br.curve, i, thr)
+            _unreduced_eliminant(br.curve, i, -thr)
+        except DegenerateLevelSetError:
+            flags.append("small")
+            continue
+        s_plus = sign_at_root(bracket, _unreduced_level_curve(br.curve, i, thr).int_column(mid))
+        s_minus = sign_at_root(bracket, _unreduced_level_curve(br.curve, i, -thr).int_column(mid))
+        assert sfy != 0 and s_plus != 0 and s_minus != 0
+        flags.append("small" if (-s_plus * sfy < 0 and -s_minus * sfy > 0) else "large")
+    return tuple(flags)
+
+
+def test_piece_flags_match_two_query_flags():
+    """Each flag from the one query on the product of the reduced +-thr level
+    curves' columns equals the flag from the two queries on the unreduced
+    curves."""
+    rng = random.Random(909)
+    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0, "small": 0, "large": 0}
+    for br, n_box in _random_branches(rng, 150):
+        big_d = rng.choice([2, 3, 4])
+        delta = rng.choice([Fraction(1, n_box), Fraction(2, n_box), Fraction(1, 4), Fraction(1, 2)])
+        thresholds = [n_box * delta**i for i in range(1, big_d)]
+        for piece in partition_by_bounds(br, big_d, n_box, delta).pieces:
+            assert piece.flags == _two_query_flags(br, piece, thresholds), (br.curve, piece)
+            seen[_lead_kind(br.curve)] += 1
+            for flag in piece.flags:
+                seen[flag] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_large_interval_check():

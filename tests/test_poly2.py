@@ -14,13 +14,16 @@ from latcurve.poly2 import (
     PolyParseError,
     ResultantDomainError,
     corner_index,
+    divide_lc_power,
     divides,
     ingestion_check,
     parse,
     partial,
+    reduce_modulo,
     resultant_eliminating_y,
 )
-from latcurve.unipoly import UniPoly
+from latcurve import poly2
+from latcurve.unipoly import UniPoly, _int_mul, primitive_ints
 
 from fraction_bipoly import FractionBiPoly
 
@@ -250,6 +253,91 @@ def test_resultant_euclidean_path_matches_sylvester():
         p, q = rand_with_ydeg(rng.randint(1, 3)) * h, rand_with_ydeg(rng.randint(1, 4)) * h
         assert resultant_eliminating_y(p, q).is_zero()
         assert _sylvester_oracle(p, q).is_zero()
+
+
+def _unwindowed_pseudo_remainder(fc, gc):
+    """The pseudo-remainder loop that rescales every row below the top at
+    every step: lc(g)^(deg f - deg g + 1) * f mod g."""
+    n = len(gc) - 1
+    lead = gc[-1]
+    r = list(fc)
+    for i in range(len(fc) - 1, n - 1, -1):
+        top = r[i]
+        r = [_int_mul(c, lead) for c in r[:i]]
+        if top:
+            for k in range(n):
+                out = r[i - n + k] + [0] * (len(gc[k]) + len(top) - 1 - len(r[i - n + k]))
+                for j, c in enumerate(_int_mul(top, gc[k])):
+                    out[j] -= c
+                while out and out[-1] == 0:
+                    out.pop()
+                r[i - n + k] = out
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def test_windowed_pseudo_remainder_matches_full_rescaling():
+    """Seeded y-row lists: unit, negative-constant and polynomial leading
+    rows of g, zero rows (so zero tops) in f, and deg f < deg g."""
+    rng = random.Random(8080)
+
+    def row(max_len):
+        r = [rng.randint(-9, 9) for _ in range(rng.randint(0, max_len))]
+        while r and r[-1] == 0:
+            r.pop()
+        return tuple(r)
+
+    kinds = {"unit": 0, "negative_constant": 0, "polynomial": 0, "zero_top": 0, "lower_degree": 0}
+    for _ in range(600):
+        n, m = rng.randint(1, 5), rng.randint(0, 12)
+        lead = rng.choice([(1,), (-1,), (-rng.randint(2, 9),), (rng.randint(-5, 5), rng.randint(1, 4)), (0, 3, -2)])
+        gc = [row(4) for _ in range(n)] + [lead]
+        fc = [row(5) if rng.random() < 0.7 else () for _ in range(m)] + [row(4) or (1,)]
+        want = _unwindowed_pseudo_remainder(fc, gc)
+        assert poly2._pseudo_remainder(fc, gc) == want, (fc, gc)
+        kinds["unit"] += lead == (1,)
+        kinds["negative_constant"] += len(lead) == 1 and lead[0] < 0
+        kinds["polynomial"] += len(lead) > 1
+        kinds["zero_top"] += len(fc) > n + 1 and any(not r for r in fc[n:-1])
+        kinds["lower_degree"] += len(fc) < len(gc)
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_reduce_modulo_keeps_the_resultant_up_to_a_leading_power():
+    """(R, k) = reduce_modulo(f, p): deg_y R < deg_y f, lc^E * p - R is a
+    multiple of f for the even E, and Res_y(f, R), or R^(deg_y f) when R is
+    free of y, over prim(lc_y f)^k is a positive multiple of Res_y(f, p)."""
+    rng = random.Random(6161)
+    seen = {"constant_lead": 0, "polynomial_lead": 0, "reduced_free_of_y": 0}
+    checked = 0
+    while checked < 150:
+        f = rand_bipoly(rng, max_deg=3, max_terms=5, span=6)
+        p = rand_bipoly(rng, max_deg=5, max_terms=6, span=6)
+        if f.degree_y() < 1 or p.degree_y() < 1:
+            continue
+        r, k = reduce_modulo(f, p)
+        assert k >= 0 and r.degree_y() < f.degree_y()
+        lead = BiPoly({(j1, 0): c for j1, c in enumerate(f.rows[-1])})
+        e = max(p.degree_y() - f.degree_y() + 1, 0)
+        e += e % 2
+        assert divides(f, lead**e * p - r)
+        want = resultant_eliminating_y(f, p)
+        if r.degree_y() >= 1:
+            got = primitive_ints(resultant_eliminating_y(f, r).coeffs)
+        else:
+            got = list((r ** f.degree_y()).rows[0]) if r else []
+        if want.is_zero():
+            assert not got
+            continue
+        quotient = UniPoly(divide_lc_power(f, got, k))
+        t = quotient.leading / want.leading
+        assert t > 0 and quotient == want * t, (f, p)
+        seen["constant_lead"] += len(f.rows[-1]) == 1
+        seen["polynomial_lead"] += len(f.rows[-1]) > 1
+        seen["reduced_free_of_y"] += r.degree_y() < 1
+        checked += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_resultant_vanishes_at_common_zeros():
