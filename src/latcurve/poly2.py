@@ -447,14 +447,15 @@ def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
 
 
 def reduce_modulo(f: BiPoly, p: BiPoly) -> tuple[BiPoly, int]:
-    """(R, k): R = lc_y(f)^E * p mod f in y for an even E >= 0, so deg_y R <
-    deg_y f and R has the sign of p wherever f = 0 and lc_y(f) != 0; and k >=
-    0 with Res_y(f, R) a positive multiple of Res_y(f, p) * lc_y(f)^k.
+    """(R, k): R = lc_y(f)^E * p mod f in y for an E >= 0, so deg_y R < deg_y
+    f and R has the sign of p wherever f = 0 and lc_y(f) != 0; and k >= 0
+    with Res_y(f, R) a positive multiple of Res_y(f, p) * lc_y(f)^k.
 
     E is the pseudo-remainder's deg_y p - deg_y f + 1, raised by one when
-    odd; p of lower y-degree than f is its own R, with E = k = 0.  Since R =
-    lc_y(f)^E * p - Q * f, Res_y(f, R) = lc_y(f)^(E * deg_y f - deg_y p +
-    deg_y R) * Res_y(f, p), for R nonzero.
+    odd unless lc_y(f) is a positive constant, whose odd powers keep the
+    sign too; p of lower y-degree than f is its own R, with E = k = 0.
+    Since R = lc_y(f)^E * p - Q * f, Res_y(f, R) = lc_y(f)^(E * deg_y f -
+    deg_y p + deg_y R) * Res_y(f, p), for R nonzero.
     """
     m, n = p.degree_y(), f.degree_y()
     if n < 1:
@@ -463,8 +464,9 @@ def reduce_modulo(f: BiPoly, p: BiPoly) -> tuple[BiPoly, int]:
         return p, 0
     rows = _pseudo_remainder(p.rows, f.rows)
     e = m - n + 1
-    if e % 2:
-        rows = [_int_mul(r, f.rows[-1]) for r in rows]
+    lead = f.rows[-1]
+    if e % 2 and (len(lead) > 1 or lead[0] < 0):
+        rows = [_int_mul(r, lead) for r in rows]
         e += 1
     r = _canonical(p.content, rows)
     return r, e * n - m + max(r.degree_y(), 0)

@@ -198,10 +198,11 @@ def test_hk_integer_recurrence_matches_fraction_recurrence():
 
 
 def fraction_reduced(ref, curve):
-    """lc_y(F)^E * ref mod F in y for the even E that `reduce_modulo` takes, in
-    the `Fraction` term-dict reference arithmetic: one step per y-degree
-    from deg_y ref down to deg_y F, each multiplying by lc_y(F), then one
-    more when their number is odd; ref itself below deg_y F."""
+    """lc_y(F)^E * ref mod F in y for an even E, in the `Fraction` term-dict
+    reference arithmetic: one step per y-degree from deg_y ref down to deg_y
+    F, each multiplying by lc_y(F), then one more when their number is odd;
+    ref itself below deg_y F.  `reduce_modulo` skips that last factor when
+    lc_y(F) is a positive constant, which changes R by a positive factor."""
     f = FractionBiPoly(curve.terms)
     n = curve.degree_y()
     lc = FractionBiPoly({(j1, 0): c for (j1, j2), c in f.terms.items() if j2 == n})
@@ -363,6 +364,33 @@ def test_taylor_rejects_vertical_point():
     br = branch_from_point(c, 3, 4, (3, 5))
     with pytest.raises(BranchError):
         taylor_coefficients(br, 5, 1)  # root structure degenerates at x = 5
+
+
+def test_branch_domain_end_on_a_leading_coefficient_root():
+    """A closed domain with a root of a non-constant lc_y(F) at either end is
+    rejected; one that stops short of the root is accepted."""
+    end_error = "leading coefficient in y vanishes at a domain end"
+    # lc_y(x*y - 12) = x: the branch y = 12/x has no value at x = 0
+    hyperbola = parse("x*y - 12")
+    for seed, domain in (((3, 4), (0, 12)), ((-3, -4), (-12, 0))):
+        with pytest.raises(BranchError, match=end_error):
+            branch_from_point(hyperbola, *seed, domain)
+    inner = branch_from_point(hyperbola, 3, 4, (Fraction(1, 2), 12))
+    assert branch_value_rational(inner, 6) == 2
+    assert branch_integer_point(inner, 12) == LatticePoint(12, 1)
+    assert taylor_coefficients(inner, 3, 2) == [4, Fraction(-4, 3), Fraction(4, 9)]
+    # lc_y(x*y^2 + y - 1) = x: the branch through (0, 1) stays finite there,
+    # while a second root of the column comes in from infinity for x > 0
+    curve = parse("x*y^2 + y - 1")
+    with pytest.raises(BranchError, match=end_error):
+        branch_from_point(curve, 0, 1, (0, 2))
+    with pytest.raises(BranchError, match=end_error):
+        branch_from_point(curve, 2, Fraction(1, 2), (0, 2))
+    br = branch_from_point(curve, 2, Fraction(1, 2), (Fraction(1, 8), 2))
+    assert branch_sign(br, 2, parse("2*y - 1")) == 0
+    # a constant lc_y(F) puts no condition on the ends
+    circle = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
+    assert branch_value_rational(circle, -4) == 3
 
 
 # -- branch values ----------------------------------------------------------------------
@@ -574,9 +602,7 @@ def test_level_set_bezout_cap():
         for i in (1, 2):
             for c in (1, Fraction(-1, 2)):
                 roots = level_set_abscissas(br, i, c)
-                from latcurve.branch import _level_resultant
-
-                level = _level_resultant(curve, i, Fraction(c))[0]
+                level = _unreduced_level_curve(curve, i, Fraction(c))
                 assert len(roots) <= curve.degree * level.degree
 
 

@@ -306,10 +306,11 @@ def test_windowed_pseudo_remainder_matches_full_rescaling():
 
 def test_reduce_modulo_keeps_the_resultant_up_to_a_leading_power():
     """(R, k) = reduce_modulo(f, p): deg_y R < deg_y f, lc^E * p - R is a
-    multiple of f for the even E, and Res_y(f, R), or R^(deg_y f) when R is
-    free of y, over prim(lc_y f)^k is a positive multiple of Res_y(f, p)."""
+    multiple of f for the E that is even unless lc is a positive constant,
+    and Res_y(f, R), or R^(deg_y f) when R is free of y, over prim(lc_y f)^k
+    is a positive multiple of Res_y(f, p)."""
     rng = random.Random(6161)
-    seen = {"constant_lead": 0, "polynomial_lead": 0, "reduced_free_of_y": 0}
+    seen = {"positive_constant_lead": 0, "negative_constant_lead": 0, "polynomial_lead": 0, "reduced_free_of_y": 0}
     checked = 0
     while checked < 150:
         f = rand_bipoly(rng, max_deg=3, max_terms=5, span=6)
@@ -320,7 +321,8 @@ def test_reduce_modulo_keeps_the_resultant_up_to_a_leading_power():
         assert k >= 0 and r.degree_y() < f.degree_y()
         lead = BiPoly({(j1, 0): c for j1, c in enumerate(f.rows[-1])})
         e = max(p.degree_y() - f.degree_y() + 1, 0)
-        e += e % 2
+        if not (len(f.rows[-1]) == 1 and f.rows[-1][0] > 0):
+            e += e % 2
         assert divides(f, lead**e * p - r)
         want = resultant_eliminating_y(f, p)
         if r.degree_y() >= 1:
@@ -333,7 +335,8 @@ def test_reduce_modulo_keeps_the_resultant_up_to_a_leading_power():
         quotient = UniPoly(divide_lc_power(f, got, k))
         t = quotient.leading / want.leading
         assert t > 0 and quotient == want * t, (f, p)
-        seen["constant_lead"] += len(f.rows[-1]) == 1
+        seen["positive_constant_lead"] += len(f.rows[-1]) == 1 and f.rows[-1][0] > 0
+        seen["negative_constant_lead"] += len(f.rows[-1]) == 1 and f.rows[-1][0] < 0
         seen["polynomial_lead"] += len(f.rows[-1]) > 1
         seen["reduced_free_of_y"] += r.degree_y() < 1
         checked += 1
