@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_15.json at the repository root.
+rows and write BENCH_16.json at the repository root.
 
 Each row is timed RUNS = 3 times, each run one call in a fresh interpreter
 (so the package's caches start empty, as in a CLI call), timed there with
@@ -42,9 +42,13 @@ ROWS = [
     ("pipeline", "-3*x^3 + 6*x*y^2 - 5", 34),
     # a long |f'| <= 1 branch for greedy covering (ROADMAP item 3)
     ("pipeline", "x - y^2", 4000),
+    # fuzz cubics whose eliminants have many close roots (ROADMAP item 2)
+    ("pipeline", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 34),
+    ("pipeline", "4*x^3 + 4*x^2*y + 3*x^2 + 4*x - 5*y", 37),
+    ("pipeline", "-5*x^3 - 5*x^2*y + 2*y^3 - 2*x^2", 36),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_15.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_16.json"
 RUNS = 3
 
 
@@ -85,7 +89,7 @@ def main() -> int:
     for kind, text, n_box in ROWS:
         row = time_row(kind, text, n_box)
         spread = " ".join(f"{s:.2f}" for s in row["runs"])
-        print(f"{kind:8} {text:26} N = {n_box:>6}  count {row['count']:>4}  {row['seconds']:8.2f} s  ({spread})")
+        print(f"{kind:8} {text:36} N = {n_box:>6}  count {row['count']:>4}  {row['seconds']:8.2f} s  ({spread})")
         rows.append(row)
     payload = {
         "benchmark": "brute_force_count oracle sweep and determinant_method_count pipeline",

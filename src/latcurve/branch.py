@@ -55,7 +55,7 @@ from .unipoly import (
     root_floor,
     sign_at_root,
     simple_root,
-    sturm_chain,
+    squarefree_part,
 )
 
 
@@ -399,7 +399,7 @@ def level_set_abscissas(
         if simple_root(res, r):
             continue  # simple eliminant root without a crossing: not on this branch
         if mult is None:
-            mult = int_exact_quotient(res, sturm_chain(res)[0])
+            mult = int_exact_quotient(res, squarefree_part(res))
         if len(mult) < 2 or count_real_roots(mult, r.lo, r.hi) == 0:
             continue
         rr = rational_root_in(r.polynomial, r.lo, r.hi)

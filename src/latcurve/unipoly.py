@@ -5,34 +5,34 @@ arithmetic.  Every root query takes an integer coefficient list p and works
 on its primitive form f (`_primitive`, once on entry), except that
 `integer_roots` and `ranked_integer_root` keep any p with a nonzero top
 coefficient as it is: their closed forms hold for every integer multiple,
-and their chain builder normalises.  Roots are reported as rational-endpoint isolating intervals that carry a
-primitive integer tuple; a degenerate interval [r, r] marks an exactly
-known rational root.  `count_real_roots`, `isolate_real_roots` and
-`simple_root` test the domain ends on f, which has the same zeros as its
+and their chain builder normalises.  Roots are reported as rational-endpoint
+isolating intervals that carry a primitive integer tuple; a degenerate
+interval [r, r] marks an exactly known rational root.  `isolate_real_roots`
+and `simple_root` test the domain ends on f, which has the same zeros as its
 squarefree part, and divide the end roots out of f (`_end_roots`).  A
-Descartes certificate (`descartes_bound`) then decides most domains with no
-Sturm chain: v = 0 means no root inside, v = 1 one simple root, whose
-bracket is the domain itself.  It is the sign variations of f's own
-coefficients when lo >= 0, and otherwise, or when that count is 2 or more,
-those of f mapped from (lo, hi) onto (0, inf) by an integer Moebius map
-(two Taylor shifts).  Only when v >= 2 is the integer squarefree part and
-its integer Sturm chain (`integer_squarefree_chain`, cached on f as
-`sturm_chain`) built, and the domain split by chain counts; both routes
-give the same brackets.  At x = num/den a chain element f is evaluated as
-the integer den^deg * f(x).  Integer roots are found on integer endpoints
-only: `integer_roots` lists those in a range, and `ranked_integer_root`
-tests the root of a given rank, with no isolation and no shared cache; both
-decide degree <= 2 in closed form, with no chain.  Bisection keeps
-`Fraction` endpoints, but every sign it tests is an integer evaluation of
-the bracket polynomial.  The sign of an integer polynomial v at an isolated
-root is a Tarski query (`sign_at_root`): sign variations at the bracket
-ends of the signed remainder sequence of the bracket polynomial f and
-f'*v mod f, built by the same integer chain builder, with no gcd and no
-interval enclosure.  Two brackets of coprime polynomials are told apart by
-a gcd modulo a prime, and a bracket's root is proved simple by Descartes'
-rule (`simple_root`).  The package locates roots only through this module:
-one entry normaliser, one Descartes certificate, one squarefree part and
-chain, one bisection step, one integer test, one floor, one range test and
+Descartes bound (`descartes_bound`) then decides the open domain: v = 0
+means no root inside, v = 1 one simple root, whose bracket is the domain
+itself.  It is the sign variations of f's own coefficients when lo >= 0,
+and otherwise, or when that count is 2 or more, those of f mapped from
+(lo, hi) onto (0, inf) by an integer Moebius map (two Taylor shifts).  A
+domain with v >= 2 is bisected on the squarefree part (`squarefree_part`,
+proved squarefree by a gcd modulo a prime where it can be) until every
+part has v <= 1; `count_real_roots` counts the brackets.  Integer roots are
+found on integer endpoints only: `integer_roots` lists those in a range, and
+`ranked_integer_root` tests the root of a given rank, with no isolation and
+no shared cache; both decide degree <= 2 in closed form, and otherwise run
+on an integer Sturm chain (`integer_squarefree_chain`), on which a chain
+element f at x = num/den is evaluated as the integer den^deg * f(x).
+Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
+evaluation of the bracket polynomial.  The sign of an integer polynomial v
+at an isolated root is a Tarski query (`sign_at_root`): sign variations at
+the bracket ends of the signed remainder sequence of the bracket polynomial
+f and f'*v mod f, built by the same integer chain builder, with no gcd and
+no interval enclosure.  Two brackets of coprime polynomials are told apart
+by a gcd modulo a prime, and a bracket's root is proved simple by
+Descartes' rule (`simple_root`).  The package locates roots only through
+this module: one entry normaliser, one Descartes bound, one squarefree
+part, one bisection step, one integer test, one floor, one range test and
 one sign test.
 """
 
@@ -325,15 +325,29 @@ def sturm_chain(p: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
 
     p is a primitive integer tuple, so positive multiples of one polynomial
     share one entry.  Every caller shares the returned lists; none may
-    modify them.
+    modify them.  No package code calls it: it is kept as the Sturm
+    reference of the tests, and because the benchmark tracer binds it by
+    name as a cached span.
     """
     return integer_squarefree_chain(p)
 
 
 @lru_cache(maxsize=512)
 def squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive integer tuple p divided by gcd(p, p'): same roots, all simple."""
-    return tuple(sturm_chain(p)[0])
+    """The primitive integer tuple p divided by gcd(p, p'): same roots, all
+    simple, with the sign of p's leading coefficient.
+
+    One factor x of p's x^m is kept and the rest f proved squarefree by a
+    gcd of f and f' modulo a prime (`_coprime_mod_p`); only when that test
+    fails is the integer gcd taken and divided out exactly.
+    """
+    m = next(i for i, c in enumerate(p) if c)
+    f = p[m:]
+    if len(f) > 1:
+        df = [i * c for i, c in enumerate(f)][1:]
+        if not _coprime_mod_p(f, df):
+            f = tuple(int_exact_quotient(f, poly_gcd(f, df)))
+    return (0,) + f if m else f
 
 
 def _int_root_bound(f: Sequence[int]) -> int:
@@ -439,23 +453,9 @@ def _end_roots(f: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[list[Fra
 
 
 def count_real_roots(p: Sequence[int], lo: Fraction | int, hi: Fraction | int) -> int:
-    """Number of distinct real roots of p in the closed interval [lo, hi].
-
-    The ends are tested on p's primitive form f, and their roots divided out
-    of f; a Descartes bound v <= 1 (`descartes_bound`) then counts the open
-    interval with no Sturm chain.  Otherwise, on the chain of p's squarefree
-    part, V(lo) - V(hi) counts the roots in (lo, hi], and a root at lo adds
-    one.
-    """
-    if lo > hi:
-        raise ValueError("empty interval")
-    f = _primitive(p)
-    lo, hi = Fraction(lo), Fraction(hi)
-    ends, _, v = _end_roots(f, lo, hi)
-    if v <= 1:
-        return len(ends) + v
-    sf, chain = sturm_chain(f)
-    return (_rat_eval(sf, lo) == 0) + _int_variations(chain, lo) - _int_variations(chain, hi)
+    """Number of distinct real roots of p in the closed interval [lo, hi]:
+    one per bracket of `isolate_real_roots`."""
+    return len(isolate_real_roots(p, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -534,37 +534,33 @@ def bisect_step(
 def isolate_real_roots(
     p: Sequence[int], lo: Fraction | int, hi: Fraction | int
 ) -> list[RootInterval]:
-    """Disjoint isolating intervals, one per distinct real root in [lo, hi]."""
+    """Disjoint isolating intervals, one per distinct real root in [lo, hi].
+
+    A part with Descartes bound v >= 2 is split at a non-root of the deflated
+    squarefree part, and each half bounded again, until every part has
+    v <= 1; on a squarefree polynomial this ends (Vincent's theorem).  A part
+    found to hold one root is its bracket, so the brackets are those of
+    bisection on exact root counts.
+    """
     f = _primitive(p)
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty range")
     ends, inner, v = _end_roots(f, lo, hi)
-    out = [RootInterval(e, e, f) for e in ends]
-    if v == 1:
-        out.append(RootInterval(lo, hi, tuple(inner)))
-    if v <= 1:
-        return sorted(out, key=lambda r: r.lo)
-    sf, chain = sturm_chain(f)
-    inner = _deflate(sf, ends, lo, hi)
-    # reference the deflated polynomial: with an endpoint root deflated
-    # away, a bracket ending there isolates only for the deflated form
+    if v >= 2:
+        # with an endpoint root deflated away, a bracket ending there
+        # isolates only for the deflated form
+        inner = _deflate(squarefree_part(f), ends, lo, hi)
     bracket = tuple(inner)
-    hi_root = hi in ends
 
-    def split(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        k = va - vb - (b == hi and hi_root)  # roots in the open (a, b)
-        if k == 0:
-            return
-        if k == 1:
-            out.append(RootInterval(a, b, bracket))
-            return
+    def split(a: Fraction, b: Fraction, v: int) -> list[RootInterval]:
+        if v <= 1:
+            return [RootInterval(a, b, bracket)] if v else []
         m, _ = _nonroot_split(inner, a, b)
-        vm = _int_variations(chain, m)
-        split(a, m, va, vm)
-        split(m, b, vm, vb)
+        found = split(a, m, descartes_bound(inner, a, m)) + split(m, b, descartes_bound(inner, m, b))
+        return [RootInterval(a, b, bracket)] if len(found) == 1 else found
 
-    split(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))
+    out = [RootInterval(e, e, f) for e in ends] + split(lo, hi, v)
     return sorted(out, key=lambda r: r.lo)
 
 
@@ -677,7 +673,7 @@ def simple_root(p: Sequence[int], r: RootInterval) -> bool:
     return _end_roots(_primitive(p), r.lo, r.hi)[2] == 1
 
 
-# Primes for the modular coprimality test of `_same_root`.
+# Primes for the modular coprimality tests of `squarefree_part` and `_same_root`.
 _GCD_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1)
 
 
@@ -754,7 +750,7 @@ def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) ->
 def all_real_roots(p: Sequence[int]) -> list[RootInterval]:
     """Isolating intervals for every real root of p, in increasing order."""
     f = _primitive(p)
-    bound = _int_root_bound(sturm_chain(f)[0])
+    bound = _int_root_bound(squarefree_part(f))
     return isolate_real_roots(f, -bound, bound)
 
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -287,17 +288,45 @@ def test_pipeline_parabolas_puncture_each_branch_frame():
     assert swapped_covers >= 30
 
 
-def test_pipeline_sturm_chain_builds():
-    """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
-    builds 11 Sturm chains (52 when every level set built one to show it has
-    no crossing; the Descartes certificates decide those domains)."""
+def _clear_caches():
     for module in (unipoly, branch):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+
+
+def test_pipeline_sturm_chain_builds(monkeypatch):
+    """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
+    builds no Sturm chain (11 before root isolation split by Descartes
+    bounds), and of its 11 squarefree parts only 2 need an integer gcd; the
+    rest are proved squarefree modulo a prime."""
+    _clear_caches()
+    gcd_callers = []
+    poly_gcd = unipoly.poly_gcd
+
+    def counted(a, b):
+        gcd_callers.append(sys._getframe(1).f_code.co_name)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(unipoly, "poly_gcd", counted)
     rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
     assert rep.total == 0
-    assert unipoly.sturm_chain.cache_info().misses == 11
+    assert unipoly.sturm_chain.cache_info().misses == 0
+    assert unipoly.squarefree_part.cache_info().misses == 11
+    assert gcd_callers.count("squarefree_part") == 2
+
+
+def test_slow_cubics_match_oracle_with_no_sturm_chain():
+    """Cubics whose level-set eliminants reach degree 84-90 with roots close
+    together: isolating them by Sturm chains took 3.2 s and 9.1 s."""
+    for text, n in (
+        ("-x^3 - 5*x^2*y + 4*y^3 + 3*x*y - 3*x", 27),
+        ("4*x^3 + 4*x^2*y + 3*x^2 + 4*x - 5*y", 37),
+    ):
+        _clear_caches()
+        rep = determinant_method_count(parse(text), n)
+        assert rep.ok and rep.total == rep.oracle_total, (text, n)
+        assert unipoly.sturm_chain.cache_info().misses == 0
 
 
 def test_pipeline_small_delta_enumerate_path():

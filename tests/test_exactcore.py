@@ -290,16 +290,16 @@ def test_brackets_hold_primitive_integer_tuples(coeffs, scale, lo, width, root_a
     assert all(_is_primitive_tuple(r.polynomial) for r in brackets), (p, brackets)
 
 
-def test_rational_multiples_share_one_sturm_chain():
-    """The chain cache is keyed on the primitive integer tuple, so positive
-    rational multiples of one polynomial build one chain."""
-    sturm_chain.cache_clear()
+def test_rational_multiples_share_one_squarefree_part():
+    """The squarefree-part cache is keyed on the primitive integer tuple, so
+    positive rational multiples of one polynomial take one entry."""
+    squarefree_part.cache_clear()
     p = [-6, 11, -6, 1]  # (x - 1)(x - 2)(x - 3): Descartes v = 3 on (0, 4)
     for q in (p, [2 * c for c in p], ints(UniPoly(p) * Fraction(5, 3))):
         assert count_real_roots(q, 0, 4) == 3
         assert [integer_in(r) for r in isolate_real_roots(q, 0, 4)] == [1, 2, 3]
         assert [integer_in(r) for r in all_real_roots(q)] == [1, 2, 3]
-    info = sturm_chain.cache_info()
+    info = squarefree_part.cache_info()
     assert info.currsize == 1 and info.misses == 1, info
 
 
@@ -1213,7 +1213,7 @@ def test_descartes_bound_is_an_upper_bound_of_the_same_parity():
 
 def test_certified_domains_build_no_chain(monkeypatch):
     def no_chain(*args):
-        raise AssertionError("a certified domain must not build a Sturm chain")
+        raise AssertionError("root isolation must not build a Sturm chain")
 
     monkeypatch.setattr(unipoly, "_int_sturm_chain", no_chain)
     sturm_chain.cache_clear()
@@ -1232,10 +1232,51 @@ def test_certified_domains_build_no_chain(monkeypatch):
     # x - c*y^k binomials: one sign variation on a domain with lo >= 0
     binomial = [-(10**6)] + [0] * 86 + [7]
     assert count_real_roots(binomial, 0, 2) == 1 and count_real_roots(binomial, 2, 3) == 0
-    # v >= 2 still needs the chain
-    with pytest.raises(AssertionError, match="certified domain"):
-        isolate_real_roots(p, 0, 4)
+    # v >= 2: the domain is split until each part has v <= 1
+    assert [integer_in(r) for r in isolate_real_roots(p, 0, 4)] == [None, 3]
+    assert count_real_roots(p, 0, 4) == 2 and len(all_real_roots(p)) == 3
     assert sturm_chain.cache_info().currsize == 0
+
+
+def test_squarefree_part_matches_integer_chain(monkeypatch):
+    """`squarefree_part` against the Sturm builder's squarefree part, up to
+    sign: on the certificate cases, on x^m times each, and with a leading
+    coefficient that every prime of `_GCD_PRIMES` divides, where only the
+    integer gcd decides."""
+    rng = random.Random(1976)
+    every_prime = math.prod(unipoly._GCD_PRIMES)
+    gcd_calls = []
+
+    def counted(a, b):
+        gcd_calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(unipoly, "poly_gcd", counted)
+    shapes = {"x^m": 0, "fallback": 0, "repeated": 0}
+    for p, _, _ in _certificate_cases(rng, 117):
+        for q in (p, p * UniPoly([0, 1]) ** rng.randint(1, 40), p * UniPoly([1, every_prime])):
+            f = ints(q)
+            squarefree_part.cache_clear()
+            gcd_calls.clear()
+            got = squarefree_part(f)
+            want = integer_squarefree_chain(f)[0]
+            assert list(got) in (want, [-c for c in want]), q
+            assert got[-1] * f[-1] > 0, q
+            if f[-1] % every_prime == 0:
+                assert len(gcd_calls) == 1, q
+                shapes["fallback"] += 1
+            shapes["x^m"] += f[0] == 0 and f[1] == 0
+            shapes["repeated"] += len(got) < len(f) and f[0] != 0
+    assert min(shapes.values()) >= 40, shapes
+    # x^m times a squarefree polynomial is proved squarefree modulo a prime
+
+    def refuse(*args):
+        raise AssertionError("a squarefree rest needs no integer gcd")
+
+    monkeypatch.setattr(unipoly, "poly_gcd", refuse)
+    squarefree_part.cache_clear()
+    rest = UniPoly([-2, 0, 1]) * UniPoly([5, 3]) * UniPoly([-(10**6)] + [0] * 86 + [7])
+    assert squarefree_part(ints(UniPoly([0, 1]) ** 41 * rest)) == ints(UniPoly([0, 1]) * rest)
 
 
 def test_root_floor_matches_count_real_roots():
