@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_16.json at the repository root.
+rows and write BENCH_17.json at the repository root.
 
 Each row is timed RUNS = 3 times, each run one call in a fresh interpreter
 (so the package's caches start empty, as in a CLI call), timed there with
@@ -48,7 +48,7 @@ ROWS = [
     ("pipeline", "-5*x^3 - 5*x^2*y + 2*y^3 - 2*x^2", 36),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_16.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_17.json"
 RUNS = 3
 
 

@@ -9,19 +9,24 @@ as isolating intervals and every sign decision is made exactly: the sign of
 p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
 column p(x0, y) at the bracket of f(x0), zero included, for `branch_sign`,
 the piece flags of `partition_by_bounds` and the slope regime of a frame
-cell.  The implicit derivatives H_k and the level curves L = H_i +
-F_y^(2i-1) * (i! * c) are built with the `BiPoly` operators.  A level curve
-that involves y is kept reduced modulo the curve (`reduce_modulo`): R =
-lc_y(F)^E * L mod F with E even and content 1, which has L's sign at every
-branch point, so each level sign reads a column of y-degree below deg_y F.
-Its eliminant, Res_y(F, L) as a primitive integer tuple, comes from
+cell.  The implicit derivatives H_k are built with the `BiPoly` operators
+from one (F_x, F_y, M) triple per curve.  A level curve L = H_i +
+F_y^(2i-1) * (i! * c) is kept reduced modulo the curve as a sum of two
+parts built once per curve and order: R = A_i + c * B_i = lc^E * L mod F,
+with lc = prim(lc_y F), E even and content 1, has L's sign at every branch
+point, so each level sign reads a column of y-degree below deg_y F.  A_i
+runs the H_k recurrence on reduced forms and B_i is order i - 1's times
+i * F_y^2, reduced; no level is reduced on its own.  The eliminant,
+Res_y(F, L) as a primitive integer tuple, comes from
 `resultant_eliminating_y(F, R)`, or from R^(deg_y F) when R is free of y,
-with the power of the leading coefficient that the reduction brings divided
-out; a level curve free of y is its own eliminant.  A piece flag of order i
+with the power of the leading coefficient that the reduction brings
+divided out; deg_y L, which that power needs, is read from the parts, and
+a level curve free of y is its own eliminant.  A piece flag of order i
 is one query on the product of the columns of the two reduced +-thr level
-curves, whose sign along the branch is that of (f^(i)/i!)^2 - thr^2.  A level set builds its
-eliminant's repeated-root part only when an eliminant root reaches the
-tangential test and Descartes' rule does not prove it simple.
+curves, whose sign along the branch is that of (f^(i)/i!)^2 - thr^2.  A
+level set builds its eliminant's repeated-root part only when an eliminant
+root reaches the tangential test and Descartes' rule does not prove it
+simple.
 Partition pieces come straight from the sorted cuts: piece j spans the gap
 between cuts j - 1 and j and takes the integer abscissas in
 (floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
@@ -36,7 +41,14 @@ from math import ceil, comb, factorial, floor
 from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
-from .poly2 import BiPoly, divide_lc_power, ingestion_check, partial, reduce_modulo, resultant_eliminating_y
+from .poly2 import (
+    BiPoly,
+    divide_lc_power,
+    ingestion_check,
+    partial,
+    reduce_times_lead_power,
+    resultant_eliminating_y,
+)
 from .unipoly import (
     RootInterval,
     _int_mul,
@@ -227,6 +239,14 @@ def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoi
 # -- implicit derivative machinery ------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _derivatives(curve: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """(F_x, F_y, M) with M = F_y F_xy - F_x F_yy, built once per curve for
+    `hk_sequence` and for the reduced recurrence of `_reduced_level_parts`."""
+    fx, fy = partial(curve, "x"), partial(curve, "y")
+    return fx, fy, fy * partial(fx, "y") - fx * partial(fy, "y")
+
+
 @lru_cache(maxsize=256)
 def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
     """Polynomials H_1..H_kmax with H_k(x, f) + F_y(x, f)^(2k-1) f^(k)(x) = 0
@@ -239,12 +259,11 @@ def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
         raise ValueError("curve must be nonconstant")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    fx, fy = partial(curve, "x"), partial(curve, "y")
+    fx, fy, mixed = _derivatives(curve)
     if kmax == 1:
         return (fx,)
     prev = hk_sequence(curve, kmax - 1)
     h, k = prev[-1], kmax - 1
-    mixed = fy * partial(fx, "y") - fx * partial(fy, "y")
     return prev + (fy * fy * partial(h, "x") - fy * fx * partial(h, "y") - h * mixed * (2 * k - 1),)
 
 
@@ -313,13 +332,70 @@ def taylor_coefficients(
 # -- level sets and partitioning ---------------------------------------------
 
 
+class _LevelParts(NamedTuple):
+    """The level curves L = H_i + F_y^(2i-1) * (i! * c) of one order i."""
+
+    a: BiPoly  # lc^e * H_i mod F
+    b: BiPoly  # lc^e * i! * F_y^(2i-1) mod F
+    e: int
+    deg_y: int  # deg_y L at every level but `drop_level`
+    drop_level: Optional[Fraction]  # the one level where deg_y L may be lower
+
+
 @lru_cache(maxsize=64)
-def _level_parts(curve: BiPoly, i: int) -> tuple[BiPoly, BiPoly]:
-    """(H_i, i! * F_y^(2i-1)), built once per curve and order for every
-    level; the second is order i - 1's times i * F_y^2."""
-    fy = partial(curve, "y")
-    fy_pow = fy if i == 1 else _level_parts(curve, i - 1)[1] * (fy * fy) * i
-    return hk_sequence(curve, i)[-1], fy_pow
+def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
+    """The two parts of order i's level curves reduced modulo the curve F:
+    lc^e * L mod F = a + c * b for every level c, with lc = prim(lc_y F) and
+    the even e = 2(i - 1)(n - 1) + 2, n = deg_y F.
+
+    a runs the `hk_sequence` recurrence on reduced forms.  The tangent
+    derivation D = F_y d/dx - F_x d/dy maps the ideal (F) into itself, so
+    from a = lc^E * H_(i-1) mod F, lc^(E+1) * D(H_(i-1)) = lc * D(a) - E *
+    D(lc) * a mod F, and D(lc) = 0 when lc_y F is a constant.  b is order
+    i - 1's times i * F_y^2, reduced.  `reduce_times_lead_power` brings both
+    to the power lc^e.
+
+    deg_y L comes from the parts' y-degrees.  F_y^(2i-1) has y-degree
+    (2i - 1)(n - 1).  With A = lc_y F and H_k = t y^d + (lower rows), the row
+    of y^(d + 2n - 2) in H_(k+1) is n A (n A t' - (d + 2k - 1) A' t).  When A
+    is not a constant, the top coefficient in x of the bracket is a nonzero
+    multiple of n deg t - (d + 2k - 1) deg A, which is -(deg A + n k) from
+    H_1's row A' of y^n on, so H_i has y-degree (2i - 1)(n - 1) + 1.  When A
+    is a constant, that row is (n A)^2 t', so H_i's row of y^((2i - 1)(n -
+    1)) is (n A)^(2i - 2) g^(i) for the row g of y^(n - 1) in F and no row
+    lies above it.  So L has one y-degree at every level except, for a
+    constant A, c = -g_i / (n A) when g has x-degree i (the top rows cancel)
+    and c = 0 when it has less.
+    """
+    n = curve.degree_y()
+    fx, fy, mixed = _derivatives(curve)
+    lead = _primitive(curve.rows[-1])
+    e = 2 * (i - 1) * (n - 1) + 2
+    deg_b = (2 * i - 1) * (n - 1)
+    if len(lead) > 1:
+        deg_y, drop_level = deg_b + 1, None
+    else:
+        g = curve.rows[n - 1]
+        deg_y, drop_level = deg_b, None
+        if len(g) <= i:
+            drop_level = Fraction(0)
+        elif len(g) == i + 1:
+            drop_level = Fraction(-g[i], n * curve.rows[n][0])
+    if i == 1:
+        a, b = reduce_times_lead_power(curve, fx, e), reduce_times_lead_power(curve, fy, e)
+        return _LevelParts(a, b, e, deg_y, drop_level)
+    prev = _reduced_level_parts(curve, i - 1)
+    a, pe = prev.a, prev.e
+    d_a = fy * partial(a, "x") - fx * partial(a, "y")
+    if len(lead) > 1:
+        lc = BiPoly({(j, 0): v for j, v in enumerate(lead)})
+        d_lc = fy * partial(lc, "x")
+        t = fy * (lc * d_a - d_lc * a * pe) - mixed * lc * a * (2 * i - 3)
+        a = reduce_times_lead_power(curve, t, e - pe - 1)
+    else:
+        a = reduce_times_lead_power(curve, fy * d_a - mixed * a * (2 * i - 3), e - pe)
+    b = reduce_times_lead_power(curve, prev.b * (fy * fy) * i, e - pe)
+    return _LevelParts(a, b, e, deg_y, drop_level)
 
 
 @lru_cache(maxsize=512)
@@ -328,29 +404,37 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[
     the level curve is free of y) for the level curve L = H_i + F_y^(2i-1) *
     (i! * c), which vanishes on branch points with f^(i)/i! = c.
 
-    A level curve free of y is its own R and its own eliminant.  Otherwise R
-    is `reduce_modulo(curve, L)`: of y-degree below the curve's, with L's sign
-    at every branch point.  The eliminant is Res_y(curve, L), read from
-    Res_y(curve, R), or from R^(deg_y F) when R is free of y, with the power
-    of the leading coefficient that the reduction brings divided out."""
-    hk, fy_pow = _level_parts(curve, i)
-    level = hk + fy_pow * c
-    if level.is_zero():
+    R = a + c * b from `_reduced_level_parts`, with content 1: lc^e * L mod
+    F, of y-degree below the curve's, with L's sign at every branch point;
+    R = 0 means that L vanishes on the curve.  A level curve free of y is R
+    up to a positive factor, and its own eliminant.  Otherwise the
+    eliminant is Res_y(curve, L), read from Res_y(curve, R), or from
+    R^(deg_y F) when R is free of y, with the power of the leading
+    coefficient that the reduction brings divided out.  That power needs
+    deg_y L, which the parts give; L is built only at their `drop_level`."""
+    parts = _reduced_level_parts(curve, i)
+    reduced = parts.a + parts.b * c
+    if reduced.is_zero():
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
         )
-    if level.degree_y() < 1:
-        return level * (1 / level.content), _primitive(level.rows[0]), True
-    reduced, k = reduce_modulo(curve, level)
     # a positive factor keeps every sign and root; content 1 leaves the
     # eliminant of an integer curve with no rational rescaling
     reduced = reduced * (1 / reduced.content)
+    deg_l = parts.deg_y
+    if c == parts.drop_level:
+        fy = _derivatives(curve)[1]
+        deg_l = (hk_sequence(curve, i)[-1] + fy ** (2 * i - 1) * (factorial(i) * c)).degree_y()
+    if deg_l < 1:
+        return reduced, _primitive(reduced.rows[0]), True
+    n = curve.degree_y()
     if reduced.degree_y() >= 1:
         res = primitive_ints(resultant_eliminating_y(curve, reduced).coeffs)
     else:
-        res = (reduced ** curve.degree_y()).rows[0] if reduced else []
+        res = (reduced ** n).rows[0]
     if not res:
         raise DegenerateLevelSetError("level-set eliminant vanished identically")
+    k = parts.e * n - deg_l + reduced.degree_y()
     return reduced, _primitive(divide_lc_power(curve, res, k)), False
 
 

@@ -446,6 +446,34 @@ def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
     return UniPoly(res if scale == 1 else [c * scale for c in res])
 
 
+def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
+    """prim(lc_y f)^d * p mod f in y, for a d at which that remainder is a
+    polynomial (prim as in `divide_lc_power`).
+
+    The pseudo-remainder takes lc_y(f)^e with e = max(deg_y p - deg_y f + 1,
+    0); its content is divided out, and the result multiplied by the missing
+    power of prim(lc_y f) or divided by the surplus one.  The remainder
+    modulo f is unique, so that division is exact when the target is a
+    polynomial.
+    """
+    if f.degree_y() < 1:
+        raise ResultantDomainError("reduction requires a curve of positive y-degree")
+    rows = _pseudo_remainder(p.rows, f.rows)
+    e = max(p.degree_y() - f.degree_y() + 1, 0)
+    lead = _primitive(f.rows[-1])
+    d -= e
+    if len(lead) == 1:
+        if lead[0] < 0 and d % 2:
+            rows = [[-c for c in r] for r in rows]
+    elif d > 0:
+        lead_pow = _int_pow(lead, d)
+        rows = [_int_mul(r, lead_pow) for r in rows]
+    elif d < 0:
+        lead_pow = _int_pow(lead, -d)
+        rows = [int_exact_quotient(r, lead_pow) if r else [] for r in rows]
+    return _canonical(p.content / Fraction(f.rows[-1][-1] // lead[-1]) ** e, [list(r) for r in rows])
+
+
 def reduce_modulo(f: BiPoly, p: BiPoly) -> tuple[BiPoly, int]:
     """(R, k): R = lc_y(f)^E * p mod f in y for an E >= 0, so deg_y R < deg_y
     f and R has the sign of p wherever f = 0 and lc_y(f) != 0; and k >= 0
@@ -462,13 +490,12 @@ def reduce_modulo(f: BiPoly, p: BiPoly) -> tuple[BiPoly, int]:
         raise ResultantDomainError("reduction requires a curve of positive y-degree")
     if m < n:
         return p, 0
-    rows = _pseudo_remainder(p.rows, f.rows)
     e = m - n + 1
     lead = f.rows[-1]
     if e % 2 and (len(lead) > 1 or lead[0] < 0):
-        rows = [_int_mul(r, lead) for r in rows]
         e += 1
-    r = _canonical(p.content, rows)
+    # lc_y(f) is prim(lc_y f) times the positive content of its row
+    r = reduce_times_lead_power(f, p, e) * Fraction(lead[-1] // _primitive(lead)[-1]) ** e
     return r, e * n - m + max(r.degree_y(), 0)
 
 

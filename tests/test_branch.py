@@ -27,7 +27,7 @@ from latcurve.branch import (
 )
 from latcurve.counting import brute_force_count
 from latcurve.detmethod import LatticePoint
-from latcurve.poly2 import BiPoly, IngestionError, parse, partial, resultant_eliminating_y
+from latcurve.poly2 import BiPoly, IngestionError, parse, partial, reduce_modulo, resultant_eliminating_y
 from latcurve import branch as branch_module
 from latcurve.unipoly import (
     RootInterval,
@@ -323,6 +323,92 @@ def test_level_eliminant_matches_unreduced_route():
         seen["polynomial_lead"] += len(lead) > 1
         seen["reduced_free_of_y"] += not free_of_y and reduced.degree_y() < 1
     assert min(seen.values()) >= 20, seen
+
+
+def _reduced_up_to_lead_power(curve, p, e):
+    """`reduce_modulo(curve, p)`'s R times prim(lc_y curve)^(e - E) for its
+    documented exponent E: e's remainder up to a positive factor."""
+    n, lead = curve.degree_y(), curve.rows[-1]
+    reduced, _ = reduce_modulo(curve, p)
+    exponent = max(p.degree_y() - n + 1, 0)
+    if not (len(lead) == 1 and lead[0] > 0):
+        exponent += exponent % 2
+    assert e >= exponent
+    if len(lead) == 1:
+        return reduced
+    lc = BiPoly({(j, 0): v for j, v in enumerate(primitive_ints(lead))})
+    return lc ** (e - exponent) * reduced
+
+
+def _zero_or_positive_ratio(a, b):
+    return a.is_zero() and b.is_zero() or not b.is_zero() and _positive_ratio(a, b) is not None
+
+
+def _check_reduced_level_parts(curve, i, c):
+    """The reduced parts of order i against `reduce_modulo` of H_i, of
+    i! * F_y^(2i-1) and of the level curve at c (the one shared factor), and
+    the y-degree they give against the unreduced level curves at 0 and c."""
+    parts = branch_module._reduced_level_parts(curve, i)
+    assert parts.e % 2 == 0 and parts.a.degree_y() < curve.degree_y() and parts.b.degree_y() < curve.degree_y()
+    hk = hk_sequence(curve, i)[-1]
+    fy_pow = partial(curve, "y") ** (2 * i - 1) * math.factorial(i)
+    assert _zero_or_positive_ratio(parts.a, _reduced_up_to_lead_power(curve, hk, parts.e)), (curve, i)
+    assert _zero_or_positive_ratio(parts.b, _reduced_up_to_lead_power(curve, fy_pow, parts.e)), (curve, i)
+    levels = [Fraction(0), c] + ([parts.drop_level] if parts.drop_level is not None else [])
+    for level_c in levels:
+        level = hk + fy_pow * level_c
+        want = _reduced_up_to_lead_power(curve, level, parts.e)
+        assert _zero_or_positive_ratio(parts.a + parts.b * level_c, want), (curve, i, level_c)
+        # deg_y L is the parts' value except below it at the drop level
+        if level_c == parts.drop_level:
+            assert level.degree_y() < parts.deg_y, (curve, i, level_c)
+        else:
+            assert level.degree_y() == parts.deg_y, (curve, i, level_c)
+    return parts
+
+
+def test_reduced_level_parts_match_reduce_modulo():
+    """`_reduced_level_parts` of orders 1-6 on seeded curves with a positive,
+    negative and polynomial leading coefficient in y, and of order 15 on
+    three named curves, against the unreduced H_i and i! * F_y^(2i-1)
+    reduced by `reduce_modulo`."""
+    rng = random.Random(1717)
+    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0, "drop_level": 0}
+    for _ in range(60):
+        curve = _eliminant_case_curve(rng)
+        for i in range(1, 7):
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 7)) or Fraction(1)
+            parts = _check_reduced_level_parts(curve, i, c)
+            seen[_lead_kind(curve)] += 1
+            seen["drop_level"] += bool(parts.drop_level)
+    assert min(seen.values()) >= 10, seen
+    for text in ("x*y^2 + y - 1", "x*y - 12", "x - 7*y^5"):
+        parts = _check_reduced_level_parts(parse(text), 15, Fraction(-3, 2))
+    # ROADMAP item 3 measured 43 y-rows in the unreduced H_15 of x - 7*y^5
+    assert len(parts.a.rows) <= 3
+
+
+def test_level_curve_built_only_where_top_rows_cancel():
+    """With a constant lc_y(F) = A and the row g of y^(n-1) in F of x-degree
+    i, the top rows of H_i + c * i! * F_y^(2i-1) cancel at c = -g_i / (n A):
+    there the level curve is built from `hk_sequence` to read its y-degree,
+    and the eliminant still equals the unreduced route; elsewhere no
+    `hk_sequence` call is made."""
+    cases = (("y^2 + x*y - x^3", 1, True), ("y^2 + x^2*y - x", 2, False), ("2*y^3 - x^2*y^2 + y - 5*x", 2, False))
+    for text, i, free in cases:
+        curve = parse(text)
+        lead, g = curve.rows[-1][0], curve.rows[-2]
+        drop = Fraction(-g[i], curve.degree_y() * lead)
+        for cached in (branch_module._level_resultant, branch_module._reduced_level_parts, hk_sequence):
+            cached.cache_clear()
+        reduced, res, free_of_y = branch_module._level_resultant(curve, i, Fraction(3))
+        assert hk_sequence.cache_info().misses == 0
+        reduced, res, free_of_y = branch_module._level_resultant(curve, i, drop)
+        assert hk_sequence.cache_info().misses > 0, text
+        level = _unreduced_level_curve(curve, i, drop)
+        assert level.degree_y() < (2 * i - 1) * (curve.degree_y() - 1)
+        assert free_of_y == free == (level.degree_y() < 1), text
+        assert res == _unreduced_eliminant(curve, i, drop), text
 
 
 # -- taylor coefficients -----------------------------------------------------------
@@ -625,7 +711,7 @@ def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
     `poly2.resultant_eliminating_y`, through the binding in `branch` that a
     tracer replaces, with the level curve as its second argument."""
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
-    for cached in (branch_module._level_resultant, branch_module._level_parts, hk_sequence):
+    for cached in (branch_module._level_resultant, branch_module._reduced_level_parts, hk_sequence):
         cached.cache_clear()
     calls = []
     original = branch_module.resultant_eliminating_y

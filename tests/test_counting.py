@@ -316,6 +316,19 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     assert gcd_callers.count("squarefree_part") == 2
 
 
+def test_pipeline_takes_level_curves_from_reduced_parts():
+    """Operation-count guard: from empty caches, every level curve of the
+    pipeline is a sum of the two reduced parts of its order, so no
+    unreduced implicit derivative is built (0 `hk_sequence` misses), and
+    the totals equal the oracle's."""
+    for text, n in (("x - 3*y^5", 100), ("y^2 - x^3 - x - 1", 25)):
+        _clear_caches()
+        rep = determinant_method_count(parse(text), n)
+        assert rep.ok and rep.total == rep.oracle_total, text
+        assert branch._reduced_level_parts.cache_info().misses > 0, text
+        assert branch.hk_sequence.cache_info().misses == 0, text
+
+
 def test_slow_cubics_match_oracle_with_no_sturm_chain():
     """Cubics whose level-set eliminants reach degree 84-90 with roots close
     together: isolating them by Sturm chains took 3.2 s and 9.1 s."""
