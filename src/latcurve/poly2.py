@@ -81,6 +81,20 @@ def _canonical(content: Fraction, rows: list[list[int]]) -> BiPoly:
     return BiPoly._of(content, tuple(map(tuple, rows)))
 
 
+def _combine_rows(
+    ra: Sequence[Sequence[int]], ka: int, rb: Sequence[Sequence[int]], kb: int
+) -> list[list[int]]:
+    """The integer rows ka * ra + kb * rb, as new lists."""
+    if len(ra) < len(rb):
+        ra, ka, rb, kb = rb, kb, ra, ka
+    out = [[c * ka for c in r] for r in ra]
+    for row, s in zip(out, rb):
+        row.extend([0] * (len(s) - len(row)))
+        for i, c in enumerate(s):
+            row[i] += c * kb
+    return out
+
+
 class BiPoly:
     """Immutable bivariate polynomial over Q: `content` > 0 times the primitive
     integer y-rows `rows` (see the module docstring)."""
@@ -191,16 +205,9 @@ class BiPoly:
         # a*A + b*B = u * (ka*A + kb*B) with u = gcd(a, b) and integers ka, kb
         a, b = self.content, other.content
         num, den = gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)
-        ra, ka = self.rows, a.numerator // num * (den // a.denominator)
-        rb, kb = other.rows, b.numerator // num * (den // b.denominator)
-        if len(ra) < len(rb):
-            ra, ka, rb, kb = rb, kb, ra, ka
-        out = [[c * ka for c in r] for r in ra]
-        for row, s in zip(out, rb):
-            row.extend([0] * (len(s) - len(row)))
-            for i, c in enumerate(s):
-                row[i] += c * kb
-        return _canonical(Fraction(num, den), out)
+        ka = a.numerator // num * (den // a.denominator)
+        kb = b.numerator // num * (den // b.denominator)
+        return _canonical(Fraction(num, den), _combine_rows(self.rows, ka, other.rows, kb))
 
     def __sub__(self, other: BiPoly) -> BiPoly:
         return self + (-other)
@@ -444,6 +451,18 @@ def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
     res = _int_resultant(p.rows, q.rows)
     scale = p.content ** q.degree_y() * q.content ** p.degree_y()
     return UniPoly(res if scale == 1 else [c * scale for c in res])
+
+
+def primitive_sum(p: BiPoly, q: BiPoly, c: Fraction) -> BiPoly:
+    """p + c * q scaled to content 1 (a positive multiple, so with the same
+    signs), or zero: with c = s/t, t > 0, and positive integers ka : kb =
+    content(p) : content(q), one integer combination t*ka*P + s*kb*Q of the
+    primitive rows P and Q, divided by its gcd."""
+    a, b = p.content, q.content
+    den = lcm(a.denominator, b.denominator)
+    ka = c.denominator * a.numerator * (den // a.denominator)
+    kb = c.numerator * b.numerator * (den // b.denominator)
+    return BiPoly._of(Fraction(1), _canonical(Fraction(1), _combine_rows(p.rows, ka, q.rows, kb)).rows)
 
 
 def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:

@@ -25,13 +25,23 @@ from latcurve.branch import (
     partition_by_bounds,
     taylor_coefficients,
 )
-from latcurve.counting import brute_force_count
+from latcurve.counting import brute_force_count, default_delta, default_ell, determinant_method_count
 from latcurve.detmethod import LatticePoint
-from latcurve.poly2 import BiPoly, IngestionError, parse, partial, reduce_modulo, resultant_eliminating_y
+from latcurve.monomials import punctured_set
+from latcurve.poly2 import (
+    BiPoly,
+    IngestionError,
+    corner_index,
+    parse,
+    partial,
+    reduce_modulo,
+    resultant_eliminating_y,
+)
 from latcurve import branch as branch_module
 from latcurve.unipoly import (
     RootInterval,
     UniPoly,
+    _int_mul,
     count_real_roots,
     integer_in,
     integer_roots,
@@ -1030,6 +1040,110 @@ def test_piece_flags_match_two_query_flags():
             for flag in piece.flags:
                 seen[flag] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _pieces(part):
+    return [(p.lo, p.hi, p.flags) for p in part.pieces]
+
+
+def test_flags_across_a_tangential_cut_are_queried_again():
+    # f''/2 = -25/(2 y^3) touches -1/10 at x = 0 without crossing it: the
+    # exact cut there carries no certified crossing, and order 2 stays small
+    br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
+    part = partition_by_bounds(br, 3, 10, Fraction(1, 10))
+    assert _pieces(part) == [
+        (-3, 0, ("small", "large")),
+        (0, Fraction(107, 32), ("small", "large")),
+        (Fraction(57, 16), 4, ("large", "large")),
+    ]
+    thresholds = [10 * Fraction(1, 10) ** i for i in (1, 2)]
+    assert all(p.flags == _two_query_flags(br, p, thresholds) for p in part.pieces)
+
+
+def test_flags_across_a_cut_of_two_orders_flip_both():
+    # f' = -4/3 and f''/2 = -25/54 both hold at (4, 3): one cut merges a
+    # crossing of order 1 and one of order 2
+    br = branch_from_point(FIXTURES["circle"], 3, 4, (0, Fraction(9, 2)))
+    n_box, delta = Fraction(96, 25), Fraction(25, 72)
+    part = partition_by_bounds(br, 3, n_box, delta)
+    assert _pieces(part) == [
+        (0, Fraction(63, 16), ("small", "small")),
+        (Fraction(261, 64), Fraction(9, 2), ("large", "large")),
+    ]
+    thresholds = [n_box * delta**i for i in (1, 2)]
+    assert all(p.flags == _two_query_flags(br, p, thresholds) for p in part.pieces)
+
+
+def _product_query_flags(br, piece, thresholds):
+    """The flags of a piece from one query per order on the product of the
+    reduced +-thr level curves' columns at its midpoint."""
+    mid = (piece.lo + piece.hi) / 2
+    bracket = branch_value_bracket(br, mid)
+    flags = []
+    for i, thr in enumerate(thresholds, start=1):
+        try:
+            plus = branch_module._level_resultant(br.curve, i, thr)[0].int_column(mid)
+            minus = branch_module._level_resultant(br.curve, i, -thr)[0].int_column(mid)
+        except DegenerateLevelSetError:
+            flags.append("small")
+            continue
+        s = sign_at_root(bracket, _int_mul(plus, minus))
+        assert s != 0
+        flags.append("small" if s < 0 else "large")
+    return tuple(flags)
+
+
+def _pipeline_partitions(text, n_box):
+    """(branch, thresholds, partition) for each branch of the curve, with
+    the D and delta that `determinant_method_count` uses."""
+    curve = parse(text)
+    d = curve.degree
+    ell = default_ell(d, n_box)
+    delta = default_delta(d, ell, n_box)
+    for br in graph_decompose(curve, n_box).branches:
+        big_d = punctured_set(d, ell, corner_index(br.curve)).D
+        thresholds = [n_box * delta**i for i in range(1, big_d)]
+        yield br, thresholds, partition_by_bounds(br, big_d, n_box, delta)
+
+
+def test_piece_flags_match_product_queries_at_pipeline_size():
+    """At the pipeline's D and delta on latbench-sized curves, every flag
+    carried across cuts equals a fresh query at the piece midpoint."""
+    carried = 0
+    for text, n_box in (
+        ("x - 24*y^4", 100),
+        ("x - 7*y^5", 100),
+        ("x^2 - 13*y^2 - 1", 60),
+        ("y^2 - x^3 + x - 3", 25),
+    ):
+        for br, thresholds, part in _pipeline_partitions(text, n_box):
+            assert len(thresholds) >= 8
+            for piece in part.pieces:
+                assert piece.flags == _product_query_flags(br, piece, thresholds), (text, piece)
+            carried += (len(part.pieces) - 1) * len(thresholds)
+    assert carried >= 300
+
+
+def test_partition_queries_each_order_once_on_a_pure_flip_branch(monkeypatch):
+    """From empty caches, the main branch of x - 24*y^4 at N = 100 (13
+    pieces, 15 orders) makes at most one product-column query per order:
+    every later flag is carried across its cut."""
+    for cached in (branch_module._level_resultant, branch_module._reduced_level_parts, hk_sequence):
+        cached.cache_clear()
+    calls = []
+    original = branch_module._int_mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(branch_module, "_int_mul", counted)
+    br, thresholds, part = next(_pipeline_partitions("x - 24*y^4", 100))
+    assert not br.swapped and len(part.pieces) == 13 and len(thresholds) == 15
+    assert 0 < len(calls) <= len(thresholds)
+    monkeypatch.undo()
+    report = determinant_method_count(parse("x - 24*y^4"), 100)
+    assert report.ok and report.total == report.oracle_total
 
 
 def test_large_interval_check():

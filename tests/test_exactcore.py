@@ -38,6 +38,7 @@ from latcurve.unipoly import (
     ranked_integer_root,
     refine_clear_of,
     refine_disjoint,
+    refine_disjoint_merged,
     refine_root,
     root_floor,
     sign_at_root,
@@ -348,6 +349,21 @@ def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
     assert len(kept) == 2
     assert kept[0].lo <= 1 <= kept[0].hi and kept[1].lo <= 3 <= kept[1].hi
     assert kept[0].hi <= kept[1].lo
+
+
+def test_refine_disjoint_merged_reports_the_inputs_of_each_root():
+    # sqrt 2 from three polynomials, 1 and 3 from (x - 1)(x - 3), and -sqrt 2
+    sqrt2 = [isolate_real_roots(p, 0, 2)[0] for p in ([-2, 0, 1], [-4, 0, 2], [-2, 0, 1, 0, 0])]
+    one, three = isolate_real_roots([3, -4, 1], 0, 4)
+    [minus] = isolate_real_roots([-2, 0, 1], -2, 0)
+    inputs = [three, sqrt2[0], minus, sqrt2[1], one, sqrt2[2]]
+    merged = refine_disjoint_merged(inputs, Fraction(1, 4))
+    assert [r for r, _ in merged] == refine_disjoint(inputs, Fraction(1, 4))
+    assert [sorted(group) for _, group in merged] == [[2], [4], [1, 3, 5], [0]]
+    # each survivor is a refinement of the first input it names
+    for r, group in merged:
+        own = inputs[group[0]]
+        assert own.lo <= r.lo <= r.hi <= own.hi and r.polynomial == own.polynomial
 
 
 def test_refine_clear_of_root_at_an_end():

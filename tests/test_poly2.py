@@ -19,6 +19,7 @@ from latcurve.poly2 import (
     ingestion_check,
     parse,
     partial,
+    primitive_sum,
     reduce_modulo,
     resultant_eliminating_y,
 )
@@ -143,6 +144,15 @@ def test_operators_match_fraction_dict_reference(ta, tb, k, n, x, y):
     assert p.has_integer_coefficients() == all(c.denominator == 1 for c in rp.terms.values())
     if rp.terms:
         assert p.leading_term() == rp.leading_term()
+
+
+@given(term_lists(), term_lists(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+def test_primitive_sum_is_the_operator_sum_at_content_one(ta, tb, c):
+    """`primitive_sum(p, q, c)` has the rows of p + q * c and content 1."""
+    p, q = BiPoly(ta), BiPoly(tb)
+    got = primitive_sum(p, q, c)
+    assert_canonical(got)
+    assert got.rows == (p + q * c).rows and got.content == 1
 
 
 # -- evaluation, derivatives ------------------------------------------------------
