@@ -444,10 +444,20 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[
     return reduced, _primitive(divide_lc_power(curve, res, k)), False
 
 
-def _level_set(branch: AlgebraicBranch, i: int, c: Fraction) -> list[tuple[RootInterval, bool]]:
+def _bracket_at(branch: AlgebraicBranch, x: Fraction, brackets: dict[Fraction, RootInterval]) -> RootInterval:
+    """`branch_value_bracket(branch, x)`, kept in `brackets` by abscissa."""
+    if x not in brackets:
+        brackets[x] = branch_value_bracket(branch, x)
+    return brackets[x]
+
+
+def _level_set(
+    branch: AlgebraicBranch, i: int, c: Fraction, brackets: dict[Fraction, RootInterval]
+) -> list[tuple[RootInterval, bool]]:
     """The roots of `level_set_abscissas`, each with whether it is a
     certified crossing: a non-exact bracket at whose ends the level curve
-    has nonzero signs that differ, so f^(i)/i! - c changes sign there."""
+    has nonzero signs that differ, so f^(i)/i! - c changes sign there.  The
+    branch value brackets it reads are kept in `brackets`."""
     level, res, free_of_y = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     roots = isolate_real_roots(res, lo, hi)
@@ -461,7 +471,7 @@ def _level_set(branch: AlgebraicBranch, i: int, c: Fraction) -> list[tuple[RootI
     roots = refine_disjoint(roots, width)
 
     def level_sign(x: Fraction) -> int:
-        return sign_at_root(branch_value_bracket(branch, x), level.int_column(x))
+        return sign_at_root(_bracket_at(branch, x, brackets), level.int_column(x))
 
     included: list[tuple[RootInterval, bool]] = []
     mult: Optional[list[int]] = None
@@ -507,7 +517,7 @@ def level_set_abscissas(
     """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
-    return [r for r, _ in _level_set(branch, i, Fraction(c))]
+    return [r for r, _ in _level_set(branch, i, Fraction(c), {})]
 
 
 @dataclass
@@ -563,10 +573,13 @@ def partition_by_bounds(
     # -1 for a certified crossing and 0 (query again) for any other root
     steps: list[tuple[int, int]] = []
     forced_small: set[int] = set()
+    # the branch value brackets of this call, by abscissa: the level sets of
+    # one branch are refined on one domain, so their brackets share ends
+    brackets: dict[Fraction, RootInterval] = {}
     for i, thr in enumerate(thresholds, start=1):
         for c in (thr, -thr):
             try:
-                found = _level_set(branch, i, c)
+                found = _level_set(branch, i, c, brackets)
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
                 # bound |f^(i)/i!| <= thr holds everywhere, with no cuts
@@ -595,7 +608,7 @@ def partition_by_bounds(
     plo, first = lo, ceil(lo)
     for j, (phi, next_lo, last) in enumerate(ends):
         mid = (plo + phi) / 2
-        bracket = branch_value_bracket(branch, mid)
+        bracket = _bracket_at(branch, mid, brackets)
         if sign_at_root(bracket, fy.int_column(mid)) == 0:
             raise BranchError("branch derivative degenerate at a piece midpoint")
         factor = factors[j - 1] if j else {}

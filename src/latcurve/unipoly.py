@@ -4,10 +4,11 @@ All decisions (root counts, signs, refinements) are made in exact rational
 arithmetic.  Every root query takes an integer coefficient list p and works
 on its primitive form f (`_primitive`, once on entry), except that
 `integer_roots` and `ranked_integer_root` keep any p with a nonzero top
-coefficient as it is: their closed forms hold for every integer multiple,
-and their chain builder normalises.  Roots are reported as rational-endpoint
-isolating intervals that carry a primitive integer tuple; a degenerate
-interval [r, r] marks an exactly known rational root.  `isolate_real_roots`
+coefficient as it is: their closed forms, sign variations and sign
+bisections hold for every integer multiple, and their chain builder
+normalises.  Roots are reported as rational-endpoint isolating intervals
+that carry a primitive integer tuple; a degenerate interval [r, r] marks an
+exactly known rational root.  `isolate_real_roots`
 and `simple_root` test the domain ends on f, which has the same zeros as its
 squarefree part, and divide the end roots out of f (`_end_roots`).  A
 Descartes bound (`descartes_bound`) then decides the open domain: v = 0
@@ -20,7 +21,11 @@ proved squarefree by a gcd modulo a prime where it can be) until every
 part has v <= 1; `count_real_roots` counts the brackets.  Integer roots are
 found on integer endpoints only: `integer_roots` lists those in a range, and
 `ranked_integer_root` tests the root of a given rank, with no isolation and
-no shared cache; both decide degree <= 2 in closed form, and otherwise run
+no shared cache.  Both decide degree <= 2 in closed form.  Otherwise each
+half-line the query needs is certified by Descartes' rule on p's own
+coefficients (`_half_line_bounds`); when every such bound is at most 1,
+each half's one simple root is found by integer sign bisection on p
+(`_bisect_integer_root`).  Only a needed half with bound >= 2 makes them run
 on an integer Sturm chain (`integer_squarefree_chain`), on which a chain
 element f at x = num/den is evaluated as the integer den^deg * f(x).
 Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
@@ -270,8 +275,14 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def sign_variations(values: Iterable[Fraction | int]) -> int:
     """Sign changes along `values`, zeros skipped."""
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    count = 0
+    last = 0
+    for v in values:
+        if v:
+            if last and (v > 0) is not (last > 0):
+                count += 1
+            last = v
+    return count
 
 
 def _int_sturm_chain(f: Sequence[int], second: list[int] | None = None) -> list[list[int]]:
@@ -352,7 +363,7 @@ def squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def _int_root_bound(f: Sequence[int]) -> int:
     """An integer B > |r| for every complex root r of the nonzero f."""
-    return 1 + -(-max((abs(c) for c in f[:-1]), default=0) // abs(f[-1]))
+    return 1 + -(-max(map(abs, f[:-1]), default=0) // abs(f[-1]))
 
 
 def _int_eval(f: Sequence[int], x: int) -> int:
@@ -800,14 +811,56 @@ def _small_real_roots(f: Sequence[int]) -> list[int | None]:
     return roots
 
 
+def _half_line_bounds(f: Sequence[int], neg: bool, pos: bool) -> tuple[Sequence[int], bool, int, int]:
+    """(g, whether 0 is a root, v_neg, v_pos) for the nonzero integer f.
+
+    g is f with its factor x^m divided out.  v_neg and v_pos are Descartes'
+    bounds on the roots in (-inf, 0) and (0, inf), the sign variations of
+    g(-y) and of g(y), for the halves that `neg` and `pos` ask for; a half
+    not asked for reads 0.  A bound of 0 means no root on that half-line,
+    and 1 one simple root.
+    """
+    m = 0
+    while not f[m]:
+        m += 1
+    g = f[m:]
+    v_neg = 0
+    if neg:
+        reflected = list(g)
+        reflected[1::2] = [-c for c in reflected[1::2]]
+        v_neg = sign_variations(reflected)
+    return g, m > 0, v_neg, sign_variations(g) if pos else 0
+
+
+def _bisect_integer_root(f: Sequence[int], a: int, b: int) -> int | None:
+    """The root of the integer polynomial f in (a, b] when it is an integer,
+    else None.  Either b - a == 1, or (a, b] holds at most one real root of
+    f, across which f changes sign: a sign bisection on integer midpoints
+    keeps that root in (a, b] down to width 1, where one exact test decides.
+    """
+    sb = _int_eval(f, b)
+    while sb and b - a > 1:
+        m = (a + b) // 2
+        sm = _int_eval(f, m)
+        if sm == 0 or (sm > 0) == (sb > 0):
+            b, sb = m, sm  # the root lies in (a, m]
+        else:
+            a = m  # the root lies in (m, b)
+    return None if sb else b
+
+
 def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
     """The integer roots of p in [lo, hi] (unbounded where None), increasing.
 
     Every decision is made on integers.  Degree at most 2 takes the closed
-    form (`_small_real_roots`).  Otherwise an integer Sturm chain counts the
-    roots in (a, b] at integer endpoints, parts with several roots split at
-    integer midpoints, and a part with one root is bisected on the sign of
-    the squarefree part down to width 1, where one exact test decides.
+    form (`_small_real_roots`).  Otherwise the range is clipped to the root
+    bound and each half-line it meets is certified by Descartes' rule
+    (`_half_line_bounds`): when no such half has a bound of 2 or more, each
+    half with one root is searched by sign bisection on p itself, with no
+    squarefree part and no chain.  Otherwise an integer Sturm chain counts
+    the roots in (a, b] at integer endpoints, parts with several roots split
+    at integer midpoints, and a part with one root is bisected on the sign
+    of the squarefree part.
     """
     f = p if p and p[-1] else _primitive(p)
     if len(f) <= 3:
@@ -815,12 +868,20 @@ def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None
             r for r in _small_real_roots(f)
             if r is not None and (lo is None or lo <= r) and (hi is None or r <= hi)
         ]
-    sf, chain = integer_squarefree_chain(f)
-    bound = _int_root_bound(sf)
+    bound = _int_root_bound(f)
     lo = -bound if lo is None else max(lo, -bound)
     hi = bound if hi is None else min(hi, bound)
     if lo > hi:
         return []
+    g, zero, v_neg, v_pos = _half_line_bounds(f, lo < 0, hi > 0)
+    if v_neg <= 1 and v_pos <= 1:
+        found = [_bisect_integer_root(g, lo - 1, min(hi, 0))] if v_neg else []
+        if zero and lo <= 0 <= hi:
+            found.append(0)
+        if v_pos:
+            found.append(_bisect_integer_root(g, max(lo - 1, 0), hi))
+        return [r for r in found if r is not None]
+    sf, chain = integer_squarefree_chain(f)
     found = [lo] if _int_eval(sf, lo) == 0 else []
     # parts (a, b] with their variation counts, leftmost on top
     parts = [(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))]
@@ -834,17 +895,10 @@ def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None
             parts.append((m, b, vm, vb))
             parts.append((a, m, va, vm))
             continue
-        # one root in (a, b], or width 1: bisect while sf(b) != 0
-        sb = _int_eval(sf, b)
-        while sb and b - a > 1:
-            m = (a + b) // 2
-            sm = _int_eval(sf, m)
-            if sm == 0 or (sm > 0) == (sb > 0):
-                b, sb = m, sm  # the root lies in (a, m]
-            else:
-                a = m  # the root lies in (m, b)
-        if sb == 0:
-            found.append(b)
+        # one root in (a, b], or width 1
+        r = _bisect_integer_root(sf, a, b)
+        if r is not None:
+            found.append(r)
     return found
 
 
@@ -852,9 +906,13 @@ def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     """The number n of distinct real roots of p, and the root of rank `index`
     (0 is the smallest) when it is an integer, else None.
 
-    Degree at most 2 takes the closed form (`_small_real_roots`).  Otherwise
-    a rank search on integers: n comes from the chain's signs at -inf and
-    +inf; bisection finds the smallest integer t with more than `index` roots
+    Degree at most 2 takes the closed form (`_small_real_roots`).  When
+    Descartes' rule bounds both half-lines by at most 1
+    (`_half_line_bounds`), n is exactly v_neg + [p(0) = 0] + v_pos, ranked
+    as the negative root, then 0, then the positive root, and a half's root
+    is found by sign bisection on p itself.  Otherwise a rank search on an
+    integer Sturm chain: n comes from the chain's signs at -inf and +inf;
+    bisection finds the smallest integer t with more than `index` roots
     <= t, so the root lies in (t - 1, t].  It is t exactly when sf(t) == 0
     and t is root number index + 1 from the left.
     """
@@ -862,13 +920,23 @@ def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     if len(f) <= 3:
         roots = _small_real_roots(f)
         return len(roots), roots[index] if 0 <= index < len(roots) else None
+    bound = _int_root_bound(f)
+    g, zero, v_neg, v_pos = _half_line_bounds(f, True, True)
+    if v_neg <= 1 and v_pos <= 1:
+        n = v_neg + zero + v_pos
+        if not 0 <= index < n:
+            return n, None
+        if index < v_neg:
+            return n, _bisect_integer_root(g, -bound, 0)
+        if zero and index == v_neg:
+            return n, 0
+        return n, _bisect_integer_root(g, 0, bound)
     sf, chain = integer_squarefree_chain(f)
     v_neg = sign_variations([-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain])
     n = v_neg - sign_variations([q[-1] for q in chain])
     if not 0 <= index < n:
         return n, None
     # (a, b] holds the root: at most `index` roots are <= a, count_b > index are <= b
-    bound = _int_root_bound(sf)
     a, b, count_b = -bound, bound, n
     while b - a > 1:
         m = (a + b) // 2

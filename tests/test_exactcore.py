@@ -16,6 +16,8 @@ from latcurve.exactlinalg import (
     ryser_permanent,
 )
 from latcurve import unipoly
+from latcurve.counting import brute_force_count
+from latcurve.poly2 import parse
 from latcurve.unipoly import (
     RootInterval,
     _int_prem_signed,
@@ -726,15 +728,93 @@ def test_ranked_integer_root():
         ranked_integer_root([], 0)
 
 
-def test_ranked_integer_root_matches_isolation():
+def _sign_changes(cs):
+    signs = [c > 0 for c in cs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _isolated_integer_roots(p, lo, hi):
+    """The reference: the integer roots of p in [lo, hi] by isolation plus `integer_in`."""
+    if lo > hi:
+        return []
+    return [k for k in (integer_in(r) for r in isolate_real_roots(p, lo, hi)) if k is not None]
+
+
+def test_ranked_integer_root_matches_isolation(monkeypatch):
+    """Both integer root searches against isolation plus `integer_in`.
+
+    The draw is a product of rational linear factors and a small extra
+    factor, or a sparse c0 + c1*y^j + c2*y^d of degree 3 to 6; either may
+    then take an x^m factor, a content, zero top coefficients or the
+    opposite sign.  On degree 3 to 6 it meets each path of the searches:
+    Descartes' bound <= 1 on both half-lines or on one only, and >= 2 on
+    some half.  A chain is built exactly when a half that the query needs
+    has a bound >= 2.
+    """
+    chains = []
+
+    def counted_chain(p):
+        chains.append(p)
+        return integer_squarefree_chain(p)
+
+    monkeypatch.setattr(unipoly, "integer_squarefree_chain", counted_chain)
     rng = random.Random(23)
-    for _ in range(300):
-        roots = [Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(0, 4))]
-        p = _with_roots(roots, [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 3))])
-        isolated = isolate_real_roots(p, -(10**4), 10**4) if len(p) >= 2 else []
-        expected = [integer_in(r) for r in isolated]
-        got = [ranked_integer_root(p, i) for i in range(len(isolated))]
-        assert got == [(len(isolated), y) for y in expected], p
+    keys = ("both_le1", "pos_le1_only", "neg_le1_only", "chain", "x_power", "lo_zero", "hi_none",
+            "lo_above_bound", "non_primitive", "trailing_zeros", "negative_lead")
+    seen = dict.fromkeys(keys, 0)
+    for _ in range(1000):
+        if rng.random() < 0.6:
+            roots = [Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(0, 4))]
+            p = list(_with_roots(roots, [rng.randint(-9, 9) or 1 for _ in range(rng.randint(1, 3))]))
+        else:
+            d = rng.randint(3, 6)
+            p = [0] * (d + 1)
+            p[0] = rng.choice([-1, 1]) * rng.randint(1, 400)
+            p[rng.randint(1, d - 1)] = rng.randint(-30, 30)
+            p[d] = rng.choice([-1, 1]) * rng.randint(1, 13)
+        if rng.random() < 0.2:
+            p = [0] * rng.randint(1, 2) + p  # an x^m factor
+        if rng.random() < 0.2:
+            p = [c * rng.choice([-6, 4, 15]) for c in p]
+        if rng.random() < 0.2:
+            p = [-c for c in p]
+        if rng.random() < 0.15:
+            p = p + [0] * rng.randint(1, 2)
+        deg = max(i for i, c in enumerate(p) if c)
+        bound = unipoly._int_root_bound(p[:deg + 1])  # every root lies in (-bound, bound)
+        isolated = isolate_real_roots(p, -bound, bound) if deg >= 1 else []
+        n = len(isolated)
+        del chains[:]
+        got = [ranked_integer_root(p, i) for i in range(-1, n + 1)]
+        assert got == [(n, integer_in(isolated[i]) if 0 <= i < n else None) for i in range(-1, n + 1)], p
+        # the Descartes bounds of p with its x^m factor divided out
+        m = min(i for i, c in enumerate(p) if c)
+        g = p[m:deg + 1]
+        v_pos, v_neg = _sign_changes(g), _sign_changes(c if i % 2 == 0 else -c for i, c in enumerate(g))
+        assert bool(chains) == (deg >= 3 and max(v_neg, v_pos) >= 2), p
+        lo = rng.randint(-70, 70)
+        ranges = [(None, None), (0, rng.choice([None, rng.randint(-5, 70)])),
+                  (lo, lo + rng.randint(-3, 80)), (bound + rng.randint(0, 3), None)]
+        for lo, hi in ranges:
+            del chains[:]
+            lo_c, hi_c = -bound if lo is None else max(lo, -bound), bound if hi is None else min(hi, bound)
+            assert integer_roots(p, lo, hi) == _isolated_integer_roots(p, lo_c, hi_c), (p, lo, hi)
+            needed = (lo_c < 0 and v_neg >= 2) or (hi_c > 0 and v_pos >= 2)
+            assert bool(chains) == (deg >= 3 and lo_c <= hi_c and needed), (p, lo, hi)
+            if 3 <= deg <= 6:
+                seen["lo_zero"] += lo == 0
+                seen["hi_none"] += hi is None
+                seen["lo_above_bound"] += lo is not None and lo >= bound
+        if 3 <= deg <= 6:
+            seen["both_le1"] += v_neg <= 1 and v_pos <= 1
+            seen["pos_le1_only"] += v_pos <= 1 < v_neg
+            seen["neg_le1_only"] += v_neg <= 1 < v_pos
+            seen["chain"] += max(v_neg, v_pos) >= 2
+            seen["x_power"] += m > 0
+            seen["non_primitive"] += math.gcd(*p) > 1
+            seen["trailing_zeros"] += p[-1] == 0
+            seen["negative_lead"] += p[deg] < 0
+    assert min(seen.values()) >= 30, seen
 
 
 def test_integer_roots_wide_empty_and_constant_ranges():
@@ -922,6 +1002,32 @@ def test_closed_form_builds_no_chain(monkeypatch):
     assert integer_roots([7, -2]) == [] and integer_roots([8, -2]) == [4]
     with pytest.raises(ZeroPolynomialError):
         integer_roots([])
+
+
+def test_descartes_certified_searches_build_no_chain(monkeypatch):
+    """Columns with at most one root on each half-line take no chain: the
+    oracle on cubic and quintic power curves, and rank searches on quartic
+    (two real roots) and quintic (one) columns."""
+
+    def refuse(*args):
+        raise AssertionError("a chain was built for a column with Descartes bound <= 1 on each half")
+
+    monkeypatch.setattr(unipoly, "integer_squarefree_chain", refuse)
+    monkeypatch.setattr(unipoly, "_int_sturm_chain", refuse)
+    n_box = 1000
+    for c, k in ((13, 3), (12, 5)):
+        want = sum(1 for y in range(1, n_box + 1) if c * y**k <= n_box)
+        assert brute_force_count(parse(f"x - {c}*y^{k}"), n_box)[0] == want
+    quartic, quintic = parse("x - 24*y^4"), parse("x - 11*y^5")
+    for x0 in range(1, 2000):
+        root = next((y for y in range(1, 5) if 24 * y**4 == x0), None)
+        column = quartic.int_column(x0)
+        assert ranked_integer_root(column, 0) == (2, None if root is None else -root), x0
+        assert ranked_integer_root(column, 1) == (2, root), x0
+        root = next((y for y in range(1, 5) if 11 * y**5 == x0), None)
+        assert ranked_integer_root(quintic.int_column(x0), 0) == (1, root), x0
+    assert ranked_integer_root(quartic.int_column(24 * 3**4), 1) == (2, 3)
+    assert ranked_integer_root(quintic.int_column(11 * 2**5), 0) == (1, 2)
 
 
 # -- k-th roots -----------------------------------------------------------------------
