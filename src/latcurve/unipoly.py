@@ -2,43 +2,44 @@
 
 All decisions (root counts, signs, refinements) are made in exact rational
 arithmetic.  Every root query takes an integer coefficient list p and works
-on its primitive form f (`_primitive`, once on entry), except that
-`integer_roots` and `ranked_integer_root` keep any p with a nonzero top
-coefficient as it is: their closed forms, sign variations and sign
-bisections hold for every integer multiple, and their chain builder
-normalises.  Roots are reported as rational-endpoint isolating intervals
-that carry a primitive integer tuple; a degenerate interval [r, r] marks an
-exactly known rational root.  `isolate_real_roots`
-and `simple_root` test the domain ends on f, which has the same zeros as its
-squarefree part, and divide the end roots out of f (`_end_roots`).  A
-Descartes bound (`descartes_bound`) then decides the open domain: v = 0
-means no root inside, v = 1 one simple root, whose bracket is the domain
-itself.  It is the sign variations of f's own coefficients when lo >= 0,
-and otherwise, or when that count is 2 or more, those of f mapped from
-(lo, hi) onto (0, inf) by an integer Moebius map (two Taylor shifts).  A
-domain with v >= 2 is bisected on the squarefree part (`squarefree_part`,
-proved squarefree by a gcd modulo a prime where it can be) until every
-part has v <= 1; `count_real_roots` counts the brackets.  Integer roots are
-found on integer endpoints only: `integer_roots` lists those in a range, and
-`ranked_integer_root` tests the root of a given rank, with no isolation and
-no shared cache.  Both decide degree <= 2 in closed form.  Otherwise each
-half-line the query needs is certified by Descartes' rule on p's own
-coefficients (`_half_line_bounds`); when every such bound is at most 1,
-each half's one simple root is found by integer sign bisection on p
-(`_bisect_integer_root`).  Only a needed half with bound >= 2 makes them run
-on an integer Sturm chain (`integer_squarefree_chain`), on which a chain
-element f at x = num/den is evaluated as the integer den^deg * f(x).
+on its primitive form f (`_primitive`, once on entry), except that the
+integer root search keeps any p with a nonzero top coefficient as it is: its
+closed forms, sign variations and sign bisections hold for every integer
+multiple, and its chain builder normalises.  Roots are reported as
+rational-endpoint isolating intervals that carry a primitive integer tuple;
+a degenerate interval [r, r] marks an exactly known rational root.
+`isolate_real_roots` and `simple_root` test the domain ends on f, which has
+the same zeros as its squarefree part, and divide the end roots out of f
+(`_end_roots`).  A Descartes bound (`descartes_bound`) then decides the open
+domain: v = 0 means no root inside, v = 1 one simple root, whose bracket is
+the domain itself.  It is the sign variations of f's own coefficients when
+lo >= 0, and otherwise, or when that count is 2 or more, those of f mapped
+from (lo, hi) onto (0, inf) by an integer Moebius map (two Taylor shifts).
+A domain with v >= 2 is bisected on the squarefree part (`squarefree_part`,
+proved squarefree by a gcd modulo a prime where it can be) until every part
+has v <= 1; `count_real_roots` counts the brackets.  Integer roots are found
+on integer endpoints only, with no isolation and no shared cache, by one
+search (`_root_slots`) that lists the real roots in increasing order as
+slots, an int for an integer root and None for any other: `integer_roots`
+keeps the integer slots in a range, and `ranked_integer_root` reads the slot
+of a given rank.  The search decides degree <= 2 in closed form.  Otherwise
+each half-line the range meets is certified by Descartes' rule on p's own
+coefficients (`_half_line_bounds`); when every such bound is at most 1, each
+half's one simple root is found by integer sign bisection on p
+(`_bisect_integer_root`).  Only a needed half with bound >= 2 makes it split
+the range on an integer Sturm chain (`integer_squarefree_chain`), on which a
+chain element f at x = num/den is evaluated as the integer den^deg * f(x).
 Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
 evaluation of the bracket polynomial.  The sign of an integer polynomial v
 at an isolated root is a Tarski query (`sign_at_root`): sign variations at
 the bracket ends of the signed remainder sequence of the bracket polynomial
 f and f'*v mod f, built by the same integer chain builder, with no gcd and
 no interval enclosure.  Two brackets of coprime polynomials are told apart
-by a gcd modulo a prime, and a bracket's root is proved simple by
-Descartes' rule (`simple_root`).  The package locates roots only through
-this module: one entry normaliser, one Descartes bound, one squarefree
-part, one bisection step, one integer test, one floor, one range test and
-one sign test.
+by a gcd modulo a prime, and a bracket's root is proved simple by Descartes'
+rule (`simple_root`).  The package locates roots only through this module:
+one entry normaliser, one Descartes bound, one squarefree part, one
+bisection step, one integer root search, one integer test, one floor, one
+range test and one sign test.
 """
 
 from __future__ import annotations
@@ -330,17 +331,8 @@ def integer_squarefree_chain(p: Sequence[int]) -> tuple[list[int], list[list[int
     return chain[0], chain
 
 
-@lru_cache(maxsize=64)
-def sturm_chain(p: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
-    """The cached `integer_squarefree_chain(p)`: (sf, Sturm chain of sf).
-
-    p is a primitive integer tuple, so positive multiples of one polynomial
-    share one entry.  Every caller shares the returned lists; none may
-    modify them.  No package code calls it: it is kept as the Sturm
-    reference of the tests, and because the benchmark tracer binds it by
-    name as a cached span.
-    """
-    return integer_squarefree_chain(p)
+# Kept as the tests' Sturm reference; latbench binds it by name and reads its cache_info().
+sturm_chain = lru_cache(maxsize=64)(integer_squarefree_chain)
 
 
 @lru_cache(maxsize=512)
@@ -849,25 +841,27 @@ def _bisect_integer_root(f: Sequence[int], a: int, b: int) -> int | None:
     return None if sb else b
 
 
-def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
-    """The integer roots of p in [lo, hi] (unbounded where None), increasing.
+def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[int | None]:
+    """Slots for the real roots of p, increasing: an int for an integer
+    root, None for any other.  They hold every integer root in [lo, hi]
+    (unbounded where None); with lo = hi = None there is exactly one slot per
+    distinct real root.
 
-    Every decision is made on integers.  Degree at most 2 takes the closed
-    form (`_small_real_roots`).  Otherwise the range is clipped to the root
-    bound and each half-line it meets is certified by Descartes' rule
-    (`_half_line_bounds`): when no such half has a bound of 2 or more, each
-    half with one root is searched by sign bisection on p itself, with no
-    squarefree part and no chain.  Otherwise an integer Sturm chain counts
-    the roots in (a, b] at integer endpoints, parts with several roots split
-    at integer midpoints, and a part with one root is bisected on the sign
-    of the squarefree part.
+    Degree at most 2 takes the closed form (`_small_real_roots`), unfiltered.
+    Otherwise the range is clipped to the root bound and each half-line it
+    meets is certified by Descartes' rule (`_half_line_bounds`): when no such
+    half has a bound of 2 or more, each half with one root is searched by
+    sign bisection on p itself, with no squarefree part and no chain.
+    Otherwise an integer Sturm chain counts the distinct roots in (a, b] at
+    integer endpoints, and parts with several roots split at integer
+    midpoints.  A part left with k roots, one or any number on width 1,
+    takes k slots: k - 1 None, then the result of sign bisection on the
+    squarefree part over (a, b], since on width 1 only the last root, b,
+    can be an integer.
     """
     f = p if p and p[-1] else _primitive(p)
     if len(f) <= 3:
-        return [
-            r for r in _small_real_roots(f)
-            if r is not None and (lo is None or lo <= r) and (hi is None or r <= hi)
-        ]
+        return _small_real_roots(f)
     bound = _int_root_bound(f)
     lo = -bound if lo is None else max(lo, -bound)
     hi = bound if hi is None else min(hi, bound)
@@ -875,14 +869,14 @@ def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None
         return []
     g, zero, v_neg, v_pos = _half_line_bounds(f, lo < 0, hi > 0)
     if v_neg <= 1 and v_pos <= 1:
-        found = [_bisect_integer_root(g, lo - 1, min(hi, 0))] if v_neg else []
+        slots = [_bisect_integer_root(g, lo - 1, min(hi, 0))] if v_neg else []
         if zero and lo <= 0 <= hi:
-            found.append(0)
+            slots.append(0)
         if v_pos:
-            found.append(_bisect_integer_root(g, max(lo - 1, 0), hi))
-        return [r for r in found if r is not None]
+            slots.append(_bisect_integer_root(g, max(lo - 1, 0), hi))
+        return slots
     sf, chain = integer_squarefree_chain(f)
-    found = [lo] if _int_eval(sf, lo) == 0 else []
+    slots = [lo] if _int_eval(sf, lo) == 0 else []
     # parts (a, b] with their variation counts, leftmost on top
     parts = [(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))]
     while parts:
@@ -895,57 +889,26 @@ def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None
             parts.append((m, b, vm, vb))
             parts.append((a, m, va, vm))
             continue
-        # one root in (a, b], or width 1
-        r = _bisect_integer_root(sf, a, b)
-        if r is not None:
-            found.append(r)
-    return found
+        slots += [None] * (va - vb - 1) + [_bisect_integer_root(sf, a, b)]
+    return slots
+
+
+def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
+    """The integer roots of p in [lo, hi] (unbounded where None), increasing:
+    the integer slots of `_root_slots` that lie in the range.  Every
+    decision is made on integers."""
+    return [
+        r for r in _root_slots(p, lo, hi)
+        if r is not None and (lo is None or lo <= r) and (hi is None or r <= hi)
+    ]
 
 
 def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     """The number n of distinct real roots of p, and the root of rank `index`
-    (0 is the smallest) when it is an integer, else None.
-
-    Degree at most 2 takes the closed form (`_small_real_roots`).  When
-    Descartes' rule bounds both half-lines by at most 1
-    (`_half_line_bounds`), n is exactly v_neg + [p(0) = 0] + v_pos, ranked
-    as the negative root, then 0, then the positive root, and a half's root
-    is found by sign bisection on p itself.  Otherwise a rank search on an
-    integer Sturm chain: n comes from the chain's signs at -inf and +inf;
-    bisection finds the smallest integer t with more than `index` roots
-    <= t, so the root lies in (t - 1, t].  It is t exactly when sf(t) == 0
-    and t is root number index + 1 from the left.
-    """
-    f = p if p and p[-1] else _primitive(p)
-    if len(f) <= 3:
-        roots = _small_real_roots(f)
-        return len(roots), roots[index] if 0 <= index < len(roots) else None
-    bound = _int_root_bound(f)
-    g, zero, v_neg, v_pos = _half_line_bounds(f, True, True)
-    if v_neg <= 1 and v_pos <= 1:
-        n = v_neg + zero + v_pos
-        if not 0 <= index < n:
-            return n, None
-        if index < v_neg:
-            return n, _bisect_integer_root(g, -bound, 0)
-        if zero and index == v_neg:
-            return n, 0
-        return n, _bisect_integer_root(g, 0, bound)
-    sf, chain = integer_squarefree_chain(f)
-    v_neg = sign_variations([-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain])
-    n = v_neg - sign_variations([q[-1] for q in chain])
-    if not 0 <= index < n:
-        return n, None
-    # (a, b] holds the root: at most `index` roots are <= a, count_b > index are <= b
-    a, b, count_b = -bound, bound, n
-    while b - a > 1:
-        m = (a + b) // 2
-        count_m = v_neg - _int_variations(chain, m)
-        if count_m > index:
-            b, count_b = m, count_m
-        else:
-            a = m
-    return n, b if count_b == index + 1 and _int_eval(sf, b) == 0 else None
+    (0 is the smallest) when it is an integer, else None: the length of the
+    unbounded `_root_slots` and its slot `index`."""
+    slots = _root_slots(p, None, None)
+    return len(slots), slots[index] if 0 <= index < len(slots) else None
 
 
 def rational_root_in(p: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction | None:

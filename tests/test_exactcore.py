@@ -758,6 +758,10 @@ def test_ranked_integer_root_matches_isolation(monkeypatch):
         return integer_squarefree_chain(p)
 
     monkeypatch.setattr(unipoly, "integer_squarefree_chain", counted_chain)
+    # bound 4 on (0, inf) takes the chain, whose part (0, 1] holds three roots: 1/4, 3/4 and 1
+    p = [9, -60, 115, -80, 16]  # (4y - 1)(4y - 3)(y - 1)(y - 3)
+    assert [ranked_integer_root(p, i) for i in range(-1, 5)] == [(4, None)] * 3 + [(4, 1), (4, 3), (4, None)]
+    assert integer_roots(p) == [1, 3] and chains
     rng = random.Random(23)
     keys = ("both_le1", "pos_le1_only", "neg_le1_only", "chain", "x_power", "lo_zero", "hi_none",
             "lo_above_bound", "non_primitive", "trailing_zeros", "negative_lead")
@@ -792,6 +796,7 @@ def test_ranked_integer_root_matches_isolation(monkeypatch):
         g = p[m:deg + 1]
         v_pos, v_neg = _sign_changes(g), _sign_changes(c if i % 2 == 0 else -c for i, c in enumerate(g))
         assert bool(chains) == (deg >= 3 and max(v_neg, v_pos) >= 2), p
+        assert [k for _, k in got[1:n + 1] if k is not None] == integer_roots(p), p
         lo = rng.randint(-70, 70)
         ranges = [(None, None), (0, rng.choice([None, rng.randint(-5, 70)])),
                   (lo, lo + rng.randint(-3, 80)), (bound + rng.randint(0, 3), None)]
