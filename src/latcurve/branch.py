@@ -7,8 +7,8 @@ because construction forbids discriminant roots inside the open interval
 and leading-coefficient roots on the closed one.  Branch values are handled
 as isolating intervals and every sign decision is made exactly: the sign of
 p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
-column p(x0, y) at the bracket of f(x0), zero included, for `branch_sign`,
-the level signs at a level-set bracket's ends, the piece flags of
+column p(x0, y) at the bracket of f(x0), zero included, for the level
+signs at a level-set bracket's ends, the piece flags of
 `partition_by_bounds` that are not carried across a cut and the slope
 regime of a frame cell.  The implicit derivatives H_k are built with the
 `BiPoly` operators from one (F_x, F_y, M) triple per curve.  A level curve
@@ -212,12 +212,6 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
     if len(roots) != branch.root_count:
         raise BranchError("root structure changed inside the domain")
     return roots[branch.root_index]
-
-
-def branch_sign(branch: AlgebraicBranch, x0: Fraction | int, p: BiPoly) -> int:
-    """Exact sign of p(x0, f(x0)) along the branch."""
-    x0 = Fraction(x0)
-    return sign_at_root(branch_value_bracket(branch, x0), p.int_column(x0))
 
 
 def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Optional[Fraction]:

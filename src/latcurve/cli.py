@@ -2,9 +2,11 @@
 
 Subcommands: count (brute force, cover pipeline, or both), cover (greedy
 cover of a point file), jarnik (extremal convex configuration), hk (implicit
-derivative polynomials), verify (built-in invariant suites).
+derivative polynomials).
 
-Exit status: 0 success, 1 verification failure, 2 input error.
+Exit status: 0 success; 1 when `count` prints a report that is not ok (an
+oracle mismatch, an exceeded curve budget or a large-derivative piece
+longer than 2/delta); 2 input error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .detmethod import LatticePoint, greedy_cover
 from .jarnik import jarnik_construct, smoothed_taylor, verify_smoothing
 from .monomials import full_set
 from .poly2 import IngestionError, PolyParseError, parse
-from . import selfcheck
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -172,27 +173,6 @@ def _cmd_hk(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    try:
-        results = selfcheck.run_suite(args.suite)
-    except KeyError:
-        print(
-            f"error: unknown suite {args.suite!r}; choose from {', '.join(selfcheck.SUITES)}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    failed = 0
-    for name, ok, detail in results:
-        mark = "ok" if ok else "FAIL"
-        line = f"[{mark}] {name}"
-        if detail and not ok:
-            line += f": {detail}"
-        print(line)
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return EXIT_OK if failed == 0 else EXIT_VERIFICATION
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcurve",
@@ -223,10 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     hk.add_argument("--poly", required=True)
     hk.add_argument("--k", required=True, type=int)
     hk.set_defaults(func=_cmd_hk)
-
-    verify = sub.add_parser("verify", help="run a built-in invariant suite")
-    verify.add_argument("--suite", default="all", help=f"one of: {', '.join(selfcheck.SUITES)}")
-    verify.set_defaults(func=_cmd_verify)
 
     return parser
 

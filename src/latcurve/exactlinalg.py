@@ -117,12 +117,6 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     return bareiss_determinant(rows, _int_exact_div)
 
 
-def fraction_determinant(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Exact determinant over the rationals (plain division is already exact)."""
-    m = [[Fraction(e) for e in row] for row in rows]
-    return bareiss_determinant(m, lambda a, b: a / b)
-
-
 def ryser_permanent(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """Permanent by Ryser's inclusion-exclusion; exponential in the size."""
     n = len(rows)

@@ -493,37 +493,13 @@ def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
     return _canonical(p.content / Fraction(f.rows[-1][-1] // lead[-1]) ** e, [list(r) for r in rows])
 
 
-def reduce_modulo(f: BiPoly, p: BiPoly) -> tuple[BiPoly, int]:
-    """(R, k): R = lc_y(f)^E * p mod f in y for an E >= 0, so deg_y R < deg_y
-    f and R has the sign of p wherever f = 0 and lc_y(f) != 0; and k >= 0
-    with Res_y(f, R) a positive multiple of Res_y(f, p) * lc_y(f)^k.
-
-    E is the pseudo-remainder's deg_y p - deg_y f + 1, raised by one when
-    odd unless lc_y(f) is a positive constant, whose odd powers keep the
-    sign too; p of lower y-degree than f is its own R, with E = k = 0.
-    Since R = lc_y(f)^E * p - Q * f, Res_y(f, R) = lc_y(f)^(E * deg_y f -
-    deg_y p + deg_y R) * Res_y(f, p), for R nonzero.
-    """
-    m, n = p.degree_y(), f.degree_y()
-    if n < 1:
-        raise ResultantDomainError("reduction requires a curve of positive y-degree")
-    if m < n:
-        return p, 0
-    e = m - n + 1
-    lead = f.rows[-1]
-    if e % 2 and (len(lead) > 1 or lead[0] < 0):
-        e += 1
-    # lc_y(f) is prim(lc_y f) times the positive content of its row
-    r = reduce_times_lead_power(f, p, e) * Fraction(lead[-1] // _primitive(lead)[-1]) ** e
-    return r, e * n - m + max(r.degree_y(), 0)
-
-
 def divide_lc_power(f: BiPoly, res: Sequence[int], k: int) -> list[int]:
     """res / prim(lc_y f)^k for an integer polynomial res that it divides,
     exactly and with no content division: from a positive multiple of Res_y(f,
-    R), with (R, k) from `reduce_modulo(f, p)`, a positive multiple of Res_y(f,
-    p).  prim(lc_y f) is lc_y(f) over its positive content, so a constant
-    leading coefficient only sets the sign."""
+    R), for R = prim(lc_y f)^E * p mod f and the k for which Res_y(f, R) is a
+    positive multiple of Res_y(f, p) * prim(lc_y f)^k, a positive multiple of
+    Res_y(f, p).  prim(lc_y f) is lc_y(f) over its positive content, so a
+    constant leading coefficient only sets the sign."""
     lead = _primitive(f.rows[-1])
     out = list(res)
     if len(lead) == 1:

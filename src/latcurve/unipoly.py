@@ -38,8 +38,8 @@ no interval enclosure.  Two brackets of coprime polynomials are told apart
 by a gcd modulo a prime, and a bracket's root is proved simple by Descartes'
 rule (`simple_root`).  The package locates roots only through this module:
 one entry normaliser, one Descartes bound, one squarefree part, one
-bisection step, one integer root search, one integer test, one floor, one
-range test and one sign test.
+bisection step, one integer root search, one floor, one range test and one
+sign test.
 """
 
 from __future__ import annotations
@@ -604,19 +604,6 @@ def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval
     raise RefinementLimitError("range test exceeded the refinement depth limit")
 
 
-def integer_in(r: RootInterval) -> int | None:
-    """The root isolated by r when it is an integer, else None.
-
-    Below width 1/2 the bracket holds at most one integer, so one exact
-    evaluation decides.
-    """
-    r = refine_root(r, Fraction(1, 2))
-    k = math.ceil(r.lo)
-    if k <= r.hi and _int_eval(r.polynomial, k) == 0:
-        return k
-    return None
-
-
 def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool:
     """Whether [lo, hi], inside the non-exact bracket r, holds its root.
 
@@ -933,35 +920,3 @@ def rational_root_in(p: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction |
     if r.lo <= cand <= r.hi and _rat_eval(f, cand) == 0:
         return cand
     return None
-
-
-def poly_sup_bound(p: UniPoly, lo: Fraction, hi: Fraction, pieces: int = 16) -> Fraction:
-    """A certified rational upper bound for sup |p| on [lo, hi].
-
-    Taylor-expand at the left end of each subinterval and bound by the
-    coefficient sums; always >= the true supremum, and tight as pieces grow.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if p.is_zero():
-        return Fraction(0)
-    best = Fraction(0)
-    step = (hi - lo) / pieces if hi > lo else Fraction(0)
-    for i in range(pieces if hi > lo else 1):
-        a = lo + step * i
-        w = step
-        # coefficients of p(a + t) via iterated derivatives
-        bound = Fraction(0)
-        q = p
-        fact = 1
-        k = 0
-        wpow = Fraction(1)
-        while not q.is_zero():
-            bound += abs(q.evaluate(a)) / fact * wpow
-            q = q.derivative()
-            k += 1
-            fact *= k
-            wpow *= w
-        best = max(best, bound)
-    return best

@@ -26,11 +26,12 @@ from latcurve.detmethod import (
     interpolation_determinant_bound,
     segment_coverable,
 )
-from latcurve.exactlinalg import fraction_determinant
 from latcurve.jarnik import convex_slope_check, jarnik_construct
 from latcurve.monomials import full_set, punctured_set
 from latcurve.poly2 import BiPoly, corner_index, parse, partial
-from latcurve.unipoly import UniPoly, poly_sup_bound
+from latcurve.unipoly import UniPoly
+
+from reference_helpers import fraction_determinant, poly_sup_bound
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:

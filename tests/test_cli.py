@@ -1,10 +1,19 @@
-"""CLI behaviour: subcommands, output schema, exit codes."""
+"""CLI behaviour: subcommands, output schema, exit codes, and the README's
+command lines."""
 
+import argparse
 import json
+import shlex
+from pathlib import Path
+
+import pytest
 
 from latcurve import cli
 from latcurve.branch import LevelSetContactError
 from latcurve.cli import main
+from latcurve.counting import CountReport
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +64,29 @@ def test_count_irrational_contact_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot certify") and len(err.splitlines()) == 1
+
+
+def test_count_report_not_ok_exit_1(capsys, monkeypatch):
+    """A report that is not ok is still printed, and the exit status is 1."""
+
+    def mismatch(*args, **kwargs):
+        return CountReport(
+            parameters={"poly": "x*y - 12", "N": 12},
+            total=5,
+            oracle_total=6,
+            per_branch=[],
+            exceptions=[],
+            warnings=["oracle mismatch: pipeline 5 vs sweep 6"],
+            ok=False,
+        )
+
+    monkeypatch.setattr(cli, "determinant_method_count", mismatch)
+    code, out, err = run_cli(capsys, "count", "--poly", "x*y - 12", "--box", "12")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert (payload["total"], payload["oracle_total"]) == (5, 6)
+    assert payload["warnings"] == ["oracle mismatch: pipeline 5 vs sweep 6"]
 
 
 def test_count_csv(capsys):
@@ -150,23 +182,27 @@ def test_cover_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
-def test_verify_suite(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "monomials")
-    assert code == 0
-    assert "[ok]" in out
-    # every built-in suite, the pipeline-equals-oracle checks included
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
-    assert code == 0
-    assert "16/16 checks passed" in out
-
-
-def test_verify_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
-    assert code == 2
-
-
 def test_count_output_is_deterministic(capsys):
     args = ("count", "--poly", "x^2 + y^2 - 65", "--box", "20")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The argument lists of the `latcurve ...` lines in the README's CLI block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("latcurve ")]
+
+
+def test_readme_cli_lines_parse():
+    """Every README command line parses, and the README shows every subcommand."""
+    parser = cli.build_parser()
+    lines = readme_cli_lines()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(argv)}")
+    (subcommands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[1] for argv in lines} == set(subcommands)

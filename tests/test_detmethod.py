@@ -19,7 +19,6 @@ from latcurve.detmethod import (
     segment_coverable,
 )
 from latcurve.exactlinalg import (
-    fraction_determinant,
     integer_determinant,
     integer_kth_root_ceiling,
     matrix_rank,
@@ -27,7 +26,9 @@ from latcurve.exactlinalg import (
 )
 from latcurve.monomials import PunctureError, full_set, punctured_set
 from latcurve.poly2 import BiPoly, parse
-from latcurve.unipoly import UniPoly, poly_sup_bound
+from latcurve.unipoly import UniPoly
+
+from reference_helpers import fraction_determinant, poly_sup_bound
 
 
 def pts(*pairs):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcurve.exactlinalg import (
-    fraction_determinant,
     integer_determinant,
     integer_kth_root_ceiling,
     matrix_rank,
@@ -30,12 +29,10 @@ from latcurve.unipoly import (
     ZeroPolynomialError,
     all_real_roots,
     count_real_roots,
-    integer_in,
     integer_roots,
     integer_squarefree_chain,
     isolate_real_roots,
     poly_gcd,
-    poly_sup_bound,
     primitive_ints,
     ranked_integer_root,
     refine_clear_of,
@@ -47,6 +44,8 @@ from latcurve.unipoly import (
     squarefree_part,
     sturm_chain,
 )
+
+from reference_helpers import fraction_determinant, integer_in, poly_sup_bound
 
 
 # -- independent oracles -------------------------------------------------------
@@ -213,9 +212,11 @@ def test_isolate_three_roots():
     p = [-6, 11, -6, 1]
     roots = isolate_real_roots(p, 0, 4)
     assert len(roots) == 3
+    assert all(r.lo <= r.hi for r in roots)
     for a, b in zip(roots, roots[1:]):
         assert a.hi <= b.lo or (a.hi == b.lo)
     assert count_real_roots(p, 0, 4) == 3
+    assert integer_roots(p) == [1, 2, 3]
 
 
 def test_isolate_rejects_zero_polynomial():

@@ -20,13 +20,13 @@ from latcurve.poly2 import (
     parse,
     partial,
     primitive_sum,
-    reduce_modulo,
     resultant_eliminating_y,
 )
 from latcurve import poly2
 from latcurve.unipoly import UniPoly, _int_mul, primitive_ints
 
 from fraction_bipoly import FractionBiPoly
+from reference_helpers import reduce_modulo
 
 
 def rand_bipoly(rng, max_deg=3, max_terms=5, span=5):
