@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_19.json at the repository root.
+rows and write BENCH_22.json at the repository root.
 
 Each row is timed RUNS = 3 times, each run one call in a fresh interpreter
 (so the package's caches start empty, as in a CLI call), timed there with
@@ -56,7 +56,7 @@ ROWS = [
     ("pipeline", "x - 24*y^4", 100),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_19.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_22.json"
 RUNS = 3
 
 

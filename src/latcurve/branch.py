@@ -35,6 +35,14 @@ prove it simple.
 Partition pieces come straight from the sorted cuts: piece j spans the gap
 between cuts j - 1 and j and takes the integer abscissas in
 (floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
+Level sets are built only for the orders that `certified_orders` leaves.
+It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
+branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
+the others by Cauchy's estimate on dyadic discs that Rouché's test shows
+free of the roots of lc_y(F) and of the discriminant, with a Fujiwara
+bound on the roots of F over each disc.  All of it runs on integer Taylor
+shifts and integer powers, and a proved order reads small on every piece,
+as its level sets, which have no root in the domain, would give.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from .unipoly import (
     _int_mul,
     _primitive,
     _rat_eval,
+    _taylor_shift,
     all_real_roots,
     count_real_roots,
     int_exact_quotient,
@@ -111,6 +120,9 @@ class AlgebraicBranch:
     root_count: int
     domain: tuple[Fraction, Fraction]
     swapped: bool = False
+    # |f'| < 1 on the closed domain: set by `graph_decompose`, whose cells
+    # are cut clear of the slope +-1 locus
+    flat: bool = False
 
     def length(self) -> Fraction:
         return self.domain[1] - self.domain[0]
@@ -534,6 +546,149 @@ class Piece:
 class IntervalPartition:
     domain: tuple[Fraction, Fraction]
     pieces: list[Piece]
+    # the orders that `certified_orders` proved small on the whole domain,
+    # so no level set was built for them
+    certified: frozenset[int] = frozenset()
+
+
+# -- derivative bounds on root-free discs ----------------------------------------
+
+_MIN_DISC_LOG2 = -4  # no disc radius below 1/16 is tried
+
+
+def _disc_coefficients(p: Sequence[int], a: int, r: int, e: int, n: int) -> list[int]:
+    """The coefficients in w of 2^(e*n) * p((a + r*w) / 2^e), for deg p <= n:
+    p on the disc |z - a/2^e| <= r/2^e, moved to the unit disc on integers by
+    a homothety and one Taylor shift."""
+    g = [c << (e * (n - k)) for k, c in enumerate(p)] + [0] * (n + 1 - len(p))
+    g = _taylor_shift(g, a)
+    scale = 1
+    for k in range(n + 1):
+        g[k] *= scale
+        scale *= r
+    return g
+
+
+def _rouche_margin(q: Sequence[int]) -> int:
+    """|q_0| - sum_(k>=1) |q_k|; when positive it is a lower bound for |q(w)|
+    on |w| <= 1 (Rouché's test against the constant term), so q has no root
+    there.  The zero polynomial has margin 0."""
+    return abs(q[0]) - sum(map(abs, q[1:])) if q else 0
+
+
+def _dyadic_at_or_below(x: Fraction, e: int) -> tuple[int, int]:
+    """(a, e') with a/2^e' = x when x's denominator is a power of two (then
+    e' >= e), else a = floor(x * 2^e) and e' = e."""
+    k = x.denominator.bit_length() - 1
+    if x.denominator == 1 << k:
+        e = max(e, k)
+        return x.numerator << (e - k), e
+    return (x.numerator << e) // x.denominator, e
+
+
+def certified_orders(
+    branch: AlgebraicBranch,
+    big_d: int,
+    n_box: Fraction,
+    delta: Fraction,
+    brackets: dict[Fraction, RootInterval],
+) -> frozenset[int]:
+    """The orders 1 <= i < D proved to satisfy |f^(i)/i!| < N*delta^i
+    strictly on the whole closed domain.
+
+    Order 1 of a `flat` branch needs no disc.  `graph_decompose` cuts its
+    cells clear of the roots of Res_y(F, F_x -+ F_y) and of lc_y(F), so
+    f' = -F_x/F_y never equals +-1 on the closed cell, and it keeps only the
+    branches with |f'| < 1 at the cell's sample; hence |f'| < 1 <= N*delta.
+
+    Every other order is proved by Cauchy's estimate.  The domain is covered
+    left to right by stretches |x - x0| <= s, s = R/2, each inside a disc
+    |z - x0| <= R with dyadic x0 and R.  The disc must pass Rouché's test
+    (`_rouche_margin`) for lc_y(F) and for each `_smoothness_obstructions`
+    polynomial, on their Taylor coefficients at x0 scaled by R.  Then the
+    roots of F(z, .) are deg_y F distinct analytic functions on the disc,
+    and the branch is one of them on the stretch.  Let y0 be the middle of
+    the branch value bracket at x0, or at the domain end nearest to it
+    (`_bracket_at`, kept in `brackets`), and M a Fujiwara bound on every
+    root y of F(z, y0 + y) over the disc, from the bounds sum_k |c_k| R^k
+    on its coefficients and the Rouché margin of its leading one.  Then
+    |f^(i)(x)/i!| <= M/(R - s)^i for |x - x0| <= s, so order i holds on the
+    stretch when M < N*delta^i*(R - s)^i.  That is decided on integers, as
+    Fujiwara's inequalities raised to their powers.
+
+    R starts at the smallest power of two that spans the domain, halves while
+    a disc fails Rouché's test and doubles after each stretch; no disc below
+    radius 1/16 is tried, and a stretch that needs one proves no order.  An
+    order that fails on one stretch is dropped, and the cover stops once no
+    order is left.  The work is integer Taylor shifts of the curve's rows and
+    obstructions and one bracket per stretch.
+    """
+    lo, hi = branch.domain
+    left = set(range(2 if branch.flat else 1, big_d))
+    proved = frozenset({1} if branch.flat and big_d > 1 else ())
+    if not left:
+        return proved
+    curve = branch.curve
+    rows, n, dx = curve.rows, curve.degree_y(), curve.degree_x()
+    # lc_y(F) is tested through the margin of the leading coefficient below
+    obstructions = [p for p in _smoothness_obstructions(curve) if p != rows[-1]]
+    t_top = 0
+    while hi - lo > 2**t_top:
+        t_top += 1
+    while t_top > _MIN_DISC_LOG2 and hi - lo <= Fraction(2) ** (t_top - 1):
+        t_top -= 1
+    t, pos = t_top, lo
+    while left:
+        if t < _MIN_DISC_LOG2:
+            return proved
+        e_grid = max(0, 3 - t)  # the grid of x0 is at most s/4
+        s = Fraction(2) ** (t - 1)
+        a, e = _dyadic_at_or_below(min(pos + s, (pos + hi) / 2), e_grid)
+        r = 1 << (t + e)
+        lead = _disc_coefficients(rows[-1], a, r, e, dx)
+        margin = _rouche_margin(lead)
+        if margin <= 0 or any(
+            _rouche_margin(_disc_coefficients(p, a, r, e, len(p) - 1)) <= 0 for p in obstructions
+        ):
+            t -= 1
+            continue
+        x0 = Fraction(a, 1 << e)
+        bracket = _bracket_at(branch, min(max(x0, lo), hi), brackets)
+        y0 = (bracket.lo + bracket.hi) / 2
+        u, v = y0.numerator, y0.denominator
+        shifted = [_disc_coefficients(row, a, r, e, dx) for row in rows[:-1]] + [lead]
+        # sup over the disc of the coefficient of y^m in 2^(e*dx) * v^n *
+        # F(z, y0 + y) is at most bound[m]; its leading one is at least low
+        bound = []
+        for m in range(n):
+            acc = [0] * (dx + 1)
+            for j in range(m, n + 1):
+                f = comb(j, m) * u ** (j - m) * v ** (n - j + m)
+                for k, c in enumerate(shifted[j]):
+                    acc[k] += f * c
+            bound.append(sum(map(abs, acc)))
+        low = margin * v**n
+        q = delta * (Fraction(r, 1 << e) - s)  # delta * (R - s)
+
+        def holds(i: int) -> bool:
+            # Fujiwara: M = 2 max(|c_(n-k)/c_n|^(1/k) for k < n, |c_0/(2 c_n)|^(1/n)),
+            # and M < T = N * q^i, with T/2 = num/den
+            half = n_box * q**i / 2
+            num, den = half.numerator, half.denominator
+            return all(bound[n - k] * den**k < low * num**k for k in range(1, n)) and (
+                bound[0] * den**n < 2 * low * num**n
+            )
+
+        # N * q^i is monotone in i, so the orders that hold are all those
+        # from the first one that holds, scanning up (q >= 1) or down (q < 1)
+        for i in sorted(left, reverse=q < 1):
+            if holds(i):
+                break
+            left.discard(i)
+        if x0 + s >= hi:
+            break
+        pos, t = x0 + s, min(t + 1, t_top)
+    return proved | left
 
 
 def partition_by_bounds(
@@ -542,6 +697,14 @@ def partition_by_bounds(
     """Split the branch domain at all |f^(i)/i!| = N*delta^i crossings and
     certify on each piece, for every 1 <= i < D, whether the normalized
     derivative stays below (small) or above (large) the threshold.
+
+    First `certified_orders` proves, by Cauchy's estimate on root-free discs
+    (and, for order 1 of a `flat` branch, by the slope bound |f'| < 1), the
+    orders that stay strictly below the threshold on the whole closed
+    domain.  Such an order has no level-set root there, so it builds no
+    level set, takes no flag query and reads small on every piece; the
+    result is the one the level sets would give.  Every other order falls
+    back to its two exact level sets, as follows.
 
     Piece j spans (cut_(j-1).hi, cut_j.lo) between the sorted cuts and takes
     the integer abscissas in (floor(root_(j-1)), floor(root_j)].
@@ -566,11 +729,15 @@ def partition_by_bounds(
     # per raw cut: its order, and the factor it puts on that order's sign,
     # -1 for a certified crossing and 0 (query again) for any other root
     steps: list[tuple[int, int]] = []
-    forced_small: set[int] = set()
     # the branch value brackets of this call, by abscissa: the level sets of
     # one branch are refined on one domain, so their brackets share ends
     brackets: dict[Fraction, RootInterval] = {}
+    certified = certified_orders(branch, big_d, n_box, delta, brackets)
+    # the orders that read small on every piece, with no level-set root
+    forced_small = set(certified)
     for i, thr in enumerate(thresholds, start=1):
+        if i in forced_small:
+            continue
         for c in (thr, -thr):
             try:
                 found = _level_set(branch, i, c, brackets)
@@ -623,7 +790,7 @@ def partition_by_bounds(
             flags.append("small" if s < 0 else "large")
         pieces.append(Piece(plo, phi, tuple(flags), tuple(range(first, last + 1))))
         plo, first = next_lo, last + 1
-    return IntervalPartition((lo, hi), pieces)
+    return IntervalPartition((lo, hi), pieces, certified)
 
 
 def large_interval_check(piece: Piece, delta: Fraction | int) -> bool:
@@ -771,6 +938,7 @@ def _decompose_frame(
                     root_count=len(roots),
                     domain=(clo, chi),
                     swapped=swapped,
+                    flat=not slope_degenerate,
                 )
             )
     return branches, direct

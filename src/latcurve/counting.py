@@ -27,7 +27,7 @@ from .detmethod import (
     greedy_cover,
 )
 from .monomials import punctured_set
-from .poly2 import BiPoly, corner_index, divides, ingestion_check, resultant_eliminating_y
+from .poly2 import BiPoly, corner_index, divides, ingestion_check, resultant_eliminating_y, x_content
 from .unipoly import _int_eval, integer_roots, poly_gcd, primitive_ints
 
 
@@ -47,32 +47,31 @@ class CommonComponentError(CountingError):
 # -- brute-force oracle ---------------------------------------------------------
 
 
+def _reject_lines_in_box(curve: BiPoly, n_box: int) -> None:
+    """Raise LineFactorError for a line y = c or x = c, 1 <= c <= N, that
+    divides the curve: an integer root of its y-content or of its x-content
+    (`x_content`), the lowest horizontal one first."""
+    for frame, line in ((curve.swap_xy(), "horizontal line y"), (curve, "vertical line x")):
+        hits = integer_roots(x_content(frame), 1, n_box)
+        if hits:
+            raise LineFactorError(f"{line} = {hits[0]} lies inside the box")
+
+
 def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint]]:
     """Integer solutions in {1..N}^2 by an exact sweep over x = 1..N."""
     if curve.is_zero():
         raise CountingError("curve must be nonzero")
     if n_box < 1:
         raise CountingError("box size must be >= 1")
+    if curve.degree < 1:
+        raise CountingError("curve must be nonconstant")
+    _reject_lines_in_box(curve, n_box)
     if curve.degree_y() == 0:
-        fx = curve.rows[0]
-        if len(fx) < 2:
-            raise CountingError("curve must be nonconstant")
-        hits = integer_roots(fx, 1, n_box)
-        if hits:
-            raise LineFactorError(f"vertical line x = {hits[0]} lies inside the box")
         return 0, []
-    probe = curve.int_column(1)
-    if probe:
-        across = curve.swap_xy()
-        for y0 in integer_roots(probe, 1, n_box):
-            if not across.int_column(y0):
-                raise LineFactorError(f"horizontal line y = {y0} lies inside the box")
     points: list[LatticePoint] = []
     for x0 in range(1, n_box + 1):
-        u = curve.int_column(x0)
-        if not u:
-            raise LineFactorError(f"vertical line x = {x0} lies inside the box")
-        points.extend(LatticePoint(x0, y0) for y0 in integer_roots(u, 1, n_box))
+        # no line x = x0 divides the curve, so its column is not zero
+        points.extend(LatticePoint(x0, y0) for y0 in integer_roots(curve.int_column(x0), 1, n_box))
     return len(points), points
 
 
@@ -242,6 +241,8 @@ def determinant_method_count(
     delta = Fraction(delta) if delta is not None else default_delta(d, ell, n_box)
     spec = DerivativeBoundSpec(X=Fraction(n_box), delta=delta, N=Fraction(n_box))
 
+    # one check of the input's lines, so its error does not depend on the oracle
+    _reject_lines_in_box(g, n_box)
     warnings: list[str] = []
     ok = True
     oracle_total: Optional[int] = None

@@ -512,6 +512,15 @@ def divide_lc_power(f: BiPoly, res: Sequence[int], k: int) -> list[int]:
 # -- ingestion sanity check ---------------------------------------------------
 
 
+def x_content(f: BiPoly) -> list[int]:
+    """The x-content of f: the gcd of its y-rows, an integer polynomial in x
+    whose roots c are the lines x = c that divide f."""
+    content: list[int] = []
+    for r in f.rows:
+        content = poly_gcd(content, r)
+    return content
+
+
 class IngestionError(ValueError):
     """The input curve failed the cheap necessary checks."""
 
@@ -533,11 +542,8 @@ def ingestion_check(f: BiPoly) -> BiPoly:
     hy = partial(h, "y")
     if hy.degree_y() >= 1 and resultant_eliminating_y(h, hy).is_zero():
         raise IngestionError("curve has a repeated factor")
-    # a repeated factor free of y divides the x-content, the gcd of the
-    # y-rows, at least twice
-    content: list[int] = []
-    for r in h.rows:
-        content = poly_gcd(content, r)
+    # a repeated factor free of y divides the x-content at least twice
+    content = x_content(h)
     if len(content) >= 2 and len(poly_gcd(content, [i * c for i, c in enumerate(content)][1:])) >= 2:
         raise IngestionError("curve has a repeated factor")
     return g

@@ -17,6 +17,7 @@ from latcurve.branch import (
     branch_integer_point,
     branch_value_bracket,
     branch_value_rational,
+    certified_orders,
     graph_decompose,
     hk_sequence,
     large_interval_check,
@@ -960,6 +961,82 @@ def _random_branches(rng, count):
         curves += 1
         out += [(br, n_box) for br in dec.branches]
     return out
+
+
+# -- derivative bounds on root-free discs ---------------------------------------------
+
+
+def test_certified_orders_cauchy_bound_by_hand():
+    """y = x^2 on [-1/2, 1/2], delta = 1, D = 4: one stretch |x| <= s = 1/2
+    in the disc |z| <= R = 1, y0 = 0 from the exact bracket at 0, and
+    Fujiwara's bound for y - z^2 is M = 1.  Cauchy's estimate M/(R - s)^i =
+    2^i meets N = 4 at order 2, which the strict comparison refuses; order 3
+    fails and order 1 (not `flat` here) holds.  At N = 5 order 2 holds."""
+    br = branch_from_point(parse("y - x^2"), 0, 0, (Fraction(-1, 2), Fraction(1, 2)))
+    assert not br.flat
+    assert certified_orders(br, 4, Fraction(4), Fraction(1), {}) == {1}
+    assert certified_orders(br, 4, Fraction(5), Fraction(1), {}) == {1, 2}
+    # the same disc with delta = 1/2: N * delta^i * (R - s)^i = 10/4^i
+    assert certified_orders(br, 4, Fraction(10), Fraction(1, 2), {}) == {1}
+
+
+def test_flat_branch_order_1_needs_no_disc():
+    """Order 1 of a branch from `graph_decompose` holds by |f'| < 1 <= N*delta
+    and takes no disc: with D = 2 no branch value bracket is read."""
+    for br in graph_decompose(parse("x^2 + y^2 - 250000"), 500).branches:
+        assert br.flat
+        brackets = {}
+        assert certified_orders(br, 2, Fraction(500), Fraction(1), brackets) == {1}
+        assert brackets == {}
+        assert certified_orders(br, 16, Fraction(500), Fraction(1), brackets) == set(range(1, 16))
+
+
+def _partition_rows(part):
+    return [(p.lo, p.hi, p.flags, p.integer_abscissas) for p in part.pieces]
+
+
+def test_certified_orders_have_empty_level_sets(monkeypatch):
+    """Seeded differential: on random branches (degree 2-3), the branches of
+    curves shaped like the benchmark families and branches that end near a
+    branch point or a pole,
+    every order the certificate proves has empty exact level sets at both
+    +-N*delta^i, and `partition_by_bounds` equals the exact route, run with
+    the certificate patched to prove no order."""
+    rng = random.Random(22)
+    cases = _random_branches(rng, 40)
+    shapes = [(f"x - {c}*y^2 - {e}*y", 500) for c, e in ((1, 0), (2, 53), (3, 17))]
+    shapes += [(f"x*y - {m}", 500) for m in (720, 4321, 9240)]
+    shapes += [(f"x^2 + y^2 - {m}", 500) for m in (202500, 250000, 302501)]
+    shapes += [("y^2 - x^3 + 2*x - 3", 25), ("x - 7*y^4", 100), ("x - 3*y^5", 100)]
+    shapes += [("x^2 + y^2 - 3000", 80), ("x^2 + y^2 - 5000", 80), ("x^2 - 13*y^2 - 1", 60)]
+    for text, n_box in shapes:
+        cases += [(br, n_box) for br in graph_decompose(parse(text), n_box).branches]
+    for text, seed, domain in (
+        ("x^2 + y^2 - 25", (3, 4), (-4, Fraction(49, 10))),
+        ("x^2 + y^2 - 25", (0, 5), (Fraction(-24, 5), Fraction(24, 5))),
+        ("x*y - 12", (3, 4), (Fraction(1, 2), 12)),
+        ("y^2 - x^3 - 1", (2, 3), (Fraction(-9, 10), 3)),
+    ):
+        br = branch_from_point(parse(text), *seed, domain)
+        cases += [(br, n_box) for n_box in (2, 5, 20)]
+    with_proof = with_fallback = 0
+    for br, n_box in cases:
+        big_d = rng.choice([3, 4, 5, 6])
+        delta = rng.choice([d for d in (Fraction(1), Fraction(1, 2), Fraction(1, 4)) if d * n_box >= 1])
+        proved = certified_orders(br, big_d, Fraction(n_box), delta, {})
+        for i in proved:
+            thr = n_box * delta**i
+            assert level_set_abscissas(br, i, thr) == [] == level_set_abscissas(br, i, -thr), (br, i)
+        part = partition_by_bounds(br, big_d, n_box, delta)
+        assert part.certified == proved
+        with monkeypatch.context() as m:
+            m.setattr(branch_module, "certified_orders", lambda *args: frozenset())
+            exact = partition_by_bounds(br, big_d, n_box, delta)
+        assert exact.certified == frozenset()
+        assert _partition_rows(part) == _partition_rows(exact), (br, big_d, n_box, delta)
+        with_proof += bool(proved - {1})
+        with_fallback += len(proved) < big_d - 1
+    assert with_proof >= 20 and with_fallback >= 20, (with_proof, with_fallback)
 
 
 def _lead_kind(curve):

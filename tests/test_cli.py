@@ -125,6 +125,18 @@ def test_count_line_factor_exit_2(capsys):
     assert "line" in err
 
 
+def test_count_line_factor_same_error_for_every_method(capsys):
+    """The line check runs before the oracle and the decomposition, so each
+    method prints the same `error:` line and exits 2."""
+    for poly, message in (
+        ("(x - 3)*(y - x)", "vertical line x = 3 lies inside the box"),
+        ("(y - 2)*(x - y^2)", "horizontal line y = 2 lies inside the box"),
+    ):
+        for method in ("brute", "detm", "both"):
+            code, out, err = run_cli(capsys, "count", "--poly", poly, "--box", "10", "--method", method)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (poly, method)
+
+
 def test_count_repeated_factor_exit_2(capsys):
     code, _, err = run_cli(capsys, "count", "--poly", "(x*y - 2)*(x - 30)^2", "--box", "10")
     assert code == 2

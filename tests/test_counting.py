@@ -15,7 +15,7 @@ from latcurve.counting import (
     brute_force_count,
     determinant_method_count,
 )
-from latcurve import branch, unipoly
+from latcurve import branch, counting, unipoly
 from latcurve.detmethod import LatticePoint
 from latcurve.poly2 import BiPoly, divides, parse
 
@@ -81,6 +81,23 @@ def test_brute_rejects_lines_in_box():
     # a line outside the box is harmless
     total, _ = brute_force_count(parse("x + 20"), 10)
     assert total == 0
+
+
+def test_line_factor_error_does_not_depend_on_the_oracle():
+    """One check of the exact x- and y-content runs before the oracle and the
+    decomposition, so both routes name the same line with the same error."""
+    for text, message in (
+        ("(x - 3)*(y - x)", "vertical line x = 3 lies inside the box"),
+        ("(y - 2)*(x - y^2)", "horizontal line y = 2 lies inside the box"),
+    ):
+        curve = parse(text)
+        with pytest.raises(LineFactorError, match=f"^{message}$"):
+            brute_force_count(curve, 10)
+        for compare_oracle in (True, False):
+            with pytest.raises(LineFactorError, match=f"^{message}$"):
+                determinant_method_count(curve, 10, compare_oracle=compare_oracle)
+    # lines outside the box are no error of the check
+    assert brute_force_count(parse("(x - 30)*(y + 2)*(x - y^2)"), 10)[0] == 3
 
 
 def test_brute_model_family():
@@ -298,8 +315,10 @@ def _clear_caches():
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
     builds no Sturm chain (11 before root isolation split by Descartes
-    bounds), and of its 11 squarefree parts only 2 need an integer gcd; the
-    rest are proved squarefree modulo a prime."""
+    bounds), and of its 13 squarefree parts only 2 need an integer gcd; the
+    rest are proved squarefree modulo a prime.  Two of the 13 are the columns
+    at the centres of the disc certificate's stretches, read for their branch
+    value brackets; the other 11 are the decomposition's."""
     _clear_caches()
     gcd_callers = []
     poly_gcd = unipoly.poly_gcd
@@ -312,7 +331,7 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
     assert rep.total == 0
     assert unipoly.sturm_chain.cache_info().misses == 0
-    assert unipoly.squarefree_part.cache_info().misses == 11
+    assert unipoly.squarefree_part.cache_info().misses == 13
     assert gcd_callers.count("squarefree_part") == 2
 
 
@@ -327,6 +346,29 @@ def test_pipeline_takes_level_curves_from_reduced_parts():
         assert rep.ok and rep.total == rep.oracle_total, text
         assert branch._reduced_level_parts.cache_info().misses > 0, text
         assert branch.hk_sequence.cache_info().misses == 0, text
+
+
+def test_pipeline_builds_level_sets_only_for_uncertified_orders(monkeypatch):
+    """Operation-count guard: from empty caches, x - 2*y^2 - 53*y at N = 500
+    equals the oracle, and `_level_resultant` builds exactly the two level
+    curves of each (frame curve, order) that the disc certificate left; here
+    it proves every order of every branch, so none is built."""
+    _clear_caches()
+    parts = []
+
+    def recorded(br, big_d, n_box, delta):
+        part = partition_by_bounds(br, big_d, n_box, delta)
+        parts.append((br, big_d, part))
+        return part
+
+    partition_by_bounds = counting.partition_by_bounds
+    monkeypatch.setattr(counting, "partition_by_bounds", recorded)
+    rep = determinant_method_count(parse("x - 2*y^2 - 53*y"), 500)
+    assert rep.ok and rep.total == rep.oracle_total == 7
+    left = {(br.curve, i) for br, big_d, part in parts for i in range(1, big_d) if i not in part.certified}
+    assert branch._level_resultant.cache_info().misses == 2 * len(left)
+    assert parts and left == set()
+    assert branch._reduced_level_parts.cache_info().misses == 0
 
 
 def test_slow_cubics_match_oracle_with_no_sturm_chain():
