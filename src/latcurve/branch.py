@@ -40,9 +40,13 @@ It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
 branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
 the others by Cauchy's estimate on dyadic discs that Rouché's test shows
 free of the roots of lc_y(F) and of the discriminant, with a Fujiwara
-bound on the roots of F over each disc.  All of it runs on integer Taylor
-shifts and integer powers, and a proved order reads small on every piece,
-as its level sets, which have no root in the domain, would give.
+bound on the roots of F over each disc.  All of it runs on the integer
+map `unipoly.affine_image` and integer powers, and a proved order reads
+small on every piece, as its level sets, which have no root in the domain,
+would give.  The x-loci of a frame curve (its frame cuts, its discriminant
+Res_y(F, F_y) and whether its slope is identically +-1) are one cached
+`_FrameLoci` record, read by the frame cells, the smoothness certificate
+and the disc test.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .unipoly import (
     _int_mul,
     _primitive,
     _rat_eval,
-    _taylor_shift,
+    affine_image,
     all_real_roots,
     count_real_roots,
     int_exact_quotient,
@@ -179,19 +183,34 @@ def branch_from_point(
     )
 
 
+class _FrameLoci(NamedTuple):
+    """The integer polynomials in x whose roots bound where the branches of
+    a frame curve F can change.  `cuts` are the x-loci of F_y, F_x, F_x -
+    F_y and F_x + F_y (Res_y(F, .), or the row itself when free of y and not
+    constant; () for a zero resultant), then lc_y(F) when not constant.
+    `disc` is Res_y(F, F_y) = cuts[0] when deg_y F >= 2 (for deg_y F = 1
+    the F_y locus is lc_y(F)'s), and `slope_degenerate` marks F_x = +-F_y
+    identically: the whole frame sits on the boundary slope."""
+
+    cuts: tuple[tuple[int, ...], ...]
+    disc: Optional[tuple[int, ...]]
+    slope_degenerate: bool
+
+
 @lru_cache(maxsize=64)
-def _smoothness_obstructions(curve: BiPoly) -> tuple[Sequence[int], ...]:
-    """Integer polynomials in x whose roots bound where branch structure can
-    change."""
-    out = []
-    fy = partial(curve, "y")
-    if fy.degree_y() >= 1:
-        out.append(primitive_ints(resultant_eliminating_y(curve, fy).coeffs))
-    elif fy.degree_x() >= 1:
-        out.append(fy.rows[0])
+def _frame_loci(curve: BiPoly) -> _FrameLoci:
+    """The `_FrameLoci` of a curve of y-degree >= 1, built once per curve."""
+    fx, fy = partial(curve, "x"), partial(curve, "y")
+    cuts = []
+    for p in (fy, fx, fx - fy, fx + fy):
+        if p.degree_y() >= 1:
+            cuts.append(tuple(primitive_ints(resultant_eliminating_y(curve, p).coeffs)))
+        elif p.degree_x() >= 1:
+            cuts.append(p.rows[0])
     if len(curve.rows[-1]) >= 2:
-        out.append(curve.rows[-1])
-    return tuple(out)
+        cuts.append(curve.rows[-1])
+    disc = cuts[0] if fy.degree_y() >= 1 else None
+    return _FrameLoci(tuple(cuts), disc, (fx - fy).is_zero() or (fx + fy).is_zero())
 
 
 def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
@@ -202,7 +221,8 @@ def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
         raise BranchError("leading coefficient in y vanishes at a domain end")
     if hi <= lo:
         return
-    for obs in _smoothness_obstructions(curve):
+    disc = _frame_loci(curve).disc
+    for obs in ([] if disc is None else [disc]) + ([lead] if len(lead) >= 2 else []):
         if not obs:
             raise BranchError("curve fails the smoothness certificate (zero obstruction)")
         # roots strictly inside (lo, hi) are forbidden
@@ -241,7 +261,8 @@ def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoi
     isolation and no shared cache.
     """
     lo, hi = branch.domain
-    if not lo <= k <= hi:
+    # lo <= k <= hi on integers, with no `Fraction` comparison
+    if not lo.numerator <= k * lo.denominator or not k * hi.denominator <= hi.numerator:
         raise BranchError("abscissa outside the branch domain")
     count, y = ranked_integer_root(_column(branch.curve, k), branch.root_index)
     if count != branch.root_count:
@@ -556,19 +577,6 @@ class IntervalPartition:
 _MIN_DISC_LOG2 = -4  # no disc radius below 1/16 is tried
 
 
-def _disc_coefficients(p: Sequence[int], a: int, r: int, e: int, n: int) -> list[int]:
-    """The coefficients in w of 2^(e*n) * p((a + r*w) / 2^e), for deg p <= n:
-    p on the disc |z - a/2^e| <= r/2^e, moved to the unit disc on integers by
-    a homothety and one Taylor shift."""
-    g = [c << (e * (n - k)) for k, c in enumerate(p)] + [0] * (n + 1 - len(p))
-    g = _taylor_shift(g, a)
-    scale = 1
-    for k in range(n + 1):
-        g[k] *= scale
-        scale *= r
-    return g
-
-
 def _rouche_margin(q: Sequence[int]) -> int:
     """|q_0| - sum_(k>=1) |q_k|; when positive it is a lower bound for |q(w)|
     on |w| <= 1 (Rouché's test against the constant term), so q has no root
@@ -604,24 +612,25 @@ def certified_orders(
     Every other order is proved by Cauchy's estimate.  The domain is covered
     left to right by stretches |x - x0| <= s, s = R/2, each inside a disc
     |z - x0| <= R with dyadic x0 and R.  The disc must pass Rouché's test
-    (`_rouche_margin`) for lc_y(F) and for each `_smoothness_obstructions`
-    polynomial, on their Taylor coefficients at x0 scaled by R.  Then the
-    roots of F(z, .) are deg_y F distinct analytic functions on the disc,
-    and the branch is one of them on the stretch.  Let y0 be the middle of
-    the branch value bracket at x0, or at the domain end nearest to it
-    (`_bracket_at`, kept in `brackets`), and M a Fujiwara bound on every
-    root y of F(z, y0 + y) over the disc, from the bounds sum_k |c_k| R^k
-    on its coefficients and the Rouché margin of its leading one.  Then
-    |f^(i)(x)/i!| <= M/(R - s)^i for |x - x0| <= s, so order i holds on the
-    stretch when M < N*delta^i*(R - s)^i.  That is decided on integers, as
-    Fujiwara's inequalities raised to their powers.
+    (`_rouche_margin`) for lc_y(F) and for the discriminant of the curve's
+    `_FrameLoci`, on their Taylor coefficients at x0 scaled by R (each one
+    `affine_image`).  Then the roots of F(z, .) are deg_y F distinct
+    analytic functions on the disc, and the branch is one of them on the
+    stretch.  Let y0 be the middle of the branch value bracket at x0, or at
+    the domain end nearest to it (`_bracket_at`, kept in `brackets`), and M
+    a Fujiwara bound on every root y of F(z, y0 + y) over the disc, from
+    the bounds sum_k |c_k| R^k on its coefficients (one `affine_image` per
+    column of the scaled rows) and the Rouché margin of its leading one.
+    Then |f^(i)(x)/i!| <= M/(R - s)^i for |x - x0| <= s, so order i holds
+    on the stretch when M < N*delta^i*(R - s)^i.  That is decided on
+    integers, as Fujiwara's inequalities raised to their powers.
 
     R starts at the smallest power of two that spans the domain, halves while
     a disc fails Rouché's test and doubles after each stretch; no disc below
     radius 1/16 is tried, and a stretch that needs one proves no order.  An
     order that fails on one stretch is dropped, and the cover stops once no
-    order is left.  The work is integer Taylor shifts of the curve's rows and
-    obstructions and one bracket per stretch.
+    order is left.  The work is integer affine maps of the curve's rows and
+    discriminant and one bracket per stretch.
     """
     lo, hi = branch.domain
     left = set(range(2 if branch.flat else 1, big_d))
@@ -631,7 +640,7 @@ def certified_orders(
     curve = branch.curve
     rows, n, dx = curve.rows, curve.degree_y(), curve.degree_x()
     # lc_y(F) is tested through the margin of the leading coefficient below
-    obstructions = [p for p in _smoothness_obstructions(curve) if p != rows[-1]]
+    disc = _frame_loci(curve).disc
     t_top = 0
     while hi - lo > 2**t_top:
         t_top += 1
@@ -644,31 +653,24 @@ def certified_orders(
         e_grid = max(0, 3 - t)  # the grid of x0 is at most s/4
         s = Fraction(2) ** (t - 1)
         a, e = _dyadic_at_or_below(min(pos + s, (pos + hi) / 2), e_grid)
-        r = 1 << (t + e)
-        lead = _disc_coefficients(rows[-1], a, r, e, dx)
+        r, d = 1 << (t + e), 1 << e
+        lead = affine_image(rows[-1], a, r, d, dx)
         margin = _rouche_margin(lead)
-        if margin <= 0 or any(
-            _rouche_margin(_disc_coefficients(p, a, r, e, len(p) - 1)) <= 0 for p in obstructions
-        ):
+        if margin <= 0 or disc is not None and _rouche_margin(affine_image(disc, a, r, d, len(disc) - 1)) <= 0:
             t -= 1
             continue
-        x0 = Fraction(a, 1 << e)
+        x0 = Fraction(a, d)
         bracket = _bracket_at(branch, min(max(x0, lo), hi), brackets)
         y0 = (bracket.lo + bracket.hi) / 2
         u, v = y0.numerator, y0.denominator
-        shifted = [_disc_coefficients(row, a, r, e, dx) for row in rows[:-1]] + [lead]
-        # sup over the disc of the coefficient of y^m in 2^(e*dx) * v^n *
-        # F(z, y0 + y) is at most bound[m]; its leading one is at least low
-        bound = []
-        for m in range(n):
-            acc = [0] * (dx + 1)
-            for j in range(m, n + 1):
-                f = comb(j, m) * u ** (j - m) * v ** (n - j + m)
-                for k, c in enumerate(shifted[j]):
-                    acc[k] += f * c
-            bound.append(sum(map(abs, acc)))
+        shifted = [affine_image(row, a, r, d, dx) for row in rows[:-1]] + [lead]
+        # one column per power of w of 2^(e*dx) * v^n * F(z, y0 + y), in y;
+        # the sup over the disc of the coefficient of y^m is at most bound[m]
+        # and the leading one is at least low
+        columns = [affine_image([row[k] for row in shifted], u, v, v, n) for k in range(dx + 1)]
+        bound = [sum(abs(col[m]) for col in columns) for m in range(n)]
         low = margin * v**n
-        q = delta * (Fraction(r, 1 << e) - s)  # delta * (R - s)
+        q = delta * (Fraction(r, d) - s)  # delta * (R - s)
 
         def holds(i: int) -> bool:
             # Fujiwara: M = 2 max(|c_(n-k)/c_n|^(1/k) for k < n, |c_0/(2 c_n)|^(1/n)),
@@ -809,41 +811,6 @@ class GraphDecomposition(NamedTuple):
     direct_points: list[LatticePoint]
 
 
-def _frame_cut_polynomials(curve: BiPoly) -> tuple[list[Sequence[int]], bool]:
-    """Integer polynomials in x whose roots delimit the frame cells.
-
-    Returns (polynomials, slope_locus_degenerate): the latter is set when
-    F_x = +-F_y identically, in which case the whole frame sits on the
-    boundary slope and is kept in this orientation.
-    """
-    out: list[Sequence[int]] = []
-    fy = partial(curve, "y")
-    fx = partial(curve, "x")
-
-    def eliminate(p: BiPoly) -> None:
-        if p.is_zero():
-            return
-        if p.degree_y() >= 1:
-            res = resultant_eliminating_y(curve, p)
-            if res.is_zero():
-                raise BranchError("unexpected common component with a derivative locus")
-            out.append(primitive_ints(res.coeffs))
-        elif p.degree_x() >= 1:
-            out.append(p.rows[0])
-
-    eliminate(fy)
-    eliminate(fx)
-    degenerate = False
-    for s in (fx - fy, fx + fy):
-        if s.is_zero():
-            degenerate = True
-        else:
-            eliminate(s)
-    if len(curve.rows[-1]) >= 2:
-        out.append(curve.rows[-1])
-    return out, degenerate
-
-
 def _column(curve: BiPoly, x0: Fraction | int) -> list[int]:
     """`curve.int_column(x0)`, which must not vanish identically."""
     u = curve.int_column(x0)
@@ -858,10 +825,13 @@ def _decompose_frame(
     """Branches and critical-abscissa integer points for one orientation."""
     if curve.degree_y() < 1:
         return [], []
-    polys, slope_degenerate = _frame_cut_polynomials(curve)
-    if slope_degenerate and swapped:
+    loci = _frame_loci(curve)
+    if not all(loci.cuts):
+        raise BranchError("unexpected common component with a derivative locus")
+    if loci.slope_degenerate and swapped:
         # the slope is identically +-1: the unswapped frame alone covers
         return [], []
+    polys = list(loci.cuts)
     across = curve.swap_xy()
     for edge_val in (0, n_box):
         e = across.int_column(edge_val)
@@ -922,7 +892,7 @@ def _decompose_frame(
             r2 = refine_clear_of(r, Fraction(0), Fraction(n_box))
             if not 0 <= r2.lo <= r2.hi <= n_box:
                 continue
-            if not slope_degenerate:
+            if not loci.slope_degenerate:
                 s = sign_at_root(r2, regime_poly.int_column(sample))
                 if s > 0:
                     continue  # the transposed frame covers this piece
@@ -938,7 +908,7 @@ def _decompose_frame(
                     root_count=len(roots),
                     domain=(clo, chi),
                     swapped=swapped,
-                    flat=not slope_degenerate,
+                    flat=not loci.slope_degenerate,
                 )
             )
     return branches, direct

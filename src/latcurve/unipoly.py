@@ -14,7 +14,8 @@ the same zeros as its squarefree part, and divide the end roots out of f
 domain: v = 0 means no root inside, v = 1 one simple root, whose bracket is
 the domain itself.  It is the sign variations of f's own coefficients when
 lo >= 0, and otherwise, or when that count is 2 or more, those of f mapped
-from (lo, hi) onto (0, inf) by an integer Moebius map (two Taylor shifts).
+from (lo, hi) onto (0, inf) by an integer Moebius map: the affine map
+`affine_image`, a reversal and one Taylor shift.
 A domain with v >= 2 is bisected on the squarefree part (`squarefree_part`,
 proved squarefree by a gcd modulo a prime where it can be) until every part
 has v <= 1; `count_real_roots` counts the brackets.  Integer roots are found
@@ -37,9 +38,9 @@ f and f'*v mod f, built by the same integer chain builder, with no gcd and
 no interval enclosure.  Two brackets of coprime polynomials are told apart
 by a gcd modulo a prime, and a bracket's root is proved simple by Descartes'
 rule (`simple_root`).  The package locates roots only through this module:
-one entry normaliser, one Descartes bound, one squarefree part, one
-bisection step, one integer root search, one floor, one range test and one
-sign test.
+one entry normaliser, one affine map, one Descartes bound, one squarefree
+part, one bisection step, one integer root search, one floor, one range test
+and one sign test.
 """
 
 from __future__ import annotations
@@ -380,15 +381,7 @@ def _rat_eval(f: Sequence[int], x: Fraction | int) -> int:
 def _int_variations(chain: Sequence[list[int]], x: Fraction | int) -> int:
     """Sign variations of the chain at the rational x; zero values are skipped."""
     evaluate = _int_eval if type(x) is int else _rat_eval
-    count = 0
-    last = 0
-    for q in chain:
-        v = evaluate(q, x)
-        if v:
-            if last and (v > 0) != (last > 0):
-                count += 1
-            last = v
-    return count
+    return sign_variations(evaluate(q, x) for q in chain)
 
 
 def _taylor_shift(f: Sequence[int], c: int) -> list[int]:
@@ -398,6 +391,23 @@ def _taylor_shift(f: Sequence[int], c: int) -> list[int]:
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             g[j] += c * g[j + 1]
+    return g
+
+
+def affine_image(p: Sequence[int], a: int, w: int, d: int, n: int) -> list[int]:
+    """The coefficients in t of d^n * p((a + w*t)/d), for deg p <= n: p
+    homogenised to degree n, one Taylor shift by a and a homothety by w, all
+    on integers."""
+    g = list(p) + [0] * (n + 1 - len(p))
+    scale = 1
+    for k in range(n, -1, -1):
+        g[k] *= scale
+        scale *= d
+    g = _taylor_shift(g, a)
+    scale = 1
+    for k in range(n + 1):
+        g[k] *= scale
+        scale *= w
     return g
 
 
@@ -411,7 +421,7 @@ def descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     (0, inf): at most one then leaves at most one simple root, which lies in
     (lo, hi) exactly when f changes sign there.  Otherwise v is the number of
     sign variations of (1 + t)^n f((lo + hi*t)/(1 + t)), built on integers
-    with two Taylor shifts.
+    as the `affine_image` of f onto s in (0, 1), reversed and shifted by 1.
     """
     if lo >= 0:
         v = sign_variations(f)
@@ -422,13 +432,7 @@ def descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     # lo = a/d and hi = b/d; h(s) = d^n f((b + (a - b) s)/d) maps s = 1/(1 + t)
     d = lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    n = len(f) - 1
-    g = [c * d ** (n - i) for i, c in enumerate(f)]
-    g = _taylor_shift(g, b)
-    w, scale = a - b, 1
-    for i in range(n + 1):
-        g[i] *= scale
-        scale *= w
+    g = affine_image(f, b, a - b, d, len(f) - 1)
     g.reverse()
     return sign_variations(_taylor_shift(g, 1))
 

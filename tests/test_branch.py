@@ -1,10 +1,13 @@
 """Branch machinery: implicit derivative recurrence, level sets, partitions,
 and the box decomposition."""
 
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
 from math import ceil, floor
+from pathlib import Path
 
 import pytest
 
@@ -526,6 +529,15 @@ def test_branch_integer_point_errors():
         branch_integer_point(br, 3)
     with pytest.raises(BranchError, match="outside the branch domain"):
         branch_integer_point(br, 6)
+    # the domain test is exact at a rational and at an integer end
+    line = parse("y - x")
+    for lo, hi in ((Fraction(-7, 2), Fraction(5)), (Fraction(-3), Fraction(9, 4))):
+        on = AlgebraicBranch(line, lo, lo, lo, 0, 1, (lo, hi))
+        for k in (ceil(lo), floor(hi)):
+            assert branch_integer_point(on, k) == LatticePoint(k, k)
+        for k in (ceil(lo) - 1, floor(hi) + 1):
+            with pytest.raises(BranchError, match="outside the branch domain"):
+                branch_integer_point(on, k)
     # two values of x^2 + y^2 = 25 at x = 3, none at x = 6
     circle = parse("x^2 + y^2 - 25")
     wide = AlgebraicBranch(circle, Fraction(3), Fraction(4), Fraction(4), 1, 2, (Fraction(0), Fraction(6)))
@@ -1179,6 +1191,37 @@ def _pipeline_partitions(text, n_box):
         big_d = punctured_set(d, ell, corner_index(br.curve)).D
         thresholds = [n_box * delta**i for i in range(1, big_d)]
         yield br, thresholds, partition_by_bounds(br, big_d, n_box, delta)
+
+
+def _latbench_workloads():
+    """latbench/workloads.py, read from its file."""
+    path = Path(__file__).resolve().parent.parent / "latbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("latbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_certificate_strength_on_latbench_rounds():
+    """Certificate-strength guard: on eight seed-1 rounds, at the pipeline's
+    D and delta, `certified_orders` proves 259 of the 896 orders of the 78
+    `partition` branches and all 600 of the 40 `columns` branches."""
+    workloads = _latbench_workloads()
+    for name, want in (("partition", (78, 259, 896)), ("columns", (40, 600, 600))):
+        branches = proved = orders = 0
+        for row in workloads[name].rounds(1, 8):
+            for case in row:
+                curve = parse(case.text)
+                d, n_box = curve.degree, case.n_box
+                ell = default_ell(d, n_box)
+                delta = default_delta(d, ell, n_box)
+                for br in graph_decompose(curve, n_box).branches:
+                    big_d = punctured_set(d, ell, corner_index(br.curve)).D
+                    branches += 1
+                    proved += len(certified_orders(br, big_d, Fraction(n_box), delta, {}))
+                    orders += big_d - 1
+        assert (branches, proved, orders) == want, name
 
 
 def test_piece_flags_match_product_queries_at_pipeline_size():

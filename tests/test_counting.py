@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -369,6 +370,32 @@ def test_pipeline_builds_level_sets_only_for_uncertified_orders(monkeypatch):
     assert branch._level_resultant.cache_info().misses == 2 * len(left)
     assert parts and left == set()
     assert branch._reduced_level_parts.cache_info().misses == 0
+
+
+def test_pipeline_eliminates_no_pair_twice(monkeypatch):
+    """Operation-count guard: from empty caches, a count asks `branch`'s
+    `resultant_eliminating_y` binding for no (curve, q) pair twice.  Each
+    frame curve's loci, Res_y(F, F_y) among them, are built once for the
+    frame cells, the smoothness certificate and the disc test, also when
+    both frames are one curve (the circle and the hyperbola)."""
+    original = branch.resultant_eliminating_y
+    for text, n in (
+        ("y^2 - x^3 - x - 1", 25),
+        ("x^2 + y^2 - 65", 100),
+        ("x*y - 12", 100),
+        ("x - 2*y^2 - 53*y", 500),
+    ):
+        _clear_caches()
+        calls = Counter()
+
+        def counted(p, q):
+            calls[p, q] += 1
+            return original(p, q)
+
+        monkeypatch.setattr(branch, "resultant_eliminating_y", counted)
+        rep = determinant_method_count(parse(text), n)
+        assert rep.ok and rep.total == rep.oracle_total, text
+        assert calls and max(calls.values()) == 1, (text, calls.most_common(1)[0][1])
 
 
 def test_slow_cubics_match_oracle_with_no_sturm_chain():

@@ -23,6 +23,7 @@ from latcurve.unipoly import (
     _int_variations,
     _nonroot_split,
     _rat_eval,
+    affine_image,
     descartes_bound,
     int_exact_quotient,
     UniPoly,
@@ -1307,6 +1308,27 @@ def _true_open_count(factors, lo, hi):
         minus = (lo < 0 and lo * lo > value) and (hi >= 0 or hi * hi < value)
         count += mult * (plus + minus)
     return count
+
+
+def test_affine_image_matches_a_fraction_reference():
+    """affine_image(p, a, w, d, n) is d^n * p((a + w*t)/d), expanded here
+    binomially in `Fraction`s, with n above deg p, negative w, and d = 1, a
+    power of two and neither."""
+    rng = random.Random(23)
+    padded = negative = 0
+    for d in (1, 16, 12):
+        for _ in range(60):
+            p = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+            n = len(p) - 1 + rng.randint(0, 2)
+            a, w = rng.randint(-30, 30), rng.choice([-1, 1]) * rng.randint(1, 12)
+            want = [Fraction(0)] * (n + 1)
+            for k, c in enumerate(p):
+                for m in range(k + 1):
+                    want[m] += c * math.comb(k, m) * Fraction(a, d) ** (k - m) * Fraction(w, d) ** m * d**n
+            assert affine_image(p, a, w, d, n) == want, (p, a, w, d, n)
+            padded += n > len(p) - 1
+            negative += w < 0
+    assert padded > 60 and negative > 60
 
 
 def test_descartes_bound_is_an_upper_bound_of_the_same_parity():
