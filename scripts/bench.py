@@ -10,6 +10,11 @@ compare_oracle=False)` for the pipeline rows.  A row's seconds are the
 median of its runs.  The file holds each call, curve, box, count, median
 and all runs, plus the interpreter and machine they were measured on.
 
+The rows record one checkout only.  Rows of two checkouts timed minutes
+apart also differ by the drift of a shared host, so a comparison of a
+parent and a change must alternate fresh runs of the two, one after the
+other, row by row.
+
     PYTHONPATH=src python3 scripts/bench.py
 """
 

@@ -110,16 +110,14 @@ class LevelSetContactError(RuntimeError):
 class AlgebraicBranch:
     """One smooth function branch of `curve` over a closed x-interval.
 
-    `root_index` selects the branch value among the sorted real roots of
-    curve(x, .); `root_count` pins the expected number of those roots, which
-    is constant on the domain.  `swapped` marks that the frame axes are the
-    transpose of the caller's.
+    A branch is identified by its curve, its `domain` and `root_index`, the
+    index of the branch value among the sorted real roots of curve(x, .);
+    `root_count` pins the number of those roots, which is constant on the
+    domain.  `swapped` marks that the frame axes are the transpose of the
+    caller's.
     """
 
     curve: BiPoly
-    seed_x: Fraction
-    seed_lo: Fraction
-    seed_hi: Fraction
     root_index: int
     root_count: int
     domain: tuple[Fraction, Fraction]
@@ -127,9 +125,6 @@ class AlgebraicBranch:
     # |f'| < 1 on the closed domain: set by `graph_decompose`, whose cells
     # are cut clear of the slope +-1 locus
     flat: bool = False
-
-    def length(self) -> Fraction:
-        return self.domain[1] - self.domain[0]
 
     def describe(self) -> dict:
         return {
@@ -144,9 +139,9 @@ def branch_from_point(
     x0: Fraction | int,
     y0: Fraction | int,
     domain: tuple[Fraction | int, Fraction | int],
-    swapped: bool = False,
 ) -> AlgebraicBranch:
-    """Construct a branch through the rational curve point (x0, y0).
+    """Construct a branch through the rational curve point (x0, y0): the
+    index of y0 among the real roots of curve(x0, .) on `domain`.
 
     Certifies at construction that no discriminant root lies in the open
     domain and no leading-coefficient root in the closed one, so the branch
@@ -171,16 +166,7 @@ def branch_from_point(
     )
     if idx is None:
         raise BranchError("seed value is not a root of the specialized curve")
-    return AlgebraicBranch(
-        curve=curve,
-        seed_x=x0,
-        seed_lo=y0,
-        seed_hi=y0,
-        root_index=idx,
-        root_count=len(roots),
-        domain=(lo, hi),
-        swapped=swapped,
-    )
+    return AlgebraicBranch(curve, idx, len(roots), (lo, hi))
 
 
 class _FrameLoci(NamedTuple):
@@ -237,10 +223,7 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
     lo, hi = branch.domain
     if not lo <= x0 <= hi:
         raise BranchError("abscissa outside the branch domain")
-    u = _column(branch.curve, x0)
-    if x0 == branch.seed_x and branch.seed_lo == branch.seed_hi:
-        return RootInterval(branch.seed_lo, branch.seed_lo, _primitive(u))
-    roots = all_real_roots(u)
+    roots = all_real_roots(_column(branch.curve, x0))
     if len(roots) != branch.root_count:
         raise BranchError("root structure changed inside the domain")
     return roots[branch.root_index]
@@ -565,7 +548,6 @@ class Piece:
 
 @dataclass
 class IntervalPartition:
-    domain: tuple[Fraction, Fraction]
     pieces: list[Piece]
     # the orders that `certified_orders` proved small on the whole domain,
     # so no level set was built for them
@@ -792,7 +774,7 @@ def partition_by_bounds(
             flags.append("small" if s < 0 else "large")
         pieces.append(Piece(plo, phi, tuple(flags), tuple(range(first, last + 1))))
         plo, first = next_lo, last + 1
-    return IntervalPartition((lo, hi), pieces, certified)
+    return IntervalPartition(pieces, certified)
 
 
 def large_interval_check(piece: Piece, delta: Fraction | int) -> bool:
@@ -898,19 +880,7 @@ def _decompose_frame(
                     continue  # the transposed frame covers this piece
                 if s == 0:
                     raise BranchError("slope-balance locus met a cell interior")
-            branches.append(
-                AlgebraicBranch(
-                    curve=curve,
-                    seed_x=sample,
-                    seed_lo=r2.lo,
-                    seed_hi=r2.hi,
-                    root_index=j,
-                    root_count=len(roots),
-                    domain=(clo, chi),
-                    swapped=swapped,
-                    flat=not loci.slope_degenerate,
-                )
-            )
+            branches.append(AlgebraicBranch(curve, j, len(roots), (clo, chi), swapped, flat=not loci.slope_degenerate))
     return branches, direct
 
 

@@ -26,6 +26,8 @@ from .detmethod import (
 )
 from .monomials import full_set
 
+SAMPLES_PER_SEGMENT = 4
+
 
 class OracleBoundError(RuntimeError):
     """A sampled derivative coefficient violated the certified decay bound."""
@@ -136,12 +138,13 @@ def smoothed_taylor(config: JarnikConfiguration, x: Fraction | int, kmax: int) -
     return out
 
 
-def verify_smoothing(config: JarnikConfiguration, samples_per_segment: int = 4) -> bool:
+def verify_smoothing(config: JarnikConfiguration) -> bool:
     """Exact strict-convexity certificate for the smoothed graph.
 
     Checks each segment's quadratic coefficient is positive, that one-sided
-    slopes at every knot strictly increase, and that a dense rational sample
-    across all segments passes the chord-slope test.
+    slopes at every knot strictly increase, and that a rational sample passes
+    the chord-slope test: SAMPLES_PER_SEGMENT = 4 equally spaced abscissas
+    Q_i + j (Q_(i+1) - Q_i)/4, j = 0..3, on each segment, then the last knot.
     """
     t = len(config.points) - 1
     for i in range(t):
@@ -158,8 +161,8 @@ def verify_smoothing(config: JarnikConfiguration, samples_per_segment: int = 4) 
     sample: list[tuple[Fraction, Fraction]] = []
     for i in range(t):
         x0, x1 = Fraction(config.points[i][0]), Fraction(config.points[i + 1][0])
-        for j in range(samples_per_segment):
-            x = x0 + (x1 - x0) * Fraction(j, samples_per_segment)
+        for j in range(SAMPLES_PER_SEGMENT):
+            x = x0 + (x1 - x0) * Fraction(j, SAMPLES_PER_SEGMENT)
             sample.append((x, smoothed_value(config, x)))
     sample.append((Fraction(config.points[-1][0]), Fraction(config.points[-1][1])))
     prev: Optional[Fraction] = None

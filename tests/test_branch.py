@@ -44,6 +44,7 @@ from latcurve.unipoly import (
     RootInterval,
     UniPoly,
     _int_mul,
+    all_real_roots,
     count_real_roots,
     integer_roots,
     isolate_real_roots,
@@ -507,6 +508,27 @@ def test_branch_value_identification():
     assert branch_integer_point(top, 2) is None
 
 
+def test_branch_value_at_the_construction_abscissa():
+    """A branch is its curve, domain and root index: at the point it was
+    built from, its bracket is the isolated root of the column, as at every
+    other abscissa, and the rational value and Taylor data still read y0."""
+    seeds = (
+        ("x^2 + y^2 - 25", 3, 4, (1, Fraction(7, 2))),
+        ("x^2 + y^2 - 25", 3, -4, (1, Fraction(7, 2))),
+        ("x*y - 12", 3, 4, (1, 12)),
+        ("y^2 - x^3 - x - 1", 0, 1, (Fraction(-1, 2), 5)),
+        ("x*y^2 + y - 1", 2, Fraction(1, 2), (Fraction(1, 8), 2)),
+        ("8*y^3 - 3*x", Fraction(1, 3), Fraction(1, 2), (Fraction(1, 9), 40)),
+    )
+    for text, x0, y0, domain in seeds:
+        br = branch_from_point(parse(text), x0, y0, domain)
+        bracket = branch_value_bracket(br, x0)
+        assert bracket == all_real_roots(br.curve.int_column(Fraction(x0)))[br.root_index], text
+        assert not bracket.is_exact() and bracket.lo < y0 < bracket.hi, text
+        assert branch_value_rational(br, x0) == y0, text
+        assert taylor_coefficients(br, x0, 2)[0] == y0, text
+
+
 def test_branch_integer_point_near_integer():
     # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
     c = parse("y^2 - x - 1000000000000")
@@ -523,7 +545,7 @@ def test_branch_integer_point_near_integer():
 def test_branch_integer_point_errors():
     # x = 3 is a vertical line of (x - 3)(y - x): the column polynomial is zero
     c = parse("(x - 3)*(y - x)")
-    br = AlgebraicBranch(c, Fraction(1), Fraction(1), Fraction(1), 0, 1, (Fraction(0), Fraction(5)))
+    br = AlgebraicBranch(c, 0, 1, (Fraction(0), Fraction(5)))
     assert branch_integer_point(br, 2) == LatticePoint(2, 2)
     with pytest.raises(BranchError, match="vertical line"):
         branch_integer_point(br, 3)
@@ -532,7 +554,7 @@ def test_branch_integer_point_errors():
     # the domain test is exact at a rational and at an integer end
     line = parse("y - x")
     for lo, hi in ((Fraction(-7, 2), Fraction(5)), (Fraction(-3), Fraction(9, 4))):
-        on = AlgebraicBranch(line, lo, lo, lo, 0, 1, (lo, hi))
+        on = AlgebraicBranch(line, 0, 1, (lo, hi))
         for k in (ceil(lo), floor(hi)):
             assert branch_integer_point(on, k) == LatticePoint(k, k)
         for k in (ceil(lo) - 1, floor(hi) + 1):
@@ -540,7 +562,7 @@ def test_branch_integer_point_errors():
                 branch_integer_point(on, k)
     # two values of x^2 + y^2 = 25 at x = 3, none at x = 6
     circle = parse("x^2 + y^2 - 25")
-    wide = AlgebraicBranch(circle, Fraction(3), Fraction(4), Fraction(4), 1, 2, (Fraction(0), Fraction(6)))
+    wide = AlgebraicBranch(circle, 1, 2, (Fraction(0), Fraction(6)))
     assert branch_integer_point(wide, 3) == LatticePoint(3, 4)
     with pytest.raises(BranchError, match="root structure changed"):
         branch_integer_point(wide, 6)

@@ -18,7 +18,8 @@ from latcurve.counting import (
 )
 from latcurve import branch, counting, unipoly
 from latcurve.detmethod import LatticePoint
-from latcurve.poly2 import BiPoly, divides, parse
+from latcurve.poly2 import BiPoly, divides, parse, resultant_eliminating_y
+from latcurve.unipoly import integer_roots, primitive_ints
 
 
 # -- brute force -----------------------------------------------------------------
@@ -127,6 +128,20 @@ def test_bezout_rejects_common_component():
         bezout_intersect(parse("y - x"), parse("y^2 - x^2"), 5)
     with pytest.raises(CommonComponentError):
         bezout_intersect(parse("y^2 - x^2"), parse("y - x"), 5)
+
+
+def test_bezout_columns_at_a_resultant_root():
+    """At an integer root of the resultant, both columns zero is a shared
+    vertical line, and one nonzero constant column gives no point there."""
+    f, g = parse("(x - 2)*(y - x)"), parse("(x - 2)*(y + x - 10)")
+    assert integer_roots(primitive_ints(resultant_eliminating_y(f, g).coeffs), 1, 10) == [2, 5]
+    with pytest.raises(CommonComponentError, match="both curves contain the line x = 2"):
+        bezout_intersect(f, g, 10)
+    # both leading coefficients vanish at x = 3, where the columns are -6 and -8
+    f, g = parse("(x - 3)*y + x - 9"), parse("(x - 3)*y + 2*x - 14")
+    assert integer_roots(primitive_ints(resultant_eliminating_y(f, g).coeffs), 1, 10) == [3, 5]
+    assert (f.int_column(3), g.int_column(3)) == ([-6], [-8])
+    assert bezout_intersect(f, g, 10) == [LatticePoint(5, 2)]
 
 
 def test_bezout_y_free_arguments():
@@ -419,6 +434,37 @@ def test_pipeline_small_delta_enumerate_path():
     modes = {pr.mode for br in rep.per_branch for pr in br.pieces}
     assert modes == {"cover", "enumerate"}
     assert rep.ok
+
+
+def _not_ok_report(monkeypatch, name, fake):
+    """`x - y^2` at N = 100, with one cover piece of one curve and one
+    enumerated piece, counted with `counting.<name>` replaced by `fake`."""
+    monkeypatch.setattr(counting, name, fake)
+    return determinant_method_count(parse("x - y^2"), 100)
+
+
+def test_pipeline_not_ok_when_a_cover_exceeds_its_budget(monkeypatch):
+    rep = _not_ok_report(monkeypatch, "curve_budget", lambda length, spec, mset: 0)
+    assert rep.ok is False and rep.total == rep.oracle_total == 10
+    assert rep.warnings == ["curve budget exceeded on piece ('108775/262144', '100'): 1 > 0"]
+
+
+def test_pipeline_not_ok_when_a_large_piece_is_long(monkeypatch):
+    rep = _not_ok_report(monkeypatch, "large_interval_check", lambda piece, delta: False)
+    assert rep.ok is False and rep.total == rep.oracle_total == 10
+    assert rep.warnings == ["large-derivative piece ('25/64', '211175/524288') exceeds 2/delta"]
+
+
+def test_pipeline_not_ok_on_an_oracle_mismatch(monkeypatch):
+    sweep = counting.brute_force_count
+
+    def off_by_one(curve, n_box):
+        total, points = sweep(curve, n_box)
+        return total + 1, points
+
+    rep = _not_ok_report(monkeypatch, "brute_force_count", off_by_one)
+    assert rep.ok is False and (rep.total, rep.oracle_total) == (10, 11)
+    assert rep.warnings == ["oracle mismatch: pipeline 10 vs sweep 11"]
 
 
 def test_pipeline_csv_rows_cover_total():

@@ -5,7 +5,10 @@
 - Every top-level function or class of the package is reached by package
   code: its own module or another one uses it, `latcurve/__init__.py`
   exports it, or a latbench span binds it.  Code that only tests call lives
-  under `tests/`."""
+  under `tests/`.
+- Every defaulted parameter of a top-level package function is set by at
+  least one call in `src`, `tests`, `scripts` or `latbench`: a setting that
+  no caller sets is a constant."""
 
 import ast
 from collections import Counter
@@ -90,3 +93,67 @@ def test_unreached_definitions_reads_every_kind_of_use():
 def test_every_package_definition_is_reached():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreached_definitions(sources, latbench_layer_names()) == []
+
+
+def defaulted_parameters(source: str) -> dict[str, list[tuple[int | None, str]]]:
+    """Function name -> (position, or None when keyword-only, name) of each
+    defaulted parameter of the source's top-level functions."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if found:
+                out[node.name] = found
+    return out
+
+
+def unset_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.function(parameter)` of each defaulted parameter in `package`
+    (module name -> source) that no call in `callers` (sources) sets by
+    keyword or by position.  A call is matched by the name it calls, bare or
+    as an attribute; a `*` or `**` argument sets no parameter, so an
+    override must be spelled out."""
+    params = {
+        (module, name): found for module, text in package.items() for name, found in defaulted_parameters(text).items()
+    }
+    by_name = {name for _, name in params}
+    set_by_call = set()
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in by_name:
+                positions = sum(not isinstance(a, ast.Starred) for a in node.args)
+                set_by_call.update((name, i) for i in range(positions))
+                set_by_call.update((name, k.arg) for k in node.keywords if k.arg is not None)
+    return [
+        f"{module}.{name}({arg})"
+        for (module, name), found in params.items()
+        for i, arg in found
+        if (name, i) not in set_by_call and (name, arg) not in set_by_call
+    ]
+
+
+def test_unset_defaults_reads_every_kind_of_call():
+    package = {
+        "a": "def f(x, y=1, *, z=2): pass\ndef g(x, w=0): pass\ndef h(v=0, /, u=1): pass",
+        "b": "def k(t=0): pass\nclass C:\n    def m(self, s=0): pass",
+    }
+    callers = [
+        "f(0, 1)\na.g(0, w=3)\nh(*args)\nh(**kwargs)",
+        "from a import f\ndef wrap():\n    return [k(t=1) for _ in range(2)]",
+    ]
+    assert unset_defaults(package, callers) == ["a.f(z)", "a.h(v)", "a.h(u)"]
+    assert unset_defaults(package, callers + ["h(0, u=1)"]) == ["a.f(z)"]
+
+
+def test_every_default_is_set_by_some_call():
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    tops = ("src", "tests", "scripts", "latbench")
+    callers = [path.read_text() for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
+    assert unset_defaults(package, callers) == []
