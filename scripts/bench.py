@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_22.json at the repository root.
+rows and write BENCH_25.json at the repository root.
 
 Each row is timed RUNS = 3 times, each run one call in a fresh interpreter
 (so the package's caches start empty, as in a CLI call), timed there with
@@ -33,11 +33,13 @@ ROWS = [
     ("oracle", "x - y^2", 10**5),
     ("oracle", "y^2 - x^3 - x - 1", 10**4),
     ("oracle", "y^2 - x^3 - x - 1", 10**5),
-    # columns of degree 3 and 5 in y, with one sign variation on (0, inf)
+    # degree 3 and 5 in y but 1 in x: the oracle sweeps y with linear columns
     ("oracle", "x - 13*y^3", 10**4),
     ("oracle", "x - 13*y^3", 10**5),
     ("oracle", "x - 12*y^5", 10**4),
     ("oracle", "x - 12*y^5", 10**5),
+    # tied degrees in x and y, so the oracle sweeps x with cubic columns
+    ("oracle", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**4),
     ("pipeline", "x^2 + y^2 - 250000", 500),
     ("pipeline", "x - 2*y^2 - 53*y", 500),
     # the ROADMAP baseline pipeline row
@@ -61,7 +63,7 @@ ROWS = [
     ("pipeline", "x - 24*y^4", 100),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_22.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_25.json"
 RUNS = 3
 
 

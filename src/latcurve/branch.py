@@ -871,11 +871,21 @@ def _decompose_frame(
             continue
         roots = all_real_roots(u)
         for j, r in enumerate(roots):
-            r2 = refine_clear_of(r, Fraction(0), Fraction(n_box))
-            if not 0 <= r2.lo <= r2.hi <= n_box:
+            # clip the bracket to [0, N]; one sign test then says whether it
+            # holds the root.  Both edge loci are cuts, so a clipped end that
+            # is a root of the sample column means a broken cell.
+            lo, hi = max(r.lo, 0), min(r.hi, n_box)
+            if lo > hi:
                 continue
+            if not r.is_exact():
+                s_lo, s_hi = _rat_eval(r.polynomial, lo), _rat_eval(r.polynomial, hi)
+                if s_lo == 0 or s_hi == 0:
+                    raise BranchError("a cell sample column vanishes on a box edge")
+                if (s_lo > 0) == (s_hi > 0):
+                    continue
+                r = RootInterval(lo, hi, r.polynomial)
             if not loci.slope_degenerate:
-                s = sign_at_root(r2, regime_poly.int_column(sample))
+                s = sign_at_root(r, regime_poly.int_column(sample))
                 if s > 0:
                     continue  # the transposed frame covers this piece
                 if s == 0:

@@ -1,10 +1,15 @@
 """End-to-end lattice-point counting in the box {1..N}^2.
 
-Two independent routes: a brute-force sweep over integer abscissas, and the
-cover-curve pipeline (decompose into |f'| <= 1 branches, partition by
+Two independent routes: a brute-force sweep over one axis of the box, and
+the cover-curve pipeline (decompose into |f'| <= 1 branches, partition by
 derivative thresholds, greedily cover each all-small piece, count per cover
 curve through resultants).  Reports carry enough detail to audit every
 counted point and every budget comparison.
+
+The sweep solves one integer column per line of the box, and a column of
+degree d holds at most d points and costs a degree-d root search, so it
+sweeps the axis whose columns have the lower degree: y = 1..N when
+deg_x < deg_y, else x = 1..N.
 """
 
 from __future__ import annotations
@@ -47,31 +52,45 @@ class CommonComponentError(CountingError):
 # -- brute-force oracle ---------------------------------------------------------
 
 
-def _reject_lines_in_box(curve: BiPoly, n_box: int) -> None:
+def _reject_lines_in_box(curve: BiPoly, across: BiPoly, n_box: int) -> None:
     """Raise LineFactorError for a line y = c or x = c, 1 <= c <= N, that
-    divides the curve: an integer root of its y-content or of its x-content
+    divides the curve: an integer root of its y-content (the x-content of
+    `across`, the curve with x and y swapped) or of its x-content
     (`x_content`), the lowest horizontal one first."""
-    for frame, line in ((curve.swap_xy(), "horizontal line y"), (curve, "vertical line x")):
+    for frame, line in ((across, "horizontal line y"), (curve, "vertical line x")):
         hits = integer_roots(x_content(frame), 1, n_box)
         if hits:
             raise LineFactorError(f"{line} = {hits[0]} lies inside the box")
 
 
 def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint]]:
-    """Integer solutions in {1..N}^2 by an exact sweep over x = 1..N."""
+    """Integer solutions in {1..N}^2, sorted by (x, y), by an exact sweep.
+
+    Each swept line of the box gives one integer column, whose roots in
+    [1, N] are the points on that line.  A column of degree d holds at most
+    d points and costs a degree-d root search, so the sweep runs over
+    y = 1..N, with columns in x, when deg_x < deg_y, and over x = 1..N,
+    with columns in y, otherwise.  No line inside the box divides the curve
+    (`_reject_lines_in_box` runs first), so no swept column is zero.
+    """
     if curve.is_zero():
         raise CountingError("curve must be nonzero")
     if n_box < 1:
         raise CountingError("box size must be >= 1")
     if curve.degree < 1:
         raise CountingError("curve must be nonconstant")
-    _reject_lines_in_box(curve, n_box)
-    if curve.degree_y() == 0:
+    across = curve.swap_xy()
+    _reject_lines_in_box(curve, across, n_box)
+    swapped = curve.degree_x() < curve.degree_y()
+    frame = across if swapped else curve
+    if frame.degree_y() == 0:
         return 0, []
     points: list[LatticePoint] = []
-    for x0 in range(1, n_box + 1):
-        # no line x = x0 divides the curve, so its column is not zero
-        points.extend(LatticePoint(x0, y0) for y0 in integer_roots(curve.int_column(x0), 1, n_box))
+    for a in range(1, n_box + 1):
+        for b in integer_roots(frame.int_column(a), 1, n_box):
+            points.append(LatticePoint(b, a) if swapped else LatticePoint(a, b))
+    if swapped:
+        points.sort()
     return len(points), points
 
 
@@ -242,7 +261,7 @@ def determinant_method_count(
     spec = DerivativeBoundSpec(X=Fraction(n_box), delta=delta, N=Fraction(n_box))
 
     # one check of the input's lines, so its error does not depend on the oracle
-    _reject_lines_in_box(g, n_box)
+    _reject_lines_in_box(g, g.swap_xy(), n_box)
     warnings: list[str] = []
     ok = True
     oracle_total: Optional[int] = None

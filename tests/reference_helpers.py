@@ -1,15 +1,17 @@
 """Exact helpers that only the tests call, kept here as references: a
 certified sup bound, an integer test on an isolating bracket, a `Fraction`
-determinant, a reduction modulo a curve, and the sign of a polynomial along
-a branch.  The package decides each of these inside its own code paths."""
+determinant, a reduction modulo a curve, the sign of a polynomial along a
+branch, and a lattice-point sweep over x alone.  The package decides each
+of these inside its own code paths."""
 
 import math
 from fractions import Fraction
 
 from latcurve.branch import AlgebraicBranch, branch_value_bracket
+from latcurve.detmethod import LatticePoint
 from latcurve.exactlinalg import bareiss_determinant
 from latcurve.poly2 import BiPoly, ResultantDomainError, reduce_times_lead_power
-from latcurve.unipoly import RootInterval, UniPoly, _int_eval, _primitive, refine_root, sign_at_root
+from latcurve.unipoly import RootInterval, UniPoly, _int_eval, _primitive, integer_roots, refine_root, sign_at_root
 
 
 def poly_sup_bound(p: UniPoly, lo: Fraction, hi: Fraction, pieces: int = 16) -> Fraction:
@@ -92,3 +94,15 @@ def branch_sign(branch: AlgebraicBranch, x0: Fraction | int, p: BiPoly) -> int:
     """Exact sign of p(x0, f(x0)) along the branch."""
     x0 = Fraction(x0)
     return sign_at_root(branch_value_bracket(branch, x0), p.int_column(x0))
+
+
+def x_sweep_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint]]:
+    """Integer points of {1..N}^2 on a curve that no line x = c, 1 <= c <= N,
+    divides: one column in y per abscissa x = 1..N, whatever the curve's
+    degrees.  The points come out sorted by (x, y)."""
+    if curve.degree_y() == 0:
+        return 0, []
+    points: list[LatticePoint] = []
+    for x0 in range(1, n_box + 1):
+        points.extend(LatticePoint(x0, y0) for y0 in integer_roots(curve.int_column(x0), 1, n_box))
+    return len(points), points

@@ -1347,3 +1347,71 @@ def test_decompose_covers_brute_force():
         _, expected = brute_force_count(curve, n)
         missing = set(expected) - covered
         assert not missing
+
+
+def _reference_sample_branches(curve, sample, n_box):
+    """The branches of one cell, as (root_index, root_count, flat) of the
+    roots of the sample column that a bracket refined clear of 0 and N
+    (`refine_clear_of`) puts in [0, N], less those that the slope balance
+    F_x^2 - F_y^2 hands to the transposed frame."""
+    roots = all_real_roots(curve.int_column(sample))
+    flat = not branch_module._frame_loci(curve).slope_degenerate
+    fx, fy = partial(curve, "x"), partial(curve, "y")
+    balance = (fx * fx - fy * fy).int_column(sample)
+    kept = []
+    for j, r in enumerate(roots):
+        r = refine_clear_of(r, Fraction(0), Fraction(n_box))
+        if not 0 <= r.lo <= r.hi <= n_box:
+            continue
+        if flat and sign_at_root(r, balance) > 0:
+            continue
+        kept.append((j, len(roots), flat))
+    return kept
+
+
+def test_decompose_range_test_matches_refine_clear_of(monkeypatch):
+    """The [0, N] test on each sample-column root clips the bracket to
+    [0, N] and tests its sign once.  On circles of radius above N, whose
+    sample roots lie below 0, inside [0, N] and above N, and on curves with
+    negative sample roots, it keeps the branches that brackets refined clear
+    of 0 and N keep, and the branches and direct points still cover every
+    point of the oracle."""
+    cases = [
+        ("x^2 + y^2 - 2600", 50),  # radius 50.99...
+        ("x^2 + y^2 - 3025", 50),  # radius 55
+        ("x^2 + y^2 - 8450", 80),  # radius 91.9...
+        ("x^2 + 2*y^2 - 5003", 60),
+        ("y^2 + 3*x*y - x^2 - 7", 40),
+        ("x*y + 5*y - x^2 - 3", 30),
+        ("y^3 + 4*x*y^2 - x^2 - 11", 25),
+    ]
+    sides = {"below": 0, "inside": 0, "above": 0}
+    for text, n_box in cases:
+        curve = parse(text)
+        samples = []  # (frame curve, sample abscissa) of every cell
+        column = branch_module._column
+
+        def recording_column(frame, x0):
+            if not isinstance(x0, int):
+                samples.append((frame, x0))
+            return column(frame, x0)
+
+        with monkeypatch.context() as m:
+            m.setattr(branch_module, "_column", recording_column)
+            dec = graph_decompose(curve, n_box)
+        want = set()
+        for frame, sample in samples:
+            want |= {(frame, sample, *k) for k in _reference_sample_branches(frame, sample, n_box)}
+            for r in all_real_roots(frame.int_column(sample)):
+                r = refine_clear_of(r, Fraction(0), Fraction(n_box))
+                sides["below" if r.hi < 0 else "above" if r.lo > n_box else "inside"] += 1
+        got = {(b.curve, sum(b.domain) / 2, b.root_index, b.root_count, b.flat) for b in dec.branches}
+        assert got == want, text
+        covered = set(dec.direct_points)
+        for br in dec.branches:
+            for k in range(ceil(br.domain[0]), floor(br.domain[1]) + 1):
+                hit = branch_integer_point(br, k)
+                if hit is not None:
+                    covered.add(LatticePoint(hit.y, hit.x) if br.swapped else hit)
+        assert set(brute_force_count(curve, n_box)[1]) <= covered, text
+    assert min(sides.values()) > 0, sides

@@ -20,6 +20,7 @@ from latcurve import branch, counting, unipoly
 from latcurve.detmethod import LatticePoint
 from latcurve.poly2 import BiPoly, divides, parse, resultant_eliminating_y
 from latcurve.unipoly import integer_roots, primitive_ints
+from reference_helpers import x_sweep_count
 
 
 # -- brute force -----------------------------------------------------------------
@@ -72,8 +73,10 @@ def test_brute_matches_grid_scan():
 
 
 def test_brute_rejects_lines_in_box():
-    with pytest.raises(LineFactorError):
+    with pytest.raises(LineFactorError, match="^vertical line x = 3 "):
         brute_force_count(parse("x - 3"), 10)
+    with pytest.raises(LineFactorError, match="^horizontal line y = 3 "):
+        brute_force_count(parse("y - 3"), 10)
     with pytest.raises(LineFactorError):
         brute_force_count(parse("(x - 3)*(y - x)"), 10)
     with pytest.raises(LineFactorError):
@@ -91,6 +94,8 @@ def test_line_factor_error_does_not_depend_on_the_oracle():
     for text, message in (
         ("(x - 3)*(y - x)", "vertical line x = 3 lies inside the box"),
         ("(y - 2)*(x - y^2)", "horizontal line y = 2 lies inside the box"),
+        # deg_x < deg_y, so the oracle sweeps y, and x = 3 is no swept line
+        ("(x - 3)*(x - y^3)", "vertical line x = 3 lies inside the box"),
     ):
         curve = parse(text)
         with pytest.raises(LineFactorError, match=f"^{message}$"):
@@ -111,6 +116,75 @@ def test_brute_model_family():
             while (floor_root + 1) ** d <= n:
                 floor_root += 1
             assert total == floor_root
+
+
+def _curve_through(rng, deg_x, deg_y, n_box):
+    """A random integer curve of degrees (deg_x, deg_y), shifted by a constant
+    so that it passes through a random point of {1..N}^2."""
+    terms = {(deg_x, rng.randint(0, deg_y)): rng.choice((-3, -2, -1, 1, 2, 3))}
+    terms[(rng.randint(0, deg_x), deg_y)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    for _ in range(rng.randint(0, 3)):
+        terms[(rng.randint(0, deg_x), rng.randint(0, deg_y))] = rng.randint(-5, 5)
+    curve = BiPoly(terms)
+    x0, y0 = rng.randint(1, n_box), rng.randint(1, n_box)
+    return curve - BiPoly.constant(curve.evaluate(x0, y0))
+
+
+def test_brute_matches_x_sweep_in_every_orientation():
+    """`brute_force_count` sweeps y when deg_x < deg_y and x otherwise; both
+    give the total and the sorted point list of a sweep over x alone."""
+    rng = random.Random(25)
+    seen = Counter()
+    points = 0
+    while min(seen.values(), default=0) < 40 or len(seen) < 3:
+        deg_x, deg_y = rng.randint(1, 4), rng.randint(1, 4)
+        n_box = rng.randint(5, 60)
+        curve = _curve_through(rng, deg_x, deg_y, n_box)
+        if (curve.degree_x(), curve.degree_y()) != (deg_x, deg_y):
+            continue
+        try:
+            got = brute_force_count(curve, n_box)
+        except LineFactorError:
+            continue
+        assert got == x_sweep_count(curve, n_box), (curve.pretty(), n_box)
+        seen[(deg_x > deg_y) - (deg_x < deg_y)] += 1
+        points += got[0]
+    assert points >= sum(seen.values())
+
+
+def test_brute_sweeps_the_axis_of_lower_column_degree(monkeypatch):
+    """Every swept column has the lower of the two degrees; a tie sweeps x."""
+    for text, column_degree in (
+        ("x - 13*y^3", 1),  # deg_x < deg_y: columns in x
+        ("y - 13*x^3", 1),  # deg_x > deg_y: columns in y
+        ("-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 3),  # tie: columns in y
+    ):
+        columns = []
+
+        def recording_roots(p, lo, hi):
+            columns.append(list(p))
+            return integer_roots(p, lo, hi)
+
+        curve = parse(text)
+        monkeypatch.setattr(counting, "integer_roots", recording_roots)
+        brute_force_count(curve, 40)
+        monkeypatch.undo()
+        swept = columns[2:]  # after the y-content and x-content line checks
+        assert len(swept) == 40 and {len(c) - 1 for c in swept} == {column_degree}, text
+        if column_degree == 3:
+            assert swept == [curve.int_column(x0) for x0 in range(1, 41)]
+
+
+def test_brute_curves_free_of_one_variable():
+    """A curve free of x or of y with no line in the box has no point."""
+    for text in ("y^2 - 2", "y + 20", "(y - 20)*(3*y + 1)", "x^2 - 2", "(x - 20)*(3*x + 1)"):
+        assert brute_force_count(parse(text), 10) == (0, []), text
+
+
+def test_brute_closed_forms_at_large_n():
+    """x = c*y^k has a point at every y with c*y^k <= N."""
+    assert brute_force_count(parse("x - 12*y^5"), 10**5) == (6, [LatticePoint(12 * y**5, y) for y in range(1, 7)])
+    assert brute_force_count(parse("x - 13*y^3"), 10**5)[0] == 19
 
 
 # -- bezout ----------------------------------------------------------------------
