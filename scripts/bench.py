@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_25.json at the repository root.
+rows and write BENCH_26.json at the repository root.
 
 Each row is timed RUNS = 3 times, each run one call in a fresh interpreter
 (so the package's caches start empty, as in a CLI call), timed there with
@@ -58,12 +58,12 @@ ROWS = [
     ("pipeline", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 34),
     ("pipeline", "4*x^3 + 4*x^2*y + 3*x^2 + 4*x - 5*y", 37),
     ("pipeline", "-5*x^3 - 5*x^2*y + 2*y^3 - 2*x^2", 36),
-    # a partition-workload quartic whose main branch has 13 pieces and 15
-    # derivative orders, so piece flags weigh on its count
+    # a partition-workload quartic with 15 derivative orders: its main branch
+    # has 13 pieces on its decomposed domain and one on its integer hull
     ("pipeline", "x - 24*y^4", 100),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_25.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_26.json"
 RUNS = 3
 
 

@@ -35,9 +35,9 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 1
 ROUNDS = {"partition": 7, "columns": 8, "sweep": 4}
 EXPECTED = {
-    "fixtures": "720b09f2059255aa67d62b3a6c0e0aee6eca8e3f67643e630ff80cb4d2e03276",
-    "partition": "cad7e8395ace0f0883e3d5aa81ea010c76d2b23edf9065f30e6f3b363f934f40",
-    "columns": "085dcadbb3d3f4f32d9afe02aaf1423bb6729f65c30354f6622a9c9cd65df414",
+    "fixtures": "246cc12f2fcfd536d9dc10b6012d66b60eb8854f8bc29d2797309041fc305091",
+    "partition": "e0fe23f290af7b35519c754da48ae72a7fbe9ca93b51983dfdee1cc18761f82a",
+    "columns": "1d01ee053dfa5f478c7d472844a468018a3250388c39e5ab565dc4f744cddd75",
     "sweep": "3833272fd356e6abf3e11d943f6c87005b80e163319100290e66a5c783d9d172",
 }
 

@@ -9,7 +9,7 @@ as isolating intervals and every sign decision is made exactly: the sign of
 p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
 column p(x0, y) at the bracket of f(x0), zero included, for the level
 signs at a level-set bracket's ends, the piece flags of
-`partition_by_bounds` that are not carried across a cut and the slope
+`partition_by_bounds`, one per piece and order, and the slope
 regime of a frame cell.  The implicit derivatives H_k are built with the
 `BiPoly` operators from one (F_x, F_y, M) triple per curve.  A level curve
 L = H_i + F_y^(2i-1) * (i! * c) is kept reduced modulo the curve as a sum
@@ -25,13 +25,10 @@ divided out; deg_y L, which that power needs, is read from the parts, and
 a level curve free of y is its own eliminant.  Along the branch the
 product of the columns of the two reduced +-thr level curves of order i
 has the sign of (f^(i)/i!)^2 - thr^2, which changes only at a level-set
-root.  So the first piece's flag of order i is one query on that product,
-and each later piece's flag is the one before, flipped by the parity of
-the certified crossings of order i in the cut between them; only a cut
-with another root of that order (exact or tangential) takes the query
-again.  A level set builds its eliminant's repeated-root part only when
-an eliminant root reaches the tangential test and Descartes' rule does not
-prove it simple.
+root.  So each piece's flag of order i is one query on that product at
+the piece's midpoint.  A level set builds its eliminant's repeated-root
+part only when an eliminant root reaches the tangential test and
+Descartes' rule does not prove it simple.
 Partition pieces come straight from the sorted cuts: piece j spans the gap
 between cuts j - 1 and j and takes the integer abscissas in
 (floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
@@ -83,7 +80,6 @@ from .unipoly import (
     rational_root_in,
     refine_clear_of,
     refine_disjoint,
-    refine_disjoint_merged,
     root_floor,
     sign_at_root,
     simple_root,
@@ -463,39 +459,34 @@ def _bracket_at(branch: AlgebraicBranch, x: Fraction, brackets: dict[Fraction, R
 
 def _level_set(
     branch: AlgebraicBranch, i: int, c: Fraction, brackets: dict[Fraction, RootInterval]
-) -> list[tuple[RootInterval, bool]]:
-    """The roots of `level_set_abscissas`, each with whether it is a
-    certified crossing: a non-exact bracket at whose ends the level curve
-    has nonzero signs that differ, so f^(i)/i! - c changes sign there.  The
-    branch value brackets it reads are kept in `brackets`."""
+) -> list[RootInterval]:
+    """The roots of `level_set_abscissas`; the branch value brackets it
+    reads are kept in `brackets`."""
     level, res, free_of_y = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     roots = isolate_real_roots(res, lo, hi)
-    if free_of_y:
-        # the level curve does not involve y: every eliminant root is on the
-        # branch, and the eliminant has the level curve's sign along it
-        return [(r, not r.is_exact() and _rat_eval(res, r.lo) * _rat_eval(res, r.hi) < 0) for r in roots]
-    if not roots:
-        return []
+    if free_of_y or not roots:
+        # a level curve free of y is its own eliminant: each root is on the branch
+        return roots
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
     roots = refine_disjoint(roots, width)
 
     def level_sign(x: Fraction) -> int:
         return sign_at_root(_bracket_at(branch, x, brackets), level.int_column(x))
 
-    included: list[tuple[RootInterval, bool]] = []
+    included: list[RootInterval] = []
     mult: Optional[list[int]] = None
     for r in roots:
         if r.is_exact():
             if level_sign(r.lo) == 0:
-                included.append((r, False))
+                included.append(r)
             continue
         s_lo = level_sign(r.lo)
         s_hi = level_sign(r.hi)
         if s_lo == 0 or s_hi == 0:
             raise LevelSetContactError("sample point unexpectedly on the level set")
         if s_lo * s_hi < 0:
-            included.append((r, True))
+            included.append(r)
             continue
         if simple_root(res, r):
             continue  # simple eliminant root without a crossing: not on this branch
@@ -506,7 +497,7 @@ def _level_set(
         rr = rational_root_in(r.polynomial, r.lo, r.hi)
         if rr is not None:
             if level_sign(rr) == 0:
-                included.append((RootInterval(rr, rr, r.polynomial), False))
+                included.append(RootInterval(rr, rr, r.polynomial))
             continue
         raise LevelSetContactError(
             "cannot certify a tangential level-set contact at an irrational abscissa"
@@ -527,7 +518,7 @@ def level_set_abscissas(
     """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
-    return [r for r, _ in _level_set(branch, i, Fraction(c), {})]
+    return _level_set(branch, i, Fraction(c), {})
 
 
 @dataclass
@@ -695,12 +686,11 @@ def partition_by_bounds(
 
     Along the branch L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 * ((f^(i)/i!)^2
     - thr^2), and the level sets hold every zero of either level curve in
-    the domain, so the flag of order i can change only across a cut.  The
-    first piece takes one Tarski query per order on the product of the two
-    reduced +-thr level curves' columns at its midpoint.  A later piece
-    inherits each flag from the piece before, flipped once per certified
-    crossing of that order in the cut between them; an order with any other
-    root in that cut (exact or tangential) is queried again.
+    the domain, so the flag of order i is constant on a piece.  Each piece
+    takes one Tarski query per order on the product of the two reduced
+    +-thr level curves' columns at its midpoint.  A zero there is an error
+    on a piece with lo < hi; on a one-point domain [k, k] it means
+    |f^(i)(k)/i!| = thr, which meets the closed bound and reads small.
     """
     if big_d < 2:
         raise ValueError("D must be >= 2")
@@ -710,9 +700,6 @@ def partition_by_bounds(
         raise ValueError("delta * N must be at least 1")
     thresholds = [n_box * delta**i for i in range(1, big_d)]
     raw_cuts: list[RootInterval] = []
-    # per raw cut: its order, and the factor it puts on that order's sign,
-    # -1 for a certified crossing and 0 (query again) for any other root
-    steps: list[tuple[int, int]] = []
     # the branch value brackets of this call, by abscissa: the level sets of
     # one branch are refined on one domain, so their brackets share ends
     brackets: dict[Fraction, RootInterval] = {}
@@ -724,54 +711,37 @@ def partition_by_bounds(
             continue
         for c in (thr, -thr):
             try:
-                found = _level_set(branch, i, c, brackets)
+                raw_cuts += _level_set(branch, i, c, brackets)
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
                 # bound |f^(i)/i!| <= thr holds everywhere, with no cuts
                 forced_small.add(i)
-                continue
-            raw_cuts += [r for r, _ in found]
-            steps += [(i, -1 if crossing else 0) for _, crossing in found]
-    cuts: list[RootInterval] = []
-    factors: list[dict[int, int]] = []  # per cut: order -> factor on its sign across the cut
-    for r, merged in refine_disjoint_merged(raw_cuts, Fraction(1, 4)):
-        r = refine_clear_of(r, lo, hi)
-        if lo < r.lo and r.hi < hi:
-            cuts.append(r)
-            factor: dict[int, int] = {}
-            for k in merged:
-                i, m = steps[k]
-                factor[i] = factor.get(i, 1) * m
-            factors.append(factor)
+    cuts = [refine_clear_of(r, lo, hi) for r in refine_disjoint(raw_cuts, Fraction(1, 4))]
+    cuts = [r for r in cuts if lo < r.lo and r.hi < hi]
     fy = partial(branch.curve, "y")
 
     # piece j ends at cut j's bracket and at the floor of its root
     ends = [(cut.lo, cut.hi, root_floor(cut)) for cut in cuts] + [(hi, hi, floor(hi))]
-    # the sign of (f^(i)/i!)^2 - thr^2 on the last piece, 0 before the first
-    signs = [0] * len(thresholds)
     pieces: list[Piece] = []
     plo, first = lo, ceil(lo)
-    for j, (phi, next_lo, last) in enumerate(ends):
+    for phi, next_lo, last in ends:
         mid = (plo + phi) / 2
         bracket = _bracket_at(branch, mid, brackets)
         if sign_at_root(bracket, fy.int_column(mid)) == 0:
             raise BranchError("branch derivative degenerate at a piece midpoint")
-        factor = factors[j - 1] if j else {}
         flags: list[str] = []
         for i, thr in enumerate(thresholds, start=1):
             if i in forced_small:
                 flags.append("small")
                 continue
-            s = signs[i - 1] * factor.get(i, 1)
-            if s == 0:
-                # both level sets of order i succeeded above, so these are cached
-                plus = _level_resultant(branch.curve, i, thr)[0].int_column(mid)
-                minus = _level_resultant(branch.curve, i, -thr)[0].int_column(mid)
-                s = sign_at_root(bracket, _int_mul(plus, minus))
-                if s == 0:
-                    raise BranchError("piece midpoint fell on a level set")
-            signs[i - 1] = s
-            flags.append("small" if s < 0 else "large")
+            # both level sets of order i succeeded above, so these are cached
+            plus = _level_resultant(branch.curve, i, thr)[0].int_column(mid)
+            minus = _level_resultant(branch.curve, i, -thr)[0].int_column(mid)
+            s = sign_at_root(bracket, _int_mul(plus, minus))
+            if s == 0 and plo < phi:
+                raise BranchError("piece midpoint fell on a level set")
+            # on a one-point piece s = 0 means |f^(i)/i!| = thr: the closed bound holds
+            flags.append("small" if s <= 0 else "large")
         pieces.append(Piece(plo, phi, tuple(flags), tuple(range(first, last + 1))))
         plo, first = next_lo, last + 1
     return IntervalPartition(pieces, certified)

@@ -14,8 +14,9 @@ deg_x < deg_y, else x = 1..N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from .branch import (
@@ -243,10 +244,13 @@ def determinant_method_count(
 ) -> CountReport:
     """Count integer points on the curve in {1..N}^2 via cover curves.
 
-    Decomposes the curve into oriented branches, partitions each branch by
-    the derivative thresholds, covers every all-small piece greedily and
-    counts per cover curve through resultant intersections; short large
-    pieces and critical abscissas are enumerated directly.
+    Decomposes the curve into oriented branches and partitions each one's
+    integer hull [ceil(lo), floor(hi)] by the derivative thresholds, since
+    every lattice point of a branch lies at an integer abscissa in it; a
+    branch with an empty hull is skipped and has no report entry.  Covers
+    every all-small piece greedily and counts per cover curve through
+    resultant intersections; short large pieces and critical abscissas are
+    enumerated directly.
     """
     g = ingestion_check(curve)
     d = g.degree
@@ -273,6 +277,10 @@ def determinant_method_count(
     branch_reports: list[BranchReport] = []
 
     for br in decomposition.branches:
+        first, last = ceil(br.domain[0]), floor(br.domain[1])
+        if first > last:
+            continue
+        br = replace(br, domain=(Fraction(first), Fraction(last)))
         frame_curve = br.curve
         # a swapped branch is covered in its frame, so puncture at its corner
         mset = punctured_set(d, ell, corner_index(frame_curve))

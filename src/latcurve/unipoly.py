@@ -716,20 +716,13 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
     return len(g) >= 2 and count_real_roots(g, lo, hi) > 0
 
 
-def refine_disjoint_merged(
-    intervals: Sequence[RootInterval], width: Fraction | int
-) -> list[tuple[RootInterval, list[int]]]:
+def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) -> list[RootInterval]:
     """Refine to the given width, drop duplicates of the same root, and
-    continue refining until the surviving intervals are pairwise disjoint.
-
-    Each survivor comes with the indices into `intervals` of the inputs
-    that isolate its root, its own first."""
-    items = sorted(
-        ((refine_root(r, width), [k]) for k, r in enumerate(intervals)), key=lambda t: (t[0].lo, t[0].hi)
-    )
+    continue refining until the surviving intervals are pairwise disjoint."""
+    items = sorted((refine_root(r, width) for r in intervals), key=lambda r: (r.lo, r.hi))
     i = 0
     while i < len(items) - 1:
-        a, b = items[i][0], items[i + 1][0]
+        a, b = items[i], items[i + 1]
         if a.hi < b.lo:
             i += 1
             continue
@@ -738,20 +731,14 @@ def refine_disjoint_merged(
             i += 1
             continue
         if _same_root(a, b):
-            items[i][1].extend(items.pop(i + 1)[1])
+            items.pop(i + 1)
             continue
         if not a.is_exact():
-            items[i] = (refine_root(a, a.width / 4), items[i][1])
+            items[i] = refine_root(a, a.width / 4)
         if not b.is_exact():
-            items[i + 1] = (refine_root(b, b.width / 4), items[i + 1][1])
-        items.sort(key=lambda t: (t[0].lo, t[0].hi))
+            items[i + 1] = refine_root(b, b.width / 4)
+        items.sort(key=lambda r: (r.lo, r.hi))
     return items
-
-
-def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) -> list[RootInterval]:
-    """The pairwise disjoint brackets of `refine_disjoint_merged`, one per
-    distinct root."""
-    return [r for r, _ in refine_disjoint_merged(intervals, width)]
 
 
 def all_real_roots(p: Sequence[int]) -> list[RootInterval]:

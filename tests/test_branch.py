@@ -1,6 +1,7 @@
 """Branch machinery: implicit derivative recurrence, level sets, partitions,
 and the box decomposition."""
 
+import dataclasses
 import importlib.util
 import math
 import random
@@ -40,6 +41,7 @@ from latcurve.poly2 import (
     resultant_eliminating_y,
 )
 from latcurve import branch as branch_module
+from latcurve import counting as counting_module
 from latcurve.unipoly import (
     RootInterval,
     UniPoly,
@@ -1114,7 +1116,8 @@ def test_reduced_level_signs_match_unreduced_at_branch_points():
 
 def _two_query_flags(br, piece, thresholds):
     """The flags of a piece from the signs of F_y and of the two unreduced
-    level curves of each order at its midpoint."""
+    level curves of each order at its midpoint.  Only a one-point piece may
+    have its midpoint on a level curve, where the closed bound holds."""
     mid = (piece.lo + piece.hi) / 2
     bracket = branch_value_bracket(br, mid)
     sfy = sign_at_root(bracket, partial(br.curve, "y").int_column(mid))
@@ -1128,26 +1131,37 @@ def _two_query_flags(br, piece, thresholds):
             continue
         s_plus = sign_at_root(bracket, _unreduced_level_curve(br.curve, i, thr).int_column(mid))
         s_minus = sign_at_root(bracket, _unreduced_level_curve(br.curve, i, -thr).int_column(mid))
-        assert sfy != 0 and s_plus != 0 and s_minus != 0
-        flags.append("small" if (-s_plus * sfy < 0 and -s_minus * sfy > 0) else "large")
+        assert sfy != 0 and (piece.lo == piece.hi or s_plus != 0 and s_minus != 0)
+        flags.append("small" if (-s_plus * sfy <= 0 and -s_minus * sfy >= 0) else "large")
     return tuple(flags)
+
+
+def _hull(br):
+    """The branch on its integer hull [ceil(lo), floor(hi)], or None when
+    that is empty, as `determinant_method_count` partitions it."""
+    first, last = ceil(br.domain[0]), floor(br.domain[1])
+    return dataclasses.replace(br, domain=(Fraction(first), Fraction(last))) if first <= last else None
 
 
 def test_piece_flags_match_two_query_flags():
     """Each flag from the one query on the product of the reduced +-thr level
     curves' columns equals the flag from the two queries on the unreduced
-    curves."""
+    curves, on each branch's domain and on its integer hull."""
     rng = random.Random(909)
-    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0, "small": 0, "large": 0}
-    for br, n_box in _random_branches(rng, 150):
+    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0, "small": 0, "large": 0, "hull": 0}
+    for dom_br, n_box in _random_branches(rng, 150):
         big_d = rng.choice([2, 3, 4])
         delta = rng.choice([Fraction(1, n_box), Fraction(2, n_box), Fraction(1, 4), Fraction(1, 2)])
         thresholds = [n_box * delta**i for i in range(1, big_d)]
-        for piece in partition_by_bounds(br, big_d, n_box, delta).pieces:
-            assert piece.flags == _two_query_flags(br, piece, thresholds), (br.curve, piece)
-            seen[_lead_kind(br.curve)] += 1
-            for flag in piece.flags:
-                seen[flag] += 1
+        for br in (dom_br, _hull(dom_br)):
+            if br is None:
+                continue
+            for piece in partition_by_bounds(br, big_d, n_box, delta).pieces:
+                assert piece.flags == _two_query_flags(br, piece, thresholds), (br.curve, piece)
+                seen[_lead_kind(br.curve)] += 1
+                seen["hull"] += br is not dom_br
+                for flag in piece.flags:
+                    seen[flag] += 1
     assert min(seen.values()) >= 10, seen
 
 
@@ -1157,7 +1171,7 @@ def _pieces(part):
 
 def test_flags_across_a_tangential_cut_are_queried_again():
     # f''/2 = -25/(2 y^3) touches -1/10 at x = 0 without crossing it: the
-    # exact cut there carries no certified crossing, and order 2 stays small
+    # exact cut there is no crossing, and order 2 stays small
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
     part = partition_by_bounds(br, 3, 10, Fraction(1, 10))
     assert _pieces(part) == [
@@ -1228,27 +1242,38 @@ def _latbench_workloads():
 def test_certificate_strength_on_latbench_rounds():
     """Certificate-strength guard: on eight seed-1 rounds, at the pipeline's
     D and delta, `certified_orders` proves 259 of the 896 orders of the 78
-    `partition` branches and all 600 of the 40 `columns` branches."""
+    `partition` branches and all 600 of the 40 `columns` branches on their
+    decomposed domains.  On the integer hulls that the pipeline partitions
+    it proves 205 of the 568 orders of the 51 `partition` branches that hold
+    an integer abscissa, and all 600 of the 40 `columns` branches."""
     workloads = _latbench_workloads()
-    for name, want in (("partition", (78, 259, 896)), ("columns", (40, 600, 600))):
-        branches = proved = orders = 0
+    for name, want_domain, want_hull in (
+        ("partition", (78, 259, 896), (51, 205, 568)),
+        ("columns", (40, 600, 600), (40, 600, 600)),
+    ):
+        counts = {"domain": [0, 0, 0], "hull": [0, 0, 0]}
         for row in workloads[name].rounds(1, 8):
             for case in row:
                 curve = parse(case.text)
                 d, n_box = curve.degree, case.n_box
                 ell = default_ell(d, n_box)
                 delta = default_delta(d, ell, n_box)
-                for br in graph_decompose(curve, n_box).branches:
-                    big_d = punctured_set(d, ell, corner_index(br.curve)).D
-                    branches += 1
-                    proved += len(certified_orders(br, big_d, Fraction(n_box), delta, {}))
-                    orders += big_d - 1
-        assert (branches, proved, orders) == want, name
+                for dom_br in graph_decompose(curve, n_box).branches:
+                    big_d = punctured_set(d, ell, corner_index(dom_br.curve)).D
+                    for key, br in (("domain", dom_br), ("hull", _hull(dom_br))):
+                        if br is not None:
+                            count = counts[key]
+                            count[0] += 1
+                            count[1] += len(certified_orders(br, big_d, Fraction(n_box), delta, {}))
+                            count[2] += big_d - 1
+        assert tuple(counts["domain"]) == want_domain, name
+        assert tuple(counts["hull"]) == want_hull, name
 
 
 def test_piece_flags_match_product_queries_at_pipeline_size():
-    """At the pipeline's D and delta on latbench-sized curves, every flag
-    carried across cuts equals a fresh query at the piece midpoint."""
+    """At the pipeline's D and delta on latbench-sized curves, partitioned on
+    their decomposed domains with many cuts, every piece's flags equal a
+    product query at its midpoint."""
     carried = 0
     for text, n_box in (
         ("x - 24*y^4", 100),
@@ -1264,10 +1289,12 @@ def test_piece_flags_match_product_queries_at_pipeline_size():
     assert carried >= 300
 
 
-def test_partition_queries_each_order_once_on_a_pure_flip_branch(monkeypatch):
-    """From empty caches, the main branch of x - 24*y^4 at N = 100 (13
-    pieces, 15 orders) makes at most one product-column query per order:
-    every later flag is carried across its cut."""
+def test_pipeline_partitions_one_hull_piece_on_a_pure_flip_branch(monkeypatch):
+    """From empty caches, the count of x - 24*y^4 at N = 100 partitions its
+    main branch, over (25/256, 100) with 13 pieces, as the one hull piece
+    [1, 100], and skips its swapped branch over (25/512, 25/128), which
+    holds no integer abscissa.  It makes at most one product-column query
+    per uncertified order."""
     for cached in (branch_module._level_resultant, branch_module._reduced_level_parts, hk_sequence):
         cached.cache_clear()
     calls = []
@@ -1277,13 +1304,41 @@ def test_partition_queries_each_order_once_on_a_pure_flip_branch(monkeypatch):
         calls.append((a, b))
         return original(a, b)
 
+    parts = []
+    partition = counting_module.partition_by_bounds
+
+    def recorded(br, big_d, n_box, delta):
+        part = partition(br, big_d, n_box, delta)
+        parts.append((br, big_d, part))
+        return part
+
     monkeypatch.setattr(branch_module, "_int_mul", counted)
-    br, thresholds, part = next(_pipeline_partitions("x - 24*y^4", 100))
-    assert not br.swapped and len(part.pieces) == 13 and len(thresholds) == 15
-    assert 0 < len(calls) <= len(thresholds)
-    monkeypatch.undo()
+    monkeypatch.setattr(counting_module, "partition_by_bounds", recorded)
+    branches = graph_decompose(parse("x - 24*y^4"), 100).branches
+    assert [(br.domain, br.swapped) for br in branches] == [
+        ((Fraction(25, 256), 100), False),
+        ((Fraction(25, 512), Fraction(25, 128)), True),
+    ]
     report = determinant_method_count(parse("x - 24*y^4"), 100)
     assert report.ok and report.total == report.oracle_total
+    [(br, big_d, part)] = parts
+    assert not br.swapped and br.domain == (1, 100) and big_d == 16
+    assert [(p.lo, p.hi) for p in part.pieces] == [(1, 100)]
+    assert 0 < len(calls) <= big_d - 1 - len(part.certified)
+    assert [b.descriptor["domain"] for b in report.per_branch] == [["1", "100"]]
+
+
+def test_partition_reads_a_one_point_hull_on_a_level_set_as_small():
+    """A one-point domain [k, k] is partitioned like any other: on the circle
+    x^2 + y^2 = 25 at (3, 4), f''/2 = -25/(2 y^3) = -25/128 = -N*delta^2 for
+    N = 128/25 and delta = 25/128, so the midpoint 3 lies on the order-2
+    level set.  The closed bound |f''(3)/2| <= N*delta^2 holds, so order 2
+    reads small, as does order 1 (|f'(3)| = 3/4 < 1)."""
+    br = branch_from_point(parse("x^2 + y^2 - 25"), 3, 4, (3, 3))
+    part = partition_by_bounds(br, 3, Fraction(128, 25), Fraction(25, 128))
+    assert [(p.lo, p.hi, p.flags, p.integer_abscissas) for p in part.pieces] == [
+        (3, 3, ("small", "small"), (3,))
+    ]
 
 
 def test_large_interval_check():

@@ -405,10 +405,14 @@ def _clear_caches():
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
     builds no Sturm chain (11 before root isolation split by Descartes
-    bounds), and of its 13 squarefree parts only 2 need an integer gcd; the
-    rest are proved squarefree modulo a prime.  Two of the 13 are the columns
-    at the centres of the disc certificate's stretches, read for their branch
-    value brackets; the other 11 are the decomposition's."""
+    bounds), and of its 14 squarefree parts only 2 need an integer gcd; the
+    rest are proved squarefree modulo a prime.  11 of the 14 are the
+    decomposition's.  The other 3 are columns read for branch value
+    brackets on the integer hulls [0, 0] and [2, 50]: at the disc
+    certificate's stretch centres x = 0 and 17/8, and at x = 26, the
+    midpoint of the hull [2, 50].  The decomposed domain (25/16, 50) had
+    the decomposition's cell sample 825/32 as its piece midpoint, whose
+    column was already built, so the count there was 13."""
     _clear_caches()
     gcd_callers = []
     poly_gcd = unipoly.poly_gcd
@@ -421,7 +425,7 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
     assert rep.total == 0
     assert unipoly.sturm_chain.cache_info().misses == 0
-    assert unipoly.squarefree_part.cache_info().misses == 13
+    assert unipoly.squarefree_part.cache_info().misses == 14
     assert gcd_callers.count("squarefree_part") == 2
 
 
@@ -510,23 +514,34 @@ def test_pipeline_small_delta_enumerate_path():
     assert rep.ok
 
 
-def _not_ok_report(monkeypatch, name, fake):
-    """`x - y^2` at N = 100, with one cover piece of one curve and one
-    enumerated piece, counted with `counting.<name>` replaced by `fake`."""
+def _not_ok_report(monkeypatch, name, fake, delta=None):
+    """`x - y^2` at N = 100, counted with `counting.<name>` replaced by
+    `fake`.  Its one branch is partitioned on the hull [1, 100]: one cover
+    piece of one curve at the default delta, and five enumerated pieces
+    before a cover piece at delta = 1/4, the first of them holding x = 1."""
     monkeypatch.setattr(counting, name, fake)
-    return determinant_method_count(parse("x - y^2"), 100)
+    return determinant_method_count(parse("x - y^2"), 100, delta=delta)
 
 
 def test_pipeline_not_ok_when_a_cover_exceeds_its_budget(monkeypatch):
     rep = _not_ok_report(monkeypatch, "curve_budget", lambda length, spec, mset: 0)
     assert rep.ok is False and rep.total == rep.oracle_total == 10
-    assert rep.warnings == ["curve budget exceeded on piece ('108775/262144', '100'): 1 > 0"]
+    assert rep.warnings == ["curve budget exceeded on piece ('1', '100'): 1 > 0"]
 
 
 def test_pipeline_not_ok_when_a_large_piece_is_long(monkeypatch):
-    rep = _not_ok_report(monkeypatch, "large_interval_check", lambda piece, delta: False)
+    rep = _not_ok_report(monkeypatch, "large_interval_check", lambda piece, delta: False, Fraction(1, 4))
     assert rep.ok is False and rep.total == rep.oracle_total == 10
-    assert rep.warnings == ["large-derivative piece ('25/64', '211175/524288') exceeds 2/delta"]
+    assert rep.warnings == [
+        f"large-derivative piece {interval} exceeds 2/delta"
+        for interval in (
+            ("1", "2345/2048"),
+            ("611/512", "611/512"),
+            ("355/256", "355/256"),
+            ("809/512", "809/512"),
+            ("3335/2048", "3533/2048"),
+        )
+    ]
 
 
 def test_pipeline_not_ok_on_an_oracle_mismatch(monkeypatch):

@@ -38,7 +38,6 @@ from latcurve.unipoly import (
     ranked_integer_root,
     refine_clear_of,
     refine_disjoint,
-    refine_disjoint_merged,
     refine_root,
     root_floor,
     sign_at_root,
@@ -341,6 +340,18 @@ def test_refine_disjoint_merges_same_root():
     r2 = isolate_real_roots(q, 0, 2)[0]
     merged = refine_disjoint([r1, r2], Fraction(1, 4))
     assert len(merged) == 1
+    # sqrt 2 from three polynomials, 1 and 3 from (x - 1)(x - 3), and -sqrt 2
+    sqrt2 = [isolate_real_roots(p, 0, 2)[0] for p in ([-2, 0, 1], [-4, 0, 2], [-2, 0, 1, 0, 0])]
+    one, three = isolate_real_roots([3, -4, 1], 0, 4)
+    [minus] = isolate_real_roots([-2, 0, 1], -2, 0)
+    inputs = [three, sqrt2[0], minus, sqrt2[1], one, sqrt2[2]]
+    kept = refine_disjoint(inputs, Fraction(1, 4))
+    assert len(kept) == 4 and all(a.hi <= b.lo for a, b in zip(kept, kept[1:]))
+    m, r1, s2, r3 = kept
+    assert m.hi < 0 and r1.lo <= 1 <= r1.hi and 0 <= s2.lo and s2.lo**2 <= 2 <= s2.hi**2 and r3.lo <= 3 <= r3.hi
+    # each survivor refines one of the inputs that isolate its root
+    for r in kept:
+        assert any(own.lo <= r.lo <= r.hi <= own.hi and r.polynomial == own.polynomial for own in inputs)
 
 
 def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
@@ -353,21 +364,6 @@ def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
     assert len(kept) == 2
     assert kept[0].lo <= 1 <= kept[0].hi and kept[1].lo <= 3 <= kept[1].hi
     assert kept[0].hi <= kept[1].lo
-
-
-def test_refine_disjoint_merged_reports_the_inputs_of_each_root():
-    # sqrt 2 from three polynomials, 1 and 3 from (x - 1)(x - 3), and -sqrt 2
-    sqrt2 = [isolate_real_roots(p, 0, 2)[0] for p in ([-2, 0, 1], [-4, 0, 2], [-2, 0, 1, 0, 0])]
-    one, three = isolate_real_roots([3, -4, 1], 0, 4)
-    [minus] = isolate_real_roots([-2, 0, 1], -2, 0)
-    inputs = [three, sqrt2[0], minus, sqrt2[1], one, sqrt2[2]]
-    merged = refine_disjoint_merged(inputs, Fraction(1, 4))
-    assert [r for r, _ in merged] == refine_disjoint(inputs, Fraction(1, 4))
-    assert [sorted(group) for _, group in merged] == [[2], [4], [1, 3, 5], [0]]
-    # each survivor is a refinement of the first input it names
-    for r, group in merged:
-        own = inputs[group[0]]
-        assert own.lo <= r.lo <= r.hi <= own.hi and r.polynomial == own.polynomial
 
 
 def test_refine_clear_of_root_at_an_end():
