@@ -35,12 +35,13 @@ between cuts j - 1 and j and takes the integer abscissas in
 Level sets are built only for the orders that `certified_orders` leaves.
 It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
 branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
-the others by Cauchy's estimate on dyadic discs that Rouché's test shows
-free of the roots of lc_y(F) and of the discriminant, with a Fujiwara
-bound on the roots of F over each disc.  All of it runs on the integer
-map `unipoly.affine_image` and integer powers, and a proved order reads
-small on every piece, as its level sets, which have no root in the domain,
-would give.  The x-loci of a frame curve (its frame cuts, its discriminant
+the others by Cauchy's estimate on dyadic discs proved free of the roots
+of lc_y(F) (Rouché's test) and of the discriminant (Rouché's test, retried
+after Graeffe root-squaring steps), with a Fujiwara bound on the roots of
+F over each disc and up to four stretch widths per disc.  All of it runs
+on the integer maps `unipoly.affine_image` and `unipoly.graeffe_step` and
+integer powers, and a proved order reads small on every piece, as its
+level sets, which have no root in the domain, would give.  The x-loci of a frame curve (its frame cuts, its discriminant
 Res_y(F, F_y) and whether its slope is identically +-1) are one cached
 `_FrameLoci` record, read by the frame cells, the smoothness certificate
 and the disc test.
@@ -72,6 +73,7 @@ from .unipoly import (
     affine_image,
     all_real_roots,
     count_real_roots,
+    graeffe_step,
     int_exact_quotient,
     integer_roots,
     isolate_real_roots,
@@ -548,6 +550,8 @@ class IntervalPartition:
 # -- derivative bounds on root-free discs ----------------------------------------
 
 _MIN_DISC_LOG2 = -4  # no disc radius below 1/16 is tried
+_STRETCH_LOG2 = 4  # a disc of radius R tries stretch half-widths R/2, ..., R/16
+_GRAEFFE_STEPS = 4  # root-squaring steps before a disc is refused
 
 
 def _rouche_margin(q: Sequence[int]) -> int:
@@ -555,6 +559,38 @@ def _rouche_margin(q: Sequence[int]) -> int:
     on |w| <= 1 (Rouché's test against the constant term), so q has no root
     there.  The zero polynomial has margin 0."""
     return abs(q[0]) - sum(map(abs, q[1:])) if q else 0
+
+
+def _root_free(q: Sequence[int]) -> bool:
+    """Whether the integer polynomial q is proved free of roots on the closed
+    unit disc |w| <= 1.  Rouché's test (`_rouche_margin`) comes first.  When
+    it fails, a zero or a sign change among q(-1), q(0) and q(1) shows a
+    real root in the disc and refuses it at once.  Otherwise each of up to
+    `_GRAEFFE_STEPS` root-squaring steps (`graeffe_step`) is retested by
+    Rouché: a step maps every root to its square, so a root on the closed
+    disc stays on it, and a pass at any step proves q root-free there."""
+    if _rouche_margin(q) > 0:
+        return True
+    signs = {(v > 0) - (v < 0) for v in (sum(q[0::2]) - sum(q[1::2]), q[0] if q else 0, sum(q))}
+    if len(signs) > 1 or 0 in signs:
+        return False
+    for _ in range(_GRAEFFE_STEPS):
+        q = graeffe_step(q)
+        if _rouche_margin(q) > 0:
+            return True
+    return False
+
+
+def _fujiwara_below(bound: Sequence[int], low: int, half: Fraction) -> bool:
+    """Whether Fujiwara's bound M = 2 max(|c_(n-k)/c_n|^(1/k) for k < n,
+    |c_0/(2 c_n)|^(1/n)) on the roots of a polynomial of degree n =
+    len(bound), with |c_m| <= bound[m] and |c_n| >= low > 0, is below 2 *
+    half; decided on integers, as the inequalities raised to their powers."""
+    n = len(bound)
+    num, den = half.numerator, half.denominator
+    return all(bound[n - k] * den**k < low * num**k for k in range(1, n)) and (
+        bound[0] * den**n < 2 * low * num**n
+    )
 
 
 def _dyadic_at_or_below(x: Fraction, e: int) -> tuple[int, int]:
@@ -583,27 +619,37 @@ def certified_orders(
     branches with |f'| < 1 at the cell's sample; hence |f'| < 1 <= N*delta.
 
     Every other order is proved by Cauchy's estimate.  The domain is covered
-    left to right by stretches |x - x0| <= s, s = R/2, each inside a disc
-    |z - x0| <= R with dyadic x0 and R.  The disc must pass Rouché's test
-    (`_rouche_margin`) for lc_y(F) and for the discriminant of the curve's
-    `_FrameLoci`, on their Taylor coefficients at x0 scaled by R (each one
-    `affine_image`).  Then the roots of F(z, .) are deg_y F distinct
-    analytic functions on the disc, and the branch is one of them on the
-    stretch.  Let y0 be the middle of the branch value bracket at x0, or at
-    the domain end nearest to it (`_bracket_at`, kept in `brackets`), and M
-    a Fujiwara bound on every root y of F(z, y0 + y) over the disc, from
-    the bounds sum_k |c_k| R^k on its coefficients (one `affine_image` per
-    column of the scaled rows) and the Rouché margin of its leading one.
-    Then |f^(i)(x)/i!| <= M/(R - s)^i for |x - x0| <= s, so order i holds
-    on the stretch when M < N*delta^i*(R - s)^i.  That is decided on
-    integers, as Fujiwara's inequalities raised to their powers.
+    left to right by stretches |x - x0| <= s, each inside a disc |z - x0|
+    <= R with dyadic x0 and R.  The disc must pass Rouché's test
+    (`_rouche_margin`) for lc_y(F), whose margin bounds the leading
+    coefficient below, and the exact root-free test `_root_free` for the
+    discriminant of the curve's `_FrameLoci`, each on the Taylor
+    coefficients at x0 scaled by R (one `affine_image`).  Then the roots of
+    F(z, .) are deg_y F distinct analytic functions on the disc, and the
+    branch is one of them on the stretch.  Let y0 be the middle of the
+    branch value bracket at x0, or at the domain end nearest to it
+    (`_bracket_at`, kept in `brackets`), and M a Fujiwara bound on every
+    root y of F(z, y0 + y) over the disc, from the bounds sum_k |c_k| R^k
+    on its coefficients (one `affine_image` per column of the scaled rows)
+    and the Rouché margin of its leading one.  Then |f^(i)(x)/i!| <= M/(R -
+    s)^i for |x - x0| <= s, so order i holds on the stretch when M <
+    N*delta^i*(R - s)^i (`_fujiwara_below`).
 
-    R starts at the smallest power of two that spans the domain, halves while
-    a disc fails Rouché's test and doubles after each stretch; no disc below
-    radius 1/16 is tried, and a stretch that needs one proves no order.  An
-    order that fails on one stretch is dropped, and the cover stops once no
-    order is left.  The work is integer affine maps of the curve's rows and
-    discriminant and one bracket per stretch.
+    R starts at the smallest power of two that spans the domain.  For each
+    R the half-widths s = R/2, R/4, R/8, R/16 are tried in turn, each with
+    its centre at pos + s on a dyadic grid of at most s/4, where pos is the
+    left end of what is left to cover: a narrower stretch loses less of R
+    in M/(R - s)^i, which counts next to a branch point.  The widest one
+    that proves every order left is kept; when none does, the narrowest
+    whose disc passed is kept and the orders that fail there are dropped.
+    A narrower centre moves the disc towards pos, so the trial stops at the
+    first refused disc, and R halves when the disc of s = R/2 is refused.
+    R doubles after each stretch; no disc below radius 1/16 is tried, and a
+    stretch that needs one proves no order.  N*delta^i*(R - s)^i is
+    monotone in i, so a scan in the direction where it grows stops at the
+    first order that holds, and the cover stops once no order is left.  The
+    work is integer affine maps and root-squaring steps of the curve's rows
+    and discriminant and one bracket per disc that passes.
     """
     lo, hi = branch.domain
     left = set(range(2 if branch.flat else 1, big_d))
@@ -623,41 +669,36 @@ def certified_orders(
     while left:
         if t < _MIN_DISC_LOG2:
             return proved
-        e_grid = max(0, 3 - t)  # the grid of x0 is at most s/4
-        s = Fraction(2) ** (t - 1)
-        a, e = _dyadic_at_or_below(min(pos + s, (pos + hi) / 2), e_grid)
-        r, d = 1 << (t + e), 1 << e
-        lead = affine_image(rows[-1], a, r, d, dx)
-        margin = _rouche_margin(lead)
-        if margin <= 0 or disc is not None and _rouche_margin(affine_image(disc, a, r, d, len(disc) - 1)) <= 0:
+        stretch = None
+        for k in range(1, _STRETCH_LOG2 + 1):
+            s = Fraction(2) ** (t - k)
+            a, e = _dyadic_at_or_below(min(pos + s, (pos + hi) / 2), max(0, k + 2 - t))
+            r, d = 1 << (t + e), 1 << e
+            lead = affine_image(rows[-1], a, r, d, dx)
+            margin = _rouche_margin(lead)
+            if margin <= 0 or disc is not None and not _root_free(affine_image(disc, a, r, d, len(disc) - 1)):
+                break
+            x0 = Fraction(a, d)
+            bracket = _bracket_at(branch, min(max(x0, lo), hi), brackets)
+            y0 = (bracket.lo + bracket.hi) / 2
+            u, v = y0.numerator, y0.denominator
+            shifted = [affine_image(row, a, r, d, dx) for row in rows[:-1]] + [lead]
+            # one column per power of w of 2^(e*dx) * v^n * F(z, y0 + y), in y;
+            # the sup over the disc of the coefficient of y^m is at most bound[m]
+            # and the leading one is at least margin * v^n
+            columns = [affine_image([row[j] for row in shifted], u, v, v, n) for j in range(dx + 1)]
+            bound = [sum(abs(col[m]) for col in columns) for m in range(n)]
+            q = delta * (Fraction(r, d) - s)  # delta * (R - s)
+            # the order where N * q^i is least comes first
+            stretch = (x0, s, bound, margin * v**n, q, sorted(left, reverse=q < 1))
+            if _fujiwara_below(bound, margin * v**n, n_box * q ** stretch[-1][0] / 2):
+                break
+        if stretch is None:
             t -= 1
             continue
-        x0 = Fraction(a, d)
-        bracket = _bracket_at(branch, min(max(x0, lo), hi), brackets)
-        y0 = (bracket.lo + bracket.hi) / 2
-        u, v = y0.numerator, y0.denominator
-        shifted = [affine_image(row, a, r, d, dx) for row in rows[:-1]] + [lead]
-        # one column per power of w of 2^(e*dx) * v^n * F(z, y0 + y), in y;
-        # the sup over the disc of the coefficient of y^m is at most bound[m]
-        # and the leading one is at least low
-        columns = [affine_image([row[k] for row in shifted], u, v, v, n) for k in range(dx + 1)]
-        bound = [sum(abs(col[m]) for col in columns) for m in range(n)]
-        low = margin * v**n
-        q = delta * (Fraction(r, d) - s)  # delta * (R - s)
-
-        def holds(i: int) -> bool:
-            # Fujiwara: M = 2 max(|c_(n-k)/c_n|^(1/k) for k < n, |c_0/(2 c_n)|^(1/n)),
-            # and M < T = N * q^i, with T/2 = num/den
-            half = n_box * q**i / 2
-            num, den = half.numerator, half.denominator
-            return all(bound[n - k] * den**k < low * num**k for k in range(1, n)) and (
-                bound[0] * den**n < 2 * low * num**n
-            )
-
-        # N * q^i is monotone in i, so the orders that hold are all those
-        # from the first one that holds, scanning up (q >= 1) or down (q < 1)
-        for i in sorted(left, reverse=q < 1):
-            if holds(i):
+        x0, s, bound, low, q, scan = stretch
+        for i in scan:
+            if _fujiwara_below(bound, low, n_box * q**i / 2):
                 break
             left.discard(i)
         if x0 + s >= hi:
@@ -674,9 +715,10 @@ def partition_by_bounds(
     derivative stays below (small) or above (large) the threshold.
 
     First `certified_orders` proves, by Cauchy's estimate on root-free discs
-    (and, for order 1 of a `flat` branch, by the slope bound |f'| < 1), the
-    orders that stay strictly below the threshold on the whole closed
-    domain.  Such an order has no level-set root there, so it builds no
+    with stretches sized to each disc (and, for order 1 of a `flat` branch,
+    by the slope bound |f'| < 1), the orders that stay strictly below the
+    threshold on the whole closed domain; on the integer hulls of the
+    pipeline that is most orders, even next to a branch point.  Such an order has no level-set root there, so it builds no
     level set, takes no flag query and reads small on every piece; the
     result is the one the level sets would give.  Every other order falls
     back to its two exact level sets, as follows.

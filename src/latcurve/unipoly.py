@@ -411,6 +411,18 @@ def affine_image(p: Sequence[int], a: int, w: int, d: int, n: int) -> list[int]:
     return g
 
 
+def graeffe_step(p: Sequence[int]) -> list[int]:
+    """One Graeffe root-squaring step on integers: the g with g(w^2) =
+    p(w) * p(-w) = E(w^2)^2 - w^2 O(w^2)^2 for p(w) = E(w^2) + w O(w^2).
+    g = (-1)^n lc(p)^2 * prod (u - r^2) over the roots r of p, with
+    multiplicity, for n = deg p."""
+    even, odd = _int_mul(p[0::2], p[0::2]), _int_mul(p[1::2], p[1::2])
+    g = even + [0] * (len(p) - len(even))
+    for k, c in enumerate(odd):
+        g[k + 1] -= c
+    return g
+
+
 def descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     """Descartes' bound v on the roots of the integer polynomial f in the open
     (lo, hi), lo < hi, where f is nonzero at lo and at hi.

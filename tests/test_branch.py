@@ -1003,17 +1003,108 @@ def _random_branches(rng, count):
 
 
 def test_certified_orders_cauchy_bound_by_hand():
-    """y = x^2 on [-1/2, 1/2], delta = 1, D = 4: one stretch |x| <= s = 1/2
-    in the disc |z| <= R = 1, y0 = 0 from the exact bracket at 0, and
-    Fujiwara's bound for y - z^2 is M = 1.  Cauchy's estimate M/(R - s)^i =
-    2^i meets N = 4 at order 2, which the strict comparison refuses; order 3
-    fails and order 1 (not `flat` here) holds.  At N = 5 order 2 holds."""
+    """y = x^2 on [-1/2, 1/2], delta = 1, D = 4, not `flat`.  The domain
+    spans R = 1; lc_y(F) = 1 and deg_y F = 1, so every disc passes.  Each
+    branch value bracket read has middle y0 = 0 ((-1, 1) at 0, (-2, 2)
+    elsewhere), so on |z - x0| <= 1 the root y = (x0 + w)^2 of F(z, y) has
+    Fujiwara bound M = (1 + |x0|)^2, and order i holds on |x - x0| <= s when
+    M < N * (1 - s)^i.
+
+    - N = 9: s = 1/2 at x0 = 0 gives M = 1 < 9/8, every order in one
+      stretch, with one bracket.
+    - N = 8: at s = 1/2, 8/8 = 1 meets M = 1, so order 3 fails.  s = 1/4 at
+      x0 = -1/4 gives M = 25/16 < 8 * 27/64 = 27/8 and covers [-1/2, 0].
+      From 0, s = 1/2 is centred at 1/4, the middle of what is left: M =
+      25/16 > 1.  s = 1/4 at the same centre holds and reaches 1/2.
+    - N = 1: even s = 1/16 at x0 = -7/16 gives M = 529/256 > 15/16, so every
+      order is dropped, after brackets at the four centres.
+    """
     br = branch_from_point(parse("y - x^2"), 0, 0, (Fraction(-1, 2), Fraction(1, 2)))
     assert not br.flat
-    assert certified_orders(br, 4, Fraction(4), Fraction(1), {}) == {1}
-    assert certified_orders(br, 4, Fraction(5), Fraction(1), {}) == {1, 2}
-    # the same disc with delta = 1/2: N * delta^i * (R - s)^i = 10/4^i
-    assert certified_orders(br, 4, Fraction(10), Fraction(1, 2), {}) == {1}
+    for n_box, want, centres in (
+        (9, {1, 2, 3}, [0]),
+        (8, {1, 2, 3}, [0, Fraction(-1, 4), Fraction(1, 4)]),
+        (1, set(), [0, Fraction(-1, 4), Fraction(-3, 8), Fraction(-7, 16)]),
+    ):
+        brackets = {}
+        assert certified_orders(br, 4, Fraction(n_box), Fraction(1), brackets) == want, n_box
+        assert list(brackets) == centres, n_box
+
+
+def _poly_from_roots(real=(), pairs=()):
+    """An integer polynomial, low degree first, whose roots are the
+    rationals `real` and, for each (a, b) in `pairs`, the conjugate pair of
+    w^2 - 2a*w + (a^2 + b^2): a +- b*i."""
+    out = [Fraction(1)]
+    factors = [[-Fraction(r), 1] for r in real]
+    factors += [[Fraction(a) ** 2 + Fraction(b) ** 2, -2 * Fraction(a), 1] for a, b in pairs]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, c in enumerate(out):
+            for j, e in enumerate(f):
+                prod[i + j] += c * e
+        out = prod
+    den = math.lcm(*(c.denominator for c in out))
+    return [int(c * den) for c in out]
+
+
+def test_root_free_disc_test_refuses_every_root_on_the_closed_disc():
+    """`_root_free` refuses each polynomial with a root inside the unit disc
+    or on its circle (+-1, +-i, (3 +- 4i)/5), alone or beside far roots, and
+    proves root-free the polynomials whose roots lie just outside it (17/16,
+    a pair of modulus 9/8, which Rouché alone refuses) or far outside."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    far = [((), ()), ((4,), ()), ((-5, 7), ()), ((), ((3, 4),)), ((-9,), ((-2, 3),))]
+    inside = [((0,), ()), ((half,), ()), ((), ((third, half),)), ((), ((0, half),))]
+    circle = [((1,), ()), ((-1,), ()), ((), ((0, 1),)), ((), ((Fraction(3, 5), Fraction(4, 5)),))]
+    outside = [((Fraction(17, 16),), ()), ((), ((Fraction(27, 40), Fraction(9, 10)),))]
+    for real, pairs in far:
+        if real or pairs:
+            assert branch_module._root_free(_poly_from_roots(real, pairs)), (real, pairs)
+        for near, want in [(case, False) for case in inside + circle] + [(case, True) for case in outside]:
+            q = _poly_from_roots(real + near[0], pairs + near[1])
+            assert branch_module._root_free(q) == want, (real, pairs, near)
+    pair = _poly_from_roots((), ((Fraction(27, 40), Fraction(9, 10)),))
+    assert branch_module._rouche_margin(pair) <= 0 and branch_module._root_free(pair)
+    assert not branch_module._root_free([]) and branch_module._root_free([3])
+
+
+def test_root_free_disc_test_on_a_seeded_family():
+    """Seeded family: every polynomial with a real or complex root on the
+    closed unit disc (rational points of the disc and of its circle, from
+    Pythagorean triples) is refused, and every polynomial whose roots all
+    have modulus at least 2 is proved root-free."""
+    rng = random.Random(27)
+    triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25)]
+
+    def far_root():
+        r = Fraction(rng.randint(2, 40), rng.randint(1, 4))
+        return r if abs(r) >= 2 else Fraction(2)
+
+    refused = accepted = 0
+    for _ in range(150):
+        real = [rng.choice([-1, 1]) * far_root() for _ in range(rng.randint(0, 3))]
+        pairs = []
+        for _ in range(rng.randint(0, 2)):
+            a, b, c = rng.choice(triples)
+            m = far_root()
+            pairs.append((m * Fraction(a, c) * rng.choice([-1, 1]), m * Fraction(b, c)))
+        if real or pairs:
+            assert branch_module._root_free(_poly_from_roots(real, pairs)), (real, pairs)
+            accepted += 1
+        a, b, c = rng.choice(triples)
+        scale = Fraction(rng.randint(0, 8), 8)
+        near = rng.choice(
+            [
+                ([scale * rng.choice([-1, 1])], []),
+                ([], [(scale * Fraction(a, c), scale * Fraction(b, c))]),
+                ([], [(Fraction(a, c) * rng.choice([-1, 1]), Fraction(b, c))]),
+            ]
+        )
+        q = _poly_from_roots(real + near[0], pairs + near[1])
+        assert not branch_module._root_free(q), (real, pairs, near)
+        refused += 1
+    assert accepted >= 100 and refused == 150
 
 
 def test_flat_branch_order_1_needs_no_disc():
@@ -1047,6 +1138,9 @@ def test_certified_orders_have_empty_level_sets(monkeypatch):
     shapes += [("x^2 + y^2 - 3000", 80), ("x^2 + y^2 - 5000", 80), ("x^2 - 13*y^2 - 1", 60)]
     for text, n_box in shapes:
         cases += [(br, n_box) for br in graph_decompose(parse(text), n_box).branches]
+    for text, n_box in (("x - y^4", 100), ("x^2 - 101*y^2 - 1", 60)):
+        hulls = [_hull(br) for br in graph_decompose(parse(text), n_box).branches]
+        cases += [(br, n_box) for br in hulls if br is not None]
     for text, seed, domain in (
         ("x^2 + y^2 - 25", (3, 4), (-4, Fraction(49, 10))),
         ("x^2 + y^2 - 25", (0, 5), (Fraction(-24, 5), Fraction(24, 5))),
@@ -1241,14 +1335,14 @@ def _latbench_workloads():
 
 def test_certificate_strength_on_latbench_rounds():
     """Certificate-strength guard: on eight seed-1 rounds, at the pipeline's
-    D and delta, `certified_orders` proves 259 of the 896 orders of the 78
+    D and delta, `certified_orders` proves 314 of the 896 orders of the 78
     `partition` branches and all 600 of the 40 `columns` branches on their
     decomposed domains.  On the integer hulls that the pipeline partitions
-    it proves 205 of the 568 orders of the 51 `partition` branches that hold
+    it proves 551 of the 568 orders of the 51 `partition` branches that hold
     an integer abscissa, and all 600 of the 40 `columns` branches."""
     workloads = _latbench_workloads()
     for name, want_domain, want_hull in (
-        ("partition", (78, 259, 896), (51, 205, 568)),
+        ("partition", (78, 314, 896), (51, 551, 568)),
         ("columns", (40, 600, 600), (40, 600, 600)),
     ):
         counts = {"domain": [0, 0, 0], "hull": [0, 0, 0]}
@@ -1293,8 +1387,9 @@ def test_pipeline_partitions_one_hull_piece_on_a_pure_flip_branch(monkeypatch):
     """From empty caches, the count of x - 24*y^4 at N = 100 partitions its
     main branch, over (25/256, 100) with 13 pieces, as the one hull piece
     [1, 100], and skips its swapped branch over (25/512, 25/128), which
-    holds no integer abscissa.  It makes at most one product-column query
-    per uncertified order."""
+    holds no integer abscissa.  The disc certificate proves all 15 orders
+    of the hull, so no level set is built and no product-column query is
+    made."""
     for cached in (branch_module._level_resultant, branch_module._reduced_level_parts, hk_sequence):
         cached.cache_clear()
     calls = []
@@ -1324,7 +1419,7 @@ def test_pipeline_partitions_one_hull_piece_on_a_pure_flip_branch(monkeypatch):
     [(br, big_d, part)] = parts
     assert not br.swapped and br.domain == (1, 100) and big_d == 16
     assert [(p.lo, p.hi) for p in part.pieces] == [(1, 100)]
-    assert 0 < len(calls) <= big_d - 1 - len(part.certified)
+    assert part.certified == set(range(1, big_d)) and calls == []
     assert [b.descriptor["domain"] for b in report.per_branch] == [["1", "100"]]
 
 
