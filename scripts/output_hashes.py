@@ -35,7 +35,7 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 1
 ROUNDS = {"partition": 7, "columns": 8, "sweep": 4}
 EXPECTED = {
-    "fixtures": "246cc12f2fcfd536d9dc10b6012d66b60eb8854f8bc29d2797309041fc305091",
+    "fixtures": "304f600582b61cdbbedcc11eb2f81d59820b9dd9dd8bbaa1b72284efe8078e78",
     "partition": "e0fe23f290af7b35519c754da48ae72a7fbe9ca93b51983dfdee1cc18761f82a",
     "columns": "1d01ee053dfa5f478c7d472844a468018a3250388c39e5ab565dc4f744cddd75",
     "sweep": "3833272fd356e6abf3e11d943f6c87005b80e163319100290e66a5c783d9d172",

@@ -245,9 +245,10 @@ def determinant_method_count(
     """Count integer points on the curve in {1..N}^2 via cover curves.
 
     Decomposes the curve into oriented branches and partitions each one's
-    integer hull [ceil(lo), floor(hi)] by the derivative thresholds, since
-    every lattice point of a branch lies at an integer abscissa in it; a
-    branch with an empty hull is skipped and has no report entry.  Covers
+    integer hull [max(1, ceil(lo)), floor(hi)] by the derivative
+    thresholds, since every lattice point of a branch lies at an integer
+    abscissa in it (abscissa 0 holds no point of {1..N}^2); a branch with
+    an empty hull is skipped and has no report entry.  Covers
     every all-small piece greedily and counts per cover curve through
     resultant intersections; short large pieces and critical abscissas are
     enumerated directly.
@@ -277,7 +278,7 @@ def determinant_method_count(
     branch_reports: list[BranchReport] = []
 
     for br in decomposition.branches:
-        first, last = ceil(br.domain[0]), floor(br.domain[1])
+        first, last = max(1, ceil(br.domain[0])), floor(br.domain[1])
         if first > last:
             continue
         br = replace(br, domain=(Fraction(first), Fraction(last)))

@@ -1231,9 +1231,9 @@ def _two_query_flags(br, piece, thresholds):
 
 
 def _hull(br):
-    """The branch on its integer hull [ceil(lo), floor(hi)], or None when
-    that is empty, as `determinant_method_count` partitions it."""
-    first, last = ceil(br.domain[0]), floor(br.domain[1])
+    """The branch on its integer hull [max(1, ceil(lo)), floor(hi)], or None
+    when that is empty, as `determinant_method_count` partitions it."""
+    first, last = max(1, ceil(br.domain[0])), floor(br.domain[1])
     return dataclasses.replace(br, domain=(Fraction(first), Fraction(last))) if first <= last else None
 
 

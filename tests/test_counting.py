@@ -405,14 +405,14 @@ def _clear_caches():
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
     builds no Sturm chain (11 before root isolation split by Descartes
-    bounds), and of its 21 squarefree parts only 2 need an integer gcd; the
-    rest are proved squarefree modulo a prime.  11 of the 21 are the
-    decomposition's.  The other 10 are columns read for branch value
-    brackets on the integer hulls [0, 0] and [2, 50].  Nine are at the disc
-    certificate's stretch centres: x = 0 on [0, 0]; on [2, 50], 5/2, 9/4
-    and 17/8 (half-widths 1/2, 1/4 and 1/8 of the first disc, of radius 1),
-    then 13/4, 25/4, 49/4, 97/4 and 329/8.  The last is x = 26, the midpoint
-    of the hull [2, 50]."""
+    bounds), and of its 20 squarefree parts only 2 need an integer gcd; the
+    rest are proved squarefree modulo a prime.  11 of the 20 are the
+    decomposition's.  The other 9 are columns read for branch value
+    brackets on the one integer hull [2, 50]; the branch over [0, 25/32]
+    holds no abscissa of the box.  Eight are at the disc certificate's
+    stretch centres: 5/2, 9/4 and 17/8 (half-widths 1/2, 1/4 and 1/8 of the
+    first disc, of radius 1), then 13/4, 25/4, 49/4, 97/4 and 329/8.  The
+    last is x = 26, the midpoint of the hull [2, 50]."""
     _clear_caches()
     gcd_callers = []
     poly_gcd = unipoly.poly_gcd
@@ -425,7 +425,7 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
     assert rep.total == 0
     assert unipoly.sturm_chain.cache_info().misses == 0
-    assert unipoly.squarefree_part.cache_info().misses == 21
+    assert unipoly.squarefree_part.cache_info().misses == 20
     assert gcd_callers.count("squarefree_part") == 2
 
 
@@ -434,9 +434,9 @@ def test_pipeline_takes_level_curves_from_reduced_parts():
     pipeline is a sum of the two reduced parts of its order, so no
     unreduced implicit derivative is built (0 `hk_sequence` misses), and
     the totals equal the oracle's.  y^2 - x^3 + 8*x - 8 at N = 25 leaves
-    orders to the level sets on its swapped hull [1, 2]; the disc
-    certificate proves every order of x - 3*y^5 at N = 100, so it builds
-    no level curve at all."""
+    orders 4-8 of one branch on its swapped hull [1, 2], and 2-8 on [3, 3],
+    to the level sets; the disc certificate proves every order of x -
+    3*y^5 at N = 100, so it builds no level curve at all."""
     for text, n, builds in (("x - 3*y^5", 100, False), ("y^2 - x^3 + 8*x - 8", 25, True)):
         _clear_caches()
         rep = determinant_method_count(parse(text), n)
