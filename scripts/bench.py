@@ -1,32 +1,36 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_26.json at the repository root.
+rows and write BENCH_27.json at the repository root.
 
-Each row is timed RUNS = 3 times, each run one call in a fresh interpreter
-(so the package's caches start empty, as in a CLI call), timed there with
-`time.perf_counter`: `brute_force_count(curve, N)` for the oracle rows (the
-ROADMAP baseline) and `determinant_method_count(curve, N,
-compare_oracle=False)` for the pipeline rows.  A row's seconds are the
-median of its runs.  The file holds each call, curve, box, count, median
-and all runs, plus the interpreter and machine they were measured on.
+Each run is one call in a fresh interpreter (so the package's caches start
+empty, as in a CLI call), timed there with `time.perf_counter` from parsing
+the curve to the result: `brute_force_count(curve, N)` for the oracle rows
+(the ROADMAP baseline) and `determinant_method_count(curve, N,
+compare_oracle=False)` for the pipeline rows.
 
-The rows record one checkout only.  Rows of two checkouts timed minutes
-apart also differ by the drift of a shared host, so a comparison of a
-parent and a change must alternate fresh runs of the two, one after the
-other, row by row.
+With `--parent PATH`, the source tree of a second checkout (the one that
+holds `src/latcurve`), every row is timed on both trees: RUNS = 3 pairs of
+fresh runs, alternating between the trees and swapping which goes first in
+each pair, so the drift of a shared host falls on both sides alike.
+Without it only this checkout is timed.  A side's seconds are the median
+of its runs; the counts of all runs of a row must agree.  The file holds
+each call, curve, box and count, each side's median and runs, plus the
+interpreter and machine they were measured on.
 
-    PYTHONPATH=src python3 scripts/bench.py
+    python3 scripts/bench.py
+    python3 scripts/bench.py --parent ../parent-checkout
 """
 
+import argparse
 import json
-import multiprocessing
 import os
 import platform
 import statistics
-import time
+import subprocess
+import sys
 from pathlib import Path
 
-from latcurve import brute_force_count, determinant_method_count, parse
+ROOT = Path(__file__).resolve().parent.parent
 
 ROWS = [
     ("oracle", "x - y^2", 10**4),
@@ -61,54 +65,76 @@ ROWS = [
     # a partition-workload quartic with 15 derivative orders: its main branch
     # has 13 pieces on its decomposed domain and one on its integer hull
     ("pipeline", "x - 24*y^4", 100),
+    # hulls that start one unit from a branch point, where the disc
+    # certificate needs narrow stretches: a Pell conic whose hull starts at
+    # x = 2, next to its branch point x = 1, and a swapped Weierstrass frame
+    # whose hull [1, 2] still leaves orders to the level sets
+    ("pipeline", "x^2 - 101*y^2 - 1", 60),
+    ("pipeline", "y^2 - x^3 + 8*x - 8", 25),
 ]
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_26.json"
+OUT = ROOT / "BENCH_27.json"
 RUNS = 3
 
+# one timed call, run in a fresh interpreter with the tree's src on its path
+CHILD = """
+import sys, time
+from latcurve import brute_force_count, determinant_method_count, parse
+kind, text, n_box = sys.argv[1], sys.argv[2], int(sys.argv[3])
+start = time.perf_counter()
+curve = parse(text)
+if kind == "oracle":
+    total = brute_force_count(curve, n_box)[0]
+else:
+    total = determinant_method_count(curve, n_box, compare_oracle=False).total
+print(total, time.perf_counter() - start)
+"""
 
-def count(kind: str, text: str, n_box: int) -> int:
-    curve = parse(text)
-    if kind == "oracle":
-        return brute_force_count(curve, n_box)[0]
-    return determinant_method_count(curve, n_box, compare_oracle=False).total
+
+def timed_count(tree: Path, kind: str, text: str, n_box: int) -> tuple[int, float]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, kind, text, str(n_box)],
+        cwd=tree, env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    return int(out[0]), float(out[1])
 
 
-def timed_count(kind: str, text: str, n_box: int) -> tuple[int, float]:
-    start = time.perf_counter()
-    total = count(kind, text, n_box)
-    return total, time.perf_counter() - start
-
-
-def time_row(kind: str, text: str, n_box: int) -> dict:
-    runs = []
-    for _ in range(RUNS):
-        with multiprocessing.get_context("spawn").Pool(1) as pool:
-            runs.append(pool.apply(timed_count, (kind, text, n_box)))
-    totals = {total for total, _ in runs}
+def time_row(trees: dict[str, Path], kind: str, text: str, n_box: int) -> dict:
+    runs: dict[str, list[tuple[int, float]]] = {side: [] for side in trees}
+    order = list(trees)
+    for k in range(RUNS):
+        for side in order if k % 2 == 0 else order[::-1]:
+            runs[side].append(timed_count(trees[side], kind, text, n_box))
+    totals = {total for side_runs in runs.values() for total, _ in side_runs}
     if len(totals) != 1:
         raise RuntimeError(f"{kind} {text} N = {n_box}: runs disagree on the count: {sorted(totals)}")
-    seconds = [s for _, s in runs]
-    return {
-        "kind": kind,
-        "curve": text,
-        "N": n_box,
-        "count": totals.pop(),
-        "seconds": statistics.median(seconds),
-        "runs": seconds,
-    }
+    row = {"kind": kind, "curve": text, "N": n_box, "count": totals.pop()}
+    for side, side_runs in runs.items():
+        seconds = [s for _, s in side_runs]
+        row[side] = {"seconds": statistics.median(seconds), "runs": seconds}
+    return row
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, help="source tree of a second checkout, timed alternately")
+    args = parser.parse_args()
+    trees = {"change": ROOT}
+    if args.parent is not None:
+        if not (args.parent / "src" / "latcurve").is_dir():
+            parser.error(f"{args.parent} holds no src/latcurve")
+        trees["parent"] = args.parent.resolve()
     rows = []
     for kind, text, n_box in ROWS:
-        row = time_row(kind, text, n_box)
-        spread = " ".join(f"{s:.2f}" for s in row["runs"])
-        print(f"{kind:8} {text:36} N = {n_box:>6}  count {row['count']:>4}  {row['seconds']:8.2f} s  ({spread})")
+        row = time_row(trees, kind, text, n_box)
+        sides = "  ".join(f"{side} {row[side]['seconds']:7.3f} s" for side in trees)
+        print(f"{kind:8} {text:36} N = {n_box:>6}  count {row['count']:>4}  {sides}")
         rows.append(row)
     payload = {
         "benchmark": "brute_force_count oracle sweep and determinant_method_count pipeline",
-        "runs_per_row": RUNS,
+        "runs_per_side": RUNS,
+        "sides": list(trees),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),

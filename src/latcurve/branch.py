@@ -41,10 +41,10 @@ after Graeffe root-squaring steps), with a Fujiwara bound on the roots of
 F over each disc and up to four stretch widths per disc.  All of it runs
 on the integer maps `unipoly.affine_image` and `unipoly.graeffe_step` and
 integer powers, and a proved order reads small on every piece, as its
-level sets, which have no root in the domain, would give.  The x-loci of a frame curve (its frame cuts, its discriminant
-Res_y(F, F_y) and whether its slope is identically +-1) are one cached
-`_FrameLoci` record, read by the frame cells, the smoothness certificate
-and the disc test.
+level sets, which have no root in the domain, would give.  The x-loci of a
+frame curve (its frame cuts, its discriminant Res_y(F, F_y) and whether
+its slope is identically +-1) are one cached `_FrameLoci` record, read by
+the frame cells, the smoothness certificate and the disc test.
 """
 
 from __future__ import annotations
@@ -671,7 +671,7 @@ def certified_orders(
             return proved
         stretch = None
         for k in range(1, _STRETCH_LOG2 + 1):
-            s = Fraction(2) ** (t - k)
+            s = Fraction(2) ** (t - k)  # x0 lies on a grid of at most s/4
             a, e = _dyadic_at_or_below(min(pos + s, (pos + hi) / 2), max(0, k + 2 - t))
             r, d = 1 << (t + e), 1 << e
             lead = affine_image(rows[-1], a, r, d, dx)
@@ -685,14 +685,17 @@ def certified_orders(
             shifted = [affine_image(row, a, r, d, dx) for row in rows[:-1]] + [lead]
             # one column per power of w of 2^(e*dx) * v^n * F(z, y0 + y), in y;
             # the sup over the disc of the coefficient of y^m is at most bound[m]
-            # and the leading one is at least margin * v^n
+            # and the leading one is at least low
             columns = [affine_image([row[j] for row in shifted], u, v, v, n) for j in range(dx + 1)]
             bound = [sum(abs(col[m]) for col in columns) for m in range(n)]
+            low = margin * v**n
             q = delta * (Fraction(r, d) - s)  # delta * (R - s)
-            # the order where N * q^i is least comes first
-            stretch = (x0, s, bound, margin * v**n, q, sorted(left, reverse=q < 1))
-            if _fujiwara_below(bound, margin * v**n, n_box * q ** stretch[-1][0] / 2):
-                break
+            # N * q^i is monotone in i, so the orders that hold are all those
+            # from the first one that holds, scanning up (q >= 1) or down (q < 1)
+            scan = sorted(left, reverse=q < 1)
+            stretch = (x0, s, bound, low, q, scan)
+            if _fujiwara_below(bound, low, n_box * q ** scan[0] / 2):
+                break  # every order left holds
         if stretch is None:
             t -= 1
             continue
@@ -718,9 +721,10 @@ def partition_by_bounds(
     with stretches sized to each disc (and, for order 1 of a `flat` branch,
     by the slope bound |f'| < 1), the orders that stay strictly below the
     threshold on the whole closed domain; on the integer hulls of the
-    pipeline that is most orders, even next to a branch point.  Such an order has no level-set root there, so it builds no
-    level set, takes no flag query and reads small on every piece; the
-    result is the one the level sets would give.  Every other order falls
+    pipeline that is most orders, even next to a branch point.  Such an
+    order has no level-set root there, so it builds no level set, takes no
+    flag query and reads small on every piece; the result is the one the
+    level sets would give.  Every other order falls
     back to its two exact level sets, as follows.
 
     Piece j spans (cut_(j-1).hi, cut_j.lo) between the sorted cuts and takes
