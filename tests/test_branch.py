@@ -1035,17 +1035,12 @@ def _poly_from_roots(real=(), pairs=()):
     """An integer polynomial, low degree first, whose roots are the
     rationals `real` and, for each (a, b) in `pairs`, the conjugate pair of
     w^2 - 2a*w + (a^2 + b^2): a +- b*i."""
-    out = [Fraction(1)]
-    factors = [[-Fraction(r), 1] for r in real]
-    factors += [[Fraction(a) ** 2 + Fraction(b) ** 2, -2 * Fraction(a), 1] for a, b in pairs]
-    for f in factors:
-        prod = [Fraction(0)] * (len(out) + len(f) - 1)
-        for i, c in enumerate(out):
-            for j, e in enumerate(f):
-                prod[i + j] += c * e
-        out = prod
-    den = math.lcm(*(c.denominator for c in out))
-    return [int(c * den) for c in out]
+    p = UniPoly([1])
+    for r in real:
+        p = p * UniPoly([-Fraction(r), 1])
+    for a, b in pairs:
+        p = p * UniPoly([Fraction(a) ** 2 + Fraction(b) ** 2, -2 * Fraction(a), 1])
+    return primitive_ints(p.coeffs)
 
 
 def test_root_free_disc_test_refuses_every_root_on_the_closed_disc():
@@ -1078,10 +1073,9 @@ def test_root_free_disc_test_on_a_seeded_family():
     triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25)]
 
     def far_root():
-        r = Fraction(rng.randint(2, 40), rng.randint(1, 4))
-        return r if abs(r) >= 2 else Fraction(2)
+        return Fraction(rng.randint(8, 160), 4)  # in [2, 40]
 
-    refused = accepted = 0
+    accepted = 0
     for _ in range(150):
         real = [rng.choice([-1, 1]) * far_root() for _ in range(rng.randint(0, 3))]
         pairs = []
@@ -1103,8 +1097,7 @@ def test_root_free_disc_test_on_a_seeded_family():
         )
         q = _poly_from_roots(real + near[0], pairs + near[1])
         assert not branch_module._root_free(q), (real, pairs, near)
-        refused += 1
-    assert accepted >= 100 and refused == 150
+    assert accepted >= 100
 
 
 def test_flat_branch_order_1_needs_no_disc():

@@ -19,7 +19,6 @@ from latcurve.counting import brute_force_count
 from latcurve.poly2 import parse
 from latcurve.unipoly import (
     RootInterval,
-    _int_mul,
     _int_prem_signed,
     _int_variations,
     _nonroot_split,
@@ -1333,17 +1332,10 @@ def test_graeffe_step_squares_integer_roots():
     """One root-squaring step of prod (w - r_j) over integer roots r_j, with
     repeats and zero, is +-prod (w - r_j^2): the sign is (-1)^n."""
     rng = random.Random(27)
-
-    def from_roots(roots):
-        out = [1]
-        for r in roots:
-            out = _int_mul(out, [-r, 1])
-        return out
-
     for _ in range(80):
         roots = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
         sign = (-1) ** len(roots)
-        assert graeffe_step(from_roots(roots)) == [sign * c for c in from_roots([r * r for r in roots])], roots
+        assert graeffe_step(_with_roots(roots)) == [sign * c for c in _with_roots([r * r for r in roots])], roots
     assert graeffe_step([]) == []
 
 
