@@ -1,12 +1,17 @@
 """The seeded differential fuzz of `scripts/fuzz.py` (seed 7, 300 draws,
-oracle on, 8 s alarm per count): no mismatch, no count over budget, and the
-same outcome counts as when it joined the suite."""
+oracle on, 8 s alarm per count): no mismatch, no count over budget, the
+same outcome counts as when it joined the suite, and the same per-draw
+lines.  The lines are pinned by the SHA-256 of their text (one line each,
+newline-terminated), so a change to any draw's report or error fails here
+until the pin is renewed with a reason, as `output_hashes.EXPECTED` is."""
 
+import hashlib
 import importlib.util
 import signal
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fuzz.py"
+DRAW_LINES_SHA256 = "c3a6be2267f2ce21dbaaf73de4b4eddfe049fda8e9832aec6e85afc7062aead3"
 
 
 def test_seeded_fuzz_matches_oracle_within_budget(capsys):
@@ -20,7 +25,8 @@ def test_seeded_fuzz_matches_oracle_within_budget(capsys):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 0
-    assert capsys.readouterr().out.splitlines()[-8:] == [
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-8:] == [
         "curves 300",
         "equal 176",
         "mismatch 0",
@@ -30,3 +36,5 @@ def test_seeded_fuzz_matches_oracle_within_budget(capsys):
         "error IngestionError 29",
         "error LineFactorError 4",
     ]
+    draw_lines = "".join(line + "\n" for line in lines[:-8])
+    assert hashlib.sha256(draw_lines.encode()).hexdigest() == DRAW_LINES_SHA256
