@@ -17,12 +17,12 @@ of two parts built once per curve and order: R = A_i + c * B_i = lc^E * L
 mod F, with lc = prim(lc_y F), E even and content 1, has L's sign at every
 branch point, so each level sign reads a column of y-degree below deg_y F.
 A_i runs the H_k recurrence on reduced forms and B_i is order i - 1's times
-i * F_y^2, reduced; no level is reduced on its own.  The eliminant,
-Res_y(F, L) as a primitive integer tuple, comes from
-`resultant_eliminating_y(F, R)`, or from R^(deg_y F) when R is free of y,
-with the power of the leading coefficient that the reduction brings
-divided out; deg_y L, which that power needs, is read from the parts, and
-a level curve free of y is its own eliminant.  Along the branch the
+i * F_y^2, reduced; no level is reduced on its own.  The eliminant, a
+primitive integer tuple, is R's own row when R is free of y, and otherwise
+Res_y(F, R) with prim(lc_y F) divided out for as long as it divides
+exactly.  Either way it differs from Res_y(F, L) only by factors of
+lc_y(F) and a constant, and no branch domain holds a root of lc_y(F), so
+it has the level set's roots there.  Along the branch the
 product of the columns of the two reduced +-thr level curves of order i
 has the sign of (f^(i)/i!)^2 - thr^2, which changes only at a level-set
 root.  So each piece's flag of order i is one query on that product at
@@ -58,10 +58,8 @@ from typing import NamedTuple, Optional, Sequence
 from .detmethod import LatticePoint
 from .poly2 import (
     BiPoly,
-    divide_lc_power,
     ingestion_check,
     partial,
-    primitive_sum,
     reduce_times_lead_power,
     resultant_eliminating_y,
 )
@@ -113,6 +111,12 @@ class AlgebraicBranch:
     `root_count` pins the number of those roots, which is constant on the
     domain.  `swapped` marks that the frame axes are the transpose of the
     caller's.
+
+    Invariant: the closed domain holds no root of lc_y(curve).
+    `graph_decompose` cuts its cells clear of them and `branch_from_point`
+    refuses such a domain.  The level sets rely on it: a level curve reduced
+    modulo the curve keeps its sign there, and its eliminant may differ
+    from the unreduced one by factors of lc_y(curve).
     """
 
     curve: BiPoly
@@ -353,8 +357,6 @@ class _LevelParts(NamedTuple):
     a: BiPoly  # lc^e * H_i mod F
     b: BiPoly  # lc^e * i! * F_y^(2i-1) mod F
     e: int
-    deg_y: int  # deg_y L at every level but `drop_level`
-    drop_level: Optional[Fraction]  # the one level where deg_y L may be lower
 
 
 @lru_cache(maxsize=64)
@@ -369,36 +371,13 @@ def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
     D(lc) * a mod F, and D(lc) = 0 when lc_y F is a constant.  b is order
     i - 1's times i * F_y^2, reduced.  `reduce_times_lead_power` brings both
     to the power lc^e.
-
-    deg_y L comes from the parts' y-degrees.  F_y^(2i-1) has y-degree
-    (2i - 1)(n - 1).  With A = lc_y F and H_k = t y^d + (lower rows), the row
-    of y^(d + 2n - 2) in H_(k+1) is n A (n A t' - (d + 2k - 1) A' t).  When A
-    is not a constant, the top coefficient in x of the bracket is a nonzero
-    multiple of n deg t - (d + 2k - 1) deg A, which is -(deg A + n k) from
-    H_1's row A' of y^n on, so H_i has y-degree (2i - 1)(n - 1) + 1.  When A
-    is a constant, that row is (n A)^2 t', so H_i's row of y^((2i - 1)(n -
-    1)) is (n A)^(2i - 2) g^(i) for the row g of y^(n - 1) in F and no row
-    lies above it.  So L has one y-degree at every level except, for a
-    constant A, c = -g_i / (n A) when g has x-degree i (the top rows cancel)
-    and c = 0 when it has less.
     """
     n = curve.degree_y()
     fx, fy, mixed = _derivatives(curve)
     lead = _primitive(curve.rows[-1])
     e = 2 * (i - 1) * (n - 1) + 2
-    deg_b = (2 * i - 1) * (n - 1)
-    if len(lead) > 1:
-        deg_y, drop_level = deg_b + 1, None
-    else:
-        g = curve.rows[n - 1]
-        deg_y, drop_level = deg_b, None
-        if len(g) <= i:
-            drop_level = Fraction(0)
-        elif len(g) == i + 1:
-            drop_level = Fraction(-g[i], n * curve.rows[n][0])
     if i == 1:
-        a, b = reduce_times_lead_power(curve, fx, e), reduce_times_lead_power(curve, fy, e)
-        return _LevelParts(a, b, e, deg_y, drop_level)
+        return _LevelParts(reduce_times_lead_power(curve, fx, e), reduce_times_lead_power(curve, fy, e), e)
     prev = _reduced_level_parts(curve, i - 1)
     a, pe = prev.a, prev.e
     d_a = fy * partial(a, "x") - fx * partial(a, "y")
@@ -410,46 +389,44 @@ def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
     else:
         a = reduce_times_lead_power(curve, fy * d_a - mixed * a * (2 * i - 3), e - pe)
     b = reduce_times_lead_power(curve, prev.b * (fy * fy) * i, e - pe)
-    return _LevelParts(a, b, e, deg_y, drop_level)
+    return _LevelParts(a, b, e)
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[int, ...], bool]:
-    """(R, the primitive integer tuple of the level curve's eliminant, whether
-    the level curve is free of y) for the level curve L = H_i + F_y^(2i-1) *
-    (i! * c), which vanishes on branch points with f^(i)/i! = c.
+def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[int, ...]]:
+    """(R, the level set's eliminant as a primitive integer tuple) for the
+    level curve L = H_i + F_y^(2i-1) * (i! * c), which vanishes on branch
+    points with f^(i)/i! = c.
 
     R = a + c * b from `_reduced_level_parts`, with content 1: lc^e * L mod
     F, of y-degree below the curve's, with L's sign at every branch point;
-    R = 0 means that L vanishes on the curve.  A level curve free of y is R
-    up to a positive factor, and its own eliminant.  Otherwise the
-    eliminant is Res_y(curve, L), read from Res_y(curve, R), or from
-    R^(deg_y F) when R is free of y, with the power of the leading
-    coefficient that the reduction brings divided out.  That power needs
-    deg_y L, which the parts give; L is built only at their `drop_level`."""
+    R = 0 means that L vanishes on the curve.  An R free of y is its own
+    eliminant: R(x) = lc^e(x) * L(x, f(x)) on every branch.  Otherwise the
+    eliminant is Res_y(F, R) with prim(lc_y F) divided out for as long as
+    it divides exactly.  R - lc^e * L is a multiple of F, so Res_y(F, R) is
+    Res_y(F, L) times a power of lc_y(F) and a constant; the division only
+    keeps the degree down, since no branch domain holds a root of lc_y(F)."""
     parts = _reduced_level_parts(curve, i)
-    # a positive factor keeps every sign and root; content 1 leaves the
-    # eliminant of an integer curve with no rational rescaling
-    reduced = primitive_sum(parts.a, parts.b, c)
+    reduced = parts.a + parts.b * c
     if reduced.is_zero():
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
         )
-    deg_l = parts.deg_y
-    if c == parts.drop_level:
-        fy = _derivatives(curve)[1]
-        deg_l = (hk_sequence(curve, i)[-1] + fy ** (2 * i - 1) * (factorial(i) * c)).degree_y()
-    if deg_l < 1:
-        return reduced, _primitive(reduced.rows[0]), True
-    n = curve.degree_y()
-    if reduced.degree_y() >= 1:
-        res = primitive_ints(resultant_eliminating_y(curve, reduced).coeffs)
-    else:
-        res = (reduced ** n).rows[0]
+    # a positive factor keeps every sign and root; content 1 leaves the
+    # eliminant of an integer curve with no rational rescaling
+    reduced = reduced * (1 / reduced.content)
+    if reduced.degree_y() < 1:
+        return reduced, _primitive(reduced.rows[0])
+    res = primitive_ints(resultant_eliminating_y(curve, reduced).coeffs)
     if not res:
         raise DegenerateLevelSetError("level-set eliminant vanished identically")
-    k = parts.e * n - deg_l + reduced.degree_y()
-    return reduced, _primitive(divide_lc_power(curve, res, k)), False
+    lead = _primitive(curve.rows[-1])
+    while len(lead) > 1:
+        quotient = int_exact_quotient(res, lead)
+        if _int_mul(quotient, lead) != res:
+            break
+        res = quotient
+    return reduced, _primitive(res)
 
 
 def _bracket_at(branch: AlgebraicBranch, x: Fraction, brackets: dict[Fraction, RootInterval]) -> RootInterval:
@@ -464,11 +441,11 @@ def _level_set(
 ) -> list[RootInterval]:
     """The roots of `level_set_abscissas`; the branch value brackets it
     reads are kept in `brackets`."""
-    level, res, free_of_y = _level_resultant(branch.curve, i, c)
+    level, res = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     roots = isolate_real_roots(res, lo, hi)
-    if free_of_y or not roots:
-        # a level curve free of y is its own eliminant: each root is on the branch
+    if level.degree_y() < 1 or not roots:
+        # a reduced level curve free of y is its own eliminant: each root is on the branch
         return roots
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
     roots = refine_disjoint(roots, width)

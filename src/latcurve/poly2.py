@@ -453,21 +453,10 @@ def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
     return UniPoly(res if scale == 1 else [c * scale for c in res])
 
 
-def primitive_sum(p: BiPoly, q: BiPoly, c: Fraction) -> BiPoly:
-    """p + c * q scaled to content 1 (a positive multiple, so with the same
-    signs), or zero: with c = s/t, t > 0, and positive integers ka : kb =
-    content(p) : content(q), one integer combination t*ka*P + s*kb*Q of the
-    primitive rows P and Q, divided by its gcd."""
-    a, b = p.content, q.content
-    den = lcm(a.denominator, b.denominator)
-    ka = c.denominator * a.numerator * (den // a.denominator)
-    kb = c.numerator * b.numerator * (den // b.denominator)
-    return BiPoly._of(Fraction(1), _canonical(Fraction(1), _combine_rows(p.rows, ka, q.rows, kb)).rows)
-
-
 def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
     """prim(lc_y f)^d * p mod f in y, for a d at which that remainder is a
-    polynomial (prim as in `divide_lc_power`).
+    polynomial.  prim(lc_y f) is lc_y(f) over its positive content, so a
+    constant leading coefficient only sets the sign.
 
     The pseudo-remainder takes lc_y(f)^e with e = max(deg_y p - deg_y f + 1,
     0); its content is divided out, and the result multiplied by the missing
@@ -491,22 +480,6 @@ def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
         lead_pow = _int_pow(lead, -d)
         rows = [int_exact_quotient(r, lead_pow) if r else [] for r in rows]
     return _canonical(p.content / Fraction(f.rows[-1][-1] // lead[-1]) ** e, [list(r) for r in rows])
-
-
-def divide_lc_power(f: BiPoly, res: Sequence[int], k: int) -> list[int]:
-    """res / prim(lc_y f)^k for an integer polynomial res that it divides,
-    exactly and with no content division: from a positive multiple of Res_y(f,
-    R), for R = prim(lc_y f)^E * p mod f and the k for which Res_y(f, R) is a
-    positive multiple of Res_y(f, p) * prim(lc_y f)^k, a positive multiple of
-    Res_y(f, p).  prim(lc_y f) is lc_y(f) over its positive content, so a
-    constant leading coefficient only sets the sign."""
-    lead = _primitive(f.rows[-1])
-    out = list(res)
-    if len(lead) == 1:
-        return [-c for c in out] if lead[0] < 0 and k % 2 else out
-    for _ in range(k):
-        out = int_exact_quotient(out, lead)
-    return out
 
 
 # -- ingestion sanity check ---------------------------------------------------

@@ -1,17 +1,28 @@
 """Exact helpers that only the tests call, kept here as references: a
 certified sup bound, an integer test on an isolating bracket, a `Fraction`
-determinant, a reduction modulo a curve, the sign of a polynomial along a
-branch, and a lattice-point sweep over x alone.  The package decides each
+determinant, a reduction modulo a curve and the exact division that takes
+its leading power back out of an eliminant, the sign of a polynomial along
+a branch, and a lattice-point sweep over x alone.  The package decides each
 of these inside its own code paths."""
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 from latcurve.branch import AlgebraicBranch, branch_value_bracket
 from latcurve.detmethod import LatticePoint
 from latcurve.exactlinalg import bareiss_determinant
 from latcurve.poly2 import BiPoly, ResultantDomainError, reduce_times_lead_power
-from latcurve.unipoly import RootInterval, UniPoly, _int_eval, _primitive, integer_roots, refine_root, sign_at_root
+from latcurve.unipoly import (
+    RootInterval,
+    UniPoly,
+    _int_eval,
+    _primitive,
+    int_exact_quotient,
+    integer_roots,
+    refine_root,
+    sign_at_root,
+)
 
 
 def poly_sup_bound(p: UniPoly, lo: Fraction, hi: Fraction, pieces: int = 16) -> Fraction:
@@ -88,6 +99,22 @@ def reduce_modulo(f: BiPoly, p: BiPoly) -> tuple[BiPoly, int]:
     # lc_y(f) is prim(lc_y f) times the positive content of its row
     r = reduce_times_lead_power(f, p, e) * Fraction(lead[-1] // _primitive(lead)[-1]) ** e
     return r, e * n - m + max(r.degree_y(), 0)
+
+
+def divide_lc_power(f: BiPoly, res: Sequence[int], k: int) -> list[int]:
+    """res / prim(lc_y f)^k for an integer polynomial res that it divides,
+    exactly and with no content division: from a positive multiple of Res_y(f,
+    R), for R = prim(lc_y f)^E * p mod f and the k for which Res_y(f, R) is a
+    positive multiple of Res_y(f, p) * prim(lc_y f)^k, a positive multiple of
+    Res_y(f, p).  prim(lc_y f) is lc_y(f) over its positive content, so a
+    constant leading coefficient only sets the sign."""
+    lead = _primitive(f.rows[-1])
+    out = list(res)
+    if len(lead) == 1:
+        return [-c for c in out] if lead[0] < 0 and k % 2 else out
+    for _ in range(k):
+        out = int_exact_quotient(out, lead)
+    return out
 
 
 def branch_sign(branch: AlgebraicBranch, x0: Fraction | int, p: BiPoly) -> int:

@@ -257,14 +257,16 @@ def test_level_curves_are_positive_multiples_of_fraction_construction():
                         branch_module._level_resultant(curve, i, c)
                     degenerate += 1
                     continue
-                level, res, free_of_y = branch_module._level_resultant(curve, i, c)
+                level, res = branch_module._level_resultant(curve, i, c)
                 # R == lc^E * ref mod F, E even, deg_y R < deg_y F
                 ref_reduced, e = fraction_reduced(ref, curve)
                 assert e % 2 == 0 and level.degree_y() < curve.degree_y()
-                assert free_of_y == (not any(j2 for _, j2 in ref.terms))
+                if not any(j2 for _, j2 in ref.terms):
+                    assert level.degree_y() < 1, (curve, i, c)
                 assert level.content == 1 and _positive_ratio(level, BiPoly(ref_reduced.terms)) is not None, (curve, i, c)
                 assert math.gcd(*res) == 1 and res[-1] != 0
-                assert _positive_ratio(UniPoly(res), ref_res) is not None, (curve, i, c)
+                want = primitive_ints(ref_res.coeffs)
+                _assert_eliminant_matches(curve, level, res, max(j2 for _, j2 in ref.terms), want)
                 checked += 1
     assert degenerate >= 5
 
@@ -314,29 +316,91 @@ def _eliminant_case_curve(rng):
     return BiPoly(terms)
 
 
+def _shed_lead_factors(curve, p):
+    """The integer polynomial p with prim(lc_y curve) divided out for as long
+    as it divides exactly, and the number of factors shed."""
+    lead, out, shed = UniPoly(primitive_ints(curve.rows[-1])), UniPoly(p), 0
+    while lead.degree >= 1:
+        quotient, rem = divmod(out, lead)
+        if not rem.is_zero():
+            break
+        out, shed = quotient, shed + 1
+    # Gauss's lemma: the quotient by a primitive integer factor is integral
+    return [int(v) for v in out.coeffs], shed
+
+
+def _assert_eliminant_matches(curve, reduced, res, deg_l, want):
+    """`_level_resultant`'s (R, eliminant) against a primitive integer
+    multiple `want` of Res_y(F, L), or of L's row when it is free of y, for
+    a level curve L of y-degree deg_l: the number of factors of
+    prim(lc_y F) shed from `want`.
+
+    With R - lc^e * L a multiple of F, Res_y(F, R) = lc_y(F)^(deg_y R -
+    deg_y L) * lc^(e * deg_y F) * Res_y(F, L), lc = prim(lc_y F).  So once
+    prim(lc_y F) is shed from both, the primitive eliminants are equal;
+    for a negative constant lc_y(F) the sign is (-1)^(deg_y R - deg_y L).
+    An R free of y is its own eliminant, and Res_y(F, L) is a power of it
+    up to factors of lc_y(F): their squarefree parts agree."""
+    want, shed = _shed_lead_factors(curve, want)
+    if reduced.degree_y() < 1:
+        got = _shed_lead_factors(curve, res)[0]
+        assert _positive_lead(squarefree_part(tuple(got))) == _positive_lead(squarefree_part(tuple(want))), curve
+        return shed
+    lead = curve.rows[-1]
+    if len(lead) == 1 and lead[0] < 0 and (reduced.degree_y() - deg_l) % 2:
+        want = [-v for v in want]
+    assert res == tuple(want), curve
+    return shed
+
+
+def _positive_lead(p):
+    """p with a positive leading coefficient."""
+    return tuple(p) if p[-1] > 0 else tuple(-v for v in p)
+
+
+def _check_level_eliminant(curve, i, c):
+    """`_level_resultant` of (curve, i, c) against the unreduced route by
+    `_assert_eliminant_matches`, or both raising on a degenerate level: the
+    kinds of the case, as a set."""
+    try:
+        want = _unreduced_eliminant(curve, i, c)
+    except DegenerateLevelSetError:
+        with pytest.raises(DegenerateLevelSetError):
+            branch_module._level_resultant(curve, i, c)
+        return {"degenerate"}
+    reduced, res = branch_module._level_resultant(curve, i, c)
+    deg_l = _unreduced_level_curve(curve, i, c).degree_y()
+    kinds = {_lead_kind(curve)}
+    if _assert_eliminant_matches(curve, reduced, res, deg_l, want):
+        kinds.add("sheds_lead_factor")
+    if reduced.degree_y() < 1 <= deg_l:
+        kinds.add("reduced_free_of_y")
+    return kinds
+
+
 def test_level_eliminant_matches_unreduced_route():
-    """On 1000 seeded (curve, i, c), `_level_resultant`'s eliminant equals the
-    route with no reduction, and a degenerate case raises on both sides."""
+    """On 1000 seeded (curve, i, c), and on three curves with a constant
+    lc_y(F) = A at the level c = -g_i / (n A) where the top rows of the
+    level curve cancel (g the row of y^(n-1) in F), `_level_resultant`'s
+    eliminant equals the route with no reduction once the factors of
+    prim(lc_y F) are shed from both, and a degenerate case raises on both
+    sides."""
+    for text, i in (("y^2 + x*y - x^3", 1), ("y^2 + x^2*y - x", 2), ("2*y^3 - x^2*y^2 + y - 5*x", 2)):
+        curve = parse(text)
+        lead, g = curve.rows[-1][0], curve.rows[-2]
+        drop = Fraction(-g[i], curve.degree_y() * lead)
+        assert _unreduced_level_curve(curve, i, drop).degree_y() < (2 * i - 1) * (curve.degree_y() - 1), text
+        _check_level_eliminant(curve, i, drop)
     rng = random.Random(4242)
-    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0, "reduced_free_of_y": 0, "degenerate": 0}
+    seen = dict.fromkeys(
+        ("positive_lead", "negative_lead", "polynomial_lead", "reduced_free_of_y", "degenerate", "sheds_lead_factor"), 0
+    )
     for _ in range(1000):
         curve = _eliminant_case_curve(rng)
         i = rng.choice([1, 1, 2, 2, 3])
         c = rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 40))])
-        try:
-            want = _unreduced_eliminant(curve, i, c)
-        except DegenerateLevelSetError:
-            with pytest.raises(DegenerateLevelSetError):
-                branch_module._level_resultant(curve, i, c)
-            seen["degenerate"] += 1
-            continue
-        reduced, res, free_of_y = branch_module._level_resultant(curve, i, c)
-        assert res == want, (curve, i, c)
-        lead = curve.rows[-1]
-        seen["positive_lead"] += len(lead) == 1 and lead[0] > 0
-        seen["negative_lead"] += len(lead) == 1 and lead[0] < 0
-        seen["polynomial_lead"] += len(lead) > 1
-        seen["reduced_free_of_y"] += not free_of_y and reduced.degree_y() < 1
+        for kind in _check_level_eliminant(curve, i, c):
+            seen[kind] += 1
     assert min(seen.values()) >= 20, seen
 
 
@@ -361,24 +425,18 @@ def _zero_or_positive_ratio(a, b):
 
 def _check_reduced_level_parts(curve, i, c):
     """The reduced parts of order i against `reduce_modulo` of H_i, of
-    i! * F_y^(2i-1) and of the level curve at c (the one shared factor), and
-    the y-degree they give against the unreduced level curves at 0 and c."""
+    i! * F_y^(2i-1) and of the level curves at 0 and c (the one shared
+    factor)."""
     parts = branch_module._reduced_level_parts(curve, i)
     assert parts.e % 2 == 0 and parts.a.degree_y() < curve.degree_y() and parts.b.degree_y() < curve.degree_y()
     hk = hk_sequence(curve, i)[-1]
     fy_pow = partial(curve, "y") ** (2 * i - 1) * math.factorial(i)
     assert _zero_or_positive_ratio(parts.a, _reduced_up_to_lead_power(curve, hk, parts.e)), (curve, i)
     assert _zero_or_positive_ratio(parts.b, _reduced_up_to_lead_power(curve, fy_pow, parts.e)), (curve, i)
-    levels = [Fraction(0), c] + ([parts.drop_level] if parts.drop_level is not None else [])
-    for level_c in levels:
+    for level_c in (Fraction(0), c):
         level = hk + fy_pow * level_c
         want = _reduced_up_to_lead_power(curve, level, parts.e)
         assert _zero_or_positive_ratio(parts.a + parts.b * level_c, want), (curve, i, level_c)
-        # deg_y L is the parts' value except below it at the drop level
-        if level_c == parts.drop_level:
-            assert level.degree_y() < parts.deg_y, (curve, i, level_c)
-        else:
-            assert level.degree_y() == parts.deg_y, (curve, i, level_c)
     return parts
 
 
@@ -388,42 +446,18 @@ def test_reduced_level_parts_match_reduce_modulo():
     three named curves, against the unreduced H_i and i! * F_y^(2i-1)
     reduced by `reduce_modulo`."""
     rng = random.Random(1717)
-    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0, "drop_level": 0}
+    seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0}
     for _ in range(60):
         curve = _eliminant_case_curve(rng)
         for i in range(1, 7):
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 7)) or Fraction(1)
-            parts = _check_reduced_level_parts(curve, i, c)
+            _check_reduced_level_parts(curve, i, c)
             seen[_lead_kind(curve)] += 1
-            seen["drop_level"] += bool(parts.drop_level)
     assert min(seen.values()) >= 10, seen
     for text in ("x*y^2 + y - 1", "x*y - 12", "x - 7*y^5"):
         parts = _check_reduced_level_parts(parse(text), 15, Fraction(-3, 2))
     # ROADMAP item 3 measured 43 y-rows in the unreduced H_15 of x - 7*y^5
     assert len(parts.a.rows) <= 3
-
-
-def test_level_curve_built_only_where_top_rows_cancel():
-    """With a constant lc_y(F) = A and the row g of y^(n-1) in F of x-degree
-    i, the top rows of H_i + c * i! * F_y^(2i-1) cancel at c = -g_i / (n A):
-    there the level curve is built from `hk_sequence` to read its y-degree,
-    and the eliminant still equals the unreduced route; elsewhere no
-    `hk_sequence` call is made."""
-    cases = (("y^2 + x*y - x^3", 1, True), ("y^2 + x^2*y - x", 2, False), ("2*y^3 - x^2*y^2 + y - 5*x", 2, False))
-    for text, i, free in cases:
-        curve = parse(text)
-        lead, g = curve.rows[-1][0], curve.rows[-2]
-        drop = Fraction(-g[i], curve.degree_y() * lead)
-        for cached in (branch_module._level_resultant, branch_module._reduced_level_parts, hk_sequence):
-            cached.cache_clear()
-        reduced, res, free_of_y = branch_module._level_resultant(curve, i, Fraction(3))
-        assert hk_sequence.cache_info().misses == 0
-        reduced, res, free_of_y = branch_module._level_resultant(curve, i, drop)
-        assert hk_sequence.cache_info().misses > 0, text
-        level = _unreduced_level_curve(curve, i, drop)
-        assert level.degree_y() < (2 * i - 1) * (curve.degree_y() - 1)
-        assert free_of_y == free == (level.degree_y() < 1), text
-        assert res == _unreduced_eliminant(curve, i, drop), text
 
 
 # -- taylor coefficients -----------------------------------------------------------

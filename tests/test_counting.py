@@ -436,8 +436,11 @@ def test_pipeline_takes_level_curves_from_reduced_parts():
     the totals equal the oracle's.  y^2 - x^3 + 8*x - 8 at N = 25 leaves
     orders 4-8 of one branch on its swapped hull [1, 2], and 2-8 on [3, 3],
     to the level sets; the disc certificate proves every order of x -
-    3*y^5 at N = 100, so it builds no level curve at all."""
-    for text, n, builds in (("x - 3*y^5", 100, False), ("y^2 - x^3 + 8*x - 8", 25, True)):
+    3*y^5 at N = 100, so it builds no level curve at all.  5*x^2*y - 2 at
+    N = 38 builds level sets on both frames, whose lc_y(F), 5*x^2 and 5*x,
+    are polynomials, and still builds no unreduced H_k."""
+    cases = (("x - 3*y^5", 100, False), ("y^2 - x^3 + 8*x - 8", 25, True), ("5*x^2*y - 2", 38, True))
+    for text, n, builds in cases:
         _clear_caches()
         rep = determinant_method_count(parse(text), n)
         assert rep.ok and rep.total == rep.oracle_total, text

@@ -37,6 +37,7 @@ from latcurve.unipoly import (
     poly_gcd,
     primitive_ints,
     ranked_integer_root,
+    rational_root_in,
     refine_clear_of,
     refine_disjoint,
     refine_root,
@@ -644,6 +645,27 @@ def test_integer_in():
     assert [integer_in(r) for r in roots] == [None, None]
     assert integer_roots(ints(near)) == []
     assert integer_roots(ints(near * UniPoly([10**6, 1]))) == [-(10**6)]
+
+
+def test_rational_root_in():
+    """`rational_root_in(p, lo, hi)` returns the root that [lo, hi] isolates
+    exactly when it is rational, else None."""
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    # (3x - 1)(2x^2 - 1): lead 6, the root 1/3 has a denominator dividing it
+    p = UniPoly([-1, 3]) * UniPoly([-1, 0, 2])
+    assert rational_root_in(ints(p), Fraction(0), half) == third
+    assert rational_root_in(ints(p * 4), Fraction(-1, 5), Fraction(2, 5)) == third
+    # the irrational roots +-1/sqrt(2)
+    assert rational_root_in(ints(p), half, Fraction(1)) is None
+    assert rational_root_in(ints(p), Fraction(-1), Fraction(0)) is None
+    assert [rational_root_in(r.polynomial, r.lo, r.hi) for r in isolate_real_roots(ints(p), -2, 2)] == [None, third, None]
+    # an exact bracket decides by one evaluation
+    assert rational_root_in(ints(p), third, third) == third
+    assert rational_root_in(ints(p), half, half) is None
+    # repeated factors: (3x - 1)^2 (2x^2 - 1)^3
+    q = UniPoly([-1, 3]) ** 2 * UniPoly([-1, 0, 2]) ** 3
+    assert rational_root_in(ints(q), Fraction(0), half) == third
+    assert rational_root_in(ints(q), half, Fraction(1)) is None
 
 
 def test_integer_roots_examples():

@@ -14,19 +14,17 @@ from latcurve.poly2 import (
     PolyParseError,
     ResultantDomainError,
     corner_index,
-    divide_lc_power,
     divides,
     ingestion_check,
     parse,
     partial,
-    primitive_sum,
     resultant_eliminating_y,
 )
 from latcurve import poly2
 from latcurve.unipoly import UniPoly, _int_mul, primitive_ints
 
 from fraction_bipoly import FractionBiPoly
-from reference_helpers import reduce_modulo
+from reference_helpers import divide_lc_power, reduce_modulo
 
 
 def rand_bipoly(rng, max_deg=3, max_terms=5, span=5):
@@ -144,15 +142,6 @@ def test_operators_match_fraction_dict_reference(ta, tb, k, n, x, y):
     assert p.has_integer_coefficients() == all(c.denominator == 1 for c in rp.terms.values())
     if rp.terms:
         assert p.leading_term() == rp.leading_term()
-
-
-@given(term_lists(), term_lists(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
-def test_primitive_sum_is_the_operator_sum_at_content_one(ta, tb, c):
-    """`primitive_sum(p, q, c)` has the rows of p + q * c and content 1."""
-    p, q = BiPoly(ta), BiPoly(tb)
-    got = primitive_sum(p, q, c)
-    assert_canonical(got)
-    assert got.rows == (p + q * c).rows and got.content == 1
 
 
 # -- evaluation, derivatives ------------------------------------------------------
