@@ -18,8 +18,8 @@ mod F, with lc = prim(lc_y F), E even and content 1, has L's sign at every
 branch point, so each level sign reads a column of y-degree below deg_y F.
 A_i runs the H_k recurrence on reduced forms and B_i is order i - 1's times
 i * F_y^2, reduced; no level is reduced on its own.  The eliminant, a
-primitive integer tuple, is R's own row when R is free of y, and otherwise
-Res_y(F, R) with prim(lc_y F) divided out for as long as it divides
+primitive integer tuple, is R's own row when R is free of y and otherwise
+Res_y(F, R), with prim(lc_y F) divided out of it for as long as it divides
 exactly.  Either way it differs from Res_y(F, L) only by factors of
 lc_y(F) and a constant, and no branch domain holds a root of lc_y(F), so
 it has the level set's roots there.  Along the branch the
@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, floor
+from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
@@ -113,10 +113,10 @@ class AlgebraicBranch:
     caller's.
 
     Invariant: the closed domain holds no root of lc_y(curve).
-    `graph_decompose` cuts its cells clear of them and `branch_from_point`
-    refuses such a domain.  The level sets rely on it: a level curve reduced
-    modulo the curve keeps its sign there, and its eliminant may differ
-    from the unreduced one by factors of lc_y(curve).
+    `graph_decompose` cuts its cells clear of them, and a branch built
+    directly must keep it too.  The level sets rely on it: a level curve
+    reduced modulo the curve keeps its sign there, and its eliminant may
+    differ from the unreduced one by factors of lc_y(curve).
     """
 
     curve: BiPoly
@@ -134,41 +134,6 @@ class AlgebraicBranch:
             "orientation": "y-over-x" if self.swapped else "x-over-y",
             "root_index": self.root_index,
         }
-
-
-def branch_from_point(
-    curve: BiPoly,
-    x0: Fraction | int,
-    y0: Fraction | int,
-    domain: tuple[Fraction | int, Fraction | int],
-) -> AlgebraicBranch:
-    """Construct a branch through the rational curve point (x0, y0): the
-    index of y0 among the real roots of curve(x0, .) on `domain`.
-
-    Certifies at construction that no discriminant root lies in the open
-    domain and no leading-coefficient root in the closed one, so the branch
-    function exists and stays smooth across it.
-    """
-    x0, y0 = Fraction(x0), Fraction(y0)
-    lo, hi = Fraction(domain[0]), Fraction(domain[1])
-    if not lo <= x0 <= hi:
-        raise BranchError("seed abscissa outside the domain")
-    if curve.evaluate(x0, y0) != 0:
-        raise BranchError("seed is not a curve point")
-    if curve.degree_y() < 1:
-        raise BranchError("curve must depend on y in this orientation")
-    if partial(curve, "y").evaluate(x0, y0) == 0:
-        raise BranchError("branch is singular/vertical at the seed")
-    _certify_smooth_over(curve, lo, hi)
-    u = _column(curve, x0)
-    roots = all_real_roots(u)
-    idx = next(
-        (k for k, r in enumerate(roots) if r.lo <= y0 <= r.hi and (r.is_exact() or _rat_eval(u, y0) == 0)),
-        None,
-    )
-    if idx is None:
-        raise BranchError("seed value is not a root of the specialized curve")
-    return AlgebraicBranch(curve, idx, len(roots), (lo, hi))
 
 
 class _FrameLoci(NamedTuple):
@@ -201,24 +166,6 @@ def _frame_loci(curve: BiPoly) -> _FrameLoci:
     return _FrameLoci(tuple(cuts), disc, (fx - fy).is_zero() or (fx + fy).is_zero())
 
 
-def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
-    lead = curve.rows[-1]
-    if len(lead) >= 2 and (_rat_eval(lead, lo) == 0 or _rat_eval(lead, hi) == 0):
-        # a level curve reduced modulo the curve keeps its sign only where
-        # lc_y(F) != 0, so the closed domain must avoid its roots
-        raise BranchError("leading coefficient in y vanishes at a domain end")
-    if hi <= lo:
-        return
-    disc = _frame_loci(curve).disc
-    for obs in ([] if disc is None else [disc]) + ([lead] if len(lead) >= 2 else []):
-        if not obs:
-            raise BranchError("curve fails the smoothness certificate (zero obstruction)")
-        # roots strictly inside (lo, hi) are forbidden
-        inner = count_real_roots(obs, lo, hi) - (_rat_eval(obs, lo) == 0) - (_rat_eval(obs, hi) == 0)
-        if inner > 0:
-            raise BranchError("branch is singular/vertical inside the requested domain")
-
-
 def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInterval:
     """Isolating interval for the branch value f(x0)."""
     x0 = Fraction(x0)
@@ -229,14 +176,6 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
     if len(roots) != branch.root_count:
         raise BranchError("root structure changed inside the domain")
     return roots[branch.root_index]
-
-
-def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Optional[Fraction]:
-    """The exact branch value f(x0) when rational, else None (certified)."""
-    bracket = branch_value_bracket(branch, Fraction(x0))
-    if bracket.is_exact():
-        return bracket.lo
-    return rational_root_in(_column(branch.curve, Fraction(x0)), bracket.lo, bracket.hi)
 
 
 def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoint]:
@@ -284,68 +223,6 @@ def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
     prev = hk_sequence(curve, kmax - 1)
     h, k = prev[-1], kmax - 1
     return prev + (fy * fy * partial(h, "x") - fy * fx * partial(h, "y") - h * mixed * (2 * k - 1),)
-
-
-def _undetermined_taylor(
-    curve: BiPoly, at: Fraction, y0: Fraction, kmax: int
-) -> list[Fraction]:
-    """Taylor coefficients of the branch through (at, y0) by matching powers
-    in F(at + s, sum c_i s^i) = 0, one coefficient at a time."""
-    fy0 = partial(curve, "y").evaluate(at, y0)
-    if fy0 == 0:
-        raise BranchError("branch is singular/vertical here")
-    coeffs = [y0]
-    # expansions of (at + s)^j1 are binomial; series powers of y are rebuilt
-    # per step at the needed truncation only
-    for k in range(1, kmax + 1):
-        acc = Fraction(0)  # coefficient of s^k with c_k set to zero
-        ypows: dict[int, list[Fraction]] = {0: [Fraction(1)] + [Fraction(0)] * k}
-        base = coeffs + [Fraction(0)] * (k + 1 - len(coeffs))
-
-        def ypow(e: int) -> list[Fraction]:
-            if e not in ypows:
-                prev = ypow(e - 1)
-                cur = [Fraction(0)] * (k + 1)
-                for i, a in enumerate(prev):
-                    if a:
-                        for j2, b in enumerate(base):
-                            if i + j2 > k:
-                                break
-                            cur[i + j2] += a * b
-                ypows[e] = cur
-            return ypows[e]
-
-        for (j1, j2), c in curve.terms.items():
-            yp = ypow(j2)
-            for t in range(min(j1, k) + 1):
-                acc += c * comb(j1, t) * at ** (j1 - t) * yp[k - t]
-        coeffs.append(-acc / fy0)
-    return coeffs
-
-
-def taylor_coefficients(
-    branch: AlgebraicBranch, at: Fraction | int, kmax: int
-) -> list[Fraction]:
-    """Exact [f(at), f'(at), f''(at)/2!, ...] up to order kmax.
-
-    Computed from the implicit-derivative recurrence and cross-validated
-    against a power-series expansion with undetermined coefficients.
-    """
-    at = Fraction(at)
-    y0 = branch_value_rational(branch, at)
-    if y0 is None:
-        raise BranchError("evaluation point must be a rational curve point")
-    fy0 = partial(branch.curve, "y").evaluate(at, y0)
-    if fy0 == 0:
-        raise BranchError("branch is singular/vertical here")
-    out = [y0]
-    if kmax >= 1:
-        for k, hk in enumerate(hk_sequence(branch.curve, kmax), start=1):
-            out.append(-hk.evaluate(at, y0) / (factorial(k) * fy0 ** (2 * k - 1)))
-    check = _undetermined_taylor(branch.curve, at, y0, kmax) if kmax >= 1 else [y0]
-    if check != out:
-        raise RuntimeError("implicit-derivative recurrence disagrees with series expansion")
-    return out
 
 
 # -- level sets and partitioning ---------------------------------------------
@@ -400,12 +277,13 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[
 
     R = a + c * b from `_reduced_level_parts`, with content 1: lc^e * L mod
     F, of y-degree below the curve's, with L's sign at every branch point;
-    R = 0 means that L vanishes on the curve.  An R free of y is its own
-    eliminant: R(x) = lc^e(x) * L(x, f(x)) on every branch.  Otherwise the
-    eliminant is Res_y(F, R) with prim(lc_y F) divided out for as long as
-    it divides exactly.  R - lc^e * L is a multiple of F, so Res_y(F, R) is
-    Res_y(F, L) times a power of lc_y(F) and a constant; the division only
-    keeps the degree down, since no branch domain holds a root of lc_y(F)."""
+    R = 0 means that L vanishes on the curve.  The eliminant is R's own row
+    when R is free of y (R(x) = lc^e(x) * L(x, f(x)) on every branch) and
+    Res_y(F, R) otherwise, with prim(lc_y F) divided out of it for as long
+    as it divides exactly.  R - lc^e * L is a multiple of F, so Res_y(F, R)
+    is Res_y(F, L) times a power of lc_y(F) and a constant; the division
+    only keeps the degree down, since no branch domain holds a root of
+    lc_y(F)."""
     parts = _reduced_level_parts(curve, i)
     reduced = parts.a + parts.b * c
     if reduced.is_zero():
@@ -416,10 +294,11 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[
     # eliminant of an integer curve with no rational rescaling
     reduced = reduced * (1 / reduced.content)
     if reduced.degree_y() < 1:
-        return reduced, _primitive(reduced.rows[0])
-    res = primitive_ints(resultant_eliminating_y(curve, reduced).coeffs)
-    if not res:
-        raise DegenerateLevelSetError("level-set eliminant vanished identically")
+        res = list(reduced.rows[0])
+    else:
+        res = primitive_ints(resultant_eliminating_y(curve, reduced).coeffs)
+        if not res:
+            raise DegenerateLevelSetError("level-set eliminant vanished identically")
     lead = _primitive(curve.rows[-1])
     while len(lead) > 1:
         quotient = int_exact_quotient(res, lead)

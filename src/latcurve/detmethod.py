@@ -1,9 +1,12 @@
 """Cover curves from one integer echelon of the points' monomial rows (a
 kernel vector read by back-substitution), greedy covering with one echelon
-per run, and the exact bound evaluators that certify the covering step.
+per run, and the curve budget of a segment.
 
-Thresholds compare C(D,2)-th powers in rational arithmetic, so no irrational
-root is ever taken on a decision path.
+The budget compares C(D,2)-th powers in rational arithmetic, so no
+irrational root is ever taken on a decision path.  The lemma evaluators
+behind it (the interpolation-determinant bound, the derivative bounds and
+the single-curve threshold) are test references in
+`tests/reference_helpers.py`.
 """
 
 from __future__ import annotations
@@ -13,20 +16,14 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .exactlinalg import echelon_step, integer_kth_root_ceiling, ryser_permanent
+from .exactlinalg import echelon_step, integer_kth_root_ceiling
 from .monomials import MonomialSet, non_divisibility_guard
-from .poly2 import BiPoly, ExponentPair
-
-PERMANENT_LIMIT = 10
+from .poly2 import BiPoly
 
 
 class LatticePoint(NamedTuple):
     x: int
     y: int
-
-
-class BoundMatrixTooLarge(ValueError):
-    """The permanent evaluator refuses matrices beyond `PERMANENT_LIMIT` rows."""
 
 
 @dataclass(frozen=True)
@@ -107,15 +104,6 @@ def _power_form(interval_length: Fraction, spec: DerivativeBoundSpec, mset: Mono
     return base**b * (2 * spec.N) ** mset.p * (mset.D * spec.X) ** mset.q
 
 
-def segment_coverable(
-    interval_length: Fraction | int, spec: DerivativeBoundSpec, mset: MonomialSet
-) -> bool:
-    """Single-curve test: the power-form product must be strictly below 1."""
-    if Fraction(interval_length) < 0:
-        raise ValueError("interval length must be nonnegative")
-    return _power_form(Fraction(interval_length), spec, mset) < 1
-
-
 def curve_budget(
     interval_length: Fraction | int, spec: DerivativeBoundSpec, mset: MonomialSet
 ) -> int:
@@ -166,41 +154,3 @@ def greedy_cover(
         curves.append(cover)
         start = end
     return CoverCertificate(curves, assignment)
-
-
-def fj_derivative_bound(
-    j: ExponentPair, i: int, spec: DerivativeBoundSpec
-) -> Fraction:
-    """Decay bound (2N)^j1 * (i X)^j2 * delta^(i-1) for x^j1 f^j2 at level i."""
-    if i < 1:
-        raise ValueError("derivative level i must be >= 1")
-    j1, j2 = j
-    return (2 * spec.N) ** j1 * (i * spec.X) ** j2 * spec.delta ** (i - 1)
-
-
-def interpolation_determinant_bound(
-    xs: Sequence[Fraction | int], bounds: Sequence[Sequence[Fraction | int]]
-) -> Fraction:
-    """Node-spread times permanent: the exact evaluation-determinant bound.
-
-    prod_{i>j} |x_i - x_j| multiplied by the permanent of the entry-wise
-    derivative bounds; the permanent uses Ryser's method and refuses sizes
-    beyond `PERMANENT_LIMIT`.
-    """
-    n = len(xs)
-    if n == 0:
-        raise ValueError("need at least one node")
-    if len(bounds) != n or any(len(row) != n for row in bounds):
-        raise ValueError("bound matrix must be n x n")
-    if any(Fraction(e) < 0 for row in bounds for e in row):
-        raise ValueError("bounds must be nonnegative")
-    if n > PERMANENT_LIMIT:
-        raise BoundMatrixTooLarge("bound matrix too large")
-    spread = Fraction(1)
-    vals = [Fraction(v) for v in xs]
-    for i in range(n):
-        for j in range(i):
-            spread *= abs(vals[i] - vals[j])
-    if spread == 0:
-        return Fraction(0)
-    return spread * ryser_permanent(bounds)

@@ -1,8 +1,8 @@
-"""Exact linear algebra over the rationals and integers.
+"""Exact linear algebra over the integers.
 
-A fraction-free integer echelon grown one row at a time, exact rank,
-Bareiss determinants, Ryser permanents and integer k-th roots.  Everything
-here is pure and deterministic; no floating point anywhere.
+A fraction-free integer echelon grown one row at a time, Bareiss
+determinants and integer k-th roots.  Everything here is pure and
+deterministic; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,32 +12,6 @@ from math import gcd
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Exact rank of a rectangular matrix over the rationals."""
-    if not rows:
-        raise ValueError("matrix must be nonempty")
-    m = [[Fraction(e) for e in row] for row in rows]
-    ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise ValueError("ragged matrix")
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pr = m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / pr[col]
-                m[r] = [a - f * b for a, b in zip(m[r], pr)]
-        rank += 1
-        col += 1
-    return rank
 
 
 def echelon_step(pivots: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
@@ -115,27 +89,6 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
             if not isinstance(e, int):
                 raise TypeError("integer matrix required")
     return bareiss_determinant(rows, _int_exact_div)
-
-
-def ryser_permanent(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Permanent by Ryser's inclusion-exclusion; exponential in the size."""
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("square nonempty matrix required")
-    a = [[Fraction(e) for e in row] for row in rows]
-    total = Fraction(0)
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        prod = Fraction(1)
-        for i in range(n):
-            s = sum(a[i][j] for j in cols)
-            if s == 0:
-                prod = Fraction(0)
-                break
-            prod *= s
-        if prod:
-            total += prod if (n - len(cols)) % 2 == 0 else -prod
-    return total
 
 
 def integer_kth_root_ceiling(v: Fraction | int, k: int) -> int:

@@ -1,5 +1,5 @@
-"""Extremal convex configurations from coprime slope vectors, exact convexity
-certificates, and cover counting for convex graphs.
+"""Extremal convex configurations from coprime slope vectors and exact
+convexity certificates.
 
 The piecewise construction sorts all coprime vectors (q, a) with entries up
 to H by slope and walks their prefix sums; the resulting polygon carries
@@ -7,34 +7,21 @@ roughly H^2 integer points inside a box of side at most H^3.  A quadratic
 smoothing dips each chord midpoint by a small epsilon, which keeps every
 knot fixed, makes each segment strictly convex, and preserves the knot slope
 ordering; the offset must point below the chord, since a bump above it would
-make the segments concave.
+make the segments concave.  Cover counting on convex graphs, which checks
+the curve budget against these configurations, is a test reference in
+`tests/reference_helpers.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
-from typing import Callable, Optional, Sequence
+from math import gcd
+from typing import Optional, Sequence
 
-from .detmethod import (
-    CoverCertificate,
-    DerivativeBoundSpec,
-    LatticePoint,
-    curve_budget,
-    greedy_cover,
-)
-from .monomials import full_set
+from .detmethod import LatticePoint
 
 SAMPLES_PER_SEGMENT = 4
-
-
-class OracleBoundError(RuntimeError):
-    """A sampled derivative coefficient violated the certified decay bound."""
-
-
-class ConvexityViolation(RuntimeError):
-    """A line met more than two points of a supposedly strictly convex graph."""
 
 
 @dataclass(frozen=True)
@@ -172,95 +159,3 @@ def verify_smoothing(config: JarnikConfiguration) -> bool:
             return False
         prev = slope
     return True
-
-
-# -- cover counting for convex graphs ----------------------------------------------
-
-
-@dataclass
-class TaylorOracle:
-    """Exact normalized Taylor data f^(i)(x)/i! for a convex graph on [lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-    coefficients: Callable[[Fraction, int], list[Fraction]]
-
-
-def polynomial_taylor_oracle(poly, lo: Fraction | int, hi: Fraction | int) -> TaylorOracle:
-    """Oracle backed by a univariate polynomial (UniPoly)."""
-
-    def coeffs(x: Fraction, kmax: int) -> list[Fraction]:
-        out: list[Fraction] = []
-        q = poly
-        fact = 1
-        for i in range(kmax + 1):
-            out.append(q.evaluate(x) / fact)
-            q = q.derivative()
-            fact *= i + 1
-        return out
-
-    return TaylorOracle(Fraction(lo), Fraction(hi), coeffs)
-
-
-def jarnik_taylor_oracle(config: JarnikConfiguration) -> TaylorOracle:
-    return TaylorOracle(
-        Fraction(0),
-        Fraction(config.q_total),
-        lambda x, kmax: smoothed_taylor(config, x, kmax),
-    )
-
-
-@dataclass
-class ConvexCoverReport:
-    total: int
-    points: list[LatticePoint]
-    certificate: CoverCertificate
-    per_curve_counts: list[int]
-    budget: int
-    parameters: dict = field(default_factory=dict)
-
-
-def convex_cover_count(
-    oracle: TaylorOracle, d: int, n_box: int, delta: Fraction | int
-) -> ConvexCoverReport:
-    """Count integer points on a convex graph by covering them with curves of
-    degree <= d, verifying each claimed point directly against the oracle.
-
-    Every sampled coefficient is checked against the decay bound
-    |f^(i)(x)/i!| <= N * delta^i; a line curve collecting more than two
-    points contradicts strict convexity and aborts.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    delta = Fraction(delta)
-    mset = full_set(d)
-    spec = DerivativeBoundSpec(X=Fraction(n_box), delta=delta, N=Fraction(n_box))
-    pts: list[LatticePoint] = []
-    for k in range(max(0, ceil(oracle.lo)), min(n_box, floor(oracle.hi)) + 1):
-        cs = oracle.coefficients(Fraction(k), mset.D - 1)
-        for i, ci in enumerate(cs):
-            if abs(ci) > spec.X * delta**i:
-                raise OracleBoundError(
-                    f"coefficient level {i} at x={k} violates the decay bound"
-                )
-        c0 = cs[0]
-        if c0.denominator == 1 and 0 <= c0 <= n_box:
-            pts.append(LatticePoint(k, int(c0)))
-    cert = greedy_cover(pts, mset)
-    per_curve: list[int] = []
-    for idx, cov in enumerate(cert.curves):
-        count = sum(1 for p in pts if cov.evaluate(p.x, p.y) == 0)
-        if cov.degree == 1 and count > 2:
-            raise ConvexityViolation(
-                "a line met more than two points of the convex graph"
-            )
-        per_curve.append(count)
-    budget = curve_budget(oracle.hi - oracle.lo, spec, mset)
-    return ConvexCoverReport(
-        total=len(pts),
-        points=pts,
-        certificate=cert,
-        per_curve_counts=per_curve,
-        budget=budget,
-        parameters={"d": d, "N": n_box, "delta": str(delta)},
-    )

@@ -1,25 +1,50 @@
-"""Exact helpers that only the tests call, kept here as references: a
-certified sup bound, an integer test on an isolating bracket, a `Fraction`
-determinant, a reduction modulo a curve and the exact division that takes
-its leading power back out of an eliminant, the sign of a polynomial along
-a branch, and a lattice-point sweep over x alone.  The package decides each
-of these inside its own code paths."""
+"""Exact helpers that only the tests call, kept here as references.
+
+- Checks of the package's own decisions: a certified sup bound, an integer
+  test on an isolating bracket, a `Fraction` determinant, a reduction modulo
+  a curve and the exact division that takes its leading power back out of
+  an eliminant, the sign of a polynomial along a branch, and a lattice-point
+  sweep over x alone.
+- The paper's lemmas, which no count runs: the interpolation-determinant
+  bound (Ryser's permanent of the derivative bounds), the single-curve
+  threshold, a branch through a rational curve point with its exact Taylor
+  coefficients, and cover counting on convex graphs from exact Taylor
+  oracles, which meets Jarnik's configurations.
+
+The package decides each of these inside its own code paths, or does not
+need them to count."""
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, comb, factorial, floor
+from typing import Optional
 
-from latcurve.branch import AlgebraicBranch, branch_value_bracket
-from latcurve.detmethod import LatticePoint
+from latcurve.branch import AlgebraicBranch, BranchError, _column, _frame_loci, branch_value_bracket, hk_sequence
+from latcurve.detmethod import (
+    CoverCertificate,
+    DerivativeBoundSpec,
+    LatticePoint,
+    _power_form,
+    curve_budget,
+    greedy_cover,
+)
 from latcurve.exactlinalg import bareiss_determinant
-from latcurve.poly2 import BiPoly, ResultantDomainError, reduce_times_lead_power
+from latcurve.jarnik import JarnikConfiguration, smoothed_taylor
+from latcurve.monomials import MonomialSet, full_set
+from latcurve.poly2 import BiPoly, ExponentPair, ResultantDomainError, partial, reduce_times_lead_power
 from latcurve.unipoly import (
     RootInterval,
     UniPoly,
     _int_eval,
     _primitive,
+    _rat_eval,
+    all_real_roots,
+    count_real_roots,
     int_exact_quotient,
     integer_roots,
+    rational_root_in,
     refine_root,
     sign_at_root,
 )
@@ -133,3 +158,307 @@ def x_sweep_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint]]:
     for x0 in range(1, n_box + 1):
         points.extend(LatticePoint(x0, y0) for y0 in integer_roots(curve.int_column(x0), 1, n_box))
     return len(points), points
+
+
+# -- the interpolation-determinant bound and the single-curve threshold ------
+
+
+PERMANENT_LIMIT = 10
+
+
+class BoundMatrixTooLarge(ValueError):
+    """The permanent evaluator refuses matrices beyond `PERMANENT_LIMIT` rows."""
+
+
+def segment_coverable(
+    interval_length: Fraction | int, spec: DerivativeBoundSpec, mset: MonomialSet
+) -> bool:
+    """Single-curve test: the power-form product must be strictly below 1."""
+    if Fraction(interval_length) < 0:
+        raise ValueError("interval length must be nonnegative")
+    return _power_form(Fraction(interval_length), spec, mset) < 1
+
+
+def fj_derivative_bound(
+    j: ExponentPair, i: int, spec: DerivativeBoundSpec
+) -> Fraction:
+    """Decay bound (2N)^j1 * (i X)^j2 * delta^(i-1) for x^j1 f^j2 at level i."""
+    if i < 1:
+        raise ValueError("derivative level i must be >= 1")
+    j1, j2 = j
+    return (2 * spec.N) ** j1 * (i * spec.X) ** j2 * spec.delta ** (i - 1)
+
+
+def interpolation_determinant_bound(
+    xs: Sequence[Fraction | int], bounds: Sequence[Sequence[Fraction | int]]
+) -> Fraction:
+    """Node-spread times permanent: the exact evaluation-determinant bound.
+
+    prod_{i>j} |x_i - x_j| multiplied by the permanent of the entry-wise
+    derivative bounds; the permanent uses Ryser's method and refuses sizes
+    beyond `PERMANENT_LIMIT`.
+    """
+    n = len(xs)
+    if n == 0:
+        raise ValueError("need at least one node")
+    if len(bounds) != n or any(len(row) != n for row in bounds):
+        raise ValueError("bound matrix must be n x n")
+    if any(Fraction(e) < 0 for row in bounds for e in row):
+        raise ValueError("bounds must be nonnegative")
+    if n > PERMANENT_LIMIT:
+        raise BoundMatrixTooLarge("bound matrix too large")
+    spread = Fraction(1)
+    vals = [Fraction(v) for v in xs]
+    for i in range(n):
+        for j in range(i):
+            spread *= abs(vals[i] - vals[j])
+    if spread == 0:
+        return Fraction(0)
+    return spread * ryser_permanent(bounds)
+
+
+def ryser_permanent(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Permanent by Ryser's inclusion-exclusion; exponential in the size."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("square nonempty matrix required")
+    a = [[Fraction(e) for e in row] for row in rows]
+    total = Fraction(0)
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        prod = Fraction(1)
+        for i in range(n):
+            s = sum(a[i][j] for j in cols)
+            if s == 0:
+                prod = Fraction(0)
+                break
+            prod *= s
+        if prod:
+            total += prod if (n - len(cols)) % 2 == 0 else -prod
+    return total
+
+
+# -- a branch through a rational point and its Taylor coefficients -----------
+
+
+def branch_from_point(
+    curve: BiPoly,
+    x0: Fraction | int,
+    y0: Fraction | int,
+    domain: tuple[Fraction | int, Fraction | int],
+) -> AlgebraicBranch:
+    """Construct a branch through the rational curve point (x0, y0): the
+    index of y0 among the real roots of curve(x0, .) on `domain`.
+
+    Certifies at construction that no discriminant root lies in the open
+    domain and no leading-coefficient root in the closed one, so the branch
+    function exists and stays smooth across it.
+    """
+    x0, y0 = Fraction(x0), Fraction(y0)
+    lo, hi = Fraction(domain[0]), Fraction(domain[1])
+    if not lo <= x0 <= hi:
+        raise BranchError("seed abscissa outside the domain")
+    if curve.evaluate(x0, y0) != 0:
+        raise BranchError("seed is not a curve point")
+    if curve.degree_y() < 1:
+        raise BranchError("curve must depend on y in this orientation")
+    if partial(curve, "y").evaluate(x0, y0) == 0:
+        raise BranchError("branch is singular/vertical at the seed")
+    _certify_smooth_over(curve, lo, hi)
+    u = _column(curve, x0)
+    roots = all_real_roots(u)
+    idx = next(
+        (k for k, r in enumerate(roots) if r.lo <= y0 <= r.hi and (r.is_exact() or _rat_eval(u, y0) == 0)),
+        None,
+    )
+    if idx is None:
+        raise BranchError("seed value is not a root of the specialized curve")
+    return AlgebraicBranch(curve, idx, len(roots), (lo, hi))
+
+
+def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
+    lead = curve.rows[-1]
+    if len(lead) >= 2 and (_rat_eval(lead, lo) == 0 or _rat_eval(lead, hi) == 0):
+        # a level curve reduced modulo the curve keeps its sign only where
+        # lc_y(F) != 0, so the closed domain must avoid its roots
+        raise BranchError("leading coefficient in y vanishes at a domain end")
+    if hi <= lo:
+        return
+    disc = _frame_loci(curve).disc
+    for obs in ([] if disc is None else [disc]) + ([lead] if len(lead) >= 2 else []):
+        if not obs:
+            raise BranchError("curve fails the smoothness certificate (zero obstruction)")
+        # roots strictly inside (lo, hi) are forbidden
+        inner = count_real_roots(obs, lo, hi) - (_rat_eval(obs, lo) == 0) - (_rat_eval(obs, hi) == 0)
+        if inner > 0:
+            raise BranchError("branch is singular/vertical inside the requested domain")
+
+
+def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Optional[Fraction]:
+    """The exact branch value f(x0) when rational, else None (certified)."""
+    bracket = branch_value_bracket(branch, Fraction(x0))
+    if bracket.is_exact():
+        return bracket.lo
+    return rational_root_in(_column(branch.curve, Fraction(x0)), bracket.lo, bracket.hi)
+
+
+def _undetermined_taylor(
+    curve: BiPoly, at: Fraction, y0: Fraction, kmax: int
+) -> list[Fraction]:
+    """Taylor coefficients of the branch through (at, y0) by matching powers
+    in F(at + s, sum c_i s^i) = 0, one coefficient at a time."""
+    fy0 = partial(curve, "y").evaluate(at, y0)
+    if fy0 == 0:
+        raise BranchError("branch is singular/vertical here")
+    coeffs = [y0]
+    # expansions of (at + s)^j1 are binomial; series powers of y are rebuilt
+    # per step at the needed truncation only
+    for k in range(1, kmax + 1):
+        acc = Fraction(0)  # coefficient of s^k with c_k set to zero
+        ypows: dict[int, list[Fraction]] = {0: [Fraction(1)] + [Fraction(0)] * k}
+        base = coeffs + [Fraction(0)] * (k + 1 - len(coeffs))
+
+        def ypow(e: int) -> list[Fraction]:
+            if e not in ypows:
+                prev = ypow(e - 1)
+                cur = [Fraction(0)] * (k + 1)
+                for i, a in enumerate(prev):
+                    if a:
+                        for j2, b in enumerate(base):
+                            if i + j2 > k:
+                                break
+                            cur[i + j2] += a * b
+                ypows[e] = cur
+            return ypows[e]
+
+        for (j1, j2), c in curve.terms.items():
+            yp = ypow(j2)
+            for t in range(min(j1, k) + 1):
+                acc += c * comb(j1, t) * at ** (j1 - t) * yp[k - t]
+        coeffs.append(-acc / fy0)
+    return coeffs
+
+
+def taylor_coefficients(
+    branch: AlgebraicBranch, at: Fraction | int, kmax: int
+) -> list[Fraction]:
+    """Exact [f(at), f'(at), f''(at)/2!, ...] up to order kmax.
+
+    Computed from the implicit-derivative recurrence and cross-validated
+    against a power-series expansion with undetermined coefficients.
+    """
+    at = Fraction(at)
+    y0 = branch_value_rational(branch, at)
+    if y0 is None:
+        raise BranchError("evaluation point must be a rational curve point")
+    fy0 = partial(branch.curve, "y").evaluate(at, y0)
+    if fy0 == 0:
+        raise BranchError("branch is singular/vertical here")
+    out = [y0]
+    if kmax >= 1:
+        for k, hk in enumerate(hk_sequence(branch.curve, kmax), start=1):
+            out.append(-hk.evaluate(at, y0) / (factorial(k) * fy0 ** (2 * k - 1)))
+    check = _undetermined_taylor(branch.curve, at, y0, kmax) if kmax >= 1 else [y0]
+    if check != out:
+        raise RuntimeError("implicit-derivative recurrence disagrees with series expansion")
+    return out
+
+
+# -- cover counting for convex graphs ----------------------------------------
+
+
+class OracleBoundError(RuntimeError):
+    """A sampled derivative coefficient violated the certified decay bound."""
+
+
+class ConvexityViolation(RuntimeError):
+    """A line met more than two points of a supposedly strictly convex graph."""
+
+
+@dataclass
+class TaylorOracle:
+    """Exact normalized Taylor data f^(i)(x)/i! for a convex graph on [lo, hi]."""
+
+    lo: Fraction
+    hi: Fraction
+    coefficients: Callable[[Fraction, int], list[Fraction]]
+
+
+def polynomial_taylor_oracle(poly, lo: Fraction | int, hi: Fraction | int) -> TaylorOracle:
+    """Oracle backed by a univariate polynomial (UniPoly)."""
+
+    def coeffs(x: Fraction, kmax: int) -> list[Fraction]:
+        out: list[Fraction] = []
+        q = poly
+        fact = 1
+        for i in range(kmax + 1):
+            out.append(q.evaluate(x) / fact)
+            q = q.derivative()
+            fact *= i + 1
+        return out
+
+    return TaylorOracle(Fraction(lo), Fraction(hi), coeffs)
+
+
+def jarnik_taylor_oracle(config: JarnikConfiguration) -> TaylorOracle:
+    return TaylorOracle(
+        Fraction(0),
+        Fraction(config.q_total),
+        lambda x, kmax: smoothed_taylor(config, x, kmax),
+    )
+
+
+@dataclass
+class ConvexCoverReport:
+    total: int
+    points: list[LatticePoint]
+    certificate: CoverCertificate
+    per_curve_counts: list[int]
+    budget: int
+    parameters: dict = field(default_factory=dict)
+
+
+def convex_cover_count(
+    oracle: TaylorOracle, d: int, n_box: int, delta: Fraction | int
+) -> ConvexCoverReport:
+    """Count integer points on a convex graph by covering them with curves of
+    degree <= d, verifying each claimed point directly against the oracle.
+
+    Every sampled coefficient is checked against the decay bound
+    |f^(i)(x)/i!| <= N * delta^i; a line curve collecting more than two
+    points contradicts strict convexity and aborts.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    delta = Fraction(delta)
+    mset = full_set(d)
+    spec = DerivativeBoundSpec(X=Fraction(n_box), delta=delta, N=Fraction(n_box))
+    pts: list[LatticePoint] = []
+    for k in range(max(0, ceil(oracle.lo)), min(n_box, floor(oracle.hi)) + 1):
+        cs = oracle.coefficients(Fraction(k), mset.D - 1)
+        for i, ci in enumerate(cs):
+            if abs(ci) > spec.X * delta**i:
+                raise OracleBoundError(
+                    f"coefficient level {i} at x={k} violates the decay bound"
+                )
+        c0 = cs[0]
+        if c0.denominator == 1 and 0 <= c0 <= n_box:
+            pts.append(LatticePoint(k, int(c0)))
+    cert = greedy_cover(pts, mset)
+    per_curve: list[int] = []
+    for idx, cov in enumerate(cert.curves):
+        count = sum(1 for p in pts if cov.evaluate(p.x, p.y) == 0)
+        if cov.degree == 1 and count > 2:
+            raise ConvexityViolation(
+                "a line met more than two points of the convex graph"
+            )
+        per_curve.append(count)
+    budget = curve_budget(oracle.hi - oracle.lo, spec, mset)
+    return ConvexCoverReport(
+        total=len(pts),
+        points=pts,
+        certificate=cert,
+        per_curve_counts=per_curve,
+        budget=budget,
+        parameters={"d": d, "N": n_box, "delta": str(delta)},
+    )

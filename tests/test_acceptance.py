@@ -20,18 +20,18 @@ from latcurve.counting import (
     brute_force_count,
     determinant_method_count,
 )
-from latcurve.detmethod import (
-    DerivativeBoundSpec,
-    extract_cover_curve,
-    interpolation_determinant_bound,
-    segment_coverable,
-)
+from latcurve.detmethod import DerivativeBoundSpec, extract_cover_curve
 from latcurve.jarnik import convex_slope_check, jarnik_construct
 from latcurve.monomials import full_set, punctured_set
 from latcurve.poly2 import BiPoly, corner_index, parse, partial
 from latcurve.unipoly import UniPoly
 
-from reference_helpers import fraction_determinant, poly_sup_bound
+from reference_helpers import (
+    fraction_determinant,
+    interpolation_determinant_bound,
+    poly_sup_bound,
+    segment_coverable,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:

@@ -17,17 +17,14 @@ from latcurve.branch import (
     BranchError,
     DegenerateLevelSetError,
     LevelSetContactError,
-    branch_from_point,
     branch_integer_point,
     branch_value_bracket,
-    branch_value_rational,
     certified_orders,
     graph_decompose,
     hk_sequence,
     large_interval_check,
     level_set_abscissas,
     partition_by_bounds,
-    taylor_coefficients,
 )
 from latcurve.counting import brute_force_count, default_delta, default_ell, determinant_method_count
 from latcurve.detmethod import LatticePoint
@@ -61,7 +58,14 @@ from latcurve.unipoly import (
 )
 
 from fraction_bipoly import FractionBiPoly
-from reference_helpers import branch_sign, integer_in, reduce_modulo
+from reference_helpers import (
+    branch_from_point,
+    branch_sign,
+    branch_value_rational,
+    integer_in,
+    reduce_modulo,
+    taylor_coefficients,
+)
 
 
 def series_taylor_oracle(curve, x0, y0, kmax):
@@ -384,7 +388,14 @@ def test_level_eliminant_matches_unreduced_route():
     level curve cancel (g the row of y^(n-1) in F), `_level_resultant`'s
     eliminant equals the route with no reduction once the factors of
     prim(lc_y F) are shed from both, and a degenerate case raises on both
-    sides."""
+    sides.  A y-free R sheds them too: on `5*x^2*y - 2` (lc_y F = 5*x^2)
+    at c = 38, R is free of y and the eliminants of orders 5 and 10 have
+    degrees 8 and 12, against 22 and 42 with the factors left in."""
+    curve = parse("5*x^2*y - 2")
+    for i, degree in ((5, 8), (10, 12)):
+        reduced, res = branch_module._level_resultant(curve, i, Fraction(38))
+        assert reduced.degree_y() < 1 and len(res) - 1 == degree
+        assert _check_level_eliminant(curve, i, Fraction(38)) >= {"reduced_free_of_y"}
     for text, i in (("y^2 + x*y - x^3", 1), ("y^2 + x^2*y - x", 2), ("2*y^3 - x^2*y^2 + y - 5*x", 2)):
         curve = parse(text)
         lead, g = curve.rows[-1][0], curve.rows[-2]
@@ -805,14 +816,17 @@ def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
 
 
 def _count_repeated_part_builds(monkeypatch):
+    """Record each repeated-root part that `branch` builds: its one
+    `squarefree_part` call does so, while `int_exact_quotient` also divides
+    lc_y(F) out of every eliminant."""
     calls = []
 
-    def counted(f, g):
-        calls.append(len(f))
-        return original(f, g)
+    def counted(p):
+        calls.append(len(p))
+        return original(p)
 
-    original = branch_module.int_exact_quotient
-    monkeypatch.setattr(branch_module, "int_exact_quotient", counted)
+    original = branch_module.squarefree_part
+    monkeypatch.setattr(branch_module, "squarefree_part", counted)
     return calls
 
 

@@ -7,28 +7,26 @@ import pytest
 
 from latcurve import detmethod, exactlinalg
 from latcurve.detmethod import (
-    BoundMatrixTooLarge,
     DerivativeBoundSpec,
     LatticePoint,
     curve_budget,
     extract_cover_curve,
-    fj_derivative_bound,
     greedy_cover,
-    interpolation_determinant_bound,
     monomial_matrix,
-    segment_coverable,
 )
-from latcurve.exactlinalg import (
-    integer_determinant,
-    integer_kth_root_ceiling,
-    matrix_rank,
-    row_echelon_pivots,
-)
+from latcurve.exactlinalg import integer_determinant, integer_kth_root_ceiling, row_echelon_pivots
 from latcurve.monomials import PunctureError, full_set, punctured_set
 from latcurve.poly2 import BiPoly, parse
 from latcurve.unipoly import UniPoly
 
-from reference_helpers import fraction_determinant, poly_sup_bound
+from reference_helpers import (
+    BoundMatrixTooLarge,
+    fj_derivative_bound,
+    fraction_determinant,
+    interpolation_determinant_bound,
+    poly_sup_bound,
+    segment_coverable,
+)
 
 
 def pts(*pairs):
@@ -43,7 +41,7 @@ def test_monomial_matrix_examples():
     assert monomial_matrix(pts((0, 0)), full_set(1)) == [[1, 0, 0]]
     m = monomial_matrix(pts((1, 1), (2, 4), (3, 9)), full_set(2))
     assert len(m) == 3 and len(m[0]) == 6
-    assert matrix_rank(m) == 3
+    assert row_echelon_pivots(m)[0] == 3
 
 
 def test_monomial_matrix_rejects_duplicates():
@@ -79,7 +77,7 @@ def test_extract_full_rank_returns_none():
 
 def rank_drop_converse(points, mset):
     """Test helper: points on a common span curve force a rank drop."""
-    return matrix_rank(monomial_matrix(points, mset)) < mset.D
+    return row_echelon_pivots(monomial_matrix(points, mset))[0] < mset.D
 
 
 def test_rank_converse_on_span_curves():
@@ -104,7 +102,7 @@ def test_extract_vanishes_on_all_points_random():
         points = pts(*sorted(seen))
         cover = extract_cover_curve(points, mset)
         if cover is None:
-            assert matrix_rank(monomial_matrix(points, mset)) == mset.D
+            assert row_echelon_pivots(monomial_matrix(points, mset))[0] == mset.D
             continue
         assert not cover.is_zero()
         assert cover.has_integer_coefficients()

@@ -7,13 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcurve.exactlinalg import (
-    integer_determinant,
-    integer_kth_root_ceiling,
-    matrix_rank,
-    row_echelon_pivots,
-    ryser_permanent,
-)
+from latcurve.exactlinalg import integer_determinant, integer_kth_root_ceiling, row_echelon_pivots
 from latcurve import unipoly
 from latcurve.counting import brute_force_count
 from latcurve.poly2 import parse
@@ -47,7 +41,7 @@ from latcurve.unipoly import (
     sturm_chain,
 )
 
-from reference_helpers import fraction_determinant, integer_in, poly_sup_bound
+from reference_helpers import fraction_determinant, integer_in, poly_sup_bound, ryser_permanent
 
 
 # -- independent oracles -------------------------------------------------------
@@ -123,13 +117,13 @@ def naive_sturm_count(p: UniPoly, lo, hi):
     return extra + var(lo) - var(hi)
 
 
-# -- matrix_rank ------------------------------------------------------------------
+# -- rank -------------------------------------------------------------------------
 
 
 def test_rank_examples():
-    assert matrix_rank([[1, 1, 1], [1, 2, 2], [1, 3, 3]]) == 2
-    assert matrix_rank([[0] * 3 for _ in range(3)]) == 0
-    assert matrix_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert row_echelon_pivots([[1, 1, 1], [1, 2, 2], [1, 3, 3]])[0] == 2
+    assert row_echelon_pivots([[0] * 3 for _ in range(3)])[0] == 0
+    assert row_echelon_pivots([[1, 0, 0], [0, 1, 0], [0, 0, 1]])[0] == 3
 
 
 def test_rank_against_rref_oracle():
@@ -141,7 +135,9 @@ def test_rank_against_rref_oracle():
             [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
             for _ in range(rows)
         ]
-        assert matrix_rank(m) == rref_nonzero_rows(m)
+        # each row times the lcm of its denominators: the same rank, on integers
+        scaled = [[int(e * math.lcm(*(v.denominator for v in row))) for e in row] for row in m]
+        assert row_echelon_pivots(scaled)[0] == rref_nonzero_rows(m)
 
 
 def test_row_echelon_pivots_prefers_early_rows():

@@ -5,20 +5,17 @@ from math import gcd
 
 import pytest
 
-from latcurve.jarnik import (
+from latcurve.jarnik import convex_slope_check, jarnik_construct, smoothed_taylor, smoothed_value, verify_smoothing
+from latcurve.poly2 import parse
+from latcurve.unipoly import UniPoly
+
+from reference_helpers import (
     ConvexityViolation,
     OracleBoundError,
     convex_cover_count,
-    convex_slope_check,
-    jarnik_construct,
     jarnik_taylor_oracle,
     polynomial_taylor_oracle,
-    smoothed_taylor,
-    smoothed_value,
-    verify_smoothing,
 )
-from latcurve.poly2 import parse
-from latcurve.unipoly import UniPoly
 
 
 def coprime_count(h):

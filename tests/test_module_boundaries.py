@@ -2,15 +2,20 @@
 
 - The integer-row internals of `poly2` stay inside it: no other module of
   the package imports a `_`-prefixed name, `Rows` or `IntTerms` from `poly2`.
-- Every top-level function or class of the package is reached by package
-  code: its own module or another one uses it, `latcurve/__init__.py`
-  exports it, or a latbench span binds it.  Code that only tests call lives
+- Every top-level function or class of the package is reached: another
+  top-level statement of a package module or a script under `scripts/`
+  uses it, or a latbench span binds it.  An export from
+  `latcurve/__init__.py` is not a use.  Code that only tests call lives
   under `tests/`.
+- `latcurve/__init__.py` exports only the documented API: each name it
+  imports is named in README.md, or referenced by a script under
+  `scripts/` or by `latbench/run.py`, which read it from `latcurve`.
 - Every defaulted parameter of a top-level package function is set by at
   least one call in `src`, `tests`, `scripts` or `latbench`: a setting that
   no caller sets is a constant."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -54,13 +59,18 @@ def _referenced(node: ast.AST) -> set[str]:
     return out
 
 
-def unreached_definitions(sources: dict[str, str], spanned: set[str]) -> list[str]:
+def unreached_definitions(sources: dict[str, str], spanned: set[str], scripts: list[str]) -> list[str]:
     """`module.name` of each top-level function or class in `sources` (module
     name -> source) that no top-level statement but its own definition
-    references and no name in `spanned` names.  `__init__` counts as a
-    module, so an export is a reference."""
-    bodies = {module: [(node, _referenced(node)) for node in ast.parse(text).body] for module, text in sources.items()}
+    references, that no source in `scripts` references, and that no name in
+    `spanned` names.  `__init__` is skipped, so an export is no reference."""
+    bodies = {
+        module: [(node, _referenced(node)) for node in ast.parse(text).body]
+        for module, text in sources.items()
+        if module != "__init__"
+    }
     uses = Counter(name for body in bodies.values() for _, names in body for name in names)
+    uses.update(name for text in scripts for name in _referenced(ast.parse(text)))
     return [
         f"{module}.{node.name}"
         for module, body in bodies.items()
@@ -83,16 +93,43 @@ def latbench_layer_names() -> set[str]:
 
 def test_unreached_definitions_reads_every_kind_of_use():
     sources = {
-        "__init__": "from .a import exported",
-        "a": "def exported(): pass\ndef own(): pass\ndef dead(): return dead()\nclass Used: pass\nX = own",
+        "__init__": "from .a import exported, scripted",
+        "a": "def exported(): pass\ndef scripted(): pass\ndef own(): pass\ndef dead(): return dead()\n"
+        "class Used: pass\nX = own",
         "b": "from . import a\ndef spanned(): pass\ndef attr(): return a.Used\ndef orphan(): attr()",
     }
-    assert unreached_definitions(sources, {"spanned"}) == ["a.dead", "b.orphan"]
+    scripts = ["from latcurve import scripted\nscripted()"]
+    assert unreached_definitions(sources, {"spanned"}, scripts) == ["a.exported", "a.dead", "b.orphan"]
+
+
+def script_sources() -> list[str]:
+    return [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
 
 
 def test_every_package_definition_is_reached():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreached_definitions(sources, latbench_layer_names()) == []
+    assert unreached_definitions(sources, latbench_layer_names(), script_sources()) == []
+
+
+def undocumented_exports(init: str, readme: str, readers: list[str]) -> list[str]:
+    """Each name the `__init__` source imports that `readme` does not name as
+    a word and no source in `readers` references."""
+    read = {name for text in readers for name in _referenced(ast.parse(text))}
+    exported = [a.name for node in ast.parse(init).body if isinstance(node, ast.ImportFrom) for a in node.names]
+    return [name for name in exported if name not in read and not re.search(rf"\b{name}\b", readme)]
+
+
+def test_undocumented_exports_reads_readme_and_readers():
+    init = "from .a import named, read, hidden\nfrom .b import attr\nX = 1"
+    readme = "`named(...)` counts; `hidden_helper` is a longer word"
+    readers = ["from latcurve import read", "lib.attr()"]
+    assert undocumented_exports(init, readme, readers) == ["hidden"]
+
+
+def test_package_exports_only_the_documented_api():
+    init = (PACKAGE / "__init__.py").read_text()
+    readers = script_sources() + [(ROOT / "latbench" / "run.py").read_text()]
+    assert undocumented_exports(init, (ROOT / "README.md").read_text(), readers) == []
 
 
 def defaulted_parameters(source: str) -> dict[str, list[tuple[int | None, str]]]:

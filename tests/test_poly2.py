@@ -24,7 +24,7 @@ from latcurve import poly2
 from latcurve.unipoly import UniPoly, _int_mul, primitive_ints
 
 from fraction_bipoly import FractionBiPoly
-from reference_helpers import divide_lc_power, reduce_modulo
+from reference_helpers import branch_from_point, divide_lc_power, reduce_modulo, taylor_coefficients
 
 
 def rand_bipoly(rng, max_deg=3, max_terms=5, span=5):
@@ -383,8 +383,6 @@ def test_divides_random_products():
 
 def test_divides_points_on_factor():
     """divides(f, g) forces g to vanish on 50 branch-constructed points of f."""
-    from latcurve.branch import branch_from_point, taylor_coefficients
-
     f = parse("x*y - 12")
     g = f * parse("x + y - 1")
     assert divides(f, g)
