@@ -11,7 +11,7 @@ construction with its certificates.  Everything else is read from its
 module, such as `latcurve.branch` or `latcurve.unipoly`.
 """
 
-from .branch import BranchError, LevelSetContactError
+from .branch import BranchError
 from .counting import (
     CommonComponentError,
     CountingError,

@@ -25,10 +25,10 @@ lc_y(F) and a constant, and no branch domain holds a root of lc_y(F), so
 it has the level set's roots there.  Along the branch the
 product of the columns of the two reduced +-thr level curves of order i
 has the sign of (f^(i)/i!)^2 - thr^2, which changes only at a level-set
-root.  So each piece's flag of order i is one query on that product at
-the piece's midpoint.  A level set builds its eliminant's repeated-root
-part only when an eliminant root reaches the tangential test and
-Descartes' rule does not prove it simple.
+zero of odd multiplicity, a crossing.  So the cuts are the crossings and
+the exact rational zeros, a tangential contact is no cut, and each
+piece's flag of order i is one query on that product at the piece's
+midpoint, or at the next interior point when the midpoint is a contact.
 Partition pieces come straight from the sorted cuts: piece j spans the gap
 between cuts j - 1 and j and takes the integer abscissas in
 (floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
@@ -68,22 +68,19 @@ from .unipoly import (
     _int_mul,
     _primitive,
     _rat_eval,
+    _split_points,
     affine_image,
     all_real_roots,
-    count_real_roots,
     graeffe_step,
     int_exact_quotient,
     integer_roots,
     isolate_real_roots,
     primitive_ints,
     ranked_integer_root,
-    rational_root_in,
     refine_clear_of,
     refine_disjoint,
     root_floor,
     sign_at_root,
-    simple_root,
-    squarefree_part,
 )
 
 
@@ -95,11 +92,6 @@ class DegenerateLevelSetError(RuntimeError):
     """The level-set polynomial vanished on the whole curve: the normalized
     derivative is identically equal to the requested level, so there is no
     finite solution set to isolate."""
-
-
-class LevelSetContactError(RuntimeError):
-    """A tangential level-set contact at an irrational abscissa could not be
-    certified either way within the refinement budget."""
 
 
 @dataclass(frozen=True)
@@ -333,46 +325,29 @@ def _level_set(
         return sign_at_root(_bracket_at(branch, x, brackets), level.int_column(x))
 
     included: list[RootInterval] = []
-    mult: Optional[list[int]] = None
     for r in roots:
-        if r.is_exact():
-            if level_sign(r.lo) == 0:
-                included.append(r)
-            continue
-        s_lo = level_sign(r.lo)
-        s_hi = level_sign(r.hi)
-        if s_lo == 0 or s_hi == 0:
-            raise LevelSetContactError("sample point unexpectedly on the level set")
-        if s_lo * s_hi < 0:
+        # < 0 across a crossing's bracket, and 0 on an exact bracket of the level set
+        s = level_sign(r.lo) * level_sign(r.hi)
+        if s == 0 and not r.is_exact():
+            raise BranchError("sample point unexpectedly on the level set")
+        if s <= 0:
             included.append(r)
-            continue
-        if simple_root(res, r):
-            continue  # simple eliminant root without a crossing: not on this branch
-        if mult is None:
-            mult = int_exact_quotient(res, squarefree_part(res))
-        if len(mult) < 2 or count_real_roots(mult, r.lo, r.hi) == 0:
-            continue
-        rr = rational_root_in(r.polynomial, r.lo, r.hi)
-        if rr is not None:
-            if level_sign(rr) == 0:
-                included.append(RootInterval(rr, rr, r.polynomial))
-            continue
-        raise LevelSetContactError(
-            "cannot certify a tangential level-set contact at an irrational abscissa"
-        )
     return included
 
 
 def level_set_abscissas(
     branch: AlgebraicBranch, i: int, c: Fraction | int
 ) -> list[RootInterval]:
-    """Isolating intervals for the x in the domain with f^(i)(x)/i! = c.
+    """Isolating intervals for the x in the domain where f^(i)(x)/i!
+    crosses c, and for the exact rational ones where it equals c.
 
-    An eliminant root where the level curve keeps its sign along the branch
-    is a tangential contact only when it is a repeated root.  A Descartes
-    certificate on the bracket (`simple_root`) proves most such roots simple;
-    only for the first root it leaves open is the repeated-root part (the
-    eliminant over its squarefree part) built.
+    An eliminant root is kept when the reduced level curve changes sign
+    along the branch across its bracket, which is a zero of odd
+    multiplicity, or when its bracket is exact and the level curve
+    vanishes there.  A tangential contact, where f^(i)/i! touches c without
+    crossing it, is dropped unless its bracket is exact: no flag of
+    `partition_by_bounds` changes there.  A reduced level curve free of y
+    is its own eliminant, so all its roots in the domain are kept.
     """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
@@ -587,12 +562,17 @@ def partition_by_bounds(
     the integer abscissas in (floor(root_(j-1)), floor(root_j)].
 
     Along the branch L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 * ((f^(i)/i!)^2
-    - thr^2), and the level sets hold every zero of either level curve in
-    the domain, so the flag of order i is constant on a piece.  Each piece
-    takes one Tarski query per order on the product of the two reduced
-    +-thr level curves' columns at its midpoint.  A zero there is an error
-    on a piece with lo < hi; on a one-point domain [k, k] it means
-    |f^(i)(k)/i!| = thr, which meets the closed bound and reads small.
+    - thr^2), which changes sign only at a zero of odd multiplicity of one
+    level curve, a crossing.  The level sets hold every crossing in the
+    domain, so the flag of order i is constant on a piece and its closed
+    bound holds on the whole piece.  Each piece takes one Tarski query per
+    order on the product of the two reduced +-thr level curves' columns at
+    its midpoint.  A piece with lo < hi may hold tangential contacts, where
+    the product vanishes without changing sign; when the midpoint is one,
+    the query moves on along the `unipoly._split_points` walk to the first
+    interior point that is none, and there are finitely many.  On a
+    one-point domain [k, k] a zero means |f^(i)(k)/i!| = thr, which meets
+    the closed bound and reads small.
     """
     if big_d < 2:
         raise ValueError("D must be >= 2")
@@ -622,26 +602,30 @@ def partition_by_bounds(
     cuts = [r for r in cuts if lo < r.lo and r.hi < hi]
     fy = partial(branch.curve, "y")
 
+    def product_sign(i: int, thr: Fraction, x: Fraction) -> int:
+        # both level sets of order i succeeded above, so these are cached
+        plus = _level_resultant(branch.curve, i, thr)[0].int_column(x)
+        minus = _level_resultant(branch.curve, i, -thr)[0].int_column(x)
+        return sign_at_root(_bracket_at(branch, x, brackets), _int_mul(plus, minus))
+
     # piece j ends at cut j's bracket and at the floor of its root
     ends = [(cut.lo, cut.hi, root_floor(cut)) for cut in cuts] + [(hi, hi, floor(hi))]
     pieces: list[Piece] = []
     plo, first = lo, ceil(lo)
     for phi, next_lo, last in ends:
         mid = (plo + phi) / 2
-        bracket = _bracket_at(branch, mid, brackets)
-        if sign_at_root(bracket, fy.int_column(mid)) == 0:
+        if sign_at_root(_bracket_at(branch, mid, brackets), fy.int_column(mid)) == 0:
             raise BranchError("branch derivative degenerate at a piece midpoint")
         flags: list[str] = []
         for i, thr in enumerate(thresholds, start=1):
             if i in forced_small:
                 flags.append("small")
                 continue
-            # both level sets of order i succeeded above, so these are cached
-            plus = _level_resultant(branch.curve, i, thr)[0].int_column(mid)
-            minus = _level_resultant(branch.curve, i, -thr)[0].int_column(mid)
-            s = sign_at_root(bracket, _int_mul(plus, minus))
+            s = product_sign(i, thr, mid)
             if s == 0 and plo < phi:
-                raise BranchError("piece midpoint fell on a level set")
+                # a tangential contact: the flag is constant on the piece and
+                # the product vanishes at finitely many points of it
+                s = next(filter(None, (product_sign(i, thr, x) for x in _split_points(plo, phi))))
             # on a one-point piece s = 0 means |f^(i)/i!| = thr: the closed bound holds
             flags.append("small" if s <= 0 else "large")
         pieces.append(Piece(plo, phi, tuple(flags), tuple(range(first, last + 1))))

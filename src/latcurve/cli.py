@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .branch import LevelSetContactError, hk_sequence
+from .branch import hk_sequence
 from .counting import (
     CountingError,
     CountReport,
@@ -72,9 +72,7 @@ def _cmd_count(args) -> int:
                 delta=delta,
                 compare_oracle=(args.method == "both"),
             )
-    except (
-        CountingError, LineFactorError, IngestionError, LevelSetContactError, ValueError
-    ) as exc:
+    except (CountingError, LineFactorError, IngestionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out == "json":

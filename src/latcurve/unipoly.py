@@ -8,7 +8,7 @@ closed forms, sign variations and sign bisections hold for every integer
 multiple, and its chain builder normalises.  Roots are reported as
 rational-endpoint isolating intervals that carry a primitive integer tuple;
 a degenerate interval [r, r] marks an exactly known rational root.
-`isolate_real_roots` and `simple_root` test the domain ends on f, which has
+`isolate_real_roots` tests the domain ends on f, which has
 the same zeros as its squarefree part, and divide the end roots out of f
 (`_end_roots`).  A Descartes bound (`descartes_bound`) then decides the open
 domain: v = 0 means no root inside, v = 1 one simple root, whose bracket is
@@ -36,11 +36,12 @@ at an isolated root is a Tarski query (`sign_at_root`): sign variations at
 the bracket ends of the signed remainder sequence of the bracket polynomial
 f and f'*v mod f, built by the same integer chain builder, with no gcd and
 no interval enclosure.  Two brackets of coprime polynomials are told apart
-by a gcd modulo a prime, and a bracket's root is proved simple by Descartes'
-rule (`simple_root`).  The package locates roots only through this module:
-one entry normaliser, one affine map, one Descartes bound, one squarefree
-part, one bisection step, one integer root search, one floor, one range test
-and one sign test.
+by a gcd modulo a prime.  Every split point is the first non-root on one
+walk of interior points (`_split_points`), which `branch` also takes past
+a level-set contact at a partition piece's midpoint.  The package locates
+roots only through this module: one entry normaliser, one affine map, one
+Descartes bound, one squarefree part, one bisection step, one integer root
+search, one floor, one range test and one sign test.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ZeroPolynomialError(ValueError):
@@ -502,9 +503,6 @@ class RootInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
@@ -516,23 +514,25 @@ _SPLIT_FRACTIONS = (
 )
 
 
+def _split_points(a: Fraction, b: Fraction) -> Iterator[Fraction]:
+    """Distinct rational points strictly inside (a, b), for a < b: those at
+    `_SPLIT_FRACTIONS` of the way, the midpoint first, then the points of
+    finer and finer grids, so a walk that avoids finitely many bad points
+    ends."""
+    yield from (a + (b - a) * t for t in _SPLIT_FRACTIONS)
+    k = 8
+    while True:
+        yield from (a + (b - a) * Fraction(i, k) for i in range(1, k))
+        k *= 2
+
+
 def _nonroot_split(f: Sequence[int], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
     """A rational point m strictly inside (a, b) where the nonzero integer
     polynomial f does not vanish, and `_rat_eval(f, m)`, which has its sign."""
-    for t in _SPLIT_FRACTIONS:
-        m = a + (b - a) * t
+    for m in _split_points(a, b):
         fm = _rat_eval(f, m)
         if fm:
             return m, fm
-    # f has finitely many roots; walk a finer grid until one point is free.
-    k = 8
-    while True:
-        for i in range(1, k):
-            m = a + (b - a) * Fraction(i, k)
-            fm = _rat_eval(f, m)
-            if fm:
-                return m, fm
-        k *= 2
 
 
 def bisect_step(
@@ -666,17 +666,6 @@ def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
     df = [i * c for i, c in enumerate(f)][1:]
     chain = _int_sturm_chain(f, _int_prem_signed(_int_mul(df, v), f))
     return _int_variations(chain, r.lo) - _int_variations(chain, r.hi)
-
-
-def simple_root(p: Sequence[int], r: RootInterval) -> bool:
-    """Whether Descartes' rule proves the root that the non-exact bracket r
-    isolates to be a simple root of p, a polynomial that vanishes there.
-
-    The roots of p at the bracket ends are divided out (`_end_roots`); v = 1
-    from `descartes_bound` then means one root in the open bracket counted
-    with multiplicity.  False means v >= 2, which decides nothing.
-    """
-    return _end_roots(_primitive(p), r.lo, r.hi)[2] == 1
 
 
 # Primes for the modular coprimality tests of `squarefree_part` and `_same_root`.
@@ -899,27 +888,3 @@ def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     unbounded `_root_slots` and its slot `index`."""
     slots = _root_slots(p, None, None)
     return len(slots), slots[index] if 0 <= index < len(slots) else None
-
-
-def rational_root_in(p: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction | None:
-    """The rational root of p inside the isolating interval [lo, hi], if any.
-
-    Certified both ways: any rational root has denominator dividing the
-    leading coefficient of the primitive form, so after refining below the
-    spacing of such fractions the single candidate decides it.
-    """
-    f = _primitive(p)
-    if lo == hi:
-        return lo if _rat_eval(f, lo) == 0 else None
-    sf = squarefree_part(f)
-    lead = abs(f[-1])
-    # refine [lo, hi] below 1/(2*lead^2) so at most one denominator-dividing
-    # rational fits, then take the best rational approximation
-    target = Fraction(1, 2 * lead * lead + 1)
-    r = refine_root(RootInterval(lo, hi, sf), target)
-    if r.is_exact():
-        return r.lo if _rat_eval(f, r.lo) == 0 else None
-    cand = Fraction(r.midpoint()).limit_denominator(lead)
-    if r.lo <= cand <= r.hi and _rat_eval(f, cand) == 0:
-        return cand
-    return None

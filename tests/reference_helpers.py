@@ -1,10 +1,10 @@
 """Exact helpers that only the tests call, kept here as references.
 
 - Checks of the package's own decisions: a certified sup bound, an integer
-  test on an isolating bracket, a `Fraction` determinant, a reduction modulo
-  a curve and the exact division that takes its leading power back out of
-  an eliminant, the sign of a polynomial along a branch, and a lattice-point
-  sweep over x alone.
+  test and a rational root on an isolating bracket, a `Fraction`
+  determinant, a reduction modulo a curve and the exact division that takes
+  its leading power back out of an eliminant, the sign of a polynomial
+  along a branch, and a lattice-point sweep over x alone.
 - The paper's lemmas, which no count runs: the interpolation-determinant
   bound (Ryser's permanent of the derivative bounds), the single-curve
   threshold, a branch through a rational curve point with its exact Taylor
@@ -44,9 +44,9 @@ from latcurve.unipoly import (
     count_real_roots,
     int_exact_quotient,
     integer_roots,
-    rational_root_in,
     refine_root,
     sign_at_root,
+    squarefree_part,
 )
 
 
@@ -92,6 +92,30 @@ def integer_in(r: RootInterval) -> int | None:
     k = math.ceil(r.lo)
     if k <= r.hi and _int_eval(r.polynomial, k) == 0:
         return k
+    return None
+
+
+def rational_root_in(p: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The rational root of p inside the isolating interval [lo, hi], if any.
+
+    Certified both ways: any rational root has denominator dividing the
+    leading coefficient of the primitive form, so after refining below the
+    spacing of such fractions the single candidate decides it.
+    """
+    f = _primitive(p)
+    if lo == hi:
+        return lo if _rat_eval(f, lo) == 0 else None
+    sf = squarefree_part(f)
+    lead = abs(f[-1])
+    # refine [lo, hi] below 1/(2*lead^2) so at most one denominator-dividing
+    # rational fits, then take the best rational approximation
+    target = Fraction(1, 2 * lead * lead + 1)
+    r = refine_root(RootInterval(lo, hi, sf), target)
+    if r.is_exact():
+        return r.lo if _rat_eval(f, r.lo) == 0 else None
+    cand = ((r.lo + r.hi) / 2).limit_denominator(lead)
+    if r.lo <= cand <= r.hi and _rat_eval(f, cand) == 0:
+        return cand
     return None
 
 

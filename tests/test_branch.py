@@ -16,7 +16,6 @@ from latcurve.branch import (
     AlgebraicBranch,
     BranchError,
     DegenerateLevelSetError,
-    LevelSetContactError,
     branch_integer_point,
     branch_value_bracket,
     certified_orders,
@@ -52,7 +51,6 @@ from latcurve.unipoly import (
     refine_disjoint,
     root_floor,
     sign_at_root,
-    simple_root,
     squarefree_part,
     sturm_chain,
 )
@@ -815,57 +813,67 @@ def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
     assert calls == [(br.curve, branch_module._level_resultant(br.curve, 2, Fraction(-1, 8))[0])]
 
 
-def _count_repeated_part_builds(monkeypatch):
-    """Record each repeated-root part that `branch` builds: its one
-    `squarefree_part` call does so, while `int_exact_quotient` also divides
-    lc_y(F) out of every eliminant."""
+def _count_level_sign_queries(monkeypatch):
+    """Record each sign query that `branch` makes.  A level set of a level
+    curve with y reads its sign at both ends of each eliminant root's
+    bracket, and at no other point."""
     calls = []
 
-    def counted(p):
-        calls.append(len(p))
-        return original(p)
+    def counted(r, v):
+        calls.append(r)
+        return original(r, v)
 
-    original = branch_module.squarefree_part
-    monkeypatch.setattr(branch_module, "squarefree_part", counted)
+    original = branch_module.sign_at_root
+    monkeypatch.setattr(branch_module, "sign_at_root", counted)
     return calls
 
 
 def test_level_set_rational_tangential_contact(monkeypatch):
     # f''/2 = -25/(2 y^3) on the upper circle branch is at most -1/10, with
-    # equality only at x = 0: a double eliminant root without a crossing
-    calls = _count_repeated_part_builds(monkeypatch)
-    br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
-    roots = level_set_abscissas(br, 2, Fraction(-1, 10))
-    assert [(r.lo, r.hi) for r in roots] == [(0, 0)]
-    assert len(calls) == 1
+    # equality only at x = 0: a double eliminant root without a crossing.
+    # Inside the domain it is no cut; at a domain end its bracket is exact
+    # and the level curve vanishes there, so it is kept.
+    inside = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
+    at_end = branch_from_point(FIXTURES["circle"], 3, 4, (0, 4))
+    calls = _count_level_sign_queries(monkeypatch)
+    assert level_set_abscissas(inside, 2, Fraction(-1, 10)) == []
+    assert branch_module._level_resultant(inside.curve, 2, Fraction(-1, 10))[1] == (0, 0, 1875, 0, -75, 0, 1)
+    assert len(calls) == 2
+    calls.clear()
+    assert [(r.lo, r.hi) for r in level_set_abscissas(at_end, 2, Fraction(-1, 10))] == [(0, 0)]
+    assert len(calls) == 2
 
 
 def test_level_set_simple_root_without_crossing_skipped(monkeypatch):
-    # f' = -x/y = -3/4 at (3, 4) on the upper branch; the eliminant's other
-    # simple root x = -3 belongs to the lower branch point (-3, -4)
-    calls = _count_repeated_part_builds(monkeypatch)
+    # f' = -x/y = -3/4 at (3, 4) on the upper branch; the eliminant x^2 - 9
+    # has its other simple root x = -3 at the lower branch point (-3, -4),
+    # so the level curve keeps its sign along the upper branch there
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
+    hyperbola = branch_from_point(FIXTURES["hyperbola"], 3, 4, (1, 12))
+    calls = _count_level_sign_queries(monkeypatch)
     roots = level_set_abscissas(br, 1, Fraction(-3, 4))
     assert len(roots) == 1 and roots[0].lo <= 3 <= roots[0].hi
-    # Descartes v = 1 on the bracket of x = -3 proves it simple: no
-    # repeated-root part is built
-    res = branch_module._level_resultant(br.curve, 1, Fraction(-3, 4))[1]
-    other = [r for r in refine_disjoint(isolate_real_roots(res, -4, 4), Fraction(1, 4)) if r.lo <= -3 <= r.hi]
-    assert len(other) == 1 and simple_root(res, other[0])
-    assert calls == []
-    # crossings alone never build the repeated-root part
+    assert branch_module._level_resultant(br.curve, 1, Fraction(-3, 4))[1] == (-9, 0, 1)
+    # two sign queries per bracket decide both roots
+    assert len(calls) == 4
+    # a reduced level curve free of y is its own eliminant: no query at all
     calls.clear()
-    hyperbola = branch_from_point(FIXTURES["hyperbola"], 3, 4, (1, 12))
     assert len(level_set_abscissas(hyperbola, 1, -3)) == 1
     assert calls == []
 
 
-def test_level_set_irrational_tangential_contact_raises():
+_CONTACT_CURVE = "15*x - 3*y^5 + 20*y^3 - 75*y"
+
+
+def test_level_set_irrational_tangential_contact_is_no_cut(monkeypatch):
     # 15x = 3y^5 - 20y^3 + 75y has f' = 1/((y^2 - 2)^2 + 1) <= 1, with
-    # equality at y = sqrt(2), x = 47*sqrt(2)/15: an irrational contact
-    br = branch_from_point(parse("15*x - 3*y^5 + 20*y^3 - 75*y"), 0, 0, (0, 10))
-    with pytest.raises(LevelSetContactError, match="irrational"):
-        level_set_abscissas(br, 1, 1)
+    # equality at y = sqrt(2), x = 47*sqrt(2)/15: an irrational contact, the
+    # double root of the eliminant -(225x^2 - 4418)^2 in the domain
+    br = branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10))
+    calls = _count_level_sign_queries(monkeypatch)
+    assert level_set_abscissas(br, 1, 1) == []
+    assert branch_module._level_resultant(br.curve, 1, Fraction(1))[1] == (-4418**2, 0, 2 * 225 * 4418, 0, -(225**2))
+    assert len(calls) == 2
 
 
 # -- partitions --------------------------------------------------------------------------
@@ -1249,11 +1257,12 @@ def test_reduced_level_signs_match_unreduced_at_branch_points():
     assert min(seen.values()) >= 20, seen
 
 
-def _two_query_flags(br, piece, thresholds):
+def _two_query_flags(br, piece, thresholds, at=None):
     """The flags of a piece from the signs of F_y and of the two unreduced
-    level curves of each order at its midpoint.  Only a one-point piece may
-    have its midpoint on a level curve, where the closed bound holds."""
-    mid = (piece.lo + piece.hi) / 2
+    level curves of each order at `at`, by default its midpoint, which must
+    not lie on a level curve unless the piece is one point, where the closed
+    bound holds."""
+    mid = (piece.lo + piece.hi) / 2 if at is None else at
     bracket = branch_value_bracket(br, mid)
     sfy = sign_at_root(bracket, partial(br.curve, "y").int_column(mid))
     flags = []
@@ -1305,17 +1314,39 @@ def _pieces(part):
 
 
 def test_flags_across_a_tangential_cut_are_queried_again():
-    # f''/2 = -25/(2 y^3) touches -1/10 at x = 0 without crossing it: the
-    # exact cut there is no crossing, and order 2 stays small
+    # f''/2 = -25/(2 y^3) touches -1/10 at x = 0 without crossing it: x = 0
+    # is no cut, and the piece across it reads order 2 large
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
     part = partition_by_bounds(br, 3, 10, Fraction(1, 10))
     assert _pieces(part) == [
-        (-3, 0, ("small", "large")),
-        (0, Fraction(107, 32), ("small", "large")),
+        (-3, Fraction(107, 32), ("small", "large")),
         (Fraction(57, 16), 4, ("large", "large")),
     ]
     thresholds = [10 * Fraction(1, 10) ** i for i in (1, 2)]
     assert all(p.flags == _two_query_flags(br, p, thresholds) for p in part.pieces)
+
+
+def test_partition_through_an_irrational_contact_is_one_piece():
+    # f' touches N*delta = 1 at x = 47*sqrt(2)/15 without crossing it
+    br = branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10))
+    part = partition_by_bounds(br, 2, 10, Fraction(1, 10))
+    assert _pieces(part) == [(0, 10, ("small",))]
+    assert part.pieces[0].flags == _two_query_flags(br, part.pieces[0], [Fraction(1)])
+
+
+def test_partition_reads_flags_past_a_contact_at_the_midpoint():
+    """On the upper circle branch over (-3, 3), f''/2 = -25/(2 y^3) touches
+    -1/10 = -N*delta^2 at x = 0, the midpoint of the one piece, where the
+    product query of order 2 reads 0.  The flags are read at the next
+    interior point and equal two queries at x = 1, which is no contact."""
+    br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 3))
+    part = partition_by_bounds(br, 3, 10, Fraction(1, 10))
+    assert _pieces(part) == [(-3, 3, ("small", "large"))]
+    plus = branch_module._level_resultant(br.curve, 2, Fraction(1, 10))[0].int_column(0)
+    minus = branch_module._level_resultant(br.curve, 2, Fraction(-1, 10))[0].int_column(0)
+    assert sign_at_root(branch_value_bracket(br, 0), _int_mul(plus, minus)) == 0
+    thresholds = [Fraction(1), Fraction(1, 10)]
+    assert part.pieces[0].flags == _two_query_flags(br, part.pieces[0], thresholds, at=Fraction(1))
 
 
 def test_flags_across_a_cut_of_two_orders_flip_both():

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from latcurve import cli
-from latcurve.branch import LevelSetContactError
 from latcurve.cli import main
 from latcurve.counting import CountReport
 
@@ -53,17 +52,6 @@ def test_count_brute_method_csv(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["x,y,curve_index"] + [f"{k * k},{k},-1" for k in range(1, 11)]
-
-
-def test_count_irrational_contact_exit_2(capsys, monkeypatch):
-    def contact(*args, **kwargs):
-        raise LevelSetContactError("cannot certify a tangential level-set contact at an irrational abscissa")
-
-    monkeypatch.setattr(cli, "determinant_method_count", contact)
-    code, out, err = run_cli(capsys, "count", "--poly", "x*y - 12", "--box", "12")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: cannot certify") and len(err.splitlines()) == 1
 
 
 def test_count_report_not_ok_exit_1(capsys, monkeypatch):

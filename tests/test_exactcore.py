@@ -31,7 +31,6 @@ from latcurve.unipoly import (
     poly_gcd,
     primitive_ints,
     ranked_integer_root,
-    rational_root_in,
     refine_clear_of,
     refine_disjoint,
     refine_root,
@@ -41,7 +40,7 @@ from latcurve.unipoly import (
     sturm_chain,
 )
 
-from reference_helpers import fraction_determinant, integer_in, poly_sup_bound, ryser_permanent
+from reference_helpers import fraction_determinant, integer_in, poly_sup_bound, rational_root_in, ryser_permanent
 
 
 # -- independent oracles -------------------------------------------------------
@@ -1283,31 +1282,6 @@ def test_same_root_modular_coprimality(monkeypatch):
     assert f[-1] % m31 == 0 and not unipoly._coprime_mod_p(f, g)
     assert unipoly._coprime_mod_p(f, [-3, 1]) and unipoly._coprime_mod_p([-5, 0, 1], [-2, 0, 1])
     assert not unipoly._coprime_mod_p([-4, 0, 1], [2, 1])
-
-
-def test_simple_root_certificate():
-    """`simple_root` never calls a repeated root simple, and decides most
-    simple roots in tight brackets."""
-    rng = random.Random(77)
-    decided = {True: 0, False: 0, "repeated": 0}
-    for p, lo, hi in _certificate_cases(rng, 300):
-        if lo == hi:
-            continue
-        repeated = UniPoly(int_exact_quotient(primitive_ints(p.coeffs), squarefree_part(ints(p))))
-        for r in isolate_real_roots(ints(p), lo, hi):
-            if r.is_exact():
-                continue
-            for w in (r.width, r.width / 7):
-                s = refine_root(r, w)
-                got = unipoly.simple_root(ints(p), s)
-                inside = 0  # repeated roots of p in the open bracket
-                if repeated.degree >= 1:
-                    inside = count_real_roots(ints(repeated), s.lo, s.hi)
-                    inside -= sum(repeated.evaluate(e) == 0 for e in (s.lo, s.hi))
-                assert not (got and inside), (p, s)
-                decided[got] += 1
-                decided["repeated"] += inside > 0
-    assert decided[True] > 100 and decided[False] > 5 and decided["repeated"] > 5, decided
 
 
 def _true_open_count(factors, lo, hi):
