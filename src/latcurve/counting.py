@@ -26,7 +26,6 @@ from .branch import (
     partition_by_bounds,
 )
 from .detmethod import (
-    CoverCertificate,
     DerivativeBoundSpec,
     LatticePoint,
     curve_budget,
@@ -154,7 +153,6 @@ class PieceReport:
 @dataclass
 class BranchReport:
     descriptor: dict
-    certificates: list[CoverCertificate]
     pieces: list[PieceReport]
 
 
@@ -287,7 +285,6 @@ def determinant_method_count(
         mset = punctured_set(d, ell, corner_index(frame_curve))
         part = partition_by_bounds(br, mset.D, Fraction(n_box), delta)
         piece_reports: list[PieceReport] = []
-        certificates: list[CoverCertificate] = []
         for piece in part.pieces:
             pts = []
             for k in piece.integer_abscissas:
@@ -297,7 +294,6 @@ def determinant_method_count(
             interval = (str(piece.lo), str(piece.hi))
             if piece.all_small():
                 cert = greedy_cover(pts, mset, curve=frame_curve)
-                certificates.append(cert)
                 budget = curve_budget(piece.length(), spec, mset)
                 if len(cert.curves) > budget:
                     warnings.append(
@@ -327,7 +323,7 @@ def determinant_method_count(
                 piece_reports.append(
                     PieceReport(interval, piece.flags, "enumerate", 0, None, [], boxed)
                 )
-        branch_reports.append(BranchReport(br.describe(), certificates, piece_reports))
+        branch_reports.append(BranchReport(br.describe(), piece_reports))
 
     exceptions = sorted({p for p in direct_points if _in_box(p, n_box)} - curve_points)
     total = len(curve_points) + len(exceptions)

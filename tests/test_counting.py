@@ -287,11 +287,14 @@ def test_pipeline_report_consistency():
                 covered.update(tuple(p) for p in cd["points"])
     assert len(covered | {tuple(p) for p in rep.exceptions}) == rep.total
     assert not (covered & {tuple(p) for p in rep.exceptions})
-    # certificates stay sound in their own frame
+    # each cover curve, printed in its branch's frame, passes through its points
     for br in rep.per_branch:
-        for cert in br.certificates:
-            for p, idx in cert.assignment.items():
-                assert cert.curves[idx].evaluate(p.x, p.y) == 0
+        swapped = br.descriptor["orientation"] == "y-over-x"
+        for pr in br.pieces:
+            for cd in pr.curves:
+                cover = parse(cd["poly"])
+                for x0, y0 in cd["points"]:
+                    assert (cover.evaluate(y0, x0) if swapped else cover.evaluate(x0, y0)) == 0
 
 
 def test_pipeline_budget_adherence_small_pieces():
@@ -318,11 +321,14 @@ def test_pipeline_rejects_degree_one():
 def test_pipeline_cover_curves_not_divisible_by_input():
     rep = determinant_method_count(parse("x*y - 12"), 100)
     curve = parse("x*y - 12")
+    covers = 0
     for br in rep.per_branch:
-        for cert in br.certificates:
-            for cov in cert.curves:
-                assert not divides(curve, cov)
-                assert not divides(curve.swap_xy(), cov) or True  # frame handled upstream
+        frame = curve.swap_xy() if br.descriptor["orientation"] == "y-over-x" else curve
+        for pr in br.pieces:
+            for cd in pr.curves:
+                assert not divides(frame, parse(cd["poly"]))
+                covers += 1
+    assert covers >= 2
 
 
 @pytest.mark.parametrize(
@@ -387,10 +393,10 @@ def test_pipeline_parabolas_puncture_each_branch_frame():
                 rep = determinant_method_count(parse(text), n)
                 assert rep.ok and rep.total == rep.oracle_total, (text, n)
                 swapped_covers += sum(
-                    len(cert.curves)
+                    pr.emitted_curves
                     for br in rep.per_branch
                     if br.descriptor["orientation"] == "y-over-x"
-                    for cert in br.certificates
+                    for pr in br.pieces
                 )
     assert swapped_covers >= 30
 
