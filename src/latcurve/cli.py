@@ -16,14 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .branch import hk_sequence
-from .counting import (
-    CountingError,
-    CountReport,
-    LineFactorError,
-    brute_force_count,
-    determinant_method_count,
-)
+from .branch import BranchError, hk_sequence
+from .counting import CountingError, CountReport, brute_force_count, determinant_method_count
 from .detmethod import LatticePoint, greedy_cover
 from .jarnik import jarnik_construct, smoothed_taylor, verify_smoothing
 from .monomials import full_set
@@ -72,7 +66,7 @@ def _cmd_count(args) -> int:
                 delta=delta,
                 compare_oracle=(args.method == "both"),
             )
-    except (CountingError, LineFactorError, IngestionError, ValueError) as exc:
+    except (CountingError, IngestionError, BranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out == "json":

@@ -261,6 +261,8 @@ def determinant_method_count(
     if ell < d:
         raise CountingError("ell must be at least the curve degree")
     delta = Fraction(delta) if delta is not None else default_delta(d, ell, n_box)
+    if delta <= 0 or delta * n_box < 1:
+        raise CountingError("delta must be positive with delta * N >= 1")
     spec = DerivativeBoundSpec(X=Fraction(n_box), delta=delta, N=Fraction(n_box))
 
     # one check of the input's lines, so its error does not depend on the oracle

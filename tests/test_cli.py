@@ -139,6 +139,24 @@ def test_count_bad_delta_exit_2(capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_count_delta_below_one_over_n_exit_2(capsys):
+    code, out, err = run_cli(capsys, "count", "--poly", "x - y^2", "--box", "10", "--delta", "1/1000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: delta") and len(err.splitlines()) == 1
+
+
+def test_count_internal_fault_is_not_an_input_error(monkeypatch):
+    """Only the documented input errors exit 2; any other `ValueError`, such
+    as a bracket with lo > hi, propagates."""
+
+    def fault(*args, **kwargs):
+        raise ValueError("lo > hi")
+
+    monkeypatch.setattr(cli, "determinant_method_count", fault)
+    with pytest.raises(ValueError, match="lo > hi"):
+        main(["count", "--poly", "x*y - 12", "--box", "12"])
+
+
 def test_jarnik_points(capsys):
     code, out, _ = run_cli(capsys, "jarnik", "--H", "3")
     assert code == 0

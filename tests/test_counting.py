@@ -318,6 +318,12 @@ def test_pipeline_rejects_degree_one():
         determinant_method_count(parse("x - y"), 10)
 
 
+def test_pipeline_rejects_bad_delta():
+    for delta in (Fraction(0), Fraction(-1, 2), Fraction(1, 1000)):
+        with pytest.raises(CountingError, match="delta"):
+            determinant_method_count(parse("x - y^2"), 10, delta=delta)
+
+
 def test_pipeline_cover_curves_not_divisible_by_input():
     rep = determinant_method_count(parse("x*y - 12"), 100)
     curve = parse("x*y - 12")
