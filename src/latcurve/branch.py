@@ -559,7 +559,10 @@ def partition_by_bounds(
     back to its two exact level sets, as follows.
 
     Piece j spans (cut_(j-1).hi, cut_j.lo) between the sorted cuts and takes
-    the integer abscissas in (floor(root_(j-1)), floor(root_j)].
+    the integer abscissas in (floor(root_(j-1)), floor(root_j)].  Where two
+    cut brackets touch, the piece between them has length 0 and is skipped
+    unless it holds an integer abscissa; a one-point domain [k, k] is one
+    piece.
 
     Along the branch L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 * ((f^(i)/i!)^2
     - thr^2), which changes sign only at a zero of odd multiplicity of one
@@ -613,6 +616,10 @@ def partition_by_bounds(
     pieces: list[Piece] = []
     plo, first = lo, ceil(lo)
     for phi, next_lo, last in ends:
+        if plo == phi and first > last:
+            # two cut brackets touch at plo: a piece of length 0 with no point
+            plo, first = next_lo, last + 1
+            continue
         mid = (plo + phi) / 2
         if sign_at_root(_bracket_at(branch, mid, brackets), fy.int_column(mid)) == 0:
             raise BranchError("branch derivative degenerate at a piece midpoint")

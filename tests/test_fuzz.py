@@ -11,7 +11,7 @@ import signal
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fuzz.py"
-DRAW_LINES_SHA256 = "c3a6be2267f2ce21dbaaf73de4b4eddfe049fda8e9832aec6e85afc7062aead3"
+DRAW_LINES_SHA256 = "8a93b3f79521e6c2bd0e59d3563ce8048774b82ac8add635a34db909be4dc4d8"
 
 
 def test_seeded_fuzz_matches_oracle_within_budget(capsys):
