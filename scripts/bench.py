@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_28.json at the repository root.
+rows and write BENCH_30.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -73,7 +73,7 @@ ROWS = [
     ("pipeline", "y^2 - x^3 + 8*x - 8", 25),
 ]
 
-OUT = ROOT / "BENCH_28.json"
+OUT = ROOT / "BENCH_30.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

@@ -8,11 +8,11 @@ closed forms, sign variations and sign bisections hold for every integer
 multiple, and its chain builder normalises.  Roots are reported as
 rational-endpoint isolating intervals that carry a primitive integer tuple;
 a degenerate interval [r, r] marks an exactly known rational root.
-`isolate_real_roots` tests the domain ends on f, which has
-the same zeros as its squarefree part, and divide the end roots out of f
-(`_end_roots`).  A Descartes bound (`descartes_bound`) then decides the open
-domain: v = 0 means no root inside, v = 1 one simple root, whose bracket is
-the domain itself.  It is the sign variations of f's own coefficients when
+`isolate_real_roots` tests the domain ends on f, which has the same zeros
+as its squarefree part, and divides the end roots out of f (`_end_roots`).
+A Descartes bound (`descartes_bound`) then decides the open domain: v = 0
+means no root inside, v = 1 one simple root, whose bracket is the domain
+itself.  It is the sign variations of f's own coefficients when
 lo >= 0, and otherwise, or when that count is 2 or more, those of f mapped
 from (lo, hi) onto (0, inf) by an integer Moebius map: the affine map
 `affine_image`, a reversal and one Taylor shift.

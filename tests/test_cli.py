@@ -132,17 +132,12 @@ def test_count_repeated_factor_exit_2(capsys):
 
 
 def test_count_bad_delta_exit_2(capsys):
-    for delta in ("1/0", "abc"):
+    # 1/1000 parses, but delta * N < 1 at N = 10
+    for delta in ("1/0", "abc", "1/1000"):
         code, out, err = run_cli(capsys, "count", "--poly", "x - y^2", "--box", "10", "--delta", delta)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-
-
-def test_count_delta_below_one_over_n_exit_2(capsys):
-    code, out, err = run_cli(capsys, "count", "--poly", "x - y^2", "--box", "10", "--delta", "1/1000")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: delta") and len(err.splitlines()) == 1
 
 
 def test_count_internal_fault_is_not_an_input_error(monkeypatch):

@@ -324,16 +324,6 @@ def test_pipeline_rejects_bad_delta():
             determinant_method_count(parse("x - y^2"), 10, delta=delta)
 
 
-def test_pipeline_skips_zero_length_pieces_with_no_integer():
-    """On x - y^2 at N = 100 with delta = 1/4, cut brackets touch at 611/512,
-    355/256 and 809/512.  The pieces [p, p] between them hold no integer
-    abscissa, so the hull [1, 100] has three pieces, and the count holds."""
-    rep = determinant_method_count(parse("x - y^2"), 100, delta=Fraction(1, 4))
-    assert rep.ok and rep.total == rep.oracle_total == 10
-    [br] = rep.per_branch
-    assert [pr.interval for pr in br.pieces] == [("1", "2345/2048"), ("3335/2048", "3533/2048"), ("227/128", "100")]
-
-
 def test_pipeline_cover_curves_not_divisible_by_input():
     rep = determinant_method_count(parse("x*y - 12"), 100)
     curve = parse("x*y - 12")
