@@ -45,7 +45,6 @@ from latcurve.unipoly import (
     all_real_roots,
     count_real_roots,
     integer_roots,
-    isolate_real_roots,
     primitive_ints,
     refine_clear_of,
     refine_disjoint,
