@@ -6,6 +6,11 @@ derivative thresholds, greedily cover each all-small piece, count per cover
 curve through resultants).  Reports carry enough detail to audit every
 counted point and every budget comparison.
 
+A cover curve is built through one run of branch points, so their
+abscissas are roots of its eliminant with the input curve: the
+intersection divides each of them out, which checks that it is a root, and
+searches only the quotient for further integer roots.
+
 The sweep solves one integer column per line of the box, and a column of
 degree d holds at most d points and costs a degree-d root search, so it
 sweeps the axis whose columns have the lower degree: y = 1..N when
@@ -33,7 +38,7 @@ from .detmethod import (
 )
 from .monomials import punctured_set
 from .poly2 import BiPoly, corner_index, divides, ingestion_check, resultant_eliminating_y, x_content
-from .unipoly import _int_eval, integer_roots, poly_gcd, primitive_ints
+from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, primitive_ints
 
 
 class CountingError(ValueError):
@@ -97,26 +102,42 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
 # -- pairwise intersection through resultants ------------------------------------
 
 
-def bezout_intersect(f: BiPoly, g: BiPoly, n_box: int) -> list[LatticePoint]:
-    """All integer points of {1..N}^2 with f = g = 0, capped by deg f * deg g."""
+def bezout_intersect(
+    f: BiPoly, g: BiPoly, n_box: int, known: Sequence[int] = ()
+) -> list[LatticePoint]:
+    """All integer points of {1..N}^2 with f = g = 0, capped by deg f * deg g.
+
+    The abscissas come from the primitive eliminant Res_y(f, g) (or the
+    x-polynomial of a y-free curve).  Each distinct abscissa k in `known`,
+    one of some common point of f and g, is checked to be a root of it
+    (RuntimeError otherwise) and divided out once, as the factor x - k on
+    integers; the integer roots in [1, N] are then searched on the quotient
+    only, and joined to the known abscissas in [1, N].  Every abscissa is
+    then searched by its columns, so a second point at a known abscissa is
+    still found.
+    """
     if f.is_zero() or g.is_zero():
         raise CountingError("both curves must be nonzero")
     if divides(f, g) or divides(g, f):
         raise CommonComponentError("Bezout hypothesis violated: one curve divides the other")
     dy_f, dy_g = f.degree_y(), g.degree_y()
-    xs: list[int]
+    elim: list[int]
     if dy_f >= 1 and dy_g >= 1:
         res = resultant_eliminating_y(f, g)
         if res.is_zero():
             raise CommonComponentError("Bezout hypothesis violated: common component")
-        xs = integer_roots(primitive_ints(res.coeffs), 1, n_box)
+        elim = primitive_ints(res.coeffs)
     elif dy_f == 0 and dy_g == 0:
         if len(poly_gcd(f.rows[0], g.rows[0])) >= 2:
             raise CommonComponentError("Bezout hypothesis violated: common vertical lines")
-        xs = []
+        elim = [1]  # coprime polynomials in x alone share no point
     else:
-        yfree = f if dy_f == 0 else g
-        xs = integer_roots(yfree.rows[0], 1, n_box)
+        elim = list((f if dy_f == 0 else g).rows[0])
+    for k in set(known):
+        if _int_eval(elim, k):
+            raise RuntimeError(f"known abscissa {k} is not a root of the eliminant")
+        elim = int_exact_quotient(elim, [-k, 1])
+    xs = {k for k in known if 1 <= k <= n_box}.union(integer_roots(elim, 1, n_box))
     points: list[LatticePoint] = []
     for x0 in xs:
         uf, ug = f.int_column(x0), g.int_column(x0)
@@ -248,8 +269,9 @@ def determinant_method_count(
     abscissa in it (abscissa 0 holds no point of {1..N}^2); a branch with
     an empty hull is skipped and has no report entry.  Covers
     every all-small piece greedily and counts per cover curve through
-    resultant intersections; short large pieces and critical abscissas are
-    enumerated directly.
+    resultant intersections, each deflated by the abscissas of the cover's
+    run (`bezout_intersect` checks that each is an eliminant root); short
+    large pieces and critical abscissas are enumerated directly.
     """
     g = ingestion_check(curve)
     d = g.degree
@@ -304,8 +326,8 @@ def determinant_method_count(
                     )
                     ok = False
                 curve_dicts = []
-                for cov in cert.curves:
-                    hits = bezout_intersect(frame_curve, cov, n_box)
+                for cov, run in zip(cert.curves, cert.runs()):
+                    hits = bezout_intersect(frame_curve, cov, n_box, [p.x for p in run])
                     boxed = [p for p in _unswap(hits, br.swapped) if _in_box(p, n_box)]
                     curve_points.update(boxed)
                     curve_dicts.append(

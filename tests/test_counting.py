@@ -19,7 +19,7 @@ from latcurve.counting import (
 from latcurve import branch, counting, unipoly
 from latcurve.detmethod import LatticePoint
 from latcurve.poly2 import BiPoly, divides, parse, resultant_eliminating_y
-from latcurve.unipoly import integer_roots, primitive_ints
+from latcurve.unipoly import int_exact_quotient, integer_roots, primitive_ints
 from reference_helpers import x_sweep_count
 
 
@@ -254,6 +254,57 @@ def test_bezout_cap_random():
         checked += 1
 
 
+def test_bezout_deflated_by_run_abscissas_matches_the_full_search(monkeypatch):
+    """Every cover curve the pipeline emits on seeded x - c*y^2 - e*y,
+    x*y - m and x^2 + y^2 - m at N <= 200 meets its frame curve in the same
+    points whether the eliminant is deflated by the run's abscissas or
+    searched whole."""
+    calls = []
+
+    def recorded(f, g, n_box, known=()):
+        calls.append((f, g, n_box, tuple(known)))
+        return bezout_intersect(f, g, n_box, known)
+
+    monkeypatch.setattr(counting, "bezout_intersect", recorded)
+    rng = random.Random(3101)
+    deflated = Counter()
+    for _ in range(3):
+        for family, text in (
+            ("parabola", f"x - {rng.randint(1, 3)}*y^2 - {rng.randint(1, 40)}*y"),
+            ("hyperbola", f"x*y - {rng.choice([2520, 5040, 10080, 27720])}"),
+            ("circle", f"x^2 + y^2 - {rng.choice([5525, 27625, 32045])}"),
+        ):
+            calls.clear()
+            determinant_method_count(parse(text), rng.randint(150, 200), compare_oracle=False)
+            for f, g, n_box, known in calls:
+                hits = bezout_intersect(f, g, n_box, known)
+                assert hits == bezout_intersect(f, g, n_box), (text, g.pretty(), known)
+                assert {p.x for p in hits} >= {k for k in known if 1 <= k <= n_box}, (text, known)
+                deflated[family] += len(known)
+    assert min(deflated.values()) >= 10 and len(deflated) == 3, deflated
+
+
+def test_bezout_known_abscissas_keep_a_repeated_root_and_are_checked():
+    """(x - 50)^2 + (y - 50)^2 = 625 meets (y - 50)^2 - 576 = x - 57 at
+    (57, 26) and (57, 74) only, so x = 57 is a double root of the
+    eliminant: divided out once, it stays a root of the quotient, and both
+    points are found.  An abscissa that is no eliminant root raises."""
+    f = parse("(x - 50)^2 + (y - 50)^2 - 625")
+    g = parse("(y - 50)^2 - 576 - (x - 57)")
+    both = [LatticePoint(57, 26), LatticePoint(57, 74)]
+    elim = primitive_ints(resultant_eliminating_y(f, g).coeffs)
+    assert integer_roots(int_exact_quotient(elim, [-57, 1]), 1, 100) == [42, 57]
+    for known in ((), (57,), (57, 57), (42, 57)):
+        assert bezout_intersect(f, g, 100, known) == both, known
+    for known in ((56,), (57, 101)):
+        with pytest.raises(RuntimeError, match="not a root of the eliminant"):
+            bezout_intersect(f, g, 100, known)
+    # a y-free curve: its x-polynomial is the eliminant, and coprime ones have none
+    assert bezout_intersect(parse("x^2 + y^2 - 25"), parse("x - 3"), 5, (3,)) == [LatticePoint(3, 4)]
+    with pytest.raises(RuntimeError):
+        bezout_intersect(parse("x - 4"), parse("x - 9"), 10, (4,))
+
+
 # -- pipeline ---------------------------------------------------------------------
 
 
@@ -358,6 +409,62 @@ def test_pipeline_special_geometries(text, n):
     rep = determinant_method_count(parse(text), n)
     assert rep.total == rep.oracle_total
     assert rep.ok
+
+
+def _horner_scan(curve, n_box):
+    """The points of {1..N}^2 on the curve, by evaluating it at every one:
+    each y-row by Horner in x, then the column by Horner in y.  It shares no
+    root search with the oracle or the pipeline."""
+    points = []
+    for x in range(1, n_box + 1):
+        column = []
+        for row in curve.rows:
+            acc = 0
+            for c in reversed(row):
+                acc = acc * x + c
+            column.append(acc)
+        for y in range(1, n_box + 1):
+            acc = 0
+            for c in reversed(column):
+                acc = acc * y + c
+            if acc == 0:
+                points.append(LatticePoint(x, y))
+    return points
+
+
+def _clustered_cubics(rng, count):
+    """(m1*P(u) - m2*P(v), N) for {u, v} = {x, y} in either order, with
+    P(t) = (t - a)(t - a - 1)(t - b), m1 up to 10^6 and m2 <= 50: cubic columns on both axes whose
+    roots near a and a + 1 lie within 1 of each other, next to the box edges
+    when a is 0 or 1 and b is N or N + 1."""
+    cases = []
+    for _ in range(count):
+        n = rng.randint(30, 100)
+        a = rng.choice([0, 1, rng.randint(2, n)])
+        b = rng.choice([n, n + 1, rng.randint(1, n)])
+        big, small = rng.randint(10**5, 10**6), rng.randint(1, 50)
+        cubic = [f"({v} - {a})*({v} - {a + 1})*({v} - {b})" for v in rng.sample("xy", 2)]
+        cases.append((f"{big}*{cubic[0]} - {small}*{cubic[1]}", n))
+    return cases
+
+
+def test_pipeline_and_oracle_match_a_horner_scan():
+    """Pipeline and oracle totals against `_horner_scan`: on the eight
+    fixtures at N <= 100, and on seeded cubics with large coefficients and
+    clustered integer roots, whose columns take the sign bisection."""
+    fixtures = [
+        ("x - y^2", 100), ("x - y^3", 100), ("x - y^5", 100), ("x*y - 12", 100),
+        ("x^2 + y^2 - 25", 100), ("x^2 + y^2 - 65", 100),
+        ("y^2 - x^3 - x - 1", 50), ("x^2 - 2*y^2 - 1", 50),
+    ]
+    points = 0
+    for text, n in fixtures + _clustered_cubics(random.Random(3110), 8):
+        curve = parse(text)
+        want = _horner_scan(curve, n)
+        rep = determinant_method_count(curve, n)
+        assert (rep.total, rep.oracle_total) == (len(want), len(want)), (text, n)
+        points += len(want)
+    assert points > 60, points
 
 
 def test_pipeline_random_curves_match_oracle():
