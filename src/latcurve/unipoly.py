@@ -633,12 +633,16 @@ def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool
 
 
 def root_floor(r: RootInterval) -> int:
-    """The floor of the root r isolates.
+    """The floor of the root r isolates, for a bracket with lo >= floor(hi) - 1.
 
-    k = floor(hi) is it unless the root lies strictly below k, which needs a
-    non-exact bracket with lo < k and no root in [k, hi]: one sign test decides.
+    The root then lies in [k - 1, k + 1) for k = floor(hi), so k is its
+    floor unless the root lies strictly below k, which needs a non-exact
+    bracket with lo < k and no root in [k, hi]: one sign test decides.  A
+    wider bracket raises ValueError; refine it first.
     """
     k = math.floor(r.hi)
+    if r.lo < k - 1:
+        raise ValueError("root_floor needs a bracket with lo >= floor(hi) - 1")
     if not r.is_exact() and k > r.lo and not _holds_root(r, k, r.hi):
         return k - 1
     return k

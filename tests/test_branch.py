@@ -48,6 +48,7 @@ from latcurve.unipoly import (
     primitive_ints,
     refine_clear_of,
     refine_disjoint,
+    refine_root,
     root_floor,
     sign_at_root,
     squarefree_part,
@@ -958,6 +959,19 @@ def test_root_floor_cut_edge_cases():
     # an integer strictly inside the bracket: the root below, above or at it
     for poly, want in (((-299, 100), 2), ((-301, 100), 3), ((-3, 1), 3)):
         assert root_floor(RootInterval(Fraction(5, 2), Fraction(7, 2), poly)) == want
+
+
+def test_root_floor_rejects_a_bracket_wider_than_its_floor_test():
+    """The unrefined value bracket of the swapped branch of y^2 - x^3 - x - 1
+    at 99 is (-9801, 9801), around a root near 21.4, where one sign test at
+    floor(hi) would read 9800: root_floor raises, and on the bracket refined
+    to width 1/4 it reads 21."""
+    [br] = [b for b in graph_decompose(parse("y^2 - x^3 - x - 1"), 10**4).branches if b.swapped]
+    bracket = branch_value_bracket(br, 99)
+    assert (bracket.lo, bracket.hi) == (-9801, 9801)
+    with pytest.raises(ValueError, match="floor"):
+        root_floor(bracket)
+    assert root_floor(refine_root(bracket, Fraction(1, 4))) == 21
 
 
 def _reference_integer_abscissas(br, big_d, n_box, delta):

@@ -1431,12 +1431,17 @@ def test_squarefree_part_matches_integer_chain(monkeypatch):
 
 def test_root_floor_matches_count_real_roots():
     rng = random.Random(87)
-    lowered = 0
+    lowered = wide = 0
     for p, lo, hi in _certificate_cases(rng, 300):
         for r in isolate_real_roots(ints(p), lo, hi):
-            for s in (r, refine_root(r, Fraction(1, 3)), refine_root(r, r.width / 7 or 1)):
+            for s in (r, refine_root(r, 1), refine_root(r, Fraction(1, 3)), refine_root(r, r.width / 7 or 1)):
                 k = math.floor(s.hi)
+                if s.lo < k - 1:
+                    with pytest.raises(ValueError):
+                        root_floor(s)
+                    wide += 1
+                    continue
                 want = k - 1 if not s.is_exact() and k > s.lo and count_real_roots(s.polynomial, k, s.hi) == 0 else k
                 assert root_floor(s) == want, s
                 lowered += want < k
-    assert lowered > 100
+    assert lowered > 100 and wide > 0, (lowered, wide)
