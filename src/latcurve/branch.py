@@ -546,7 +546,9 @@ def partition_by_bounds(
 ) -> IntervalPartition:
     """Split the branch domain at all |f^(i)/i!| = N*delta^i crossings and
     certify on each piece, for every 1 <= i < D, whether the normalized
-    derivative stays below (small) or above (large) the threshold.
+    derivative stays below (small) or above (large) the threshold.  The
+    caller ensures delta > 0 and delta*N >= 1, as `determinant_method_count`
+    does.
 
     First `certified_orders` proves, by Cauchy's estimate on root-free discs
     with stretches sized to each disc (and, for order 1 of a `flat` branch,
@@ -581,8 +583,6 @@ def partition_by_bounds(
         raise ValueError("D must be >= 2")
     n_box, delta = Fraction(n_box), Fraction(delta)
     lo, hi = branch.domain
-    if delta <= 0 or delta * n_box < 1:
-        raise ValueError("delta * N must be at least 1")
     thresholds = [n_box * delta**i for i in range(1, big_d)]
     raw_cuts: list[RootInterval] = []
     # the branch value brackets of this call, by abscissa: the level sets of
