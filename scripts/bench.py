@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_30.json at the repository root.
+rows and write BENCH_31.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -71,9 +71,16 @@ ROWS = [
     # whose hull [1, 2] still leaves orders to the level sets
     ("pipeline", "x^2 - 101*y^2 - 1", 60),
     ("pipeline", "y^2 - x^3 + 8*x - 8", 25),
+    # intersection-bound rows: long hyperbola runs, whose cover eliminants
+    # the run abscissas deflate before the integer-root search
+    ("pipeline", "x*y - 720720", 10**4),
+    ("pipeline", "x*y - 55440", 1000),
+    # rows where the integer branch points dominate and few covers are built
+    ("pipeline", "y^2 - x^3 - x - 1", 10**4),
+    ("pipeline", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**4),
 ]
 
-OUT = ROOT / "BENCH_30.json"
+OUT = ROOT / "BENCH_31.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path
