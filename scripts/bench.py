@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_31.json at the repository root.
+rows and write BENCH_32.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -68,9 +68,13 @@ ROWS = [
     # hulls that start one unit from a branch point, where the disc
     # certificate needs narrow stretches: a Pell conic whose hull starts at
     # x = 2, next to its branch point x = 1, and a swapped Weierstrass frame
-    # whose hull [1, 2] still leaves orders to the level sets
+    # with the hulls [1, 2] and [3, 3]
     ("pipeline", "x^2 - 101*y^2 - 1", 60),
     ("pipeline", "y^2 - x^3 + 8*x - 8", 25),
+    # curves whose far sheets set the discs' Fujiwara bound: the first still
+    # leaves orders of its hulls to the level sets, the second no longer does
+    ("pipeline", "3*x^2*y + 4*y^3 - 5*y^2 - 2*x", 22),
+    ("pipeline", "4*x*y + y^2 - 2*x", 28),
     # intersection-bound rows: long hyperbola runs, whose cover eliminants
     # the run abscissas deflate before the integer-root search
     ("pipeline", "x*y - 720720", 10**4),
@@ -80,7 +84,7 @@ ROWS = [
     ("pipeline", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**4),
 ]
 
-OUT = ROOT / "BENCH_31.json"
+OUT = ROOT / "BENCH_32.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

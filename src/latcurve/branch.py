@@ -5,7 +5,8 @@ A branch is identified by its curve, an x-interval, and the index of its
 y-value among the real roots of the specialized curve; the index is stable
 because construction forbids discriminant roots inside the open interval
 and leading-coefficient roots on the closed one.  Branch values are handled
-as isolating intervals and every sign decision is made exactly: the sign of
+as isolating intervals (`branch_value_bracket`, cached by branch and
+abscissa) and every sign decision is made exactly: the sign of
 p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
 column p(x0, y) at the bracket of f(x0), zero included, for the level
 signs at a level-set bracket's ends, the piece flags of
@@ -37,11 +38,13 @@ It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
 branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
 the others by Cauchy's estimate on dyadic discs proved free of the roots
 of lc_y(F) (Rouché's test) and of the discriminant (Rouché's test, retried
-after Graeffe root-squaring steps), with a Fujiwara bound on the roots of
-F over each disc and up to four stretch widths per disc.  All of it runs
-on the integer maps `unipoly.affine_image` and `unipoly.graeffe_step` and
-integer powers, and a proved order reads small on every piece, as its
-level sets, which have no root in the domain, would give.  The x-loci of a
+after Graeffe root-squaring steps), from radius 1 up, with a Fujiwara
+bound on the roots of F over each disc about their mean at its centre,
+and up to four stretch widths per disc.  It reads no branch value: all of
+it runs on the integer maps `unipoly.affine_image` and
+`unipoly.graeffe_step` and integer powers, and a proved order reads small
+on every piece, as its level sets, which have no root in the domain,
+would give.  The x-loci of a
 frame curve (its frame cuts, its discriminant Res_y(F, F_y) and whether
 its slope is identically +-1) are one cached `_FrameLoci` record, read by
 the frame cells, the smoothness certificate and the disc test.
@@ -158,6 +161,7 @@ def _frame_loci(curve: BiPoly) -> _FrameLoci:
     return _FrameLoci(tuple(cuts), disc, (fx - fy).is_zero() or (fx + fy).is_zero())
 
 
+@lru_cache(maxsize=512)
 def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInterval:
     """Isolating interval for the branch value f(x0)."""
     x0 = Fraction(x0)
@@ -300,18 +304,8 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[
     return reduced, _primitive(res)
 
 
-def _bracket_at(branch: AlgebraicBranch, x: Fraction, brackets: dict[Fraction, RootInterval]) -> RootInterval:
-    """`branch_value_bracket(branch, x)`, kept in `brackets` by abscissa."""
-    if x not in brackets:
-        brackets[x] = branch_value_bracket(branch, x)
-    return brackets[x]
-
-
-def _level_set(
-    branch: AlgebraicBranch, i: int, c: Fraction, brackets: dict[Fraction, RootInterval]
-) -> list[RootInterval]:
-    """The roots of `level_set_abscissas`; the branch value brackets it
-    reads are kept in `brackets`."""
+def _level_set(branch: AlgebraicBranch, i: int, c: Fraction) -> list[RootInterval]:
+    """The roots of `level_set_abscissas`, for a `Fraction` level c."""
     level, res = _level_resultant(branch.curve, i, c)
     lo, hi = branch.domain
     roots = isolate_real_roots(res, lo, hi)
@@ -322,7 +316,7 @@ def _level_set(
     roots = refine_disjoint(roots, width)
 
     def level_sign(x: Fraction) -> int:
-        return sign_at_root(_bracket_at(branch, x, brackets), level.int_column(x))
+        return sign_at_root(branch_value_bracket(branch, x), level.int_column(x))
 
     included: list[RootInterval] = []
     for r in roots:
@@ -351,7 +345,7 @@ def level_set_abscissas(
     """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
-    return _level_set(branch, i, Fraction(c), {})
+    return _level_set(branch, i, Fraction(c))
 
 
 @dataclass
@@ -434,13 +428,7 @@ def _dyadic_at_or_below(x: Fraction, e: int) -> tuple[int, int]:
     return (x.numerator << e) // x.denominator, e
 
 
-def certified_orders(
-    branch: AlgebraicBranch,
-    big_d: int,
-    n_box: Fraction,
-    delta: Fraction,
-    brackets: dict[Fraction, RootInterval],
-) -> frozenset[int]:
+def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta: Fraction) -> frozenset[int]:
     """The orders 1 <= i < D proved to satisfy |f^(i)/i!| < N*delta^i
     strictly on the whole closed domain.
 
@@ -457,16 +445,18 @@ def certified_orders(
     discriminant of the curve's `_FrameLoci`, each on the Taylor
     coefficients at x0 scaled by R (one `affine_image`).  Then the roots of
     F(z, .) are deg_y F distinct analytic functions on the disc, and the
-    branch is one of them on the stretch.  Let y0 be the middle of the
-    branch value bracket at x0, or at the domain end nearest to it
-    (`_bracket_at`, kept in `brackets`), and M a Fujiwara bound on every
-    root y of F(z, y0 + y) over the disc, from the bounds sum_k |c_k| R^k
-    on its coefficients (one `affine_image` per column of the scaled rows)
-    and the Rouché margin of its leading one.  Then |f^(i)(x)/i!| <= M/(R -
-    s)^i for |x - x0| <= s, so order i holds on the stretch when M <
-    N*delta^i*(R - s)^i (`_fujiwara_below`).
+    branch is one of them on the stretch.  Let y0 = -c_(n-1)(x0)/(n
+    c_n(x0)), the mean of the roots of the column F(x0, .) = sum_m c_m(x0)
+    y^m, and M a Fujiwara bound on every root y of F(z, y0 + y) over the
+    disc, from the bounds sum_k |c_k| R^k on its coefficients (one
+    `affine_image` per column of the scaled rows) and the Rouché margin of
+    its leading one.  M bounds every sheet, so any y0 would serve and no
+    branch value is read.  Then |f^(i)(x)/i!| <= M/(R - s)^i for |x - x0|
+    <= s, so order i holds on the stretch when M < N*delta^i*(R - s)^i
+    (`_fujiwara_below`).
 
-    R starts at the smallest power of two that spans the domain.  For each
+    R starts at the smallest power of two, at least 1, that spans the
+    domain.  For each
     R the half-widths s = R/2, R/4, R/8, R/16 are tried in turn, each with
     its centre at pos + s on a dyadic grid of at most s/4, where pos is the
     left end of what is left to cover: a narrower stretch loses less of R
@@ -480,7 +470,7 @@ def certified_orders(
     monotone in i, so a scan in the direction where it grows stops at the
     first order that holds, and the cover stops once no order is left.  The
     work is integer affine maps and root-squaring steps of the curve's rows
-    and discriminant and one bracket per disc that passes.
+    and discriminant and one column per disc that passes.
     """
     lo, hi = branch.domain
     left = set(range(2 if branch.flat else 1, big_d))
@@ -494,8 +484,6 @@ def certified_orders(
     t_top = 0
     while hi - lo > 2**t_top:
         t_top += 1
-    while t_top > _MIN_DISC_LOG2 and hi - lo <= Fraction(2) ** (t_top - 1):
-        t_top -= 1
     t, pos = t_top, lo
     while left:
         if t < _MIN_DISC_LOG2:
@@ -510,8 +498,9 @@ def certified_orders(
             if margin <= 0 or disc is not None and not _root_free(affine_image(disc, a, r, d, len(disc) - 1)):
                 break
             x0 = Fraction(a, d)
-            bracket = _bracket_at(branch, min(max(x0, lo), hi), brackets)
-            y0 = (bracket.lo + bracket.hi) / 2
+            # the mean of the roots of F(x0, .): c_n(x0) != 0 by the margin above
+            col = curve.int_column(x0)
+            y0 = Fraction(-col[n - 1], n * col[n])
             u, v = y0.numerator, y0.denominator
             shifted = [affine_image(row, a, r, d, dx) for row in rows[:-1]] + [lead]
             # one column per power of w of 2^(e*dx) * v^n * F(z, y0 + y), in y;
@@ -572,7 +561,11 @@ def partition_by_bounds(
     domain, so the flag of order i is constant on a piece and its closed
     bound holds on the whole piece.  Each piece takes one Tarski query per
     order on the product of the two reduced +-thr level curves' columns at
-    its midpoint.  A piece with lo < hi may hold tangential contacts, where
+    its midpoint.  The product vanishes where F_y does, so a zero takes one
+    more query, and F_y = 0 there is a `BranchError`.  A branch whose
+    orders are all proved builds no level set and takes no query, so it
+    reads no branch value.
+    A piece with lo < hi may hold tangential contacts, where
     the product vanishes without changing sign; when the midpoint is one,
     the query moves on along the `unipoly._split_points` walk to the first
     interior point that is none, and there are finitely many.  On a
@@ -585,10 +578,7 @@ def partition_by_bounds(
     lo, hi = branch.domain
     thresholds = [n_box * delta**i for i in range(1, big_d)]
     raw_cuts: list[RootInterval] = []
-    # the branch value brackets of this call, by abscissa: the level sets of
-    # one branch are refined on one domain, so their brackets share ends
-    brackets: dict[Fraction, RootInterval] = {}
-    certified = certified_orders(branch, big_d, n_box, delta, brackets)
+    certified = certified_orders(branch, big_d, n_box, delta)
     # the orders that read small on every piece, with no level-set root
     forced_small = set(certified)
     for i, thr in enumerate(thresholds, start=1):
@@ -596,7 +586,7 @@ def partition_by_bounds(
             continue
         for c in (thr, -thr):
             try:
-                raw_cuts += _level_set(branch, i, c, brackets)
+                raw_cuts += _level_set(branch, i, c)
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
                 # bound |f^(i)/i!| <= thr holds everywhere, with no cuts
@@ -606,10 +596,15 @@ def partition_by_bounds(
     fy = partial(branch.curve, "y")
 
     def product_sign(i: int, thr: Fraction, x: Fraction) -> int:
+        bracket = branch_value_bracket(branch, x)
         # both level sets of order i succeeded above, so these are cached
         plus = _level_resultant(branch.curve, i, thr)[0].int_column(x)
         minus = _level_resultant(branch.curve, i, -thr)[0].int_column(x)
-        return sign_at_root(_bracket_at(branch, x, brackets), _int_mul(plus, minus))
+        s = sign_at_root(bracket, _int_mul(plus, minus))
+        # the product has the factor F_y^(4i-2), so only a zero can hide F_y = 0
+        if s == 0 and sign_at_root(bracket, fy.int_column(x)) == 0:
+            raise BranchError("branch derivative degenerate at a flag query point")
+        return s
 
     # piece j ends at cut j's bracket and at the floor of its root
     ends = [(cut.lo, cut.hi, root_floor(cut)) for cut in cuts] + [(hi, hi, floor(hi))]
@@ -621,8 +616,6 @@ def partition_by_bounds(
             plo, first = next_lo, last + 1
             continue
         mid = (plo + phi) / 2
-        if sign_at_root(_bracket_at(branch, mid, brackets), fy.int_column(mid)) == 0:
-            raise BranchError("branch derivative degenerate at a piece midpoint")
         flags: list[str] = []
         for i, thr in enumerate(thresholds, start=1):
             if i in forced_small:

@@ -98,13 +98,15 @@ def integer_kth_root_ceiling(v: Fraction | int, k: int) -> int:
         raise ValueError("v must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
+    num, den = v.numerator, v.denominator
+    # m**k >= v decided on integers, as m**k * den >= num
     hi = 1
-    while Fraction(hi) ** k < v:
+    while hi**k * den < num:
         hi *= 2
     lo = hi // 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if Fraction(mid) ** k >= v:
+        if mid**k * den >= num:
             hi = mid
         else:
             lo = mid + 1

@@ -1076,33 +1076,32 @@ def _random_branches(rng, count):
 # -- derivative bounds on root-free discs ---------------------------------------------
 
 
-def test_certified_orders_cauchy_bound_by_hand():
+def _not_called(*args):
+    raise AssertionError("unexpected call")
+
+
+def test_certified_orders_cauchy_bound_by_hand(monkeypatch):
     """y = x^2 on [-1/2, 1/2], delta = 1, D = 4, not `flat`.  The domain
-    spans R = 1; lc_y(F) = 1 and deg_y F = 1, so every disc passes.  Each
-    branch value bracket read has middle y0 = 0 ((-1, 1) at 0, (-2, 2)
-    elsewhere), so on |z - x0| <= 1 the root y = (x0 + w)^2 of F(z, y) has
-    Fujiwara bound M = (1 + |x0|)^2, and order i holds on |x - x0| <= s when
-    M < N * (1 - s)^i.
+    spans R = 1; lc_y(F) = 1 and deg_y F = 1, so every disc passes.  The
+    column y - x0^2 has the one root x0^2, so y0 = x0^2 is the branch value,
+    read with no bracket.  On |z - x0| <= 1 the root y = 2*x0*w + w^2 of
+    F(z, y0 + y) has Fujiwara bound M = 2|x0| + 1, and order i holds on
+    |x - x0| <= s when M < N * (1 - s)^i.
 
     - N = 9: s = 1/2 at x0 = 0 gives M = 1 < 9/8, every order in one
-      stretch, with one bracket.
+      stretch.
     - N = 8: at s = 1/2, 8/8 = 1 meets M = 1, so order 3 fails.  s = 1/4 at
-      x0 = -1/4 gives M = 25/16 < 8 * 27/64 = 27/8 and covers [-1/2, 0].
+      x0 = -1/4 gives M = 3/2 < 8 * 27/64 = 27/8 and covers [-1/2, 0].
       From 0, s = 1/2 is centred at 1/4, the middle of what is left: M =
-      25/16 > 1.  s = 1/4 at the same centre holds and reaches 1/2.
-    - N = 1: even s = 1/16 at x0 = -7/16 gives M = 529/256 > 15/16, so every
-      order is dropped, after brackets at the four centres.
+      3/2 > 1.  s = 1/4 at the same centre holds and reaches 1/2.
+    - N = 1: even s = 1/16 at x0 = -7/16 gives M = 15/8 > 15/16, so every
+      order is dropped.
     """
+    monkeypatch.setattr(branch_module, "branch_value_bracket", _not_called)
     br = branch_from_point(parse("y - x^2"), 0, 0, (Fraction(-1, 2), Fraction(1, 2)))
     assert not br.flat
-    for n_box, want, centres in (
-        (9, {1, 2, 3}, [0]),
-        (8, {1, 2, 3}, [0, Fraction(-1, 4), Fraction(1, 4)]),
-        (1, set(), [0, Fraction(-1, 4), Fraction(-3, 8), Fraction(-7, 16)]),
-    ):
-        brackets = {}
-        assert certified_orders(br, 4, Fraction(n_box), Fraction(1), brackets) == want, n_box
-        assert list(brackets) == centres, n_box
+    for n_box, want in ((9, {1, 2, 3}), (8, {1, 2, 3}), (1, set())):
+        assert certified_orders(br, 4, Fraction(n_box), Fraction(1)) == want, n_box
 
 
 def _poly_from_roots(real=(), pairs=()):
@@ -1174,15 +1173,17 @@ def test_root_free_disc_test_on_a_seeded_family():
     assert accepted >= 100
 
 
-def test_flat_branch_order_1_needs_no_disc():
+def test_flat_branch_order_1_needs_no_disc(monkeypatch):
     """Order 1 of a branch from `graph_decompose` holds by |f'| < 1 <= N*delta
-    and takes no disc: with D = 2 no branch value bracket is read."""
+    and takes no disc: with D = 2 no affine map is taken.  With D = 16 the
+    discs prove every order and read no branch value bracket."""
+    monkeypatch.setattr(branch_module, "branch_value_bracket", _not_called)
     for br in graph_decompose(parse("x^2 + y^2 - 250000"), 500).branches:
         assert br.flat
-        brackets = {}
-        assert certified_orders(br, 2, Fraction(500), Fraction(1), brackets) == {1}
-        assert brackets == {}
-        assert certified_orders(br, 16, Fraction(500), Fraction(1), brackets) == set(range(1, 16))
+        with monkeypatch.context() as m:
+            m.setattr(branch_module, "affine_image", _not_called)
+            assert certified_orders(br, 2, Fraction(500), Fraction(1)) == {1}
+        assert certified_orders(br, 16, Fraction(500), Fraction(1)) == set(range(1, 16))
 
 
 def _partition_rows(part):
@@ -1220,7 +1221,7 @@ def test_certified_orders_have_empty_level_sets(monkeypatch):
     for br, n_box in cases:
         big_d = rng.choice([3, 4, 5, 6])
         delta = rng.choice([d for d in (Fraction(1), Fraction(1, 2), Fraction(1, 4)) if d * n_box >= 1])
-        proved = certified_orders(br, big_d, Fraction(n_box), delta, {})
+        proved = certified_orders(br, big_d, Fraction(n_box), delta)
         for i in proved:
             thr = n_box * delta**i
             assert level_set_abscissas(br, i, thr) == [] == level_set_abscissas(br, i, -thr), (br, i)
@@ -1425,14 +1426,14 @@ def _latbench_workloads():
 
 def test_certificate_strength_on_latbench_rounds():
     """Certificate-strength guard: on eight seed-1 rounds, at the pipeline's
-    D and delta, `certified_orders` proves 314 of the 896 orders of the 78
+    D and delta, `certified_orders` proves 474 of the 896 orders of the 78
     `partition` branches and all 600 of the 40 `columns` branches on their
     decomposed domains.  On the integer hulls that the pipeline partitions
-    it proves 551 of the 568 orders of the 51 `partition` branches that hold
+    it proves 563 of the 568 orders of the 51 `partition` branches that hold
     an integer abscissa, and all 600 of the 40 `columns` branches."""
     workloads = _latbench_workloads()
     for name, want_domain, want_hull in (
-        ("partition", (78, 314, 896), (51, 551, 568)),
+        ("partition", (78, 474, 896), (51, 563, 568)),
         ("columns", (40, 600, 600), (40, 600, 600)),
     ):
         counts = {"domain": [0, 0, 0], "hull": [0, 0, 0]}
@@ -1448,10 +1449,26 @@ def test_certificate_strength_on_latbench_rounds():
                         if br is not None:
                             count = counts[key]
                             count[0] += 1
-                            count[1] += len(certified_orders(br, big_d, Fraction(n_box), delta, {}))
+                            count[1] += len(certified_orders(br, big_d, Fraction(n_box), delta))
                             count[2] += big_d - 1
         assert tuple(counts["domain"]) == want_domain, name
         assert tuple(counts["hull"]) == want_hull, name
+
+
+def test_certificate_proves_every_order_next_to_a_branch_point():
+    """At the pipeline's D and delta, the discs prove every order of every
+    integer hull of y^2 - x^3 + 8*x - 8 at N = 25, the swapped one-point
+    hull [3, 3] among them, whose discs start at radius 1 and are centred
+    on the mean of the column's roots."""
+    curve, n_box = parse("y^2 - x^3 + 8*x - 8"), 25
+    ell = default_ell(curve.degree, n_box)
+    delta = default_delta(curve.degree, ell, n_box)
+    hulls = [_hull(br) for br in graph_decompose(curve, n_box).branches]
+    hulls = [br for br in hulls if br is not None]
+    assert any(br.swapped and br.domain == (3, 3) for br in hulls)
+    for br in hulls:
+        big_d = punctured_set(curve.degree, ell, corner_index(br.curve)).D
+        assert certified_orders(br, big_d, Fraction(n_box), delta) == set(range(1, big_d)), br
 
 
 def test_piece_flags_match_product_queries_at_pipeline_size():

@@ -450,15 +450,19 @@ def _clustered_cubics(rng, count):
 
 def test_pipeline_and_oracle_match_a_horner_scan():
     """Pipeline and oracle totals against `_horner_scan`: on the eight
-    fixtures at N <= 100, and on seeded cubics with large coefficients and
-    clustered integer roots, whose columns take the sign bisection."""
+    fixtures at N <= 100, on seeded cubics with large coefficients and
+    clustered integer roots, whose columns take the sign bisection, and on
+    conics tangent to a column inside the box, whose quadratic columns there
+    have an integer double root: (x - 10)^2 + (y - 10)^2 = 25 at x = 5 and
+    x = 15, and 4*(x - 10)^2 + (y - 12)^2 = 100 at the same x."""
     fixtures = [
         ("x - y^2", 100), ("x - y^3", 100), ("x - y^5", 100), ("x*y - 12", 100),
         ("x^2 + y^2 - 25", 100), ("x^2 + y^2 - 65", 100),
         ("y^2 - x^3 - x - 1", 50), ("x^2 - 2*y^2 - 1", 50),
     ]
+    tangent = [("x^2 + y^2 - 20*x - 20*y + 175", 30), ("4*x^2 + y^2 - 80*x - 24*y + 444", 30)]
     points = 0
-    for text, n in fixtures + _clustered_cubics(random.Random(3110), 8):
+    for text, n in fixtures + tangent + _clustered_cubics(random.Random(3110), 8):
         curve = parse(text)
         want = _horner_scan(curve, n)
         rep = determinant_method_count(curve, n)
@@ -524,14 +528,11 @@ def _clear_caches():
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
     builds no Sturm chain (11 before root isolation split by Descartes
-    bounds), and of its 20 squarefree parts only 2 need an integer gcd; the
-    rest are proved squarefree modulo a prime.  11 of the 20 are the
-    decomposition's.  The other 9 are columns read for branch value
-    brackets on the one integer hull [2, 50]; the branch over [0, 25/32]
-    holds no abscissa of the box.  Eight are at the disc certificate's
-    stretch centres: 5/2, 9/4 and 17/8 (half-widths 1/2, 1/4 and 1/8 of the
-    first disc, of radius 1), then 13/4, 25/4, 49/4, 97/4 and 329/8.  The
-    last is x = 26, the midpoint of the hull [2, 50]."""
+    bounds), and of its 11 squarefree parts only 2 need an integer gcd; the
+    rest are proved squarefree modulo a prime.  All 11 are the
+    decomposition's: the disc certificate proves every order on the one
+    integer hull [2, 50] (the branch over [0, 25/32] holds no abscissa of
+    the box), so no branch value bracket is read there."""
     _clear_caches()
     gcd_callers = []
     poly_gcd = unipoly.poly_gcd
@@ -544,7 +545,7 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
     assert rep.total == 0
     assert unipoly.sturm_chain.cache_info().misses == 0
-    assert unipoly.squarefree_part.cache_info().misses == 20
+    assert unipoly.squarefree_part.cache_info().misses == 11
     assert gcd_callers.count("squarefree_part") == 2
 
 
@@ -552,13 +553,18 @@ def test_pipeline_takes_level_curves_from_reduced_parts():
     """Operation-count guard: from empty caches, every level curve of the
     pipeline is a sum of the two reduced parts of its order, so no
     unreduced implicit derivative is built (0 `hk_sequence` misses), and
-    the totals equal the oracle's.  y^2 - x^3 + 8*x - 8 at N = 25 leaves
-    orders 4-8 of one branch on its swapped hull [1, 2], and 2-8 on [3, 3],
-    to the level sets; the disc certificate proves every order of x -
-    3*y^5 at N = 100, so it builds no level curve at all.  5*x^2*y - 2 at
-    N = 38 builds level sets on both frames, whose lc_y(F), 5*x^2 and 5*x,
-    are polynomials, and still builds no unreduced H_k."""
-    cases = (("x - 3*y^5", 100, False), ("y^2 - x^3 + 8*x - 8", 25, True), ("5*x^2*y - 2", 38, True))
+    the totals equal the oracle's.  3*x^2*y + 4*y^3 - 5*y^2 - 2*x at N = 22
+    leaves orders of its hulls to the level sets; the disc certificate
+    proves every order of x - 3*y^5 at N = 100 and of y^2 - x^3 + 8*x - 8
+    at N = 25, so they build no level curve at all.  5*x^2*y - 2 at N = 38
+    builds level sets on both frames, whose lc_y(F), 5*x^2 and 5*x, are
+    polynomials, and still builds no unreduced H_k."""
+    cases = (
+        ("x - 3*y^5", 100, False),
+        ("y^2 - x^3 + 8*x - 8", 25, False),
+        ("3*x^2*y + 4*y^3 - 5*y^2 - 2*x", 22, True),
+        ("5*x^2*y - 2", 38, True),
+    )
     for text, n, builds in cases:
         _clear_caches()
         rep = determinant_method_count(parse(text), n)
