@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_32.json at the repository root.
+rows and write BENCH_33.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -82,9 +82,12 @@ ROWS = [
     # rows where the integer branch points dominate and few covers are built
     ("pipeline", "y^2 - x^3 - x - 1", 10**4),
     ("pipeline", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**4),
+    # the heaviest level-set count known: a cubic whose discs leave many
+    # orders to the level sets, so the partition's cut and flag layer shows
+    ("pipeline", "372506*(y - 1)*(y - 2)*(y - 27) - 14*(x - 1)*(x - 2)*(x - 27)", 91),
 ]
 
-OUT = ROOT / "BENCH_32.json"
+OUT = ROOT / "BENCH_33.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

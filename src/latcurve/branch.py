@@ -8,31 +8,32 @@ and leading-coefficient roots on the closed one.  Branch values are handled
 as isolating intervals (`branch_value_bracket`, cached by branch and
 abscissa) and every sign decision is made exactly: the sign of
 p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
-column p(x0, y) at the bracket of f(x0), zero included, for the level
-signs at a level-set bracket's ends, the piece flags of
-`partition_by_bounds`, one per piece and order, and the slope
+column p(x0, y) at the bracket of f(x0), zero included, for the piece
+flags of `partition_by_bounds`, one per gap and order, and the slope
 regime of a frame cell.  The implicit derivatives H_k are built with the
 `BiPoly` operators from one (F_x, F_y, M) triple per curve.  A level curve
 L = H_i + F_y^(2i-1) * (i! * c) is kept reduced modulo the curve as a sum
 of two parts built once per curve and order: R = A_i + c * B_i = lc^E * L
-mod F, with lc = prim(lc_y F), E even and content 1, has L's sign at every
-branch point, so each level sign reads a column of y-degree below deg_y F.
-A_i runs the H_k recurrence on reduced forms and B_i is order i - 1's times
-i * F_y^2, reduced; no level is reduced on its own.  The eliminant, a
-primitive integer tuple, is R's own row when R is free of y and otherwise
-Res_y(F, R), with prim(lc_y F) divided out of it for as long as it divides
-exactly.  Either way it differs from Res_y(F, L) only by factors of
-lc_y(F) and a constant, and no branch domain holds a root of lc_y(F), so
-it has the level set's roots there.  Along the branch the
-product of the columns of the two reduced +-thr level curves of order i
-has the sign of (f^(i)/i!)^2 - thr^2, which changes only at a level-set
-zero of odd multiplicity, a crossing.  So the cuts are the crossings and
-the exact rational zeros, a tangential contact is no cut, and each
-piece's flag of order i is one query on that product at the piece's
-midpoint, or at the next interior point when the midpoint is a contact.
-Partition pieces come straight from the sorted cuts: piece j spans the gap
-between cuts j - 1 and j and takes the integer abscissas in
-(floor(root_(j-1)), floor(root_j)], one `root_floor` per cut.
+mod F (`_level_curve`), with lc = prim(lc_y F), E even and content 1, has
+L's sign at every branch point, so each level sign reads a column of
+y-degree below deg_y F.  A_i runs the H_k recurrence on reduced forms and
+B_i is order i - 1's times i * F_y^2, reduced; no level is reduced on its
+own.  The eliminant (`_level_resultant`), a primitive integer tuple, is R's
+own row when R is free of y and otherwise Res_y(F, R), with prim(lc_y F)
+divided out of it for as long as it divides exactly.  Either way it
+differs from Res_y(F, L) only by factors of lc_y(F) and a constant, and no
+branch domain holds a root of lc_y(F), so its roots there hold the level
+set's.  Along the branch the product of the columns of the two reduced
++-thr level curves of order i has the sign of (f^(i)/i!)^2 - thr^2, which
+changes only at a level-set zero of odd multiplicity, a crossing.  So the
+partition has one rule: a cut is where a flag changes.  Every eliminant
+root strictly inside the domain is a candidate cut, with no test of its
+own; each gap between consecutive candidates reads its flags by one query
+on that product per order at its midpoint, and a gap whose flags equal its
+left neighbour's is merged into it, so a tangential contact or a root on
+another sheet of the curve leaves no cut.  Piece j takes the integer
+abscissas in (floor(root_(j-1)), floor(root_j)] between its end cuts, one
+`root_floor` per candidate.
 Level sets are built only for the orders that `certified_orders` leaves.
 It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
 branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
@@ -43,8 +44,8 @@ bound on the roots of F over each disc about their mean at its centre,
 and up to four stretch widths per disc.  It reads no branch value: all of
 it runs on the integer maps `unipoly.affine_image` and
 `unipoly.graeffe_step` and integer powers, and a proved order reads small
-on every piece, as its level sets, which have no root in the domain,
-would give.  The x-loci of a
+on every piece, as its flag queries, which find no crossing in the
+domain, would give.  The x-loci of a
 frame curve (its frame cuts, its discriminant Res_y(F, F_y) and whether
 its slope is identically +-1) are one cached `_FrameLoci` record, read by
 the frame cells, the smoothness certificate and the disc test.
@@ -71,7 +72,6 @@ from .unipoly import (
     _int_mul,
     _primitive,
     _rat_eval,
-    _split_points,
     affine_image,
     all_real_roots,
     graeffe_step,
@@ -207,18 +207,18 @@ def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
     along any smooth branch y = f(x) of the curve F.
 
     H_1 = F_x and H_(k+1) = F_y^2 (H_k)_x - F_y F_x (H_k)_y - (2k - 1) H_k M
-    with M = F_y F_xy - F_x F_yy.
+    with M = F_y F_xy - F_x F_yy, built in one loop.
     """
     if curve.degree < 1:
         raise ValueError("curve must be nonconstant")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     fx, fy, mixed = _derivatives(curve)
-    if kmax == 1:
-        return (fx,)
-    prev = hk_sequence(curve, kmax - 1)
-    h, k = prev[-1], kmax - 1
-    return prev + (fy * fy * partial(h, "x") - fy * fx * partial(h, "y") - h * mixed * (2 * k - 1),)
+    seq = [fx]
+    for k in range(1, kmax):
+        h = seq[-1]
+        seq.append(fy * fy * partial(h, "x") - fy * fx * partial(h, "y") - h * mixed * (2 * k - 1))
+    return tuple(seq)
 
 
 # -- level sets and partitioning ---------------------------------------------
@@ -266,20 +266,13 @@ def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[int, ...]]:
-    """(R, the level set's eliminant as a primitive integer tuple) for the
+def _level_curve(curve: BiPoly, i: int, c: Fraction) -> BiPoly:
+    """R = a + c * b from `_reduced_level_parts`, with content 1, for the
     level curve L = H_i + F_y^(2i-1) * (i! * c), which vanishes on branch
-    points with f^(i)/i! = c.
-
-    R = a + c * b from `_reduced_level_parts`, with content 1: lc^e * L mod
-    F, of y-degree below the curve's, with L's sign at every branch point;
-    R = 0 means that L vanishes on the curve.  The eliminant is R's own row
-    when R is free of y (R(x) = lc^e(x) * L(x, f(x)) on every branch) and
-    Res_y(F, R) otherwise, with prim(lc_y F) divided out of it for as long
-    as it divides exactly.  R - lc^e * L is a multiple of F, so Res_y(F, R)
-    is Res_y(F, L) times a power of lc_y(F) and a constant; the division
-    only keeps the degree down, since no branch domain holds a root of
-    lc_y(F)."""
+    points with f^(i)/i! = c: lc^e * L mod F, of y-degree below the curve's,
+    with L's sign at every branch point.  Its column at x0 is what a flag
+    query of `partition_by_bounds` reads there.  R = 0 means that L vanishes
+    on the curve: `DegenerateLevelSetError`."""
     parts = _reduced_level_parts(curve, i)
     reduced = parts.a + parts.b * c
     if reduced.is_zero():
@@ -288,7 +281,20 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[
         )
     # a positive factor keeps every sign and root; content 1 leaves the
     # eliminant of an integer curve with no rational rescaling
-    reduced = reduced * (1 / reduced.content)
+    return reduced * (1 / reduced.content)
+
+
+@lru_cache(maxsize=512)
+def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[int, ...]:
+    """The eliminant of `_level_curve` R, as a primitive integer tuple.
+
+    It is R's own row when R is free of y (R(x) = lc^e(x) * L(x, f(x)) on
+    every branch) and Res_y(F, R) otherwise, with prim(lc_y F) divided out
+    of it for as long as it divides exactly.  R - lc^e * L is a multiple of
+    F, so Res_y(F, R) is Res_y(F, L) times a power of lc_y(F) and a
+    constant; the division only keeps the degree down, since no branch
+    domain holds a root of lc_y(F)."""
+    reduced = _level_curve(curve, i, c)
     if reduced.degree_y() < 1:
         res = list(reduced.rows[0])
     else:
@@ -301,51 +307,25 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[BiPoly, tuple[
         if _int_mul(quotient, lead) != res:
             break
         res = quotient
-    return reduced, _primitive(res)
-
-
-def _level_set(branch: AlgebraicBranch, i: int, c: Fraction) -> list[RootInterval]:
-    """The roots of `level_set_abscissas`, for a `Fraction` level c."""
-    level, res = _level_resultant(branch.curve, i, c)
-    lo, hi = branch.domain
-    roots = isolate_real_roots(res, lo, hi)
-    if level.degree_y() < 1 or not roots:
-        # a reduced level curve free of y is its own eliminant: each root is on the branch
-        return roots
-    width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
-    roots = refine_disjoint(roots, width)
-
-    def level_sign(x: Fraction) -> int:
-        return sign_at_root(branch_value_bracket(branch, x), level.int_column(x))
-
-    included: list[RootInterval] = []
-    for r in roots:
-        # < 0 across a crossing's bracket, and 0 on an exact bracket of the level set
-        s = level_sign(r.lo) * level_sign(r.hi)
-        if s == 0 and not r.is_exact():
-            raise BranchError("sample point unexpectedly on the level set")
-        if s <= 0:
-            included.append(r)
-    return included
+    return _primitive(res)
 
 
 def level_set_abscissas(
     branch: AlgebraicBranch, i: int, c: Fraction | int
 ) -> list[RootInterval]:
-    """Isolating intervals for the x in the domain where f^(i)(x)/i!
-    crosses c, and for the exact rational ones where it equals c.
+    """Isolating intervals for the roots in the closed domain of the
+    eliminant of order i's level curve at c, unrefined.
 
-    An eliminant root is kept when the reduced level curve changes sign
-    along the branch across its bracket, which is a zero of odd
-    multiplicity, or when its bracket is exact and the level curve
-    vanishes there.  A tangential contact, where f^(i)/i! touches c without
-    crossing it, is dropped unless its bracket is exact: no flag of
-    `partition_by_bounds` changes there.  A reduced level curve free of y
-    is its own eliminant, so all its roots in the domain are kept.
+    They hold every x in the domain where f^(i)/i! = c, and may hold more: a
+    point of another sheet of the curve on the level curve, or a tangential
+    contact.  No root is tested along the branch: `partition_by_bounds`
+    takes each one strictly inside the domain as a candidate cut, and it is
+    a cut where a piece flag changes across it.
     """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
-    return _level_set(branch, i, Fraction(c))
+    lo, hi = branch.domain
+    return isolate_real_roots(_level_resultant(branch.curve, i, Fraction(c)), lo, hi)
 
 
 @dataclass
@@ -544,33 +524,28 @@ def partition_by_bounds(
     by the slope bound |f'| < 1), the orders that stay strictly below the
     threshold on the whole closed domain; on the integer hulls of the
     pipeline that is most orders, even next to a branch point.  Such an
-    order has no level-set root there, so it builds no level set, takes no
-    flag query and reads small on every piece; the result is the one the
-    level sets would give.  Every other order falls
-    back to its two exact level sets, as follows.
+    order is never crossed there, so it builds no level set, takes no flag
+    query and reads small on every piece; the result is the one the level
+    sets would give.  Every other order falls back to its two level sets,
+    by one rule: a cut is where a flag changes.
 
-    Piece j spans (cut_(j-1).hi, cut_j.lo) between the sorted cuts and takes
-    the integer abscissas in (floor(root_(j-1)), floor(root_j)].  Where two
-    cut brackets touch, the piece between them has length 0 and is skipped
-    unless it holds an integer abscissa; a one-point domain [k, k] is one
-    piece.
-
-    Along the branch L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 * ((f^(i)/i!)^2
-    - thr^2), which changes sign only at a zero of odd multiplicity of one
-    level curve, a crossing.  The level sets hold every crossing in the
-    domain, so the flag of order i is constant on a piece and its closed
-    bound holds on the whole piece.  Each piece takes one Tarski query per
-    order on the product of the two reduced +-thr level curves' columns at
-    its midpoint.  The product vanishes where F_y does, so a zero takes one
-    more query, and F_y = 0 there is a `BranchError`.  A branch whose
-    orders are all proved builds no level set and takes no query, so it
-    reads no branch value.
-    A piece with lo < hi may hold tangential contacts, where
-    the product vanishes without changing sign; when the midpoint is one,
-    the query moves on along the `unipoly._split_points` walk to the first
-    interior point that is none, and there are finitely many.  On a
-    one-point domain [k, k] a zero means |f^(i)(k)/i!| = thr, which meets
-    the closed bound and reads small.
+    The candidate cuts are the `level_set_abscissas` roots of both level
+    sets of every other order strictly inside the domain; a one-point domain
+    [k, k] has none and builds no eliminant.  Gap j spans (cut_(j-1).hi,
+    cut_j.lo), of length 0 where two brackets touch, and takes the integer
+    abscissas in (floor(root_(j-1)), floor(root_j)].  Along the branch
+    L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 * ((f^(i)/i!)^2 - thr^2), which
+    changes sign only at a crossing, a zero of odd multiplicity of one level
+    curve.  Each gap reads its flag of order i from one Tarski query on the
+    product of the two reduced +-thr level curves' columns at its midpoint,
+    which is no candidate, so a zero there is a `BranchError` on a longer
+    domain; on [k, k] it means |f^(i)(k)/i!| = thr, which meets the closed
+    bound and reads small, unless F_y(k) = 0.  One candidate lies between
+    two consecutive midpoints, so the flags change across it exactly where
+    it is a crossing, and a gap whose flags equal its left neighbour's is
+    merged into it.  After merging, a piece of length 0 with no integer
+    abscissa is dropped.  A branch whose orders are all proved builds no
+    level set and takes no query, so it reads no branch value.
     """
     if big_d < 2:
         raise ValueError("D must be >= 2")
@@ -579,14 +554,16 @@ def partition_by_bounds(
     thresholds = [n_box * delta**i for i in range(1, big_d)]
     raw_cuts: list[RootInterval] = []
     certified = certified_orders(branch, big_d, n_box, delta)
-    # the orders that read small on every piece, with no level-set root
+    # the orders that read small on every piece, with no flag query
     forced_small = set(certified)
     for i, thr in enumerate(thresholds, start=1):
         if i in forced_small:
             continue
         for c in (thr, -thr):
             try:
-                raw_cuts += _level_set(branch, i, c)
+                _level_curve(branch.curve, i, c)
+                if lo < hi:  # a cut lies strictly inside the domain
+                    raw_cuts += level_set_abscissas(branch, i, c)
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
                 # bound |f^(i)/i!| <= thr holds everywhere, with no cuts
@@ -595,42 +572,34 @@ def partition_by_bounds(
     cuts = [r for r in cuts if lo < r.lo and r.hi < hi]
     fy = partial(branch.curve, "y")
 
-    def product_sign(i: int, thr: Fraction, x: Fraction) -> int:
+    def flag(i: int, thr: Fraction, x: Fraction) -> str:
         bracket = branch_value_bracket(branch, x)
-        # both level sets of order i succeeded above, so these are cached
-        plus = _level_resultant(branch.curve, i, thr)[0].int_column(x)
-        minus = _level_resultant(branch.curve, i, -thr)[0].int_column(x)
+        plus = _level_curve(branch.curve, i, thr).int_column(x)
+        minus = _level_curve(branch.curve, i, -thr).int_column(x)
         s = sign_at_root(bracket, _int_mul(plus, minus))
-        # the product has the factor F_y^(4i-2), so only a zero can hide F_y = 0
-        if s == 0 and sign_at_root(bracket, fy.int_column(x)) == 0:
-            raise BranchError("branch derivative degenerate at a flag query point")
-        return s
+        # the midpoint of a longer domain is no candidate cut, so only F_y = 0,
+        # a factor of the product, can zero it; on [k, k] a zero with F_y != 0
+        # meets the closed bound
+        if s == 0 and (lo < hi or sign_at_root(bracket, fy.int_column(x)) == 0):
+            raise BranchError("flag query point on a level set or where F_y = 0")
+        return "small" if s <= 0 else "large"
 
-    # piece j ends at cut j's bracket and at the floor of its root
+    # gap j ends at cut j's bracket and at the floor of its root
     ends = [(cut.lo, cut.hi, root_floor(cut)) for cut in cuts] + [(hi, hi, floor(hi))]
     pieces: list[Piece] = []
     plo, first = lo, ceil(lo)
     for phi, next_lo, last in ends:
-        if plo == phi and first > last:
-            # two cut brackets touch at plo: a piece of length 0 with no point
-            plo, first = next_lo, last + 1
-            continue
         mid = (plo + phi) / 2
-        flags: list[str] = []
-        for i, thr in enumerate(thresholds, start=1):
-            if i in forced_small:
-                flags.append("small")
-                continue
-            s = product_sign(i, thr, mid)
-            if s == 0 and plo < phi:
-                # a tangential contact: the flag is constant on the piece and
-                # the product vanishes at finitely many points of it
-                s = next(filter(None, (product_sign(i, thr, x) for x in _split_points(plo, phi))))
-            # on a one-point piece s = 0 means |f^(i)/i!| = thr: the closed bound holds
-            flags.append("small" if s <= 0 else "large")
-        pieces.append(Piece(plo, phi, tuple(flags), tuple(range(first, last + 1))))
+        flags = tuple("small" if i in forced_small else flag(i, thr, mid) for i, thr in enumerate(thresholds, start=1))
+        points = tuple(range(first, last + 1))
+        if pieces and pieces[-1].flags == flags:
+            # no flag changes across the cut between them: it is no crossing
+            pieces[-1].hi = phi
+            pieces[-1].integer_abscissas += points
+        else:
+            pieces.append(Piece(plo, phi, flags, points))
         plo, first = next_lo, last + 1
-    return IntervalPartition(pieces, certified)
+    return IntervalPartition([p for p in pieces if p.lo < p.hi or p.integer_abscissas], certified)
 
 
 def large_interval_check(piece: Piece, delta: Fraction | int) -> bool:

@@ -37,11 +37,10 @@ the bracket ends of the signed remainder sequence of the bracket polynomial
 f and f'*v mod f, built by the same integer chain builder, with no gcd and
 no interval enclosure.  Two brackets of coprime polynomials are told apart
 by a gcd modulo a prime.  Every split point is the first non-root on one
-walk of interior points (`_split_points`), which `branch` also takes past
-a level-set contact at a partition piece's midpoint.  The package locates
-roots only through this module: one entry normaliser, one affine map, one
-Descartes bound, one squarefree part, one bisection step, one integer root
-search, one floor, one range test and one sign test.
+walk of interior points (`_split_points`).  The package locates roots only
+through this module: one entry normaliser, one affine map, one Descartes
+bound, one squarefree part, one bisection step, one integer root search,
+one floor, one range test and one sign test.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@
   test and a rational root on an isolating bracket, a `Fraction`
   determinant, a reduction modulo a curve and the exact division that takes
   its leading power back out of an eliminant, the sign of a polynomial
-  along a branch, and a lattice-point sweep over x alone.
+  along a branch, the per-root crossing test of a level set, and a
+  lattice-point sweep over x alone.
 - The paper's lemmas, which no count runs: the interpolation-determinant
   bound (Ryser's permanent of the derivative bounds), the single-curve
   threshold, a branch through a rational curve point with its exact Taylor
@@ -21,7 +22,16 @@ from fractions import Fraction
 from math import ceil, comb, factorial, floor
 from typing import Optional
 
-from latcurve.branch import AlgebraicBranch, BranchError, _column, _frame_loci, branch_value_bracket, hk_sequence
+from latcurve.branch import (
+    AlgebraicBranch,
+    BranchError,
+    _column,
+    _frame_loci,
+    _level_curve,
+    branch_value_bracket,
+    hk_sequence,
+    level_set_abscissas,
+)
 from latcurve.detmethod import (
     CoverCertificate,
     DerivativeBoundSpec,
@@ -44,6 +54,7 @@ from latcurve.unipoly import (
     count_real_roots,
     int_exact_quotient,
     integer_roots,
+    refine_disjoint,
     refine_root,
     sign_at_root,
     squarefree_part,
@@ -170,6 +181,37 @@ def branch_sign(branch: AlgebraicBranch, x0: Fraction | int, p: BiPoly) -> int:
     """Exact sign of p(x0, f(x0)) along the branch."""
     x0 = Fraction(x0)
     return sign_at_root(branch_value_bracket(branch, x0), p.int_column(x0))
+
+
+def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> list[RootInterval]:
+    """The roots of `level_set_abscissas` where f^(i)/i! crosses c along the
+    branch, and the exact ones where it equals c: the per-root crossing
+    test, which `partition_by_bounds` replaces by reading where its flags
+    change.
+
+    A reduced level curve R free of y is its own eliminant, so every root
+    is kept.  Otherwise the roots are refined below a width that shrinks
+    with their number, and a root is kept when R changes sign along the
+    branch across its bracket, a zero of odd multiplicity, or when its
+    bracket is exact and R vanishes there.  A tangential contact is dropped
+    unless its bracket is exact; a zero of R at a non-exact bracket's end
+    is a `BranchError`."""
+    c = Fraction(c)
+    level = _level_curve(branch.curve, i, c)
+    roots = level_set_abscissas(branch, i, c)
+    if level.degree_y() < 1 or not roots:
+        return roots
+    lo, hi = branch.domain
+    width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
+    included: list[RootInterval] = []
+    for r in refine_disjoint(roots, width):
+        # < 0 across a crossing's bracket, and 0 on an exact bracket of the level set
+        s = branch_sign(branch, r.lo, level) * branch_sign(branch, r.hi, level)
+        if s == 0 and not r.is_exact():
+            raise BranchError("sample point unexpectedly on the level set")
+        if s <= 0:
+            included.append(r)
+    return included
 
 
 def x_sweep_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint]]:

@@ -16,6 +16,7 @@ from latcurve.branch import (
     AlgebraicBranch,
     BranchError,
     DegenerateLevelSetError,
+    Piece,
     branch_integer_point,
     branch_value_bracket,
     certified_orders,
@@ -42,6 +43,7 @@ from latcurve.unipoly import (
     RootInterval,
     UniPoly,
     _int_mul,
+    _split_points,
     all_real_roots,
     count_real_roots,
     integer_roots,
@@ -56,10 +58,12 @@ from latcurve.unipoly import (
 )
 
 from fraction_bipoly import FractionBiPoly
+import reference_helpers
 from reference_helpers import (
     branch_from_point,
     branch_sign,
     branch_value_rational,
+    crossing_level_set,
     integer_in,
     reduce_modulo,
     taylor_coefficients,
@@ -259,7 +263,7 @@ def test_level_curves_are_positive_multiples_of_fraction_construction():
                         branch_module._level_resultant(curve, i, c)
                     degenerate += 1
                     continue
-                level, res = branch_module._level_resultant(curve, i, c)
+                level, res = branch_module._level_curve(curve, i, c), branch_module._level_resultant(curve, i, c)
                 # R == lc^E * ref mod F, E even, deg_y R < deg_y F
                 ref_reduced, e = fraction_reduced(ref, curve)
                 assert e % 2 == 0 and level.degree_y() < curve.degree_y()
@@ -370,7 +374,7 @@ def _check_level_eliminant(curve, i, c):
         with pytest.raises(DegenerateLevelSetError):
             branch_module._level_resultant(curve, i, c)
         return {"degenerate"}
-    reduced, res = branch_module._level_resultant(curve, i, c)
+    reduced, res = branch_module._level_curve(curve, i, c), branch_module._level_resultant(curve, i, c)
     deg_l = _unreduced_level_curve(curve, i, c).degree_y()
     kinds = {_lead_kind(curve)}
     if _assert_eliminant_matches(curve, reduced, res, deg_l, want):
@@ -391,7 +395,8 @@ def test_level_eliminant_matches_unreduced_route():
     degrees 8 and 12, against 22 and 42 with the factors left in."""
     curve = parse("5*x^2*y - 2")
     for i, degree in ((5, 8), (10, 12)):
-        reduced, res = branch_module._level_resultant(curve, i, Fraction(38))
+        reduced = branch_module._level_curve(curve, i, Fraction(38))
+        res = branch_module._level_resultant(curve, i, Fraction(38))
         assert reduced.degree_y() < 1 and len(res) - 1 == degree
         assert _check_level_eliminant(curve, i, Fraction(38)) >= {"reduced_free_of_y"}
     for text, i in (("y^2 + x*y - x^3", 1), ("y^2 + x^2*y - x", 2), ("2*y^3 - x^2*y^2 + y - 5*x", 2)):
@@ -783,15 +788,22 @@ def test_level_set_bezout_cap():
 def test_level_set_rational_root_at_domain_end():
     # f' = -x/y = -3/4 on the circle at (3, 4) and (-3, -4): the eliminant
     # of the level curve 2x - (3/2)y has the rational roots -3 and 3, and a
-    # domain ending there isolates them as exact brackets [r, r]
+    # domain ending there isolates them as exact brackets [r, r], whichever
+    # branch passes through them
     circle = FIXTURES["circle"]
     upper_right = branch_from_point(circle, 3, 4, (0, 3))
-    assert [(r.lo, r.hi) for r in level_set_abscissas(upper_right, 1, Fraction(-3, 4))] == [(3, 3)]
-    # f'(-3) = 3/4 on the upper branch: the exact root is the lower branch's
     upper_left = branch_from_point(circle, 0, 5, (-3, 0))
-    assert level_set_abscissas(upper_left, 1, Fraction(-3, 4)) == []
     lower_left = branch_from_point(circle, 0, -5, (-3, 0))
-    assert [(r.lo, r.hi) for r in level_set_abscissas(lower_left, 1, Fraction(-3, 4))] == [(-3, -3)]
+    for br, end in ((upper_right, 3), (upper_left, -3), (lower_left, -3)):
+        assert [(r.lo, r.hi) for r in level_set_abscissas(br, 1, Fraction(-3, 4))] == [(end, end)]
+    # f'(-3) = 3/4 on the upper branch: the exact root is the lower
+    # branch's, and the crossing test drops it
+    assert [(r.lo, r.hi) for r in crossing_level_set(upper_right, 1, Fraction(-3, 4))] == [(3, 3)]
+    assert crossing_level_set(upper_left, 1, Fraction(-3, 4)) == []
+    assert [(r.lo, r.hi) for r in crossing_level_set(lower_left, 1, Fraction(-3, 4))] == [(-3, -3)]
+    # a root at a domain end is no cut: |f'| <= 3/4 on [-3, 0] is one piece
+    [piece] = partition_by_bounds(upper_left, 2, 3, Fraction(1, 4)).pieces
+    assert (piece.lo, piece.hi, piece.flags, piece.integer_abscissas) == (-3, 0, ("small",), (-3, -2, -1, 0))
 
 
 def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
@@ -799,7 +811,8 @@ def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
     `poly2.resultant_eliminating_y`, through the binding in `branch` that a
     tracer replaces, with the level curve as its second argument."""
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
-    for cached in (branch_module._level_resultant, branch_module._reduced_level_parts, hk_sequence):
+    levels = (branch_module._level_resultant, branch_module._level_curve, branch_module._reduced_level_parts)
+    for cached in levels + (hk_sequence,):
         cached.cache_clear()
     calls = []
     original = branch_module.resultant_eliminating_y
@@ -810,13 +823,13 @@ def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
 
     monkeypatch.setattr(branch_module, "resultant_eliminating_y", counted)
     assert len(level_set_abscissas(br, 2, Fraction(-1, 8))) >= 1
-    assert calls == [(br.curve, branch_module._level_resultant(br.curve, 2, Fraction(-1, 8))[0])]
+    assert calls == [(br.curve, branch_module._level_curve(br.curve, 2, Fraction(-1, 8)))]
 
 
-def _count_level_sign_queries(monkeypatch):
-    """Record each sign query that `branch` makes.  A level set of a level
-    curve with y reads its sign at both ends of each eliminant root's
-    bracket, and at no other point."""
+def _count_sign_queries(monkeypatch):
+    """Record each sign query that `branch` or the crossing reference makes.
+    The reference reads the level curve's sign at both ends of each bracket
+    of an eliminant root, and `level_set_abscissas` reads none."""
     calls = []
 
     def counted(r, v):
@@ -825,40 +838,49 @@ def _count_level_sign_queries(monkeypatch):
 
     original = branch_module.sign_at_root
     monkeypatch.setattr(branch_module, "sign_at_root", counted)
+    monkeypatch.setattr(reference_helpers, "sign_at_root", counted)
     return calls
 
 
 def test_level_set_rational_tangential_contact(monkeypatch):
     # f''/2 = -25/(2 y^3) on the upper circle branch is at most -1/10, with
     # equality only at x = 0: a double eliminant root without a crossing.
-    # Inside the domain it is no cut; at a domain end its bracket is exact
-    # and the level curve vanishes there, so it is kept.
+    # Inside the domain the crossing test drops it, and the partition has
+    # no cut there; at a domain end its bracket is exact and the level
+    # curve vanishes there, so the crossing test keeps it.
     inside = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
     at_end = branch_from_point(FIXTURES["circle"], 3, 4, (0, 4))
-    calls = _count_level_sign_queries(monkeypatch)
-    assert level_set_abscissas(inside, 2, Fraction(-1, 10)) == []
-    assert branch_module._level_resultant(inside.curve, 2, Fraction(-1, 10))[1] == (0, 0, 1875, 0, -75, 0, 1)
+    calls = _count_sign_queries(monkeypatch)
+    assert [(r.lo, r.hi) for r in level_set_abscissas(inside, 2, Fraction(-1, 10))] == [(-3, 4)]
+    assert branch_module._level_resultant(inside.curve, 2, Fraction(-1, 10)) == (0, 0, 1875, 0, -75, 0, 1)
+    assert calls == []
+    assert crossing_level_set(inside, 2, Fraction(-1, 10)) == []
     assert len(calls) == 2
     calls.clear()
-    assert [(r.lo, r.hi) for r in level_set_abscissas(at_end, 2, Fraction(-1, 10))] == [(0, 0)]
+    assert [(r.lo, r.hi) for r in crossing_level_set(at_end, 2, Fraction(-1, 10))] == [(0, 0)]
     assert len(calls) == 2
+    first = partition_by_bounds(inside, 3, 10, Fraction(1, 10)).pieces[0]
+    assert first.lo < 0 < first.hi and first.flags[1] == "large"
 
 
 def test_level_set_simple_root_without_crossing_skipped(monkeypatch):
     # f' = -x/y = -3/4 at (3, 4) on the upper branch; the eliminant x^2 - 9
     # has its other simple root x = -3 at the lower branch point (-3, -4),
-    # so the level curve keeps its sign along the upper branch there
+    # so the level curve keeps its sign along the upper branch there.
+    # `level_set_abscissas` isolates both roots with no sign query, and the
+    # crossing test keeps x = 3 only.
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
     hyperbola = branch_from_point(FIXTURES["hyperbola"], 3, 4, (1, 12))
-    calls = _count_level_sign_queries(monkeypatch)
-    roots = level_set_abscissas(br, 1, Fraction(-3, 4))
+    calls = _count_sign_queries(monkeypatch)
+    assert len(level_set_abscissas(br, 1, Fraction(-3, 4))) == 2 and calls == []
+    assert branch_module._level_resultant(br.curve, 1, Fraction(-3, 4)) == (-9, 0, 1)
+    roots = crossing_level_set(br, 1, Fraction(-3, 4))
     assert len(roots) == 1 and roots[0].lo <= 3 <= roots[0].hi
-    assert branch_module._level_resultant(br.curve, 1, Fraction(-3, 4))[1] == (-9, 0, 1)
     # two sign queries per bracket decide both roots
     assert len(calls) == 4
     # a reduced level curve free of y is its own eliminant: no query at all
     calls.clear()
-    assert len(level_set_abscissas(hyperbola, 1, -3)) == 1
+    assert len(crossing_level_set(hyperbola, 1, -3)) == 1
     assert calls == []
 
 
@@ -868,12 +890,16 @@ _CONTACT_CURVE = "15*x - 3*y^5 + 20*y^3 - 75*y"
 def test_level_set_irrational_tangential_contact_is_no_cut(monkeypatch):
     # 15x = 3y^5 - 20y^3 + 75y has f' = 1/((y^2 - 2)^2 + 1) <= 1, with
     # equality at y = sqrt(2), x = 47*sqrt(2)/15: an irrational contact, the
-    # double root of the eliminant -(225x^2 - 4418)^2 in the domain
+    # double root of the eliminant -(225x^2 - 4418)^2 in the domain, which
+    # the crossing test drops and the partition does not cut at
     br = branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10))
-    calls = _count_level_sign_queries(monkeypatch)
-    assert level_set_abscissas(br, 1, 1) == []
-    assert branch_module._level_resultant(br.curve, 1, Fraction(1))[1] == (-4418**2, 0, 2 * 225 * 4418, 0, -(225**2))
+    calls = _count_sign_queries(monkeypatch)
+    assert [(r.lo, r.hi) for r in level_set_abscissas(br, 1, 1)] == [(0, 10)]
+    assert branch_module._level_resultant(br.curve, 1, Fraction(1)) == (-4418**2, 0, 2 * 225 * 4418, 0, -(225**2))
+    assert calls == []
+    assert crossing_level_set(br, 1, 1) == []
     assert len(calls) == 2
+    assert [(p.lo, p.hi) for p in partition_by_bounds(br, 2, 10, Fraction(1, 10)).pieces] == [(0, 10)]
 
 
 # -- partitions --------------------------------------------------------------------------
@@ -974,18 +1000,27 @@ def test_root_floor_rejects_a_bracket_wider_than_its_floor_test():
     assert root_floor(refine_root(bracket, Fraction(1, 4))) == 21
 
 
-def _reference_integer_abscissas(br, big_d, n_box, delta):
-    """The cuts and the per-piece integer abscissas as assigned by testing
-    every (abscissa, cut) pair: k goes to the first cut whose root is >= k."""
+def _reference_pieces(br, big_d, n_box, delta):
+    """The cuts and pieces of the per-root crossing rule: the cuts are the
+    `crossing_level_set` roots strictly inside the domain, each integer
+    abscissa k goes to the first cut whose root is >= k by a test of every
+    (abscissa, cut) pair, and a gap of length 0 between two touching
+    brackets is a piece only when it holds an integer.  Each piece, as
+    (flags, integer abscissas), reads its flags by `_two_query_flags` at
+    the first point of the `_split_points` walk on no level curve, or at
+    its one point.  Also returns how many eliminant roots in the domain
+    the crossing test drops."""
     lo, hi = br.domain
-    raw = []
-    for i in range(1, big_d):
-        thr = n_box * delta**i
+    thresholds = [n_box * delta**i for i in range(1, big_d)]
+    raw, skipped = [], 0
+    for i, thr in enumerate(thresholds, start=1):
         for c in (thr, -thr):
             try:
-                raw.extend(level_set_abscissas(br, i, c))
+                crossings = crossing_level_set(br, i, c)
             except DegenerateLevelSetError:
-                pass
+                continue
+            raw += crossings
+            skipped += len(level_set_abscissas(br, i, c)) - len(crossings)
     cuts = []
     for r in refine_disjoint(raw, Fraction(1, 4)) if raw else []:
         r = refine_clear_of(r, lo, hi)
@@ -1004,16 +1039,25 @@ def _reference_integer_abscissas(br, big_d, n_box, delta):
     assigned = [[] for _ in range(len(cuts) + 1)]
     for k in range(ceil(lo), floor(hi) + 1):
         assigned[next((j for j, cut in enumerate(cuts) if side(cut, k) <= 0), len(cuts))].append(k)
-    return cuts, [tuple(a) for a in assigned]
+    pieces = []
+    for a, b, ks in zip([lo] + [c.hi for c in cuts], [c.lo for c in cuts] + [hi], assigned):
+        if a < b or ks:
+            walk = _split_points(a, b) if a < b else [a]
+            span = Piece(a, b, (), ())
+            flags = next(filter(None, (_two_query_flags(br, span, thresholds, at=x) for x in walk)))
+            pieces.append((flags, tuple(ks)))
+    return cuts, pieces, skipped
 
 
 def test_partition_integer_abscissas_match_pairwise_assignment():
     """Seeded differential on the branches of random curves (degree <= 3,
-    |c| <= 6, N <= 40): pieces span the gaps between the cuts, except a gap
-    of length 0 with no integer, and each takes the integers that a test of
-    every (abscissa, cut) pair assigns to it."""
+    |c| <= 6, N <= 40): the pieces of `partition_by_bounds`, whose cuts are
+    where a flag changes, have the flags and the integer abscissas of the
+    per-root crossing rule (`_reference_pieces`).  Their ends may differ,
+    since a candidate cut that is no crossing can narrow a crossing's
+    bracket that it overlaps."""
     rng = random.Random(2024)
-    curves = cuts_seen = integer_in_bracket = empty_gaps = 0
+    curves = cuts_seen = integer_in_bracket = merged = 0
     while curves < 200:
         deg = rng.choice([2, 3])
         terms = {}
@@ -1034,18 +1078,12 @@ def test_partition_integer_abscissas_match_pairwise_assignment():
             big_d = rng.choice([2, 3, 4])
             delta = rng.choice([Fraction(1, n_box), Fraction(2, n_box), Fraction(1, 4), Fraction(1, 2)])
             part = partition_by_bounds(br, big_d, n_box, delta)
-            cuts, want = _reference_integer_abscissas(br, big_d, n_box, delta)
-            lo, hi = br.domain
-            spans = list(zip([lo] + [c.hi for c in cuts], [c.lo for c in cuts] + [hi]))
-            # a gap of length 0 between two touching brackets is a piece only
-            # when it holds an integer
-            kept = [(span, ks) for span, ks in zip(spans, want) if span[0] < span[1] or ks]
-            assert [p.integer_abscissas for p in part.pieces] == [ks for _, ks in kept], curve.pretty()
-            assert [(p.lo, p.hi) for p in part.pieces] == [span for span, _ in kept], curve.pretty()
+            cuts, want, skipped = _reference_pieces(br, big_d, n_box, delta)
+            assert [(p.flags, p.integer_abscissas) for p in part.pieces] == want, curve.pretty()
             cuts_seen += len(cuts)
             integer_in_bracket += sum(ceil(c.lo) <= c.hi for c in cuts)
-            empty_gaps += len(spans) - len(kept)
-    assert cuts_seen >= 50 and integer_in_bracket >= 3 and empty_gaps >= 1
+            merged += skipped
+    assert cuts_seen >= 50 and integer_in_bracket >= 3 and merged >= 20, (cuts_seen, integer_in_bracket, merged)
 
 
 def _random_branches(rng, count):
@@ -1194,9 +1232,9 @@ def test_certified_orders_have_empty_level_sets(monkeypatch):
     """Seeded differential: on random branches (degree 2-3), the branches of
     curves shaped like the benchmark families and branches that end near a
     branch point or a pole,
-    every order the certificate proves has empty exact level sets at both
-    +-N*delta^i, and `partition_by_bounds` equals the exact route, run with
-    the certificate patched to prove no order."""
+    every order the certificate proves is never crossed (`crossing_level_set`
+    finds no root at +-N*delta^i), and `partition_by_bounds` equals the
+    exact route, run with the certificate patched to prove no order."""
     rng = random.Random(22)
     cases = _random_branches(rng, 40)
     shapes = [(f"x - {c}*y^2 - {e}*y", 500) for c, e in ((1, 0), (2, 53), (3, 17))]
@@ -1224,7 +1262,7 @@ def test_certified_orders_have_empty_level_sets(monkeypatch):
         proved = certified_orders(br, big_d, Fraction(n_box), delta)
         for i in proved:
             thr = n_box * delta**i
-            assert level_set_abscissas(br, i, thr) == [] == level_set_abscissas(br, i, -thr), (br, i)
+            assert crossing_level_set(br, i, thr) == [] == crossing_level_set(br, i, -thr), (br, i)
         part = partition_by_bounds(br, big_d, n_box, delta)
         assert part.certified == proved
         with monkeypatch.context() as m:
@@ -1262,7 +1300,7 @@ def test_reduced_level_signs_match_unreduced_at_branch_points():
             levels += [taylor_coefficients(br, k, i)[i] for k in hits[:1]]
             for c in levels:
                 try:
-                    reduced = branch_module._level_resultant(br.curve, i, c)[0]
+                    reduced = branch_module._level_curve(br.curve, i, c)
                 except DegenerateLevelSetError:
                     continue
                 level = _unreduced_level_curve(br.curve, i, c)
@@ -1278,9 +1316,9 @@ def test_reduced_level_signs_match_unreduced_at_branch_points():
 
 def _two_query_flags(br, piece, thresholds, at=None):
     """The flags of a piece from the signs of F_y and of the two unreduced
-    level curves of each order at `at`, by default its midpoint, which must
-    not lie on a level curve unless the piece is one point, where the closed
-    bound holds."""
+    level curves of each order at `at`, by default its midpoint, or None
+    when that point lies on a level curve, unless the piece is one point,
+    where the closed bound holds."""
     mid = (piece.lo + piece.hi) / 2 if at is None else at
     bracket = branch_value_bracket(br, mid)
     sfy = sign_at_root(bracket, partial(br.curve, "y").int_column(mid))
@@ -1294,7 +1332,9 @@ def _two_query_flags(br, piece, thresholds, at=None):
             continue
         s_plus = sign_at_root(bracket, _unreduced_level_curve(br.curve, i, thr).int_column(mid))
         s_minus = sign_at_root(bracket, _unreduced_level_curve(br.curve, i, -thr).int_column(mid))
-        assert sfy != 0 and (piece.lo == piece.hi or s_plus != 0 and s_minus != 0)
+        assert sfy != 0
+        if piece.lo < piece.hi and 0 in (s_plus, s_minus):
+            return None
         flags.append("small" if (-s_plus * sfy <= 0 and -s_minus * sfy >= 0) else "large")
     return tuple(flags)
 
@@ -1355,14 +1395,16 @@ def test_partition_through_an_irrational_contact_is_one_piece():
 
 def test_partition_reads_flags_past_a_contact_at_the_midpoint():
     """On the upper circle branch over (-3, 3), f''/2 = -25/(2 y^3) touches
-    -1/10 = -N*delta^2 at x = 0, the midpoint of the one piece, where the
-    product query of order 2 reads 0.  The flags are read at the next
-    interior point and equal two queries at x = 1, which is no contact."""
+    -1/10 = -N*delta^2 at x = 0, the midpoint of the domain, where the
+    product query of order 2 reads 0.  The contact is a candidate cut, with
+    the bracket (-1/9, 1/9), so no flag is read there: the gaps on either
+    side read the flags of two queries at x = 1, which is no contact, and
+    merge into one piece."""
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 3))
     part = partition_by_bounds(br, 3, 10, Fraction(1, 10))
     assert _pieces(part) == [(-3, 3, ("small", "large"))]
-    plus = branch_module._level_resultant(br.curve, 2, Fraction(1, 10))[0].int_column(0)
-    minus = branch_module._level_resultant(br.curve, 2, Fraction(-1, 10))[0].int_column(0)
+    plus = branch_module._level_curve(br.curve, 2, Fraction(1, 10)).int_column(0)
+    minus = branch_module._level_curve(br.curve, 2, Fraction(-1, 10)).int_column(0)
     assert sign_at_root(branch_value_bracket(br, 0), _int_mul(plus, minus)) == 0
     thresholds = [Fraction(1), Fraction(1, 10)]
     assert part.pieces[0].flags == _two_query_flags(br, part.pieces[0], thresholds, at=Fraction(1))
@@ -1382,6 +1424,26 @@ def test_flags_across_a_cut_of_two_orders_flip_both():
     assert all(p.flags == _two_query_flags(br, p, thresholds) for p in part.pieces)
 
 
+def test_partition_keeps_pieces_apart_across_a_zero_length_gap():
+    """On branch 2 of 6*x^2*y - 3*x^2 - 6*x*y + 3*y^2 - 5 at N = 15, with D =
+    3 and delta = 1/15, f''/2 crosses -1/15 in the bracket (5175/4096,
+    12165/8192) and then 1/15 in the bracket (12165/8192, 3495/2048).  The
+    gap of length 0 between them reads order 2 small and holds no integer,
+    while the pieces on either side read it large.  Merging comes first, so
+    that gap keeps them apart and is dropped after it; skipping it first
+    would merge them into one large piece over a stretch where |f''/2| <
+    1/15."""
+    br = graph_decompose(parse("6*x^2*y - 3*x^2 - 6*x*y + 3*y^2 - 5"), 15).branches[2]
+    part = partition_by_bounds(br, 3, 15, Fraction(1, 15))
+    assert _partition_rows(part) == [
+        (Fraction(105, 128), Fraction(5175, 4096), ("small", "large"), (1,)),
+        (Fraction(3495, 2048), Fraction(12435, 4096), ("small", "large"), (2, 3)),
+        (Fraction(26685, 8192), 15, ("small", "small"), tuple(range(4, 16))),
+    ]
+    gap = Piece(Fraction(12165, 8192), Fraction(12165, 8192), (), ())
+    assert _two_query_flags(br, gap, [Fraction(1), Fraction(1, 15)]) == ("small", "small")
+
+
 def _product_query_flags(br, piece, thresholds):
     """The flags of a piece from one query per order on the product of the
     reduced +-thr level curves' columns at its midpoint."""
@@ -1390,8 +1452,8 @@ def _product_query_flags(br, piece, thresholds):
     flags = []
     for i, thr in enumerate(thresholds, start=1):
         try:
-            plus = branch_module._level_resultant(br.curve, i, thr)[0].int_column(mid)
-            minus = branch_module._level_resultant(br.curve, i, -thr)[0].int_column(mid)
+            plus = branch_module._level_curve(br.curve, i, thr).int_column(mid)
+            minus = branch_module._level_curve(br.curve, i, -thr).int_column(mid)
         except DegenerateLevelSetError:
             flags.append("small")
             continue
@@ -1498,7 +1560,8 @@ def test_pipeline_partitions_one_hull_piece_on_a_pure_flip_branch(monkeypatch):
     holds no integer abscissa.  The disc certificate proves all 15 orders
     of the hull, so no level set is built and no product-column query is
     made."""
-    for cached in (branch_module._level_resultant, branch_module._reduced_level_parts, hk_sequence):
+    levels = (branch_module._level_resultant, branch_module._level_curve, branch_module._reduced_level_parts)
+    for cached in levels + (hk_sequence,):
         cached.cache_clear()
     calls = []
     original = branch_module._int_mul
@@ -1545,8 +1608,6 @@ def test_partition_reads_a_one_point_hull_on_a_level_set_as_small():
 
 
 def test_large_interval_check():
-    from latcurve.branch import Piece
-
     mk = lambda length: Piece(Fraction(0), Fraction(length), ("large",), ())
     assert large_interval_check(mk(4), Fraction(1, 2))
     assert not large_interval_check(mk(5), Fraction(1, 2))

@@ -178,6 +178,14 @@ def test_hk_output(capsys):
     assert lines[1] == "H_2 = 18*x^4 - 24*x*y^2"
 
 
+def test_hk_builds_high_orders_without_recursion(capsys):
+    """H_1..H_k come from one loop, so a large k needs no stack depth."""
+    code, out, _ = run_cli(capsys, "hk", "--poly", "x - y", "--k", "1500")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1500 and all(line.startswith(f"H_{k} = ") for k, line in enumerate(lines, start=1))
+
+
 def test_cover_points_file(tmp_path, capsys):
     path = tmp_path / "pts.txt"
     path.write_text("1 1\n2 4\n# a comment\n3 9\n")

@@ -575,7 +575,7 @@ def test_pipeline_takes_level_curves_from_reduced_parts():
 
 def test_pipeline_builds_level_sets_only_for_uncertified_orders(monkeypatch):
     """Operation-count guard: from empty caches, x - 2*y^2 - 53*y at N = 500
-    equals the oracle, and `_level_resultant` builds exactly the two level
+    equals the oracle, and `_level_curve` builds exactly the two level
     curves of each (frame curve, order) that the disc certificate left; here
     it proves every order of every branch, so none is built."""
     _clear_caches()
@@ -591,7 +591,7 @@ def test_pipeline_builds_level_sets_only_for_uncertified_orders(monkeypatch):
     rep = determinant_method_count(parse("x - 2*y^2 - 53*y"), 500)
     assert rep.ok and rep.total == rep.oracle_total == 7
     left = {(br.curve, i) for br, big_d, part in parts for i in range(1, big_d) if i not in part.certified}
-    assert branch._level_resultant.cache_info().misses == 2 * len(left)
+    assert branch._level_curve.cache_info().misses == 2 * len(left)
     assert parts and left == set()
     assert branch._reduced_level_parts.cache_info().misses == 0
 
@@ -648,8 +648,9 @@ def test_pipeline_small_delta_enumerate_path():
 def _not_ok_report(monkeypatch, name, fake, delta=None):
     """`x - y^2` at N = 100, counted with `counting.<name>` replaced by
     `fake`.  Its one branch is partitioned on the hull [1, 100]: one cover
-    piece of one curve at the default delta, and two enumerated pieces
-    before a cover piece at delta = 1/4, the first of them holding x = 1."""
+    piece of one curve at the default delta, and three enumerated pieces
+    before a cover piece at delta = 1/4, the first of them holding x = 1 and
+    the others no integer."""
     monkeypatch.setattr(counting, name, fake)
     return determinant_method_count(parse("x - y^2"), 100, delta=delta)
 
@@ -665,7 +666,7 @@ def test_pipeline_not_ok_when_a_large_piece_is_long(monkeypatch):
     assert rep.ok is False and rep.total == rep.oracle_total == 10
     assert rep.warnings == [
         f"large-derivative piece {interval} exceeds 2/delta"
-        for interval in (("1", "2345/2048"), ("3335/2048", "3533/2048"))
+        for interval in (("1", "2345/2048"), ("809/512", "13241/8192"), ("3335/2048", "3533/2048"))
     ]
 
 
