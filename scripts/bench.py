@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_33.json at the repository root.
+rows and write BENCH_35.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -35,6 +35,11 @@ ROOT = Path(__file__).resolve().parent.parent
 ROWS = [
     ("oracle", "x - y^2", 10**4),
     ("oracle", "x - y^2", 10**5),
+    # the ROADMAP's "N up to about 10^6": the sweep reads only the live
+    # columns y <= 1000 of the swept axis
+    ("oracle", "x - y^2", 10**6),
+    # a circle whose live columns are x <= 500 of 10^4
+    ("oracle", "x^2 + y^2 - 250000", 10**4),
     ("oracle", "y^2 - x^3 - x - 1", 10**4),
     ("oracle", "y^2 - x^3 - x - 1", 10**5),
     # degree 3 and 5 in y but 1 in x: the oracle sweeps y with linear columns
@@ -87,7 +92,7 @@ ROWS = [
     ("pipeline", "372506*(y - 1)*(y - 2)*(y - 27) - 14*(x - 1)*(x - 2)*(x - 27)", 91),
 ]
 
-OUT = ROOT / "BENCH_33.json"
+OUT = ROOT / "BENCH_35.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

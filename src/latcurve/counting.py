@@ -14,7 +14,18 @@ searches only the quotient for further integer roots.
 The sweep solves one integer column per line of the box, and a column of
 degree d holds at most d points and costs a degree-d root search, so it
 sweeps the axis whose columns have the lower degree: y = 1..N when
-deg_x < deg_y, else x = 1..N.
+deg_x < deg_y, else x = 1..N.  It sweeps only the live runs of that axis.
+With the frame F(a, t), swept variable a and column variable t, the number
+of real roots of the column at a inside [1, N] is constant between
+consecutive critical abscissas in [1, N], the roots of the edge columns
+F(a, 1) and F(a, N) and, when deg_t F >= 2, of the discriminant eliminant
+Res_t(F, F_t): a root enters or leaves [1, N] only through t = 1 or t = N,
+real roots appear or vanish only where Res_t(F, F_t) vanishes, and that
+eliminant has lc_t F as a factor, so no root escapes to infinity in
+between (for deg_t F = 1 such a root crosses an edge first).  So each run
+between two critical abscissas takes one test of its first column, and the
+column at the ceiling of a critical abscissa is a run of its own; a zero
+eliminant, from a repeated factor in t, leaves the full sweep.
 """
 
 from __future__ import annotations
@@ -37,8 +48,16 @@ from .detmethod import (
     greedy_cover,
 )
 from .monomials import punctured_set
-from .poly2 import BiPoly, corner_index, divides, ingestion_check, resultant_eliminating_y, x_content
-from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, primitive_ints
+from .poly2 import (
+    BiPoly,
+    corner_index,
+    divides,
+    ingestion_check,
+    partial,
+    resultant_eliminating_y,
+    x_content,
+)
+from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, primitive_ints, root_ceilings
 
 
 class CountingError(ValueError):
@@ -68,6 +87,39 @@ def _reject_lines_in_box(curve: BiPoly, across: BiPoly, n_box: int) -> None:
             raise LineFactorError(f"{line} = {hits[0]} lies inside the box")
 
 
+def _live_runs(frame: BiPoly, turned: BiPoly, n_box: int) -> list[tuple[int, int]]:
+    """The runs [first, last] of 1..N, increasing, outside which no column
+    of `frame` has a real root in [1, N]; `turned` is frame with x and y
+    swapped, so its columns at 1 and N are the frame's box edges.
+
+    The critical abscissas are the real roots in [1, N] of the two edges
+    and, when deg_y(frame) >= 2, of the discriminant eliminant
+    Res_y(frame, frame_y).  1..N is split before and after the ceiling of
+    each, so that ceiling is a run of its own, whether or not the critical
+    abscissa is an integer, and every longer run lies strictly between two
+    consecutive critical abscissas, where its columns have equally many
+    real roots in [1, N]: one test of its first column (`root_ceilings`)
+    decides it.  An eliminant that is identically zero (a repeated factor
+    in y) leaves the one run 1..N.
+    """
+    loci = [turned.int_column(1), turned.int_column(n_box)]
+    if frame.degree_y() >= 2:
+        disc = resultant_eliminating_y(frame, partial(frame, "y"))
+        if disc.is_zero():
+            return [(1, n_box)]
+        loci.append(primitive_ints(disc.coeffs))
+    cuts = {1, n_box + 1}
+    for locus in loci:
+        for c in root_ceilings(locus, 1, n_box):
+            cuts.update((c, c + 1))
+    bounds = sorted(cuts)
+    return [
+        (first, after - 1)
+        for first, after in zip(bounds, bounds[1:])
+        if after - first == 1 or root_ceilings(frame.int_column(first), 1, n_box)
+    ]
+
+
 def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint]]:
     """Integer solutions in {1..N}^2, sorted by (x, y), by an exact sweep.
 
@@ -76,7 +128,13 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
     d points and costs a degree-d root search, so the sweep runs over
     y = 1..N, with columns in x, when deg_x < deg_y, and over x = 1..N,
     with columns in y, otherwise.  No line inside the box divides the curve
-    (`_reject_lines_in_box` runs first), so no swept column is zero.
+    (`_reject_lines_in_box` runs first), so no swept column is zero.  Only
+    the live runs of the swept axis are swept (`_live_runs`): a real root
+    of a column enters or leaves [1, N] only through a box edge, and real
+    roots appear or vanish only at a zero of the discriminant eliminant,
+    which has the columns' leading coefficient as a factor, so between
+    consecutive roots of these loci every column has equally many real
+    roots in [1, N], and one column's test decides the run.
     """
     if curve.is_zero():
         raise CountingError("curve must be nonzero")
@@ -87,13 +145,14 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
     across = curve.swap_xy()
     _reject_lines_in_box(curve, across, n_box)
     swapped = curve.degree_x() < curve.degree_y()
-    frame = across if swapped else curve
+    frame, turned = (across, curve) if swapped else (curve, across)
     if frame.degree_y() == 0:
         return 0, []
     points: list[LatticePoint] = []
-    for a in range(1, n_box + 1):
-        for b in integer_roots(frame.int_column(a), 1, n_box):
-            points.append(LatticePoint(b, a) if swapped else LatticePoint(a, b))
+    for first, last in _live_runs(frame, turned, n_box):
+        for a in range(first, last + 1):
+            for b in integer_roots(frame.int_column(a), 1, n_box):
+                points.append(LatticePoint(b, a) if swapped else LatticePoint(a, b))
     if swapped:
         points.sort()
     return len(points), points

@@ -21,15 +21,19 @@ proved squarefree by a gcd modulo a prime where it can be) until every part
 has v <= 1; `count_real_roots` counts the brackets.  Integer roots are found
 on integer endpoints only, with no isolation and no shared cache, by one
 search (`_root_slots`) that lists the real roots in increasing order as
-slots, an int for an integer root and None for any other: `integer_roots`
-keeps the integer slots in a range, and `ranked_integer_root` reads the slot
-of a given rank.  The search decides degree <= 2 in closed form.  Otherwise
-each half-line the range meets is certified by Descartes' rule on p's own
-coefficients (`_half_line_bounds`); when every such bound is at most 1, each
-half's one simple root is found by integer sign bisection on p
-(`_bisect_integer_root`).  Only a needed half with bound >= 2 makes it split
-the range on an integer Sturm chain (`integer_squarefree_chain`), on which a
-chain element f at x = num/den is evaluated as the integer den^deg * f(x).
+slots (c, exact), c the ceiling of the root and exact whether the root is c:
+`integer_roots` keeps the exact slots in a range, `root_ceilings` the
+ceilings of the roots in a range, and `ranked_integer_root` reads the slot
+of a given rank.  The search decides degree <= 2 in closed form, with
+`math.isqrt` for the ceilings of irrational roots.  Otherwise each half-line
+the range meets is certified by Descartes' rule on p's own coefficients
+(`_half_line_bounds`); when every such bound is at most 1, a half's one
+simple root is located by a sign test at the ends of its part of the range
+(`_half_line_slot`) and, when it lies there, by integer sign bisection on p
+down to its ceiling (`_bisect_ceiling`).  Only a needed half with bound >= 2
+makes it split the range on an integer Sturm chain
+(`integer_squarefree_chain`), on which a chain element f at x = num/den is
+evaluated as the integer den^deg * f(x).
 Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
 evaluation of the bracket polynomial.  The sign of an integer polynomial v
 at an isolated root is a Tarski query (`sign_at_root`): sign variations at
@@ -752,37 +756,36 @@ def all_real_roots(p: Sequence[int]) -> list[RootInterval]:
     return isolate_real_roots(f, -bound, bound)
 
 
-def _small_real_roots(f: Sequence[int]) -> list[int | None]:
-    """The distinct real roots of the nonzero integer polynomial f of degree
-    at most 2, increasing, each as an int when it is an integer, else None.
+def _small_real_roots(f: Sequence[int]) -> list[tuple[int, bool]]:
+    """The slots of the distinct real roots of the nonzero integer polynomial
+    f of degree at most 2, increasing: (c, exact) with c the ceiling of the
+    root and exact whether the root is c.
 
-    Degree 0 has no root and degree 1 one exact division.  Degree 2 reads
-    the sign of b^2 - 4ac: a negative one means no real root, zero one double
-    root, and a positive non-square two irrational roots; for a square s^2
-    each candidate (-b -+ s)/(2a) takes one exact division, and the sign of a
-    orders them.
+    Degree 0 has no root and degree 1 one floor division.  Degree 2 reads
+    the sign of D = b^2 - 4ac: a negative one means no real root.  The roots
+    are (u -+ sqrt(D))/v with v = 2|a| > 0 and u = -b or b with the sign of
+    a, in increasing order.  For a square D = s^2 (s = 0 a double root) each
+    takes one floor division; otherwise both are irrational, and with
+    s = isqrt(D) their ceilings are -floor((s - u)/v) and floor((u + s)/v) + 1.
     """
     if len(f) == 1:
         return []
     if len(f) == 2:
         q, r = divmod(-f[0], f[1])
-        return [None if r else q]
+        return [(q + (r != 0), not r)]
     c, b, a = f
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
+    u, v = (-b, 2 * a) if a > 0 else (b, -2 * a)
     s = math.isqrt(disc)
     if s * s != disc:
-        return [None, None]
-    if s == 0:
-        nums = (-b,)
-    else:
-        nums = (-b - s, -b + s) if a > 0 else (-b + s, -b - s)
-    roots = []
-    for num in nums:
-        q, r = divmod(num, 2 * a)
-        roots.append(None if r else q)
-    return roots
+        return [(-((s - u) // v), False), ((u + s) // v + 1, False)]
+    slots = []
+    for num in ((u,) if s == 0 else (u - s, u + s)):
+        q, r = divmod(num, v)
+        slots.append((q + (r != 0), not r))
+    return slots
 
 
 def _half_line_bounds(f: Sequence[int], neg: bool, pos: bool) -> tuple[Sequence[int], bool, int, int]:
@@ -806,13 +809,14 @@ def _half_line_bounds(f: Sequence[int], neg: bool, pos: bool) -> tuple[Sequence[
     return g, m > 0, v_neg, sign_variations(g) if pos else 0
 
 
-def _bisect_integer_root(f: Sequence[int], a: int, b: int) -> int | None:
-    """The root of the integer polynomial f in (a, b] when it is an integer,
-    else None.  Either b - a == 1, or (a, b] holds at most one real root of
-    f, across which f changes sign: a sign bisection on integer midpoints
-    keeps that root in (a, b] down to width 1, where one exact test decides.
+def _bisect_ceiling(f: Sequence[int], a: int, b: int, sb: int) -> tuple[int, bool]:
+    """The slot (c, exact) of the root of the integer polynomial f in (a, b],
+    with `sb` = f(b): c is the root's ceiling and exact whether the root is
+    c.  Either b - a == 1, where every root in (a, b] has the ceiling b, or
+    (a, b] holds exactly one real root of f, across which f changes sign: a
+    sign bisection on integer midpoints keeps that root in (a, b] down to
+    width 1, where one exact test decides.
     """
-    sb = _int_eval(f, b)
     while sb and b - a > 1:
         m = (a + b) // 2
         sm = _int_eval(f, m)
@@ -820,26 +824,39 @@ def _bisect_integer_root(f: Sequence[int], a: int, b: int) -> int | None:
             b, sb = m, sm  # the root lies in (a, m]
         else:
             a = m  # the root lies in (m, b)
-    return None if sb else b
+    return b, not sb
 
 
-def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[int | None]:
-    """Slots for the real roots of p, increasing: an int for an integer
-    root, None for any other.  They hold every integer root in [lo, hi]
-    (unbounded where None); with lo = hi = None there is exactly one slot per
-    distinct real root.
+def _half_line_slot(f: Sequence[int], a: int, b: int) -> list[tuple[int, bool]]:
+    """The slot of f's root as a one-item list when the root lies in
+    (a, b], else [], for an integer f, nonzero at 0, with exactly one real
+    root, a simple one, on the open half-line whose closure holds a and b.
+    The root lies in (a, b] exactly when f vanishes at b, or changes sign
+    from a to b and does not vanish at a."""
+    sa, sb = _int_eval(f, a), _int_eval(f, b)
+    if sb and (not sa or (sa > 0) == (sb > 0)):
+        return []
+    return [_bisect_ceiling(f, a, b, sb)]
+
+
+def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[tuple[int, bool]]:
+    """Slots for the real roots of p, increasing: (c, exact) with c the
+    ceiling of the root and exact whether the root is c.  They hold every
+    real root in [lo, hi] (unbounded where None), and may hold roots outside
+    it; with lo = hi = None there is exactly one slot per distinct real root.
 
     Degree at most 2 takes the closed form (`_small_real_roots`), unfiltered.
     Otherwise the range is clipped to the root bound and each half-line it
     meets is certified by Descartes' rule (`_half_line_bounds`): when no such
-    half has a bound of 2 or more, each half with one root is searched by
-    sign bisection on p itself, with no squarefree part and no chain.
-    Otherwise an integer Sturm chain counts the distinct roots in (a, b] at
-    integer endpoints, and parts with several roots split at integer
-    midpoints.  A part left with k roots, one or any number on width 1,
-    takes k slots: k - 1 None, then the result of sign bisection on the
-    squarefree part over (a, b], since on width 1 only the last root, b,
-    can be an integer.
+    half has a bound of 2 or more, each half with one root takes one sign
+    test at the ends of its part of the range (`_half_line_slot`) and, when
+    the root lies there, sign bisection on p itself, with no squarefree part
+    and no chain.  Otherwise an integer Sturm chain counts the distinct
+    roots in (a, b] at integer endpoints, and parts with several roots split
+    at integer midpoints.  A part left with k roots, one or any number on
+    width 1, takes k slots: k - 1 inexact ones with the ceiling b, then the
+    result of sign bisection on the squarefree part over (a, b], since on
+    width 1 every root has the ceiling b and only the last can be b.
     """
     f = p if p and p[-1] else _primitive(p)
     if len(f) <= 3:
@@ -851,14 +868,14 @@ def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[int | 
         return []
     g, zero, v_neg, v_pos = _half_line_bounds(f, lo < 0, hi > 0)
     if v_neg <= 1 and v_pos <= 1:
-        slots = [_bisect_integer_root(g, lo - 1, min(hi, 0))] if v_neg else []
+        slots = _half_line_slot(g, lo - 1, min(hi, 0)) if v_neg else []
         if zero and lo <= 0 <= hi:
-            slots.append(0)
+            slots.append((0, True))
         if v_pos:
-            slots.append(_bisect_integer_root(g, max(lo - 1, 0), hi))
+            slots += _half_line_slot(g, max(lo - 1, 0), hi)
         return slots
     sf, chain = integer_squarefree_chain(f)
-    slots = [lo] if _int_eval(sf, lo) == 0 else []
+    slots = [(lo, True)] if _int_eval(sf, lo) == 0 else []
     # parts (a, b] with their variation counts, leftmost on top
     parts = [(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))]
     while parts:
@@ -871,18 +888,27 @@ def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[int | 
             parts.append((m, b, vm, vb))
             parts.append((a, m, va, vm))
             continue
-        slots += [None] * (va - vb - 1) + [_bisect_integer_root(sf, a, b)]
+        slots += [(b, False)] * (va - vb - 1) + [_bisect_ceiling(sf, a, b, _int_eval(sf, b))]
     return slots
 
 
 def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
     """The integer roots of p in [lo, hi] (unbounded where None), increasing:
-    the integer slots of `_root_slots` that lie in the range.  Every
-    decision is made on integers."""
+    the exact slots of `_root_slots` that lie in the range.  Every decision
+    is made on integers."""
     return [
-        r for r in _root_slots(p, lo, hi)
-        if r is not None and (lo is None or lo <= r) and (hi is None or r <= hi)
+        c for c, exact in _root_slots(p, lo, hi)
+        if exact and (lo is None or lo <= c) and (hi is None or c <= hi)
     ]
+
+
+def root_ceilings(p: Sequence[int], lo: int, hi: int) -> list[int]:
+    """The ceilings of the distinct real roots of p in [lo, hi], increasing,
+    one per root (two roots in one unit interval give one ceiling twice):
+    those of the `_root_slots` whose roots lie in the range.  A root with
+    the ceiling c lies in [lo, hi] exactly when lo < c <= hi, or c == lo and
+    the root is c."""
+    return [c for c, exact in _root_slots(p, lo, hi) if lo < c <= hi or (exact and c == lo)]
 
 
 def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
@@ -890,4 +916,5 @@ def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     (0 is the smallest) when it is an integer, else None: the length of the
     unbounded `_root_slots` and its slot `index`."""
     slots = _root_slots(p, None, None)
-    return len(slots), slots[index] if 0 <= index < len(slots) else None
+    c, exact = slots[index] if 0 <= index < len(slots) else (None, False)
+    return len(slots), c if exact else None

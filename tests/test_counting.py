@@ -19,7 +19,7 @@ from latcurve.counting import (
 from latcurve import branch, counting, unipoly
 from latcurve.detmethod import LatticePoint
 from latcurve.poly2 import BiPoly, divides, parse, resultant_eliminating_y
-from latcurve.unipoly import int_exact_quotient, integer_roots, primitive_ints
+from latcurve.unipoly import count_real_roots, int_exact_quotient, integer_roots, primitive_ints
 from reference_helpers import x_sweep_count
 
 
@@ -153,7 +153,10 @@ def test_brute_matches_x_sweep_in_every_orientation():
 
 
 def test_brute_sweeps_the_axis_of_lower_column_degree(monkeypatch):
-    """Every swept column has the lower of the two degrees; a tie sweeps x."""
+    """Every swept column has the lower of the two degrees (a tie sweeps x),
+    the sweep runs in increasing order, and every column of 1..40 that it
+    skips has no real root in [1, 40], by isolation on the column."""
+    skipped = 0
     for text, column_degree in (
         ("x - 13*y^3", 1),  # deg_x < deg_y: columns in x
         ("y - 13*x^3", 1),  # deg_x > deg_y: columns in y
@@ -166,13 +169,66 @@ def test_brute_sweeps_the_axis_of_lower_column_degree(monkeypatch):
             return integer_roots(p, lo, hi)
 
         curve = parse(text)
+        frame = curve.swap_xy() if curve.degree_x() < curve.degree_y() else curve
+        abscissa = {tuple(frame.int_column(a)): a for a in range(1, 41)}
+        assert len(abscissa) == 40, text
         monkeypatch.setattr(counting, "integer_roots", recording_roots)
         brute_force_count(curve, 40)
         monkeypatch.undo()
         swept = columns[2:]  # after the y-content and x-content line checks
-        assert len(swept) == 40 and {len(c) - 1 for c in swept} == {column_degree}, text
-        if column_degree == 3:
-            assert swept == [curve.int_column(x0) for x0 in range(1, 41)]
+        assert swept and {len(c) - 1 for c in swept} == {column_degree}, text
+        order = [abscissa[tuple(c)] for c in swept]
+        assert order == sorted(set(order)), text
+        for a in set(range(1, 41)) - set(order):
+            assert count_real_roots(frame.int_column(a), 1, 40) == 0, (text, a)
+            skipped += 1
+    assert skipped > 40, skipped
+
+
+def _full_sweep(curve, n_box):
+    """The points on every column of the axis that `brute_force_count`
+    sweeps: `x_sweep_count` on the curve, or on its transpose for a y-sweep,
+    with the points transposed back and sorted."""
+    if curve.degree_x() >= curve.degree_y():
+        return x_sweep_count(curve, n_box)
+    total, points = x_sweep_count(curve.swap_xy(), n_box)
+    return total, sorted(LatticePoint(p.y, p.x) for p in points)
+
+
+def test_brute_live_runs_match_a_full_sweep():
+    """Sweeping only the live runs finds the points of a sweep over all N
+    columns of the same axis: on seeded curves whose columns have degree 1,
+    2 and >= 3, and on named cases for each locus.  The first circle meets
+    no box edge, so only the discriminant's roots 25 and 75 cut its runs;
+    the second has the double edge root a = 20 of F(a, 40) = (a - 20)^2;
+    the isolated point and the cusp lie on integer discriminant roots; and
+    (x*y - 12)^2, with a repeated factor in y, has Res_y(F, F_y) = 0 and
+    takes the full sweep."""
+    named = [
+        ("(x - 50)^2 + (y - 50)^2 - 625", 100, 20),
+        ("(x - 20)^2 + (y - 30)^2 - 100", 40, 12),
+        ("(x - 20)^2 + (y - 20)^2", 40, 1),
+        ("(y - 15)^2 - (x - 12)^3", 40, 5),
+        ("(x*y - 12)^2", 12, 6),
+    ]
+    for text, n_box, count in named:
+        curve = parse(text)
+        got = brute_force_count(curve, n_box)
+        assert got == _full_sweep(curve, n_box) and got[0] == count, text
+    rng = random.Random(35)
+    seen = Counter()
+    while min(seen.values(), default=0) < 40 or len(seen) < 3:
+        deg_x, deg_y = rng.randint(1, 4), rng.randint(1, 4)
+        n_box = rng.randint(5, 60)
+        curve = _curve_through(rng, deg_x, deg_y, n_box)
+        if (curve.degree_x(), curve.degree_y()) != (deg_x, deg_y):
+            continue
+        try:
+            got = brute_force_count(curve, n_box)
+        except LineFactorError:
+            continue
+        assert got == _full_sweep(curve, n_box), (curve.pretty(), n_box)
+        seen[min(min(deg_x, deg_y), 3)] += 1
 
 
 def test_brute_curves_free_of_one_variable():
@@ -454,15 +510,18 @@ def test_pipeline_and_oracle_match_a_horner_scan():
     clustered integer roots, whose columns take the sign bisection, and on
     conics tangent to a column inside the box, whose quadratic columns there
     have an integer double root: (x - 10)^2 + (y - 10)^2 = 25 at x = 5 and
-    x = 15, and 4*(x - 10)^2 + (y - 12)^2 = 100 at the same x."""
+    x = 15, and 4*(x - 10)^2 + (y - 12)^2 = 100 at the same x.  Two circles
+    check the oracle's live runs: one meets no box edge, so only its
+    discriminant's roots cut them, and one touches the edge y = 40."""
     fixtures = [
         ("x - y^2", 100), ("x - y^3", 100), ("x - y^5", 100), ("x*y - 12", 100),
         ("x^2 + y^2 - 25", 100), ("x^2 + y^2 - 65", 100),
         ("y^2 - x^3 - x - 1", 50), ("x^2 - 2*y^2 - 1", 50),
     ]
     tangent = [("x^2 + y^2 - 20*x - 20*y + 175", 30), ("4*x^2 + y^2 - 80*x - 24*y + 444", 30)]
+    circles = [("(x - 50)^2 + (y - 50)^2 - 625", 100), ("(x - 20)^2 + (y - 30)^2 - 100", 40)]
     points = 0
-    for text, n in fixtures + tangent + _clustered_cubics(random.Random(3110), 8):
+    for text, n in fixtures + tangent + circles + _clustered_cubics(random.Random(3110), 8):
         curve = parse(text)
         want = _horner_scan(curve, n)
         rep = determinant_method_count(curve, n)
