@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_35.json at the repository root.
+rows and write BENCH_36.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -90,9 +90,13 @@ ROWS = [
     # the heaviest level-set count known: a cubic whose discs leave many
     # orders to the level sets, so the partition's cut and flag layer shows
     ("pipeline", "372506*(y - 1)*(y - 2)*(y - 27) - 14*(x - 1)*(x - 2)*(x - 27)", 91),
+    # a seeded cubic of the Horner-scan test whose 16 candidate cuts on one
+    # hull all lie in the unit gap (45, 46): separating them took nearly the
+    # whole count before cuts were read at unit resolution
+    ("pipeline", "193667*(y - 0)*(y - 1)*(y - 27) - 32*(x - 0)*(x - 1)*(x - 27)", 75),
 ]
 
-OUT = ROOT / "BENCH_35.json"
+OUT = ROOT / "BENCH_36.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

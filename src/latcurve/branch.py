@@ -9,7 +9,7 @@ as isolating intervals (`branch_value_bracket`, cached by branch and
 abscissa) and every sign decision is made exactly: the sign of
 p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
 column p(x0, y) at the bracket of f(x0), zero included, for the piece
-flags of `partition_by_bounds`, one per gap and order, and the slope
+flags of `partition_by_bounds`, one per run and order, and the slope
 regime of a frame cell.  The implicit derivatives H_k are built with the
 `BiPoly` operators from one (F_x, F_y, M) triple per curve.  A level curve
 L = H_i + F_y^(2i-1) * (i! * c) is kept reduced modulo the curve as a sum
@@ -26,14 +26,14 @@ branch domain holds a root of lc_y(F), so its roots there hold the level
 set's.  Along the branch the product of the columns of the two reduced
 +-thr level curves of order i has the sign of (f^(i)/i!)^2 - thr^2, which
 changes only at a level-set zero of odd multiplicity, a crossing.  So the
-partition has one rule: a cut is where a flag changes.  Every eliminant
-root strictly inside the domain is a candidate cut, with no test of its
-own; each gap between consecutive candidates reads its flags by one query
-on that product per order at its midpoint, and a gap whose flags equal its
-left neighbour's is merged into it, so a tangential contact or a root on
-another sheet of the curve leaves no cut.  Piece j takes the integer
-abscissas in (floor(root_(j-1)), floor(root_j)] between its end cuts, one
-`root_floor` per candidate.
+partition of an integer domain has one rule: a cut is where a flag
+changes.  Every eliminant root in the domain is a candidate cut, with no
+test of its own, keyed by one slot (`unipoly.root_slot`): an exact integer
+root or the open unit gap that holds it.  The pieces are the integer runs
+between the slots strictly inside the domain; each run reads its flags by
+one query on that product per order at its midpoint, and a run whose flags
+equal its left neighbour's across one candidate is merged into it, so a
+tangential contact or a root on another sheet of the curve leaves no cut.
 Level sets are built only for the orders that `certified_orders` leaves.
 It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
 branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
@@ -53,6 +53,7 @@ the frame cells, the smoothness certificate and the disc test.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -80,9 +81,8 @@ from .unipoly import (
     isolate_real_roots,
     primitive_ints,
     ranked_integer_root,
-    refine_clear_of,
     refine_disjoint,
-    root_floor,
+    root_slot,
     sign_at_root,
 )
 
@@ -319,8 +319,8 @@ def level_set_abscissas(
     They hold every x in the domain where f^(i)/i! = c, and may hold more: a
     point of another sheet of the curve on the level curve, or a tangential
     contact.  No root is tested along the branch: `partition_by_bounds`
-    takes each one strictly inside the domain as a candidate cut, and it is
-    a cut where a piece flag changes across it.
+    takes each one as a candidate cut, keyed by its unit slot, and it is a
+    cut where a piece flag changes across it.
     """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
@@ -330,14 +330,14 @@ def level_set_abscissas(
 
 @dataclass
 class Piece:
-    """One partition piece with certified small/large flags per derivative order."""
+    """One partition piece, the integer run lo..hi, with certified
+    small/large flags per derivative order."""
 
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
     flags: tuple[str, ...]  # entry i-1 covers derivative order i
-    integer_abscissas: tuple[int, ...]
 
-    def length(self) -> Fraction:
+    def length(self) -> int:
         return self.hi - self.lo
 
     def all_small(self) -> bool:
@@ -513,11 +513,12 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
 def partition_by_bounds(
     branch: AlgebraicBranch, big_d: int, n_box: Fraction | int, delta: Fraction | int
 ) -> IntervalPartition:
-    """Split the branch domain at all |f^(i)/i!| = N*delta^i crossings and
-    certify on each piece, for every 1 <= i < D, whether the normalized
-    derivative stays below (small) or above (large) the threshold.  The
-    caller ensures delta > 0 and delta*N >= 1, as `determinant_method_count`
-    does.
+    """Split the branch's integer domain [lo, hi] into integer runs at all
+    |f^(i)/i!| = N*delta^i crossings and certify on each, for every 1 <= i
+    < D, whether the normalized derivative stays below (small) or above
+    (large) the threshold.  A domain end that is not an integer is a
+    ValueError; `determinant_method_count` passes integer hulls, with delta
+    > 0 and delta*N >= 1.
 
     First `certified_orders` proves, by Cauchy's estimate on root-free discs
     with stretches sized to each disc (and, for order 1 of a `flat` branch,
@@ -530,29 +531,34 @@ def partition_by_bounds(
     by one rule: a cut is where a flag changes.
 
     The candidate cuts are the `level_set_abscissas` roots of both level
-    sets of every other order strictly inside the domain; a one-point domain
-    [k, k] has none and builds no eliminant.  Gap j spans (cut_(j-1).hi,
-    cut_j.lo), of length 0 where two brackets touch, and takes the integer
-    abscissas in (floor(root_(j-1)), floor(root_j)].  Along the branch
+    sets of every other order (none on [k, k]), each keyed by its
+    `root_slot` (c, exact): the exact integer root c or the open unit gap
+    (c - 1, c).  The slots strictly inside the domain are the cuts, and the
+    runs are the integers between them: an exact root goes to the run on
+    its left, and a run with no integer does not exist.  Along the branch
     L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 * ((f^(i)/i!)^2 - thr^2), which
-    changes sign only at a crossing, a zero of odd multiplicity of one level
-    curve.  Each gap reads its flag of order i from one Tarski query on the
-    product of the two reduced +-thr level curves' columns at its midpoint,
-    which is no candidate, so a zero there is a `BranchError` on a longer
-    domain; on [k, k] it means |f^(i)(k)/i!| = thr, which meets the closed
-    bound and reads small, unless F_y(k) = 0.  One candidate lies between
-    two consecutive midpoints, so the flags change across it exactly where
-    it is a crossing, and a gap whose flags equal its left neighbour's is
-    merged into it.  After merging, a piece of length 0 with no integer
-    abscissa is dropped.  A branch whose orders are all proved builds no
-    level set and takes no query, so it reads no branch value.
+    changes sign only at a crossing, a zero of odd multiplicity of one
+    level curve.  Each run reads its flag of order i from one Tarski query
+    on the product of the two reduced +-thr level curves' columns at its
+    midpoint, which is no candidate unless the run is one point [k, k]: at
+    an exact cut or an exact root at a domain end.  A zero there means
+    |f^(i)(k)/i!| = thr, which meets the closed bound and reads small,
+    unless F_y(k) = 0, a `BranchError`; and such a run never merges, since
+    its flags say nothing of the open stretch next to it.  Any other run
+    merges into its left neighbour when their flags are equal and the cuts
+    between them hold one candidate, which is then no crossing; a gap with
+    two may hold two crossings.  A branch whose orders are all proved
+    builds no level set and takes no query, so it reads no branch value.
     """
     if big_d < 2:
         raise ValueError("D must be >= 2")
     n_box, delta = Fraction(n_box), Fraction(delta)
-    lo, hi = branch.domain
+    lo, hi = map(Fraction, branch.domain)
+    if lo.denominator != 1 or hi.denominator != 1:
+        raise ValueError("partition_by_bounds needs a domain with integer ends")
+    lo, hi = int(lo), int(hi)
     thresholds = [n_box * delta**i for i in range(1, big_d)]
-    raw_cuts: list[RootInterval] = []
+    slots: Counter[tuple[int, bool]] = Counter()
     certified = certified_orders(branch, big_d, n_box, delta)
     # the orders that read small on every piece, with no flag query
     forced_small = set(certified)
@@ -563,13 +569,11 @@ def partition_by_bounds(
             try:
                 _level_curve(branch.curve, i, c)
                 if lo < hi:  # a cut lies strictly inside the domain
-                    raw_cuts += level_set_abscissas(branch, i, c)
+                    slots.update(map(root_slot, level_set_abscissas(branch, i, c)))
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
                 # bound |f^(i)/i!| <= thr holds everywhere, with no cuts
                 forced_small.add(i)
-    cuts = [refine_clear_of(r, lo, hi) for r in refine_disjoint(raw_cuts, Fraction(1, 4))]
-    cuts = [r for r in cuts if lo < r.lo and r.hi < hi]
     fy = partial(branch.curve, "y")
 
     def flag(i: int, thr: Fraction, x: Fraction) -> str:
@@ -577,29 +581,28 @@ def partition_by_bounds(
         plus = _level_curve(branch.curve, i, thr).int_column(x)
         minus = _level_curve(branch.curve, i, -thr).int_column(x)
         s = sign_at_root(bracket, _int_mul(plus, minus))
-        # the midpoint of a longer domain is no candidate cut, so only F_y = 0,
-        # a factor of the product, can zero it; on [k, k] a zero with F_y != 0
-        # meets the closed bound
-        if s == 0 and (lo < hi or sign_at_root(bracket, fy.int_column(x)) == 0):
-            raise BranchError("flag query point on a level set or where F_y = 0")
+        if s == 0 and sign_at_root(bracket, fy.int_column(x)) == 0:
+            raise BranchError("flag query point where F_y = 0")
         return "small" if s <= 0 else "large"
 
-    # gap j ends at cut j's bracket and at the floor of its root
-    ends = [(cut.lo, cut.hi, root_floor(cut)) for cut in cuts] + [(hi, hi, floor(hi))]
+    # an exact slot c is a cut for lo < c < hi, a gap slot for lo < c <= hi;
+    # the last one closes the run that ends at hi
+    cuts = sorted((key, n) for key, n in slots.items() if lo < key[0] < hi + (not key[1]))
     pieces: list[Piece] = []
-    plo, first = lo, ceil(lo)
-    for phi, next_lo, last in ends:
-        mid = (plo + phi) / 2
-        flags = tuple("small" if i in forced_small else flag(i, thr, mid) for i, thr in enumerate(thresholds, start=1))
-        points = tuple(range(first, last + 1))
-        if pieces and pieces[-1].flags == flags:
-            # no flag changes across the cut between them: it is no crossing
-            pieces[-1].hi = phi
-            pieces[-1].integer_abscissas += points
-        else:
-            pieces.append(Piece(plo, phi, flags, points))
-        plo, first = next_lo, last + 1
-    return IntervalPartition([p for p in pieces if p.lo < p.hi or p.integer_abscissas], certified)
+    first, between, pinned = lo, 0, False
+    for (c, exact), count in cuts + [((hi + 1, False), 0)]:
+        last = c if exact else c - 1
+        if first <= last:
+            mid = Fraction(first + last, 2)
+            flags = tuple("small" if i in forced_small else flag(i, thr, mid) for i, thr in enumerate(thresholds, 1))
+            on_candidate = first == last and slots[first, True] > 0
+            if between == 1 and not pinned and not on_candidate and pieces[-1].flags == flags:
+                pieces[-1].hi = last  # no flag changes across the one candidate
+            else:
+                pieces.append(Piece(first, last, flags))
+            between, pinned = 0, on_candidate
+        first, between = last + 1, between + count
+    return IntervalPartition(pieces, certified)
 
 
 def large_interval_check(piece: Piece, delta: Fraction | int) -> bool:

@@ -370,7 +370,7 @@ def determinant_method_count(
         piece_reports: list[PieceReport] = []
         for piece in part.pieces:
             pts = []
-            for k in piece.integer_abscissas:
+            for k in range(piece.lo, piece.hi + 1):
                 hit = branch_integer_point(br, k)
                 if hit is not None:
                     pts.append(hit)

@@ -24,14 +24,15 @@ search (`_root_slots`) that lists the real roots in increasing order as
 slots (c, exact), c the ceiling of the root and exact whether the root is c:
 `integer_roots` keeps the exact slots in a range, `root_ceilings` the
 ceilings of the roots in a range, and `ranked_integer_root` reads the slot
-of a given rank.  The search decides degree <= 2 in closed form, with
-`math.isqrt` for the ceilings of irrational roots.  Otherwise each half-line
-the range meets is certified by Descartes' rule on p's own coefficients
-(`_half_line_bounds`); when every such bound is at most 1, a half's one
-simple root is located by a sign test at the ends of its part of the range
-(`_half_line_slot`) and, when it lies there, by integer sign bisection on p
-down to its ceiling (`_bisect_ceiling`).  Only a needed half with bound >= 2
-makes it split the range on an integer Sturm chain
+of a given rank; `root_slot` reads the slot of an isolated root by integer
+sign tests inside its bracket.  The search decides degree <= 2 in closed
+form, with `math.isqrt` for the ceilings of irrational roots.  Otherwise
+each half-line the range meets is certified by Descartes' rule on p's own
+coefficients (`_half_line_bounds`); when every such bound is at most 1, a
+half's one simple root is located by a sign test at the ends of its part
+of the range (`_half_line_slot`) and, when it lies there, by integer sign
+bisection on p down to its ceiling (`_bisect_ceiling`).  Only a needed half
+with bound >= 2 makes it split the range on an integer Sturm chain
 (`integer_squarefree_chain`), on which a chain element f at x = num/den is
 evaluated as the integer den^deg * f(x).
 Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
@@ -44,7 +45,7 @@ by a gcd modulo a prime.  Every split point is the first non-root on one
 walk of interior points (`_split_points`).  The package locates roots only
 through this module: one entry normaliser, one affine map, one Descartes
 bound, one squarefree part, one bisection step, one integer root search,
-one floor, one range test and one sign test.
+one slot and one sign test.
 """
 
 from __future__ import annotations
@@ -60,15 +61,6 @@ from typing import Iterable, Iterator, Sequence
 
 class ZeroPolynomialError(ValueError):
     """An operation that needs a nonzero polynomial received the zero one."""
-
-
-class RefinementLimitError(ValueError):
-    """A bracket refinement reached its depth limit without a decision."""
-
-
-# Safety bound on refinement rounds in loops that stop on a decision rather
-# than on a width.
-REFINE_DEPTH = 256
 
 
 class UniPoly:
@@ -605,24 +597,6 @@ def refine_root(r: RootInterval, width: Fraction | int) -> RootInterval:
     return RootInterval(lo, hi, f)
 
 
-def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval:
-    """The bracket r refined until it is exact or contains neither lo nor hi.
-
-    The result decides whether the isolated root lies in the open range
-    (lo, hi) or in the closed range [lo, hi]: a non-exact result lies either
-    strictly inside (lo, hi) or strictly outside [lo, hi].
-    """
-    f = r.polynomial
-    for _ in range(REFINE_DEPTH):
-        if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
-            return r
-        for end in (lo, hi):
-            if r.lo <= end <= r.hi and _rat_eval(f, end) == 0:
-                return RootInterval(end, end, f)
-        r = refine_root(r, r.width / 4)
-    raise RefinementLimitError("range test exceeded the refinement depth limit")
-
-
 def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool:
     """Whether [lo, hi], inside the non-exact bracket r, holds its root.
 
@@ -633,22 +607,6 @@ def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool
     f = r.polynomial
     s_lo, s_hi = _rat_eval(f, lo), _rat_eval(f, hi)
     return s_lo == 0 or s_hi == 0 or (s_lo > 0) != (s_hi > 0)
-
-
-def root_floor(r: RootInterval) -> int:
-    """The floor of the root r isolates, for a bracket with lo >= floor(hi) - 1.
-
-    The root then lies in [k - 1, k + 1) for k = floor(hi), so k is its
-    floor unless the root lies strictly below k, which needs a non-exact
-    bracket with lo < k and no root in [k, hi]: one sign test decides.  A
-    wider bracket raises ValueError; refine it first.
-    """
-    k = math.floor(r.hi)
-    if r.lo < k - 1:
-        raise ValueError("root_floor needs a bracket with lo >= floor(hi) - 1")
-    if not r.is_exact() and k > r.lo and not _holds_root(r, k, r.hi):
-        return k - 1
-    return k
 
 
 def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
@@ -837,6 +795,36 @@ def _half_line_slot(f: Sequence[int], a: int, b: int) -> list[tuple[int, bool]]:
     if sb and (not sa or (sa > 0) == (sb > 0)):
         return []
     return [_bisect_ceiling(f, a, b, sb)]
+
+
+def root_slot(r: RootInterval) -> tuple[int, bool]:
+    """The slot (c, exact) of the root that r isolates, as `_root_slots`
+    gives it: c the ceiling of the root and exact whether the root is c.
+
+    An exact bracket takes one ceiling.  Otherwise the bracket polynomial f
+    changes sign across its one root in (lo, hi), and with a = ceil(lo) and
+    b = floor(hi) every decision is an integer sign test inside the bracket:
+    no integer between the ends means the slot (a, False); a zero at a or b
+    is the root; a sign change from a to b leaves the root in (a, b), where
+    sign bisection on integers (`_bisect_ceiling`) finds its slot; and
+    otherwise the sign at hi says whether the root lies in (b, hi) or in
+    (lo, a).  The bracket is never refined.
+    """
+    if r.is_exact():
+        c = math.ceil(r.lo)
+        return c, c == r.lo
+    f = r.polynomial
+    a, b = math.ceil(r.lo), math.floor(r.hi)
+    if a > b:
+        return a, False
+    sa, sb = _int_eval(f, a), _int_eval(f, b)
+    if not sa:
+        return a, True
+    if not sb or (sa > 0) != (sb > 0):
+        return _bisect_ceiling(f, a, b, sb)
+    if (_rat_eval(f, r.hi) > 0) != (sb > 0):
+        return b + 1, False
+    return a, False
 
 
 def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[tuple[int, bool]]:

@@ -1,11 +1,11 @@
 """Exact helpers that only the tests call, kept here as references.
 
 - Checks of the package's own decisions: a certified sup bound, an integer
-  test and a rational root on an isolating bracket, a `Fraction`
-  determinant, a reduction modulo a curve and the exact division that takes
-  its leading power back out of an eliminant, the sign of a polynomial
-  along a branch, the per-root crossing test of a level set, and a
-  lattice-point sweep over x alone.
+  test, a range test and a rational root on an isolating bracket, a
+  `Fraction` determinant, a reduction modulo a curve and the exact division
+  that takes its leading power back out of an eliminant, the sign of a
+  polynomial along a branch, a branch's integer hull, the per-root crossing
+  test of a level set, and a lattice-point sweep over x alone.
 - The paper's lemmas, which no count runs: the interpolation-determinant
   bound (Ryser's permanent of the derivative bounds), the single-curve
   threshold, a branch through a rational curve point with its exact Taylor
@@ -15,6 +15,7 @@
 The package decides each of these inside its own code paths, or does not
 need them to count."""
 
+import dataclasses
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -106,6 +107,24 @@ def integer_in(r: RootInterval) -> int | None:
     return None
 
 
+def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval:
+    """The bracket r refined until it is exact or contains neither lo nor hi.
+
+    The result decides whether the isolated root lies in the open range
+    (lo, hi) or in the closed range [lo, hi]: a non-exact result lies either
+    strictly inside (lo, hi) or strictly outside [lo, hi].
+    """
+    f = r.polynomial
+    for _ in range(256):
+        if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
+            return r
+        for end in (lo, hi):
+            if r.lo <= end <= r.hi and _rat_eval(f, end) == 0:
+                return RootInterval(end, end, f)
+        r = refine_root(r, r.width / 4)
+    raise AssertionError("range test exceeded the refinement depth limit")
+
+
 def rational_root_in(p: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction | None:
     """The rational root of p inside the isolating interval [lo, hi], if any.
 
@@ -181,6 +200,15 @@ def branch_sign(branch: AlgebraicBranch, x0: Fraction | int, p: BiPoly) -> int:
     """Exact sign of p(x0, f(x0)) along the branch."""
     x0 = Fraction(x0)
     return sign_at_root(branch_value_bracket(branch, x0), p.int_column(x0))
+
+
+def integer_hull(branch: AlgebraicBranch) -> Optional[AlgebraicBranch]:
+    """The branch on its integer hull [max(1, ceil(lo)), floor(hi)], or None
+    when that is empty, as `determinant_method_count` partitions it."""
+    first, last = max(1, ceil(branch.domain[0])), floor(branch.domain[1])
+    if first > last:
+        return None
+    return dataclasses.replace(branch, domain=(Fraction(first), Fraction(last)))
 
 
 def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> list[RootInterval]:

@@ -28,6 +28,7 @@ from latcurve.unipoly import UniPoly
 
 from reference_helpers import (
     fraction_determinant,
+    integer_hull,
     interpolation_determinant_bound,
     poly_sup_bound,
     segment_coverable,
@@ -216,15 +217,15 @@ def test_criterion_5_budgets(pipeline_reports):
     length = Fraction(1, 4 * (integer_kth_root_ceiling(power, b) + 1)) / delta
     assert segment_coverable(length, spec, mset)
     dec = graph_decompose(curve, n)
-    for branch in dec.branches:
+    for branch in filter(None, map(integer_hull, dec.branches)):
         part = partition_by_bounds(branch, mset.D, Fraction(n), delta)
         for piece in part.pieces:
             if not piece.all_small():
                 continue
-            for t in range(40):
+            for t in range(50):
                 if segments_checked >= 50:
                     break
-                a = piece.lo + (piece.hi - piece.lo) * Fraction(t, 40)
+                a = piece.lo + (piece.hi - piece.lo) * Fraction(t, 50)
                 if a + length > piece.hi:
                     continue
                 pts = []
@@ -253,7 +254,7 @@ def test_criterion_6_partition_suite():
         ell = d + 2
         big_d = punctured_set(d, ell, corner_index(curve)).D
         dec = graph_decompose(curve, n)
-        for branch in dec.branches:
+        for branch in filter(None, map(integer_hull, dec.branches)):
             part = partition_by_bounds(branch, big_d, Fraction(n), delta)
             if len(part.pieces) > 64 * big_d**2 * d**2:
                 ok = False

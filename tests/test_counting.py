@@ -506,13 +506,14 @@ def _clustered_cubics(rng, count):
 
 def test_pipeline_and_oracle_match_a_horner_scan():
     """Pipeline and oracle totals against `_horner_scan`: on the eight
-    fixtures at N <= 100, on seeded cubics with large coefficients and
-    clustered integer roots, whose columns take the sign bisection, and on
-    conics tangent to a column inside the box, whose quadratic columns there
-    have an integer double root: (x - 10)^2 + (y - 10)^2 = 25 at x = 5 and
-    x = 15, and 4*(x - 10)^2 + (y - 12)^2 = 100 at the same x.  Two circles
-    check the oracle's live runs: one meets no box edge, so only its
-    discriminant's roots cut them, and one touches the edge y = 40."""
+    fixtures at N <= 100 and again at N = 300, on seeded cubics with large
+    coefficients and clustered integer roots, whose columns take the sign
+    bisection, and on conics tangent to a column inside the box, whose
+    quadratic columns there have an integer double root: (x - 10)^2 +
+    (y - 10)^2 = 25 at x = 5 and x = 15, and 4*(x - 10)^2 + (y - 12)^2 =
+    100 at the same x.  Two circles check the oracle's live runs: one meets
+    no box edge, so only its discriminant's roots cut them, and one touches
+    the edge y = 40."""
     fixtures = [
         ("x - y^2", 100), ("x - y^3", 100), ("x - y^5", 100), ("x*y - 12", 100),
         ("x^2 + y^2 - 25", 100), ("x^2 + y^2 - 65", 100),
@@ -521,6 +522,7 @@ def test_pipeline_and_oracle_match_a_horner_scan():
     tangent = [("x^2 + y^2 - 20*x - 20*y + 175", 30), ("4*x^2 + y^2 - 80*x - 24*y + 444", 30)]
     circles = [("(x - 50)^2 + (y - 50)^2 - 625", 100), ("(x - 20)^2 + (y - 30)^2 - 100", 40)]
     points = 0
+    fixtures += [(text, 300) for text, _ in fixtures]
     for text, n in fixtures + tangent + circles + _clustered_cubics(random.Random(3110), 8):
         curve = parse(text)
         want = _horner_scan(curve, n)
@@ -707,9 +709,8 @@ def test_pipeline_small_delta_enumerate_path():
 def _not_ok_report(monkeypatch, name, fake, delta=None):
     """`x - y^2` at N = 100, counted with `counting.<name>` replaced by
     `fake`.  Its one branch is partitioned on the hull [1, 100]: one cover
-    piece of one curve at the default delta, and three enumerated pieces
-    before a cover piece at delta = 1/4, the first of them holding x = 1 and
-    the others no integer."""
+    piece of one curve at the default delta, and at delta = 1/4 the
+    enumerated run [1, 1] before the cover piece [2, 100]."""
     monkeypatch.setattr(counting, name, fake)
     return determinant_method_count(parse("x - y^2"), 100, delta=delta)
 
@@ -723,10 +724,7 @@ def test_pipeline_not_ok_when_a_cover_exceeds_its_budget(monkeypatch):
 def test_pipeline_not_ok_when_a_large_piece_is_long(monkeypatch):
     rep = _not_ok_report(monkeypatch, "large_interval_check", lambda piece, delta: False, Fraction(1, 4))
     assert rep.ok is False and rep.total == rep.oracle_total == 10
-    assert rep.warnings == [
-        f"large-derivative piece {interval} exceeds 2/delta"
-        for interval in (("1", "2345/2048"), ("809/512", "13241/8192"), ("3335/2048", "3533/2048"))
-    ]
+    assert rep.warnings == ["large-derivative piece ('1', '1') exceeds 2/delta"]
 
 
 def test_pipeline_not_ok_on_an_oracle_mismatch(monkeypatch):

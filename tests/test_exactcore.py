@@ -31,10 +31,9 @@ from latcurve.unipoly import (
     poly_gcd,
     primitive_ints,
     ranked_integer_root,
-    refine_clear_of,
     refine_disjoint,
     refine_root,
-    root_floor,
+    root_slot,
     sign_at_root,
     squarefree_part,
     sturm_chain,
@@ -363,20 +362,6 @@ def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
     assert kept[0].hi <= kept[1].lo
 
 
-def test_refine_clear_of_root_at_an_end():
-    p = (-3, 1)  # root 3
-    r = refine_clear_of(RootInterval(Fraction(2), Fraction(4), p), Fraction(3), Fraction(5))
-    assert r.is_exact() and r.lo == 3
-    assert not 3 < r.lo < 5  # outside the open range (3, 5)
-    assert 3 <= r.lo <= 5  # inside the closed range [3, 5]
-    # an irrational root ends strictly inside or strictly outside
-    [s2] = isolate_real_roots([-2, 0, 1], 0, 2)
-    clear = refine_clear_of(s2, Fraction(7, 5), Fraction(3, 2))
-    assert Fraction(7, 5) < clear.lo and clear.hi < Fraction(3, 2)
-    outside = refine_clear_of(s2, Fraction(1), Fraction(7, 5))
-    assert outside.lo > Fraction(7, 5)
-
-
 # -- bracket identity against a Fraction reference -----------------------------------
 
 REFERENCE_SPLITS = (
@@ -426,18 +411,6 @@ def reference_refine(r, width, skipped):
     return RootInterval(lo, hi, f)
 
 
-def reference_clear_of(r, lo, hi, skipped):
-    p = UniPoly(r.polynomial)
-    for _ in range(256):
-        if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
-            return r
-        for end in (lo, hi):
-            if r.lo <= end <= r.hi and p.evaluate(end) == 0:
-                return RootInterval(end, end, r.polynomial)
-        r = reference_refine(r, r.width / 4, skipped)
-    raise AssertionError("reference refinement did not stop")
-
-
 def reference_integer_in(r, skipped):
     r = reference_refine(r, Fraction(1, 2), skipped)
     k = math.ceil(r.lo)
@@ -476,9 +449,6 @@ def test_brackets_identical_to_fraction_reference():
         for width in (r.width / 3, Fraction(1, 64), Fraction(1, 10**6)):
             assert refine_root(r, width) == reference_refine(r, width, skipped), (r, width)
         assert integer_in(r) == reference_integer_in(r, skipped), r
-        for t, u in ((Fraction(1, 2), Fraction(2, 3)), (Fraction(1, 5), Fraction(4, 7)), (Fraction(-1), Fraction(3, 10))):
-            lo, hi = r.lo + r.width * t, r.lo + r.width * u
-            assert refine_clear_of(r, lo, hi) == reference_clear_of(r, lo, hi, skipped), (r, lo, hi)
     # both skip paths ran: split points that were roots, and the finer grid
     assert skipped.count("split") > 1000 and skipped.count("grid") > 20
 
@@ -1378,7 +1348,7 @@ def test_certified_domains_build_no_chain(monkeypatch):
     assert (r.lo, r.hi) == (1, 2) and count_real_roots(p, 1, 2) == 1
     [r] = isolate_real_roots(p, -2, 0)
     assert (r.lo, r.hi) == (-2, 0) and count_real_roots(p, -2, 0) == 1
-    assert root_floor(refine_root(r, Fraction(1, 2))) == -2
+    assert root_slot(r) == root_slot(refine_root(r, Fraction(1, 2))) == (-1, False)
     # x - c*y^k binomials: one sign variation on a domain with lo >= 0
     binomial = [-(10**6)] + [0] * 86 + [7]
     assert count_real_roots(binomial, 0, 2) == 1 and count_real_roots(binomial, 2, 3) == 0
@@ -1429,19 +1399,24 @@ def test_squarefree_part_matches_integer_chain(monkeypatch):
     assert squarefree_part(ints(UniPoly([0, 1]) ** 41 * rest)) == ints(UniPoly([0, 1]) * rest)
 
 
-def test_root_floor_matches_count_real_roots():
+def test_root_slot_matches_count_real_roots():
+    """On isolating brackets at several refinements, `root_slot` gives the
+    ceiling c of the root and whether the root is c, by integer sign tests
+    inside the bracket.  The reference is the least integer k >= ceil(lo)
+    for which [lo, min(k, hi)] holds a root by `count_real_roots`, and one
+    evaluation at it when it lies in the bracket.  The floor of the root is c, or c - 1 when the root is
+    not c."""
     rng = random.Random(87)
-    lowered = wide = 0
+    seen = {"exact": 0, "gap": 0, "bisected": 0, "no_integer": 0}
     for p, lo, hi in _certificate_cases(rng, 300):
         for r in isolate_real_roots(ints(p), lo, hi):
             for s in (r, refine_root(r, 1), refine_root(r, Fraction(1, 3)), refine_root(r, r.width / 7 or 1)):
-                k = math.floor(s.hi)
-                if s.lo < k - 1:
-                    with pytest.raises(ValueError):
-                        root_floor(s)
-                    wide += 1
-                    continue
-                want = k - 1 if not s.is_exact() and k > s.lo and count_real_roots(s.polynomial, k, s.hi) == 0 else k
-                assert root_floor(s) == want, s
-                lowered += want < k
-    assert lowered > 100 and wide > 0, (lowered, wide)
+                k = math.ceil(s.lo)
+                while count_real_roots(s.polynomial, s.lo, min(Fraction(k), s.hi)) == 0:
+                    k += 1
+                exact = k <= s.hi and UniPoly(s.polynomial).evaluate(k) == 0
+                assert root_slot(s) == (k, exact), s
+                seen["exact" if exact else "gap"] += 1
+                seen["bisected"] += math.ceil(s.lo) < k <= math.floor(s.hi) - 1
+                seen["no_integer"] += math.ceil(s.lo) > math.floor(s.hi)
+    assert min(seen.values()) > 50, seen

@@ -11,7 +11,7 @@ import signal
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fuzz.py"
-DRAW_LINES_SHA256 = "8a93b3f79521e6c2bd0e59d3563ce8048774b82ac8add635a34db909be4dc4d8"
+DRAW_LINES_SHA256 = "20665d7e7478f697dc5bd6809a51f886a7b824f018394e8c34866673ab48611a"
 
 
 def test_seeded_fuzz_matches_oracle_within_budget(capsys):
