@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_36.json at the repository root.
+rows and write BENCH_37.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -94,9 +94,15 @@ ROWS = [
     # hull all lie in the unit gap (45, 46): separating them took nearly the
     # whole count before cuts were read at unit resolution
     ("pipeline", "193667*(y - 0)*(y - 1)*(y - 27) - 32*(x - 0)*(x - 1)*(x - 27)", 75),
+    # hulls whose ends lie within one unit of a critical abscissa: a
+    # Weierstrass cubic whose swapped hull [2, 25] starts next to its branch
+    # point near x = 1.45, and a latbench `columns` hyperbola whose hulls
+    # start at 101, next to its slope -1 abscissa sqrt(10200) = 100.99...
+    ("pipeline", "y^2 - x^3 - 3*x - 2", 25),
+    ("pipeline", "x*y - 10200", 500),
 ]
 
-OUT = ROOT / "BENCH_36.json"
+OUT = ROOT / "BENCH_37.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

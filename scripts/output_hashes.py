@@ -36,8 +36,8 @@ SEED = 1
 ROUNDS = {"partition": 7, "columns": 8, "sweep": 4}
 EXPECTED = {
     "fixtures": "304f600582b61cdbbedcc11eb2f81d59820b9dd9dd8bbaa1b72284efe8078e78",
-    "partition": "e0fe23f290af7b35519c754da48ae72a7fbe9ca93b51983dfdee1cc18761f82a",
-    "columns": "1d01ee053dfa5f478c7d472844a468018a3250388c39e5ab565dc4f744cddd75",
+    "partition": "9262b5f28cff06c9f93df9b7948aa0b053555e95cd7906e5e062c32d8ea35b9e",
+    "columns": "030f25d41e334dc52dea672636c5c0785bb7887a8c0e13905fa4924ae54c6f72",
     "sweep": "3833272fd356e6abf3e11d943f6c87005b80e163319100290e66a5c783d9d172",
 }
 

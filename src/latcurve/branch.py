@@ -48,7 +48,12 @@ on every piece, as its flag queries, which find no crossing in the
 domain, would give.  The x-loci of a
 frame curve (its frame cuts, its discriminant Res_y(F, F_y) and whether
 its slope is identically +-1) are one cached `_FrameLoci` record, read by
-the frame cells, the smoothness certificate and the disc test.
+the frame cells, the smoothness certificate and the disc test.  A frame is
+decomposed at the partition's unit resolution: each real root in [0, N]
+of its frame cuts and box-edge columns is keyed by its `root_slot`, an
+exact slot is a critical column enumerated directly, and the cells are the
+integer runs between the slots, so every branch domain has integer ends
+and holds no critical root.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
 from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
@@ -81,7 +85,6 @@ from .unipoly import (
     isolate_real_roots,
     primitive_ints,
     ranked_integer_root,
-    refine_disjoint,
     root_slot,
     sign_at_root,
 )
@@ -108,7 +111,7 @@ class AlgebraicBranch:
     caller's.
 
     Invariant: the closed domain holds no root of lc_y(curve).
-    `graph_decompose` cuts its cells clear of them, and a branch built
+    `graph_decompose` keeps its integer runs clear of them, and a branch built
     directly must keep it too.  The level sets rely on it: a level curve
     reduced modulo the curve keeps its sign there, and its eliminant may
     differ from the unreduced one by factors of lc_y(curve).
@@ -120,7 +123,7 @@ class AlgebraicBranch:
     domain: tuple[Fraction, Fraction]
     swapped: bool = False
     # |f'| < 1 on the closed domain: set by `graph_decompose`, whose cells
-    # are cut clear of the slope +-1 locus
+    # hold no root of the slope +-1 locus
     flat: bool = False
 
     def describe(self) -> dict:
@@ -632,7 +635,18 @@ def _column(curve: BiPoly, x0: Fraction | int) -> list[int]:
 def _decompose_frame(
     curve: BiPoly, n_box: int, swapped: bool
 ) -> tuple[list[AlgebraicBranch], list[LatticePoint]]:
-    """Branches and critical-abscissa integer points for one orientation."""
+    """Branches and critical-column integer points for one orientation.
+
+    Each real root in [0, N] of the frame cuts and box-edge columns is keyed
+    by its `root_slot` (c, exact), so loci sharing a root share a slot.  An
+    exact slot c is a critical column: its points with 0 <= y <= N are
+    returned for direct counting.  The cells are the maximal integer runs
+    [a, b] of 0..N between the slots, whose closed span therefore holds no
+    critical root.  Each cell is sampled at its midpoint: a root of the
+    sample column in [0, N] (its bracket clipped to [0, N] and tested by
+    one sign change) is a branch on [a, b] when |f'| < 1 there (the slope
+    balance F_x^2 - F_y^2 is negative) or the slope is identically +-1;
+    with |f'| > 1 the transposed frame covers it."""
     if curve.degree_y() < 1:
         return [], []
     loci = _frame_loci(curve)
@@ -649,44 +663,17 @@ def _decompose_frame(
             raise BranchError("curve contains a horizontal box edge; input is reducible")
         if len(e) >= 2:
             polys.append(e)
-    cuts: list[RootInterval] = []
-    for p in polys:
-        cuts.extend(isolate_real_roots(p, 0, n_box))
-    cuts = refine_disjoint(cuts, Fraction(1, 4)) if cuts else []
-
-    # an exactly-rational critical abscissa has a width-zero bracket; widen it
-    # so neighbouring cells stay strictly clear of the critical point itself
-    blocked: list[tuple[Fraction, Fraction]] = []
-    for idx, cut in enumerate(cuts):
-        if cut.is_exact():
-            w = Fraction(1, 4)
-            if idx > 0:
-                w = min(w, (cut.lo - cuts[idx - 1].hi) / 4)
-            if idx + 1 < len(cuts):
-                w = min(w, (cuts[idx + 1].lo - cut.hi) / 4)
-            blocked.append((cut.lo - w, cut.hi + w))
-        else:
-            blocked.append((cut.lo, cut.hi))
-
-    # integer columns excluded from the cells are enumerated directly
-    direct: list[LatticePoint] = []
-    seen: set[int] = set()
-    for blo, bhi in blocked:
-        for k in range(ceil(max(blo, Fraction(0))), floor(min(bhi, Fraction(n_box))) + 1):
-            if k in seen:
-                continue
-            seen.add(k)
-            direct.extend(LatticePoint(k, yv) for yv in integer_roots(_column(curve, k), 0, n_box))
-
+    # one slot per critical root in [0, N], however many loci share it
+    slots = sorted({root_slot(r) for p in polys for r in isolate_real_roots(p, 0, n_box)})
+    direct = [LatticePoint(k, yv) for k, exact in slots if exact for yv in integer_roots(_column(curve, k), 0, n_box)]
+    # an exact slot c leaves the column c out, a gap slot (c - 1, c) ends a
+    # run at c - 1
     cells: list[tuple[Fraction, Fraction]] = []
-    prev = Fraction(0)
-    for blo, bhi in blocked:
-        left = min(max(blo, Fraction(0)), Fraction(n_box))
-        if left > prev:
-            cells.append((prev, left))
-        prev = max(prev, min(max(bhi, Fraction(0)), Fraction(n_box)))
-    if prev < n_box:
-        cells.append((prev, Fraction(n_box)))
+    first = 0
+    for c, exact in slots + [(n_box + 1, False)]:
+        if first < c:
+            cells.append((Fraction(first), Fraction(c - 1)))
+        first = c + exact
 
     fx = partial(curve, "x")
     fy = partial(curve, "y")
@@ -725,10 +712,11 @@ def _decompose_frame(
 def graph_decompose(curve: BiPoly, n_box: int) -> GraphDecomposition:
     """Cover the curve's integer points in [0, n_box]^2 by oriented branches.
 
-    Each branch is oriented so the implicit derivative satisfies |f'| <= 1;
-    integer points at critical abscissas (singular, vertical, slope +-1,
-    box-exit and leading-coefficient loci) are returned separately for
-    direct counting.
+    Each branch is oriented so the implicit derivative satisfies |f'| < 1
+    on its domain, an integer run that holds no critical root; integer
+    points on critical columns, the integer roots of the singular, vertical,
+    slope +-1, box-exit and leading-coefficient loci, are returned
+    separately for direct counting.
     """
     g = ingestion_check(curve)
     branches: list[AlgebraicBranch] = []

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, floor
 from typing import Optional, Sequence
 
 from .branch import (
@@ -322,11 +321,10 @@ def determinant_method_count(
 ) -> CountReport:
     """Count integer points on the curve in {1..N}^2 via cover curves.
 
-    Decomposes the curve into oriented branches and partitions each one's
-    integer hull [max(1, ceil(lo)), floor(hi)] by the derivative
-    thresholds, since every lattice point of a branch lies at an integer
-    abscissa in it (abscissa 0 holds no point of {1..N}^2); a branch with
-    an empty hull is skipped and has no report entry.  Covers
+    Decomposes the curve into oriented branches, whose domains have integer
+    ends, and partitions each one's hull [max(1, lo), hi] by the derivative
+    thresholds (abscissa 0 holds no point of {1..N}^2); a branch on [0, 0]
+    has an empty hull, is skipped and has no report entry.  Covers
     every all-small piece greedily and counts per cover curve through
     resultant intersections, each deflated by the abscissas of the cover's
     run (`bezout_intersect` checks that each is an eliminant root); short
@@ -359,10 +357,10 @@ def determinant_method_count(
     branch_reports: list[BranchReport] = []
 
     for br in decomposition.branches:
-        first, last = max(1, ceil(br.domain[0])), floor(br.domain[1])
-        if first > last:
+        lo, hi = br.domain
+        if hi < 1:
             continue
-        br = replace(br, domain=(Fraction(first), Fraction(last)))
+        br = replace(br, domain=(max(lo, Fraction(1)), hi))
         frame_curve = br.curve
         # a swapped branch is covered in its frame, so puncture at its corner
         mset = punctured_set(d, ell, corner_index(frame_curve))

@@ -40,8 +40,7 @@ evaluation of the bracket polynomial.  The sign of an integer polynomial v
 at an isolated root is a Tarski query (`sign_at_root`): sign variations at
 the bracket ends of the signed remainder sequence of the bracket polynomial
 f and f'*v mod f, built by the same integer chain builder, with no gcd and
-no interval enclosure.  Two brackets of coprime polynomials are told apart
-by a gcd modulo a prime.  Every split point is the first non-root on one
+no interval enclosure.  Every split point is the first non-root on one
 walk of interior points (`_split_points`).  The package locates roots only
 through this module: one entry normaliser, one affine map, one Descartes
 bound, one squarefree part, one bisection step, one integer root search,
@@ -597,18 +596,6 @@ def refine_root(r: RootInterval, width: Fraction | int) -> RootInterval:
     return RootInterval(lo, hi, f)
 
 
-def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool:
-    """Whether [lo, hi], inside the non-exact bracket r, holds its root.
-
-    The bracket polynomial has no other zero in the bracket, and its root is
-    simple, so it lies in [lo, hi] exactly when the polynomial vanishes at an
-    end or changes sign between them.
-    """
-    f = r.polynomial
-    s_lo, s_hi = _rat_eval(f, lo), _rat_eval(f, hi)
-    return s_lo == 0 or s_hi == 0 or (s_lo > 0) != (s_hi > 0)
-
-
 def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
     """Exact sign (-1, 0 or 1) of the integer polynomial v at the root r isolates.
 
@@ -633,7 +620,7 @@ def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
     return _int_variations(chain, r.lo) - _int_variations(chain, r.hi)
 
 
-# Primes for the modular coprimality tests of `squarefree_part` and `_same_root`.
+# Primes for the modular coprimality test of `squarefree_part`.
 _GCD_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1)
 
 
@@ -663,48 +650,6 @@ def _coprime_mod_p(f: Sequence[int], g: Sequence[int]) -> bool:
             return False  # b, of degree >= 1, divides a
         a, b = b, a
     return True
-
-
-def _same_root(a: RootInterval, b: RootInterval) -> bool:
-    """Decide exactly whether two isolating intervals enclose the same real root."""
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo > hi:
-        return False
-    # both isolated roots must lie in the overlap; an exact one always does
-    if any(not r.is_exact() and not _holds_root(r, lo, hi) for r in (a, b)):
-        return False
-    if a.polynomial == b.polynomial:
-        return True  # the overlap holds one root of the common polynomial
-    if _coprime_mod_p(a.polynomial, b.polynomial):
-        return False
-    # a common root inside both brackets must be each bracket's isolated root
-    g = poly_gcd(a.polynomial, b.polynomial)
-    return len(g) >= 2 and count_real_roots(g, lo, hi) > 0
-
-
-def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) -> list[RootInterval]:
-    """Refine to the given width, drop duplicates of the same root, and
-    continue refining until the surviving intervals are pairwise disjoint."""
-    items = sorted((refine_root(r, width) for r in intervals), key=lambda r: (r.lo, r.hi))
-    i = 0
-    while i < len(items) - 1:
-        a, b = items[i], items[i + 1]
-        if a.hi < b.lo:
-            i += 1
-            continue
-        if a.hi == b.lo and not a.is_exact() and not b.is_exact():
-            # touching endpoints are fine: both roots are strictly interior
-            i += 1
-            continue
-        if _same_root(a, b):
-            items.pop(i + 1)
-            continue
-        if not a.is_exact():
-            items[i] = refine_root(a, a.width / 4)
-        if not b.is_exact():
-            items[i + 1] = refine_root(b, b.width / 4)
-        items.sort(key=lambda r: (r.lo, r.hi))
-    return items
 
 
 def all_real_roots(p: Sequence[int]) -> list[RootInterval]:

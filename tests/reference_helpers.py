@@ -4,8 +4,10 @@
   test, a range test and a rational root on an isolating bracket, a
   `Fraction` determinant, a reduction modulo a curve and the exact division
   that takes its leading power back out of an eliminant, the sign of a
-  polynomial along a branch, a branch's integer hull, the per-root crossing
-  test of a level set, and a lattice-point sweep over x alone.
+  polynomial along a branch, a branch's integer hull, disjoint isolating
+  brackets with duplicates of one root dropped (`refine_disjoint`), the
+  per-root crossing test of a level set, and a lattice-point sweep over x
+  alone.
 - The paper's lemmas, which no count runs: the interpolation-determinant
   bound (Ryser's permanent of the derivative bounds), the single-curve
   threshold, a branch through a rational curve point with its exact Taylor
@@ -48,6 +50,7 @@ from latcurve.poly2 import BiPoly, ExponentPair, ResultantDomainError, partial, 
 from latcurve.unipoly import (
     RootInterval,
     UniPoly,
+    _coprime_mod_p,
     _int_eval,
     _primitive,
     _rat_eval,
@@ -55,7 +58,7 @@ from latcurve.unipoly import (
     count_real_roots,
     int_exact_quotient,
     integer_roots,
-    refine_disjoint,
+    poly_gcd,
     refine_root,
     sign_at_root,
     squarefree_part,
@@ -123,6 +126,62 @@ def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval
                 return RootInterval(end, end, f)
         r = refine_root(r, r.width / 4)
     raise AssertionError("range test exceeded the refinement depth limit")
+
+
+def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool:
+    """Whether [lo, hi], inside the non-exact bracket r, holds its root.
+
+    The bracket polynomial has no other zero in the bracket, and its root is
+    simple, so it lies in [lo, hi] exactly when the polynomial vanishes at an
+    end or changes sign between them.
+    """
+    f = r.polynomial
+    s_lo, s_hi = _rat_eval(f, lo), _rat_eval(f, hi)
+    return s_lo == 0 or s_hi == 0 or (s_lo > 0) != (s_hi > 0)
+
+
+def _same_root(a: RootInterval, b: RootInterval) -> bool:
+    """Decide exactly whether two isolating intervals enclose the same real
+    root: sign tests on the overlap, then coprimality modulo a prime, then
+    an integer gcd and its root count on the overlap."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        return False
+    # both isolated roots must lie in the overlap; an exact one always does
+    if any(not r.is_exact() and not _holds_root(r, lo, hi) for r in (a, b)):
+        return False
+    if a.polynomial == b.polynomial:
+        return True  # the overlap holds one root of the common polynomial
+    if _coprime_mod_p(a.polynomial, b.polynomial):
+        return False
+    # a common root inside both brackets must be each bracket's isolated root
+    g = poly_gcd(a.polynomial, b.polynomial)
+    return len(g) >= 2 and count_real_roots(g, lo, hi) > 0
+
+
+def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) -> list[RootInterval]:
+    """Refine to the given width, drop duplicates of the same root, and
+    continue refining until the surviving intervals are pairwise disjoint."""
+    items = sorted((refine_root(r, width) for r in intervals), key=lambda r: (r.lo, r.hi))
+    i = 0
+    while i < len(items) - 1:
+        a, b = items[i], items[i + 1]
+        if a.hi < b.lo:
+            i += 1
+            continue
+        if a.hi == b.lo and not a.is_exact() and not b.is_exact():
+            # touching endpoints are fine: both roots are strictly interior
+            i += 1
+            continue
+        if _same_root(a, b):
+            items.pop(i + 1)
+            continue
+        if not a.is_exact():
+            items[i] = refine_root(a, a.width / 4)
+        if not b.is_exact():
+            items[i + 1] = refine_root(b, b.width / 4)
+        items.sort(key=lambda r: (r.lo, r.hi))
+    return items
 
 
 def rational_root_in(p: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction | None:

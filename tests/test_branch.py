@@ -25,7 +25,13 @@ from latcurve.branch import (
     level_set_abscissas,
     partition_by_bounds,
 )
-from latcurve.counting import brute_force_count, default_delta, default_ell, determinant_method_count
+from latcurve.counting import (
+    LineFactorError,
+    brute_force_count,
+    default_delta,
+    default_ell,
+    determinant_method_count,
+)
 from latcurve.detmethod import LatticePoint
 from latcurve.monomials import punctured_set
 from latcurve.poly2 import (
@@ -48,7 +54,6 @@ from latcurve.unipoly import (
     count_real_roots,
     integer_roots,
     primitive_ints,
-    refine_disjoint,
     refine_root,
     root_slot,
     sign_at_root,
@@ -67,6 +72,7 @@ from reference_helpers import (
     integer_in,
     reduce_modulo,
     refine_clear_of,
+    refine_disjoint,
     taylor_coefficients,
 )
 
@@ -1543,14 +1549,16 @@ def test_flags_across_a_cut_of_two_orders_flip_both():
 
 
 def test_partition_keeps_pieces_apart_across_a_zero_length_gap():
-    """On branch 2 of 6*x^2*y - 3*x^2 - 6*x*y + 3*y^2 - 5 at N = 15, with D =
+    """On the branch of 6*x^2*y - 3*x^2 - 6*x*y + 3*y^2 - 5 at N = 15 whose
+    integer hull is [1, 15], with D =
     3 and delta = 1/15, f''/2 crosses -1/15 and then 1/15 in the unit gap
     (1, 2) of its integer hull [1, 15], across touching brackets: between
     the two crossings, a stretch with no integer, order 2 reads small,
     while the runs [1, 1] and [2, 3] on either side read it large.  The gap
     holds two candidates, so the runs keep apart: merging them would make
     one large piece over a stretch where |f''/2| < 1/15."""
-    br = integer_hull(graph_decompose(parse("6*x^2*y - 3*x^2 - 6*x*y + 3*y^2 - 5"), 15).branches[2])
+    hulls = map(integer_hull, graph_decompose(parse("6*x^2*y - 3*x^2 - 6*x*y + 3*y^2 - 5"), 15).branches)
+    [br] = [h for h in hulls if h is not None and h.domain == (1, 15)]
     part = partition_by_bounds(br, 3, 15, Fraction(1, 15))
     assert _partition_rows(part) == [
         (1, 1, ("small", "large")),
@@ -1616,14 +1624,16 @@ def _latbench_workloads():
 
 def test_certificate_strength_on_latbench_rounds():
     """Certificate-strength guard: on eight seed-1 rounds, at the pipeline's
-    D and delta, `certified_orders` proves 474 of the 896 orders of the 78
-    `partition` branches and all 600 of the 40 `columns` branches on their
-    decomposed domains.  On the integer hulls that the pipeline partitions
-    it proves 563 of the 568 orders of the 51 `partition` branches that hold
-    an integer abscissa, and all 600 of the 40 `columns` branches."""
+    D and delta, `certified_orders` proves 559 of the 584 orders of the 53
+    `partition` branches and all 600 of the 40 `columns` branches, both on
+    their decomposed domains and on the integer hulls that the pipeline
+    partitions: the domains are integer runs, and none of these is [0, 0].
+    A domain end can sit within one unit of a branch point, where a disc of
+    radius 1 is refused, so some orders next to one are left to the level
+    sets."""
     workloads = _latbench_workloads()
     for name, want_domain, want_hull in (
-        ("partition", (78, 474, 896), (51, 563, 568)),
+        ("partition", (53, 559, 584), (53, 559, 584)),
         ("columns", (40, 600, 600), (40, 600, 600)),
     ):
         counts = {"domain": [0, 0, 0], "hull": [0, 0, 0]}
@@ -1647,9 +1657,12 @@ def test_certificate_strength_on_latbench_rounds():
 
 def test_certificate_proves_every_order_next_to_a_branch_point():
     """At the pipeline's D and delta, the discs prove every order of every
-    integer hull of y^2 - x^3 + 8*x - 8 at N = 25, the swapped one-point
-    hull [3, 3] among them, whose discs start at radius 1 and are centred
-    on the mean of the column's roots."""
+    integer hull of y^2 - x^3 + 8*x - 8 at N = 25 but one, the swapped
+    one-point hull [3, 3] among them, whose discs start at radius 1 and are
+    centred on the mean of the column's roots.  The exception is the
+    swapped one-point hull [4, 4], one unit from a branch point, where they
+    prove order 1 only (by the slope bound); orders 2 to 8 go to the level
+    sets."""
     curve, n_box = parse("y^2 - x^3 + 8*x - 8"), 25
     ell = default_ell(curve.degree, n_box)
     delta = default_delta(curve.degree, ell, n_box)
@@ -1658,7 +1671,8 @@ def test_certificate_proves_every_order_next_to_a_branch_point():
     assert any(br.swapped and br.domain == (3, 3) for br in hulls)
     for br in hulls:
         big_d = punctured_set(curve.degree, ell, corner_index(br.curve)).D
-        assert certified_orders(br, big_d, Fraction(n_box), delta) == set(range(1, big_d)), br
+        want = {1} if br.swapped and br.domain == (4, 4) else set(range(1, big_d))
+        assert certified_orders(br, big_d, Fraction(n_box), delta) == want, br
 
 
 def test_piece_flags_match_product_queries_at_pipeline_size():
@@ -1684,11 +1698,11 @@ def test_piece_flags_match_product_queries_at_pipeline_size():
 
 def test_pipeline_partitions_one_hull_piece_on_a_pure_flip_branch(monkeypatch):
     """From empty caches, the count of x - 24*y^4 at N = 100 partitions its
-    main branch, over (25/256, 100) with 13 pieces, as the one hull piece
-    [1, 100], and skips its swapped branch over (25/512, 25/128), which
-    holds no integer abscissa.  The disc certificate proves all 15 orders
-    of the hull, so no level set is built and no product-column query is
-    made."""
+    only branch, the integer run [1, 100], as one piece; the steep part of
+    the curve lies over 0 < y < 1, where the transposed frame has no integer
+    run, so it has no branch.  The
+    disc certificate proves all 15 orders of the hull, so no level set is
+    built and no product-column query is made."""
     levels = (branch_module._level_resultant, branch_module._level_curve, branch_module._reduced_level_parts)
     for cached in levels + (hk_sequence,):
         cached.cache_clear()
@@ -1710,10 +1724,7 @@ def test_pipeline_partitions_one_hull_piece_on_a_pure_flip_branch(monkeypatch):
     monkeypatch.setattr(branch_module, "_int_mul", counted)
     monkeypatch.setattr(counting_module, "partition_by_bounds", recorded)
     branches = graph_decompose(parse("x - 24*y^4"), 100).branches
-    assert [(br.domain, br.swapped) for br in branches] == [
-        ((Fraction(25, 256), 100), False),
-        ((Fraction(25, 512), Fraction(25, 128)), True),
-    ]
+    assert [(br.domain, br.swapped) for br in branches] == [((1, 100), False)]
     report = determinant_method_count(parse("x - 24*y^4"), 100)
     assert report.ok and report.total == report.oracle_total
     [(br, big_d, part)] = parts
@@ -1765,10 +1776,17 @@ def test_decompose_circle():
 
 
 def test_decompose_parabola_orientations():
+    """The steep part of a parabola is covered in the transposed frame and
+    the flat part directly.  y = x^2/10 is flat for x < 5, the slope +-1
+    locus, and steep beyond it.  y = x^2 is flat only for |x| < 1/2, where
+    its one integer column, x = 0, is critical (f'(0) = 0): no non-critical
+    column has |f'| < 1, so only the transposed frame keeps a branch, and
+    the point (0, 0) is enumerated directly."""
+    dec = graph_decompose(parse("10*y - x^2"), 10)
+    assert [(b.domain, b.swapped) for b in dec.branches] == [((1, 4), False), ((3, 9), True)]
     dec = graph_decompose(parse("y - x^2"), 10)
-    # steep part is covered in the transposed frame, flat part directly
-    assert any(b.swapped for b in dec.branches)
-    assert any(not b.swapped for b in dec.branches)
+    assert [(b.domain, b.swapped) for b in dec.branches] == [((1, 10), True)]
+    assert LatticePoint(0, 0) in dec.direct_points
 
 
 def test_decompose_line_boundary_slope():
@@ -1794,6 +1812,51 @@ def test_decompose_covers_brute_force():
         _, expected = brute_force_count(curve, n)
         missing = set(expected) - covered
         assert not missing
+
+
+def test_decompose_domains_are_integer_runs_free_of_critical_roots():
+    """Seeded, on random curves of the fuzz's shape (degree 2 or 3, two to
+    five terms, coefficients |c| <= 6, N in 5..40): every branch from
+    `graph_decompose` has integer domain ends; its closed domain holds no
+    real root of any frame cut or edge column of its frame, by
+    `count_real_roots`, which reads no slot; and the branch points at its
+    integer abscissas together with the direct points cover every point of
+    the oracle.  Enough domains end next to an exact critical column that a
+    decomposition reading such a column as a unit gap, and so putting it
+    inside the next domain, fails here."""
+    rng = random.Random(37)
+    coeffs = [c for c in range(-6, 7) if c]
+    branches = beside_exact = 0
+    for _ in range(300):
+        deg = rng.choice([2, 3])
+        j1 = rng.randint(0, deg)
+        terms = {(j1, deg - j1): rng.choice(coeffs)}
+        for _ in range(rng.randint(1, 4)):
+            j1 = rng.randint(0, deg)
+            terms[(j1, rng.randint(0, deg - j1))] = rng.choice(coeffs)
+        curve, n_box = BiPoly(terms), rng.randint(5, 40)
+        try:
+            dec = graph_decompose(curve, n_box)
+            oracle = brute_force_count(curve, n_box)[1]
+        except (BranchError, IngestionError, LineFactorError):
+            continue
+        covered = set(dec.direct_points)
+        for br in dec.branches:
+            lo, hi = br.domain
+            assert lo.denominator == hi.denominator == 1 and 0 <= lo <= hi <= n_box, (curve.pretty(), br)
+            across = br.curve.swap_xy()
+            loci = list(branch_module._frame_loci(br.curve).cuts) + [across.int_column(e) for e in (0, n_box)]
+            loci = [p for p in loci if len(p) >= 2]
+            for p in loci:
+                assert count_real_roots(p, lo, hi) == 0, (curve.pretty(), n_box, br, p)
+            beside_exact += any(UniPoly(p).evaluate(k) == 0 for p in loci for k in (lo - 1, hi + 1))
+            branches += 1
+            for k in range(int(lo), int(hi) + 1):
+                hit = branch_integer_point(br, k)
+                if hit is not None:
+                    covered.add(LatticePoint(hit.y, hit.x) if br.swapped else hit)
+        assert set(oracle) <= covered, (curve.pretty(), n_box)
+    assert branches >= 150 and beside_exact >= 90, (branches, beside_exact)
 
 
 def _reference_sample_branches(curve, sample, n_box):

@@ -589,11 +589,14 @@ def _clear_caches():
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
     builds no Sturm chain (11 before root isolation split by Descartes
-    bounds), and of its 11 squarefree parts only 2 need an integer gcd; the
-    rest are proved squarefree modulo a prime.  All 11 are the
+    bounds), and of its 8 squarefree parts only 2 need an integer gcd; the
+    rest are proved squarefree modulo a prime.  All 8 are the
     decomposition's: the disc certificate proves every order on the one
-    integer hull [2, 50] (the branch over [0, 25/32] holds no abscissa of
-    the box), so no branch value bracket is read there."""
+    integer hull [2, 50] (the branch on [0, 0] holds no abscissa of the
+    box), so no branch value bracket is read there.  The decomposition
+    keys each critical root by its unit slot with no refinement, so no
+    pair of brackets takes a gcd or a root count to tell its roots
+    apart."""
     _clear_caches()
     gcd_callers = []
     poly_gcd = unipoly.poly_gcd
@@ -606,7 +609,7 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
     assert rep.total == 0
     assert unipoly.sturm_chain.cache_info().misses == 0
-    assert unipoly.squarefree_part.cache_info().misses == 11
+    assert unipoly.squarefree_part.cache_info().misses == 8
     assert gcd_callers.count("squarefree_part") == 2
 
 
@@ -615,14 +618,16 @@ def test_pipeline_takes_level_curves_from_reduced_parts():
     pipeline is a sum of the two reduced parts of its order, so no
     unreduced implicit derivative is built (0 `hk_sequence` misses), and
     the totals equal the oracle's.  3*x^2*y + 4*y^3 - 5*y^2 - 2*x at N = 22
-    leaves orders of its hulls to the level sets; the disc certificate
-    proves every order of x - 3*y^5 at N = 100 and of y^2 - x^3 + 8*x - 8
-    at N = 25, so they build no level curve at all.  5*x^2*y - 2 at N = 38
+    leaves orders of its hulls to the level sets, and so does y^2 - x^3 +
+    8*x - 8 at N = 25 on its swapped one-point hull [4, 4], next to a
+    branch point, where the discs prove order 1 only; the disc certificate
+    proves every order of x - 3*y^5 at N = 100, so it builds no level curve
+    at all.  5*x^2*y - 2 at N = 38
     builds level sets on both frames, whose lc_y(F), 5*x^2 and 5*x, are
     polynomials, and still builds no unreduced H_k."""
     cases = (
         ("x - 3*y^5", 100, False),
-        ("y^2 - x^3 + 8*x - 8", 25, False),
+        ("y^2 - x^3 + 8*x - 8", 25, True),
         ("3*x^2*y + 4*y^3 - 5*y^2 - 2*x", 22, True),
         ("5*x^2*y - 2", 38, True),
     )

