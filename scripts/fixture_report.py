@@ -45,7 +45,7 @@ def main() -> int:
         rep = determinant_method_count(parse(text), n, delta=delta)
         elapsed = time.monotonic() - start
         reports.append(rep.to_json_dict())
-        emitted = sum(pr.emitted_curves for br in rep.per_branch for pr in br.pieces)
+        emitted = sum(len(pr.curves) for br in rep.per_branch for pr in br.pieces)
         budgets = sum(
             pr.budget for br in rep.per_branch for pr in br.pieces if pr.budget is not None
         )

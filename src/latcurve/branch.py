@@ -5,8 +5,8 @@ A branch is identified by its curve, an x-interval, and the index of its
 y-value among the real roots of the specialized curve; the index is stable
 because construction forbids discriminant roots inside the open interval
 and leading-coefficient roots on the closed one.  Branch values are handled
-as isolating intervals (`branch_value_bracket`, cached by branch and
-abscissa) and every sign decision is made exactly: the sign of
+as isolating intervals (`branch_value_bracket`, one per partition run) and
+every sign decision is made exactly: the sign of
 p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
 column p(x0, y) at the bracket of f(x0), zero included, for the piece
 flags of `partition_by_bounds`, one per run and order, and the slope
@@ -52,8 +52,8 @@ the frame cells, the smoothness certificate and the disc test.  A frame is
 decomposed at the partition's unit resolution: each real root in [0, N]
 of its frame cuts and box-edge columns is keyed by its `root_slot`, an
 exact slot is a critical column enumerated directly, and the cells are the
-integer runs between the slots, so every branch domain has integer ends
-and holds no critical root.
+integer runs between the slots, so every branch domain is a pair of ints
+and holds no critical root.  Each cell is read at its first column.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ from .poly2 import (
 from .unipoly import (
     RootInterval,
     _int_mul,
+    _int_eval,
     _primitive,
-    _rat_eval,
+    _root_slots,
     affine_image,
     all_real_roots,
     graeffe_step,
@@ -107,8 +108,9 @@ class AlgebraicBranch:
     A branch is identified by its curve, its `domain` and `root_index`, the
     index of the branch value among the sorted real roots of curve(x, .);
     `root_count` pins the number of those roots, which is constant on the
-    domain.  `swapped` marks that the frame axes are the transpose of the
-    caller's.
+    domain; both come from the `_root_slots` walk that `branch_integer_point`
+    runs.  `graph_decompose` gives int domain ends.  `swapped` marks that
+    the frame axes are the transpose of the caller's.
 
     Invariant: the closed domain holds no root of lc_y(curve).
     `graph_decompose` keeps its integer runs clear of them, and a branch built
@@ -120,7 +122,7 @@ class AlgebraicBranch:
     curve: BiPoly
     root_index: int
     root_count: int
-    domain: tuple[Fraction, Fraction]
+    domain: tuple[int, int]
     swapped: bool = False
     # |f'| < 1 on the closed domain: set by `graph_decompose`, whose cells
     # hold no root of the slope +-1 locus
@@ -164,9 +166,8 @@ def _frame_loci(curve: BiPoly) -> _FrameLoci:
     return _FrameLoci(tuple(cuts), disc, (fx - fy).is_zero() or (fx + fy).is_zero())
 
 
-@lru_cache(maxsize=512)
 def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInterval:
-    """Isolating interval for the branch value f(x0)."""
+    """Isolating interval for the branch value f(x0), not cached."""
     x0 = Fraction(x0)
     lo, hi = branch.domain
     if not lo <= x0 <= hi:
@@ -180,12 +181,11 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
 def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoint]:
     """(k, f(k)) when the branch value at the integer abscissa k is integral.
 
-    An integer rank search for root number `root_index` of curve(k, .): no
-    isolation and no shared cache.
+    An integer rank search (`_root_slots`) for root number `root_index` of
+    curve(k, .): no isolation and no shared cache.
     """
     lo, hi = branch.domain
-    # lo <= k <= hi on integers, with no `Fraction` comparison
-    if not lo.numerator <= k * lo.denominator or not k * hi.denominator <= hi.numerator:
+    if not lo <= k <= hi:
         raise BranchError("abscissa outside the branch domain")
     count, y = ranked_integer_root(_column(branch.curve, k), branch.root_index)
     if count != branch.root_count:
@@ -455,7 +455,7 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     work is integer affine maps and root-squaring steps of the curve's rows
     and discriminant and one column per disc that passes.
     """
-    lo, hi = branch.domain
+    lo, hi = map(Fraction, branch.domain)  # so no int is divided by an int
     left = set(range(2 if branch.flat else 1, big_d))
     proved = frozenset({1} if branch.flat and big_d > 1 else ())
     if not left:
@@ -543,15 +543,16 @@ def partition_by_bounds(
     changes sign only at a crossing, a zero of odd multiplicity of one
     level curve.  Each run reads its flag of order i from one Tarski query
     on the product of the two reduced +-thr level curves' columns at its
-    midpoint, which is no candidate unless the run is one point [k, k]: at
-    an exact cut or an exact root at a domain end.  A zero there means
-    |f^(i)(k)/i!| = thr, which meets the closed bound and reads small,
-    unless F_y(k) = 0, a `BranchError`; and such a run never merges, since
-    its flags say nothing of the open stretch next to it.  Any other run
-    merges into its left neighbour when their flags are equal and the cuts
-    between them hold one candidate, which is then no crossing; a gap with
-    two may hold two crossings.  A branch whose orders are all proved
-    builds no level set and takes no query, so it reads no branch value.
+    midpoint, every order at one `branch_value_bracket`.  The midpoint is
+    no candidate unless the run is one point [k, k]: at an exact cut or an
+    exact root at a domain end.  A zero there means |f^(i)(k)/i!| = thr,
+    which meets the closed bound and reads small, unless F_y(k) = 0, a
+    `BranchError`; and such a run never merges, since its flags say
+    nothing of the open stretch next to it.  Any other run merges into its
+    left neighbour when their flags are equal and the cuts between them
+    hold one candidate, which is then no crossing; a gap with two may hold
+    two crossings.  A branch whose orders are all proved builds no level
+    set and takes no query, so it reads no branch value.
     """
     if big_d < 2:
         raise ValueError("D must be >= 2")
@@ -579,8 +580,7 @@ def partition_by_bounds(
                 forced_small.add(i)
     fy = partial(branch.curve, "y")
 
-    def flag(i: int, thr: Fraction, x: Fraction) -> str:
-        bracket = branch_value_bracket(branch, x)
+    def flag(bracket: RootInterval, i: int, thr: Fraction, x: Fraction) -> str:
         plus = _level_curve(branch.curve, i, thr).int_column(x)
         minus = _level_curve(branch.curve, i, -thr).int_column(x)
         s = sign_at_root(bracket, _int_mul(plus, minus))
@@ -597,7 +597,11 @@ def partition_by_bounds(
         last = c if exact else c - 1
         if first <= last:
             mid = Fraction(first + last, 2)
-            flags = tuple("small" if i in forced_small else flag(i, thr, mid) for i, thr in enumerate(thresholds, 1))
+            # one branch-value bracket per run serves every order left
+            bracket = branch_value_bracket(branch, mid) if len(forced_small) < len(thresholds) else None
+            flags = tuple(
+                "small" if i in forced_small else flag(bracket, i, thr, mid) for i, thr in enumerate(thresholds, 1)
+            )
             on_candidate = first == last and slots[first, True] > 0
             if between == 1 and not pinned and not on_candidate and pieces[-1].flags == flags:
                 pieces[-1].hi = last  # no flag changes across the one candidate
@@ -642,11 +646,12 @@ def _decompose_frame(
     exact slot c is a critical column: its points with 0 <= y <= N are
     returned for direct counting.  The cells are the maximal integer runs
     [a, b] of 0..N between the slots, whose closed span therefore holds no
-    critical root.  Each cell is sampled at its midpoint: a root of the
-    sample column in [0, N] (its bracket clipped to [0, N] and tested by
-    one sign change) is a branch on [a, b] when |f'| < 1 there (the slope
-    balance F_x^2 - F_y^2 is negative) or the slope is identically +-1;
-    with |f'| > 1 the transposed frame covers it."""
+    critical root.  Each cell is read at its first column a, which is not
+    critical: one `isolate_real_roots` over [0, N] gives its roots there,
+    and the unbounded `_root_slots` their ranks and count.  A root in
+    [0, N] is a branch on [a, b] when |f'| < 1 there (the slope balance
+    F_x^2 - F_y^2 is negative) or the slope is identically +-1; with
+    |f'| > 1 the transposed frame covers it."""
     if curve.degree_y() < 1:
         return [], []
     loci = _frame_loci(curve)
@@ -668,44 +673,34 @@ def _decompose_frame(
     direct = [LatticePoint(k, yv) for k, exact in slots if exact for yv in integer_roots(_column(curve, k), 0, n_box)]
     # an exact slot c leaves the column c out, a gap slot (c - 1, c) ends a
     # run at c - 1
-    cells: list[tuple[Fraction, Fraction]] = []
+    cells: list[tuple[int, int]] = []
     first = 0
     for c, exact in slots + [(n_box + 1, False)]:
         if first < c:
-            cells.append((Fraction(first), Fraction(c - 1)))
+            cells.append((first, c - 1))
         first = c + exact
 
     fx = partial(curve, "x")
     fy = partial(curve, "y")
     regime_poly = fx * fx - fy * fy
     branches: list[AlgebraicBranch] = []
-    for clo, chi in cells:
-        sample = (clo + chi) / 2
-        u = _column(curve, sample)
+    for a, b in cells:
+        u = _column(curve, a)
         if len(u) < 2:
             continue
-        roots = all_real_roots(u)
-        for j, r in enumerate(roots):
-            # clip the bracket to [0, N]; one sign test then says whether it
-            # holds the root.  Both edge loci are cuts, so a clipped end that
-            # is a root of the sample column means a broken cell.
-            lo, hi = max(r.lo, 0), min(r.hi, n_box)
-            if lo > hi:
-                continue
-            if not r.is_exact():
-                s_lo, s_hi = _rat_eval(r.polynomial, lo), _rat_eval(r.polynomial, hi)
-                if s_lo == 0 or s_hi == 0:
-                    raise BranchError("a cell sample column vanishes on a box edge")
-                if (s_lo > 0) == (s_hi > 0):
-                    continue
-                r = RootInterval(lo, hi, r.polynomial)
+        if not _int_eval(u, 0) or not _int_eval(u, n_box):
+            raise BranchError("a cell sample column vanishes on a box edge")
+        ranks = _root_slots(u, None, None)
+        # u(0) != 0, so the roots below 0 are the slots with a ceiling <= 0
+        below = sum(c <= 0 for c, _ in ranks)
+        for j, r in enumerate(isolate_real_roots(u, 0, n_box), start=below):
             if not loci.slope_degenerate:
-                s = sign_at_root(r, regime_poly.int_column(sample))
+                s = sign_at_root(r, regime_poly.int_column(a))
                 if s > 0:
                     continue  # the transposed frame covers this piece
                 if s == 0:
                     raise BranchError("slope-balance locus met a cell interior")
-            branches.append(AlgebraicBranch(curve, j, len(roots), (clo, chi), swapped, flat=not loci.slope_degenerate))
+            branches.append(AlgebraicBranch(curve, j, len(ranks), (a, b), swapped, flat=not loci.slope_degenerate))
     return branches, direct
 
 

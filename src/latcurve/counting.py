@@ -223,7 +223,6 @@ class PieceReport:
     interval: tuple[str, str]
     flags: tuple[str, ...]
     mode: str  # "cover" or "enumerate"
-    emitted_curves: int
     budget: Optional[int]
     curves: list[dict] = field(default_factory=list)
     direct_points: list[LatticePoint] = field(default_factory=list)
@@ -360,7 +359,7 @@ def determinant_method_count(
         lo, hi = br.domain
         if hi < 1:
             continue
-        br = replace(br, domain=(max(lo, Fraction(1)), hi))
+        br = replace(br, domain=(max(lo, 1), hi))
         frame_curve = br.curve
         # a swapped branch is covered in its frame, so puncture at its corner
         mset = punctured_set(d, ell, corner_index(frame_curve))
@@ -391,7 +390,7 @@ def determinant_method_count(
                         {"poly": cov.pretty(), "points": sorted([list(p) for p in boxed])}
                     )
                 piece_reports.append(
-                    PieceReport(interval, piece.flags, "cover", len(cert.curves), budget, curve_dicts)
+                    PieceReport(interval, piece.flags, "cover", budget, curve_dicts)
                 )
             else:
                 if not large_interval_check(piece, delta):
@@ -402,7 +401,7 @@ def determinant_method_count(
                 boxed = [p for p in _unswap(pts, br.swapped) if _in_box(p, n_box)]
                 direct_points.update(boxed)
                 piece_reports.append(
-                    PieceReport(interval, piece.flags, "enumerate", 0, None, [], boxed)
+                    PieceReport(interval, piece.flags, "enumerate", None, [], boxed)
                 )
         branch_reports.append(BranchReport(br.describe(), piece_reports))
 

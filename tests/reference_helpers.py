@@ -11,7 +11,7 @@
 - The paper's lemmas, which no count runs: the interpolation-determinant
   bound (Ryser's permanent of the derivative bounds), the single-curve
   threshold, a branch through a rational curve point with its exact Taylor
-  coefficients, and cover counting on convex graphs from exact Taylor
+  coefficients, a truncated-series Taylor oracle, and cover counting on convex graphs from exact Taylor
   oracles, which meets Jarnik's configurations.
 
 The package decides each of these inside its own code paths, or does not
@@ -515,6 +515,26 @@ def taylor_coefficients(
     if check != out:
         raise RuntimeError("implicit-derivative recurrence disagrees with series expansion")
     return out
+
+
+def series_taylor(curve: BiPoly, x0: Fraction, y0: Fraction, kmax: int) -> list[Fraction]:
+    """Independent Taylor expansion via exact truncated series in UniPoly.
+
+    Builds F(x0 + s, c0 + c1 s + ... ) as an exact polynomial in s and solves
+    for one coefficient at a time from the vanishing of each power of s.
+    """
+    fy = partial(curve, "y").evaluate(x0, y0)
+    assert fy != 0
+    coeffs = [Fraction(y0)]
+    for k in range(1, kmax + 1):
+        y_series = UniPoly(coeffs + [Fraction(0)])
+        x_series = UniPoly([Fraction(x0), Fraction(1)])
+        total = UniPoly([])
+        for (j1, j2), c in curve.terms.items():
+            total = total + (x_series**j1) * (y_series**j2) * c
+        acc = total.coeffs[k] if k <= total.degree else Fraction(0)
+        coeffs.append(-acc / fy)
+    return coeffs
 
 
 # -- cover counting for convex graphs ----------------------------------------

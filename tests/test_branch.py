@@ -73,28 +73,9 @@ from reference_helpers import (
     reduce_modulo,
     refine_clear_of,
     refine_disjoint,
+    series_taylor,
     taylor_coefficients,
 )
-
-
-def series_taylor_oracle(curve, x0, y0, kmax):
-    """Independent Taylor expansion via exact truncated series in UniPoly.
-
-    Builds F(x0 + s, c0 + c1 s + ... ) as an exact polynomial in s and solves
-    for one coefficient at a time from the vanishing of each power of s.
-    """
-    fy = partial(curve, "y").evaluate(x0, y0)
-    assert fy != 0
-    coeffs = [Fraction(y0)]
-    for k in range(1, kmax + 1):
-        y_series = UniPoly(coeffs + [Fraction(0)])
-        x_series = UniPoly([Fraction(x0), Fraction(1)])
-        total = UniPoly([])
-        for (j1, j2), c in curve.terms.items():
-            total = total + (x_series**j1) * (y_series**j2) * c
-        acc = total.coeffs[k] if k <= total.degree else Fraction(0)
-        coeffs.append(-acc / fy)
-    return coeffs
 
 
 FIXTURES = {
@@ -167,7 +148,7 @@ def test_hk_identity_exact(name, points):
         fy0 = fy.evaluate(x0, y0)
         if fy0 == 0:
             continue
-        cs = series_taylor_oracle(curve, Fraction(x0), Fraction(y0), 6)
+        cs = series_taylor(curve, Fraction(x0), Fraction(y0), 6)
         for k, hk in enumerate(hk_sequence(curve, 6), start=1):
             lhs = hk.evaluate(x0, y0) + fy0 ** (2 * k - 1) * math.factorial(k) * cs[k]
             assert lhs == 0
@@ -501,7 +482,7 @@ def test_taylor_matches_series_oracle():
         curve = FIXTURES[name]
         for x0, y0 in pts:
             br = branch_from_point(curve, x0, y0, (x0, x0))
-            assert taylor_coefficients(br, x0, 5) == series_taylor_oracle(
+            assert taylor_coefficients(br, x0, 5) == series_taylor(
                 curve, Fraction(x0), Fraction(y0), 5
             )
 
@@ -1817,7 +1798,7 @@ def test_decompose_covers_brute_force():
 def test_decompose_domains_are_integer_runs_free_of_critical_roots():
     """Seeded, on random curves of the fuzz's shape (degree 2 or 3, two to
     five terms, coefficients |c| <= 6, N in 5..40): every branch from
-    `graph_decompose` has integer domain ends; its closed domain holds no
+    `graph_decompose` has int domain ends; its closed domain holds no
     real root of any frame cut or edge column of its frame, by
     `count_real_roots`, which reads no slot; and the branch points at its
     integer abscissas together with the direct points cover every point of
@@ -1843,7 +1824,7 @@ def test_decompose_domains_are_integer_runs_free_of_critical_roots():
         covered = set(dec.direct_points)
         for br in dec.branches:
             lo, hi = br.domain
-            assert lo.denominator == hi.denominator == 1 and 0 <= lo <= hi <= n_box, (curve.pretty(), br)
+            assert type(lo) is type(hi) is int and 0 <= lo <= hi <= n_box, (curve.pretty(), br)
             across = br.curve.swap_xy()
             loci = list(branch_module._frame_loci(br.curve).cuts) + [across.int_column(e) for e in (0, n_box)]
             loci = [p for p in loci if len(p) >= 2]
@@ -1880,12 +1861,13 @@ def _reference_sample_branches(curve, sample, n_box):
 
 
 def test_decompose_range_test_matches_refine_clear_of(monkeypatch):
-    """The [0, N] test on each sample-column root clips the bracket to
-    [0, N] and tests its sign once.  On circles of radius above N, whose
-    sample roots lie below 0, inside [0, N] and above N, and on curves with
-    negative sample roots, it keeps the branches that brackets refined clear
-    of 0 and N keep, and the branches and direct points still cover every
-    point of the oracle."""
+    """Each cell is read at its first column: one isolation over [0, N]
+    gives the roots there, and the integer slot walk their ranks.  On
+    circles of radius above N, whose sample roots lie below 0, inside
+    [0, N] and above N, and on curves with negative sample roots, it keeps
+    the branches that brackets of `all_real_roots` refined clear of 0 and N
+    keep, at every non-critical column the decomposition reads, and the
+    branches and direct points still cover every point of the oracle."""
     cases = [
         ("x^2 + y^2 - 2600", 50),  # radius 50.99...
         ("x^2 + y^2 - 3025", 50),  # radius 55
@@ -1898,12 +1880,11 @@ def test_decompose_range_test_matches_refine_clear_of(monkeypatch):
     sides = {"below": 0, "inside": 0, "above": 0}
     for text, n_box in cases:
         curve = parse(text)
-        samples = []  # (frame curve, sample abscissa) of every cell
+        samples = []  # (frame curve, column) of every column read
         column = branch_module._column
 
         def recording_column(frame, x0):
-            if not isinstance(x0, int):
-                samples.append((frame, x0))
+            samples.append((frame, x0))
             return column(frame, x0)
 
         with monkeypatch.context() as m:
@@ -1911,11 +1892,15 @@ def test_decompose_range_test_matches_refine_clear_of(monkeypatch):
             dec = graph_decompose(curve, n_box)
         want = set()
         for frame, sample in samples:
+            across = frame.swap_xy()
+            loci = list(branch_module._frame_loci(frame).cuts) + [across.int_column(e) for e in (0, n_box)]
+            if any(UniPoly(p).evaluate(sample) == 0 for p in loci if len(p) >= 2):
+                continue  # a critical column, enumerated directly
             want |= {(frame, sample, *k) for k in _reference_sample_branches(frame, sample, n_box)}
             for r in all_real_roots(frame.int_column(sample)):
                 r = refine_clear_of(r, Fraction(0), Fraction(n_box))
                 sides["below" if r.hi < 0 else "above" if r.lo > n_box else "inside"] += 1
-        got = {(b.curve, sum(b.domain) / 2, b.root_index, b.root_count, b.flat) for b in dec.branches}
+        got = {(b.curve, b.domain[0], b.root_index, b.root_count, b.flat) for b in dec.branches}
         assert got == want, text
         covered = set(dec.direct_points)
         for br in dec.branches:

@@ -411,7 +411,7 @@ def test_pipeline_budget_adherence_small_pieces():
     for br in rep.per_branch:
         for pr in br.pieces:
             if pr.mode == "cover" and pr.budget is not None:
-                assert pr.emitted_curves <= pr.budget
+                assert len(pr.curves) <= pr.budget
 
 
 def test_pipeline_explicit_parameters():
@@ -571,7 +571,7 @@ def test_pipeline_parabolas_puncture_each_branch_frame():
                 rep = determinant_method_count(parse(text), n)
                 assert rep.ok and rep.total == rep.oracle_total, (text, n)
                 swapped_covers += sum(
-                    pr.emitted_curves
+                    len(pr.curves)
                     for br in rep.per_branch
                     if br.descriptor["orientation"] == "y-over-x"
                     for pr in br.pieces
@@ -589,14 +589,16 @@ def _clear_caches():
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
     builds no Sturm chain (11 before root isolation split by Descartes
-    bounds), and of its 8 squarefree parts only 2 need an integer gcd; the
-    rest are proved squarefree modulo a prime.  All 8 are the
+    bounds), and of its 4 squarefree parts only 2 need an integer gcd; the
+    rest are proved squarefree modulo a prime.  All 4 are the
     decomposition's: the disc certificate proves every order on the one
     integer hull [2, 50] (the branch on [0, 0] holds no abscissa of the
     box), so no branch value bracket is read there.  The decomposition
     keys each critical root by its unit slot with no refinement, so no
-    pair of brackets takes a gcd or a root count to tell its roots
-    apart."""
+    pair of brackets takes a gcd or a root count to tell its roots apart,
+    and reads each cell's roots by one isolation over [0, N] and its ranks
+    by the integer slot walk, so no cell takes the squarefree part that the
+    root bound of `all_real_roots` needs."""
     _clear_caches()
     gcd_callers = []
     poly_gcd = unipoly.poly_gcd
@@ -609,7 +611,7 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
     assert rep.total == 0
     assert unipoly.sturm_chain.cache_info().misses == 0
-    assert unipoly.squarefree_part.cache_info().misses == 8
+    assert unipoly.squarefree_part.cache_info().misses == 4
     assert gcd_callers.count("squarefree_part") == 2
 
 
