@@ -45,10 +45,11 @@ and up to four stretch widths per disc.  It reads no branch value: all of
 it runs on the integer maps `unipoly.affine_image` and
 `unipoly.graeffe_step` and integer powers, and a proved order reads small
 on every piece, as its flag queries, which find no crossing in the
-domain, would give.  The x-loci of a
-frame curve (its frame cuts, its discriminant Res_y(F, F_y) and whether
-its slope is identically +-1) are one cached `_FrameLoci` record, read by
-the frame cells, the smoothness certificate and the disc test.  A frame is
+domain, would give.  Every eliminant comes from `poly2`: a frame
+curve's discriminant Res_y(F, F_y) is `poly2.discriminant`, built once per
+curve for the ingestion check, the frame cuts and the disc test, and the
+x-loci of a frame curve (its frame cuts and whether its slope is
+identically +-1) are one cached `_FrameLoci` record.  A frame is
 decomposed at the partition's unit resolution: each real root in [0, N]
 of its frame cuts and box-edge columns is keyed by its `root_slot`, an
 exact slot is a critical column enumerated directly, and the cells are the
@@ -65,13 +66,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
-from .poly2 import (
-    BiPoly,
-    ingestion_check,
-    partial,
-    reduce_times_lead_power,
-    resultant_eliminating_y,
-)
+from .poly2 import BiPoly, discriminant, eliminant, partial, reduce_times_lead_power
 from .unipoly import (
     RootInterval,
     _int_mul,
@@ -84,7 +79,6 @@ from .unipoly import (
     int_exact_quotient,
     integer_roots,
     isolate_real_roots,
-    primitive_ints,
     ranked_integer_root,
     root_slot,
     sign_at_root,
@@ -139,14 +133,13 @@ class AlgebraicBranch:
 class _FrameLoci(NamedTuple):
     """The integer polynomials in x whose roots bound where the branches of
     a frame curve F can change.  `cuts` are the x-loci of F_y, F_x, F_x -
-    F_y and F_x + F_y (Res_y(F, .), or the row itself when free of y and not
-    constant; () for a zero resultant), then lc_y(F) when not constant.
-    `disc` is Res_y(F, F_y) = cuts[0] when deg_y F >= 2 (for deg_y F = 1
-    the F_y locus is lc_y(F)'s), and `slope_degenerate` marks F_x = +-F_y
-    identically: the whole frame sits on the boundary slope."""
+    F_y and F_x + F_y (`poly2.eliminant` with F, or the row itself when free
+    of y and not constant; () for a zero eliminant), then lc_y(F) when not
+    constant.  The F_y locus is `poly2.discriminant(F)` when deg_y F >= 2.
+    `slope_degenerate` marks F_x = +-F_y identically: the whole frame sits
+    on the boundary slope."""
 
     cuts: tuple[tuple[int, ...], ...]
-    disc: Optional[tuple[int, ...]]
     slope_degenerate: bool
 
 
@@ -157,13 +150,12 @@ def _frame_loci(curve: BiPoly) -> _FrameLoci:
     cuts = []
     for p in (fy, fx, fx - fy, fx + fy):
         if p.degree_y() >= 1:
-            cuts.append(tuple(primitive_ints(resultant_eliminating_y(curve, p).coeffs)))
+            cuts.append(discriminant(curve) if p is fy else eliminant(curve, p))
         elif p.degree_x() >= 1:
             cuts.append(p.rows[0])
     if len(curve.rows[-1]) >= 2:
         cuts.append(curve.rows[-1])
-    disc = cuts[0] if fy.degree_y() >= 1 else None
-    return _FrameLoci(tuple(cuts), disc, (fx - fy).is_zero() or (fx + fy).is_zero())
+    return _FrameLoci(tuple(cuts), (fx - fy).is_zero() or (fx + fy).is_zero())
 
 
 def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInterval:
@@ -301,7 +293,7 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[int, ...]:
     if reduced.degree_y() < 1:
         res = list(reduced.rows[0])
     else:
-        res = primitive_ints(resultant_eliminating_y(curve, reduced).coeffs)
+        res = list(eliminant(curve, reduced))
         if not res:
             raise DegenerateLevelSetError("level-set eliminant vanished identically")
     lead = _primitive(curve.rows[-1])
@@ -463,7 +455,7 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     curve = branch.curve
     rows, n, dx = curve.rows, curve.degree_y(), curve.degree_x()
     # lc_y(F) is tested through the margin of the leading coefficient below
-    disc = _frame_loci(curve).disc
+    disc = discriminant(curve) if n >= 2 else None
     t_top = 0
     while hi - lo > 2**t_top:
         t_top += 1
@@ -711,12 +703,12 @@ def graph_decompose(curve: BiPoly, n_box: int) -> GraphDecomposition:
     on its domain, an integer run that holds no critical root; integer
     points on critical columns, the integer roots of the singular, vertical,
     slope +-1, box-exit and leading-coefficient loci, are returned
-    separately for direct counting.
+    separately for direct counting.  The curve is `ingestion_check`'s
+    output, which is not checked again.
     """
-    g = ingestion_check(curve)
     branches: list[AlgebraicBranch] = []
     direct: set[LatticePoint] = set()
-    for frame, swapped in ((g, False), (g.swap_xy(), True)):
+    for frame, swapped in ((curve, False), (curve.swap_xy(), True)):
         br, zone = _decompose_frame(frame, n_box, swapped)
         branches.extend(br)
         for p in zone:

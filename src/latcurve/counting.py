@@ -51,12 +51,12 @@ from .poly2 import (
     BiPoly,
     corner_index,
     divides,
+    eliminant,
     ingestion_check,
     partial,
-    resultant_eliminating_y,
     x_content,
 )
-from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, primitive_ints, root_ceilings
+from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, root_ceilings
 
 
 class CountingError(ValueError):
@@ -103,10 +103,11 @@ def _live_runs(frame: BiPoly, turned: BiPoly, n_box: int) -> list[tuple[int, int
     """
     loci = [turned.int_column(1), turned.int_column(n_box)]
     if frame.degree_y() >= 2:
-        disc = resultant_eliminating_y(frame, partial(frame, "y"))
-        if disc.is_zero():
+        # not `poly2.discriminant`: the sweep reads no value the pipeline cached
+        disc = eliminant(frame, partial(frame, "y"))
+        if not disc:
             return [(1, n_box)]
-        loci.append(primitive_ints(disc.coeffs))
+        loci.append(disc)
     cuts = {1, n_box + 1}
     for locus in loci:
         for c in root_ceilings(locus, 1, n_box):
@@ -179,18 +180,17 @@ def bezout_intersect(
     if divides(f, g) or divides(g, f):
         raise CommonComponentError("Bezout hypothesis violated: one curve divides the other")
     dy_f, dy_g = f.degree_y(), g.degree_y()
-    elim: list[int]
+    elim: Sequence[int]
     if dy_f >= 1 and dy_g >= 1:
-        res = resultant_eliminating_y(f, g)
-        if res.is_zero():
+        elim = eliminant(f, g)
+        if not elim:
             raise CommonComponentError("Bezout hypothesis violated: common component")
-        elim = primitive_ints(res.coeffs)
     elif dy_f == 0 and dy_g == 0:
         if len(poly_gcd(f.rows[0], g.rows[0])) >= 2:
             raise CommonComponentError("Bezout hypothesis violated: common vertical lines")
         elim = [1]  # coprime polynomials in x alone share no point
     else:
-        elim = list((f if dy_f == 0 else g).rows[0])
+        elim = (f if dy_f == 0 else g).rows[0]
     for k in set(known):
         if _int_eval(elim, k):
             raise RuntimeError(f"known abscissa {k} is not a root of the eliminant")

@@ -62,15 +62,15 @@ def jarnik_construct(h: int) -> JarnikConfiguration:
     return JarnikConfiguration(h, tuple(vectors), tuple(points), epsilon)
 
 
-def convex_slope_check(points: Sequence[tuple[int, int] | LatticePoint]) -> bool:
-    """True iff consecutive chord slopes strictly increase (exact comparison)."""
-    pts = [(int(p[0]), int(p[1])) for p in points]
-    for (x0, _), (x1, _) in zip(pts, pts[1:]):
+def convex_slope_check(points: Sequence[tuple[Fraction | int, Fraction | int] | LatticePoint]) -> bool:
+    """True iff consecutive chord slopes strictly increase (exact comparison
+    on integer or rational points)."""
+    for (x0, _), (x1, _) in zip(points, points[1:]):
         if x0 >= x1:
             raise ValueError("points must have strictly increasing x")
     prev: Optional[Fraction] = None
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        slope = Fraction(y1 - y0, x1 - x0)
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        slope = Fraction(y1 - y0) / (x1 - x0)
         if prev is not None and slope <= prev:
             return False
         prev = slope
@@ -103,11 +103,7 @@ def segment_index_for(config: JarnikConfiguration, x: Fraction) -> int:
 
 
 def smoothed_value(config: JarnikConfiguration, x: Fraction | int) -> Fraction:
-    x = Fraction(x)
-    i = segment_index_for(config, x)
-    c0, c1, c2 = _segment_quadratic(config, i)
-    dx = x - config.points[i][0]
-    return c0 + c1 * dx + c2 * dx * dx
+    return smoothed_taylor(config, x, 0)[0]
 
 
 def smoothed_taylor(config: JarnikConfiguration, x: Fraction | int, kmax: int) -> list[Fraction]:
@@ -152,10 +148,4 @@ def verify_smoothing(config: JarnikConfiguration) -> bool:
             x = x0 + (x1 - x0) * Fraction(j, SAMPLES_PER_SEGMENT)
             sample.append((x, smoothed_value(config, x)))
     sample.append((Fraction(config.points[-1][0]), Fraction(config.points[-1][1])))
-    prev: Optional[Fraction] = None
-    for (xa, ya), (xb, yb) in zip(sample, sample[1:]):
-        slope = (yb - ya) / (xb - xa)
-        if prev is not None and slope <= prev:
-            return False
-        prev = slope
-    return True
+    return convex_slope_check(sample)

@@ -15,16 +15,19 @@ monomial sets.  Term order is graded lexicographic with x taking priority
 inside each total degree; printing lists highest terms first.
 
 The one resultant algorithm is a pseudo-remainder descent (Collins) on the
-primitive integer y-rows, the rational contents multiplied back.
+primitive integer y-rows, the rational contents multiplied back.  The rest
+of the package reads it through `eliminant`, a primitive integer tuple, and
+`discriminant`, the cached eliminant of a curve and its y-derivative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .unipoly import UniPoly, _int_mul, _primitive, int_exact_quotient, poly_gcd
+from .unipoly import UniPoly, _int_mul, _primitive, int_exact_quotient, poly_gcd, primitive_ints
 
 ExponentPair = tuple[int, int]
 
@@ -453,6 +456,18 @@ def resultant_eliminating_y(p: BiPoly, q: BiPoly) -> UniPoly:
     return UniPoly(res if scale == 1 else [c * scale for c in res])
 
 
+def eliminant(p: BiPoly, q: BiPoly) -> tuple[int, ...]:
+    """Res_y(p, q) as a primitive integer tuple in x, signs kept; () when it
+    vanishes identically.  Not cached."""
+    return tuple(primitive_ints(resultant_eliminating_y(p, q).coeffs))
+
+
+@lru_cache(maxsize=64)
+def discriminant(f: BiPoly) -> tuple[int, ...]:
+    """The eliminant of f and f_y, for deg_y f >= 2, built once per curve."""
+    return eliminant(f, partial(f, "y"))
+
+
 def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
     """prim(lc_y f)^d * p mod f in y, for a d at which that remainder is a
     polynomial.  prim(lc_y f) is lc_y(f) over its positive content, so a
@@ -501,10 +516,11 @@ class IngestionError(ValueError):
 def ingestion_check(f: BiPoly) -> BiPoly:
     """Necessary (not sufficient) checks for an irreducible input curve.
 
-    Returns the primitive integer normalization.  Rejects constants and
-    repeated factors (a factor involving y through Res_y(h, h_y) vanishing
-    identically, a factor free of y through the x-content of h).  Full
-    irreducibility is a documented precondition and is not verified.
+    Returns the primitive integer normalization, the curve that the rest of
+    the pipeline (`graph_decompose` among it) takes.  Rejects constants and
+    repeated factors (a factor involving y through `discriminant(h)`
+    vanishing identically, a factor free of y through the x-content of h).
+    Full irreducibility is a documented precondition and is not verified.
     """
     if f.is_zero() or f.degree < 1:
         raise IngestionError("curve must be a nonconstant polynomial")
@@ -512,8 +528,7 @@ def ingestion_check(f: BiPoly) -> BiPoly:
     # a frame in which the curve depends on y: Res_y(h, h_y) vanishes when h
     # has a repeated factor involving y (not checked at y-degree 1)
     h = g if g.degree_y() >= 1 else g.swap_xy()
-    hy = partial(h, "y")
-    if hy.degree_y() >= 1 and resultant_eliminating_y(h, hy).is_zero():
+    if h.degree_y() >= 2 and not discriminant(h):
         raise IngestionError("curve has a repeated factor")
     # a repeated factor free of y divides the x-content at least twice
     content = x_content(h)

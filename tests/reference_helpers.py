@@ -29,7 +29,6 @@ from latcurve.branch import (
     AlgebraicBranch,
     BranchError,
     _column,
-    _frame_loci,
     _level_curve,
     branch_value_bracket,
     hk_sequence,
@@ -46,7 +45,7 @@ from latcurve.detmethod import (
 from latcurve.exactlinalg import bareiss_determinant
 from latcurve.jarnik import JarnikConfiguration, smoothed_taylor
 from latcurve.monomials import MonomialSet, full_set
-from latcurve.poly2 import BiPoly, ExponentPair, ResultantDomainError, partial, reduce_times_lead_power
+from latcurve.poly2 import BiPoly, ExponentPair, ResultantDomainError, discriminant, partial, reduce_times_lead_power
 from latcurve.unipoly import (
     RootInterval,
     UniPoly,
@@ -437,8 +436,7 @@ def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
         raise BranchError("leading coefficient in y vanishes at a domain end")
     if hi <= lo:
         return
-    disc = _frame_loci(curve).disc
-    for obs in ([] if disc is None else [disc]) + ([lead] if len(lead) >= 2 else []):
+    for obs in ([discriminant(curve)] if curve.degree_y() >= 2 else []) + ([lead] if len(lead) >= 2 else []):
         if not obs:
             raise BranchError("curve fails the smoothness certificate (zero obstruction)")
         # roots strictly inside (lo, hi) are forbidden

@@ -44,6 +44,7 @@ from latcurve.poly2 import (
 )
 from latcurve import branch as branch_module
 from latcurve import counting as counting_module
+from latcurve import poly2 as poly2_module
 from latcurve import unipoly as unipoly_module
 from latcurve.unipoly import (
     RootInterval,
@@ -796,20 +797,20 @@ def test_level_set_rational_root_at_domain_end():
 
 def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
     """From empty caches, one level set takes its eliminant from one call of
-    `poly2.resultant_eliminating_y`, through the binding in `branch` that a
-    tracer replaces, with the level curve as its second argument."""
+    `poly2.resultant_eliminating_y`, through `poly2`'s own binding, the only
+    one a tracer replaces, with the level curve as its second argument."""
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
     levels = (branch_module._level_resultant, branch_module._level_curve, branch_module._reduced_level_parts)
     for cached in levels + (hk_sequence,):
         cached.cache_clear()
     calls = []
-    original = branch_module.resultant_eliminating_y
+    original = poly2_module.resultant_eliminating_y
 
     def counted(p, q):
         calls.append((p, q))
         return original(p, q)
 
-    monkeypatch.setattr(branch_module, "resultant_eliminating_y", counted)
+    monkeypatch.setattr(poly2_module, "resultant_eliminating_y", counted)
     assert len(level_set_abscissas(br, 2, Fraction(-1, 8))) >= 1
     assert calls == [(br.curve, branch_module._level_curve(br.curve, 2, Fraction(-1, 8)))]
 

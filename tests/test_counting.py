@@ -16,9 +16,9 @@ from latcurve.counting import (
     brute_force_count,
     determinant_method_count,
 )
-from latcurve import branch, counting, unipoly
+from latcurve import branch, counting, poly2, unipoly
 from latcurve.detmethod import LatticePoint
-from latcurve.poly2 import BiPoly, divides, parse, resultant_eliminating_y
+from latcurve.poly2 import BiPoly, divides, parse, partial, resultant_eliminating_y
 from latcurve.unipoly import count_real_roots, int_exact_quotient, integer_roots, primitive_ints
 from reference_helpers import x_sweep_count
 
@@ -580,7 +580,7 @@ def test_pipeline_parabolas_puncture_each_branch_frame():
 
 
 def _clear_caches():
-    for module in (unipoly, branch):
+    for module in (unipoly, poly2, branch):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
@@ -664,30 +664,65 @@ def test_pipeline_builds_level_sets_only_for_uncertified_orders(monkeypatch):
     assert branch._reduced_level_parts.cache_info().misses == 0
 
 
-def test_pipeline_eliminates_no_pair_twice(monkeypatch):
-    """Operation-count guard: from empty caches, a count asks `branch`'s
-    `resultant_eliminating_y` binding for no (curve, q) pair twice.  Each
-    frame curve's loci, Res_y(F, F_y) among them, are built once for the
-    frame cells, the smoothness certificate and the disc test, also when
-    both frames are one curve (the circle and the hyperbola)."""
-    original = branch.resultant_eliminating_y
+def test_count_builds_each_frame_discriminant_once(monkeypatch):
+    """Operation-count guard: from empty caches, a count asks
+    `poly2.resultant_eliminating_y`, the one binding in the package, for no
+    (curve, q) pair twice outside `bezout_intersect`, whose cover
+    eliminants are each read once.  So each frame curve's Res_y(F, F_y) is
+    built once for the ingestion check, the frame cuts and the disc test,
+    also when both frames are one curve (the circle and the hyperbola).
+    With the oracle on, the sweep builds its own discriminant of the swept
+    frame, so that one pair is asked exactly twice."""
+    original, intersect = poly2.resultant_eliminating_y, counting.bezout_intersect
+    calls, inside = Counter(), []
+
+    def counted(p, q):
+        if not inside:
+            calls[p, q] += 1
+        return original(p, q)
+
+    def cover_intersect(*args):
+        inside.append(True)
+        try:
+            return intersect(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(poly2, "resultant_eliminating_y", counted)
+    monkeypatch.setattr(counting, "bezout_intersect", cover_intersect)
     for text, n in (
         ("y^2 - x^3 - x - 1", 25),
         ("x^2 + y^2 - 65", 100),
         ("x*y - 12", 100),
         ("x - 2*y^2 - 53*y", 500),
     ):
-        _clear_caches()
-        calls = Counter()
+        for oracle in (False, True):
+            _clear_caches()
+            calls.clear()
+            g = parse(text).primitive_integer()
+            rep = determinant_method_count(g, n, compare_oracle=oracle)
+            assert rep.ok and rep.oracle_total in (None, rep.total), text
+            swept = g.swap_xy() if g.degree_x() < g.degree_y() else g
+            if oracle and swept.degree_y() >= 2:
+                assert calls.pop((swept, partial(swept, "y"))) == 2, text
+            assert calls and max(calls.values()) == 1, (text, oracle, calls.most_common(1)[0][1])
 
-        def counted(p, q):
-            calls[p, q] += 1
-            return original(p, q)
 
-        monkeypatch.setattr(branch, "resultant_eliminating_y", counted)
-        rep = determinant_method_count(parse(text), n)
-        assert rep.ok and rep.total == rep.oracle_total, text
-        assert calls and max(calls.values()) == 1, (text, calls.most_common(1)[0][1])
+def test_count_ingests_once(monkeypatch):
+    """A count runs `ingestion_check` once, in `determinant_method_count`:
+    `graph_decompose` takes its output and checks nothing again."""
+    calls = []
+    original = poly2.ingestion_check
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (poly2, counting, branch):
+        if hasattr(module, "ingestion_check"):
+            monkeypatch.setattr(module, "ingestion_check", counted)
+    assert determinant_method_count(parse("x^2 + y^2 - 65"), 100).ok
+    assert calls == [parse("x^2 + y^2 - 65")]
 
 
 def test_slow_cubics_match_oracle_with_no_sturm_chain():

@@ -73,6 +73,14 @@ def test_slope_check_examples():
     assert convex_slope_check(jarnik_construct(3).points)
 
 
+def test_slope_check_reads_rational_points_exactly():
+    """A rational point is compared as it is, not truncated to an integer."""
+    half = Fraction(1, 2)
+    assert convex_slope_check([(0, 0), (half, Fraction(1, 8)), (1, 1)])
+    assert not convex_slope_check([(0, 0), (half, Fraction(3, 4)), (1, 1)])
+    assert not convex_slope_check([(0, 0), (1, Fraction(1, 2)), (2, Fraction(3, 4))])
+
+
 def test_slope_check_requires_increasing_x():
     with pytest.raises(ValueError):
         convex_slope_check([(0, 0), (0, 1)])

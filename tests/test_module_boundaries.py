@@ -2,6 +2,9 @@
 
 - The integer-row internals of `poly2` stay inside it: no other module of
   the package imports a `_`-prefixed name, `Rows` or `IntTerms` from `poly2`.
+- `poly2` is the one place that eliminates: no other module of the package
+  references `resultant_eliminating_y`, so its `UniPoly` stays behind
+  `poly2.eliminant` and `poly2.discriminant`.
 - Every top-level function or class of the package is reached: another
   top-level statement of a package module or a script under `scripts/`
   uses it, or a latbench span binds it.  An export from
@@ -42,6 +45,26 @@ def test_no_module_imports_poly2_internals():
         path.name: names
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "poly2" and (names := poly2_internal_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def resultant_references(source: str) -> list[int]:
+    """The first line of each top-level statement of the module source that
+    imports, reads or reads as an attribute `resultant_eliminating_y`."""
+    return [node.lineno for node in ast.parse(source).body if "resultant_eliminating_y" in _referenced(node)]
+
+
+def test_only_poly2_eliminates():
+    assert resultant_references(
+        "from .poly2 import (\n    BiPoly,\n    resultant_eliminating_y,\n)\n"
+        "r = poly2.resultant_eliminating_y(p, q)\nf = resultant_eliminating_y\nresultant = 1\n"
+        "def g():\n    return resultant_eliminating_y(p, q)"
+    ) == [1, 5, 6, 8]
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "poly2" and (lines := resultant_references(path.read_text()))
     }
     assert found == {}
 

@@ -14,7 +14,9 @@ from latcurve.poly2 import (
     PolyParseError,
     ResultantDomainError,
     corner_index,
+    discriminant,
     divides,
+    eliminant,
     ingestion_check,
     parse,
     partial,
@@ -184,6 +186,22 @@ def test_resultant_examples():
     ratio = r.leading / expected.leading
     assert r == expected * ratio and ratio != 0
     assert resultant_eliminating_y(parse("y - x^2"), parse("y - x^2")).is_zero()
+
+
+def test_eliminant_is_the_primitive_resultant():
+    """`eliminant` is Res_y as a primitive integer tuple with its signs, ()
+    when it vanishes; `discriminant` is the eliminant of f and f_y, built
+    once per curve."""
+    c = parse("(1/3)*x^2 + (1/3)*y^2 - (25/3)")
+    assert eliminant(c, parse("y - 3")) == (-16, 0, 1)
+    assert eliminant(c, parse("2*x - 2*y")) == (-25, 0, 2)
+    assert eliminant(parse("y - x^2"), parse("2*y - 2*x^2")) == ()
+    discriminant.cache_clear()
+    assert discriminant(c) == tuple(primitive_ints(resultant_eliminating_y(c, parse("y")).coeffs)) == (-25, 0, 1)
+    assert discriminant(c) is discriminant(c) and discriminant.cache_info().misses == 1
+    assert discriminant(parse("(y - x)^2 - x^3")) == (0, 0, 0, -1)  # 4 * f(x, x)
+    with pytest.raises(ResultantDomainError):
+        discriminant(parse("x*y - 12"))
 
 
 def test_resultant_requires_positive_y_degree():
