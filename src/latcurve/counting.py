@@ -382,7 +382,7 @@ def determinant_method_count(
                     )
                     ok = False
                 curve_dicts = []
-                for cov, run in zip(cert.curves, cert.runs()):
+                for cov, run in zip(cert.curves, cert.runs):
                     hits = bezout_intersect(frame_curve, cov, n_box, [p.x for p in run])
                     boxed = [p for p in _unswap(hits, br.swapped) if _in_box(p, n_box)]
                     curve_points.update(boxed)

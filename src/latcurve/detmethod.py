@@ -45,18 +45,16 @@ class DerivativeBoundSpec:
 
 @dataclass
 class CoverCertificate:
-    """Cover curves plus the run assignment of every input point."""
+    """Cover curves and their runs: `runs[i]` is the consecutive slice of
+    the x-sorted input points that `curves[i]` covers."""
 
     curves: list[BiPoly]
-    assignment: dict[LatticePoint, int]
+    runs: list[list[LatticePoint]]
 
-    def runs(self) -> list[list[LatticePoint]]:
-        by_curve: list[list[LatticePoint]] = [[] for _ in self.curves]
-        for pt, idx in self.assignment.items():
-            by_curve[idx].append(pt)
-        for run in by_curve:
-            run.sort()
-        return by_curve
+    @property
+    def assignment(self) -> dict[LatticePoint, int]:
+        """The index of the covering curve of every input point, in input order."""
+        return {p: i for i, run in enumerate(self.runs) for p in run}
 
 
 def monomial_matrix(points: Sequence[LatticePoint], mset: MonomialSet) -> list[list[int]]:
@@ -139,7 +137,7 @@ def greedy_cover(
             raise ValueError("points must be sorted with strictly increasing x")
     rows = monomial_matrix(pts, mset)
     curves: list[BiPoly] = []
-    assignment: dict[LatticePoint, int] = {}
+    runs: list[list[LatticePoint]] = []
     start = 0
     while start < len(pts):
         pivots: list[tuple[int, list[int]]] = []
@@ -149,8 +147,7 @@ def greedy_cover(
         cover = _kernel_curve(pivots[: mset.D - 1], mset)
         if curve is not None:
             non_divisibility_guard(curve, cover)
-        for p in pts[start:end]:
-            assignment[p] = len(curves)
         curves.append(cover)
+        runs.append(pts[start:end])
         start = end
-    return CoverCertificate(curves, assignment)
+    return CoverCertificate(curves, runs)

@@ -40,11 +40,12 @@ evaluation of the bracket polynomial.  The sign of an integer polynomial v
 at an isolated root is a Tarski query (`sign_at_root`): sign variations at
 the bracket ends of the signed remainder sequence of the bracket polynomial
 f and f'*v mod f, built by the same integer chain builder, with no gcd and
-no interval enclosure.  Every split point is the first non-root on one
-walk of interior points (`_split_points`).  The package locates roots only
-through this module: one entry normaliser, one affine map, one Descartes
-bound, one squarefree part, one bisection step, one integer root search,
-one slot and one sign test.
+no interval enclosure.  Every bisection, in isolation and in refinement
+(`bisect_step`), splits a bracket at its midpoint, and a root there is
+taken as an exact bracket.  The package locates roots only through this
+module: one entry normaliser, one affine map, one Descartes bound, one
+squarefree part, one bisection step, one integer root search, one slot
+and one sign test.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class ZeroPolynomialError(ValueError):
@@ -501,44 +502,20 @@ class RootInterval:
         return self.lo == self.hi
 
 
-_SPLIT_FRACTIONS = (
-    Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
-    Fraction(3, 4), Fraction(2, 5), Fraction(3, 5), Fraction(1, 5),
-    Fraction(4, 5), Fraction(3, 7), Fraction(4, 7),
-)
-
-
-def _split_points(a: Fraction, b: Fraction) -> Iterator[Fraction]:
-    """Distinct rational points strictly inside (a, b), for a < b: those at
-    `_SPLIT_FRACTIONS` of the way, the midpoint first, then the points of
-    finer and finer grids, so a walk that avoids finitely many bad points
-    ends."""
-    yield from (a + (b - a) * t for t in _SPLIT_FRACTIONS)
-    k = 8
-    while True:
-        yield from (a + (b - a) * Fraction(i, k) for i in range(1, k))
-        k *= 2
-
-
-def _nonroot_split(f: Sequence[int], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
-    """A rational point m strictly inside (a, b) where the nonzero integer
-    polynomial f does not vanish, and `_rat_eval(f, m)`, which has its sign."""
-    for m in _split_points(a, b):
-        fm = _rat_eval(f, m)
-        if fm:
-            return m, fm
-
-
 def bisect_step(
     f: Sequence[int], lo: Fraction, hi: Fraction, s_lo: int
 ) -> tuple[Fraction, Fraction, int]:
     """One exact bisection of a bracket [lo, hi] across which the integer
     polynomial f changes sign.
 
-    `s_lo` is an integer with the sign of f(lo).  Splits at a non-root of f
-    and returns the half that keeps the sign change as (lo, hi, s_lo).
+    `s_lo` is an integer with the sign of f(lo).  Splits at the midpoint m
+    and returns the half that keeps the sign change as (lo, hi, s_lo), or
+    (m, m, 0) when m is a root of f.
     """
-    m, pm = _nonroot_split(f, lo, hi)
+    m = (lo + hi) / 2
+    pm = _rat_eval(f, m)
+    if not pm:
+        return m, m, 0
     if (s_lo > 0) != (pm > 0):
         return lo, m, s_lo
     return m, hi, pm
@@ -549,9 +526,12 @@ def isolate_real_roots(
 ) -> list[RootInterval]:
     """Disjoint isolating intervals, one per distinct real root in [lo, hi].
 
-    A part with Descartes bound v >= 2 is split at a non-root of the deflated
-    squarefree part, and each half bounded again, until every part has
-    v <= 1; on a squarefree polynomial this ends (Vincent's theorem).  A part
+    A part with Descartes bound v >= 2 is split at its midpoint m, and each
+    half bounded again, until every part has v <= 1; on a squarefree
+    polynomial this ends (Vincent's theorem).  The part's polynomial is the
+    deflated squarefree part, so a root at m is simple: it is reported as
+    the exact bracket [m, m] and its factor divided out once, and the halves
+    and their brackets carry the quotient, nonzero at every end.  A part
     found to hold one root is its bracket, so the brackets are those of
     bisection on exact root counts.
     """
@@ -564,21 +544,27 @@ def isolate_real_roots(
         # with an endpoint root deflated away, a bracket ending there
         # isolates only for the deflated form
         inner = _deflate(squarefree_part(f), ends, lo, hi)
-    bracket = tuple(inner)
 
-    def split(a: Fraction, b: Fraction, v: int) -> list[RootInterval]:
+    def split(g: tuple[int, ...], a: Fraction, b: Fraction, v: int) -> list[RootInterval]:
         if v <= 1:
-            return [RootInterval(a, b, bracket)] if v else []
-        m, _ = _nonroot_split(inner, a, b)
-        found = split(a, m, descartes_bound(inner, a, m)) + split(m, b, descartes_bound(inner, m, b))
-        return [RootInterval(a, b, bracket)] if len(found) == 1 else found
+            return [RootInterval(a, b, g)] if v else []
+        m = (a + b) / 2
+        found, halves = [], g
+        if _rat_eval(g, m) == 0:
+            found = [RootInterval(m, m, g)]
+            halves = tuple(int_exact_quotient(g, [-m.numerator, m.denominator]))
+        for c, d in ((a, m), (m, b)):
+            found += split(halves, c, d, descartes_bound(halves, c, d))
+        return [RootInterval(a, b, g)] if len(found) == 1 else found
 
-    out = [RootInterval(e, e, f) for e in ends] + split(lo, hi, v)
+    out = [RootInterval(e, e, f) for e in ends] + split(tuple(inner), lo, hi, v)
     return sorted(out, key=lambda r: r.lo)
 
 
 def refine_root(r: RootInterval, width: Fraction | int) -> RootInterval:
-    """Shrink the isolating interval to width <= `width` by exact bisection."""
+    """Shrink the isolating interval to width <= `width` by exact bisection
+    at midpoints (`bisect_step`); a root at a bracket end or at a midpoint
+    is returned as that exact bracket, of width 0."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")

@@ -50,7 +50,6 @@ from latcurve.unipoly import (
     RootInterval,
     UniPoly,
     _int_mul,
-    _split_points,
     all_real_roots,
     count_real_roots,
     integer_roots,
@@ -990,12 +989,22 @@ def test_root_slot_reads_a_wide_bracket_unrefined(monkeypatch):
     assert 21 < fine.lo and fine.hi < 22 and root_slot(fine) == (22, False)
 
 
+def _interior_points(a, b):
+    """Distinct rational points strictly inside (a, b), for a < b: the
+    midpoint, then the new points of finer and finer dyadic grids, so a walk
+    that avoids finitely many bad points ends."""
+    k = 2
+    while True:
+        yield from (a + (b - a) * Fraction(i, k) for i in range(1, k, 2))
+        k *= 2
+
+
 def _reference_flags(br, big_d, n_box, delta):
     """The cuts and per-abscissa flags of the per-root crossing rule: the
     cuts are the `crossing_level_set` roots strictly inside the domain, each
     integer abscissa k goes to the first cut whose root is >= k by a test of
     every (abscissa, cut) pair, and the abscissas between two cuts read the
-    flags of `_two_query_flags` at the first point of the `_split_points`
+    flags of `_two_query_flags` at the first point of the `_interior_points`
     walk between the cuts' brackets on no level curve, or at their one point
     when the brackets touch.  Returns (cuts, {k: flags}, how many eliminant
     roots in the domain the crossing test drops)."""
@@ -1031,7 +1040,7 @@ def _reference_flags(br, big_d, n_box, delta):
     flags_at = {}
     for a, b, ks in zip([lo] + [c.hi for c in cuts], [c.lo for c in cuts] + [hi], assigned):
         if ks:
-            walk = _split_points(a, b) if a < b else [a]
+            walk = _interior_points(a, b) if a < b else [a]
             span = Piece(a, b, ())
             flags = next(filter(None, (_two_query_flags(br, span, thresholds, at=x) for x in walk)))
             flags_at.update(dict.fromkeys(ks, flags))

@@ -208,7 +208,7 @@ def test_greedy_cover_maximality():
     points = pts(*sorted(seen.items()))
     mset = full_set(1)
     cert = greedy_cover(points, mset)
-    runs = cert.runs()
+    runs = cert.runs
     flat = [p for run in runs for p in run]
     assert flat == sorted(points)
     for ridx, run in enumerate(runs[:-1]):
@@ -353,7 +353,7 @@ def test_cover_curves_match_bordered_minor_reference():
             cert = greedy_cover(points, mset)
             curves, runs = prefix_greedy(points, mset)
             assert cert.curves == curves
-            assert cert.runs() == runs
+            assert cert.runs == runs
             assert [cert.assignment[p] for p in points] == [
                 i for i, run in enumerate(runs) for _ in run
             ]

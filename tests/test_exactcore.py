@@ -15,7 +15,6 @@ from latcurve.unipoly import (
     RootInterval,
     _int_prem_signed,
     _int_variations,
-    _nonroot_split,
     _rat_eval,
     affine_image,
     descartes_bound,
@@ -246,6 +245,9 @@ def _check_isolation(p, lo, hi):
             assert p.evaluate(r.lo) == 0
             continue
         for q in (r, refine_root(r, Fraction(1, 1000))):
+            if q.is_exact():  # refinement met the root at a midpoint
+                assert p.evaluate(q.lo) == 0 and r.lo < q.lo < r.hi, (p, lo, hi, q)
+                continue
             assert UniPoly(q.polynomial).evaluate(q.lo) * UniPoly(q.polynomial).evaluate(q.hi) < 0, (p, lo, hi, q)
     for a, b in zip(roots, roots[1:]):
         assert a.hi <= b.lo
@@ -372,35 +374,10 @@ def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
 
 # -- bracket identity against a Fraction reference -----------------------------------
 
-REFERENCE_SPLITS = (
-    Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
-    Fraction(3, 4), Fraction(2, 5), Fraction(3, 5), Fraction(1, 5),
-    Fraction(4, 5), Fraction(3, 7), Fraction(4, 7),
-)
-
-
-def reference_split(p, a, b, skipped):
-    """Bisection split point with `Fraction` Horner evaluations; records in
-    `skipped` "split" for each split point passed over because p vanishes
-    there, and "grid" each time the finer grid is walked."""
-    for t in REFERENCE_SPLITS:
-        m = a + (b - a) * t
-        pm = p.evaluate(m)
-        if pm != 0:
-            return m, pm
-        skipped.append("split")
-    skipped.append("grid")
-    k = 8
-    while True:
-        for i in range(1, k):
-            m = a + (b - a) * Fraction(i, k)
-            pm = p.evaluate(m)
-            if pm != 0:
-                return m, pm
-        k *= 2
-
-
-def reference_refine(r, width, skipped):
+def reference_refine(r, width, exact):
+    """`refine_root` with `Fraction` Horner evaluations: bisection at the
+    midpoint, which is returned as an exact bracket when it is a root; each
+    such midpoint is appended to `exact`."""
     if r.is_exact():
         return r
     f, lo, hi = r.polynomial, r.lo, r.hi
@@ -411,7 +388,11 @@ def reference_refine(r, width, skipped):
     if p.evaluate(hi) == 0:
         return RootInterval(hi, hi, f)
     while hi - lo > width:
-        m, pm = reference_split(p, lo, hi, skipped)
+        m = (lo + hi) / 2
+        pm = p.evaluate(m)
+        if pm == 0:
+            exact.append(m)
+            return RootInterval(m, m, f)
         if (s_lo > 0) != (pm > 0):
             hi = m
         else:
@@ -419,29 +400,32 @@ def reference_refine(r, width, skipped):
     return RootInterval(lo, hi, f)
 
 
-def reference_integer_in(r, skipped):
-    r = reference_refine(r, Fraction(1, 2), skipped)
+def reference_integer_in(r, exact):
+    r = reference_refine(r, Fraction(1, 2), exact)
     k = math.ceil(r.lo)
     return k if k <= r.hi and UniPoly(r.polynomial).evaluate(k) == 0 else None
 
 
-def _split_point_brackets(rng, count):
+def _midpoint_root_brackets(rng, count):
     """Sign-changing brackets [a, b] of polynomials with rational `Fraction`
-    coefficients whose rational roots lie on split points a + (b - a) * t,
-    some on every one of them so the grid fallback runs too."""
+    coefficients whose rational roots, some double, lie on the successive
+    midpoints of a random walk of halvings from [a, b], so that refinement
+    often meets a root at a midpoint."""
     out = []
     while len(out) < count:
         if rng.random() < 0.3:
             a = Fraction(rng.randint(-20, 20))
-            b = a + rng.choice([6, 12, 24, 60])  # integer split points
+            b = a + rng.choice([6, 12, 24, 64])  # integer midpoints
         else:
             a = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
             b = a + Fraction(rng.randint(1, 40), rng.randint(1, 9))
-        ts = REFERENCE_SPLITS if rng.random() < 0.15 else rng.sample(REFERENCE_SPLITS, rng.randint(1, 4))
         p = UniPoly([Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([-1, 1])])
-        for t in ts:
-            m = a + (b - a) * t
-            p = p * UniPoly([-m.numerator, m.denominator]) ** rng.randint(1, 2)
+        lo, hi = a, b
+        for _ in range(rng.randint(1, 8)):
+            m = (lo + hi) / 2
+            if rng.random() < 0.6:
+                p = p * UniPoly([-m.numerator, m.denominator]) ** rng.randint(1, 2)
+            lo, hi = (lo, m) if rng.random() < 0.5 else (m, hi)
         # one more root, rational or irrational, anywhere in (a, b)
         c = a + (b - a) * Fraction(rng.randint(1, 99), 100)
         p = p * (UniPoly([-c, 1]) if rng.random() < 0.5 else UniPoly([-c * c - Fraction(1, 7), 0, 1]))
@@ -452,13 +436,30 @@ def _split_point_brackets(rng, count):
 
 def test_brackets_identical_to_fraction_reference():
     rng = random.Random(2024)
-    skipped = []
-    for r in _split_point_brackets(rng, 120):
+    exact = []
+    for r in _midpoint_root_brackets(rng, 120):
         for width in (r.width / 3, Fraction(1, 64), Fraction(1, 10**6)):
-            assert refine_root(r, width) == reference_refine(r, width, skipped), (r, width)
-        assert integer_in(r) == reference_integer_in(r, skipped), r
-    # both skip paths ran: split points that were roots, and the finer grid
-    assert skipped.count("split") > 1000 and skipped.count("grid") > 20
+            assert refine_root(r, width) == reference_refine(r, width, exact), (r, width)
+        assert integer_in(r) == reference_integer_in(r, exact), r
+    # refinement often ended on a root at a midpoint
+    assert len(exact) > 100, len(exact)
+
+
+def test_isolation_takes_a_midpoint_root_as_exact():
+    """(x - 6)(x^2 - 2)(x - 9) on [0, 12] has its root 6 at the first
+    midpoint: it is isolated as the exact bracket [6, 6], the other brackets
+    carry the quotient, nonzero at both ends, and a bracket whose midpoint
+    is its root refines to that exact bracket."""
+    p = UniPoly([-6, 1]) * UniPoly([-2, 0, 1]) * UniPoly([-9, 1])
+    roots = isolate_real_roots(ints(p), 0, 12)
+    assert len(roots) == count_real_roots(ints(p), 0, 12) == naive_sturm_count(p, 0, 12) == 3
+    assert [r for r in roots if r.is_exact()] == [RootInterval(Fraction(6), Fraction(6), ints(p))]
+    for r in roots:
+        if not r.is_exact():
+            f = UniPoly(r.polynomial)
+            assert f.evaluate(r.lo) * f.evaluate(r.hi) < 0 and f.evaluate(6) != 0, r
+    wide = RootInterval(Fraction(4), Fraction(8), ints(p))
+    assert refine_root(wide, Fraction(1, 8)) == RootInterval(Fraction(6), Fraction(6), ints(p))
 
 
 # -- signs at an isolated root ----------------------------------------------------------
@@ -1103,7 +1104,8 @@ def sturm_only_count(p, lo, hi):
 
 
 def sturm_only_isolation(p, lo, hi):
-    """`isolate_real_roots` as it was before the Descartes certificates."""
+    """`isolate_real_roots` as it was before the Descartes certificates,
+    splitting at midpoints and taking a root there as exact."""
     lo, hi = Fraction(lo), Fraction(hi)
     sf, chain = integer_squarefree_chain(p)
     ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(sf, e) == 0]
@@ -1113,22 +1115,27 @@ def sturm_only_isolation(p, lo, hi):
         inner = int_exact_quotient(inner, [-e.numerator, e.denominator])
     if hi == lo or len(inner) < 2:
         return out
-    bracket = tuple(inner)
-    hi_root = hi in ends
+    # V(a) - V(b) counts the roots of sf in (a, b], so a root at b reported
+    # exact is taken off
+    exact = set(ends)
 
-    def split(a, b, va, vb):
-        k = va - vb - (b == hi and hi_root)
+    def split(g, a, b, va, vb):
+        k = va - vb - (b in exact)
         if k == 0:
             return
         if k == 1:
-            out.append(RootInterval(a, b, bracket))
+            out.append(RootInterval(a, b, tuple(g)))
             return
-        m, _ = _nonroot_split(inner, a, b)
+        m = (a + b) / 2
+        if _rat_eval(g, m) == 0:
+            out.append(RootInterval(m, m, tuple(g)))
+            exact.add(m)
+            g = int_exact_quotient(g, [-m.numerator, m.denominator])
         vm = _int_variations(chain, m)
-        split(a, m, va, vm)
-        split(m, b, vm, vb)
+        split(g, a, m, va, vm)
+        split(g, m, b, vm, vb)
 
-    split(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))
+    split(inner, lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))
     return sorted(out, key=lambda r: r.lo)
 
 
@@ -1185,9 +1192,13 @@ def _certificate_cases(rng, count):
 
 def test_isolation_and_count_match_sturm_only_reference():
     rng = random.Random(1976)
-    seen = {"negative_lo": 0, "point": 0, "end_multiple_root": 0, "binomial": 0, "repeated": 0}
-    for p, lo, hi in _certificate_cases(rng, 400):
+    seen = {"negative_lo": 0, "point": 0, "end_multiple_root": 0, "binomial": 0, "repeated": 0, "midpoint_root": 0}
+    cases = _certificate_cases(rng, 400)
+    # domains whose midpoints of successive halvings hold roots
+    cases += [(UniPoly(r.polynomial), r.lo, r.hi) for r in _midpoint_root_brackets(rng, 60)]
+    for p, lo, hi in cases:
         got, want = isolate_real_roots(ints(p), lo, hi), sturm_only_isolation(ints(p), lo, hi)
+        seen["midpoint_root"] += sum(r.is_exact() and lo < r.lo < hi for r in got)
         assert [(r.lo, r.hi) for r in got] == [(r.lo, r.hi) for r in want], (p, lo, hi)
         assert count_real_roots(ints(p), lo, hi) == sturm_only_count(ints(p), lo, hi) == len(want), (p, lo, hi)
         for r, s in zip(got, want):
