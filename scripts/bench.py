@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_40.json at the repository root.
+rows and write BENCH_41.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -102,7 +102,7 @@ ROWS = [
     ("pipeline", "x*y - 10200", 500),
 ]
 
-OUT = ROOT / "BENCH_40.json"
+OUT = ROOT / "BENCH_41.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

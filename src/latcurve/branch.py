@@ -25,15 +25,16 @@ differs from Res_y(F, L) only by factors of lc_y(F) and a constant, and no
 branch domain holds a root of lc_y(F), so its roots there hold the level
 set's.  Along the branch the product of the columns of the two reduced
 +-thr level curves of order i has the sign of (f^(i)/i!)^2 - thr^2, which
-changes only at a level-set zero of odd multiplicity, a crossing.  So the
-partition of an integer domain has one rule: a cut is where a flag
-changes.  Every eliminant root in the domain is a candidate cut, with no
-test of its own, keyed by one slot (`unipoly.root_slot`): an exact integer
-root or the open unit gap that holds it.  The pieces are the integer runs
-between the slots strictly inside the domain; each run reads its flags by
-one query on that product per order at its midpoint, and a run whose flags
-equal its left neighbour's across one candidate is merged into it, so a
-tangential contact or a root on another sheet of the curve leaves no cut.
+changes only at a level-set zero of odd multiplicity, a crossing.  Every
+eliminant root in the domain is a candidate cut, with no test of its own,
+keyed by one slot (`unipoly.root_slot`): an exact integer root or the open
+unit gap that holds it.  The pieces are the integer runs between the slots
+(`_slot_runs`, the rule that also cuts a frame into cells): an integer
+candidate is its own one-point run and a gap slot ends a run, so a run of
+two or more points holds no candidate, and each run reads its flags by one
+query on that product per order at its first column.  A tangential
+contact or a root on another sheet of the curve cuts too, between runs
+with equal flags.
 Level sets are built only for the orders that `certified_orders` leaves.
 It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
 branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
@@ -53,13 +54,12 @@ identically +-1) are one cached `_FrameLoci` record.  A frame is
 decomposed at the partition's unit resolution: each real root in [0, N]
 of its frame cuts and box-edge columns is keyed by its `root_slot`, an
 exact slot is a critical column enumerated directly, and the cells are the
-integer runs between the slots, so every branch domain is a pair of ints
-and holds no critical root.  Each cell is read at its first column.
+other `_slot_runs`, so every branch domain is a pair of ints and holds no
+critical root.  Each cell is read at its first column.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -505,6 +505,22 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     return proved | left
 
 
+def _slot_runs(slots: list[tuple[int, bool]], lo: int, hi: int) -> list[tuple[int, int]]:
+    """The integer runs of lo..hi between the sorted unit slots (c, exact)
+    of roots in [lo, hi]: an exact slot c is its own run [c, c], and a gap
+    slot (c - 1, c) ends a run at c - 1.  So a run of two or more points
+    holds no root on its closed span."""
+    runs: list[tuple[int, int]] = []
+    first = lo
+    for c, exact in slots + [(hi + 1, False)]:
+        if first < c:
+            runs.append((first, c - 1))
+        if exact:
+            runs.append((c, c))
+        first = c + exact
+    return runs
+
+
 def partition_by_bounds(
     branch: AlgebraicBranch, big_d: int, n_box: Fraction | int, delta: Fraction | int
 ) -> IntervalPartition:
@@ -528,23 +544,21 @@ def partition_by_bounds(
     The candidate cuts are the `level_set_abscissas` roots of both level
     sets of every other order (none on [k, k]), each keyed by its
     `root_slot` (c, exact): the exact integer root c or the open unit gap
-    (c - 1, c).  The slots strictly inside the domain are the cuts, and the
-    runs are the integers between them: an exact root goes to the run on
-    its left, and a run with no integer does not exist.  Along the branch
-    L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 * ((f^(i)/i!)^2 - thr^2), which
-    changes sign only at a crossing, a zero of odd multiplicity of one
-    level curve.  Each run reads its flag of order i from one Tarski query
-    on the product of the two reduced +-thr level curves' columns at its
-    midpoint, every order at one `branch_value_bracket`.  The midpoint is
-    no candidate unless the run is one point [k, k]: at an exact cut or an
-    exact root at a domain end.  A zero there means |f^(i)(k)/i!| = thr,
-    which meets the closed bound and reads small, unless F_y(k) = 0, a
-    `BranchError`; and such a run never merges, since its flags say
-    nothing of the open stretch next to it.  Any other run merges into its
-    left neighbour when their flags are equal and the cuts between them
-    hold one candidate, which is then no crossing; a gap with two may hold
-    two crossings.  A branch whose orders are all proved builds no level
-    set and takes no query, so it reads no branch value.
+    (c - 1, c).  The runs are those of `_slot_runs`: an exact slot c in
+    [lo, hi] is its own run [c, c], and a gap slot ends a run at c - 1.
+    Along the branch L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 *
+    ((f^(i)/i!)^2 - thr^2), which changes sign only at a crossing, a zero
+    of odd multiplicity of one level curve.  A run of two or more points
+    holds no candidate, so each run reads its flag of order i from one
+    Tarski query on the product of the two reduced +-thr level curves'
+    columns at its first column a, every order at one
+    `branch_value_bracket`.  Only a one-point run [c, c] on a candidate can
+    read a zero: |f^(i)(c)/i!| = thr, which meets the closed bound and
+    reads small, unless F_y(c) = 0, a `BranchError`.  No run merges into
+    its neighbour, so a candidate that is no crossing (a tangential contact
+    or a root on another sheet) leaves two pieces with equal flags.  A
+    branch whose orders are all proved builds no level set and takes no
+    query, so it reads no branch value.
     """
     if big_d < 2:
         raise ValueError("D must be >= 2")
@@ -554,7 +568,7 @@ def partition_by_bounds(
         raise ValueError("partition_by_bounds needs a domain with integer ends")
     lo, hi = int(lo), int(hi)
     thresholds = [n_box * delta**i for i in range(1, big_d)]
-    slots: Counter[tuple[int, bool]] = Counter()
+    slots: set[tuple[int, bool]] = set()
     certified = certified_orders(branch, big_d, n_box, delta)
     # the orders that read small on every piece, with no flag query
     forced_small = set(certified)
@@ -564,7 +578,7 @@ def partition_by_bounds(
         for c in (thr, -thr):
             try:
                 _level_curve(branch.curve, i, c)
-                if lo < hi:  # a cut lies strictly inside the domain
+                if lo < hi:  # a one-point domain is one run
                     slots.update(map(root_slot, level_set_abscissas(branch, i, c)))
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
@@ -572,7 +586,7 @@ def partition_by_bounds(
                 forced_small.add(i)
     fy = partial(branch.curve, "y")
 
-    def flag(bracket: RootInterval, i: int, thr: Fraction, x: Fraction) -> str:
+    def flag(bracket: RootInterval, i: int, thr: Fraction, x: int) -> str:
         plus = _level_curve(branch.curve, i, thr).int_column(x)
         minus = _level_curve(branch.curve, i, -thr).int_column(x)
         s = sign_at_root(bracket, _int_mul(plus, minus))
@@ -580,27 +594,14 @@ def partition_by_bounds(
             raise BranchError("flag query point where F_y = 0")
         return "small" if s <= 0 else "large"
 
-    # an exact slot c is a cut for lo < c < hi, a gap slot for lo < c <= hi;
-    # the last one closes the run that ends at hi
-    cuts = sorted((key, n) for key, n in slots.items() if lo < key[0] < hi + (not key[1]))
     pieces: list[Piece] = []
-    first, between, pinned = lo, 0, False
-    for (c, exact), count in cuts + [((hi + 1, False), 0)]:
-        last = c if exact else c - 1
-        if first <= last:
-            mid = Fraction(first + last, 2)
-            # one branch-value bracket per run serves every order left
-            bracket = branch_value_bracket(branch, mid) if len(forced_small) < len(thresholds) else None
-            flags = tuple(
-                "small" if i in forced_small else flag(bracket, i, thr, mid) for i, thr in enumerate(thresholds, 1)
-            )
-            on_candidate = first == last and slots[first, True] > 0
-            if between == 1 and not pinned and not on_candidate and pieces[-1].flags == flags:
-                pieces[-1].hi = last  # no flag changes across the one candidate
-            else:
-                pieces.append(Piece(first, last, flags))
-            between, pinned = 0, on_candidate
-        first, between = last + 1, between + count
+    for a, b in _slot_runs(sorted(slots), lo, hi):
+        # one branch-value bracket per run serves every order left
+        bracket = branch_value_bracket(branch, a) if len(forced_small) < len(thresholds) else None
+        flags = tuple(
+            "small" if i in forced_small else flag(bracket, i, thr, a) for i, thr in enumerate(thresholds, 1)
+        )
+        pieces.append(Piece(a, b, flags))
     return IntervalPartition(pieces, certified)
 
 
@@ -636,11 +637,11 @@ def _decompose_frame(
     Each real root in [0, N] of the frame cuts and box-edge columns is keyed
     by its `root_slot` (c, exact), so loci sharing a root share a slot.  An
     exact slot c is a critical column: its points with 0 <= y <= N are
-    returned for direct counting.  The cells are the maximal integer runs
-    [a, b] of 0..N between the slots, whose closed span therefore holds no
-    critical root.  Each cell is read at its first column a, which is not
-    critical: one `isolate_real_roots` over [0, N] gives its roots there,
-    and the unbounded `_root_slots` their ranks and count.  A root in
+    returned for direct counting.  The cells are the other `_slot_runs`
+    [a, b] of 0..N, whose closed span therefore holds no critical root.
+    Each cell is read at its first column a, which is not critical: one
+    `isolate_real_roots` over [0, N] gives its roots there, and the
+    unbounded `_root_slots` their ranks and count.  A root in
     [0, N] is a branch on [a, b] when |f'| < 1 there (the slope balance
     F_x^2 - F_y^2 is negative) or the slope is identically +-1; with
     |f'| > 1 the transposed frame covers it."""
@@ -663,14 +664,8 @@ def _decompose_frame(
     # one slot per critical root in [0, N], however many loci share it
     slots = sorted({root_slot(r) for p in polys for r in isolate_real_roots(p, 0, n_box)})
     direct = [LatticePoint(k, yv) for k, exact in slots if exact for yv in integer_roots(_column(curve, k), 0, n_box)]
-    # an exact slot c leaves the column c out, a gap slot (c - 1, c) ends a
-    # run at c - 1
-    cells: list[tuple[int, int]] = []
-    first = 0
-    for c, exact in slots + [(n_box + 1, False)]:
-        if first < c:
-            cells.append((first, c - 1))
-        first = c + exact
+    # an exact slot is a critical column, not a cell
+    cells = [(a, b) for a, b in _slot_runs(slots, 0, n_box) if (a, True) not in slots]
 
     fx = partial(curve, "x")
     fy = partial(curve, "y")

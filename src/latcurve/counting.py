@@ -383,11 +383,11 @@ def determinant_method_count(
                     ok = False
                 curve_dicts = []
                 for cov, run in zip(cert.curves, cert.runs):
-                    hits = bezout_intersect(frame_curve, cov, n_box, [p.x for p in run])
-                    boxed = [p for p in _unswap(hits, br.swapped) if _in_box(p, n_box)]
-                    curve_points.update(boxed)
+                    # bezout_intersect searches x and y in 1..N only
+                    hits = _unswap(bezout_intersect(frame_curve, cov, n_box, [p.x for p in run]), br.swapped)
+                    curve_points.update(hits)
                     curve_dicts.append(
-                        {"poly": cov.pretty(), "points": sorted([list(p) for p in boxed])}
+                        {"poly": cov.pretty(), "points": sorted([list(p) for p in hits])}
                     )
                 piece_reports.append(
                     PieceReport(interval, piece.flags, "cover", budget, curve_dicts)

@@ -789,9 +789,10 @@ def test_level_set_rational_root_at_domain_end():
     assert [(r.lo, r.hi) for r in crossing_level_set(upper_right, 1, Fraction(-3, 4))] == [(3, 3)]
     assert crossing_level_set(upper_left, 1, Fraction(-3, 4)) == []
     assert [(r.lo, r.hi) for r in crossing_level_set(lower_left, 1, Fraction(-3, 4))] == [(-3, -3)]
-    # a root at a domain end is no cut: |f'| <= 3/4 on [-3, 0] is one piece
-    [piece] = partition_by_bounds(upper_left, 2, 3, Fraction(1, 4)).pieces
-    assert (piece.lo, piece.hi, piece.flags) == (-3, 0, ("small",))
+    # a root at a domain end is its own one-point run, where |f'(-3)| = 3/4
+    # meets the closed bound and reads small: |f'| <= 3/4 on [-3, 0]
+    part = partition_by_bounds(upper_left, 2, 3, Fraction(1, 4))
+    assert _pieces(part) == [(-3, -3, ("small",)), (-2, 0, ("small",))]
 
 
 def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
@@ -836,9 +837,9 @@ def test_level_set_rational_tangential_contact(monkeypatch):
     # Inside the domain the crossing test drops it; at a domain end its
     # bracket is exact and the level curve vanishes there, so the crossing
     # test keeps it.  The partition keys it by the exact slot 0, which also
-    # holds the +1/10 eliminant's root on the lower sheet: with two
-    # candidates there, the runs on either side keep apart, though their
-    # flags are equal.
+    # holds the +1/10 eliminant's root on the lower sheet: 0 is its own
+    # one-point run, where |f''(0)/2| = 1/10 meets the closed bound and reads
+    # small, and the runs on either side read order 2 large.
     inside = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
     at_end = branch_from_point(FIXTURES["circle"], 3, 4, (0, 4))
     calls = _count_sign_queries(monkeypatch)
@@ -850,8 +851,12 @@ def test_level_set_rational_tangential_contact(monkeypatch):
     calls.clear()
     assert [(r.lo, r.hi) for r in crossing_level_set(at_end, 2, Fraction(-1, 10))] == [(0, 0)]
     assert len(calls) == 2
-    pieces = partition_by_bounds(inside, 3, 10, Fraction(1, 10)).pieces[:2]
-    assert [(p.lo, p.hi, p.flags) for p in pieces] == [(-3, 0, ("small", "large")), (1, 3, ("small", "large"))]
+    pieces = partition_by_bounds(inside, 3, 10, Fraction(1, 10)).pieces[:3]
+    assert [(p.lo, p.hi, p.flags) for p in pieces] == [
+        (-3, -1, ("small", "large")),
+        (0, 0, ("small", "small")),
+        (1, 3, ("small", "large")),
+    ]
 
 
 def test_level_set_simple_root_without_crossing_skipped(monkeypatch):
@@ -882,7 +887,8 @@ def test_level_set_irrational_tangential_contact_is_no_cut(monkeypatch):
     # 15x = 3y^5 - 20y^3 + 75y has f' = 1/((y^2 - 2)^2 + 1) <= 1, with
     # equality at y = sqrt(2), x = 47*sqrt(2)/15: an irrational contact, the
     # double root of the eliminant -(225x^2 - 4418)^2 in the domain, which
-    # the crossing test drops and the partition does not cut at
+    # the crossing test drops; the partition cuts at its gap slot (4, 5)
+    # between two runs with equal flags
     br = branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10))
     calls = _count_sign_queries(monkeypatch)
     assert [(r.lo, r.hi) for r in level_set_abscissas(br, 1, 1)] == [(0, 10)]
@@ -890,7 +896,7 @@ def test_level_set_irrational_tangential_contact_is_no_cut(monkeypatch):
     assert calls == []
     assert crossing_level_set(br, 1, 1) == []
     assert len(calls) == 2
-    assert [(p.lo, p.hi) for p in partition_by_bounds(br, 2, 10, Fraction(1, 10)).pieces] == [(0, 10)]
+    assert _pieces(partition_by_bounds(br, 2, 10, Fraction(1, 10))) == [(0, 4, ("small",)), (5, 10, ("small",))]
 
 
 # -- partitions --------------------------------------------------------------------------
@@ -950,12 +956,12 @@ def test_partition_piece_count_bound():
 
 
 def test_partition_integer_root_inside_cut():
-    # f' = 2x = 6 at x = 3, an exact integer cut: the integer root belongs
-    # to the run on its left
+    # f' = 2x = 6 at x = 3, an exact integer cut: the integer root is its
+    # own one-point run, where |f'(3)| = 6 meets the closed bound and reads
+    # small
     br = branch_from_point(parse("y - x^2"), 3, 9, (0, 10))
-    first, second = partition_by_bounds(br, 2, 120, Fraction(1, 20)).pieces
-    assert (first.lo, first.hi, first.flags) == (0, 3, ("small",))
-    assert (second.lo, second.hi, second.flags) == (4, 10, ("large",))
+    part = partition_by_bounds(br, 2, 120, Fraction(1, 20))
+    assert _pieces(part) == [(0, 2, ("small",)), (3, 3, ("small",)), (4, 10, ("large",))]
 
 
 def test_root_slot_edge_cases():
@@ -1050,14 +1056,15 @@ def _reference_flags(br, big_d, n_box, delta):
 def test_partition_integer_abscissas_match_pairwise_assignment():
     """Seeded differential on the integer hulls of the branches of 250 random
     curves (degree <= 3, |c| <= 6, N <= 40): the pieces of
-    `partition_by_bounds`, whose cuts are where a flag changes, are integer
-    runs that tile the hull, and every abscissa of a longer run has the
-    flags that the per-root crossing rule (`_reference_flags`) gives it.  A
-    one-point run [k, k] reads the closed bound at k, as `_two_query_flags`
-    does there: it may sit on a crossing, where the stretch on its left
-    reads large and k itself small."""
+    `partition_by_bounds`, cut at every candidate slot, are integer runs
+    that tile the hull, and every abscissa of a longer run has the flags
+    that the per-root crossing rule (`_reference_flags`) gives it, though
+    that rule drops the candidates that are no crossing.  A one-point run
+    [k, k] reads the closed bound at k, as `_two_query_flags` does there: it
+    may sit on a crossing, where the stretch on its left reads large and k
+    itself small."""
     rng = random.Random(2024)
-    curves = cuts_seen = integer_in_bracket = merged = one_point = 0
+    curves = cuts_seen = integer_in_bracket = dropped = one_point = 0
     while curves < 250:
         deg = rng.choice([2, 3])
         terms = {}
@@ -1093,9 +1100,9 @@ def test_partition_integer_abscissas_match_pairwise_assignment():
                     assert all(p.flags == want[k] for k in range(p.lo, p.hi + 1)), (curve.pretty(), p)
             cuts_seen += len(cuts)
             integer_in_bracket += sum(ceil(c.lo) <= c.hi for c in cuts)
-            merged += skipped
-    assert cuts_seen >= 50 and integer_in_bracket >= 3 and merged >= 20 and one_point >= 10, (
-        cuts_seen, integer_in_bracket, merged, one_point,
+            dropped += skipped
+    assert cuts_seen >= 50 and integer_in_bracket >= 3 and dropped >= 20 and one_point >= 10, (
+        cuts_seen, integer_in_bracket, dropped, one_point,
     )
 
 
@@ -1241,14 +1248,20 @@ def _partition_rows(part):
     return [(p.lo, p.hi, p.flags) for p in part.pieces]
 
 
+def _flags_by_abscissa(part):
+    return {k: p.flags for p in part.pieces for k in range(p.lo, p.hi + 1)}
+
+
 def test_certified_orders_have_empty_level_sets(monkeypatch):
     """Seeded differential: on random branches (degree 2-3), the branches of
     curves shaped like the benchmark families and branches that end near a
     branch point or a pole,
     every order the certificate proves is never crossed (`crossing_level_set`
     finds no root at +-N*delta^i), and `partition_by_bounds` on the integer
-    hull equals the exact route, run with the certificate patched to prove
-    no order."""
+    hull agrees with the exact route, run with the certificate patched to
+    prove no order: both give the same flags at every integer abscissa, and
+    each certified piece is a union of exact pieces, since a proved order
+    adds no cut."""
     rng = random.Random(22)
     cases = _random_branches(rng, 40)
     shapes = [(f"x - {c}*y^2 - {e}*y", 500) for c, e in ((1, 0), (2, 53), (3, 17))]
@@ -1269,7 +1282,7 @@ def test_certified_orders_have_empty_level_sets(monkeypatch):
     ):
         br = branch_from_point(parse(text), *seed, domain)
         cases += [(br, n_box) for n_box in (2, 5, 20)]
-    with_proof = with_fallback = 0
+    with_proof = with_fallback = differ = 0
     for br, n_box in cases:
         big_d = rng.choice([3, 4, 5, 6])
         delta = rng.choice([d for d in (Fraction(1), Fraction(1, 2), Fraction(1, 4)) if d * n_box >= 1])
@@ -1287,10 +1300,14 @@ def test_certified_orders_have_empty_level_sets(monkeypatch):
             m.setattr(branch_module, "certified_orders", lambda *args: frozenset())
             exact = partition_by_bounds(br, big_d, n_box, delta)
         assert exact.certified == frozenset()
-        assert _partition_rows(part) == _partition_rows(exact), (br, big_d, n_box, delta)
+        assert _flags_by_abscissa(part) == _flags_by_abscissa(exact), (br, big_d, n_box, delta)
+        assert {p.lo for p in part.pieces} <= {p.lo for p in exact.pieces}, (br, big_d, n_box, delta)
+        differ += _partition_rows(part) != _partition_rows(exact)
         with_proof += bool(proved - {1})
         with_fallback += len(proved) < big_d - 1
     assert with_proof >= 20 and with_fallback >= 20, (with_proof, with_fallback)
+    # a certified order's candidate is a cut on the exact route only
+    assert differ >= 1, differ
 
 
 def _lead_kind(curve):
@@ -1405,20 +1422,18 @@ def test_partition_runs_on_random_hulls(monkeypatch):
     """Seeded, on the integer hulls of random branches (degree 2-3), with
     the disc certificate patched to prove no order so that every order
     builds its level sets (`test_certified_orders_have_empty_level_sets`
-    shows the result is the same).  On half the hulls with an integer branch
-    point k, N*delta = 1 and N*delta^2 = |f''(k)/2| when that is in (0, 1),
-    so a level set meets the hull at an integer.  The pieces tile the hull
-    in integer runs, and each flag holds at the piece's midpoint and at
-    every integer abscissa of it by one product query: small where it reads
-    <= 0 and large where it reads >= 0, since a zero meets the closed bound
-    of both.  The midpoint of a merged piece may be a candidate that is no
-    crossing.  Inside a piece, each boundary k | k + 1 holds at
-    most one candidate, at k or in (k, k + 1), so every merge crossed a cut
-    of one candidate, and no piece of two or more points holds a run [k, k]
-    that sits on a candidate between two cuts."""
+    shows the flags are the same).  On half the hulls with an integer
+    branch point k, N*delta = 1 and N*delta^2 = |f''(k)/2| when that is in
+    (0, 1), so a level set meets the hull at an integer.  The pieces tile
+    the hull in integer runs.  Every integer candidate is a one-point
+    piece, no piece of two or more points holds a candidate, and each cut
+    between two pieces holds one.  Each flag holds at the piece's midpoint
+    and at every integer abscissa of it by one product query: small where
+    it reads <= 0 and large where it reads >= 0, since a zero meets the
+    closed bound of both."""
     monkeypatch.setattr(branch_module, "certified_orders", lambda *args: frozenset())
     rng = random.Random(36)
-    seen = {"merged": 0, "kept_apart": 0, "on_candidate": 0, "small": 0, "large": 0}
+    seen = {"kept_apart": 0, "on_candidate": 0, "gap_cut": 0, "small": 0, "large": 0}
     for dom_br, n_box in _random_branches(rng, 300):
         br = integer_hull(dom_br)
         if br is None:
@@ -1434,26 +1449,20 @@ def test_partition_runs_on_random_hulls(monkeypatch):
         thresholds = [n_box * delta**i for i in range(1, big_d)]
         part = partition_by_bounds(br, big_d, n_box, delta)
         assert [k for p in part.pieces for k in range(p.lo, p.hi + 1)] == list(range(lo, hi + 1))
-        exact, gap = _candidate_counts(br, big_d, n_box, delta, part)
-        # the candidates on the boundary lo + j | lo + j + 1; a root at lo is no cut
-        between = [exact[j] * (j > 0) + gap[j] for j in range(hi - lo)]
+        exact, gap = _candidate_counts(br, big_d, n_box, delta, part) if lo < hi else ([0], [0])
         for p in part.pieces:
+            if p.lo < p.hi:
+                assert not any(exact[p.lo - lo : p.hi - lo + 1] + gap[p.lo - lo : p.hi - lo]), (br, p)
+            else:
+                seen["on_candidate"] += exact[p.lo - lo] > 0
             for x in [Fraction(p.lo + p.hi, 2)] + list(range(p.lo, p.hi + 1)):
                 for flag, sign in zip(p.flags, _product_signs(br, Fraction(x), thresholds)):
                     assert sign <= 0 if flag == "small" else sign >= 0, (br, p, x)
-            for k in range(p.lo, p.hi):
-                assert between[k - lo] <= 1, (br, p, k)
-                seen["merged"] += between[k - lo]
-            for k in range(p.lo, p.hi + 1):
-                cut_left = k == lo or between[k - lo - 1] > 0
-                cut_right = k == hi or between[k - lo] > 0
-                if cut_left and cut_right and exact[k - lo] > 0:
-                    assert p.lo == p.hi, (br, p, k)
-                    seen["on_candidate"] += 1
             seen.update({flag: seen[flag] + 1 for flag in p.flags})
-        seen["kept_apart"] += sum(
-            a.flags == b.flags for a, b in zip(part.pieces, part.pieces[1:])
-        )
+        for a, b in zip(part.pieces, part.pieces[1:]):
+            assert exact[a.hi - lo] or exact[b.lo - lo] or gap[a.hi - lo], (br, a, b)
+            seen["gap_cut"] += gap[a.hi - lo] > 0
+            seen["kept_apart"] += a.flags == b.flags
     # each rule is met, though rarely on hulls this small: the named cases
     # show each one in detail
     assert min(seen.values()) >= 2, seen
@@ -1463,11 +1472,10 @@ def test_one_point_run_on_a_level_set_never_merges():
     """y = x + x^2 - 4x^3/3 on the domain [0, 5], D = 2, N*delta = 1: f' =
     1 + 2x - 4x^2 equals 1 at the domain end 0 and at 1/2, and -1 at 1, so
     |f'| > 1 on (0, 1/2) and below 1 on (1/2, 1].  The runs are [0, 0],
-    on the end root, then [1, 1], closed by the exact cut 1, then [2, 5].
-    The two one-point runs sit on a level set and read small by the closed
-    bound, and one candidate lies between them, at 1/2; merging them would
-    make one small piece over the large stretch (0, 1/2), so neither
-    merges."""
+    on the end root, then [1, 1], on the exact root 1, then [2, 5].  The
+    two one-point runs sit on a level set and read small by the closed
+    bound, and one candidate lies between them, at 1/2; one small piece
+    over both would hold the large stretch (0, 1/2), so they keep apart."""
     br = branch_from_point(parse("3*y - 3*x - 3*x^2 + 4*x^3"), 0, 0, (0, 5))
     part = partition_by_bounds(br, 2, 10, Fraction(1, 10))
     assert _pieces(part) == [(0, 0, ("small",)), (1, 1, ("small",)), (2, 5, ("large",))]
@@ -1488,12 +1496,14 @@ def _pieces(part):
 
 def test_flags_across_a_tangential_cut_are_queried_again():
     # f''/2 = -25/(2 y^3) touches -1/10 at x = 0 without crossing it: the
-    # runs on either side of the exact slot 0 both read order 2 large, and
-    # f' = -1 in the gap (3, 4) flips order 1
+    # runs on either side of the exact slot 0 both read order 2 large, 0
+    # itself reads it small by the closed bound, and f' = -1 in the gap
+    # (3, 4) flips order 1
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
     part = partition_by_bounds(br, 3, 10, Fraction(1, 10))
     assert _pieces(part) == [
-        (-3, 0, ("small", "large")),
+        (-3, -1, ("small", "large")),
+        (0, 0, ("small", "small")),
         (1, 3, ("small", "large")),
         (4, 4, ("large", "large")),
     ]
@@ -1501,40 +1511,82 @@ def test_flags_across_a_tangential_cut_are_queried_again():
     assert all(p.flags == _two_query_flags(br, p, thresholds) for p in part.pieces)
 
 
-def test_partition_through_an_irrational_contact_is_one_piece():
-    # f' touches N*delta = 1 at x = 47*sqrt(2)/15 without crossing it
+def test_partition_through_an_irrational_contact_keeps_equal_flags():
+    # f' touches N*delta = 1 at x = 47*sqrt(2)/15 without crossing it: its
+    # gap slot (4, 5) cuts, and both runs read small
     br = branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10))
     part = partition_by_bounds(br, 2, 10, Fraction(1, 10))
-    assert _pieces(part) == [(0, 10, ("small",))]
-    assert part.pieces[0].flags == _two_query_flags(br, part.pieces[0], [Fraction(1)])
+    assert _pieces(part) == [(0, 4, ("small",)), (5, 10, ("small",))]
+    assert all(p.flags == _two_query_flags(br, p, [Fraction(1)]) for p in part.pieces)
+
+
+def test_partition_cuts_at_a_contact_between_runs_of_equal_flags():
+    """The two contacts that no crossing leaves, where f^(i)/i! touches
+    +-N*delta^i: the irrational one of `_CONTACT_CURVE` on (0, 10), in the
+    gap slot (4, 5), and the circle's at the exact slot 0 on (-3, 4).  Each
+    contact cuts, and the runs on both sides of it read equal flags; the
+    exact contact is its own one-point run, which reads small by the
+    closed bound.  Every flag holds at every integer of its piece by the
+    two queries on the unreduced level curves."""
+    cases = (
+        (branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10)), 2, [(0, 4, ("small",)), (5, 10, ("small",))]),
+        (
+            branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4)),
+            3,
+            [
+                (-3, -1, ("small", "large")),
+                (0, 0, ("small", "small")),
+                (1, 3, ("small", "large")),
+                (4, 4, ("large", "large")),
+            ],
+        ),
+    )
+    for br, big_d, want in cases:
+        part = partition_by_bounds(br, big_d, 10, Fraction(1, 10))
+        assert _pieces(part) == want
+        thresholds = [10 * Fraction(1, 10) ** i for i in range(1, big_d)]
+        for p in part.pieces:
+            for k in range(p.lo, p.hi + 1):
+                assert p.flags == _two_query_flags(br, p, thresholds, at=k), (br.curve, p, k)
 
 
 def test_partition_reads_flags_past_a_contact_at_the_midpoint():
     """On the upper circle branch over (-3, 3), f''/2 = -25/(2 y^3) touches
     -1/10 = -N*delta^2 at x = 0, the midpoint of the domain, where the
     product query of order 2 reads 0.  The contact is a candidate in the
-    exact slot 0, so no flag is read there: the runs [-3, 0] and [1, 3]
-    read theirs at their midpoints, -3/2 and 2, as two queries at x = 1,
-    which is no contact, read them.  The slot also holds the +1/10
-    eliminant's root on the lower sheet, so the runs keep apart."""
+    exact slot 0, its own one-point run, which reads order 2 small by the
+    closed bound.  The runs [-3, -1] and [1, 3] on either side read theirs
+    at their first columns, -3 and 1, as two queries at x = 1, which is no
+    contact, read them."""
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 3))
     part = partition_by_bounds(br, 3, 10, Fraction(1, 10))
-    assert _pieces(part) == [(-3, 0, ("small", "large")), (1, 3, ("small", "large"))]
+    assert _pieces(part) == [
+        (-3, -1, ("small", "large")),
+        (0, 0, ("small", "small")),
+        (1, 3, ("small", "large")),
+    ]
     plus = branch_module._level_curve(br.curve, 2, Fraction(1, 10)).int_column(0)
     minus = branch_module._level_curve(br.curve, 2, Fraction(-1, 10)).int_column(0)
     assert sign_at_root(branch_value_bracket(br, 0), _int_mul(plus, minus)) == 0
     thresholds = [Fraction(1), Fraction(1, 10)]
-    assert all(p.flags == _two_query_flags(br, p, thresholds, at=Fraction(1)) for p in part.pieces)
+    left, contact, right = part.pieces
+    assert left.flags == right.flags == _two_query_flags(br, left, thresholds, at=Fraction(1))
+    assert contact.flags == _two_query_flags(br, contact, thresholds)
 
 
 def test_flags_across_a_cut_of_two_orders_flip_both():
     # f' = -4/3 = -N*delta and f''/2 = -5/54 = -N*delta^2 both hold at
     # (20, 15) on x^2 + y^2 = 625: one exact slot holds a crossing of order
-    # 1 and one of order 2, and 20 goes to the run on its left
+    # 1 and one of order 2, and 20 is its own one-point run, where both
+    # orders meet the closed bound and read small
     br = branch_from_point(parse("x^2 + y^2 - 625"), 20, 15, (0, 24))
     n_box, delta = Fraction(96, 5), Fraction(5, 72)
     part = partition_by_bounds(br, 3, n_box, delta)
-    assert _pieces(part) == [(0, 20, ("small", "small")), (21, 24, ("large", "large"))]
+    assert _pieces(part) == [
+        (0, 19, ("small", "small")),
+        (20, 20, ("small", "small")),
+        (21, 24, ("large", "large")),
+    ]
     thresholds = [n_box * delta**i for i in (1, 2)]
     assert all(p.flags == _two_query_flags(br, p, thresholds) for p in part.pieces)
 
@@ -1546,8 +1598,8 @@ def test_partition_keeps_pieces_apart_across_a_zero_length_gap():
     (1, 2) of its integer hull [1, 15], across touching brackets: between
     the two crossings, a stretch with no integer, order 2 reads small,
     while the runs [1, 1] and [2, 3] on either side read it large.  The gap
-    holds two candidates, so the runs keep apart: merging them would make
-    one large piece over a stretch where |f''/2| < 1/15."""
+    slot keeps the runs apart: one large piece over both would hold a
+    stretch where |f''/2| < 1/15."""
     hulls = map(integer_hull, graph_decompose(parse("6*x^2*y - 3*x^2 - 6*x*y + 3*y^2 - 5"), 15).branches)
     [br] = [h for h in hulls if h is not None and h.domain == (1, 15)]
     part = partition_by_bounds(br, 3, 15, Fraction(1, 15))

@@ -586,6 +586,21 @@ def _clear_caches():
                 obj.cache_clear()
 
 
+def _counted_sturm_chains(monkeypatch):
+    """Record the polynomial of each `unipoly.integer_squarefree_chain`
+    call, the one builder of integer Sturm chains (`_root_slots` calls it
+    through the module binding)."""
+    chains = []
+    build = unipoly.integer_squarefree_chain
+
+    def counted(p):
+        chains.append(p)
+        return build(p)
+
+    monkeypatch.setattr(unipoly, "integer_squarefree_chain", counted)
+    return chains
+
+
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
     builds no Sturm chain (11 before root isolation split by Descartes
@@ -608,9 +623,10 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
         return poly_gcd(a, b)
 
     monkeypatch.setattr(unipoly, "poly_gcd", counted)
+    chains = _counted_sturm_chains(monkeypatch)
     rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
     assert rep.total == 0
-    assert unipoly.sturm_chain.cache_info().misses == 0
+    assert chains == []
     assert unipoly.squarefree_part.cache_info().misses == 4
     assert gcd_callers.count("squarefree_part") == 2
 
@@ -725,17 +741,24 @@ def test_count_ingests_once(monkeypatch):
     assert calls == [parse("x^2 + y^2 - 65")]
 
 
-def test_slow_cubics_match_oracle_with_no_sturm_chain():
+def test_slow_cubics_match_oracle_with_no_sturm_chain(monkeypatch):
     """Cubics whose level-set eliminants reach degree 84-90 with roots close
-    together: isolating them by Sturm chains took 3.2 s and 9.1 s."""
+    together: isolating them by Sturm chains took 3.2 s and 9.1 s.  The
+    integer rank searches of the columns still build Sturm chains, but none
+    of a degree above that of a column of either frame, max(deg_x, deg_y)
+    = 3, so no level-set eliminant takes one."""
+    chains = _counted_sturm_chains(monkeypatch)
     for text, n in (
         ("-x^3 - 5*x^2*y + 4*y^3 + 3*x*y - 3*x", 27),
         ("4*x^3 + 4*x^2*y + 3*x^2 + 4*x - 5*y", 37),
     ):
         _clear_caches()
-        rep = determinant_method_count(parse(text), n)
+        chains.clear()
+        curve = parse(text)
+        rep = determinant_method_count(curve, n)
         assert rep.ok and rep.total == rep.oracle_total, (text, n)
-        assert unipoly.sturm_chain.cache_info().misses == 0
+        column_degree = max(curve.degree_x(), curve.degree_y())
+        assert chains and max(len(p) - 1 for p in chains) <= column_degree, (text, n)
 
 
 def test_pipeline_small_delta_enumerate_path():
