@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_41.json at the repository root.
+rows and write BENCH_42.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -100,9 +100,18 @@ ROWS = [
     # start at 101, next to its slope -1 abscissa sqrt(10200) = 100.99...
     ("pipeline", "y^2 - x^3 - 3*x - 2", 25),
     ("pipeline", "x*y - 10200", 500),
+    # large boxes, where the branch points of a piece are searched along the
+    # rows of its integer values, far fewer than its abscissas: a parabola,
+    # a cubic in y, a Weierstrass cubic and the tied cubic with slope 0.70 on
+    # its swapped hull, and a second tied cubic at N = 10^4
+    ("pipeline", "x - y^2", 10**5),
+    ("pipeline", "x - 13*y^3", 10**5),
+    ("pipeline", "y^2 - x^3 - x - 1", 10**5),
+    ("pipeline", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**5),
+    ("pipeline", "-5*x^3 - 5*x^2*y + 2*y^3 - 2*x^2", 10**4),
 ]
 
-OUT = ROOT / "BENCH_41.json"
+OUT = ROOT / "BENCH_42.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

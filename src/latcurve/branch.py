@@ -56,6 +56,14 @@ of its frame cuts and box-edge columns is keyed by its `root_slot`, an
 exact slot is a critical column enumerated directly, and the cells are the
 other `_slot_runs`, so every branch domain is a pair of ints and holds no
 critical root.  Each cell is read at its first column.
+Branch points are searched along the shorter axis of a piece
+(`branch_integer_points`).  The F_x locus is a frame cut, so a branch is
+monotone on its domain, and with |f'| < 1 it takes fewer integer values on
+a piece of two or more points than the piece has abscissas.  Those values
+lie between its slots at the piece ends, and each one's row F(x, m) gives
+the candidate abscissas, each verified by the rank walk of
+`branch_integer_point`.  A one-point piece or a branch that is not `flat`
+takes that walk at every abscissa.
 """
 
 from __future__ import annotations
@@ -79,7 +87,7 @@ from .unipoly import (
     int_exact_quotient,
     integer_roots,
     isolate_real_roots,
-    ranked_integer_root,
+    ranked_root_slot,
     root_slot,
     sign_at_root,
 )
@@ -170,19 +178,67 @@ def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInt
     return roots[branch.root_index]
 
 
+def _branch_slot(branch: AlgebraicBranch, k: int) -> tuple[int, bool]:
+    """The slot (c, exact) of the branch value f(k) at the integer abscissa
+    k, from one `ranked_root_slot` walk of curve(k, .), after the domain,
+    root-count and root-index checks."""
+    lo, hi = branch.domain
+    if not lo <= k <= hi:
+        raise BranchError("abscissa outside the branch domain")
+    count, slot = ranked_root_slot(_column(branch.curve, k), branch.root_index)
+    if count != branch.root_count:
+        raise BranchError("root structure changed inside the domain")
+    if slot is None:
+        raise BranchError("root index outside the root count")
+    return slot
+
+
 def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoint]:
     """(k, f(k)) when the branch value at the integer abscissa k is integral.
 
     An integer rank search (`_root_slots`) for root number `root_index` of
-    curve(k, .): no isolation and no shared cache.
+    curve(k, .), through `_branch_slot`: no isolation and no shared cache.
+    `branch_integer_points` asks it at each abscissa of a piece, or only at
+    the integer roots of the rows it searches.
     """
-    lo, hi = branch.domain
-    if not lo <= k <= hi:
-        raise BranchError("abscissa outside the branch domain")
-    count, y = ranked_integer_root(_column(branch.curve, k), branch.root_index)
-    if count != branch.root_count:
-        raise BranchError("root structure changed inside the domain")
-    return None if y is None else LatticePoint(k, y)
+    c, exact = _branch_slot(branch, k)
+    return LatticePoint(k, c) if exact else None
+
+
+def branch_integer_points(branch: AlgebraicBranch, a: int, b: int) -> list[LatticePoint]:
+    """The points (k, f(k)) with f(k) an integer, for the integers a <= k <= b
+    of the domain, sorted by k: the branch's lattice points on [a, b].
+
+    A `flat` branch is monotone on its domain, since the F_x locus is one of
+    its frame's cuts, so on [a, b] it takes only the integer values between
+    f(a) and f(b), each at most once.  Its slots (c, exact) at a and at b
+    give each end's ceiling c and floor, c or c - 1, and so the value range
+    m_lo..m_hi.  When that is shorter than a..b, as |f'| < 1 makes it on
+    every piece of two or more points, the points are searched along the
+    rows: the integer roots in [a, b] of F(x, m) for each m, each kept when
+    `branch_integer_point` puts the branch there, since a row also meets
+    the other sheets.  A zero row means the curve holds the line y = m:
+    `BranchError`.  A one-point piece, a branch that is not flat, or one
+    built directly whose values span more integers than its abscissas takes
+    `branch_integer_point` at every abscissa.  The root-count check runs at
+    every column the search reads; the cell construction of
+    `graph_decompose` keeps the count constant between.
+    """
+    if branch.flat and a < b:
+        (ca, ea), (cb, eb) = _branch_slot(branch, a), _branch_slot(branch, b)
+        m_lo, m_hi = min(ca, cb), max(ca - (not ea), cb - (not eb))
+        if m_hi - m_lo < b - a:
+            rows = branch.curve.swap_xy()
+            points = []
+            for m in range(m_lo, m_hi + 1):
+                row = rows.int_column(m)
+                if not row:
+                    raise BranchError(f"curve contains the horizontal line y = {m}")
+                points.extend(
+                    LatticePoint(x, m) for x in integer_roots(row, a, b) if branch_integer_point(branch, x) == (x, m)
+                )
+            return sorted(points)
+    return [hit for k in range(a, b + 1) if (hit := branch_integer_point(branch, k)) is not None]
 
 
 # -- implicit derivative machinery ------------------------------------------

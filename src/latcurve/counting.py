@@ -6,6 +6,13 @@ derivative thresholds, greedily cover each all-small piece, count per cover
 curve through resultants).  Reports carry enough detail to audit every
 counted point and every budget comparison.
 
+The pipeline finds a piece's branch points along its shorter axis
+(`branch.branch_integer_points`): a decomposed branch is monotone with
+|f'| < 1, so a piece of two or more abscissas takes fewer integer values,
+and each value's row F(x, m) is searched for integer roots, which the
+branch's rank walk then verifies.  A one-point piece, or a branch whose
+slope is identically +-1, is read abscissa by abscissa.
+
 A cover curve is built through one run of branch points, so their
 abscissas are roots of its eliminant with the input curve: the
 intersection divides each of them out, which checks that it is a root, and
@@ -35,7 +42,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .branch import (
-    branch_integer_point,
+    branch_integer_points,
     graph_decompose,
     large_interval_check,
     partition_by_bounds,
@@ -323,11 +330,17 @@ def determinant_method_count(
     Decomposes the curve into oriented branches, whose domains have integer
     ends, and partitions each one's hull [max(1, lo), hi] by the derivative
     thresholds (abscissa 0 holds no point of {1..N}^2); a branch on [0, 0]
-    has an empty hull, is skipped and has no report entry.  Covers
-    every all-small piece greedily and counts per cover curve through
-    resultant intersections, each deflated by the abscissas of the cover's
-    run (`bezout_intersect` checks that each is an eliminant root); short
-    large pieces and critical abscissas are enumerated directly.
+    has an empty hull, is skipped and has no report entry.  Each piece's
+    branch points come from `branch_integer_points`: along the rows of the
+    integer values the branch takes there, fewer than its abscissas on a
+    piece of two or more points, and at each abscissa only on a one-point
+    piece or a branch whose slope is identically +-1.  Covers every
+    all-small piece greedily and counts per cover curve through resultant
+    intersections, each deflated by the abscissas of the cover's run
+    (`bezout_intersect` checks that each is an eliminant root) and computed
+    once per frame curve, cover and run, so the mirrored branches of a
+    curve equal to its transpose share theirs; short large pieces and
+    critical abscissas are enumerated directly.
     """
     g = ingestion_check(curve)
     d = g.degree
@@ -354,6 +367,9 @@ def determinant_method_count(
     curve_points: set[LatticePoint] = set()
     direct_points: set[LatticePoint] = set(decomposition.direct_points)
     branch_reports: list[BranchReport] = []
+    # frame curve, cover and run abscissas -> the cover's points in the frame:
+    # mirrored branches of a symmetric curve share their covers
+    cover_hits: dict[tuple[BiPoly, BiPoly, tuple[int, ...]], list[LatticePoint]] = {}
 
     for br in decomposition.branches:
         lo, hi = br.domain
@@ -366,11 +382,7 @@ def determinant_method_count(
         part = partition_by_bounds(br, mset.D, Fraction(n_box), delta)
         piece_reports: list[PieceReport] = []
         for piece in part.pieces:
-            pts = []
-            for k in range(piece.lo, piece.hi + 1):
-                hit = branch_integer_point(br, k)
-                if hit is not None:
-                    pts.append(hit)
+            pts = branch_integer_points(br, piece.lo, piece.hi)
             interval = (str(piece.lo), str(piece.hi))
             if piece.all_small():
                 cert = greedy_cover(pts, mset, curve=frame_curve)
@@ -383,8 +395,11 @@ def determinant_method_count(
                     ok = False
                 curve_dicts = []
                 for cov, run in zip(cert.curves, cert.runs):
-                    # bezout_intersect searches x and y in 1..N only
-                    hits = _unswap(bezout_intersect(frame_curve, cov, n_box, [p.x for p in run]), br.swapped)
+                    key = (frame_curve, cov, tuple(p.x for p in run))
+                    if key not in cover_hits:
+                        # bezout_intersect searches x and y in 1..N only
+                        cover_hits[key] = bezout_intersect(frame_curve, cov, n_box, key[2])
+                    hits = _unswap(cover_hits[key], br.swapped)
                     curve_points.update(hits)
                     curve_dicts.append(
                         {"poly": cov.pretty(), "points": sorted([list(p) for p in hits])}

@@ -830,10 +830,9 @@ def root_ceilings(p: Sequence[int], lo: int, hi: int) -> list[int]:
     return [c for c, exact in _root_slots(p, lo, hi) if lo < c <= hi or (exact and c == lo)]
 
 
-def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
-    """The number n of distinct real roots of p, and the root of rank `index`
-    (0 is the smallest) when it is an integer, else None: the length of the
-    unbounded `_root_slots` and its slot `index`."""
+def ranked_root_slot(p: Sequence[int], index: int) -> tuple[int, tuple[int, bool] | None]:
+    """The number n of distinct real roots of p, and the slot (c, exact) of
+    its root of rank `index` (0 is the smallest), None when 0 <= index < n
+    fails: the length of the unbounded `_root_slots` and its slot `index`."""
     slots = _root_slots(p, None, None)
-    c, exact = slots[index] if 0 <= index < len(slots) else (None, False)
-    return len(slots), c if exact else None
+    return len(slots), slots[index] if 0 <= index < len(slots) else None

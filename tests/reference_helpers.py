@@ -1,7 +1,8 @@
 """Exact helpers that only the tests call, kept here as references.
 
 - Checks of the package's own decisions: a certified sup bound, an integer
-  test, a range test and a rational root on an isolating bracket, a
+  test, a range test and a rational root on an isolating bracket, the
+  integer root of a given rank, a
   `Fraction` determinant, a reduction modulo a curve and the exact division
   that takes its leading power back out of an eliminant, the sign of a
   polynomial along a branch, a branch's integer hull, disjoint isolating
@@ -58,6 +59,7 @@ from latcurve.unipoly import (
     int_exact_quotient,
     integer_roots,
     poly_gcd,
+    ranked_root_slot,
     refine_root,
     sign_at_root,
     squarefree_part,
@@ -107,6 +109,14 @@ def integer_in(r: RootInterval) -> int | None:
     if k <= r.hi and _int_eval(r.polynomial, k) == 0:
         return k
     return None
+
+
+def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
+    """The number n of distinct real roots of p, and its root of rank
+    `index` when that is an integer, else None: `ranked_root_slot` with the
+    slot's ceiling kept only when the slot is exact."""
+    count, slot = ranked_root_slot(p, index)
+    return count, slot[0] if slot is not None and slot[1] else None
 
 
 def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval:

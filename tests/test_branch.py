@@ -17,6 +17,7 @@ from latcurve.branch import (
     DegenerateLevelSetError,
     Piece,
     branch_integer_point,
+    branch_integer_points,
     branch_value_bracket,
     certified_orders,
     graph_decompose,
@@ -54,6 +55,7 @@ from latcurve.unipoly import (
     count_real_roots,
     integer_roots,
     primitive_ints,
+    ranked_root_slot,
     refine_root,
     root_slot,
     sign_at_root,
@@ -604,6 +606,9 @@ def test_branch_integer_point_errors():
     assert branch_integer_point(wide, 3) == LatticePoint(3, 4)
     with pytest.raises(BranchError, match="root structure changed"):
         branch_integer_point(wide, 6)
+    # a root index that the root count does not hold is no branch
+    with pytest.raises(BranchError, match="root index outside the root count"):
+        branch_integer_point(AlgebraicBranch(circle, 2, 2, (0, 4)), 3)
 
 
 def _point_or_error(fn):
@@ -685,6 +690,89 @@ def test_integer_point_searches_leave_shared_caches_alone():
     assert integer_roots(c.int_column(140), 0, 500) == [480]
     assert integer_roots(primitive_ints((UniPoly([3, 0, -1]) * UniPoly([-7, 1]) ** 2).coeffs)) == [7]
     assert (sturm_chain.cache_info(), squarefree_part.cache_info()) == before
+
+
+def _abscissa_loop(br, a, b):
+    """The reference search: `branch_integer_point` at every abscissa."""
+    return [p for k in range(a, b + 1) if (p := branch_integer_point(br, k)) is not None]
+
+
+def _fuzz_style_curves(rng, count):
+    """`count` curves drawn as `scripts/fuzz.py` draws them (degree 2 or 3, two
+    to five terms, |c| <= 6) with a box N in 20..80."""
+    coeffs = [c for c in range(-6, 7) if c]
+    out = []
+    while len(out) < count:
+        deg = rng.choice([2, 3])
+        j1 = rng.randint(0, deg)
+        terms = {(j1, deg - j1): rng.choice(coeffs)}
+        for _ in range(rng.randint(1, 4)):
+            j1 = rng.randint(0, deg)
+            terms[(j1, rng.randint(0, deg - j1))] = rng.choice(coeffs)
+        curve = BiPoly(terms)
+        if curve.degree >= 2:
+            out.append((curve.pretty(), rng.randint(20, 80)))
+    return out
+
+
+def test_row_search_matches_the_abscissa_loop():
+    """`branch_integer_points` against the abscissa loop on every piece of
+    the pipeline's partitions of the integer hulls of flat branches: two
+    seed-1 rounds of the latbench `partition` and `columns` families at
+    their own N (at most 500), circles, hyperbolas, curves with slopes that
+    tend to 1, and 120 fuzz-style curves.  Every abscissa's column has
+    `root_count` distinct real roots, which is what lets the row search
+    check the count only at the columns it reads.  Since |f'| < 1, the
+    value range of every piece of two or more points is shorter than the
+    piece, so each takes the row search: increasing, decreasing and within
+    one unit, with points at a piece end among its hits.  One-point pieces
+    keep the loop, and so does a branch built directly as flat whose values
+    span more integers than its abscissas, the parabola y = x^2."""
+    workloads = _latbench_workloads()
+    cases = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 2) for c in row]
+    cases += [(f"x^2 + y^2 - {m}", 60) for m in (625, 1000, 1105, 2000, 3250)]
+    cases += [(f"x*y - {m}", 80) for m in (36, 360, 720, 1200)]
+    cases += [(f"x^2 - y^2 - {m}", 60) for m in (7, 15, 24)] + [("-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 60)]
+    cases += _fuzz_style_curves(random.Random(71), 120)
+    seen = dict.fromkeys(("increasing", "decreasing", "level", "one_point", "row_hits", "end_hits"), 0)
+    for text, n_box in cases:
+        try:
+            # the count rejects a line inside the box before it searches a point
+            counting_module._reject_lines_in_box(parse(text), parse(text).swap_xy(), n_box)
+            partitions = list(_pipeline_partitions(text, n_box))
+        except (BranchError, IngestionError, LineFactorError):
+            continue
+        for br, _, part in partitions:
+            assert br.flat
+            for piece in part.pieces:
+                a, b = piece.lo, piece.hi
+                for k in range(a, b + 1):
+                    assert ranked_root_slot(br.curve.int_column(k), br.root_index)[0] == br.root_count
+                want = _abscissa_loop(br, a, b)
+                assert branch_integer_points(br, a, b) == want, (text, n_box, br, a, b)
+                if a == b:
+                    seen["one_point"] += 1
+                    continue
+                (ca, ea), (cb, eb) = (ranked_root_slot(br.curve.int_column(k), br.root_index)[1] for k in (a, b))
+                assert max(ca - (not ea), cb - (not eb)) - min(ca, cb) < b - a
+                seen["increasing" if cb > ca else "decreasing" if cb < ca else "level"] += 1
+                seen["row_hits"] += len(want)
+                seen["end_hits"] += sum(p.x in (a, b) for p in want)
+    assert min(seen.values()) >= 3, seen
+    steep = AlgebraicBranch(parse("y - x^2"), 0, 1, (0, 12), flat=True)
+    assert branch_integer_points(steep, 2, 12) == _abscissa_loop(steep, 2, 12) == [
+        LatticePoint(k, k * k) for k in range(2, 13)
+    ]
+
+
+def test_row_search_raises_on_a_horizontal_line():
+    """A zero row F(x, m) means the curve holds the line y = m; the search
+    raises there instead of skipping the row.  The smallest root of
+    (8y - 2x - 1)(y - 2) runs from 1/8 at x = 0 to 2, so rows 1 and 2 are
+    searched, and row 2 vanishes."""
+    br = AlgebraicBranch(parse("(8*y - 2*x - 1)*(y - 2)"), 0, 2, (0, 15), flat=True)
+    with pytest.raises(BranchError, match="horizontal line y = 2"):
+        branch_integer_points(br, 0, 15)
 
 
 def test_branch_sign_exact():

@@ -1,5 +1,7 @@
 """Brute-force oracle, pairwise intersections, and the counting pipeline."""
 
+import hashlib
+import json
 import random
 import re
 import sys
@@ -630,6 +632,48 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     assert unipoly.squarefree_part.cache_info().misses == 4
     assert gcd_callers.count("squarefree_part") == 2
 
+
+
+def test_pipeline_searches_branch_points_along_rows(monkeypatch):
+    """Operation-count guard: x - 13*y^3 at N = 10^5 reads 21 branch
+    columns by the rank walk, not one per abscissa: the two ends of its one
+    hull [1, 10^5], whose values run from 1/13^(1/3) to 10^5/13^(1/3), and
+    one verification at the root of each of its rows y = 1..19."""
+    walks = []
+    walk = branch.ranked_root_slot
+
+    def counted(p, index):
+        walks.append(p)
+        return walk(p, index)
+
+    monkeypatch.setattr(branch, "ranked_root_slot", counted)
+    rep = determinant_method_count(parse("x - 13*y^3"), 10**5, compare_oracle=False)
+    assert rep.total == 19
+    assert len(walks) == 21
+
+
+def test_mirrored_branches_share_one_cover_intersection(monkeypatch):
+    """x*y - 10200 is its own transpose, so its two frames are one curve
+    with equal pieces and covers: the count intersects the one cover once
+    (twice before covers were shared) and reports the same points on both
+    branches, in the report that the count gave with one intersection per
+    branch (its SHA-256 is pinned)."""
+    calls = []
+    intersect = counting.bezout_intersect
+
+    def counted(*args):
+        calls.append(args)
+        return intersect(*args)
+
+    monkeypatch.setattr(counting, "bezout_intersect", counted)
+    rep = determinant_method_count(parse("x*y - 10200"), 500)
+    assert rep.ok and rep.total == rep.oracle_total == 24
+    assert len(calls) == 1
+    curves = [pr.curves for br in rep.per_branch for pr in br.pieces]
+    assert len(curves) == 2 and curves[0][0]["poly"] == curves[1][0]["poly"]
+    assert {tuple(p[::-1]) for p in curves[0][0]["points"]} == {tuple(p) for p in curves[1][0]["points"]}
+    report = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(report).hexdigest() == "db370a9cf974ead961e601c2d5cb10a41eca4c2f6d75d16b80bd22aadd0e55bb"
 
 def test_pipeline_takes_level_curves_from_reduced_parts():
     """Operation-count guard: from empty caches, every level curve of the

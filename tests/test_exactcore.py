@@ -29,7 +29,7 @@ from latcurve.unipoly import (
     isolate_real_roots,
     poly_gcd,
     primitive_ints,
-    ranked_integer_root,
+    ranked_root_slot,
     refine_root,
     root_slot,
     sign_at_root,
@@ -43,6 +43,7 @@ from reference_helpers import (
     fraction_determinant,
     integer_in,
     poly_sup_bound,
+    ranked_integer_root,
     rational_root_in,
     refine_disjoint,
     ryser_permanent,
@@ -721,6 +722,11 @@ def test_ranked_integer_root():
     assert ranked_integer_root([5], 0) == (0, None)
     with pytest.raises(ZeroPolynomialError):
         ranked_integer_root([], 0)
+    # the slot (ceiling, exact) behind each answer, None for a rank out of range
+    assert [ranked_root_slot(ints(close), i) for i in range(-1, 4)] == [
+        (3, None), (3, (3, False)), (3, (3, False)), (3, (3, True)), (3, None)
+    ]
+    assert ranked_root_slot(ints(near), 1) == (2, (10**6 + 1, False))
 
 
 def _sign_changes(cs):
