@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_42.json at the repository root.
+rows and write BENCH_43.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -109,9 +109,15 @@ ROWS = [
     ("pipeline", "y^2 - x^3 - x - 1", 10**5),
     ("pipeline", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**5),
     ("pipeline", "-5*x^3 - 5*x^2*y + 2*y^3 - 2*x^2", 10**4),
+    # curves equal to their transpose, decomposed and counted in one frame:
+    # a circle, an Eisenstein norm form and a sum of two cubes (the
+    # hyperbola x*y - 720720 is an intersection-bound row above)
+    ("pipeline", "x^2 + y^2 - 4884100", 10**4),
+    ("pipeline", "x^2 + x*y + y^2 - 2989441", 10**4),
+    ("pipeline", "x^3 + y^3 - 87539319", 1000),
 ]
 
-OUT = ROOT / "BENCH_42.json"
+OUT = ROOT / "BENCH_43.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

@@ -68,7 +68,7 @@ takes that walk at every abscissa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -756,13 +756,19 @@ def graph_decompose(curve: BiPoly, n_box: int) -> GraphDecomposition:
     slope +-1, box-exit and leading-coefficient loci, are returned
     separately for direct counting.  The curve is `ingestion_check`'s
     output, which is not checked again.
+
+    A curve equal to its transpose is decomposed in one frame: the swapped
+    frame is the same curve, so its branches are the unswapped ones with
+    `swapped` set, and its critical-column points are the same frame
+    points, transposed.  When its slope is identically +-1 the swapped
+    frame gives nothing, as for any such frame.
     """
-    branches: list[AlgebraicBranch] = []
-    direct: set[LatticePoint] = set()
-    for frame, swapped in ((curve, False), (curve.swap_xy(), True)):
-        br, zone = _decompose_frame(frame, n_box, swapped)
-        branches.extend(br)
-        for p in zone:
-            direct.add(LatticePoint(p.y, p.x) if swapped else p)
-    branches.sort(key=lambda b: (b.swapped, b.domain[0], b.root_index))
+    across = curve.swap_xy()
+    branches, zone = _decompose_frame(curve, n_box, False)
+    if across == curve and not _frame_loci(curve).slope_degenerate:
+        mirrored, mirrored_zone = [replace(b, swapped=True) for b in branches], zone
+    else:
+        mirrored, mirrored_zone = _decompose_frame(across, n_box, True)
+    direct = set(zone).union(LatticePoint(p.y, p.x) for p in mirrored_zone)
+    branches = sorted(branches + mirrored, key=lambda b: (b.swapped, b.domain[0], b.root_index))
     return GraphDecomposition(branches, sorted(direct))

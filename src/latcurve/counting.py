@@ -18,6 +18,11 @@ abscissas are roots of its eliminant with the input curve: the
 intersection divides each of them out, which checks that it is a root, and
 searches only the quotient for further integer roots.
 
+A curve equal to its transpose is decomposed and counted in one frame:
+its swapped branches are its unswapped ones, so each mirrored pair is
+partitioned, searched, covered and intersected once, and both branch
+reports are written from that shared work, the swapped one transposed.
+
 The sweep solves one integer column per line of the box, and a column of
 degree d holds at most d points and costs a degree-d root search, so it
 sweeps the axis whose columns have the lower degree: y = 1..N when
@@ -39,9 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .branch import (
+    AlgebraicBranch,
+    Piece,
     branch_integer_points,
     graph_decompose,
     large_interval_check,
@@ -304,6 +311,42 @@ def _in_box(p: LatticePoint, n_box: int) -> bool:
     return 1 <= p.x <= n_box and 1 <= p.y <= n_box
 
 
+class _PieceWork(NamedTuple):
+    """A piece, its branch points in the frame and, when the piece is
+    all-small, its curve budget and each cover curve with its points in the
+    frame."""
+
+    piece: Piece
+    points: list[LatticePoint]
+    cover: Optional[tuple[int, list[tuple[BiPoly, list[LatticePoint]]]]]
+
+
+def _frame_work(
+    br: AlgebraicBranch, d: int, ell: int, spec: DerivativeBoundSpec, n_box: int
+) -> list[_PieceWork]:
+    """Partition the clipped branch, search each piece's branch points and
+    cover each all-small piece, intersecting every cover curve with the
+    frame curve, deflated by the abscissas of its run; all in the frame,
+    with no read of `br.swapped`."""
+    frame_curve = br.curve
+    # a swapped branch is covered in its frame, so puncture at its corner
+    mset = punctured_set(d, ell, corner_index(frame_curve))
+    work: list[_PieceWork] = []
+    for piece in partition_by_bounds(br, mset.D, spec.N, spec.delta).pieces:
+        pts = branch_integer_points(br, piece.lo, piece.hi)
+        cover = None
+        if piece.all_small():
+            cert = greedy_cover(pts, mset, curve=frame_curve)
+            budget = curve_budget(piece.length(), spec, mset)
+            # bezout_intersect searches x and y in 1..N only
+            cover = budget, [
+                (cov, bezout_intersect(frame_curve, cov, n_box, tuple(p.x for p in run)))
+                for cov, run in zip(cert.curves, cert.runs)
+            ]
+        work.append(_PieceWork(piece, pts, cover))
+    return work
+
+
 def default_ell(d: int, n_box: int) -> int:
     return max(d, (max(n_box, 2) - 1).bit_length())
 
@@ -337,10 +380,12 @@ def determinant_method_count(
     piece or a branch whose slope is identically +-1.  Covers every
     all-small piece greedily and counts per cover curve through resultant
     intersections, each deflated by the abscissas of the cover's run
-    (`bezout_intersect` checks that each is an eliminant root) and computed
-    once per frame curve, cover and run, so the mirrored branches of a
-    curve equal to its transpose share theirs; short large pieces and
-    critical abscissas are enumerated directly.
+    (`bezout_intersect` checks that each is an eliminant root); short large
+    pieces and critical abscissas are enumerated directly.  This frame work
+    reads no orientation, so it is done once per branch and frame
+    (`_frame_work`): a curve equal to its transpose is decomposed in one
+    frame, and each of its mirrored branches' reports is written from the
+    one shared entry, with its points transposed on the swapped side.
     """
     g = ingestion_check(curve)
     d = g.degree
@@ -367,39 +412,33 @@ def determinant_method_count(
     curve_points: set[LatticePoint] = set()
     direct_points: set[LatticePoint] = set(decomposition.direct_points)
     branch_reports: list[BranchReport] = []
-    # frame curve, cover and run abscissas -> the cover's points in the frame:
-    # mirrored branches of a symmetric curve share their covers
-    cover_hits: dict[tuple[BiPoly, BiPoly, tuple[int, ...]], list[LatticePoint]] = {}
+    # clipped branch with swapped=False -> its frame work, which reads no
+    # `swapped` flag: the mirrored branches of a curve equal to its
+    # transpose share one entry
+    frame_work: dict[AlgebraicBranch, list[_PieceWork]] = {}
 
     for br in decomposition.branches:
         lo, hi = br.domain
         if hi < 1:
             continue
         br = replace(br, domain=(max(lo, 1), hi))
-        frame_curve = br.curve
-        # a swapped branch is covered in its frame, so puncture at its corner
-        mset = punctured_set(d, ell, corner_index(frame_curve))
-        part = partition_by_bounds(br, mset.D, Fraction(n_box), delta)
+        key = replace(br, swapped=False)
+        if key not in frame_work:
+            frame_work[key] = _frame_work(key, d, ell, spec, n_box)
         piece_reports: list[PieceReport] = []
-        for piece in part.pieces:
-            pts = branch_integer_points(br, piece.lo, piece.hi)
+        for piece, pts, cover in frame_work[key]:
             interval = (str(piece.lo), str(piece.hi))
-            if piece.all_small():
-                cert = greedy_cover(pts, mset, curve=frame_curve)
-                budget = curve_budget(piece.length(), spec, mset)
-                if len(cert.curves) > budget:
+            if cover is not None:
+                budget, hits_by_curve = cover
+                if len(hits_by_curve) > budget:
                     warnings.append(
                         f"curve budget exceeded on piece {interval}: "
-                        f"{len(cert.curves)} > {budget}"
+                        f"{len(hits_by_curve)} > {budget}"
                     )
                     ok = False
                 curve_dicts = []
-                for cov, run in zip(cert.curves, cert.runs):
-                    key = (frame_curve, cov, tuple(p.x for p in run))
-                    if key not in cover_hits:
-                        # bezout_intersect searches x and y in 1..N only
-                        cover_hits[key] = bezout_intersect(frame_curve, cov, n_box, key[2])
-                    hits = _unswap(cover_hits[key], br.swapped)
+                for cov, frame_hits in hits_by_curve:
+                    hits = _unswap(frame_hits, br.swapped)
                     curve_points.update(hits)
                     curve_dicts.append(
                         {"poly": cov.pretty(), "points": sorted([list(p) for p in hits])}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import re
 import sys
@@ -674,6 +675,136 @@ def test_mirrored_branches_share_one_cover_intersection(monkeypatch):
     assert {tuple(p[::-1]) for p in curves[0][0]["points"]} == {tuple(p) for p in curves[1][0]["points"]}
     report = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(report).hexdigest() == "db370a9cf974ead961e601c2d5cb10a41eca4c2f6d75d16b80bd22aadd0e55bb"
+
+
+# curve, N, calls of `_decompose_frame`, of each per-branch stage and of
+# `bezout_intersect`, the number of branch reports, and the report's SHA-256
+SYMMETRY_CASES = (
+    ("x^2 + y^2 - 250000", 500, 1, 1, 1, 2, "dfb89c980e4e332e377ef170b43b8a104fe5fcf9a6ad832e8c147770b24a2507"),
+    ("x*y - 10200", 500, 1, 1, 1, 2, "db370a9cf974ead961e601c2d5cb10a41eca4c2f6d75d16b80bd22aadd0e55bb"),
+    ("x^3 + y^3 - 1729", 100, 1, 1, 1, 2, "971147f310d29888d05a42859102846830abaa1556a6b3ee4a38318bf173327a"),
+    ("x^2 - 2*x*y + y^2 - 2*x - 2*y", 50, 1, 2, 2, 4, "3efcb5366fa5a93c4928348beeceacfe3101072d1c02dd96ff5eb826b1b969b3"),
+    ("y^2 - x^3 - x - 1", 25, 2, 1, 0, 1, "9910229b0650b1ad62c7fb35a8d0dd9d5894fe1cce88b50e1bf867c8a0410b26"),
+    ("x^2 + 2*x*y + y^2 - 2", 50, 2, 1, 0, 1, "8051c38bfae16a3723d4dcb6cd02ce105425b5629ac603952bb7d295e37c5d99"),
+)
+PER_BRANCH_STAGES = ("partition_by_bounds", "branch_integer_points", "greedy_cover", "curve_budget")
+
+
+def test_curve_equal_to_its_transpose_is_counted_in_one_frame(monkeypatch):
+    """Operation-count guard: from empty caches, a curve equal to its
+    transpose whose slope is not identically +-1 is decomposed in one
+    frame (one `_decompose_frame` call, two before), and each mirrored
+    pair of branches is partitioned, searched, covered and budgeted once
+    (each stage once per pair, twice before); `bezout_intersect` runs once
+    per cover, as when covers alone were shared.  The cubic y^2 - x^3 - x
+    - 1 is not symmetric, so it still decomposes both frames, and the
+    slope-degenerate (x + y)^2 - 2 still reports one branch.  Each report
+    is the one the count gave with both frames decomposed (its SHA-256 is
+    pinned)."""
+    calls = Counter()
+
+    def counting_calls(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting_calls(branch, "_decompose_frame")
+    for name in PER_BRANCH_STAGES + ("bezout_intersect",):
+        counting_calls(counting, name)
+    for text, n, frames, per_branch, intersections, branches, sha in SYMMETRY_CASES:
+        _clear_caches()
+        calls.clear()
+        rep = determinant_method_count(parse(text), n)
+        assert rep.ok and rep.total == rep.oracle_total, text
+        assert calls["_decompose_frame"] == frames, text
+        assert all(calls[name] == per_branch for name in PER_BRANCH_STAGES), (text, calls)
+        assert calls["bezout_intersect"] == intersections, text
+        assert len(rep.per_branch) == branches, text
+        report = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(report).hexdigest() == sha, text
+
+
+def test_mirrored_branches_warn_once_each(monkeypatch):
+    """The shared frame work of a mirrored pair still gives one warning per
+    branch: x*y - 10200 with a zero curve budget warns on both branches."""
+    monkeypatch.setattr(counting, "curve_budget", lambda length, spec, mset: 0)
+    rep = determinant_method_count(parse("x*y - 10200"), 500)
+    assert rep.ok is False and rep.total == rep.oracle_total == 24
+    assert rep.warnings == ["curve budget exceeded on piece ('101', '500'): 1 > 0"] * 2
+
+
+def _kth_root(v, k):
+    """The integer k-th root of v >= 0, or None when v is not a k-th power."""
+    lo, hi = 0, 1 << (v.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**k <= v else (lo, mid - 1)
+    return lo if lo**k == v else None
+
+
+def _power_sum_points(m, k, n_box):
+    """x^k + y^k = m in {1..N}^2, one k-th root per abscissa."""
+    ys = {x: _kth_root(m - x**k, k) for x in range(1, n_box + 1) if x**k < m}
+    return {(x, y) for x, y in ys.items() if y is not None and 1 <= y <= n_box}
+
+
+def _norm_form_points(m, s, n_box):
+    """x^2 + s*x*y + y^2 = m, s = +-1, in {1..N}^2: y = (-s*x +- r) / 2 with
+    r^2 = 4*m - 3*x^2."""
+    points = set()
+    for x in range(1, n_box + 1):
+        if 3 * x * x > 4 * m:
+            break
+        r = math.isqrt(4 * m - 3 * x * x)
+        if r * r == 4 * m - 3 * x * x:
+            points.update((x, (-s * x + e * r) // 2) for e in (1, -1) if (-s * x + e * r) % 2 == 0)
+    return {(x, y) for x, y in points if 1 <= y <= n_box}
+
+
+def _divisor_points(m, n_box):
+    """x*y = m in {1..N}^2, one divisor test per abscissa."""
+    return {(x, m // x) for x in range(1, n_box + 1) if m % x == 0 and m // x <= n_box}
+
+
+@pytest.mark.parametrize(
+    "text, n_box, count, reference",
+    [
+        ("x^2 + y^2 - 4884100", 10**4, 26, lambda n: _power_sum_points(4884100, 2, n)),
+        ("x*y - 720720", 10**4, 156, lambda n: _divisor_points(720720, n)),
+        ("x^2 + x*y + y^2 - 2989441", 10**4, 26, lambda n: _norm_form_points(2989441, 1, n)),
+        ("x^2 - x*y + y^2 - 2989441", 10**4, 53, lambda n: _norm_form_points(2989441, -1, n)),
+        ("x^3 + y^3 - 87539319", 1000, 6, lambda n: _power_sum_points(87539319, 3, n)),
+        ("x^4 + y^4 - 635318657", 200, 4, lambda n: _power_sum_points(635318657, 4, n)),
+    ],
+)
+def test_symmetric_lattice_rich_curves_match_oracle_and_reference(text, n_box, count, reference):
+    """Differential suite on circles, a hyperbola, norm forms and sums of
+    powers, each equal to its transpose: the pipeline's points equal an
+    independent reference (a root per abscissa or a divisor loop) and its
+    total the oracle's, and each mirrored pair of branch reports (the
+    unswapped half of the branches, then the swapped half, in one order)
+    carries the same pieces and covers with transposed points."""
+    rep = determinant_method_count(parse(text), n_box)
+    points = reference(n_box)
+    assert rep.ok and rep.total == rep.oracle_total == len(points) == count
+    assert {(x, y) for x, y, _ in rep.csv_rows()} == points
+    half = len(rep.per_branch) // 2
+    assert half and len(rep.per_branch) == 2 * half
+    for plain, mirror in zip(rep.per_branch[:half], rep.per_branch[half:]):
+        assert plain.descriptor["orientation"] == "x-over-y" and mirror.descriptor["orientation"] == "y-over-x"
+        assert {**plain.descriptor, "orientation": None} == {**mirror.descriptor, "orientation": None}
+        assert len(plain.pieces) == len(mirror.pieces)
+        for a, b in zip(plain.pieces, mirror.pieces):
+            assert (a.interval, a.flags, a.mode, a.budget) == (b.interval, b.flags, b.mode, b.budget)
+            assert [LatticePoint(p.y, p.x) for p in a.direct_points] == b.direct_points
+            assert [c["poly"] for c in a.curves] == [c["poly"] for c in b.curves]
+            for ca, cb in zip(a.curves, b.curves):
+                assert sorted(p[::-1] for p in ca["points"]) == cb["points"]
+
 
 def test_pipeline_takes_level_curves_from_reduced_parts():
     """Operation-count guard: from empty caches, every level curve of the
