@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_43.json at the repository root.
+rows and write BENCH_44.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -117,7 +117,7 @@ ROWS = [
     ("pipeline", "x^3 + y^3 - 87539319", 1000),
 ]
 
-OUT = ROOT / "BENCH_43.json"
+OUT = ROOT / "BENCH_44.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

@@ -4,9 +4,12 @@ derivative level sets, interval partitioning, and box decomposition.
 A branch is identified by its curve, an x-interval, and the index of its
 y-value among the real roots of the specialized curve; the index is stable
 because construction forbids discriminant roots inside the open interval
-and leading-coefficient roots on the closed one.  Branch values are handled
-as isolating intervals (`branch_value_bracket`, one per partition run) and
-every sign decision is made exactly: the sign of
+and leading-coefficient roots on the closed one.  A column is read by one
+integer walk, `unipoly.root_slots`, whose slot of rank `root_index` is the
+branch value's unit slot; only a gap slot is isolated, over its one unit
+gap (`unipoly.slot_bracket`).  Branch values are handled as isolating
+intervals (`branch_value_bracket`, one per partition run) and every sign
+decision is made exactly: the sign of
 p(x0, f(x0)) is one `unipoly.sign_at_root` Tarski query of the integer
 column p(x0, y) at the bracket of f(x0), zero included, for the piece
 flags of `partition_by_bounds`, one per run and order, and the slope
@@ -55,7 +58,7 @@ decomposed at the partition's unit resolution: each real root in [0, N]
 of its frame cuts and box-edge columns is keyed by its `root_slot`, an
 exact slot is a critical column enumerated directly, and the cells are the
 other `_slot_runs`, so every branch domain is a pair of ints and holds no
-critical root.  Each cell is read at its first column.
+critical root.  Each cell is read at its first column, by one slot walk.
 Branch points are searched along the shorter axis of a piece
 (`branch_integer_points`).  The F_x locus is a frame cut, so a branch is
 monotone on its domain, and with |f'| < 1 it takes fewer integer values on
@@ -80,16 +83,15 @@ from .unipoly import (
     _int_mul,
     _int_eval,
     _primitive,
-    _root_slots,
     affine_image,
-    all_real_roots,
     graeffe_step,
     int_exact_quotient,
     integer_roots,
     isolate_real_roots,
-    ranked_root_slot,
     root_slot,
+    root_slots,
     sign_at_root,
+    slot_bracket,
 )
 
 
@@ -110,9 +112,10 @@ class AlgebraicBranch:
     A branch is identified by its curve, its `domain` and `root_index`, the
     index of the branch value among the sorted real roots of curve(x, .);
     `root_count` pins the number of those roots, which is constant on the
-    domain; both come from the `_root_slots` walk that `branch_integer_point`
-    runs.  `graph_decompose` gives int domain ends.  `swapped` marks that
-    the frame axes are the transpose of the caller's.
+    domain; both index the `unipoly.root_slots` walk of that column, which
+    `branch_integer_point` and `branch_value_bracket` read.
+    `graph_decompose` gives int domain ends.  `swapped` marks that the frame
+    axes are the transpose of the caller's.
 
     Invariant: the closed domain holds no root of lc_y(curve).
     `graph_decompose` keeps its integer runs clear of them, and a branch built
@@ -166,38 +169,41 @@ def _frame_loci(curve: BiPoly) -> _FrameLoci:
     return _FrameLoci(tuple(cuts), (fx - fy).is_zero() or (fx + fy).is_zero())
 
 
-def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInterval:
-    """Isolating interval for the branch value f(x0), not cached."""
-    x0 = Fraction(x0)
+def _ranked_column(branch: AlgebraicBranch, x0: Fraction | int) -> tuple[list[int], list[tuple[int, bool]]]:
+    """The column curve(x0, .) and its `root_slots`, one per real root,
+    after the domain, root-count and root-index checks."""
     lo, hi = branch.domain
     if not lo <= x0 <= hi:
         raise BranchError("abscissa outside the branch domain")
-    roots = all_real_roots(_column(branch.curve, x0))
-    if len(roots) != branch.root_count:
+    u = _column(branch.curve, x0)
+    slots = root_slots(u)
+    if len(slots) != branch.root_count:
         raise BranchError("root structure changed inside the domain")
-    return roots[branch.root_index]
+    if not 0 <= branch.root_index < len(slots):
+        raise BranchError("root index outside the root count")
+    return u, slots
+
+
+def branch_value_bracket(branch: AlgebraicBranch, x0: Fraction | int) -> RootInterval:
+    """Isolating interval for the branch value f(x0), not cached: the
+    `slot_bracket` of its slot in the `_ranked_column` walk, so only an
+    inexact slot isolates, over its one unit gap."""
+    u, slots = _ranked_column(branch, x0)
+    return slot_bracket(u, slots, branch.root_index)
 
 
 def _branch_slot(branch: AlgebraicBranch, k: int) -> tuple[int, bool]:
     """The slot (c, exact) of the branch value f(k) at the integer abscissa
-    k, from one `ranked_root_slot` walk of curve(k, .), after the domain,
-    root-count and root-index checks."""
-    lo, hi = branch.domain
-    if not lo <= k <= hi:
-        raise BranchError("abscissa outside the branch domain")
-    count, slot = ranked_root_slot(_column(branch.curve, k), branch.root_index)
-    if count != branch.root_count:
-        raise BranchError("root structure changed inside the domain")
-    if slot is None:
-        raise BranchError("root index outside the root count")
-    return slot
+    k, from the `_ranked_column` walk of curve(k, .)."""
+    return _ranked_column(branch, k)[1][branch.root_index]
 
 
 def branch_integer_point(branch: AlgebraicBranch, k: int) -> Optional[LatticePoint]:
     """(k, f(k)) when the branch value at the integer abscissa k is integral.
 
-    An integer rank search (`_root_slots`) for root number `root_index` of
-    curve(k, .), through `_branch_slot`: no isolation and no shared cache.
+    An integer rank search (`unipoly.root_slots`) for root number
+    `root_index` of curve(k, .), through `_branch_slot`: no isolation and
+    no shared cache.
     `branch_integer_points` asks it at each abscissa of a piece, or only at
     the integer roots of the rows it searches.
     """
@@ -292,7 +298,7 @@ def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
     a runs the `hk_sequence` recurrence on reduced forms.  The tangent
     derivation D = F_y d/dx - F_x d/dy maps the ideal (F) into itself, so
     from a = lc^E * H_(i-1) mod F, lc^(E+1) * D(H_(i-1)) = lc * D(a) - E *
-    D(lc) * a mod F, and D(lc) = 0 when lc_y F is a constant.  b is order
+    D(lc) * a mod F, with D(lc) = F_y * lc'(x).  b is order
     i - 1's times i * F_y^2, reduced.  `reduce_times_lead_power` brings both
     to the power lc^e.
     """
@@ -305,13 +311,10 @@ def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
     prev = _reduced_level_parts(curve, i - 1)
     a, pe = prev.a, prev.e
     d_a = fy * partial(a, "x") - fx * partial(a, "y")
-    if len(lead) > 1:
-        lc = BiPoly({(j, 0): v for j, v in enumerate(lead)})
-        d_lc = fy * partial(lc, "x")
-        t = fy * (lc * d_a - d_lc * a * pe) - mixed * lc * a * (2 * i - 3)
-        a = reduce_times_lead_power(curve, t, e - pe - 1)
-    else:
-        a = reduce_times_lead_power(curve, fy * d_a - mixed * a * (2 * i - 3), e - pe)
+    lc = BiPoly({(j, 0): v for j, v in enumerate(lead)})
+    d_lc = fy * partial(lc, "x")
+    t = fy * (lc * d_a - d_lc * a * pe) - mixed * lc * a * (2 * i - 3)
+    a = reduce_times_lead_power(curve, t, e - pe - 1)
     b = reduce_times_lead_power(curve, prev.b * (fy * fy) * i, e - pe)
     return _LevelParts(a, b, e)
 
@@ -695,12 +698,13 @@ def _decompose_frame(
     exact slot c is a critical column: its points with 0 <= y <= N are
     returned for direct counting.  The cells are the other `_slot_runs`
     [a, b] of 0..N, whose closed span therefore holds no critical root.
-    Each cell is read at its first column a, which is not critical: one
-    `isolate_real_roots` over [0, N] gives its roots there, and the
-    unbounded `_root_slots` their ranks and count.  A root in
-    [0, N] is a branch on [a, b] when |f'| < 1 there (the slope balance
-    F_x^2 - F_y^2 is negative) or the slope is identically +-1; with
-    |f'| > 1 the transposed frame covers it."""
+    Each cell is read at its first column a, which is not critical, by one
+    `root_slots` walk: the slots give every root's rank and the count, and
+    the in-box roots are the slots with 0 < c <= N, since the column
+    vanishes at neither box edge.  The regime of such a root is one Tarski
+    query at its `slot_bracket`.  A root in [0, N] is a branch on [a, b]
+    when |f'| < 1 there (the slope balance F_x^2 - F_y^2 is negative) or the
+    slope is identically +-1; with |f'| > 1 the transposed frame covers it."""
     if curve.degree_y() < 1:
         return [], []
     loci = _frame_loci(curve)
@@ -729,16 +733,16 @@ def _decompose_frame(
     branches: list[AlgebraicBranch] = []
     for a, b in cells:
         u = _column(curve, a)
-        if len(u) < 2:
-            continue
         if not _int_eval(u, 0) or not _int_eval(u, n_box):
             raise BranchError("a cell sample column vanishes on a box edge")
-        ranks = _root_slots(u, None, None)
-        # u(0) != 0, so the roots below 0 are the slots with a ceiling <= 0
-        below = sum(c <= 0 for c, _ in ranks)
-        for j, r in enumerate(isolate_real_roots(u, 0, n_box), start=below):
+        ranks = root_slots(u)
+        for j, (c, _) in enumerate(ranks):
+            # u(0) != 0 and u(N) != 0, so the roots in [0, N] are those
+            # whose ceilings c satisfy 0 < c <= N
+            if not 0 < c <= n_box:
+                continue
             if not loci.slope_degenerate:
-                s = sign_at_root(r, regime_poly.int_column(a))
+                s = sign_at_root(slot_bracket(u, ranks, j), regime_poly.int_column(a))
                 if s > 0:
                     continue  # the transposed frame covers this piece
                 if s == 0:

@@ -70,7 +70,7 @@ from .poly2 import (
     partial,
     x_content,
 )
-from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, root_ceilings
+from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, root_slots
 
 
 class CountingError(ValueError):
@@ -111,7 +111,7 @@ def _live_runs(frame: BiPoly, turned: BiPoly, n_box: int) -> list[tuple[int, int
     each, so that ceiling is a run of its own, whether or not the critical
     abscissa is an integer, and every longer run lies strictly between two
     consecutive critical abscissas, where its columns have equally many
-    real roots in [1, N]: one test of its first column (`root_ceilings`)
+    real roots in [1, N]: one test of its first column (`root_slots`)
     decides it.  An eliminant that is identically zero (a repeated factor
     in y) leaves the one run 1..N.
     """
@@ -124,13 +124,13 @@ def _live_runs(frame: BiPoly, turned: BiPoly, n_box: int) -> list[tuple[int, int
         loci.append(disc)
     cuts = {1, n_box + 1}
     for locus in loci:
-        for c in root_ceilings(locus, 1, n_box):
+        for c, _ in root_slots(locus, 1, n_box):
             cuts.update((c, c + 1))
     bounds = sorted(cuts)
     return [
         (first, after - 1)
         for first, after in zip(bounds, bounds[1:])
-        if after - first == 1 or root_ceilings(frame.int_column(first), 1, n_box)
+        if after - first == 1 or root_slots(frame.int_column(first), 1, n_box)
     ]
 
 

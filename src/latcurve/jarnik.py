@@ -14,6 +14,7 @@ the curve budget against these configurations, is a test reference in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -94,16 +95,11 @@ def _segment_quadratic(
 
 
 def segment_index_for(config: JarnikConfiguration, x: Fraction) -> int:
+    """The segment i with Q_i <= x < Q_(i+1), the last one at x = Q_t: a
+    bisection on the knot abscissas."""
     if not config.points[0][0] <= x <= config.points[-1][0]:
         raise ValueError("abscissa outside the configuration range")
-    for i in range(len(config.points) - 1):
-        if x < config.points[i + 1][0]:
-            return i
-    return len(config.points) - 2
-
-
-def smoothed_value(config: JarnikConfiguration, x: Fraction | int) -> Fraction:
-    return smoothed_taylor(config, x, 0)[0]
+    return min(bisect_right(config.points, x, key=lambda p: p[0]), len(config.points) - 1) - 1
 
 
 def smoothed_taylor(config: JarnikConfiguration, x: Fraction | int, kmax: int) -> list[Fraction]:
@@ -128,24 +124,23 @@ def verify_smoothing(config: JarnikConfiguration) -> bool:
     slopes at every knot strictly increase, and that a rational sample passes
     the chord-slope test: SAMPLES_PER_SEGMENT = 4 equally spaced abscissas
     Q_i + j (Q_(i+1) - Q_i)/4, j = 0..3, on each segment, then the last knot.
+    Each segment's quadratic is built once and read at its own samples, so
+    the certificate is linear in t.
     """
     t = len(config.points) - 1
-    for i in range(t):
-        c0, c1, c2 = _segment_quadratic(config, i)
-        if c2 <= 0:
-            return False
+    quads = [_segment_quadratic(config, i) for i in range(t)]
+    if any(c2 <= 0 for _, _, c2 in quads):
+        return False
     for i in range(t - 1):
-        _, c1_l, c2_l = _segment_quadratic(config, i)
+        _, c1_l, c2_l = quads[i]
         h_l = Fraction(config.points[i + 1][0] - config.points[i][0])
-        left_end_slope = c1_l + 2 * c2_l * h_l
-        _, c1_r, _ = _segment_quadratic(config, i + 1)
-        if not left_end_slope < c1_r:
+        if not c1_l + 2 * c2_l * h_l < quads[i + 1][1]:
             return False
     sample: list[tuple[Fraction, Fraction]] = []
-    for i in range(t):
+    for i, (c0, c1, c2) in enumerate(quads):
         x0, x1 = Fraction(config.points[i][0]), Fraction(config.points[i + 1][0])
         for j in range(SAMPLES_PER_SEGMENT):
-            x = x0 + (x1 - x0) * Fraction(j, SAMPLES_PER_SEGMENT)
-            sample.append((x, smoothed_value(config, x)))
+            dx = (x1 - x0) * Fraction(j, SAMPLES_PER_SEGMENT)
+            sample.append((x0 + dx, c0 + c1 * dx + c2 * dx * dx))
     sample.append((Fraction(config.points[-1][0]), Fraction(config.points[-1][1])))
     return convex_slope_check(sample)

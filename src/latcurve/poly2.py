@@ -485,10 +485,7 @@ def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
     e = max(p.degree_y() - f.degree_y() + 1, 0)
     lead = _primitive(f.rows[-1])
     d -= e
-    if len(lead) == 1:
-        if lead[0] < 0 and d % 2:
-            rows = [[-c for c in r] for r in rows]
-    elif d > 0:
+    if d > 0:
         lead_pow = _int_pow(lead, d)
         rows = [_int_mul(r, lead_pow) for r in rows]
     elif d < 0:

@@ -22,9 +22,10 @@ has v <= 1; `count_real_roots` counts the brackets.  Integer roots are found
 on integer endpoints only, with no isolation and no shared cache, by one
 search (`_root_slots`) that lists the real roots in increasing order as
 slots (c, exact), c the ceiling of the root and exact whether the root is c:
-`integer_roots` keeps the exact slots in a range, `root_ceilings` the
-ceilings of the roots in a range, and `ranked_integer_root` reads the slot
-of a given rank; `root_slot` reads the slot of an isolated root by integer
+`root_slots` keeps the slots of the roots in a range, one per root, and
+`integer_roots`, in its own pass, the exact ones.  `slot_bracket` turns
+the slot of one root into its isolating interval by one isolation over its
+unit gap, and `root_slot` reads the slot of an isolated root by integer
 sign tests inside its bracket.  The search decides degree <= 2 in closed
 form, with `math.isqrt` for the ceilings of irrational roots.  Otherwise
 each half-line the range meets is certified by Descartes' rule on p's own
@@ -638,13 +639,6 @@ def _coprime_mod_p(f: Sequence[int], g: Sequence[int]) -> bool:
     return True
 
 
-def all_real_roots(p: Sequence[int]) -> list[RootInterval]:
-    """Isolating intervals for every real root of p, in increasing order."""
-    f = _primitive(p)
-    bound = _int_root_bound(squarefree_part(f))
-    return isolate_real_roots(f, -bound, bound)
-
-
 def _small_real_roots(f: Sequence[int]) -> list[tuple[int, bool]]:
     """The slots of the distinct real roots of the nonzero integer polynomial
     f of degree at most 2, increasing: (c, exact) with c the ceiling of the
@@ -821,18 +815,27 @@ def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None
     ]
 
 
-def root_ceilings(p: Sequence[int], lo: int, hi: int) -> list[int]:
-    """The ceilings of the distinct real roots of p in [lo, hi], increasing,
-    one per root (two roots in one unit interval give one ceiling twice):
-    those of the `_root_slots` whose roots lie in the range.  A root with
-    the ceiling c lies in [lo, hi] exactly when lo < c <= hi, or c == lo and
-    the root is c."""
-    return [c for c, exact in _root_slots(p, lo, hi) if lo < c <= hi or (exact and c == lo)]
+def root_slots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[tuple[int, bool]]:
+    """The slots (c, exact) of the distinct real roots of p in [lo, hi]
+    (unbounded where None), increasing, one per root (two roots in one unit
+    interval give one slot twice): those of the `_root_slots` walk whose
+    roots lie in the range.  A root with the ceiling c lies in [lo, hi]
+    exactly when lo < c <= hi, or c == lo and the root is c."""
+    slots = _root_slots(p, lo, hi)
+    if lo is not None:
+        slots = [s for s in slots if lo < s[0] or s == (lo, True)]
+    if hi is not None:
+        slots = [s for s in slots if s[0] <= hi]
+    return slots
 
 
-def ranked_root_slot(p: Sequence[int], index: int) -> tuple[int, tuple[int, bool] | None]:
-    """The number n of distinct real roots of p, and the slot (c, exact) of
-    its root of rank `index` (0 is the smallest), None when 0 <= index < n
-    fails: the length of the unbounded `_root_slots` and its slot `index`."""
-    slots = _root_slots(p, None, None)
-    return len(slots), slots[index] if 0 <= index < len(slots) else None
+def slot_bracket(p: Sequence[int], slots: Sequence[tuple[int, bool]], j: int) -> RootInterval:
+    """An isolating interval for root j of p, whose `root_slots` are
+    `slots`: [c, c] for an exact slot c, and otherwise root j's bracket in
+    `isolate_real_roots` over [c - 1, c], an exact root at c - 1 dropped,
+    chosen by its place among the equal gap slots before it."""
+    c, exact = slots[j]
+    if exact:
+        return RootInterval(Fraction(c), Fraction(c), _primitive(p))
+    gap = [r for r in isolate_real_roots(p, c - 1, c) if r.hi > c - 1]
+    return gap[j - slots.index((c, False))]

@@ -1,9 +1,10 @@
 """Exact helpers that only the tests call, kept here as references.
 
 - Checks of the package's own decisions: a certified sup bound, an integer
-  test, a range test and a rational root on an isolating bracket, the
-  integer root of a given rank, a
-  `Fraction` determinant, a reduction modulo a curve and the exact division
+  test, a range test and a rational root on an isolating bracket, every
+  real root of a polynomial isolated over its root bound, the slot and the
+  integer root of a given rank, a `Fraction` determinant, a reduction
+  modulo a curve and the exact division
   that takes its leading power back out of an eliminant, the sign of a
   polynomial along a branch, a branch's integer hull, disjoint isolating
   brackets with duplicates of one root dropped (`refine_disjoint`), the
@@ -52,15 +53,16 @@ from latcurve.unipoly import (
     UniPoly,
     _coprime_mod_p,
     _int_eval,
+    _int_root_bound,
     _primitive,
     _rat_eval,
-    all_real_roots,
     count_real_roots,
     int_exact_quotient,
     integer_roots,
+    isolate_real_roots,
     poly_gcd,
-    ranked_root_slot,
     refine_root,
+    root_slots,
     sign_at_root,
     squarefree_part,
 )
@@ -109,6 +111,22 @@ def integer_in(r: RootInterval) -> int | None:
     if k <= r.hi and _int_eval(r.polynomial, k) == 0:
         return k
     return None
+
+
+def all_real_roots(p: Sequence[int]) -> list[RootInterval]:
+    """Isolating intervals for every real root of p, in increasing order:
+    one isolation over the root bound of its squarefree part."""
+    f = _primitive(p)
+    bound = _int_root_bound(squarefree_part(f))
+    return isolate_real_roots(f, -bound, bound)
+
+
+def ranked_root_slot(p: Sequence[int], index: int) -> tuple[int, tuple[int, bool] | None]:
+    """The number n of distinct real roots of p, and the slot (c, exact) of
+    its root of rank `index` (0 is the smallest), None when 0 <= index < n
+    fails: the length of the unbounded `root_slots` and its slot `index`."""
+    slots = root_slots(p)
+    return len(slots), slots[index] if 0 <= index < len(slots) else None
 
 
 def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:

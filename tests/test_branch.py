@@ -51,11 +51,9 @@ from latcurve.unipoly import (
     RootInterval,
     UniPoly,
     _int_mul,
-    all_real_roots,
     count_real_roots,
     integer_roots,
     primitive_ints,
-    ranked_root_slot,
     refine_root,
     root_slot,
     sign_at_root,
@@ -66,12 +64,14 @@ from latcurve.unipoly import (
 from fraction_bipoly import FractionBiPoly
 import reference_helpers
 from reference_helpers import (
+    all_real_roots,
     branch_from_point,
     branch_sign,
     branch_value_rational,
     crossing_level_set,
     integer_hull,
     integer_in,
+    ranked_root_slot,
     reduce_modulo,
     refine_clear_of,
     refine_disjoint,
@@ -550,8 +550,10 @@ def test_branch_value_identification():
 
 def test_branch_value_at_the_construction_abscissa():
     """A branch is its curve, domain and root index: at the point it was
-    built from, its bracket is the isolated root of the column, as at every
-    other abscissa, and the rational value and Taylor data still read y0."""
+    built from, its bracket isolates the column's root of that index, as at
+    every other abscissa: exact when y0 is an integer, and otherwise a
+    bracket of y0's unit gap with y0 strictly inside.  The rational value
+    and Taylor data still read y0."""
     seeds = (
         ("x^2 + y^2 - 25", 3, 4, (1, Fraction(7, 2))),
         ("x^2 + y^2 - 25", 3, -4, (1, Fraction(7, 2))),
@@ -563,8 +565,12 @@ def test_branch_value_at_the_construction_abscissa():
     for text, x0, y0, domain in seeds:
         br = branch_from_point(parse(text), x0, y0, domain)
         bracket = branch_value_bracket(br, x0)
-        assert bracket == all_real_roots(br.curve.int_column(Fraction(x0)))[br.root_index], text
-        assert not bracket.is_exact() and bracket.lo < y0 < bracket.hi, text
+        u = br.curve.int_column(Fraction(x0))
+        assert reference_helpers._same_root(bracket, all_real_roots(u)[br.root_index]), text
+        if Fraction(y0).denominator == 1:
+            assert bracket.lo == bracket.hi == y0, text
+        else:
+            assert bracket.lo < y0 < bracket.hi and floor(bracket.lo) == floor(y0) == ceil(bracket.hi) - 1, text
         assert branch_value_rational(br, x0) == y0, text
         assert taylor_coefficients(br, x0, 2)[0] == y0, text
 
@@ -609,6 +615,27 @@ def test_branch_integer_point_errors():
     # a root index that the root count does not hold is no branch
     with pytest.raises(BranchError, match="root index outside the root count"):
         branch_integer_point(AlgebraicBranch(circle, 2, 2, (0, 4)), 3)
+
+
+def test_value_bracket_and_point_share_the_column_checks():
+    """`branch_value_bracket` and `branch_integer_point` read a column
+    through one checked walk, so each raises the same `BranchError` for an
+    abscissa outside the domain, a changed root count, a vertical line and
+    a root index outside the count, including a negative one."""
+    circle = parse("x^2 + y^2 - 25")
+    cases = (
+        (AlgebraicBranch(circle, 1, 2, (0, 4)), 5, "outside the branch domain"),
+        (AlgebraicBranch(circle, 1, 2, (0, 6)), 6, "root structure changed"),
+        (AlgebraicBranch(parse("(x - 3)*(y - x)"), 0, 1, (0, 5)), 3, "vertical line"),
+        (AlgebraicBranch(circle, 2, 2, (0, 4)), 3, "root index outside the root count"),
+        (AlgebraicBranch(circle, -1, 2, (0, 4)), 3, "root index outside the root count"),
+    )
+    for br, k, message in cases:
+        for read in (branch_integer_point, branch_value_bracket):
+            with pytest.raises(BranchError, match=message):
+                read(br, k)
+    bracket = branch_value_bracket(AlgebraicBranch(circle, 1, 2, (0, 4)), 3)
+    assert bracket.lo == bracket.hi == 4
 
 
 def _point_or_error(fn):
@@ -1069,13 +1096,16 @@ def test_root_slot_edge_cases():
 
 
 def test_root_slot_reads_a_wide_bracket_unrefined(monkeypatch):
-    """The unrefined value bracket of the swapped branch of y^2 - x^3 - x - 1
-    at 99 is (-9801, 9801), around a root near 21.4: `root_slot` reads its
-    slot (22, False) by integer sign bisection, with no refinement, and the
-    bracket refined to width 1/4 agrees."""
+    """The column at 99 of the swapped branch of y^2 - x^3 - x - 1, isolated
+    over its root bound, has the one bracket (-9801, 9801), around a root
+    near 21.4: `root_slot` reads its slot (22, False) by integer sign
+    bisection, with no refinement, and the bracket refined to width 1/4
+    agrees, as does the branch's value bracket, isolated over that unit gap."""
     [br] = [b for b in graph_decompose(parse("y^2 - x^3 - x - 1"), 10**4).branches if b.swapped]
-    bracket = branch_value_bracket(br, 99)
+    bracket = all_real_roots(br.curve.int_column(99))[br.root_index]
     assert (bracket.lo, bracket.hi) == (-9801, 9801)
+    value = branch_value_bracket(br, 99)
+    assert (value.lo, value.hi) == (21, 22) and root_slot(value) == (22, False)
     with monkeypatch.context() as m:
         m.setattr(unipoly_module, "bisect_step", _not_called)
         assert root_slot(bracket) == (22, False)

@@ -2,6 +2,7 @@
 command lines."""
 
 import argparse
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -168,6 +169,14 @@ def test_jarnik_function(capsys):
     payload = json.loads(out)
     assert payload["strictly_convex"] is True
     assert len(payload["segments"]) == payload["t"]
+
+
+def test_jarnik_function_output_is_pinned(capsys):
+    """The smoothed graph of H = 5, byte for byte: its segments and its
+    convexity certificate, pinned by the SHA-256 of the JSON."""
+    code, out, _ = run_cli(capsys, "jarnik", "--H", "5", "--emit", "function")
+    assert code == 0 and json.loads(out)["strictly_convex"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == "ddf8b2c01842daac109aa0c0b9d99e7f171f849502f25166cacad2c37afd7c89"
 
 
 def test_hk_output(capsys):

@@ -641,13 +641,13 @@ def test_pipeline_searches_branch_points_along_rows(monkeypatch):
     hull [1, 10^5], whose values run from 1/13^(1/3) to 10^5/13^(1/3), and
     one verification at the root of each of its rows y = 1..19."""
     walks = []
-    walk = branch.ranked_root_slot
+    walk = branch._branch_slot
 
-    def counted(p, index):
-        walks.append(p)
-        return walk(p, index)
+    def counted(br, k):
+        walks.append(k)
+        return walk(br, k)
 
-    monkeypatch.setattr(branch, "ranked_root_slot", counted)
+    monkeypatch.setattr(branch, "_branch_slot", counted)
     rep = determinant_method_count(parse("x - 13*y^3"), 10**5, compare_oracle=False)
     assert rep.total == 19
     assert len(walks) == 21
@@ -804,6 +804,98 @@ def test_symmetric_lattice_rich_curves_match_oracle_and_reference(text, n_box, c
             assert [c["poly"] for c in a.curves] == [c["poly"] for c in b.curves]
             for ca, cb in zip(a.curves, b.curves):
                 assert sorted(p[::-1] for p in ca["points"]) == cb["points"]
+
+
+def _parabola_points(a, b, c, n_box):
+    """x = a*y^2 + b*y + c in {1..N}^2: one value per ordinate."""
+    return {(x, y) for y in range(1, n_box + 1) if 1 <= (x := a * y * y + b * y + c) <= n_box}
+
+
+def _pell_points(d, n_box):
+    """x^2 - d*y^2 = 1 in {1..N}^2: one `math.isqrt` test per ordinate."""
+    points = set()
+    for y in range(1, n_box + 1):
+        x = math.isqrt(d * y * y + 1)
+        if x > n_box:
+            break
+        if x * x == d * y * y + 1:
+            points.add((x, y))
+    return points
+
+
+@pytest.mark.parametrize(
+    "text, n_box, count, reference",
+    [
+        ("x - 3*y^2 - 2*y - 5", 10**4, 57, lambda n: _parabola_points(3, 2, 5, n)),
+        ("x - y^2 + 7*y - 1", 10**4, 97, lambda n: _parabola_points(1, -7, 1, n)),
+        ("x^2 - 2*y^2 - 1", 10**4, 5, lambda n: _pell_points(2, n)),
+        ("x^2 - 7*y^2 - 1", 10**4, 3, lambda n: _pell_points(7, n)),
+    ],
+)
+def test_lattice_rich_curves_match_oracle_and_reference(text, n_box, count, reference):
+    """Differential suite on curves that are not their own transpose:
+    parabolas against their closed form and Pell conics against an
+    `math.isqrt` scan.  The pipeline's points equal the reference and its
+    total the oracle's."""
+    rep = determinant_method_count(parse(text), n_box)
+    points = reference(n_box)
+    assert rep.ok and rep.total == rep.oracle_total == len(points) == count
+    assert {(x, y) for x, y, _ in rep.csv_rows()} == points
+
+
+CUBIC_MONOMIALS = [(i, d - i) for d in range(4) for i in range(d + 1)]
+
+
+def _cubic_through(points):
+    """A primitive integer cubic through the nine points: a kernel vector of
+    their 9 x 10 cubic monomial matrix, by Gauss-Jordan elimination on
+    `Fraction`s, with its first free coordinate set to 1."""
+    m = [[Fraction(x**i * y**j) for i, j in CUBIC_MONOMIALS] for x, y in points]
+    pivots = []
+    for col in range(len(CUBIC_MONOMIALS)):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [v / m[r][col] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    free = next(c for c in range(len(CUBIC_MONOMIALS)) if c not in pivots)
+    vec = [Fraction(c == free) for c in range(len(CUBIC_MONOMIALS))]
+    for row, col in zip(m, pivots):
+        vec[col] = -row[free]
+    coeffs = primitive_ints(vec)
+    return BiPoly({mono: c for mono, c in zip(CUBIC_MONOMIALS, coeffs) if c})
+
+
+def test_cubics_through_nine_lattice_points_match_oracle_and_sweep():
+    """Differential suite on seeded cubics through nine lattice points of
+    [1, 10]^2, at N = 20: the pipeline's points equal those of an x sweep
+    (`x_sweep_count`) and include the nine, and its total is the oracle's.
+    A draw that the count rejects (a line in the box, or a `BranchError`)
+    is skipped; four draws are counted."""
+    rng = random.Random(3)
+    counted = rejected = 0
+    while counted < 4:
+        chosen = set()
+        while len(chosen) < 9:
+            chosen.add((rng.randint(1, 10), rng.randint(1, 10)))
+        curve = _cubic_through(sorted(chosen))
+        assert all(curve.evaluate(x, y) == 0 for x, y in chosen)
+        try:
+            rep = determinant_method_count(curve, 20)
+        except (branch.BranchError, CountingError, poly2.IngestionError):
+            rejected += 1
+            continue
+        total, swept = x_sweep_count(curve, 20)
+        got = {(x, y) for x, y, _ in rep.csv_rows()}
+        assert rep.ok and rep.total == rep.oracle_total == total, curve
+        assert got == {(p.x, p.y) for p in swept} and chosen <= got, curve
+        counted += 1
+    assert rejected == 1
 
 
 def test_pipeline_takes_level_curves_from_reduced_parts():

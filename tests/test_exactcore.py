@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,17 +23,17 @@ from latcurve.unipoly import (
     int_exact_quotient,
     UniPoly,
     ZeroPolynomialError,
-    all_real_roots,
     count_real_roots,
     integer_roots,
     integer_squarefree_chain,
     isolate_real_roots,
     poly_gcd,
     primitive_ints,
-    ranked_root_slot,
     refine_root,
     root_slot,
+    root_slots,
     sign_at_root,
+    slot_bracket,
     squarefree_part,
     sturm_chain,
 )
@@ -40,10 +41,12 @@ from latcurve.unipoly import (
 import reference_helpers
 from reference_helpers import (
     _same_root,
+    all_real_roots,
     fraction_determinant,
     integer_in,
     poly_sup_bound,
     ranked_integer_root,
+    ranked_root_slot,
     rational_root_in,
     refine_disjoint,
     ryser_permanent,
@@ -1445,3 +1448,110 @@ def test_root_slot_matches_count_real_roots():
                 seen["bisected"] += math.ceil(s.lo) < k <= math.floor(s.hi) - 1
                 seen["no_integer"] += math.ceil(s.lo) > math.floor(s.hi)
     assert min(seen.values()) > 50, seen
+
+
+# -- the one column reader ---------------------------------------------------
+
+
+def _slot_reader_cases(rng, count):
+    """Seeded integer polynomials of degree 1 to 8, as products of factors
+    around a random centre a, near 0 or near 10^6: an integer root, a
+    rational one, twins in one unit gap (rational or irrational), an
+    integer root at a gap's lower end with a root just above it, an
+    irrational pair in two gaps, a square of any of these, and a factor
+    with no real root; sometimes with a content or the opposite sign."""
+
+    def factor(a):
+        kind = rng.randrange(7)
+        if kind == 0:
+            return UniPoly([-a, 1])
+        if kind == 1:
+            q = rng.choice([2, 3, 5, 7])
+            return UniPoly([-(q * a + rng.randint(1, q - 1)), q])
+        if kind == 2:  # two rational roots in (a, a + 1)
+            return UniPoly([-(10 * a + 3), 10]) * UniPoly([-(10 * a + 6), 10])
+        if kind == 3:  # (a + 1/2) +- sqrt(2)/10, both in (a, a + 1)
+            return UniPoly([-(2 * a + 1), 2]) ** 2 * 25 - UniPoly([2])
+        if kind == 4:  # a, and a + 1/3 in the gap above it
+            return UniPoly([-a, 1]) * UniPoly([-(3 * a + 1), 3])
+        if kind == 5:  # a +- sqrt(2), in two gaps
+            return UniPoly([-a, 1]) ** 2 - UniPoly([2])
+        return UniPoly([a * a + 1, -2 * a, 1])  # (y - a)^2 + 1
+
+    out = []
+    while len(out) < count:
+        centre = rng.choice([0, 0, 10**6, -(10**6)])
+        p = UniPoly([rng.choice([1, -1, 3, -4])])
+        for _ in range(rng.randint(1, 4)):
+            f = factor(centre + rng.randint(-12, 12))
+            p = p * (f ** 2 if rng.random() < 0.2 else f)
+        if 1 <= p.degree <= 8:
+            out.append([int(c) for c in p.coeffs] if all(c.denominator == 1 for c in p.coeffs) else list(ints(p)))
+    return out
+
+
+def _range_end(rng, roots, default):
+    """None, or an integer at, next to or away from a root of the list."""
+    if rng.random() < 0.35 or not roots:
+        return None
+    r = rng.choice(roots)
+    return math.floor(r) + rng.choice([-3, -1, 0, 0, 1, 2]) if rng.random() < 0.8 else default
+
+
+def test_root_slots_match_isolation():
+    """`root_slots(p, lo, hi)` is the slot of every isolated root of p in
+    [lo, hi], in order, with an integer root bound standing in for an end
+    that is None: on seeded polynomials of degree 1 to 8 with twins in one
+    unit gap, integer roots at a gap's lower end, repeated factors and roots
+    near 10^6, over ranges with either end None."""
+    rng = random.Random(44)
+    seen = dict.fromkeys(("twins", "lower_end", "repeated", "near_1e6", "lo_none", "hi_none", "both_none"), 0)
+    for p in _slot_reader_cases(rng, 250):
+        bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])  # every root lies in (-bound, bound)
+        whole = isolate_real_roots(p, -bound, bound)
+        centres = [r.lo for r in whole]
+        for _ in range(3):
+            lo, hi = _range_end(rng, centres, -bound), _range_end(rng, centres, bound)
+            if lo is not None and hi is not None and lo > hi:
+                lo, hi = hi, lo
+            a, b = -bound if lo is None else lo, bound if hi is None else hi
+            want = [root_slot(r) for r in isolate_real_roots(p, a, b)] if a <= b else []
+            assert root_slots(p, lo, hi) == want, (p, lo, hi)
+            seen["lo_none" if hi is not None else "both_none" if lo is None else "hi_none"] += lo is None or hi is None
+            seen["twins"] += any(x == y and not x[1] for x, y in zip(want, want[1:]))
+            seen["lower_end"] += any(x[1] and y == (x[0] + 1, False) for x, y in zip(want, want[1:]))
+            seen["near_1e6"] += any(abs(c) > 10**6 - 20 for c, _ in want)
+        seen["repeated"] += squarefree_part(ints(UniPoly(p))) != ints(UniPoly(p))
+    assert min(seen.values()) >= 10, seen
+    assert root_slots([-3, 1], 3, 3) == [(3, True)] and root_slots([-3, 1], 4) == root_slots([-3, 1], None, 2) == []
+    assert root_slots([-7, 2], 3, 4) == [(4, False)] and root_slots([-7, 2], 4, 5) == []
+    assert root_slots([5]) == [] and root_slots([1, 0, 1]) == []
+
+
+def test_slot_bracket_reads_the_root_of_the_whole_line_bracket():
+    """For every root j, `slot_bracket(p, root_slots(p), j)` isolates the
+    same root as bracket j of the whole-line isolation: an exact slot c is
+    [c, c], a gap slot a bracket inside its unit gap, and the two give the
+    same `sign_at_root` for seeded v, among them factors of p, so zeros
+    occur too."""
+    rng = random.Random(45)
+    signs = Counter()
+    for p in _slot_reader_cases(rng, 150):
+        slots = root_slots(p)
+        whole = all_real_roots(p)
+        assert len(whole) == len(slots), p
+        vs = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] for _ in range(3)]
+        vs += [list(ints(UniPoly([-r.lo, 1]))) for r in whole if r.is_exact()][:2]
+        vs += [[-(2 * c - 1), 2] for c, exact in slots if not exact][:1]
+        for j, ((c, exact), ref) in enumerate(zip(slots, whole)):
+            got = slot_bracket(p, slots, j)
+            if exact:
+                assert got.lo == got.hi == c, (p, j)
+            else:
+                assert c - 1 <= got.lo and got.hi <= c and not (got.is_exact() and got.lo == c - 1), (p, j)
+            assert root_slot(got) == root_slot(ref) == (c, exact), (p, j)
+            for v in vs:
+                s = sign_at_root(got, v)
+                assert s == sign_at_root(ref, v), (p, j, v)
+                signs[s] += 1
+    assert min(signs[s] for s in (-1, 0, 1)) >= 20, signs

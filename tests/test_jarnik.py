@@ -1,11 +1,13 @@
 """Convex extremal configurations and cover counting on convex graphs."""
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from latcurve.jarnik import convex_slope_check, jarnik_construct, smoothed_taylor, smoothed_value, verify_smoothing
+from latcurve import jarnik
+from latcurve.jarnik import convex_slope_check, jarnik_construct, smoothed_taylor, verify_smoothing
 from latcurve.poly2 import parse
 from latcurve.unipoly import UniPoly
 
@@ -87,6 +89,70 @@ def test_slope_check_requires_increasing_x():
 
 
 # -- smoothing -------------------------------------------------------------------------
+
+
+def smoothed_value(cfg, x):
+    """f(x) of the smoothed graph: the value entry of `smoothed_taylor`."""
+    return smoothed_taylor(cfg, x, 0)[0]
+
+
+def per_sample_certificate(cfg):
+    """`verify_smoothing` with one `smoothed_taylor` read, and so one segment
+    search, per knot and per sample."""
+    t = cfg.t
+    knots = [smoothed_taylor(cfg, cfg.points[i][0], 2) for i in range(t)]
+    if any(c[2] <= 0 for c in knots):
+        return False
+    for i in range(t - 1):
+        h = cfg.points[i + 1][0] - cfg.points[i][0]
+        if not knots[i][1] + 2 * knots[i][2] * h < knots[i + 1][1]:
+            return False
+    sample = []
+    for (x0, _), (x1, _) in zip(cfg.points, cfg.points[1:]):
+        for j in range(4):
+            x = x0 + Fraction((x1 - x0) * j, 4)
+            sample.append((x, smoothed_value(cfg, x)))
+    return convex_slope_check(sample + [cfg.points[-1]])
+
+
+def test_verify_smoothing_builds_each_segment_once(monkeypatch):
+    """The certificate reads each segment's quadratic once, at its own
+    samples, with no segment search: t quadratics for t segments, and for
+    H = 1..15 the result of one `smoothed_taylor` read per sample.  A
+    configuration dipped above its chords fails both."""
+    built = []
+    quadratic = jarnik._segment_quadratic
+
+    def counted(cfg, i):
+        built.append(i)
+        return quadratic(cfg, i)
+
+    with monkeypatch.context() as m:
+        m.setattr(jarnik, "_segment_quadratic", counted)
+        m.setattr(jarnik, "segment_index_for", None)
+        cfg = jarnik_construct(10)
+        assert verify_smoothing(cfg)
+    assert built == list(range(cfg.t))
+    for h in range(1, 16):
+        cfg = jarnik_construct(h)
+        assert verify_smoothing(cfg) is per_sample_certificate(cfg) is True, h
+    bumped = dataclasses.replace(jarnik_construct(4), epsilon=-jarnik_construct(4).epsilon)
+    assert verify_smoothing(bumped) is per_sample_certificate(bumped) is False
+
+
+def test_segment_index_for_bisects_the_knots():
+    """The segment i with Q_i <= x < Q_(i+1), the last one at Q_t, as a
+    scan of the knots finds it, at every knot, half-integer and interior
+    rational; outside [0, Q_t] a ValueError."""
+    cfg = jarnik_construct(6)
+    ends = [q for q, _ in cfg.points]
+    xs = [Fraction(k, 2) for k in range(2 * cfg.q_total + 1)] + [Fraction(ends[3]) - Fraction(1, 10**9)]
+    for x in xs:
+        want = next((i for i in range(cfg.t) if x < ends[i + 1]), cfg.t - 1)
+        assert jarnik.segment_index_for(cfg, x) == want, x
+    for x in (Fraction(-1, 2), cfg.q_total + Fraction(1, 3)):
+        with pytest.raises(ValueError):
+            jarnik.segment_index_for(cfg, x)
 
 
 @pytest.mark.parametrize("h", [2, 3, 5, 8])

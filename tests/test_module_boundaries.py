@@ -5,6 +5,8 @@
 - `poly2` is the one place that eliminates: no other module of the package
   references `resultant_eliminating_y`, so its `UniPoly` stays behind
   `poly2.eliminant` and `poly2.discriminant`.
+- `unipoly` reads its integer root walk `_root_slots` alone: every other
+  module reads it through `root_slots` or `integer_roots`.
 - Every top-level function or class of the package is reached: another
   top-level statement of a package module or a script under `scripts/`
   uses it, or a latbench span binds it.  An export from
@@ -65,6 +67,26 @@ def test_only_poly2_eliminates():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "poly2" and (lines := resultant_references(path.read_text()))
+    }
+    assert found == {}
+
+
+def references(source: str, name: str) -> list[int]:
+    """The first line of each top-level statement of the module source that
+    imports, reads or reads as an attribute `name`."""
+    return [node.lineno for node in ast.parse(source).body if name in _referenced(node)]
+
+
+def test_only_unipoly_reads_the_root_walk():
+    assert references(
+        "from .unipoly import (\n    _root_slots,\n    root_slots,\n)\nslots = unipoly._root_slots(p, 0, 1)\n"
+        "walk = root_slots\ndef f():\n    return _root_slots(p, None, None)",
+        "_root_slots",
+    ) == [1, 5, 7]
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "unipoly" and (lines := references(path.read_text(), "_root_slots"))
     }
     assert found == {}
 
