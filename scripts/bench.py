@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_44.json at the repository root.
+rows and write BENCH_45.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -49,6 +49,10 @@ ROWS = [
     ("oracle", "x - 12*y^5", 10**5),
     # tied degrees in x and y, so the oracle sweeps x with cubic columns
     ("oracle", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**4),
+    ("oracle", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**5),
+    # a cubic with three real roots in every column: each column the sweep
+    # reads takes the Sturm path of the integer root walk
+    ("oracle", "372506*(y - 1)*(y - 2)*(y - 27) - 14*(x - 1)*(x - 2)*(x - 27)", 3000),
     ("pipeline", "x^2 + y^2 - 250000", 500),
     ("pipeline", "x - 2*y^2 - 53*y", 500),
     # the ROADMAP baseline pipeline row
@@ -115,9 +119,17 @@ ROWS = [
     ("pipeline", "x^2 + y^2 - 4884100", 10**4),
     ("pipeline", "x^2 + x*y + y^2 - 2989441", 10**4),
     ("pipeline", "x^3 + y^3 - 87539319", 1000),
+    # a dense quartic with no point in the box, whose count is mostly
+    # level-set resultants
+    (
+        "pipeline",
+        "12*x^4 - 38*x^3*y + 50*x^2*y^2 + 10*x*y^3 - 35*y^4 - 24*x^3 - 2*x^2*y + 7*x*y^2"
+        " - 18*y^3 + 33*x^2 + 47*x*y - 42*y^2 + 13*x + 47*y + 22",
+        30,
+    ),
 ]
 
-OUT = ROOT / "BENCH_44.json"
+OUT = ROOT / "BENCH_45.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

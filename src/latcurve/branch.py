@@ -30,14 +30,15 @@ set's.  Along the branch the product of the columns of the two reduced
 +-thr level curves of order i has the sign of (f^(i)/i!)^2 - thr^2, which
 changes only at a level-set zero of odd multiplicity, a crossing.  Every
 eliminant root in the domain is a candidate cut, with no test of its own,
-keyed by one slot (`unipoly.root_slot`): an exact integer root or the open
-unit gap that holds it.  The pieces are the integer runs between the slots
-(`_slot_runs`, the rule that also cuts a frame into cells): an integer
-candidate is its own one-point run and a gap slot ends a run, so a run of
-two or more points holds no candidate, and each run reads its flags by one
-query on that product per order at its first column.  A tangential
-contact or a root on another sheet of the curve cuts too, between runs
-with equal flags.
+keyed by the slot of its isolating bracket (`unipoly.root_slot`; these
+eliminants are too large for the integer Sturm walk): an exact integer
+root or the open unit gap that holds it.  The pieces are the integer runs
+between the slots (`unipoly.slot_runs`, the rule that also cuts frame
+cells and the oracle's live runs): an integer candidate is its own
+one-point run and a gap slot ends a run, so a run of two or more points
+holds no candidate, and each run reads its flags by one query on that
+product per order at its first column.  A tangential contact or a root on
+another sheet of the curve cuts too, between runs with equal flags.
 Level sets are built only for the orders that `certified_orders` leaves.
 It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
 branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
@@ -54,10 +55,11 @@ curve's discriminant Res_y(F, F_y) is `poly2.discriminant`, built once per
 curve for the ingestion check, the frame cuts and the disc test, and the
 x-loci of a frame curve (its frame cuts and whether its slope is
 identically +-1) are one cached `_FrameLoci` record.  A frame is
-decomposed at the partition's unit resolution: each real root in [0, N]
-of its frame cuts and box-edge columns is keyed by its `root_slot`, an
-exact slot is a critical column enumerated directly, and the cells are the
-other `_slot_runs`, so every branch domain is a pair of ints and holds no
+decomposed at the partition's unit resolution: the real roots in [0, N]
+of its frame cuts and box-edge columns are read by the integer walk
+(`unipoly.root_slots`), as the oracle reads its critical loci, an exact
+slot is a critical column enumerated directly, and the cells are the other
+`slot_runs`, so every branch domain is a pair of ints and holds no
 critical root.  Each cell is read at its first column, by one slot walk.
 Branch points are searched along the shorter axis of a piece
 (`branch_integer_points`).  The F_x locus is a frame cut, so a branch is
@@ -92,6 +94,7 @@ from .unipoly import (
     root_slots,
     sign_at_root,
     slot_bracket,
+    slot_runs,
 )
 
 
@@ -129,8 +132,9 @@ class AlgebraicBranch:
     root_count: int
     domain: tuple[int, int]
     swapped: bool = False
-    # |f'| < 1 on the closed domain: set by `graph_decompose`, whose cells
-    # hold no root of the slope +-1 locus
+    # |f'| < 1 and f monotone on the closed domain, as `branch_integer_points`
+    # needs: set by `graph_decompose`, whose cells hold no root of the slope
+    # +-1 locus or of the F_x locus; a directly built branch must keep both
     flat: bool = False
 
     def describe(self) -> dict:
@@ -215,9 +219,10 @@ def branch_integer_points(branch: AlgebraicBranch, a: int, b: int) -> list[Latti
     """The points (k, f(k)) with f(k) an integer, for the integers a <= k <= b
     of the domain, sorted by k: the branch's lattice points on [a, b].
 
-    A `flat` branch is monotone on its domain, since the F_x locus is one of
-    its frame's cuts, so on [a, b] it takes only the integer values between
-    f(a) and f(b), each at most once.  Its slots (c, exact) at a and at b
+    A `flat` branch is monotone on its domain, a promise the search trusts
+    unchecked (the F_x locus is one of its frame's cuts), so on [a, b] it
+    takes only the integer values between f(a) and f(b), each at most once.
+    Its slots (c, exact) at a and at b
     give each end's ceiling c and floor, c or c - 1, and so the value range
     m_lo..m_hi.  When that is shorter than a..b, as |f'| < 1 makes it on
     every piece of two or more points, the points are searched along the
@@ -564,22 +569,6 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     return proved | left
 
 
-def _slot_runs(slots: list[tuple[int, bool]], lo: int, hi: int) -> list[tuple[int, int]]:
-    """The integer runs of lo..hi between the sorted unit slots (c, exact)
-    of roots in [lo, hi]: an exact slot c is its own run [c, c], and a gap
-    slot (c - 1, c) ends a run at c - 1.  So a run of two or more points
-    holds no root on its closed span."""
-    runs: list[tuple[int, int]] = []
-    first = lo
-    for c, exact in slots + [(hi + 1, False)]:
-        if first < c:
-            runs.append((first, c - 1))
-        if exact:
-            runs.append((c, c))
-        first = c + exact
-    return runs
-
-
 def partition_by_bounds(
     branch: AlgebraicBranch, big_d: int, n_box: Fraction | int, delta: Fraction | int
 ) -> IntervalPartition:
@@ -603,7 +592,7 @@ def partition_by_bounds(
     The candidate cuts are the `level_set_abscissas` roots of both level
     sets of every other order (none on [k, k]), each keyed by its
     `root_slot` (c, exact): the exact integer root c or the open unit gap
-    (c - 1, c).  The runs are those of `_slot_runs`: an exact slot c in
+    (c - 1, c).  The runs are those of `slot_runs`: an exact slot c in
     [lo, hi] is its own run [c, c], and a gap slot ends a run at c - 1.
     Along the branch L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 *
     ((f^(i)/i!)^2 - thr^2), which changes sign only at a crossing, a zero
@@ -654,7 +643,7 @@ def partition_by_bounds(
         return "small" if s <= 0 else "large"
 
     pieces: list[Piece] = []
-    for a, b in _slot_runs(sorted(slots), lo, hi):
+    for a, b in slot_runs(sorted(slots), lo, hi):
         # one branch-value bracket per run serves every order left
         bracket = branch_value_bracket(branch, a) if len(forced_small) < len(thresholds) else None
         flags = tuple(
@@ -693,11 +682,12 @@ def _decompose_frame(
 ) -> tuple[list[AlgebraicBranch], list[LatticePoint]]:
     """Branches and critical-column integer points for one orientation.
 
-    Each real root in [0, N] of the frame cuts and box-edge columns is keyed
-    by its `root_slot` (c, exact), so loci sharing a root share a slot.  An
-    exact slot c is a critical column: its points with 0 <= y <= N are
-    returned for direct counting.  The cells are the other `_slot_runs`
-    [a, b] of 0..N, whose closed span therefore holds no critical root.
+    The real roots in [0, N] of the frame cuts and box-edge columns are
+    read by the integer walk, as their `root_slots` (c, exact), and no
+    locus is isolated; loci sharing a root share a slot.  An exact slot c
+    is a critical column: its points with 0 <= y <= N are returned for
+    direct counting.  The cells are the other `slot_runs` [a, b] of 0..N,
+    whose closed span therefore holds no critical root.
     Each cell is read at its first column a, which is not critical, by one
     `root_slots` walk: the slots give every root's rank and the count, and
     the in-box roots are the slots with 0 < c <= N, since the column
@@ -722,10 +712,10 @@ def _decompose_frame(
         if len(e) >= 2:
             polys.append(e)
     # one slot per critical root in [0, N], however many loci share it
-    slots = sorted({root_slot(r) for p in polys for r in isolate_real_roots(p, 0, n_box)})
+    slots = sorted({s for p in polys for s in root_slots(p, 0, n_box)})
     direct = [LatticePoint(k, yv) for k, exact in slots if exact for yv in integer_roots(_column(curve, k), 0, n_box)]
     # an exact slot is a critical column, not a cell
-    cells = [(a, b) for a, b in _slot_runs(slots, 0, n_box) if (a, True) not in slots]
+    cells = [(a, b) for a, b in slot_runs(slots, 0, n_box) if (a, True) not in slots]
 
     fx = partial(curve, "x")
     fy = partial(curve, "y")

@@ -34,10 +34,11 @@ F(a, 1) and F(a, N) and, when deg_t F >= 2, of the discriminant eliminant
 Res_t(F, F_t): a root enters or leaves [1, N] only through t = 1 or t = N,
 real roots appear or vanish only where Res_t(F, F_t) vanishes, and that
 eliminant has lc_t F as a factor, so no root escapes to infinity in
-between (for deg_t F = 1 such a root crosses an edge first).  So each run
-between two critical abscissas takes one test of its first column, and the
-column at the ceiling of a critical abscissa is a run of its own; a zero
-eliminant, from a repeated factor in t, leaves the full sweep.
+between (for deg_t F = 1 such a root crosses an edge first).  The loci
+are read and cut into runs as the frame decomposition's are
+(`unipoly.slot_runs`): each run of two or more columns holds no critical
+abscissa and takes one test of its first column; a zero eliminant, from a
+repeated factor in t, leaves the full sweep.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .poly2 import (
     partial,
     x_content,
 )
-from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, root_slots
+from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, root_slots, slot_runs
 
 
 class CountingError(ValueError):
@@ -107,13 +108,12 @@ def _live_runs(frame: BiPoly, turned: BiPoly, n_box: int) -> list[tuple[int, int
 
     The critical abscissas are the real roots in [1, N] of the two edges
     and, when deg_y(frame) >= 2, of the discriminant eliminant
-    Res_y(frame, frame_y).  1..N is split before and after the ceiling of
-    each, so that ceiling is a run of its own, whether or not the critical
-    abscissa is an integer, and every longer run lies strictly between two
-    consecutive critical abscissas, where its columns have equally many
-    real roots in [1, N]: one test of its first column (`root_slots`)
-    decides it.  An eliminant that is identically zero (a repeated factor
-    in y) leaves the one run 1..N.
+    Res_y(frame, frame_y), read by the integer walk (`root_slots`).  The
+    runs are the `slot_runs` of their slots over 1..N: a one-column run is
+    kept, and a longer one holds no critical abscissa on its closed span,
+    so its columns have equally many real roots in [1, N] and one test of
+    its first column decides it.  An eliminant that is identically zero
+    (a repeated factor in y) leaves the one run 1..N.
     """
     loci = [turned.int_column(1), turned.int_column(n_box)]
     if frame.degree_y() >= 2:
@@ -122,15 +122,11 @@ def _live_runs(frame: BiPoly, turned: BiPoly, n_box: int) -> list[tuple[int, int
         if not disc:
             return [(1, n_box)]
         loci.append(disc)
-    cuts = {1, n_box + 1}
-    for locus in loci:
-        for c, _ in root_slots(locus, 1, n_box):
-            cuts.update((c, c + 1))
-    bounds = sorted(cuts)
+    slots = sorted({s for locus in loci for s in root_slots(locus, 1, n_box)})
     return [
-        (first, after - 1)
-        for first, after in zip(bounds, bounds[1:])
-        if after - first == 1 or root_slots(frame.int_column(first), 1, n_box)
+        (first, last)
+        for first, last in slot_runs(slots, 1, n_box)
+        if first == last or root_slots(frame.int_column(first), 1, n_box)
     ]
 
 

@@ -12,10 +12,9 @@ a degenerate interval [r, r] marks an exactly known rational root.
 as its squarefree part, and divides the end roots out of f (`_end_roots`).
 A Descartes bound (`descartes_bound`) then decides the open domain: v = 0
 means no root inside, v = 1 one simple root, whose bracket is the domain
-itself.  It is the sign variations of f's own coefficients when
-lo >= 0, and otherwise, or when that count is 2 or more, those of f mapped
-from (lo, hi) onto (0, inf) by an integer Moebius map: the affine map
-`affine_image`, a reversal and one Taylor shift.
+itself.  It is the sign variations of f mapped from (lo, hi) onto
+(0, inf) by an integer Moebius map: the affine map `affine_image`, a
+reversal and one Taylor shift.
 A domain with v >= 2 is bisected on the squarefree part (`squarefree_part`,
 proved squarefree by a gcd modulo a prime where it can be) until every part
 has v <= 1; `count_real_roots` counts the brackets.  Integer roots are found
@@ -23,7 +22,8 @@ on integer endpoints only, with no isolation and no shared cache, by one
 search (`_root_slots`) that lists the real roots in increasing order as
 slots (c, exact), c the ceiling of the root and exact whether the root is c:
 `root_slots` keeps the slots of the roots in a range, one per root, and
-`integer_roots`, in its own pass, the exact ones.  `slot_bracket` turns
+`integer_roots`, in its own pass, the exact ones; `slot_runs` cuts an
+integer range into the runs between those slots.  `slot_bracket` turns
 the slot of one root into its isolating interval by one isolation over its
 unit gap, and `root_slot` reads the slot of an isolated root by integer
 sign tests inside its bracket.  The search decides degree <= 2 in closed
@@ -45,8 +45,8 @@ no interval enclosure.  Every bisection, in isolation and in refinement
 (`bisect_step`), splits a bracket at its midpoint, and a root there is
 taken as an exact bracket.  The package locates roots only through this
 module: one entry normaliser, one affine map, one Descartes bound, one
-squarefree part, one bisection step, one integer root search, one slot
-and one sign test.
+squarefree part, one bisection step, one integer root search, one rule
+from slots to runs, one slot and one sign test.
 """
 
 from __future__ import annotations
@@ -425,19 +425,11 @@ def descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     (lo, hi), lo < hi, where f is nonzero at lo and at hi.
 
     v is never below the number of roots counted with multiplicity, and has
-    its parity, so v = 0 means no root and v = 1 one simple root.  When
-    lo >= 0, the sign variations of f's own coefficients bound the roots in
-    (0, inf): at most one then leaves at most one simple root, which lies in
-    (lo, hi) exactly when f changes sign there.  Otherwise v is the number of
-    sign variations of (1 + t)^n f((lo + hi*t)/(1 + t)), built on integers
-    as the `affine_image` of f onto s in (0, 1), reversed and shifted by 1.
+    its parity, so v = 0 means no root and v = 1 one simple root.  v is the
+    number of sign variations of (1 + t)^n f((lo + hi*t)/(1 + t)), built on
+    integers as the `affine_image` of f onto s in (0, 1), reversed and
+    shifted by 1.
     """
-    if lo >= 0:
-        v = sign_variations(f)
-        if v == 0:
-            return 0
-        if v == 1:
-            return int((_rat_eval(f, lo) > 0) != (_rat_eval(f, hi) > 0))
     # lo = a/d and hi = b/d; h(s) = d^n f((b + (a - b) s)/d) maps s = 1/(1 + t)
     d = lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
@@ -827,6 +819,23 @@ def root_slots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -
     if hi is not None:
         slots = [s for s in slots if s[0] <= hi]
     return slots
+
+
+def slot_runs(slots: Sequence[tuple[int, bool]], lo: int, hi: int) -> list[tuple[int, int]]:
+    """The integer runs of lo..hi, in order, between the sorted slots
+    (c, exact) of roots in [lo, hi], as `root_slots` gives them: an exact
+    slot c is its own run [c, c], and a gap slot, whose root lies in
+    (c - 1, c), ends a run at c - 1.  So the runs tile lo..hi, and a run of
+    two or more points holds no root on its closed span."""
+    runs: list[tuple[int, int]] = []
+    first = lo
+    for c, exact in [*slots, (hi + 1, False)]:
+        if first < c:
+            runs.append((first, c - 1))
+        if exact:
+            runs.append((c, c))
+        first = c + exact
+    return runs
 
 
 def slot_bracket(p: Sequence[int], slots: Sequence[tuple[int, bool]], j: int) -> RootInterval:

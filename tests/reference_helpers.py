@@ -3,7 +3,8 @@
 - Checks of the package's own decisions: a certified sup bound, an integer
   test, a range test and a rational root on an isolating bracket, every
   real root of a polynomial isolated over its root bound, the slot and the
-  integer root of a given rank, a `Fraction` determinant, a reduction
+  integer root of a given rank, Descartes' bound with its former half-line
+  shortcut, a `Fraction` determinant, a reduction
   modulo a curve and the exact division
   that takes its leading power back out of an eliminant, the sign of a
   polynomial along a branch, a branch's integer hull, disjoint isolating
@@ -57,6 +58,7 @@ from latcurve.unipoly import (
     _primitive,
     _rat_eval,
     count_real_roots,
+    descartes_bound,
     int_exact_quotient,
     integer_roots,
     isolate_real_roots,
@@ -64,6 +66,7 @@ from latcurve.unipoly import (
     refine_root,
     root_slots,
     sign_at_root,
+    sign_variations,
     squarefree_part,
 )
 
@@ -135,6 +138,21 @@ def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     slot's ceiling kept only when the slot is exact."""
     count, slot = ranked_root_slot(p, index)
     return count, slot[0] if slot is not None and slot[1] else None
+
+
+def half_line_descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """`unipoly.descartes_bound` with the shortcut it had for lo >= 0: the
+    sign variations of f's own coefficients bound its roots in (0, inf), so
+    at most one variation leaves at most one simple root, which lies in
+    (lo, hi) exactly when f changes sign there.  Otherwise, or with two or
+    more variations, the Moebius count of `descartes_bound`."""
+    if lo >= 0:
+        v = sign_variations(f)
+        if v == 0:
+            return 0
+        if v == 1:
+            return int((_rat_eval(f, lo) > 0) != (_rat_eval(f, hi) > 0))
+    return descartes_bound(f, lo, hi)
 
 
 def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval:

@@ -1,10 +1,12 @@
 """Branch machinery: implicit derivative recurrence, level sets, partitions,
 and the box decomposition."""
 
+import dataclasses
 import importlib.util
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor
 from pathlib import Path
@@ -39,6 +41,8 @@ from latcurve.poly2 import (
     BiPoly,
     IngestionError,
     corner_index,
+    eliminant,
+    ingestion_check,
     parse,
     partial,
     resultant_eliminating_y,
@@ -53,10 +57,12 @@ from latcurve.unipoly import (
     _int_mul,
     count_real_roots,
     integer_roots,
+    isolate_real_roots,
     primitive_ints,
     refine_root,
     root_slot,
     sign_at_root,
+    slot_runs,
     squarefree_part,
     sturm_chain,
 )
@@ -790,6 +796,101 @@ def test_row_search_matches_the_abscissa_loop():
     assert branch_integer_points(steep, 2, 12) == _abscissa_loop(steep, 2, 12) == [
         LatticePoint(k, k * k) for k in range(2, 13)
     ]
+
+
+def _dense_curves(rng, degree, count, bound=50):
+    """`count` seeded curves with every monomial of total degree at most
+    `degree`, coefficients in [-bound, bound]."""
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    return [BiPoly({m: rng.randint(-bound, bound) for m in monomials}).pretty() for _ in range(count)]
+
+
+def _fx_locus(curve):
+    """The x-locus of F_x on the curve: Res_y(F, F_x), or F_x's own row when
+    it is free of y; None when F_x is constant, so that f' never vanishes."""
+    fx = partial(curve, "x")
+    if fx.degree_y() >= 1:
+        return eliminant(curve, fx)
+    return fx.rows[0] if fx.degree_x() >= 1 else None
+
+
+def test_flat_branches_are_monotone_on_their_closed_domains():
+    """Every `flat` branch that `graph_decompose` returns keeps the promise
+    that `branch_integer_points` relies on: f is monotone on its closed
+    domain, since the F_x locus has no root there.  Checked on two seed-1
+    rounds of the latbench `partition` and `columns` families and on 300
+    fuzz-style curves.  A branch built directly as flat that turns inside
+    its domain breaks it: the upper arc of the circle x^2 + y^2 = 25 on
+    [-3, 3] has |f'| <= 3/4 but turns at x = 0, and the row search, reading
+    only the values between f(-3) = f(3) = 4, loses (0, 5)."""
+    workloads = _latbench_workloads()
+    cases = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 2) for c in row]
+    cases += _fuzz_style_curves(random.Random(72), 300)
+    checked = Counter()
+    for text, n_box in cases:
+        try:
+            branches = graph_decompose(ingestion_check(parse(text)), n_box).branches
+        except (BranchError, IngestionError):
+            continue
+        for br in branches:
+            if not br.flat:
+                continue
+            locus = _fx_locus(br.curve)
+            assert locus is None or count_real_roots(locus, *br.domain) == 0, (text, n_box, br)
+            checked["constant" if locus is None else "locus"] += 1
+    assert checked["locus"] >= 100, checked
+    circle = parse("x^2 + y^2 - 25")
+    turning = AlgebraicBranch(circle, 1, 2, (-3, 3), flat=True)
+    assert count_real_roots(_fx_locus(circle), -3, 3) == 1
+    assert branch_integer_points(turning, -3, 3) == [LatticePoint(-3, 4), LatticePoint(3, 4)]
+    assert branch_integer_points(dataclasses.replace(turning, flat=False), -3, 3) == [
+        LatticePoint(-3, 4),
+        LatticePoint(0, 5),
+        LatticePoint(3, 4),
+    ]
+
+
+def test_frame_critical_slots_match_the_isolated_loci(monkeypatch):
+    """`_decompose_frame` reads its critical slots by the integer walk
+    (`root_slots` over [0, N]) and isolates no locus.  The slots it cuts into
+    cells are those that the isolation of every frame cut and box-edge
+    column over [0, N] gives, one `root_slot` per bracket: on both frames of
+    two seed-1 rounds of the latbench families, 60 fuzz-style curves and
+    seeded dense quartics and quintics with |c| <= 50 at N = 100."""
+    workloads = _latbench_workloads()
+    cases = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 2) for c in row]
+    cases += _fuzz_style_curves(random.Random(73), 60)
+    rng = random.Random(74)
+    dense = [text for degree in (4, 5) for text in _dense_curves(rng, degree, 6)]
+    cases += [(text, 100) for text in dense]
+    cut = []
+    monkeypatch.setattr(branch_module, "slot_runs", lambda slots, lo, hi: cut.append(slots) or slot_runs(slots, lo, hi))
+    isolations = []
+    isolate = unipoly_module.isolate_real_roots
+    monkeypatch.setattr(branch_module, "isolate_real_roots", lambda *args: isolations.append(args) or isolate(*args))
+    seen = dict.fromkeys(("exact", "gap", "dense"), 0)
+    for text, n_box in cases:
+        try:
+            curve = ingestion_check(parse(text))
+        except IngestionError:
+            continue
+        for frame in (curve, curve.swap_xy()):
+            if frame.degree_y() < 1:
+                continue
+            cut.clear()
+            try:
+                branch_module._decompose_frame(frame, n_box, False)
+            except BranchError:
+                continue
+            assert isolations == []
+            loci = list(branch_module._frame_loci(frame).cuts)
+            loci += [e for e in (frame.swap_xy().int_column(v) for v in (0, n_box)) if len(e) >= 2]
+            want = sorted({root_slot(r) for p in loci for r in isolate_real_roots(p, 0, n_box)})
+            assert cut[0] == want, (text, n_box, frame)
+            seen["exact"] += any(exact for _, exact in want)
+            seen["gap"] += any(not exact for _, exact in want)
+            seen["dense"] += text in dense
+    assert min(seen.values()) >= 10, seen
 
 
 def test_row_search_raises_on_a_horizontal_line():

@@ -606,17 +606,14 @@ def _counted_sturm_chains(monkeypatch):
 
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
-    builds no Sturm chain (11 before root isolation split by Descartes
-    bounds), and of its 4 squarefree parts only 2 need an integer gcd; the
-    rest are proved squarefree modulo a prime.  All 4 are the
-    decomposition's: the disc certificate proves every order on the one
-    integer hull [2, 50] (the branch on [0, 0] holds no abscissa of the
-    box), so no branch value bracket is read there.  The decomposition
-    keys each critical root by its unit slot with no refinement, so no
-    pair of brackets takes a gcd or a root count to tell its roots apart,
-    and reads each cell's roots by one isolation over [0, N] and its ranks
-    by the integer slot walk, so no cell takes the squarefree part that the
-    root bound of `all_real_roots` needs."""
+    builds 5 Sturm chains, each on a degree-4 frame locus (up to sign), and
+    takes no squarefree part and no integer gcd.  The decomposition reads
+    its critical loci by the integer walk (`root_slots`), whose Sturm path
+    is taken by a locus whose Descartes bound on a half-line is 2 or more;
+    it isolates no locus, so no squarefree part is built there.  The disc certificate
+    proves every order on the one integer hull [2, 50] (the branch on
+    [0, 0] holds no abscissa of the box), so no level set is isolated and
+    no branch value bracket is read."""
     _clear_caches()
     gcd_callers = []
     poly_gcd = unipoly.poly_gcd
@@ -627,11 +624,15 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
 
     monkeypatch.setattr(unipoly, "poly_gcd", counted)
     chains = _counted_sturm_chains(monkeypatch)
-    rep = determinant_method_count(parse("y^2 - x^3 - x - 1"), 50, compare_oracle=False)
+    curve = parse("y^2 - x^3 - x - 1")
+    rep = determinant_method_count(curve, 50, compare_oracle=False)
     assert rep.total == 0
-    assert chains == []
-    assert unipoly.squarefree_part.cache_info().misses == 4
-    assert gcd_callers.count("squarefree_part") == 2
+    cuts = [p for frame in (curve, curve.swap_xy()) for p in branch._frame_loci(frame).cuts]
+    loci = {tuple(sign * c for c in p) for p in cuts for sign in (1, -1)}
+    assert [len(p) - 1 for p in chains] == [4] * 5
+    assert all(tuple(p) in loci for p in chains)
+    assert unipoly.squarefree_part.cache_info().misses == 0
+    assert gcd_callers == []
 
 
 
@@ -1011,9 +1012,10 @@ def test_count_ingests_once(monkeypatch):
 def test_slow_cubics_match_oracle_with_no_sturm_chain(monkeypatch):
     """Cubics whose level-set eliminants reach degree 84-90 with roots close
     together: isolating them by Sturm chains took 3.2 s and 9.1 s.  The
-    integer rank searches of the columns still build Sturm chains, but none
-    of a degree above that of a column of either frame, max(deg_x, deg_y)
-    = 3, so no level-set eliminant takes one."""
+    integer walks of the columns, of the frame loci and of the oracle's
+    critical loci still build Sturm chains, but none of a degree above the
+    largest frame locus of either frame (6 and 4), so no level-set
+    eliminant takes one."""
     chains = _counted_sturm_chains(monkeypatch)
     for text, n in (
         ("-x^3 - 5*x^2*y + 4*y^3 + 3*x*y - 3*x", 27),
@@ -1024,8 +1026,8 @@ def test_slow_cubics_match_oracle_with_no_sturm_chain(monkeypatch):
         curve = parse(text)
         rep = determinant_method_count(curve, n)
         assert rep.ok and rep.total == rep.oracle_total, (text, n)
-        column_degree = max(curve.degree_x(), curve.degree_y())
-        assert chains and max(len(p) - 1 for p in chains) <= column_degree, (text, n)
+        locus_degree = max(len(p) - 1 for frame in (curve, curve.swap_xy()) for p in branch._frame_loci(frame).cuts)
+        assert chains and max(len(p) - 1 for p in chains) <= locus_degree, (text, n)
 
 
 def test_pipeline_small_delta_enumerate_path():

@@ -1,5 +1,6 @@
 """Exact linear algebra and univariate root machinery."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -34,6 +35,7 @@ from latcurve.unipoly import (
     root_slots,
     sign_at_root,
     slot_bracket,
+    slot_runs,
     squarefree_part,
     sturm_chain,
 )
@@ -43,6 +45,7 @@ from reference_helpers import (
     _same_root,
     all_real_roots,
     fraction_determinant,
+    half_line_descartes_bound,
     integer_in,
     poly_sup_bound,
     ranked_integer_root,
@@ -1359,6 +1362,35 @@ def test_descartes_bound_is_an_upper_bound_of_the_same_parity():
     assert min(decided.values()) > 40, decided
 
 
+def test_descartes_bound_matches_its_former_half_line_shortcut():
+    """On seeded (f, lo, hi) with 0 <= lo < hi, f nonzero at both ends,
+    `descartes_bound` gives the v of its former shortcut
+    (`half_line_descartes_bound`), which read f's own sign variations when
+    they were at most 1: the Moebius count on (lo, hi) never exceeds the
+    count on (0, inf) and has the parity of the roots in (lo, hi)."""
+    rng = random.Random(164)
+    regime = Counter()
+    for _ in range(600):
+        p = UniPoly([rng.choice([-5, -2, 1, 3])])
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.6:
+                p = p * UniPoly([-Fraction(rng.randint(-30, 12), rng.randint(1, 3)), 1]) ** rng.randint(1, 2)
+            else:
+                p = p * UniPoly([-Fraction(rng.randint(1, 200), rng.randint(1, 3)), 0, 1])
+        if rng.random() < 0.3:
+            p = p * UniPoly([5, 2, 1])  # no real root
+        f = unipoly.primitive_ints(p.coeffs)
+        lo = Fraction(rng.randint(0, 40), rng.randint(1, 3))
+        hi = lo + Fraction(rng.randint(1, 40), rng.randint(1, 3))
+        if _rat_eval(f, lo) == 0 or _rat_eval(f, hi) == 0:
+            continue
+        v = descartes_bound(f, lo, hi)
+        assert v == half_line_descartes_bound(f, lo, hi), (f, lo, hi)
+        regime[min(unipoly.sign_variations(f), 2), min(v, 2)] += 1
+    # the shortcut's regime, with no root and with one root in (lo, hi)
+    assert min(regime[0, 0], regime[1, 0], regime[1, 1]) >= 30, regime
+
+
 def test_certified_domains_build_no_chain(monkeypatch):
     def no_chain(*args):
         raise AssertionError("root isolation must not build a Sturm chain")
@@ -1526,6 +1558,44 @@ def test_root_slots_match_isolation():
     assert root_slots([-3, 1], 3, 3) == [(3, True)] and root_slots([-3, 1], 4) == root_slots([-3, 1], None, 2) == []
     assert root_slots([-7, 2], 3, 4) == [(4, False)] and root_slots([-7, 2], 4, 5) == []
     assert root_slots([5]) == [] and root_slots([1, 0, 1]) == []
+
+
+def test_slot_runs_tile_the_range_between_the_roots():
+    """`slot_runs(root_slots(p, lo, hi), lo, hi)` on seeded polynomials and
+    ranges around their roots: the runs tile lo..hi in order; they are the
+    maximal stretches of integers with equally many roots below, each
+    integer root a run of its own, so an exact slot is its own run and a
+    gap that holds no integer of the range gives no run; and a run of two
+    or more points holds no root."""
+    rng = random.Random(47)
+    seen = Counter()
+    for p in _slot_reader_cases(rng, 200):
+        bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])
+        centres = [r.lo for r in isolate_real_roots(p, -bound, bound)] or [0]
+        for _ in range(3):
+            lo = math.floor(rng.choice(centres)) + rng.choice([-6, -1, 0, 0, 1])
+            hi = lo + rng.randint(0, 20)
+            slots = root_slots(p, lo, hi)
+            runs = slot_runs(slots, lo, hi)
+            assert [a for a, _ in runs] == [lo] + [b + 1 for _, b in runs[:-1]] and runs[-1][1] == hi, (p, lo, hi)
+
+            def key(k):  # (roots below k, whether k is a root)
+                return sum(c < k or c == k and not exact for c, exact in slots), (k, True) in slots
+
+            want = [(grp[0], grp[-1]) for _, g in itertools.groupby(range(lo, hi + 1), key) for grp in [list(g)]]
+            assert runs == want, (p, lo, hi)
+            assert all((c, c) in runs for c, exact in slots if exact), (p, lo, hi)
+            assert all(count_real_roots(p, a, b) == 0 for a, b in runs if a < b), (p, lo, hi)
+            seen["exact"] += any(exact for _, exact in slots)
+            seen["twins"] += any(x == y and not x[1] for x, y in zip(slots, slots[1:]))
+            seen["empty_gap"] += any(x[1] and y == (x[0] + 1, False) for x, y in zip(slots, slots[1:]))
+            seen["long_runs"] += sum(a < b for a, b in runs) >= 2
+    assert min(seen.values()) >= 10, seen
+    assert slot_runs([(3, True), (4, False)], 0, 6) == [(0, 2), (3, 3), (4, 6)]
+    assert slot_runs([(5, False), (5, False)], 2, 9) == [(2, 4), (5, 9)]
+    assert slot_runs([(2, True), (9, True)], 2, 9) == [(2, 2), (3, 8), (9, 9)]
+    assert slot_runs([(3, False), (4, False)], 2, 4) == [(2, 2), (3, 3), (4, 4)]
+    assert slot_runs([], 4, 4) == [(4, 4)]
 
 
 def test_slot_bracket_reads_the_root_of_the_whole_line_bracket():

@@ -7,6 +7,10 @@
   `poly2.eliminant` and `poly2.discriminant`.
 - `unipoly` reads its integer root walk `_root_slots` alone: every other
   module reads it through `root_slots` or `integer_roots`.
+- Outside `unipoly`, only the level sets isolate and read a bracket's slot:
+  `branch.level_set_abscissas` is the one caller of `isolate_real_roots`,
+  and `branch.partition_by_bounds` the one caller of `root_slot`; every
+  other locus is read by the integer walk.
 - Every top-level function or class of the package is reached: another
   top-level statement of a package module or a script under `scripts/`
   uses it, or a latbench span binds it.  An export from
@@ -89,6 +93,35 @@ def test_only_unipoly_reads_the_root_walk():
         if path.stem != "unipoly" and (lines := references(path.read_text(), "_root_slots"))
     }
     assert found == {}
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The top-level statements of the module source, imports aside, that
+    read `name`: a function or class by its name, any other statement by
+    its first line."""
+    return [
+        getattr(node, "name", f"line {node.lineno}")
+        for node in ast.parse(source).body
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and name in _referenced(node)
+    ]
+
+
+def test_only_the_level_sets_isolate_outside_unipoly():
+    assert callers(
+        "from .unipoly import root_slot\nslot = root_slot\ndef f():\n    return root_slot(r)\n"
+        "class C:\n    g = unipoly.root_slot",
+        "root_slot",
+    ) == ["line 2", "f", "C"]
+    found = {
+        name: {
+            f"{path.stem}.{caller}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "unipoly"
+            for caller in callers(path.read_text(), name)
+        }
+        for name in ("isolate_real_roots", "root_slot")
+    }
+    assert found == {"isolate_real_roots": {"branch.level_set_abscissas"}, "root_slot": {"branch.partition_by_bounds"}}
 
 
 def _referenced(node: ast.AST) -> set[str]:
