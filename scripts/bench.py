@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_45.json at the repository root.
+rows and write BENCH_46.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -42,6 +42,9 @@ ROWS = [
     ("oracle", "x^2 + y^2 - 250000", 10**4),
     ("oracle", "y^2 - x^3 - x - 1", 10**4),
     ("oracle", "y^2 - x^3 - x - 1", 10**5),
+    # the latbench `sweep` hyperbola family at a large box: one live run of
+    # about 10^5 linear columns
+    ("oracle", "x*y - 720720", 10**5),
     # degree 3 and 5 in y but 1 in x: the oracle sweeps y with linear columns
     ("oracle", "x - 13*y^3", 10**4),
     ("oracle", "x - 13*y^3", 10**5),
@@ -129,7 +132,7 @@ ROWS = [
     ),
 ]
 
-OUT = ROOT / "BENCH_45.json"
+OUT = ROOT / "BENCH_46.json"
 RUNS = 3
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

@@ -82,6 +82,7 @@ from .detmethod import LatticePoint
 from .poly2 import BiPoly, discriminant, eliminant, partial, reduce_times_lead_power
 from .unipoly import (
     RootInterval,
+    ZeroPolynomialError,
     _int_mul,
     _int_eval,
     _primitive,
@@ -92,6 +93,7 @@ from .unipoly import (
     isolate_real_roots,
     root_slot,
     root_slots,
+    run_integer_roots,
     sign_at_root,
     slot_bracket,
     slot_runs,
@@ -226,7 +228,8 @@ def branch_integer_points(branch: AlgebraicBranch, a: int, b: int) -> list[Latti
     give each end's ceiling c and floor, c or c - 1, and so the value range
     m_lo..m_hi.  When that is shorter than a..b, as |f'| < 1 makes it on
     every piece of two or more points, the points are searched along the
-    rows: the integer roots in [a, b] of F(x, m) for each m, each kept when
+    rows: the integer roots in [a, b] of F(x, m) for each m, read in one
+    pass over m_lo..m_hi (`run_integer_roots`), each kept when
     `branch_integer_point` puts the branch there, since a row also meets
     the other sheets.  A zero row means the curve holds the line y = m:
     `BranchError`.  A one-point piece, a branch that is not flat, or one
@@ -239,16 +242,13 @@ def branch_integer_points(branch: AlgebraicBranch, a: int, b: int) -> list[Latti
         (ca, ea), (cb, eb) = _branch_slot(branch, a), _branch_slot(branch, b)
         m_lo, m_hi = min(ca, cb), max(ca - (not ea), cb - (not eb))
         if m_hi - m_lo < b - a:
-            rows = branch.curve.swap_xy()
-            points = []
-            for m in range(m_lo, m_hi + 1):
-                row = rows.int_column(m)
-                if not row:
-                    raise BranchError(f"curve contains the horizontal line y = {m}")
-                points.extend(
-                    LatticePoint(x, m) for x in integer_roots(row, a, b) if branch_integer_point(branch, x) == (x, m)
-                )
-            return sorted(points)
+            across = branch.curve.swap_xy()
+            try:
+                hits = run_integer_roots(across.rows, m_lo, m_hi, a, b)
+            except ZeroPolynomialError:
+                m = next(m for m in range(m_lo, m_hi + 1) if not across.int_column(m))
+                raise BranchError(f"curve contains the horizontal line y = {m}") from None
+            return sorted(LatticePoint(x, m) for m, x in hits if branch_integer_point(branch, x) == (x, m))
     return [hit for k in range(a, b + 1) if (hit := branch_integer_point(branch, k)) is not None]
 
 

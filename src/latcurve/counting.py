@@ -38,7 +38,13 @@ between (for deg_t F = 1 such a root crosses an edge first).  The loci
 are read and cut into runs as the frame decomposition's are
 (`unipoly.slot_runs`): each run of two or more columns holds no critical
 abscissa and takes one test of its first column; a zero eliminant, from a
-repeated factor in t, leaves the full sweep.
+repeated factor in t, leaves the full sweep.  Each live run is solved in
+one pass (`unipoly.run_integer_roots`): every row of the frame is
+evaluated across the run, one list comprehension per coefficient, and a
+column of degree 1 or 2 in t is solved in the loop, by one exact division
+or by its discriminant, `math.isqrt` and two exact divisions; a column
+whose leading coefficient vanishes, and every column of degree >= 3, takes
+`integer_roots`.
 """
 
 from __future__ import annotations
@@ -71,7 +77,15 @@ from .poly2 import (
     partial,
     x_content,
 )
-from .unipoly import _int_eval, int_exact_quotient, integer_roots, poly_gcd, root_slots, slot_runs
+from .unipoly import (
+    _int_eval,
+    int_exact_quotient,
+    integer_roots,
+    poly_gcd,
+    root_slots,
+    run_integer_roots,
+    slot_runs,
+)
 
 
 class CountingError(ValueError):
@@ -144,7 +158,10 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
     roots appear or vanish only at a zero of the discriminant eliminant,
     which has the columns' leading coefficient as a factor, so between
     consecutive roots of these loci every column has equally many real
-    roots in [1, N], and one column's test decides the run.
+    roots in [1, N], and one column's test decides the run.  Each live run
+    takes one `run_integer_roots` pass: the frame's rows are evaluated
+    across the run, and columns of degree <= 2 are solved in closed form
+    in its loop, with no call per column.
     """
     if curve.is_zero():
         raise CountingError("curve must be nonzero")
@@ -160,9 +177,8 @@ def brute_force_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint
         return 0, []
     points: list[LatticePoint] = []
     for first, last in _live_runs(frame, turned, n_box):
-        for a in range(first, last + 1):
-            for b in integer_roots(frame.int_column(a), 1, n_box):
-                points.append(LatticePoint(b, a) if swapped else LatticePoint(a, b))
+        hits = run_integer_roots(frame.rows, first, last, 1, n_box)
+        points += [LatticePoint(b, a) for a, b in hits] if swapped else [LatticePoint(a, b) for a, b in hits]
     if swapped:
         points.sort()
     return len(points), points

@@ -22,8 +22,10 @@ on integer endpoints only, with no isolation and no shared cache, by one
 search (`_root_slots`) that lists the real roots in increasing order as
 slots (c, exact), c the ceiling of the root and exact whether the root is c:
 `root_slots` keeps the slots of the roots in a range, one per root, and
-`integer_roots`, in its own pass, the exact ones; `slot_runs` cuts an
-integer range into the runs between those slots.  `slot_bracket` turns
+`integer_roots`, in its own pass, the exact ones; `run_integer_roots`
+gives those of a run of columns of a bivariate polynomial's rows, solving
+columns of degree 1 and 2 in one loop with no call per column; `slot_runs`
+cuts an integer range into the runs between those slots.  `slot_bracket` turns
 the slot of one root into its isolating interval by one isolation over its
 unit gap, and `root_slot` reads the slot of an isolated root by integer
 sign tests inside its bracket.  The search decides degree <= 2 in closed
@@ -805,6 +807,70 @@ def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None
         c for c, exact in _root_slots(p, lo, hi)
         if exact and (lo is None or lo <= c) and (hi is None or c <= hi)
     ]
+
+
+_RUN_BLOCK = 4096  # columns evaluated at once, so a run's lists stay small
+
+
+def run_integer_roots(rows: Sequence[Sequence[int]], first: int, last: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The pairs (a, t), for a = first..last, of the integer roots t in
+    [lo, hi] of the column sum_j rows[j](a) t^j, ordered by a and then by t:
+    `integer_roots` of each column, which must be nonzero
+    (`ZeroPolynomialError`).
+
+    Columns of degree 1 or 2 in t are evaluated across the run, one list
+    comprehension per coefficient of each row, and solved in the loop: one
+    exact division for degree 1; for degree 2 the discriminant D, and when
+    D = s^2 the two exact divisions of (-b -+ s) by 2a, in increasing order
+    when a > 0 and reversed otherwise.  A column whose leading coefficient
+    vanishes, and every column of degree 0 or at least 3, takes
+    `integer_roots`.
+    """
+    found: list[tuple[int, int]] = []
+    if not 2 <= len(rows) <= 3:
+        for a in range(first, last + 1):
+            column = []
+            for row in rows:  # Horner inline: a call per row slows cubic sweeps
+                v = 0
+                for c in reversed(row):
+                    v = v * a + c
+                column.append(v)
+            for t in integer_roots(column, lo, hi):
+                found.append((a, t))
+        return found
+    for start in range(first, last + 1, _RUN_BLOCK):
+        xs = range(start, min(start + _RUN_BLOCK, last + 1))
+        cols = []
+        for row in rows:
+            vals = [row[-1] if row else 0] * len(xs)
+            for c in reversed(row[:-1]):
+                vals = [v * x + c for v, x in zip(vals, xs)]
+            cols.append(vals)
+        if len(rows) == 2:
+            for a, c0, c1 in zip(xs, *cols):
+                if not c1:
+                    found += [(a, t) for t in integer_roots([c0, c1], lo, hi)]
+                    continue
+                q, r = divmod(-c0, c1)
+                if not r and lo <= q <= hi:
+                    found.append((a, q))
+            continue
+        for a, c0, c1, c2 in zip(xs, *cols):
+            if not c2:
+                found += [(a, t) for t in integer_roots([c0, c1, c2], lo, hi)]
+                continue
+            disc = c1 * c1 - 4 * c2 * c0
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            if s * s != disc:
+                continue
+            nums = (-c1 - s, -c1 + s) if c2 > 0 else (-c1 + s, -c1 - s)
+            for num in nums[:1] if s == 0 else nums:
+                q, r = divmod(num, 2 * c2)
+                if not r and lo <= q <= hi:
+                    found.append((a, q))
+    return found
 
 
 def root_slots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[tuple[int, bool]]:

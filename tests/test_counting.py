@@ -22,7 +22,13 @@ from latcurve.counting import (
 from latcurve import branch, counting, poly2, unipoly
 from latcurve.detmethod import LatticePoint
 from latcurve.poly2 import BiPoly, divides, parse, partial, resultant_eliminating_y
-from latcurve.unipoly import count_real_roots, int_exact_quotient, integer_roots, primitive_ints
+from latcurve.unipoly import (
+    count_real_roots,
+    int_exact_quotient,
+    integer_roots,
+    primitive_ints,
+    run_integer_roots,
+)
 from reference_helpers import x_sweep_count
 
 
@@ -158,7 +164,9 @@ def test_brute_matches_x_sweep_in_every_orientation():
 def test_brute_sweeps_the_axis_of_lower_column_degree(monkeypatch):
     """Every swept column has the lower of the two degrees (a tie sweeps x),
     the sweep runs in increasing order, and every column of 1..40 that it
-    skips has no real root in [1, 40], by isolation on the column."""
+    skips has no real root in [1, 40], by isolation on the column.  The
+    sweep hands each live run to `run_integer_roots`, so the columns are
+    read from the rows and runs it passes."""
     skipped = 0
     for text, column_degree in (
         ("x - 13*y^3", 1),  # deg_x < deg_y: columns in x
@@ -167,20 +175,23 @@ def test_brute_sweeps_the_axis_of_lower_column_degree(monkeypatch):
     ):
         columns = []
 
-        def recording_roots(p, lo, hi):
-            columns.append(list(p))
-            return integer_roots(p, lo, hi)
+        def recording_runs(rows, first, last, lo, hi):
+            for a in range(first, last + 1):
+                column = [sum(c * a**i for i, c in enumerate(row)) for row in rows]
+                while column and not column[-1]:
+                    column.pop()
+                columns.append(column)
+            return run_integer_roots(rows, first, last, lo, hi)
 
         curve = parse(text)
         frame = curve.swap_xy() if curve.degree_x() < curve.degree_y() else curve
         abscissa = {tuple(frame.int_column(a)): a for a in range(1, 41)}
         assert len(abscissa) == 40, text
-        monkeypatch.setattr(counting, "integer_roots", recording_roots)
+        monkeypatch.setattr(counting, "run_integer_roots", recording_runs)
         brute_force_count(curve, 40)
         monkeypatch.undo()
-        swept = columns[2:]  # after the y-content and x-content line checks
-        assert swept and {len(c) - 1 for c in swept} == {column_degree}, text
-        order = [abscissa[tuple(c)] for c in swept]
+        assert columns and {len(c) - 1 for c in columns} == {column_degree}, text
+        order = [abscissa[tuple(c)] for c in columns]
         assert order == sorted(set(order)), text
         for a in set(range(1, 41)) - set(order):
             assert count_real_roots(frame.int_column(a), 1, 40) == 0, (text, a)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from latcurve.exactlinalg import integer_determinant, integer_kth_root_ceiling, row_echelon_pivots
 from latcurve import unipoly
 from latcurve.counting import brute_force_count
-from latcurve.poly2 import parse
+from latcurve.poly2 import BiPoly, parse
 from latcurve.unipoly import (
     RootInterval,
     _int_prem_signed,
@@ -699,6 +699,84 @@ def test_integer_roots_double_root():
     assert integer_roots(cube) == [5]
     assert integer_roots(cube, 6, 100) == []
     assert integer_roots(_with_roots([-4, -4, 0, 0, 9]), -4, 8) == [-4, 0]
+
+
+def _columns_roots(rows, first, last, lo, hi):
+    """`integer_roots` of each column sum_j rows[j](a) t^j, a = first..last,
+    as (a, t) pairs: the per-column reference for `run_integer_roots`."""
+    return [
+        (a, t)
+        for a in range(first, last + 1)
+        for t in integer_roots([sum(c * a**i for i, c in enumerate(row)) for row in rows], lo, hi)
+    ]
+
+
+def _assert_runs_match(rows, first, last):
+    """`run_integer_roots` equals the per-column reference on first..last,
+    over a wide range and over ranges whose ends are roots, one unit inside
+    and one unit outside them; returns the wide range's pairs."""
+    wide = _columns_roots(rows, first, last, -(10**70), 10**70)
+    assert unipoly.run_integer_roots(rows, first, last, -(10**70), 10**70) == wide
+    ts = sorted(t for _, t in wide)
+    ranges = [(0, 50)]
+    if ts:
+        ranges += [(ts[0], ts[-1]), (ts[0] + 1, ts[-1] - 1), (ts[0] - 1, ts[0] - 1), (ts[-1] + 1, ts[-1] + 1)]
+        ranges += [(ts[len(ts) // 2], ts[len(ts) // 2])]
+    for lo, hi in ranges:
+        assert unipoly.run_integer_roots(rows, first, last, lo, hi) == _columns_roots(rows, first, last, lo, hi)
+    return wide
+
+
+def test_run_integer_roots_matches_per_column_roots():
+    """One pass over a run of columns finds the roots of `integer_roots` on
+    each column: on seeded products of linear factors in t, of degree 1 to
+    3 in t, with a leading coefficient of either sign that vanishes at one
+    abscissa of some runs, double roots, and a perturbation that leaves most
+    columns without an integer root; and on named cases for each closed
+    form.  The 60-digit shifts make a float square root wrong where D is a
+    square plus 4."""
+    rng = random.Random(46)
+    x, y, one = BiPoly.var_x(), BiPoly.var_y(), BiPoly.constant(1)
+    hits = Counter()
+    for _ in range(150):
+        deg = rng.randint(1, 3)
+        roots = [rng.randint(-2, 2) * x**2 + rng.randint(-9, 9) * x + rng.randint(-30, 30) * one for _ in range(deg)]
+        if deg >= 2 and rng.random() < 0.3:
+            roots[1] = roots[0]
+        lead = rng.choice([one, -2 * one, x**2 + one, -(x**2) - 3 * one, x - rng.randint(-3, 12) * one])
+        curve = lead
+        for r in roots:
+            curve = curve * (y - r)
+        curve = curve + rng.choice([0 * one, 0 * one, one, -2 * x, y - roots[0]])
+        if curve.degree_y() != deg:
+            continue
+        first = rng.randint(-6, 6)
+        try:
+            wide = _assert_runs_match(curve.rows, first, first + rng.randint(0, 15))
+        except ZeroPolynomialError:
+            continue
+        hits[deg] += len(wide)
+    assert min(hits[deg] for deg in (1, 2, 3)) > 50, hits
+    big = 10**59 + 7
+    for text, count in (
+        ("-(y - x)^2", 16),  # a negative leading coefficient and D = 0
+        ("(y - x)*(y - x - 1)", 32),  # D = 1
+        ("(x - 6)*y^2 + (x - 2)*(y - x)", 2),  # the leading coefficient vanishes at x = 6
+        ("(x - 6)*y + x - 9", 4),  # and at degree 1
+        ("(x - 6)*y^3 + (y - x)*(y - 2*x)", 2),  # and at degree 3
+        (f"y^2 - (x + {big})^2", 32),  # roots -+(x + big)
+        (f"y^2 - (x + {big})^2 - 1", 0),  # D = 4 (x + big)^2 + 4, a square plus 4
+        (f"({big}*x + 1)*y - ({big}*x + 1)*(x + {big})", 16),
+        (f"(y - {big}*x)*(y - {big}*x + 1)*(-3)", 32),
+    ):
+        assert len(_assert_runs_match(parse(text).rows, 1, 16)) == count, text
+    # a zero column raises, as `integer_roots` does on it
+    for text in ("(x - 5)*(y - x)", "(x - 5)*(y^2 - x)", "(x - 5)*(y^3 - x)"):
+        rows = parse(text).rows
+        for lo, hi in ((0, 50), (7, 7)):
+            with pytest.raises(ZeroPolynomialError):
+                unipoly.run_integer_roots(rows, 1, 8, lo, hi)
+        assert unipoly.run_integer_roots(rows, 6, 8, -50, 50) == _columns_roots(rows, 6, 8, -50, 50)
 
 
 def test_integer_squarefree_chain():
