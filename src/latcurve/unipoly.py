@@ -809,7 +809,7 @@ def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None
     ]
 
 
-_RUN_BLOCK = 4096  # columns evaluated at once, so a run's lists stay small
+_RUN_BLOCK = 4096  # columns evaluated at once: lists of a whole long run cost time and memory
 
 
 def run_integer_roots(rows: Sequence[Sequence[int]], first: int, last: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -818,8 +818,8 @@ def run_integer_roots(rows: Sequence[Sequence[int]], first: int, last: int, lo: 
     `integer_roots` of each column, which must be nonzero
     (`ZeroPolynomialError`).
 
-    Columns of degree 1 or 2 in t are evaluated across the run, one list
-    comprehension per coefficient of each row, and solved in the loop: one
+    Every row is evaluated across the run, one list comprehension per
+    coefficient.  Columns of degree 1 or 2 in t are solved in the loop: one
     exact division for degree 1; for degree 2 the discriminant D, and when
     D = s^2 the two exact divisions of (-b -+ s) by 2a, in increasing order
     when a > 0 and reversed otherwise.  A column whose leading coefficient
@@ -827,17 +827,6 @@ def run_integer_roots(rows: Sequence[Sequence[int]], first: int, last: int, lo: 
     `integer_roots`.
     """
     found: list[tuple[int, int]] = []
-    if not 2 <= len(rows) <= 3:
-        for a in range(first, last + 1):
-            column = []
-            for row in rows:  # Horner inline: a call per row slows cubic sweeps
-                v = 0
-                for c in reversed(row):
-                    v = v * a + c
-                column.append(v)
-            for t in integer_roots(column, lo, hi):
-                found.append((a, t))
-        return found
     for start in range(first, last + 1, _RUN_BLOCK):
         xs = range(start, min(start + _RUN_BLOCK, last + 1))
         cols = []
@@ -846,6 +835,10 @@ def run_integer_roots(rows: Sequence[Sequence[int]], first: int, last: int, lo: 
             for c in reversed(row[:-1]):
                 vals = [v * x + c for v, x in zip(vals, xs)]
             cols.append(vals)
+        if not 2 <= len(rows) <= 3:
+            for a, column in zip(xs, zip(*cols)):
+                found += [(a, t) for t in integer_roots(column, lo, hi)]
+            continue
         if len(rows) == 2:
             for a, c0, c1 in zip(xs, *cols):
                 if not c1:

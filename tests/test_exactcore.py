@@ -732,9 +732,10 @@ def test_run_integer_roots_matches_per_column_roots():
     each column: on seeded products of linear factors in t, of degree 1 to
     3 in t, with a leading coefficient of either sign that vanishes at one
     abscissa of some runs, double roots, and a perturbation that leaves most
-    columns without an integer root; and on named cases for each closed
-    form.  The 60-digit shifts make a float square root wrong where D is a
-    square plus 4."""
+    columns without an integer root; on named cases for each closed form and
+    for columns of degree 0 and 4; and on a run longer than one block of
+    evaluated columns.  The 60-digit shifts make a float square root wrong
+    where D is a square plus 4."""
     rng = random.Random(46)
     x, y, one = BiPoly.var_x(), BiPoly.var_y(), BiPoly.constant(1)
     hits = Counter()
@@ -768,10 +769,15 @@ def test_run_integer_roots_matches_per_column_roots():
         (f"y^2 - (x + {big})^2 - 1", 0),  # D = 4 (x + big)^2 + 4, a square plus 4
         (f"({big}*x + 1)*y - ({big}*x + 1)*(x + {big})", 16),
         (f"(y - {big}*x)*(y - {big}*x + 1)*(-3)", 32),
+        ("x^2 + 1", 0),  # columns of degree 0
+        ("(y - x)*(y^3 - 2)*(x - 20)", 16),  # and of degree 4
     ):
         assert len(_assert_runs_match(parse(text).rows, 1, 16)) == count, text
+    run = 2 * unipoly._RUN_BLOCK + 5
+    divisors = [d for d in range(1, run + 1) if 720720 % d == 0]
+    assert len(_assert_runs_match(parse("x*y - 720720").rows, -run, run)) == 2 * len(divisors)
     # a zero column raises, as `integer_roots` does on it
-    for text in ("(x - 5)*(y - x)", "(x - 5)*(y^2 - x)", "(x - 5)*(y^3 - x)"):
+    for text in ("x - 5", "(x - 5)*(y - x)", "(x - 5)*(y^2 - x)", "(x - 5)*(y^3 - x)"):
         rows = parse(text).rows
         for lo, hi in ((0, 50), (7, 7)):
             with pytest.raises(ZeroPolynomialError):
