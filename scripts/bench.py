@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_46.json at the repository root.
+rows and write BENCH_47.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there with `time.perf_counter` from parsing
@@ -9,7 +9,7 @@ the curve to the result: `brute_force_count(curve, N)` for the oracle rows
 compare_oracle=False)` for the pipeline rows.
 
 With `--parent PATH`, the source tree of a second checkout (the one that
-holds `src/latcurve`), every row is timed on both trees: RUNS = 3 pairs of
+holds `src/latcurve`), every row is timed on both trees: RUNS = 5 pairs of
 fresh runs, alternating between the trees and swapping which goes first in
 each pair, so the drift of a shared host falls on both sides alike.
 Without it only this checkout is timed.  A side's seconds are the median
@@ -54,7 +54,7 @@ ROWS = [
     ("oracle", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**4),
     ("oracle", "-3*x^3 - 6*x^2*y + 4*y^3 + x*y", 10**5),
     # a cubic with three real roots in every column: each column the sweep
-    # reads takes the Sturm path of the integer root walk
+    # reads takes the Descartes bisection of the integer root walk
     ("oracle", "372506*(y - 1)*(y - 2)*(y - 27) - 14*(x - 1)*(x - 2)*(x - 27)", 3000),
     ("pipeline", "x^2 + y^2 - 250000", 500),
     ("pipeline", "x - 2*y^2 - 53*y", 500),
@@ -132,8 +132,8 @@ ROWS = [
     ),
 ]
 
-OUT = ROOT / "BENCH_46.json"
-RUNS = 3
+OUT = ROOT / "BENCH_47.json"
+RUNS = 5
 
 # one timed call, run in a fresh interpreter with the tree's src on its path
 CHILD = """

@@ -30,15 +30,15 @@ set's.  Along the branch the product of the columns of the two reduced
 +-thr level curves of order i has the sign of (f^(i)/i!)^2 - thr^2, which
 changes only at a level-set zero of odd multiplicity, a crossing.  Every
 eliminant root in the domain is a candidate cut, with no test of its own,
-keyed by the slot of its isolating bracket (`unipoly.root_slot`; these
-eliminants are too large for the integer Sturm walk): an exact integer
-root or the open unit gap that holds it.  The pieces are the integer runs
-between the slots (`unipoly.slot_runs`, the rule that also cuts frame
-cells and the oracle's live runs): an integer candidate is its own
-one-point run and a gap slot ends a run, so a run of two or more points
-holds no candidate, and each run reads its flags by one query on that
-product per order at its first column.  A tangential contact or a root on
-another sheet of the curve cuts too, between runs with equal flags.
+keyed by its unit slot in the integer walk (`unipoly.root_slots`): an
+exact integer root or the open unit gap that holds it.  The pieces are
+the integer runs between the slots (`unipoly.slot_runs`, the rule that
+also cuts frame cells and the oracle's live runs): an integer candidate
+is its own one-point run and a gap slot ends a run, so a run of two or
+more points holds no candidate, and each run reads its flags by one query
+on that product per order at its first column.  A tangential contact or
+a root on another sheet of the curve cuts too, between runs with equal
+flags.
 Level sets are built only for the orders that `certified_orders` leaves.
 It proves |f^(i)/i!| < N*delta^i on the whole closed domain: order 1 of a
 branch from `graph_decompose` by its slope bound |f'| < 1 <= N*delta, and
@@ -90,8 +90,6 @@ from .unipoly import (
     graeffe_step,
     int_exact_quotient,
     integer_roots,
-    isolate_real_roots,
-    root_slot,
     root_slots,
     run_integer_roots,
     sign_at_root,
@@ -369,22 +367,24 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[int, ...]:
     return _primitive(res)
 
 
-def level_set_abscissas(
-    branch: AlgebraicBranch, i: int, c: Fraction | int
-) -> list[RootInterval]:
-    """Isolating intervals for the roots in the closed domain of the
-    eliminant of order i's level curve at c, unrefined.
+def level_set_abscissas(branch: AlgebraicBranch, i: int, c: Fraction | int) -> list[tuple[int, bool]]:
+    """The unit slots (`unipoly.root_slots`) of the roots in the closed
+    domain, whose ends must be integers, of the eliminant of order i's
+    level curve at c: (x, True) for an integer root x, and (x, False) for a
+    root in the open unit gap (x - 1, x).
 
     They hold every x in the domain where f^(i)/i! = c, and may hold more: a
     point of another sheet of the curve on the level curve, or a tangential
     contact.  No root is tested along the branch: `partition_by_bounds`
-    takes each one as a candidate cut, keyed by its unit slot, and it is a
-    cut where a piece flag changes across it.
+    takes each one as a candidate cut, and it is a cut where a piece flag
+    changes across it.
     """
     if i < 1:
         raise ValueError("derivative order must be >= 1")
     lo, hi = branch.domain
-    return isolate_real_roots(_level_resultant(branch.curve, i, Fraction(c)), lo, hi)
+    if lo != int(lo) or hi != int(hi):
+        raise ValueError("level_set_abscissas needs a domain with integer ends")
+    return root_slots(_level_resultant(branch.curve, i, Fraction(c)), int(lo), int(hi))
 
 
 @dataclass
@@ -589,11 +589,11 @@ def partition_by_bounds(
     sets would give.  Every other order falls back to its two level sets,
     by one rule: a cut is where a flag changes.
 
-    The candidate cuts are the `level_set_abscissas` roots of both level
-    sets of every other order (none on [k, k]), each keyed by its
-    `root_slot` (c, exact): the exact integer root c or the open unit gap
-    (c - 1, c).  The runs are those of `slot_runs`: an exact slot c in
-    [lo, hi] is its own run [c, c], and a gap slot ends a run at c - 1.
+    The candidate cuts are the `level_set_abscissas` slots (c, exact) of
+    both level sets of every other order (none on [k, k]): the exact
+    integer root c or the open unit gap (c - 1, c).  The runs are those of
+    `slot_runs`: an exact slot c in [lo, hi] is its own run [c, c], and a
+    gap slot ends a run at c - 1.
     Along the branch L(thr) * L(-thr) = (i! * F_y^(2i-1))^2 *
     ((f^(i)/i!)^2 - thr^2), which changes sign only at a crossing, a zero
     of odd multiplicity of one level curve.  A run of two or more points
@@ -627,7 +627,7 @@ def partition_by_bounds(
             try:
                 _level_curve(branch.curve, i, c)
                 if lo < hi:  # a one-point domain is one run
-                    slots.update(map(root_slot, level_set_abscissas(branch, i, c)))
+                    slots.update(level_set_abscissas(branch, i, c))
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
                 # bound |f^(i)/i!| <= thr holds everywhere, with no cuts

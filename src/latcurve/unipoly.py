@@ -5,7 +5,7 @@ arithmetic.  Every root query takes an integer coefficient list p and works
 on its primitive form f (`_primitive`, once on entry), except that the
 integer root search keeps any p with a nonzero top coefficient as it is: its
 closed forms, sign variations and sign bisections hold for every integer
-multiple, and its chain builder normalises.  Roots are reported as
+multiple, and the isolation it calls normalises.  Roots are reported as
 rational-endpoint isolating intervals that carry a primitive integer tuple;
 a degenerate interval [r, r] marks an exactly known rational root.
 `isolate_real_roots` tests the domain ends on f, which has the same zeros
@@ -18,37 +18,38 @@ reversal and one Taylor shift.
 A domain with v >= 2 is bisected on the squarefree part (`squarefree_part`,
 proved squarefree by a gcd modulo a prime where it can be) until every part
 has v <= 1; `count_real_roots` counts the brackets.  Integer roots are found
-on integer endpoints only, with no isolation and no shared cache, by one
-search (`_root_slots`) that lists the real roots in increasing order as
-slots (c, exact), c the ceiling of the root and exact whether the root is c:
+on integer endpoints only, by one search (`_root_slots`) that lists the
+real roots in increasing order as slots (c, exact), c the ceiling of the
+root and exact whether the root is c:
 `root_slots` keeps the slots of the roots in a range, one per root, and
 `integer_roots`, in its own pass, the exact ones; `run_integer_roots`
 gives those of a run of columns of a bivariate polynomial's rows, solving
 columns of degree 1 and 2 in one loop with no call per column; `slot_runs`
-cuts an integer range into the runs between those slots.  `slot_bracket` turns
-the slot of one root into its isolating interval by one isolation over its
-unit gap, and `root_slot` reads the slot of an isolated root by integer
-sign tests inside its bracket.  The search decides degree <= 2 in closed
-form, with `math.isqrt` for the ceilings of irrational roots.  Otherwise
-each half-line the range meets is certified by Descartes' rule on p's own
-coefficients (`_half_line_bounds`); when every such bound is at most 1, a
-half's one simple root is located by a sign test at the ends of its part
-of the range (`_half_line_slot`) and, when it lies there, by integer sign
-bisection on p down to its ceiling (`_bisect_ceiling`).  Only a needed half
-with bound >= 2 makes it split the range on an integer Sturm chain
-(`integer_squarefree_chain`), on which a chain element f at x = num/den is
-evaluated as the integer den^deg * f(x).
+cuts an integer range into the runs between those slots.  `slot_bracket`
+turns the slot of one root into its isolating interval by one isolation
+over its unit gap.  The search decides degree <= 2 in closed form, with
+`math.isqrt` for the ceilings of irrational roots.  Otherwise each
+half-line the range meets is certified by Descartes' rule on p's own
+coefficients (`_half_line_bounds`) and searched from its end of the range
+(`_half_slots`).  A half with bound at most 1 locates its one simple root
+by a sign test at the ends of its part of the range and, when it lies
+there, by integer sign bisection on p down to its ceiling
+(`_bisect_ceiling`).  A half with bound >= 2 runs Descartes bisection at
+integer points (`descartes_bound` on each part, split at integer
+midpoints) down to parts of bound at most 1 or of width 1, where
+`count_real_roots` counts the roots of the unit gap.
 Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
 evaluation of the bracket polynomial.  The sign of an integer polynomial v
 at an isolated root is a Tarski query (`sign_at_root`): sign variations at
 the bracket ends of the signed remainder sequence of the bracket polynomial
-f and f'*v mod f, built by the same integer chain builder, with no gcd and
-no interval enclosure.  Every bisection, in isolation and in refinement
-(`bisect_step`), splits a bracket at its midpoint, and a root there is
-taken as an exact bracket.  The package locates roots only through this
-module: one entry normaliser, one affine map, one Descartes bound, one
+f and f'*v mod f, built on integers (`_int_sturm_chain`), with no gcd and
+no interval enclosure; a chain element at x = num/den is evaluated as the
+integer den^deg * f(x).  No root is located on a Sturm chain.  Every
+bisection, in isolation and in refinement (`bisect_step`), splits a
+bracket at its midpoint, and a root there is taken as an exact bracket.
+The package locates roots only through this module: one entry normaliser, one affine map, one Descartes bound, one
 squarefree part, one bisection step, one integer root search, one rule
-from slots to runs, one slot and one sign test.
+from slots to runs and one sign test.
 """
 
 from __future__ import annotations
@@ -704,66 +705,70 @@ def _bisect_ceiling(f: Sequence[int], a: int, b: int, sb: int) -> tuple[int, boo
     return b, not sb
 
 
-def _half_line_slot(f: Sequence[int], a: int, b: int) -> list[tuple[int, bool]]:
-    """The slot of f's root as a one-item list when the root lies in
-    (a, b], else [], for an integer f, nonzero at 0, with exactly one real
-    root, a simple one, on the open half-line whose closure holds a and b.
-    The root lies in (a, b] exactly when f vanishes at b, or changes sign
-    from a to b and does not vanish at a."""
-    sa, sb = _int_eval(f, a), _int_eval(f, b)
-    if sb and (not sa or (sa > 0) == (sb > 0)):
-        return []
-    return [_bisect_ceiling(f, a, b, sb)]
+def _half_slots(g: Sequence[int], a: int, b: int, v: int) -> list[tuple[int, bool]]:
+    """The slots of the distinct roots in [a, b], increasing, of the integer
+    g, nonzero at 0, for integers a <= b on one closed half-line, where g's
+    Descartes bound on the open half-line is v.
 
-
-def root_slot(r: RootInterval) -> tuple[int, bool]:
-    """The slot (c, exact) of the root that r isolates, as `_root_slots`
-    gives it: c the ceiling of the root and exact whether the root is c.
-
-    An exact bracket takes one ceiling.  Otherwise the bracket polynomial f
-    changes sign across its one root in (lo, hi), and with a = ceil(lo) and
-    b = floor(hi) every decision is an integer sign test inside the bracket:
-    no integer between the ends means the slot (a, False); a zero at a or b
-    is the root; a sign change from a to b leaves the root in (a, b), where
-    sign bisection on integers (`_bisect_ceiling`) finds its slot; and
-    otherwise the sign at hi says whether the root lies in (b, hi) or in
-    (lo, a).  The bracket is never refined.
+    With v <= 1 a root in [a, b] is a zero at an end, or lies where g
+    changes sign from a to b, and sign bisection (`_bisect_ceiling`) finds
+    its slot.  Otherwise the end roots are divided out (`_deflate`) and
+    Descartes bisection runs on integer points: a part (a, b) takes its
+    bound (`descartes_bound`); 0 means no root, 1 one simple root, found by
+    sign bisection from the value at b that the part carries, and 2 or more
+    split it at the integer midpoint m, where a root is the exact slot m
+    and is divided out of both halves.  On width 1 every root has the
+    ceiling b and none is b, so a part with bound 2 or more takes one slot
+    (b, False) per root that `count_real_roots` finds there.
     """
-    if r.is_exact():
-        c = math.ceil(r.lo)
-        return c, c == r.lo
-    f = r.polynomial
-    a, b = math.ceil(r.lo), math.floor(r.hi)
-    if a > b:
-        return a, False
-    sa, sb = _int_eval(f, a), _int_eval(f, b)
-    if not sa:
-        return a, True
-    if not sb or (sa > 0) != (sb > 0):
-        return _bisect_ceiling(f, a, b, sb)
-    if (_rat_eval(f, r.hi) > 0) != (sb > 0):
-        return b + 1, False
-    return a, False
+    ga, gb = _int_eval(g, a), _int_eval(g, b)
+    slots = [(a, True)] if not ga else []
+    if a == b:
+        return slots
+    if v <= 1:
+        if slots or (gb and (ga > 0) == (gb > 0)):
+            return slots
+        return [_bisect_ceiling(g, a, b, gb)]
+    h = _deflate(g, [e for e, ge in ((a, ga), (b, gb)) if not ge], a, b)
+    # parts (a, b, h, h(b)) and exact slots, leftmost on top
+    todo: list = [(b, True)] if not gb else []
+    todo.append((a, b, h, gb or _int_eval(h, b)))
+    while todo:
+        part = todo.pop()
+        if len(part) == 2:
+            slots.append(part)
+            continue
+        a, b, h, hb = part
+        v = descartes_bound(h, a, b)
+        if v == 1:
+            slots.append(_bisect_ceiling(h, a, b, hb))
+        elif v and b - a == 1:
+            slots += [(b, False)] * count_real_roots(h, a, b)
+        elif v:
+            m = (a + b) // 2
+            hm = _int_eval(h, m)
+            if hm:
+                todo += [(m, b, h, hb), (a, m, h, hm)]
+                continue
+            q = _deflate(h, (m,), a, b)
+            hb //= (b - m) ** (len(h) - len(q))  # q(b) = h(b) / (b - m)^k
+            todo += [(m, b, q, hb), (m, True), (a, m, q, _int_eval(q, m))]
+    return slots
 
 
 def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[tuple[int, bool]]:
     """Slots for the real roots of p, increasing: (c, exact) with c the
     ceiling of the root and exact whether the root is c.  They hold every
-    real root in [lo, hi] (unbounded where None), and may hold roots outside
-    it; with lo = hi = None there is exactly one slot per distinct real root.
+    real root in [lo, hi] (unbounded where None), one slot per distinct
+    root; only the closed form may hold roots outside the range.
 
     Degree at most 2 takes the closed form (`_small_real_roots`), unfiltered.
     Otherwise the range is clipped to the root bound and each half-line it
-    meets is certified by Descartes' rule (`_half_line_bounds`): when no such
-    half has a bound of 2 or more, each half with one root takes one sign
-    test at the ends of its part of the range (`_half_line_slot`) and, when
-    the root lies there, sign bisection on p itself, with no squarefree part
-    and no chain.  Otherwise an integer Sturm chain counts the distinct
-    roots in (a, b] at integer endpoints, and parts with several roots split
-    at integer midpoints.  A part left with k roots, one or any number on
-    width 1, takes k slots: k - 1 inexact ones with the ceiling b, then the
-    result of sign bisection on the squarefree part over (a, b], since on
-    width 1 every root has the ceiling b and only the last can be b.
+    meets is certified by Descartes' rule on p's own coefficients
+    (`_half_line_bounds`), then searched from its end of the range by
+    `_half_slots`: a bound of at most 1 takes two evaluations and, when the
+    root lies there, sign bisection on p itself, and a larger one Descartes
+    bisection at integer points.
     """
     f = p if p and p[-1] else _primitive(p)
     if len(f) <= 3:
@@ -774,28 +779,11 @@ def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[tuple[
     if lo > hi:
         return []
     g, zero, v_neg, v_pos = _half_line_bounds(f, lo < 0, hi > 0)
-    if v_neg <= 1 and v_pos <= 1:
-        slots = _half_line_slot(g, lo - 1, min(hi, 0)) if v_neg else []
-        if zero and lo <= 0 <= hi:
-            slots.append((0, True))
-        if v_pos:
-            slots += _half_line_slot(g, max(lo - 1, 0), hi)
-        return slots
-    sf, chain = integer_squarefree_chain(f)
-    slots = [(lo, True)] if _int_eval(sf, lo) == 0 else []
-    # parts (a, b] with their variation counts, leftmost on top
-    parts = [(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))]
-    while parts:
-        a, b, va, vb = parts.pop()
-        if va == vb:
-            continue
-        if va - vb > 1 and b - a > 1:
-            m = (a + b) // 2
-            vm = _int_variations(chain, m)
-            parts.append((m, b, vm, vb))
-            parts.append((a, m, va, vm))
-            continue
-        slots += [(b, False)] * (va - vb - 1) + [_bisect_ceiling(sf, a, b, _int_eval(sf, b))]
+    slots = _half_slots(g, lo, min(hi, 0), v_neg) if v_neg else []
+    if zero and lo <= 0 <= hi:
+        slots.append((0, True))
+    if v_pos:
+        slots += _half_slots(g, max(lo, 0), hi, v_pos)
     return slots
 
 

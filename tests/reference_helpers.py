@@ -2,8 +2,8 @@
 
 - Checks of the package's own decisions: a certified sup bound, an integer
   test, a range test and a rational root on an isolating bracket, every
-  real root of a polynomial isolated over its root bound, the slot and the
-  integer root of a given rank, Descartes' bound with its former half-line
+  real root of a polynomial isolated over its root bound, the slot of an
+  isolated root (`root_slot`), the slot and the integer root of a given rank, Descartes' bound with its former half-line
   shortcut, a `Fraction` determinant, a reduction
   modulo a curve and the exact division
   that takes its leading power back out of an eliminant, the sign of a
@@ -33,9 +33,9 @@ from latcurve.branch import (
     BranchError,
     _column,
     _level_curve,
+    _level_resultant,
     branch_value_bracket,
     hk_sequence,
-    level_set_abscissas,
 )
 from latcurve.detmethod import (
     CoverCertificate,
@@ -138,6 +138,43 @@ def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     slot's ceiling kept only when the slot is exact."""
     count, slot = ranked_root_slot(p, index)
     return count, slot[0] if slot is not None and slot[1] else None
+
+
+def root_slot(r: RootInterval) -> tuple[int, bool]:
+    """The slot (c, exact) of the root that r isolates, as
+    `unipoly.root_slots` gives it: c the ceiling of the root and exact
+    whether the root is c.  The bracket-to-slot reference for the integer
+    walk.
+
+    An exact bracket takes one ceiling.  Otherwise the bracket polynomial f
+    changes sign across its one root in (lo, hi), and with a = ceil(lo) and
+    b = floor(hi) every decision is an integer sign test inside the bracket:
+    no integer between the ends means the slot (a, False); a zero at a or b
+    is the root; a sign change from a to b leaves the root in (a, b), where
+    sign bisection on integers finds its slot; and otherwise the sign at hi
+    says whether the root lies in (b, hi) or in (lo, a).  The bracket is
+    never refined.
+    """
+    if r.is_exact():
+        c = math.ceil(r.lo)
+        return c, c == r.lo
+    f = r.polynomial
+    a, b = math.ceil(r.lo), math.floor(r.hi)
+    if a > b:
+        return a, False
+    sa, sb = _int_eval(f, a), _int_eval(f, b)
+    if not sa:
+        return a, True
+    if sb and (sa > 0) == (sb > 0):
+        return (b + 1, False) if (_rat_eval(f, r.hi) > 0) != (sb > 0) else (a, False)
+    while sb and b - a > 1:  # the root lies in (a, b]
+        m = (a + b) // 2
+        sm = _int_eval(f, m)
+        if sm == 0 or (sm > 0) == (sb > 0):
+            b, sb = m, sm
+        else:
+            a = m
+    return b, not sb
 
 
 def half_line_descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
@@ -316,10 +353,11 @@ def integer_hull(branch: AlgebraicBranch) -> Optional[AlgebraicBranch]:
 
 
 def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> list[RootInterval]:
-    """The roots of `level_set_abscissas` where f^(i)/i! crosses c along the
-    branch, and the exact ones where it equals c: the per-root crossing
-    test, which `partition_by_bounds` replaces by reading where its flags
-    change.
+    """The isolated roots in the closed domain of the level-set eliminant
+    (`branch._level_resultant`, whose slots `level_set_abscissas` reads)
+    where f^(i)/i! crosses c along the branch, and the exact ones where it
+    equals c: the per-root crossing test, which `partition_by_bounds`
+    replaces by reading where its flags change.
 
     A reduced level curve R free of y is its own eliminant, so every root
     is kept.  Otherwise the roots are refined below a width that shrinks
@@ -330,10 +368,10 @@ def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> li
     is a `BranchError`."""
     c = Fraction(c)
     level = _level_curve(branch.curve, i, c)
-    roots = level_set_abscissas(branch, i, c)
+    lo, hi = branch.domain
+    roots = isolate_real_roots(_level_resultant(branch.curve, i, c), lo, hi)
     if level.degree_y() < 1 or not roots:
         return roots
-    lo, hi = branch.domain
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
     included: list[RootInterval] = []
     for r in refine_disjoint(roots, width):

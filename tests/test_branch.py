@@ -60,7 +60,7 @@ from latcurve.unipoly import (
     isolate_real_roots,
     primitive_ints,
     refine_root,
-    root_slot,
+    root_slots,
     sign_at_root,
     slot_runs,
     squarefree_part,
@@ -81,6 +81,7 @@ from reference_helpers import (
     reduce_modulo,
     refine_clear_of,
     refine_disjoint,
+    root_slot,
     series_taylor,
     taylor_coefficients,
 )
@@ -852,9 +853,9 @@ def test_flat_branches_are_monotone_on_their_closed_domains():
 
 def test_frame_critical_slots_match_the_isolated_loci(monkeypatch):
     """`_decompose_frame` reads its critical slots by the integer walk
-    (`root_slots` over [0, N]) and isolates no locus.  The slots it cuts into
-    cells are those that the isolation of every frame cut and box-edge
-    column over [0, N] gives, one `root_slot` per bracket: on both frames of
+    (`root_slots` over [0, N]).  The slots it cuts into cells are those
+    that the isolation of every frame cut and box-edge column over [0, N]
+    gives, one reference `root_slot` per bracket: on both frames of
     two seed-1 rounds of the latbench families, 60 fuzz-style curves and
     seeded dense quartics and quintics with |c| <= 50 at N = 100."""
     workloads = _latbench_workloads()
@@ -865,9 +866,6 @@ def test_frame_critical_slots_match_the_isolated_loci(monkeypatch):
     cases += [(text, 100) for text in dense]
     cut = []
     monkeypatch.setattr(branch_module, "slot_runs", lambda slots, lo, hi: cut.append(slots) or slot_runs(slots, lo, hi))
-    isolations = []
-    isolate = unipoly_module.isolate_real_roots
-    monkeypatch.setattr(branch_module, "isolate_real_roots", lambda *args: isolations.append(args) or isolate(*args))
     seen = dict.fromkeys(("exact", "gap", "dense"), 0)
     for text, n_box in cases:
         try:
@@ -882,7 +880,6 @@ def test_frame_critical_slots_match_the_isolated_loci(monkeypatch):
                 branch_module._decompose_frame(frame, n_box, False)
             except BranchError:
                 continue
-            assert isolations == []
             loci = list(branch_module._frame_loci(frame).cuts)
             loci += [e for e in (frame.swap_xy().int_column(v) for v in (0, n_box)) if len(e) >= 2]
             want = sorted({root_slot(r) for p in loci for r in isolate_real_roots(p, 0, n_box)})
@@ -890,6 +887,86 @@ def test_frame_critical_slots_match_the_isolated_loci(monkeypatch):
             seen["exact"] += any(exact for _, exact in want)
             seen["gap"] += any(not exact for _, exact in want)
             seen["dense"] += text in dense
+    assert min(seen.values()) >= 10, seen
+
+
+def test_root_slots_match_the_bracket_reference(monkeypatch):
+    """`root_slots(p, lo, hi)` against the reference `root_slot` of each
+    `isolate_real_roots` bracket over [lo, hi], the integer root bound
+    standing in for an end that is None.  The cases are seeded products
+    with clustered roots in one unit gap, double roots at and between
+    integers and x^m factors, over ranges that end at a root, one unit
+    short of one, across 0 or nowhere; and the level-set eliminants of two
+    seed-1 `partition` rounds over their hulls, among them hulls whose
+    eliminant has several roots in (lo - 1, lo), just below where the walk
+    starts."""
+    rng = random.Random(47)
+    seen = Counter()
+
+    def check(p, lo, hi):
+        bound = unipoly_module._int_root_bound(p)
+        a, b = -bound if lo is None else lo, bound if hi is None else hi
+        want = [root_slot(r) for r in isolate_real_roots(p, a, b)] if a <= b else []
+        assert root_slots(p, lo, hi) == want, (p, lo, hi)
+        below = a <= b and len([r for r in isolate_real_roots(p, a - 1, a) if r.hi < a]) or 0
+        seen["several_below_lo"] += below >= 2
+        seen["root_below_lo"] += below >= 1
+        seen["root_above_hi"] += a <= b and any(r.lo > b for r in isolate_real_roots(p, b, b + 1))
+        seen["root_at_lo"] += (a, True) in want
+        seen["root_at_hi"] += (b, True) in want
+        seen["cluster"] += any(x == y == z and not x[1] for x, y, z in zip(want, want[1:], want[2:]))
+        seen["unbounded"] += lo is None or hi is None
+
+    def factor(a):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return [-a, 1]
+        if kind == 1:  # a double root at the integer a
+            seen["double_at"] += 1
+            return [a * a, -2 * a, 1]
+        if kind == 2:  # a double root at a + 1/2
+            seen["double_between"] += 1
+            return _int_mul([-(2 * a + 1), 2], [-(2 * a + 1), 2])
+        if kind == 3:  # three to five rational roots in (a, a + 1)
+            q = rng.choice([7, 10, 16])
+            out = [1]
+            for j in rng.sample(range(1, q), rng.randint(3, 5)):
+                out = _int_mul(out, [-(q * a + j), q])
+            return out
+        return [(10 * a + 5) ** 2 - 2, -20 * (10 * a + 5), 100]  # a + 1/2 +- sqrt(2)/10
+
+    for _ in range(400):
+        centres = [rng.randint(-15, 15) for _ in range(rng.randint(1, 3))]
+        p = [rng.choice([1, -1, 3])]
+        for a in centres:
+            p = _int_mul(p, factor(a))
+        if len(p) < 4:
+            p = _int_mul(p, [1, 0, 1])
+        if rng.random() < 0.25:
+            p = [0] * rng.randint(1, 3) + p
+            seen["x_power"] += 1
+            check(p, rng.randint(-6, 0), rng.randint(0, 6))
+        ends = [None] + [c + d for c in centres for d in (0, 1, -1)]
+        for _ in range(3):
+            lo, hi = rng.choice(ends), rng.choice(ends)
+            if lo is not None and hi is not None and lo > hi:
+                lo, hi = hi, lo
+            check(p, lo, hi)
+    eliminants = []
+    record = branch_module.level_set_abscissas
+
+    def recorded(br, i, c):
+        eliminants.append((branch_module._level_resultant(br.curve, i, Fraction(c)), *br.domain))
+        return record(br, i, c)
+
+    monkeypatch.setattr(branch_module, "level_set_abscissas", recorded)
+    for row in _latbench_workloads()["partition"].rounds(1, 2):
+        for case in row:
+            determinant_method_count(parse(case.text), case.n_box, compare_oracle=False)
+    before = seen["several_below_lo"]
+    for e, lo, hi in eliminants:
+        check(e, lo, hi)
+    assert len(eliminants) >= 10 and seen["several_below_lo"] - before >= 5, (len(eliminants), seen)
     assert min(seen.values()) >= 10, seen
 
 
@@ -952,9 +1029,7 @@ def test_branch_sign_matches_fraction_evaluation():
 
 def test_level_set_parabola():
     br = branch_from_point(parse("y - x^2"), 3, 9, (0, 10))
-    roots = level_set_abscissas(br, 1, 2)
-    assert len(roots) == 1
-    assert roots[0].lo <= 1 <= roots[0].hi
+    assert level_set_abscissas(br, 1, 2) == [(1, True)]  # f' = 2x = 2 at x = 1
 
 
 def test_level_set_empty_out_of_range():
@@ -964,12 +1039,7 @@ def test_level_set_empty_out_of_range():
 
 def test_level_set_hyperbola():
     br = branch_from_point(parse("x*y - 12"), 3, 4, (1, 12))
-    roots = level_set_abscissas(br, 1, -3)
-    assert len(roots) == 1
-    assert roots[0].lo <= 2 <= roots[0].hi
-    r = roots[0]
-    if not r.is_exact():
-        assert UniPoly(r.polynomial).evaluate(2) == 0 or (r.lo < 2 < r.hi)
+    assert level_set_abscissas(br, 1, -3) == [(2, True)]  # f' = -12/x^2 = -3 at x = 2
 
 
 def test_level_set_degenerate_errors():
@@ -981,7 +1051,7 @@ def test_level_set_degenerate_errors():
 def test_level_set_bezout_cap():
     for name, seed in (("circle", (3, 4)), ("hyperbola", (3, 4))):
         curve = FIXTURES[name]
-        br = branch_from_point(curve, *seed, (Fraction(5, 2), Fraction(9, 2)))
+        br = branch_from_point(curve, *seed, (2, 5))
         for i in (1, 2):
             for c in (1, Fraction(-1, 2)):
                 roots = level_set_abscissas(br, i, c)
@@ -992,14 +1062,15 @@ def test_level_set_bezout_cap():
 def test_level_set_rational_root_at_domain_end():
     # f' = -x/y = -3/4 on the circle at (3, 4) and (-3, -4): the eliminant
     # of the level curve 2x - (3/2)y has the rational roots -3 and 3, and a
-    # domain ending there isolates them as exact brackets [r, r], whichever
-    # branch passes through them
+    # domain ending there reads them as exact slots (r, True), and the
+    # crossing reference as exact brackets [r, r], whichever branch passes
+    # through them
     circle = FIXTURES["circle"]
     upper_right = branch_from_point(circle, 3, 4, (0, 3))
     upper_left = branch_from_point(circle, 0, 5, (-3, 0))
     lower_left = branch_from_point(circle, 0, -5, (-3, 0))
     for br, end in ((upper_right, 3), (upper_left, -3), (lower_left, -3)):
-        assert [(r.lo, r.hi) for r in level_set_abscissas(br, 1, Fraction(-3, 4))] == [(end, end)]
+        assert level_set_abscissas(br, 1, Fraction(-3, 4)) == [(end, True)]
     # f'(-3) = 3/4 on the upper branch: the exact root is the lower
     # branch's, and the crossing test drops it
     assert [(r.lo, r.hi) for r in crossing_level_set(upper_right, 1, Fraction(-3, 4))] == [(3, 3)]
@@ -1059,7 +1130,7 @@ def test_level_set_rational_tangential_contact(monkeypatch):
     inside = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
     at_end = branch_from_point(FIXTURES["circle"], 3, 4, (0, 4))
     calls = _count_sign_queries(monkeypatch)
-    assert [(r.lo, r.hi) for r in level_set_abscissas(inside, 2, Fraction(-1, 10))] == [(-3, 4)]
+    assert level_set_abscissas(inside, 2, Fraction(-1, 10)) == [(0, True)]
     assert branch_module._level_resultant(inside.curve, 2, Fraction(-1, 10)) == (0, 0, 1875, 0, -75, 0, 1)
     assert calls == []
     assert crossing_level_set(inside, 2, Fraction(-1, 10)) == []
@@ -1079,7 +1150,7 @@ def test_level_set_simple_root_without_crossing_skipped(monkeypatch):
     # f' = -x/y = -3/4 at (3, 4) on the upper branch; the eliminant x^2 - 9
     # has its other simple root x = -3 at the lower branch point (-3, -4),
     # so the level curve keeps its sign along the upper branch there.
-    # `level_set_abscissas` isolates both roots with no sign query, and the
+    # `level_set_abscissas` reads both roots with no sign query, and the
     # crossing test keeps x = 3 only.
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
     hyperbola = branch_from_point(FIXTURES["hyperbola"], 3, 4, (1, 12))
@@ -1107,7 +1178,7 @@ def test_level_set_irrational_tangential_contact_is_no_cut(monkeypatch):
     # between two runs with equal flags
     br = branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10))
     calls = _count_sign_queries(monkeypatch)
-    assert [(r.lo, r.hi) for r in level_set_abscissas(br, 1, 1)] == [(0, 10)]
+    assert level_set_abscissas(br, 1, 1) == [(5, False)]
     assert branch_module._level_resultant(br.curve, 1, Fraction(1)) == (-4418**2, 0, 2 * 225 * 4418, 0, -(225**2))
     assert calls == []
     assert crossing_level_set(br, 1, 1) == []

@@ -602,8 +602,8 @@ def _clear_caches():
 
 def _counted_sturm_chains(monkeypatch):
     """Record the polynomial of each `unipoly.integer_squarefree_chain`
-    call, the one builder of integer Sturm chains (`_root_slots` calls it
-    through the module binding)."""
+    call, the builder of integer Sturm chains for locating roots, which the
+    integer walk no longer calls."""
     chains = []
     build = unipoly.integer_squarefree_chain
 
@@ -617,14 +617,14 @@ def _counted_sturm_chains(monkeypatch):
 
 def test_pipeline_sturm_chain_builds(monkeypatch):
     """Operation-count guard: from empty caches, y^2 - x^3 - x - 1 at N = 50
-    builds 5 Sturm chains, each on a degree-4 frame locus (up to sign), and
-    takes no squarefree part and no integer gcd.  The decomposition reads
-    its critical loci by the integer walk (`root_slots`), whose Sturm path
-    is taken by a locus whose Descartes bound on a half-line is 2 or more;
-    it isolates no locus, so no squarefree part is built there.  The disc certificate
-    proves every order on the one integer hull [2, 50] (the branch on
-    [0, 0] holds no abscissa of the box), so no level set is isolated and
-    no branch value bracket is read."""
+    builds no Sturm chain, and takes no squarefree part and no integer gcd.
+    The decomposition reads its critical loci by the integer walk
+    (`root_slots`), whose Descartes bisection at integer points takes each
+    locus with a half-line bound of 2 or more; no unit gap of a locus keeps
+    a bound of 2 or more, so none is isolated and no squarefree part is
+    built there.  The disc certificate proves every order on the one
+    integer hull [2, 50] (the branch on [0, 0] holds no abscissa of the
+    box), so no level set is read and no branch value bracket is built."""
     _clear_caches()
     gcd_callers = []
     poly_gcd = unipoly.poly_gcd
@@ -638,10 +638,7 @@ def test_pipeline_sturm_chain_builds(monkeypatch):
     curve = parse("y^2 - x^3 - x - 1")
     rep = determinant_method_count(curve, 50, compare_oracle=False)
     assert rep.total == 0
-    cuts = [p for frame in (curve, curve.swap_xy()) for p in branch._frame_loci(frame).cuts]
-    loci = {tuple(sign * c for c in p) for p in cuts for sign in (1, -1)}
-    assert [len(p) - 1 for p in chains] == [4] * 5
-    assert all(tuple(p) in loci for p in chains)
+    assert chains == []
     assert unipoly.squarefree_part.cache_info().misses == 0
     assert gcd_callers == []
 
@@ -1022,23 +1019,26 @@ def test_count_ingests_once(monkeypatch):
 
 def test_slow_cubics_match_oracle_with_no_sturm_chain(monkeypatch):
     """Cubics whose level-set eliminants reach degree 84-90 with roots close
-    together: isolating them by Sturm chains took 3.2 s and 9.1 s.  The
-    integer walks of the columns, of the frame loci and of the oracle's
-    critical loci still build Sturm chains, but none of a degree above the
-    largest frame locus of either frame (6 and 4), so no level-set
-    eliminant takes one."""
+    together: isolating them by Sturm chains took 3.2 s and 9.1 s.  Every
+    locus, the level-set eliminants among them, is read by the integer walk
+    (`root_slots`), which builds no Sturm chain.  From empty caches the
+    first count takes 2 squarefree parts, where a unit gap keeps a
+    Descartes bound of 2 or more, and the second none; neither takes an
+    integer gcd."""
     chains = _counted_sturm_chains(monkeypatch)
-    for text, n in (
-        ("-x^3 - 5*x^2*y + 4*y^3 + 3*x*y - 3*x", 27),
-        ("4*x^3 + 4*x^2*y + 3*x^2 + 4*x - 5*y", 37),
+    gcds = []
+    poly_gcd = unipoly.poly_gcd
+    monkeypatch.setattr(unipoly, "poly_gcd", lambda a, b: gcds.append(a) or poly_gcd(a, b))
+    for text, n, squarefree in (
+        ("-x^3 - 5*x^2*y + 4*y^3 + 3*x*y - 3*x", 27, 2),
+        ("4*x^3 + 4*x^2*y + 3*x^2 + 4*x - 5*y", 37, 0),
     ):
         _clear_caches()
-        chains.clear()
-        curve = parse(text)
-        rep = determinant_method_count(curve, n)
+        gcds.clear()
+        rep = determinant_method_count(parse(text), n)
         assert rep.ok and rep.total == rep.oracle_total, (text, n)
-        locus_degree = max(len(p) - 1 for frame in (curve, curve.swap_xy()) for p in branch._frame_loci(frame).cuts)
-        assert chains and max(len(p) - 1 for p in chains) <= locus_degree, (text, n)
+        assert chains == [] and gcds == [], (text, n)
+        assert unipoly.squarefree_part.cache_info().misses == squarefree, (text, n)
 
 
 def test_pipeline_small_delta_enumerate_path():

@@ -31,7 +31,6 @@ from latcurve.unipoly import (
     poly_gcd,
     primitive_ints,
     refine_root,
-    root_slot,
     root_slots,
     sign_at_root,
     slot_bracket,
@@ -52,6 +51,7 @@ from reference_helpers import (
     ranked_root_slot,
     rational_root_in,
     refine_disjoint,
+    root_slot,
     ryser_permanent,
 )
 
@@ -839,22 +839,45 @@ def test_ranked_integer_root_matches_isolation(monkeypatch):
     then take an x^m factor, a content, zero top coefficients or the
     opposite sign.  On degree 3 to 6 it meets each path of the searches:
     Descartes' bound <= 1 on both half-lines or on one only, and >= 2 on
-    some half.  A chain is built exactly when a half that the query needs
-    has a bound >= 2.
+    some half, which takes Descartes bisection at integer points.  No
+    search builds a Sturm chain, and from an empty squarefree cache the
+    searches of the draw take 94 squarefree parts, each on a unit gap of
+    bound >= 2, and 8 integer gcds.
     """
-    chains = []
 
-    def counted_chain(p):
-        chains.append(p)
-        return integer_squarefree_chain(p)
+    def refuse(*args):
+        raise AssertionError("the integer walk built a Sturm chain")
 
-    monkeypatch.setattr(unipoly, "integer_squarefree_chain", counted_chain)
-    # bound 4 on (0, inf) takes the chain, whose part (0, 1] holds three roots: 1/4, 3/4 and 1
+    monkeypatch.setattr(unipoly, "integer_squarefree_chain", refuse)
+    monkeypatch.setattr(unipoly, "_int_sturm_chain", refuse)
+    ops, walked = Counter(), Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            ops[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(unipoly, "squarefree_part", counted("squarefree", squarefree_part))
+    monkeypatch.setattr(unipoly, "poly_gcd", counted("gcd", poly_gcd))
+
+    def walk(search, *args):
+        """search(*args), its squarefree parts and gcds from an empty cache
+        counted in `walked`."""
+        before = ops.copy()
+        squarefree_part.cache_clear()
+        out = search(*args)
+        walked.update(ops - before)
+        return out
+
+    # bound 4 on (0, inf): the part (0, 1) keeps bound >= 2 down to width 1,
+    # where isolation finds 1/4 and 3/4, and the midpoint 1 is a root
     p = [9, -60, 115, -80, 16]  # (4y - 1)(4y - 3)(y - 1)(y - 3)
     assert [ranked_integer_root(p, i) for i in range(-1, 5)] == [(4, None)] * 3 + [(4, 1), (4, 3), (4, None)]
-    assert integer_roots(p) == [1, 3] and chains
+    assert walk(integer_roots, p) == [1, 3] and walked == {"squarefree": 1}
+    walked.clear()
     rng = random.Random(23)
-    keys = ("both_le1", "pos_le1_only", "neg_le1_only", "chain", "x_power", "lo_zero", "hi_none",
+    keys = ("both_le1", "pos_le1_only", "neg_le1_only", "bisected", "x_power", "lo_zero", "hi_none",
             "lo_above_bound", "non_primitive", "trailing_zeros", "negative_lead")
     seen = dict.fromkeys(keys, 0)
     for _ in range(1000):
@@ -879,24 +902,20 @@ def test_ranked_integer_root_matches_isolation(monkeypatch):
         bound = unipoly._int_root_bound(p[:deg + 1])  # every root lies in (-bound, bound)
         isolated = isolate_real_roots(p, -bound, bound) if deg >= 1 else []
         n = len(isolated)
-        del chains[:]
-        got = [ranked_integer_root(p, i) for i in range(-1, n + 1)]
+        got = [walk(ranked_integer_root, p, i) for i in range(-1, n + 1)]
         assert got == [(n, integer_in(isolated[i]) if 0 <= i < n else None) for i in range(-1, n + 1)], p
         # the Descartes bounds of p with its x^m factor divided out
         m = min(i for i, c in enumerate(p) if c)
         g = p[m:deg + 1]
         v_pos, v_neg = _sign_changes(g), _sign_changes(c if i % 2 == 0 else -c for i, c in enumerate(g))
-        assert bool(chains) == (deg >= 3 and max(v_neg, v_pos) >= 2), p
-        assert [k for _, k in got[1:n + 1] if k is not None] == integer_roots(p), p
+        assert [k for _, k in got[1:n + 1] if k is not None] == walk(integer_roots, p), p
         lo = rng.randint(-70, 70)
         ranges = [(None, None), (0, rng.choice([None, rng.randint(-5, 70)])),
                   (lo, lo + rng.randint(-3, 80)), (bound + rng.randint(0, 3), None)]
         for lo, hi in ranges:
-            del chains[:]
             lo_c, hi_c = -bound if lo is None else max(lo, -bound), bound if hi is None else min(hi, bound)
-            assert integer_roots(p, lo, hi) == _isolated_integer_roots(p, lo_c, hi_c), (p, lo, hi)
-            needed = (lo_c < 0 and v_neg >= 2) or (hi_c > 0 and v_pos >= 2)
-            assert bool(chains) == (deg >= 3 and lo_c <= hi_c and needed), (p, lo, hi)
+            want = _isolated_integer_roots(p, lo_c, hi_c)
+            assert walk(integer_roots, p, lo, hi) == want, (p, lo, hi)
             if 3 <= deg <= 6:
                 seen["lo_zero"] += lo == 0
                 seen["hi_none"] += hi is None
@@ -905,12 +924,13 @@ def test_ranked_integer_root_matches_isolation(monkeypatch):
             seen["both_le1"] += v_neg <= 1 and v_pos <= 1
             seen["pos_le1_only"] += v_pos <= 1 < v_neg
             seen["neg_le1_only"] += v_neg <= 1 < v_pos
-            seen["chain"] += max(v_neg, v_pos) >= 2
+            seen["bisected"] += max(v_neg, v_pos) >= 2
             seen["x_power"] += m > 0
             seen["non_primitive"] += math.gcd(*p) > 1
             seen["trailing_zeros"] += p[-1] == 0
             seen["negative_lead"] += p[deg] < 0
     assert min(seen.values()) >= 30, seen
+    assert walked == {"squarefree": 94, "gcd": 8}, walked
 
 
 def test_integer_roots_wide_empty_and_constant_ranges():

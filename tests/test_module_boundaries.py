@@ -7,10 +7,9 @@
   `poly2.eliminant` and `poly2.discriminant`.
 - `unipoly` reads its integer root walk `_root_slots` alone: every other
   module reads it through `root_slots` or `integer_roots`.
-- Outside `unipoly`, only the level sets isolate and read a bracket's slot:
-  `branch.level_set_abscissas` is the one caller of `isolate_real_roots`,
-  and `branch.partition_by_bounds` the one caller of `root_slot`; every
-  other locus is read by the integer walk.
+- Outside `unipoly`, nothing isolates or reads a bracket's slot: no other
+  module imports or reads `isolate_real_roots` or a `root_slot`, and every
+  locus, the level-set eliminants among them, is read by the integer walk.
 - Every top-level function or class of the package is reached: another
   top-level statement of a package module or a script under `scripts/`
   uses it, or a latbench span binds it.  An export from
@@ -95,33 +94,20 @@ def test_only_unipoly_reads_the_root_walk():
     assert found == {}
 
 
-def callers(source: str, name: str) -> list[str]:
-    """The top-level statements of the module source, imports aside, that
-    read `name`: a function or class by its name, any other statement by
-    its first line."""
-    return [
-        getattr(node, "name", f"line {node.lineno}")
-        for node in ast.parse(source).body
-        if not isinstance(node, (ast.Import, ast.ImportFrom)) and name in _referenced(node)
-    ]
-
-
-def test_only_the_level_sets_isolate_outside_unipoly():
-    assert callers(
+def test_nothing_isolates_outside_unipoly():
+    assert references(
         "from .unipoly import root_slot\nslot = root_slot\ndef f():\n    return root_slot(r)\n"
         "class C:\n    g = unipoly.root_slot",
         "root_slot",
-    ) == ["line 2", "f", "C"]
+    ) == [1, 2, 3, 5]
     found = {
-        name: {
-            f"{path.stem}.{caller}"
-            for path in sorted(PACKAGE.glob("*.py"))
-            if path.stem != "unipoly"
-            for caller in callers(path.read_text(), name)
-        }
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "unipoly"
         for name in ("isolate_real_roots", "root_slot")
+        if (lines := references(path.read_text(), name))
     }
-    assert found == {"isolate_real_roots": {"branch.level_set_abscissas"}, "root_slot": {"branch.partition_by_bounds"}}
+    assert found == {}
 
 
 def _referenced(node: ast.AST) -> set[str]:
