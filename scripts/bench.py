@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_47.json at the repository root.
+rows and write BENCH_48.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
-empty, as in a CLI call), timed there with `time.perf_counter` from parsing
-the curve to the result: `brute_force_count(curve, N)` for the oracle rows
+empty, as in a CLI call), timed there from parsing the curve to the result,
+both in wall seconds (`time.perf_counter`) and in CPU seconds of that
+process (`time.process_time`), which a busy shared host inflates less:
+`brute_force_count(curve, N)` for the oracle rows
 (the ROADMAP baseline) and `determinant_method_count(curve, N,
 compare_oracle=False)` for the pipeline rows.
 
@@ -13,9 +15,10 @@ holds `src/latcurve`), every row is timed on both trees: RUNS = 5 pairs of
 fresh runs, alternating between the trees and swapping which goes first in
 each pair, so the drift of a shared host falls on both sides alike.
 Without it only this checkout is timed.  A side's seconds are the median
-of its runs; the counts of all runs of a row must agree.  The file holds
-each call, curve, box and count, each side's median and runs, plus the
-interpreter and machine they were measured on.
+of its runs, and its CPU seconds the median of their CPU times; the counts
+of all runs of a row must agree.  The file holds each call, curve, box and
+count, each side's wall and CPU medians and runs, plus the interpreter and
+machine they were measured on.
 
     python3 scripts/bench.py
     python3 scripts/bench.py --parent ../parent-checkout
@@ -132,7 +135,7 @@ ROWS = [
     ),
 ]
 
-OUT = ROOT / "BENCH_47.json"
+OUT = ROOT / "BENCH_48.json"
 RUNS = 5
 
 # one timed call, run in a fresh interpreter with the tree's src on its path
@@ -140,38 +143,43 @@ CHILD = """
 import sys, time
 from latcurve import brute_force_count, determinant_method_count, parse
 kind, text, n_box = sys.argv[1], sys.argv[2], int(sys.argv[3])
-start = time.perf_counter()
+start, cpu = time.perf_counter(), time.process_time()
 curve = parse(text)
 if kind == "oracle":
     total = brute_force_count(curve, n_box)[0]
 else:
     total = determinant_method_count(curve, n_box, compare_oracle=False).total
-print(total, time.perf_counter() - start)
+print(total, time.perf_counter() - start, time.process_time() - cpu)
 """
 
 
-def timed_count(tree: Path, kind: str, text: str, n_box: int) -> tuple[int, float]:
+def timed_count(tree: Path, kind: str, text: str, n_box: int) -> tuple[int, float, float]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = subprocess.run(
         [sys.executable, "-c", CHILD, kind, text, str(n_box)],
         cwd=tree, env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
-    return int(out[0]), float(out[1])
+    return int(out[0]), float(out[1]), float(out[2])
 
 
 def time_row(trees: dict[str, Path], kind: str, text: str, n_box: int) -> dict:
-    runs: dict[str, list[tuple[int, float]]] = {side: [] for side in trees}
+    runs: dict[str, list[tuple[int, float, float]]] = {side: [] for side in trees}
     order = list(trees)
     for k in range(RUNS):
         for side in order if k % 2 == 0 else order[::-1]:
             runs[side].append(timed_count(trees[side], kind, text, n_box))
-    totals = {total for side_runs in runs.values() for total, _ in side_runs}
+    totals = {run[0] for side_runs in runs.values() for run in side_runs}
     if len(totals) != 1:
         raise RuntimeError(f"{kind} {text} N = {n_box}: runs disagree on the count: {sorted(totals)}")
     row = {"kind": kind, "curve": text, "N": n_box, "count": totals.pop()}
     for side, side_runs in runs.items():
-        seconds = [s for _, s in side_runs]
-        row[side] = {"seconds": statistics.median(seconds), "runs": seconds}
+        seconds, cpu = [run[1] for run in side_runs], [run[2] for run in side_runs]
+        row[side] = {
+            "seconds": statistics.median(seconds),
+            "runs": seconds,
+            "cpu_seconds": statistics.median(cpu),
+            "cpu_runs": cpu,
+        }
     return row
 
 
@@ -187,7 +195,9 @@ def main() -> int:
     rows = []
     for kind, text, n_box in ROWS:
         row = time_row(trees, kind, text, n_box)
-        sides = "  ".join(f"{side} {row[side]['seconds']:7.3f} s" for side in trees)
+        sides = "  ".join(
+            f"{side} {row[side]['seconds']:7.3f} s (cpu {row[side]['cpu_seconds']:7.3f} s)" for side in trees
+        )
         print(f"{kind:8} {text:36} N = {n_box:>6}  count {row['count']:>4}  {sides}")
         rows.append(row)
     payload = {

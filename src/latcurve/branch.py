@@ -46,8 +46,8 @@ the others by Cauchy's estimate on dyadic discs proved free of the roots
 of lc_y(F) (Rouché's test) and of the discriminant (Rouché's test, retried
 after Graeffe root-squaring steps), from radius 1 up, with a Fujiwara
 bound on the roots of F over each disc about their mean at its centre,
-and up to four stretch widths per disc.  It reads no branch value: all of
-it runs on the integer maps `unipoly.affine_image` and
+and up to four stretch widths per disc.  It reads no branch value and no
+column: all of it runs on the integer maps `unipoly.affine_image` and
 `unipoly.graeffe_step` and integer powers, and a proved order reads small
 on every piece, as its flag queries, which find no crossing in the
 domain, would give.  Every eliminant comes from `poly2`: a frame
@@ -76,6 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
@@ -457,16 +458,6 @@ def _fujiwara_below(bound: Sequence[int], low: int, half: Fraction) -> bool:
     )
 
 
-def _dyadic_at_or_below(x: Fraction, e: int) -> tuple[int, int]:
-    """(a, e') with a/2^e' = x when x's denominator is a power of two (then
-    e' >= e), else a = floor(x * 2^e) and e' = e."""
-    k = x.denominator.bit_length() - 1
-    if x.denominator == 1 << k:
-        e = max(e, k)
-        return x.numerator << (e - k), e
-    return (x.numerator << e) // x.denominator, e
-
-
 def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta: Fraction) -> frozenset[int]:
     """The orders 1 <= i < D proved to satisfy |f^(i)/i!| < N*delta^i
     strictly on the whole closed domain.
@@ -478,7 +469,8 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
 
     Every other order is proved by Cauchy's estimate.  The domain is covered
     left to right by stretches |x - x0| <= s, each inside a disc |z - x0|
-    <= R with dyadic x0 and R.  The disc must pass Rouché's test
+    <= R with R a power of two, the disc z = (a + r*w)/d, |w| <= 1, on
+    integers a, r and d.  The disc must pass Rouché's test
     (`_rouche_margin`) for lc_y(F), whose margin bounds the leading
     coefficient below, and the exact root-free test `_root_free` for the
     discriminant of the curve's `_FrameLoci`, each on the Taylor
@@ -486,7 +478,8 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     F(z, .) are deg_y F distinct analytic functions on the disc, and the
     branch is one of them on the stretch.  Let y0 = -c_(n-1)(x0)/(n
     c_n(x0)), the mean of the roots of the column F(x0, .) = sum_m c_m(x0)
-    y^m, and M a Fujiwara bound on every root y of F(z, y0 + y) over the
+    y^m, read from the constant terms d^dx * c_m(x0) of the rows' images,
+    and M a Fujiwara bound on every root y of F(z, y0 + y) over the
     disc, from the bounds sum_k |c_k| R^k on its coefficients (one
     `affine_image` per column of the scaled rows) and the Rouché margin of
     its leading one.  M bounds every sheet, so any y0 would serve and no
@@ -497,8 +490,9 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     R starts at the smallest power of two, at least 1, that spans the
     domain.  For each
     R the half-widths s = R/2, R/4, R/8, R/16 are tried in turn, each with
-    its centre at pos + s on a dyadic grid of at most s/4, where pos is the
-    left end of what is left to cover: a narrower stretch loses less of R
+    its centre x0 = min(pos + s, (pos + hi)/2), where pos is the left end of
+    what is left to cover and hi the right end of the domain; from integer
+    domain ends x0 is dyadic.  A narrower stretch loses less of R
     in M/(R - s)^i, which counts next to a branch point.  The widest one
     that proves every order left is kept; when none does, the narrowest
     whose disc passed is kept and the orders that fail there are dropped.
@@ -509,7 +503,7 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     monotone in i, so a scan in the direction where it grows stops at the
     first order that holds, and the cover stops once no order is left.  The
     work is integer affine maps and root-squaring steps of the curve's rows
-    and discriminant and one column per disc that passes.
+    and discriminant; no column of the curve is read.
     """
     lo, hi = map(Fraction, branch.domain)  # so no int is divided by an int
     left = set(range(2 if branch.flat else 1, big_d))
@@ -527,28 +521,29 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     while left:
         if t < _MIN_DISC_LOG2:
             return proved
-        stretch = None
+        stretch, radius = None, Fraction(2) ** t
         for k in range(1, _STRETCH_LOG2 + 1):
-            s = Fraction(2) ** (t - k)  # x0 lies on a grid of at most s/4
-            a, e = _dyadic_at_or_below(min(pos + s, (pos + hi) / 2), max(0, k + 2 - t))
-            r, d = 1 << (t + e), 1 << e
+            s = Fraction(2) ** (t - k)
+            x0 = min(pos + s, (pos + hi) / 2)
+            # z = (a + r*w)/d on |w| <= 1 is the disc |z - x0| <= R
+            d = lcm(x0.denominator, radius.denominator)
+            a, r = x0.numerator * (d // x0.denominator), radius.numerator * (d // radius.denominator)
             lead = affine_image(rows[-1], a, r, d, dx)
             margin = _rouche_margin(lead)
             if margin <= 0 or disc is not None and not _root_free(affine_image(disc, a, r, d, len(disc) - 1)):
                 break
-            x0 = Fraction(a, d)
-            # the mean of the roots of F(x0, .): c_n(x0) != 0 by the margin above
-            col = curve.int_column(x0)
-            y0 = Fraction(-col[n - 1], n * col[n])
-            u, v = y0.numerator, y0.denominator
             shifted = [affine_image(row, a, r, d, dx) for row in rows[:-1]] + [lead]
-            # one column per power of w of 2^(e*dx) * v^n * F(z, y0 + y), in y;
+            # the mean of the roots of F(x0, .), from the constant terms
+            # d^dx * c_m(x0) of the images: c_n(x0) != 0 by the margin above
+            y0 = Fraction(-shifted[n - 1][0], n * lead[0])
+            u, v = y0.numerator, y0.denominator
+            # one column per power of w of d^dx * v^n * F(z, y0 + y), in y;
             # the sup over the disc of the coefficient of y^m is at most bound[m]
             # and the leading one is at least low
             columns = [affine_image([row[j] for row in shifted], u, v, v, n) for j in range(dx + 1)]
             bound = [sum(abs(col[m]) for col in columns) for m in range(n)]
             low = margin * v**n
-            q = delta * (Fraction(r, d) - s)  # delta * (R - s)
+            q = delta * (radius - s)
             # N * q^i is monotone in i, so the orders that hold are all those
             # from the first one that holds, scanning up (q >= 1) or down (q < 1)
             scan = sorted(left, reverse=q < 1)

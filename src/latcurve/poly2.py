@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .unipoly import UniPoly, _int_mul, _primitive, int_exact_quotient, poly_gcd, primitive_ints
+from .unipoly import UniPoly, _int_eval, _int_mul, _primitive, _rat_eval, int_exact_quotient, poly_gcd, primitive_ints
 
 ExponentPair = tuple[int, int]
 
@@ -52,14 +52,6 @@ def term_order_key(j: ExponentPair) -> tuple[int, int]:
 def display_order_key(j: ExponentPair) -> tuple[int, int]:
     """Sort key for printing: highest total degree first, x before y inside a degree."""
     return (j[0] + j[1], j[0])
-
-
-def _powers(v: int, n: int) -> list[int]:
-    """[v^0, v^1, ..., v^n], each power computed once."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * v)
-    return out
 
 
 def _canonical(content: Fraction, rows: list[list[int]]) -> BiPoly:
@@ -265,28 +257,15 @@ class BiPoly:
 
     def int_column(self, x0: Fraction | int) -> list[int]:
         """A positive multiple of self(x0, y) as an integer list in y, [] when
-        it is zero.  At an integer x0 each row is one Horner pass; at x0 =
-        a/b each entry c*x^j1 of a row is evaluated homogeneously as
-        c * a^j1 * b^(deg_x - j1)."""
-        a, b = x0.numerator, x0.denominator
-        if b == 1:
-            out = []
-            for r in self.rows:
-                v = 0
-                for c in reversed(r):
-                    v = v * a + c
-                out.append(v)
+        it is zero: each row's `_int_eval` at an integer x0, and at x0 = a/b
+        its `_rat_eval`, b^deg(row) * row(x0), times b^(deg_x - deg(row)), so
+        every entry is b^deg_x * row(x0)."""
+        if x0.denominator == 1:
+            a = x0.numerator
+            out = [_int_eval(r, a) for r in self.rows]
         else:
-            dx = self.degree_x()
-            apow, bpow = _powers(a, dx), _powers(b, dx)
-            out = [0] * len(self.rows)
-            for j2, r in enumerate(self.rows):
-                if r:
-                    v = 0
-                    for j1, c in enumerate(r):
-                        if c:
-                            v += c * apow[j1] * bpow[dx - j1]
-                    out[j2] = v
+            b, top = x0.denominator, self.degree_x() + 1
+            out = [_rat_eval(r, x0) * b ** (top - len(r)) for r in self.rows]
         while out and not out[-1]:
             out.pop()
         return out

@@ -360,6 +360,7 @@ def _int_root_bound(f: Sequence[int]) -> int:
 
 
 def _int_eval(f: Sequence[int], x: int) -> int:
+    """f(x) at the integer x, by Horner's rule."""
     acc = 0
     for c in reversed(f):
         acc = acc * x + c

@@ -1444,10 +1444,14 @@ def test_certified_orders_cauchy_bound_by_hand(monkeypatch):
       3/2 > 1.  s = 1/4 at the same centre holds and reaches 1/2.
     - N = 1: even s = 1/16 at x0 = -7/16 gives M = 15/8 > 15/16, so every
       order is dropped.
+
+    y0 comes from the constant terms of the rows' affine images, so no
+    column of the curve is read.
     """
     monkeypatch.setattr(branch_module, "branch_value_bracket", _not_called)
     br = branch_from_point(parse("y - x^2"), 0, 0, (Fraction(-1, 2), Fraction(1, 2)))
     assert not br.flat
+    monkeypatch.setattr(BiPoly, "int_column", _not_called)
     for n_box, want in ((9, {1, 2, 3}), (8, {1, 2, 3}), (1, set())):
         assert certified_orders(br, 4, Fraction(n_box), Fraction(1)) == want, n_box
 
@@ -1988,24 +1992,46 @@ def test_certificate_strength_on_latbench_rounds():
         assert tuple(counts["hull"]) == want_hull, name
 
 
-def test_certificate_proves_every_order_next_to_a_branch_point():
+def test_certificate_proves_every_order_next_to_a_branch_point(monkeypatch):
     """At the pipeline's D and delta, the discs prove every order of every
     integer hull of y^2 - x^3 + 8*x - 8 at N = 25 but one, the swapped
     one-point hull [3, 3] among them, whose discs start at radius 1 and are
     centred on the mean of the column's roots.  The exception is the
     swapped one-point hull [4, 4], one unit from a branch point, where they
     prove order 1 only (by the slope bound); orders 2 to 8 go to the level
-    sets."""
+    sets.  The certificate reads neither a branch value nor a column."""
     curve, n_box = parse("y^2 - x^3 + 8*x - 8"), 25
     ell = default_ell(curve.degree, n_box)
     delta = default_delta(curve.degree, ell, n_box)
     hulls = [integer_hull(br) for br in graph_decompose(curve, n_box).branches]
     hulls = [br for br in hulls if br is not None]
     assert any(br.swapped and br.domain == (3, 3) for br in hulls)
+    monkeypatch.setattr(branch_module, "branch_value_bracket", _not_called)
+    monkeypatch.setattr(BiPoly, "int_column", _not_called)
     for br in hulls:
         big_d = punctured_set(curve.degree, ell, corner_index(br.curve)).D
         want = {1} if br.swapped and br.domain == (4, 4) else set(range(1, big_d))
         assert certified_orders(br, big_d, Fraction(n_box), delta) == want, br
+
+
+def test_pipeline_reads_columns_at_integer_abscissas_only(monkeypatch):
+    """Every `int_column` abscissa of the counts of two seed-1 `partition`
+    rounds and of y^2 - x^3 + 8*x - 8 at N = 25, oracle off, is an integer:
+    the disc certificate, whose centres are dyadic, reads no column, and
+    every other reader sits on an integer run."""
+    abscissas = []
+    original = BiPoly.int_column
+
+    def recorded(self, x0):
+        abscissas.append(x0)
+        return original(self, x0)
+
+    monkeypatch.setattr(BiPoly, "int_column", recorded)
+    cases = [(c.text, c.n_box) for row in _latbench_workloads()["partition"].rounds(1, 2) for c in row]
+    for text, n_box in cases + [("y^2 - x^3 + 8*x - 8", 25)]:
+        determinant_method_count(parse(text), n_box, compare_oracle=False)
+    assert len(abscissas) > 100
+    assert [x0 for x0 in abscissas if Fraction(x0).denominator != 1] == []
 
 
 def test_piece_flags_match_product_queries_at_pipeline_size():

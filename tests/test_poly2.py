@@ -485,6 +485,9 @@ def test_int_column_is_a_positive_multiple_of_at_x():
 def test_int_column_examples():
     p = parse("x^2 - 2*y^2 - 1")
     assert p.int_column(3) == [8, 0, -2]
+    # an integer-valued Fraction reads the same ints as the int
+    col = p.int_column(Fraction(6, 2))
+    assert col == p.int_column(3) and all(type(c) is int for c in col)
     assert p.int_column(Fraction(1, 2)) == [-3, 0, -8]  # 4 * (1/4 - 1 - 2*y^2)
     assert parse("(2*x + 3)*y - x").int_column(Fraction(-3, 2)) == [3]
     assert parse("(2*x + 3)*(y - x)").int_column(Fraction(-3, 2)) == []
