@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_48.json at the repository root.
+rows and write BENCH_49.json at the repository root.
 
 Each run is one call in a fresh interpreter (so the package's caches start
 empty, as in a CLI call), timed there from parsing the curve to the result,
@@ -125,6 +125,11 @@ ROWS = [
     ("pipeline", "x^2 + y^2 - 4884100", 10**4),
     ("pipeline", "x^2 + x*y + y^2 - 2989441", 10**4),
     ("pipeline", "x^3 + y^3 - 87539319", 1000),
+    # latbench `partition` members, a quintic and a Pell conic, whose counts
+    # spent about 40% of their time in the disc certificate while its
+    # positions were `Fraction`s
+    ("pipeline", "x - 17*y^5", 100),
+    ("pipeline", "x^2 - 32*y^2 - 1", 60),
     # a dense quartic with no point in the box, whose count is mostly
     # level-set resultants
     (
@@ -135,7 +140,7 @@ ROWS = [
     ),
 ]
 
-OUT = ROOT / "BENCH_48.json"
+OUT = ROOT / "BENCH_49.json"
 RUNS = 5
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

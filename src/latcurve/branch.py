@@ -47,10 +47,10 @@ of lc_y(F) (Rouché's test) and of the discriminant (Rouché's test, retried
 after Graeffe root-squaring steps), from radius 1 up, with a Fujiwara
 bound on the roots of F over each disc about their mean at its centre,
 and up to four stretch widths per disc.  It reads no branch value and no
-column: all of it runs on the integer maps `unipoly.affine_image` and
-`unipoly.graeffe_step` and integer powers, and a proved order reads small
-on every piece, as its flag queries, which find no crossing in the
-domain, would give.  Every eliminant comes from `poly2`: a frame
+column and makes no `Fraction`: positions are integer counts of one unit
+1/U, and the rest is `unipoly.affine_image`, `unipoly.graeffe_step` and
+integer powers.  A proved order reads small on every piece, as its flag
+queries would, finding no crossing.  Every eliminant comes from `poly2`: a frame
 curve's discriminant Res_y(F, F_y) is `poly2.discriminant`, built once per
 curve for the ingestion check, the frame cuts and the disc test, and the
 x-loci of a frame curve (its frame cuts and whether its slope is
@@ -76,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
@@ -446,13 +446,13 @@ def _root_free(q: Sequence[int]) -> bool:
     return False
 
 
-def _fujiwara_below(bound: Sequence[int], low: int, half: Fraction) -> bool:
+def _fujiwara_below(bound: Sequence[int], low: int, num: int, den: int) -> bool:
     """Whether Fujiwara's bound M = 2 max(|c_(n-k)/c_n|^(1/k) for k < n,
     |c_0/(2 c_n)|^(1/n)) on the roots of a polynomial of degree n =
     len(bound), with |c_m| <= bound[m] and |c_n| >= low > 0, is below 2 *
-    half; decided on integers, as the inequalities raised to their powers."""
+    num/den; decided on integers, as the inequalities raised to their
+    powers, each homogeneous in num, den > 0, which need no reduction."""
     n = len(bound)
-    num, den = half.numerator, half.denominator
     return all(bound[n - k] * den**k < low * num**k for k in range(1, n)) and (
         bound[0] * den**n < 2 * low * num**n
     )
@@ -476,36 +476,39 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     discriminant of the curve's `_FrameLoci`, each on the Taylor
     coefficients at x0 scaled by R (one `affine_image`).  Then the roots of
     F(z, .) are deg_y F distinct analytic functions on the disc, and the
-    branch is one of them on the stretch.  Let y0 = -c_(n-1)(x0)/(n
-    c_n(x0)), the mean of the roots of the column F(x0, .) = sum_m c_m(x0)
-    y^m, read from the constant terms d^dx * c_m(x0) of the rows' images,
-    and M a Fujiwara bound on every root y of F(z, y0 + y) over the
-    disc, from the bounds sum_k |c_k| R^k on its coefficients (one
-    `affine_image` per column of the scaled rows) and the Rouché margin of
-    its leading one.  M bounds every sheet, so any y0 would serve and no
+    branch is one of them on the stretch.  Let y0 = u/v = -c_(n-1)(x0)/(n
+    c_n(x0)), reduced with v > 0, the mean of the roots of the column F(x0,
+    .) = sum_m c_m(x0) y^m, read from the constant terms d^dx * c_m(x0) of
+    the rows' images, and M a Fujiwara bound on every root y of F(z, y0 +
+    y) over the disc, from the bounds sum_k |c_k| R^k on its coefficients
+    (one `affine_image` per column of the scaled rows) and the Rouché margin
+    of its leading one.  M bounds every sheet, so any y0 would serve and no
     branch value is read.  Then |f^(i)(x)/i!| <= M/(R - s)^i for |x - x0|
-    <= s, so order i holds on the stretch when M < N*delta^i*(R - s)^i
-    (`_fujiwara_below`).
+    <= s, so order i holds on the stretch when M < N*q^i, q = delta*(R -
+    s) (`_fujiwara_below`, given N*q^i/2 as an unreduced integer pair).
 
     R starts at the smallest power of two, at least 1, that spans the
-    domain.  For each
-    R the half-widths s = R/2, R/4, R/8, R/16 are tried in turn, each with
-    its centre x0 = min(pos + s, (pos + hi)/2), where pos is the left end of
-    what is left to cover and hi the right end of the domain; from integer
-    domain ends x0 is dyadic.  A narrower stretch loses less of R
-    in M/(R - s)^i, which counts next to a branch point.  The widest one
-    that proves every order left is kept; when none does, the narrowest
-    whose disc passed is kept and the orders that fail there are dropped.
-    A narrower centre moves the disc towards pos, so the trial stops at the
-    first refused disc, and R halves when the disc of s = R/2 is refused.
-    R doubles after each stretch; no disc below radius 1/16 is tried, and a
-    stretch that needs one proves no order.  N*delta^i*(R - s)^i is
-    monotone in i, so a scan in the direction where it grows stops at the
-    first order that holds, and the cover stops once no order is left.  The
-    work is integer affine maps and root-squaring steps of the curve's rows
-    and discriminant; no column of the curve is read.
+    domain.  For each R the half-widths s = R/2, R/4, R/8, R/16 are tried
+    in turn, each with its centre x0 = min(pos + s, (pos + hi)/2), where pos
+    is the left end of what is left to cover and hi the right end of the
+    domain.  A narrower stretch loses less of R in M/(R - s)^i, which
+    counts next to a branch point.  The widest one that proves every order
+    left is kept; when none does, the narrowest whose disc passed is kept
+    and the orders that fail there are dropped.  A narrower centre moves the
+    disc towards pos, so the trial stops at the first refused disc, and R
+    halves when the disc of s = R/2 is refused.  R doubles after each
+    stretch; no disc below radius 1/16 is tried, and a stretch that needs
+    one proves no order.  N*q^i is monotone in i, so a scan in the
+    direction where it grows stops at the first order that holds, and the
+    cover stops once no order is left.  No column of the curve is read.
+
+    No `Fraction` is made: pos, s, x0, R and hi count the unit 1/U, U =
+    lcm(den lo, den hi) * 2^9, so the ends, R, s >= 1/256 and pos are even
+    and (pos + hi)/2 is exact (a halved centre is the last: x0 + s > hi).
+    (a, r, d) = (x0, R, U)/gcd, the same as from x0's and R's denominators.
     """
-    lo, hi = map(Fraction, branch.domain)  # so no int is divided by an int
+    unit = lcm(*(end.denominator for end in branch.domain)) << (_STRETCH_LOG2 - _MIN_DISC_LOG2 + 1)
+    lo, hi = (end.numerator * (unit // end.denominator) for end in branch.domain)
     left = set(range(2 if branch.flat else 1, big_d))
     proved = frozenset({1} if branch.flat and big_d > 1 else ())
     if not left:
@@ -514,20 +517,21 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     rows, n, dx = curve.rows, curve.degree_y(), curve.degree_x()
     # lc_y(F) is tested through the margin of the leading coefficient below
     disc = discriminant(curve) if n >= 2 else None
+    n_num, n_den, d_num, d_den = n_box.numerator, n_box.denominator, delta.numerator, delta.denominator
     t_top = 0
-    while hi - lo > 2**t_top:
+    while hi - lo > unit << t_top:
         t_top += 1
     t, pos = t_top, lo
     while left:
         if t < _MIN_DISC_LOG2:
             return proved
-        stretch, radius = None, Fraction(2) ** t
+        stretch, radius = None, unit << t if t >= 0 else unit >> -t
         for k in range(1, _STRETCH_LOG2 + 1):
-            s = Fraction(2) ** (t - k)
-            x0 = min(pos + s, (pos + hi) / 2)
+            s = radius >> k
+            x0 = min(pos + s, (pos + hi) >> 1)
             # z = (a + r*w)/d on |w| <= 1 is the disc |z - x0| <= R
-            d = lcm(x0.denominator, radius.denominator)
-            a, r = x0.numerator * (d // x0.denominator), radius.numerator * (d // radius.denominator)
+            g = gcd(x0, radius, unit)
+            a, r, d = x0 // g, radius // g, unit // g
             lead = affine_image(rows[-1], a, r, d, dx)
             margin = _rouche_margin(lead)
             if margin <= 0 or disc is not None and not _root_free(affine_image(disc, a, r, d, len(disc) - 1)):
@@ -535,27 +539,27 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
             shifted = [affine_image(row, a, r, d, dx) for row in rows[:-1]] + [lead]
             # the mean of the roots of F(x0, .), from the constant terms
             # d^dx * c_m(x0) of the images: c_n(x0) != 0 by the margin above
-            y0 = Fraction(-shifted[n - 1][0], n * lead[0])
-            u, v = y0.numerator, y0.denominator
+            g = gcd(shifted[n - 1][0], n * lead[0]) * (1 if lead[0] > 0 else -1)
+            u, v = -shifted[n - 1][0] // g, n * lead[0] // g
             # one column per power of w of d^dx * v^n * F(z, y0 + y), in y;
             # the sup over the disc of the coefficient of y^m is at most bound[m]
             # and the leading one is at least low
             columns = [affine_image([row[j] for row in shifted], u, v, v, n) for j in range(dx + 1)]
             bound = [sum(abs(col[m]) for col in columns) for m in range(n)]
             low = margin * v**n
-            q = delta * (radius - s)
+            q_num, q_den = d_num * (radius - s), d_den * unit
             # N * q^i is monotone in i, so the orders that hold are all those
             # from the first one that holds, scanning up (q >= 1) or down (q < 1)
-            scan = sorted(left, reverse=q < 1)
-            stretch = (x0, s, bound, low, q, scan)
-            if _fujiwara_below(bound, low, n_box * q ** scan[0] / 2):
+            scan = sorted(left, reverse=q_num < q_den)
+            stretch = (x0, s, bound, low, q_num, q_den, scan)
+            if _fujiwara_below(bound, low, n_num * q_num ** scan[0], 2 * n_den * q_den ** scan[0]):
                 break  # every order left holds
         if stretch is None:
             t -= 1
             continue
-        x0, s, bound, low, q, scan = stretch
+        x0, s, bound, low, q_num, q_den, scan = stretch
         for i in scan:
-            if _fujiwara_below(bound, low, n_box * q**i / 2):
+            if _fujiwara_below(bound, low, n_num * q_num**i, 2 * n_den * q_den**i):
                 break
             left.discard(i)
         if x0 + s >= hi:
@@ -610,14 +614,12 @@ def partition_by_bounds(
     if lo.denominator != 1 or hi.denominator != 1:
         raise ValueError("partition_by_bounds needs a domain with integer ends")
     lo, hi = int(lo), int(hi)
-    thresholds = [n_box * delta**i for i in range(1, big_d)]
     slots: set[tuple[int, bool]] = set()
     certified = certified_orders(branch, big_d, n_box, delta)
     # the orders that read small on every piece, with no flag query
     forced_small = set(certified)
-    for i, thr in enumerate(thresholds, start=1):
-        if i in forced_small:
-            continue
+    thresholds = {i: n_box * delta**i for i in range(1, big_d) if i not in certified}
+    for i, thr in thresholds.items():
         for c in (thr, -thr):
             try:
                 _level_curve(branch.curve, i, c)
@@ -640,10 +642,8 @@ def partition_by_bounds(
     pieces: list[Piece] = []
     for a, b in slot_runs(sorted(slots), lo, hi):
         # one branch-value bracket per run serves every order left
-        bracket = branch_value_bracket(branch, a) if len(forced_small) < len(thresholds) else None
-        flags = tuple(
-            "small" if i in forced_small else flag(bracket, i, thr, a) for i, thr in enumerate(thresholds, 1)
-        )
+        bracket = branch_value_bracket(branch, a) if len(forced_small) < big_d - 1 else None
+        flags = tuple("small" if i in forced_small else flag(bracket, i, thresholds[i], a) for i in range(1, big_d))
         pieces.append(Piece(a, b, flags))
     return IntervalPartition(pieces, certified)
 

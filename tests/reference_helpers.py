@@ -9,8 +9,9 @@
   that takes its leading power back out of an eliminant, the sign of a
   polynomial along a branch, a branch's integer hull, disjoint isolating
   brackets with duplicates of one root dropped (`refine_disjoint`), the
-  per-root crossing test of a level set, and a lattice-point sweep over x
-  alone.
+  per-root crossing test of a level set, the disc certificate of
+  derivative orders on `Fraction` positions (`fraction_certified_orders`),
+  and a lattice-point sweep over x alone.
 - The paper's lemmas, which no count runs: the interpolation-determinant
   bound (Ryser's permanent of the derivative bounds), the single-curve
   threshold, a branch through a rational curve point with its exact Taylor
@@ -29,11 +30,15 @@ from math import ceil, comb, factorial, floor
 from typing import Optional
 
 from latcurve.branch import (
+    _MIN_DISC_LOG2,
+    _STRETCH_LOG2,
     AlgebraicBranch,
     BranchError,
     _column,
     _level_curve,
     _level_resultant,
+    _root_free,
+    _rouche_margin,
     branch_value_bracket,
     hk_sequence,
 )
@@ -57,6 +62,7 @@ from latcurve.unipoly import (
     _int_root_bound,
     _primitive,
     _rat_eval,
+    affine_image,
     count_real_roots,
     descartes_bound,
     int_exact_quotient,
@@ -382,6 +388,73 @@ def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> li
         if s <= 0:
             included.append(r)
     return included
+
+
+def fraction_fujiwara_below(bound: Sequence[int], low: int, half: Fraction) -> bool:
+    """`branch._fujiwara_below` with its threshold as one reduced `Fraction`
+    half = N*delta^i*(R - s)^i/2."""
+    n = len(bound)
+    num, den = half.numerator, half.denominator
+    return all(bound[n - k] * den**k < low * num**k for k in range(1, n)) and (
+        bound[0] * den**n < 2 * low * num**n
+    )
+
+
+def fraction_certified_orders(
+    branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta: Fraction
+) -> frozenset[int]:
+    """`branch.certified_orders` with every position (pos, s, x0, R, hi), y0
+    and q = delta*(R - s) a `Fraction`, and each disc's integers from the
+    lcm of the reduced denominators of x0 and R: the same stretches, discs
+    and decisions on its rational domain."""
+    lo, hi = map(Fraction, branch.domain)
+    left = set(range(2 if branch.flat else 1, big_d))
+    proved = frozenset({1} if branch.flat and big_d > 1 else ())
+    if not left:
+        return proved
+    curve = branch.curve
+    rows, n, dx = curve.rows, curve.degree_y(), curve.degree_x()
+    disc = discriminant(curve) if n >= 2 else None
+    t_top = 0
+    while hi - lo > 2**t_top:
+        t_top += 1
+    t, pos = t_top, lo
+    while left:
+        if t < _MIN_DISC_LOG2:
+            return proved
+        stretch, radius = None, Fraction(2) ** t
+        for k in range(1, _STRETCH_LOG2 + 1):
+            s = Fraction(2) ** (t - k)
+            x0 = min(pos + s, (pos + hi) / 2)
+            d = math.lcm(x0.denominator, radius.denominator)
+            a, r = x0.numerator * (d // x0.denominator), radius.numerator * (d // radius.denominator)
+            lead = affine_image(rows[-1], a, r, d, dx)
+            margin = _rouche_margin(lead)
+            if margin <= 0 or disc is not None and not _root_free(affine_image(disc, a, r, d, len(disc) - 1)):
+                break
+            shifted = [affine_image(row, a, r, d, dx) for row in rows[:-1]] + [lead]
+            y0 = Fraction(-shifted[n - 1][0], n * lead[0])
+            u, v = y0.numerator, y0.denominator
+            columns = [affine_image([row[j] for row in shifted], u, v, v, n) for j in range(dx + 1)]
+            bound = [sum(abs(col[m]) for col in columns) for m in range(n)]
+            low = margin * v**n
+            q = delta * (radius - s)
+            scan = sorted(left, reverse=q < 1)
+            stretch = (x0, s, bound, low, q, scan)
+            if fraction_fujiwara_below(bound, low, n_box * q ** scan[0] / 2):
+                break
+        if stretch is None:
+            t -= 1
+            continue
+        x0, s, bound, low, q, scan = stretch
+        for i in scan:
+            if fraction_fujiwara_below(bound, low, n_box * q**i / 2):
+                break
+            left.discard(i)
+        if x0 + s >= hi:
+            break
+        pos, t = x0 + s, min(t + 1, t_top)
+    return proved | left
 
 
 def x_sweep_count(curve: BiPoly, n_box: int) -> tuple[int, list[LatticePoint]]:

@@ -2,6 +2,7 @@
 and the box decomposition."""
 
 import dataclasses
+import fractions
 import importlib.util
 import math
 import random
@@ -2012,6 +2013,161 @@ def test_certificate_proves_every_order_next_to_a_branch_point(monkeypatch):
         big_d = punctured_set(curve.degree, ell, corner_index(br.curve)).D
         want = {1} if br.swapped and br.domain == (4, 4) else set(range(1, big_d))
         assert certified_orders(br, big_d, Fraction(n_box), delta) == want, br
+
+
+def _fuzz_script():
+    """scripts/fuzz.py, read from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fuzz.py"
+    spec = importlib.util.spec_from_file_location("fuzz_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pipeline_hulls(cases):
+    """(integer hull, N, D, pipeline delta) for each branch of each curve,
+    as `determinant_method_count` partitions it; a curve that ingestion or
+    the decomposition rejects is skipped."""
+    out = []
+    for text, n_box in cases:
+        try:
+            curve = ingestion_check(parse(text))
+            if curve.degree < 2:
+                continue
+            branches = graph_decompose(curve, n_box).branches
+        except (BranchError, IngestionError):
+            continue
+        ell = default_ell(curve.degree, n_box)
+        delta = default_delta(curve.degree, ell, n_box)
+        for br in filter(None, map(integer_hull, branches)):
+            out.append((br, n_box, punctured_set(curve.degree, ell, corner_index(br.curve)).D, delta))
+    return out
+
+
+def test_certified_orders_match_the_fraction_reference(monkeypatch):
+    """Differential: `certified_orders`, which keeps every disc position as
+    an integer count of one unit and each Fujiwara threshold as an integer
+    pair, proves the same orders as `fraction_certified_orders`, its former
+    `Fraction` version, through the same sequence of `affine_image` calls
+    (the same discs, each with the same integers a, r and d, and the same
+    centres y0) and of Fujiwara tests (the same bounds and thresholds
+    N*q^i/2).  Every input runs at delta in {the pipeline's, 1/4, 3/7, 1}
+    and D in {3, 6, 10}: the integer hulls of eight seed-1 rounds of
+    latbench `partition` and `columns`, of 150 curves from
+    `scripts/fuzz.py`'s `draw` (seed 49) and of three curves whose hulls
+    end next to a branch point, and branches whose domain ends are not
+    dyadic, so that the unit is not a power of two.  That is 210 branches,
+    on which the discs prove 4264 orders above 1 over the twelve settings.
+    """
+    rng = random.Random(49)
+    workloads = _latbench_workloads()
+    texts = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 8) for c in row]
+    draw = _fuzz_script().draw
+    texts += [(curve.pretty(), n_box) for curve, n_box in (draw(rng) for _ in range(150))]
+    texts += [("y^2 - x^3 + 8*x - 8", 25), ("y^2 - x^3 - 3*x - 2", 25), ("x^2 - 101*y^2 - 1", 60)]
+    cases = [(br, n_box, delta) for br, n_box, _, delta in _pipeline_hulls(texts)]
+    for text, seed, domain in (
+        ("x^2 + y^2 - 25", (3, 4), (Fraction(1, 3), Fraction(7, 2))),
+        ("x^2 + y^2 - 25", (3, 4), (Fraction(1, 3), Fraction(49, 10))),
+        ("x^2 + y^2 - 25", (4, 3), (Fraction(7, 3), Fraction(99, 20))),
+        ("x^2 + y^2 - 25", (0, 5), (Fraction(-24, 5), Fraction(24, 5))),
+        ("x*y - 12", (3, 4), (Fraction(2, 3), Fraction(53, 5))),
+        ("y^2 - x^3 - 1", (2, 3), (Fraction(-9, 10), Fraction(17, 6))),
+        ("y - x^2", (0, 0), (Fraction(-5, 7), Fraction(1, 3))),
+    ):
+        br = branch_from_point(parse(text), *seed, domain)
+        cases += [(br, n_box, Fraction(1)) for n_box in (2, 5, 20)]
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return unipoly_module.affine_image(*args)
+
+    def fujiwara(bound, low, num, den):
+        calls.append((bound, low, Fraction(num, den)))
+        return fujiwara_below(bound, low, num, den)
+
+    def fraction_fujiwara(bound, low, half):
+        calls.append((bound, low, half))
+        return fraction_fujiwara_below(bound, low, half)
+
+    fujiwara_below, fraction_fujiwara_below = branch_module._fujiwara_below, reference_helpers.fraction_fujiwara_below
+    monkeypatch.setattr(branch_module, "affine_image", recorded)
+    monkeypatch.setattr(reference_helpers, "affine_image", recorded)
+    monkeypatch.setattr(branch_module, "_fujiwara_below", fujiwara)
+    monkeypatch.setattr(reference_helpers, "fraction_fujiwara_below", fraction_fujiwara)
+    proved = 0
+    for br, n_box, pipeline_delta in cases:
+        for delta in {pipeline_delta, Fraction(1, 4), Fraction(3, 7), Fraction(1)}:
+            for big_d in (3, 6, 10):
+                got = certified_orders(br, big_d, Fraction(n_box), delta)
+                got_calls = calls[:]
+                calls.clear()
+                want = reference_helpers.fraction_certified_orders(br, big_d, Fraction(n_box), delta)
+                assert got == want and got_calls == calls, (br, n_box, delta, big_d)
+                calls.clear()
+                proved += len(got - {1})
+    assert len(cases) >= 200 and proved >= 4000, (len(cases), proved)
+
+
+def test_certified_orders_make_no_fraction_arithmetic():
+    """Guard: on the integer hulls of two seed-1 rounds of latbench
+    `partition` and `columns`, at the pipeline's D and delta, a
+    `certified_orders` call (after a first one has cached the curve's
+    discriminant) makes at most 16 Python-level calls into the `fractions`
+    module: reading the numerators and denominators of its domain ends, N
+    and delta.  Its positions are integer counts of one unit and its
+    thresholds integer pairs; the `Fraction` reference makes over 100 calls
+    on every one of these hulls."""
+    workloads = _latbench_workloads()
+    texts = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 2) for c in row]
+
+    def fraction_calls(fn, *args):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_filename == fractions.__file__
+
+        fn(*args)
+        sys.setprofile(profile)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    hulls = _pipeline_hulls(texts)
+    assert len(hulls) >= 20
+    for br, n_box, big_d, delta in hulls:
+        args = (br, big_d, Fraction(n_box), delta)
+        assert fraction_calls(certified_orders, *args) <= 16, br
+        assert fraction_calls(reference_helpers.fraction_certified_orders, *args) > 100, br
+
+
+def test_fujiwara_threshold_by_hand():
+    """`_fujiwara_below(bound, low, num, den)` tests M < 2*num/den for the
+    Fujiwara bound M = 2 max(|c_(n-k)/c_n|^(1/k), |c_0/(2 c_n)|^(1/n)), here
+    with |c_m| <= bound[m] and |c_n| >= low.
+
+    - bound [2, 3], low 1: the k = 1 term needs num/den > 3 and the c_0
+      term only num/den > 1, so 3 fails (equality) and 7/2 holds.
+    - bound [50, 1], low 1: the k = 1 term needs num/den > 1 but the c_0
+      term decides, 2*(num/den)^2 > 50: 2 and 5 (equality) fail, 6 holds.
+    - bound [0, 9, 0], low 1: the k = 2 term needs (num/den)^2 > 9.
+    - bound [6], low 2 (degree 1, M = |c_0/c_1|): num/den > 3/2.
+    Scaling (num, den) by a common factor leaves every answer unchanged."""
+    fujiwara = branch_module._fujiwara_below
+    cases = [
+        ([2, 3], 1, [(3, 1, False), (7, 2, True), (5, 4, False)]),
+        ([50, 1], 1, [(2, 1, False), (5, 1, False), (6, 1, True), (49, 10, False), (51, 10, True)]),
+        ([0, 9, 0], 1, [(3, 1, False), (301, 100, True)]),
+        ([6], 2, [(3, 2, False), (16, 10, True)]),
+    ]
+    for bound, low, rows in cases:
+        for num, den, want in rows:
+            for scale in (1, 2, 7, 2**40):
+                assert fujiwara(bound, low, num * scale, den * scale) == want, (bound, low, num, den, scale)
 
 
 def test_pipeline_reads_columns_at_integer_abscissas_only(monkeypatch):
