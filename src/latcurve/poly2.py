@@ -6,8 +6,8 @@ x-degree, () for a zero row), each row and the row tuple end in a nonzero
 entry, and all the coefficients have gcd 1 and the signs of the polynomial.
 This form is canonical, so equality and hashing read it, and `terms` is
 computed from it.  Sums, products, powers, partial derivatives, the x/y
-swap, evaluation and integer columns run on the rows: a result takes one
-content fraction and one integer gcd.
+swap and integer columns run on the rows: a result takes one content
+fraction and one integer gcd.
 
 Also provides parsing/printing in a small text grammar, divisibility,
 resultants eliminating y, and the corner index used to build punctured
@@ -243,17 +243,7 @@ class BiPoly:
             n >>= 1
         return result
 
-    # -- evaluation and specialization ---------------------------------------
-
-    def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        total = Fraction(0)
-        for r in reversed(self.rows):
-            v = Fraction(0)
-            for c in reversed(r):
-                v = v * x + c
-            total = total * y + v
-        return self.content * total
+    # -- specialization ------------------------------------------------------
 
     def int_column(self, x0: Fraction | int) -> list[int]:
         """A positive multiple of self(x0, y) as an integer list in y, [] when
@@ -286,9 +276,6 @@ class BiPoly:
             return self
         p = BiPoly._of(Fraction(1), self.rows)
         return p if self.leading_term()[1] > 0 else -p
-
-    def has_integer_coefficients(self) -> bool:
-        return self.content.denominator == 1
 
     # -- printing ---------------------------------------------------------------
 

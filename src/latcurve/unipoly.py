@@ -1,13 +1,15 @@
-"""Univariate polynomials over Q with exact real root isolation.
+"""Exact real root location on univariate integer polynomials.
 
 All decisions (root counts, signs, refinements) are made in exact rational
-arithmetic.  Every root query takes an integer coefficient list p and works
-on its primitive form f (`_primitive`, once on entry), except that the
-integer root search keeps any p with a nonzero top coefficient as it is: its
-closed forms, sign variations and sign bisections hold for every integer
-multiple, and the isolation it calls normalises.  Roots are reported as
-rational-endpoint isolating intervals that carry a primitive integer tuple;
-a degenerate interval [r, r] marks an exactly known rational root.
+arithmetic.  The one polynomial type, `UniPoly`, is only the record that
+`poly2.resultant_eliminating_y` returns: it has no arithmetic.  Every root
+query takes an integer coefficient list p and works on its primitive form f
+(`_primitive`, once on entry), except that the integer root search keeps any
+p with a nonzero top coefficient as it is: its closed forms, sign variations
+and sign bisections hold for every integer multiple, and the isolation it
+calls normalises.  Roots are reported as rational-endpoint isolating
+intervals that carry a primitive integer tuple; a degenerate interval
+[r, r] marks an exactly known rational root.
 `isolate_real_roots` tests the domain ends on f, which has the same zeros
 as its squarefree part, and divides the end roots out of f (`_end_roots`).
 A Descartes bound (`descartes_bound`) then decides the open domain: v = 0
@@ -68,17 +70,17 @@ class ZeroPolynomialError(ValueError):
 
 
 class UniPoly:
-    """Dense univariate polynomial; coefficient index = degree."""
+    """Res_y(p, q) as a polynomial in x, as `poly2.resultant_eliminating_y`
+    returns it: the coefficients as given (index = degree), trailing zeros
+    dropped.  The package reads it only through `poly2.eliminant`."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    # -- basic structure ------------------------------------------------
+        self.coeffs = tuple(cs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -88,104 +90,14 @@ class UniPoly:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly([-c for c in self.coeffs])
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly | Fraction | int") -> UniPoly:
-        if isinstance(other, (Fraction, int)):
-            return UniPoly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> UniPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lc = other.leading
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            f = rem[i] / lc
-            q[i - d] = f
-            for j, c in enumerate(other.coeffs):
-                rem[i - d + j] -= f * c
-        return UniPoly(q), UniPoly(rem)
-
-    def __floordiv__(self, other: UniPoly) -> UniPoly:
-        """Exact division; raises if the remainder is nonzero."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
-    def __mod__(self, other: UniPoly) -> UniPoly:
-        return divmod(self, other)[1]
-
-    # -- calculus and evaluation -----------------------------------------
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> UniPoly:
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
 
 def primitive_ints(coeffs: Sequence[Fraction | int]) -> list[int]:
@@ -490,10 +402,6 @@ class RootInterval:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError("lo > hi")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def is_exact(self) -> bool:
         return self.lo == self.hi

@@ -1,10 +1,23 @@
 """Reference bivariate arithmetic on a `Fraction` term dict, independent of
 `latcurve.poly2`: the tests compare every `BiPoly` operator, the implicit
-derivatives and the level curves against it."""
+derivatives and the level curves against it.  `evaluate_bipoly` gives the
+value of a `BiPoly` at a rational point, which no package code needs."""
 
 from fractions import Fraction
 
 from latcurve.unipoly import primitive_ints
+
+
+def evaluate_bipoly(p, x, y) -> Fraction:
+    """p(x, y) for the `BiPoly` p, by Horner's rule on its rows."""
+    x, y = Fraction(x), Fraction(y)
+    total = Fraction(0)
+    for r in reversed(p.rows):
+        v = Fraction(0)
+        for c in reversed(r):
+            v = v * x + c
+        total = total * y + v
+    return p.content * total
 
 
 def _display_key(j):

@@ -56,7 +56,6 @@ from latcurve.monomials import MonomialSet, full_set
 from latcurve.poly2 import BiPoly, ExponentPair, ResultantDomainError, discriminant, partial, reduce_times_lead_power
 from latcurve.unipoly import (
     RootInterval,
-    UniPoly,
     _coprime_mod_p,
     _int_eval,
     _int_root_bound,
@@ -75,6 +74,9 @@ from latcurve.unipoly import (
     sign_variations,
     squarefree_part,
 )
+
+from fraction_bipoly import evaluate_bipoly
+from fraction_unipoly import UniPoly
 
 
 def poly_sup_bound(p: UniPoly, lo: Fraction, hi: Fraction, pieces: int = 16) -> Fraction:
@@ -212,7 +214,7 @@ def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval
         for end in (lo, hi):
             if r.lo <= end <= r.hi and _rat_eval(f, end) == 0:
                 return RootInterval(end, end, f)
-        r = refine_root(r, r.width / 4)
+        r = refine_root(r, (r.hi - r.lo) / 4)
     raise AssertionError("range test exceeded the refinement depth limit")
 
 
@@ -265,9 +267,9 @@ def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) ->
             items.pop(i + 1)
             continue
         if not a.is_exact():
-            items[i] = refine_root(a, a.width / 4)
+            items[i] = refine_root(a, (a.hi - a.lo) / 4)
         if not b.is_exact():
-            items[i + 1] = refine_root(b, b.width / 4)
+            items[i + 1] = refine_root(b, (b.hi - b.lo) / 4)
         items.sort(key=lambda r: (r.lo, r.hi))
     return items
 
@@ -567,11 +569,11 @@ def branch_from_point(
     lo, hi = Fraction(domain[0]), Fraction(domain[1])
     if not lo <= x0 <= hi:
         raise BranchError("seed abscissa outside the domain")
-    if curve.evaluate(x0, y0) != 0:
+    if evaluate_bipoly(curve, x0, y0) != 0:
         raise BranchError("seed is not a curve point")
     if curve.degree_y() < 1:
         raise BranchError("curve must depend on y in this orientation")
-    if partial(curve, "y").evaluate(x0, y0) == 0:
+    if evaluate_bipoly(partial(curve, "y"), x0, y0) == 0:
         raise BranchError("branch is singular/vertical at the seed")
     _certify_smooth_over(curve, lo, hi)
     u = _column(curve, x0)
@@ -615,7 +617,7 @@ def _undetermined_taylor(
 ) -> list[Fraction]:
     """Taylor coefficients of the branch through (at, y0) by matching powers
     in F(at + s, sum c_i s^i) = 0, one coefficient at a time."""
-    fy0 = partial(curve, "y").evaluate(at, y0)
+    fy0 = evaluate_bipoly(partial(curve, "y"), at, y0)
     if fy0 == 0:
         raise BranchError("branch is singular/vertical here")
     coeffs = [y0]
@@ -659,13 +661,13 @@ def taylor_coefficients(
     y0 = branch_value_rational(branch, at)
     if y0 is None:
         raise BranchError("evaluation point must be a rational curve point")
-    fy0 = partial(branch.curve, "y").evaluate(at, y0)
+    fy0 = evaluate_bipoly(partial(branch.curve, "y"), at, y0)
     if fy0 == 0:
         raise BranchError("branch is singular/vertical here")
     out = [y0]
     if kmax >= 1:
         for k, hk in enumerate(hk_sequence(branch.curve, kmax), start=1):
-            out.append(-hk.evaluate(at, y0) / (factorial(k) * fy0 ** (2 * k - 1)))
+            out.append(-evaluate_bipoly(hk, at, y0) / (factorial(k) * fy0 ** (2 * k - 1)))
     check = _undetermined_taylor(branch.curve, at, y0, kmax) if kmax >= 1 else [y0]
     if check != out:
         raise RuntimeError("implicit-derivative recurrence disagrees with series expansion")
@@ -678,7 +680,7 @@ def series_taylor(curve: BiPoly, x0: Fraction, y0: Fraction, kmax: int) -> list[
     Builds F(x0 + s, c0 + c1 s + ... ) as an exact polynomial in s and solves
     for one coefficient at a time from the vanishing of each power of s.
     """
-    fy = partial(curve, "y").evaluate(x0, y0)
+    fy = evaluate_bipoly(partial(curve, "y"), x0, y0)
     assert fy != 0
     coeffs = [Fraction(y0)]
     for k in range(1, kmax + 1):
@@ -775,7 +777,7 @@ def convex_cover_count(
     cert = greedy_cover(pts, mset)
     per_curve: list[int] = []
     for idx, cov in enumerate(cert.curves):
-        count = sum(1 for p in pts if cov.evaluate(p.x, p.y) == 0)
+        count = sum(1 for p in pts if evaluate_bipoly(cov, p.x, p.y) == 0)
         if cov.degree == 1 and count > 2:
             raise ConvexityViolation(
                 "a line met more than two points of the convex graph"

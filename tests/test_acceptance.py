@@ -24,8 +24,9 @@ from latcurve.detmethod import DerivativeBoundSpec, extract_cover_curve
 from latcurve.jarnik import convex_slope_check, jarnik_construct
 from latcurve.monomials import full_set, punctured_set
 from latcurve.poly2 import BiPoly, corner_index, parse, partial
-from latcurve.unipoly import UniPoly
 
+from fraction_bipoly import evaluate_bipoly
+from fraction_unipoly import UniPoly
 from reference_helpers import (
     fraction_determinant,
     integer_hull,
@@ -116,12 +117,12 @@ def test_criterion_3_hk_suite():
         fy = partial(curve, "y")
         usable = 0
         for x0, y0 in points:
-            if curve.evaluate(x0, y0) != 0 or fy.evaluate(x0, y0) == 0:
+            if evaluate_bipoly(curve, x0, y0) != 0 or evaluate_bipoly(fy, x0, y0) == 0:
                 ok = False
                 continue
             cs = series_taylor(curve, Fraction(x0), Fraction(y0), 6)
             for k, hk in enumerate(hk_sequence(curve, 6), start=1):
-                lhs = hk.evaluate(x0, y0) + fy.evaluate(x0, y0) ** (
+                lhs = evaluate_bipoly(hk, x0, y0) + evaluate_bipoly(fy, x0, y0) ** (
                     2 * k - 1
                 ) * math.factorial(k) * cs[k]
                 if lhs != 0:

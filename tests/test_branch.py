@@ -54,7 +54,6 @@ from latcurve import poly2 as poly2_module
 from latcurve import unipoly as unipoly_module
 from latcurve.unipoly import (
     RootInterval,
-    UniPoly,
     _int_mul,
     count_real_roots,
     integer_roots,
@@ -68,7 +67,8 @@ from latcurve.unipoly import (
     sturm_chain,
 )
 
-from fraction_bipoly import FractionBiPoly
+from fraction_bipoly import FractionBiPoly, evaluate_bipoly
+from fraction_unipoly import UniPoly
 import reference_helpers
 from reference_helpers import (
     all_real_roots,
@@ -153,14 +153,14 @@ def test_hk_identity_exact(name, points):
     curve = FIXTURES[name]
     fy = partial(curve, "y")
     for x0, y0 in points:
-        if curve.evaluate(x0, y0) != 0:
+        if evaluate_bipoly(curve, x0, y0) != 0:
             continue  # only genuine curve points participate
-        fy0 = fy.evaluate(x0, y0)
+        fy0 = evaluate_bipoly(fy, x0, y0)
         if fy0 == 0:
             continue
         cs = series_taylor(curve, Fraction(x0), Fraction(y0), 6)
         for k, hk in enumerate(hk_sequence(curve, 6), start=1):
-            lhs = hk.evaluate(x0, y0) + fy0 ** (2 * k - 1) * math.factorial(k) * cs[k]
+            lhs = evaluate_bipoly(hk, x0, y0) + fy0 ** (2 * k - 1) * math.factorial(k) * cs[k]
             assert lhs == 0
 
 
@@ -208,8 +208,8 @@ def test_hk_integer_recurrence_matches_fraction_recurrence():
     for _ in range(120):
         curve = _random_rational_curve(rng)
         assert [h.terms for h in hk_sequence(curve, 5)] == [h.terms for h in fraction_hk(curve, 5)], curve
-        kinds["rational"] += not curve.has_integer_coefficients()
-        kinds["non_primitive"] += curve.has_integer_coefficients() and curve != curve.primitive_integer()
+        kinds["rational"] += curve.content.denominator != 1
+        kinds["non_primitive"] += curve.content.denominator == 1 and curve != curve.primitive_integer()
     for text in ("y^2 - x^3", "(1/2)*y^2 - (3/4)*x", "6*x*y - 12", "y - 2", "x^4 - y"):
         curve = parse(text)
         assert [h.terms for h in hk_sequence(curve, 6)] == [h.terms for h in fraction_hk(curve, 6)], text
@@ -1018,7 +1018,7 @@ def test_branch_sign_matches_fraction_evaluation():
             if rng.random() < 0.25:
                 # vanish at the point: through the curve, or through y = y0
                 p = p * br.curve if rng.random() < 0.5 else p * BiPoly({(0, 1): 1, (0, 0): -y0})
-            value = p.evaluate(x0, y0)
+            value = evaluate_bipoly(p, x0, y0)
             want = (value > 0) - (value < 0)
             assert branch_sign(br, x0, p) == want, (br.curve, x0, p)
             signs[want] += 1
@@ -1047,6 +1047,10 @@ def test_level_set_degenerate_errors():
     br = branch_from_point(parse("y - x^2"), 3, 9, (0, 10))
     with pytest.raises(DegenerateLevelSetError):
         level_set_abscissas(br, 2, 1)  # f''/2! == 1 identically
+    with pytest.raises(ValueError, match="order"):
+        level_set_abscissas(br, 0, 1)
+    with pytest.raises(ValueError, match="integer ends"):
+        level_set_abscissas(branch_from_point(parse("y - x^2"), 3, 9, (Fraction(1, 2), 10)), 1, 1)
 
 
 def test_level_set_bezout_cap():
@@ -1783,6 +1787,8 @@ def test_partition_needs_integer_domain_ends():
     br = branch_from_point(parse("y - x^2"), 3, 9, (Fraction(1, 2), 10))
     with pytest.raises(ValueError, match="integer ends"):
         partition_by_bounds(br, 2, 100, Fraction(1, 20))
+    with pytest.raises(ValueError, match="D must be >= 2"):
+        partition_by_bounds(branch_from_point(parse("y - x^2"), 3, 9, (0, 10)), 1, 100, Fraction(1, 20))
 
 
 def _pieces(part):
@@ -2266,6 +2272,9 @@ def test_large_interval_check():
     assert not large_interval_check(mk(5), Fraction(1, 2))
     assert large_interval_check(mk(40), Fraction(1, 20))
     assert not large_interval_check(mk(41), Fraction(1, 20))
+    for delta in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            large_interval_check(mk(4), delta)
 
 
 # -- graph decomposition ------------------------------------------------------------------

@@ -141,6 +141,23 @@ def test_count_bad_delta_exit_2(capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("hk", "--poly", "x - y", "--k", "0"), "kmax must be >= 1"),
+        (("hk", "--poly", "3", "--k", "2"), "curve must be nonconstant"),
+        (("jarnik", "--H", "0"), "H must be >= 1"),
+        (("count", "--poly", "x - y^2", "--box", "0", "--method", "brute"), "box size must be >= 1"),
+        (("count", "--poly", "x - y^2", "--box", "0", "--method", "both"), "box size must be >= 1"),
+        (("count", "--poly", "x - y^2", "--box", "10", "--ell", "1"), "ell must be at least the curve degree"),
+    ],
+)
+def test_rejected_arguments_exit_2(capsys, argv, message):
+    """An argument out of its range prints one `error:` line, nothing on
+    stdout, and exits 2."""
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_count_internal_fault_is_not_an_input_error(monkeypatch):
     """Only the documented input errors exit 2; any other `ValueError`, such
     as a bracket with lo > hi, propagates."""

@@ -29,6 +29,7 @@ from latcurve.unipoly import (
     primitive_ints,
     run_integer_roots,
 )
+from fraction_bipoly import evaluate_bipoly
 from reference_helpers import x_sweep_count
 
 
@@ -64,7 +65,7 @@ def test_brute_matches_grid_scan():
             LatticePoint(x, y)
             for x in range(1, n + 1)
             for y in range(1, n + 1)
-            if curve.evaluate(x, y) == 0
+            if evaluate_bipoly(curve, x, y) == 0
         ]
         try:
             total, points = brute_force_count(curve, n)
@@ -74,7 +75,7 @@ def test_brute_matches_grid_scan():
             k = int(k)
             assert 1 <= k <= n, (curve.pretty(), n, str(exc))
             line = [(k, t) if var == "x" else (t, k) for t in range(1, n + 1)]
-            assert all(curve.evaluate(*pt) == 0 for pt in line), (curve.pretty(), n)
+            assert all(evaluate_bipoly(curve, *pt) == 0 for pt in line), (curve.pretty(), n)
             lines += 1
             continue
         assert (total, points) == (len(grid), grid), (curve.pretty(), n)
@@ -92,6 +93,8 @@ def test_brute_rejects_lines_in_box():
         brute_force_count(parse("(y - 2)*(y - x^2)"), 10)
     with pytest.raises(CountingError):
         brute_force_count(BiPoly({}), 5)
+    with pytest.raises(CountingError, match="nonconstant"):
+        brute_force_count(BiPoly.constant(3), 5)
     # a line outside the box is harmless
     total, _ = brute_force_count(parse("x + 20"), 10)
     assert total == 0
@@ -136,7 +139,7 @@ def _curve_through(rng, deg_x, deg_y, n_box):
         terms[(rng.randint(0, deg_x), rng.randint(0, deg_y))] = rng.randint(-5, 5)
     curve = BiPoly(terms)
     x0, y0 = rng.randint(1, n_box), rng.randint(1, n_box)
-    return curve - BiPoly.constant(curve.evaluate(x0, y0))
+    return curve - BiPoly.constant(evaluate_bipoly(curve, x0, y0))
 
 
 def test_brute_matches_x_sweep_in_every_orientation():
@@ -320,7 +323,7 @@ def test_bezout_cap_random():
             continue
         assert len(pts) <= f.degree * g.degree
         for p in pts:
-            assert f.evaluate(p.x, p.y) == 0 and g.evaluate(p.x, p.y) == 0
+            assert evaluate_bipoly(f, p.x, p.y) == 0 and evaluate_bipoly(g, p.x, p.y) == 0
         checked += 1
 
 
@@ -415,7 +418,7 @@ def test_pipeline_report_consistency():
             for cd in pr.curves:
                 cover = parse(cd["poly"])
                 for x0, y0 in cd["points"]:
-                    assert (cover.evaluate(y0, x0) if swapped else cover.evaluate(x0, y0)) == 0
+                    assert (evaluate_bipoly(cover, y0, x0) if swapped else evaluate_bipoly(cover, x0, y0)) == 0
 
 
 def test_pipeline_budget_adherence_small_pieces():
@@ -893,7 +896,7 @@ def test_cubics_through_nine_lattice_points_match_oracle_and_sweep():
         while len(chosen) < 9:
             chosen.add((rng.randint(1, 10), rng.randint(1, 10)))
         curve = _cubic_through(sorted(chosen))
-        assert all(curve.evaluate(x, y) == 0 for x, y in chosen)
+        assert all(evaluate_bipoly(curve, x, y) == 0 for x, y in chosen)
         try:
             rep = determinant_method_count(curve, 20)
         except (branch.BranchError, CountingError, poly2.IngestionError):

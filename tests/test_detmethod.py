@@ -17,8 +17,9 @@ from latcurve.detmethod import (
 from latcurve.exactlinalg import integer_determinant, integer_kth_root_ceiling, row_echelon_pivots
 from latcurve.monomials import PunctureError, full_set, punctured_set
 from latcurve.poly2 import BiPoly, parse
-from latcurve.unipoly import UniPoly
 
+from fraction_bipoly import evaluate_bipoly
+from fraction_unipoly import UniPoly
 from reference_helpers import (
     BoundMatrixTooLarge,
     fj_derivative_bound,
@@ -68,7 +69,7 @@ def test_extract_parabola_points():
 
     assert divides(parse("y - x^2"), cover)
     for p in parabola:
-        assert cover.evaluate(p.x, p.y) == 0
+        assert evaluate_bipoly(cover, p.x, p.y) == 0
 
 
 def test_extract_full_rank_returns_none():
@@ -105,10 +106,10 @@ def test_extract_vanishes_on_all_points_random():
             assert row_echelon_pivots(monomial_matrix(points, mset))[0] == mset.D
             continue
         assert not cover.is_zero()
-        assert cover.has_integer_coefficients()
+        assert cover.content.denominator == 1
         assert all(j in mset.members for j in cover.terms)
         for p in points:
-            assert cover.evaluate(p.x, p.y) == 0
+            assert evaluate_bipoly(cover, p.x, p.y) == 0
 
 
 # -- threshold and budget ---------------------------------------------------------------
@@ -191,7 +192,7 @@ def test_greedy_cover_generic_points():
     assert len(cert.curves) >= 3
     assert len(cert.curves) == 4  # frozen for this seed
     for p, idx in cert.assignment.items():
-        assert cert.curves[idx].evaluate(p.x, p.y) == 0
+        assert evaluate_bipoly(cert.curves[idx], p.x, p.y) == 0
 
 
 def test_greedy_cover_empty():
@@ -238,9 +239,9 @@ def test_cover_soundness_random():
             cert = greedy_cover(points, mset)
             assert set(cert.assignment) == set(points)
             for p, idx in cert.assignment.items():
-                assert cert.curves[idx].evaluate(p.x, p.y) == 0
+                assert evaluate_bipoly(cert.curves[idx], p.x, p.y) == 0
             for cov in cert.curves:
-                assert cov.has_integer_coefficients()
+                assert cov.content.denominator == 1
                 assert all(j in mset.members for j in cov.terms)
 
 

@@ -22,7 +22,6 @@ from latcurve.unipoly import (
     descartes_bound,
     graeffe_step,
     int_exact_quotient,
-    UniPoly,
     ZeroPolynomialError,
     count_real_roots,
     integer_roots,
@@ -39,6 +38,7 @@ from latcurve.unipoly import (
     sturm_chain,
 )
 
+from fraction_unipoly import UniPoly
 import reference_helpers
 from reference_helpers import (
     _same_root,
@@ -324,7 +324,7 @@ def test_refine_root():
     p = [-2, 0, 1]
     [r] = isolate_real_roots(p, 0, 2)
     fine = refine_root(r, Fraction(1, 100))
-    assert fine.width <= Fraction(1, 100)
+    assert fine.hi - fine.lo <= Fraction(1, 100)
     assert UniPoly(fine.polynomial).evaluate(fine.lo) * UniPoly(fine.polynomial).evaluate(fine.hi) <= 0
     # still contains sqrt(2)
     assert fine.lo * fine.lo <= 2 <= fine.hi * fine.hi
@@ -340,7 +340,7 @@ def test_refine_root_inside_wide_interval():
     p = (-3, 1)  # root 3
     r = RootInterval(Fraction(0), Fraction(4), p)
     fine = refine_root(r, Fraction(1, 2))
-    assert fine.width <= Fraction(1, 2)
+    assert fine.hi - fine.lo <= Fraction(1, 2)
     assert fine.lo <= 3 <= fine.hi
 
 
@@ -445,7 +445,7 @@ def test_brackets_identical_to_fraction_reference():
     rng = random.Random(2024)
     exact = []
     for r in _midpoint_root_brackets(rng, 120):
-        for width in (r.width / 3, Fraction(1, 64), Fraction(1, 10**6)):
+        for width in ((r.hi - r.lo) / 3, Fraction(1, 64), Fraction(1, 10**6)):
             assert refine_root(r, width) == reference_refine(r, width, exact), (r, width)
         assert integer_in(r) == reference_integer_in(r, exact), r
     # refinement often ended on a root at a midpoint
@@ -486,7 +486,7 @@ def reference_sign_at_root(r, v):
     if len(g) >= 2 and count_real_roots(g, r.lo, r.hi) > 0:
         return 0
     while count_real_roots(ints(vp), r.lo, r.hi) > 0:
-        r = refine_root(r, r.width / 2)
+        r = refine_root(r, (r.hi - r.lo) / 2)
     val = vp.evaluate(r.lo)
     return (val > 0) - (val < 0)
 
@@ -1324,7 +1324,7 @@ def test_isolation_and_count_match_sturm_only_reference():
             # the bracket polynomial may keep repeated roots outside the bracket,
             # but refines to the same brackets as the squarefree one
             assert UniPoly(r.polynomial).evaluate(r.lo) * UniPoly(r.polynomial).evaluate(r.hi) < 0
-            for w in (r.width / 5, Fraction(1, 10**4)):
+            for w in ((r.hi - r.lo) / 5, Fraction(1, 10**4)):
                 a, b = refine_root(r, w), refine_root(s, w)
                 assert (a.lo, a.hi) == (b.lo, b.hi)
         sf = UniPoly(squarefree_part(ints(p)))
@@ -1344,7 +1344,7 @@ def test_same_root_matches_sturm_only_reference():
     for p, lo, hi in _certificate_cases(rng, 150):
         q = p * UniPoly([rng.randint(-9, 9), rng.randint(1, 4)])
         brackets = isolate_real_roots(ints(p), lo, hi) + isolate_real_roots(ints(q), lo - 1, hi + 1)
-        brackets += [refine_root(r, r.width / 3) for r in brackets if not r.is_exact()]
+        brackets += [refine_root(r, (r.hi - r.lo) / 3) for r in brackets if not r.is_exact()]
         for a in brackets:
             for b in brackets:
                 want = sturm_only_same_root(a, b)
@@ -1574,7 +1574,7 @@ def test_root_slot_matches_count_real_roots():
     seen = {"exact": 0, "gap": 0, "bisected": 0, "no_integer": 0}
     for p, lo, hi in _certificate_cases(rng, 300):
         for r in isolate_real_roots(ints(p), lo, hi):
-            for s in (r, refine_root(r, 1), refine_root(r, Fraction(1, 3)), refine_root(r, r.width / 7 or 1)):
+            for s in (r, refine_root(r, 1), refine_root(r, Fraction(1, 3)), refine_root(r, (r.hi - r.lo) / 7 or 1)):
                 k = math.ceil(s.lo)
                 while count_real_roots(s.polynomial, s.lo, min(Fraction(k), s.hi)) == 0:
                     k += 1

@@ -9,8 +9,8 @@ import pytest
 from latcurve import jarnik
 from latcurve.jarnik import convex_slope_check, jarnik_construct, smoothed_taylor, verify_smoothing
 from latcurve.poly2 import parse
-from latcurve.unipoly import UniPoly
 
+from fraction_unipoly import UniPoly
 from reference_helpers import (
     ConvexityViolation,
     OracleBoundError,

@@ -15,6 +15,10 @@
   uses it, or a latbench span binds it.  An export from
   `latcurve/__init__.py` is not a use.  Code that only tests call lives
   under `tests/`.
+- Every method or property of a package class, dunders aside, is read as an
+  attribute in `src`, `scripts` or `latbench`, matched by name as above.  A
+  member that only tests read lives under `tests/`, on a test-side subclass
+  such as `fraction_unipoly.UniPoly` or in a helper.
 - `latcurve/__init__.py` exports only the documented API: each name it
   imports is named in README.md, or referenced by a script under
   `scripts/` or by `latbench/run.py`, which read it from `latcurve`.
@@ -173,6 +177,40 @@ def script_sources() -> list[str]:
 def test_every_package_definition_is_reached():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreached_definitions(sources, latbench_layer_names(), script_sources()) == []
+
+
+def unread_methods(package: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.Class.name` of each method or property, dunders aside, of a
+    top-level class in `package` (module name -> source) whose name no
+    source in `readers` reads as an attribute."""
+    read = {sub.attr for text in readers for sub in ast.walk(ast.parse(text)) if isinstance(sub, ast.Attribute)}
+    return [
+        f"{module}.{node.name}.{item.name}"
+        for module, text in package.items()
+        for node in ast.parse(text).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in read
+    ]
+
+
+def test_unread_methods_reads_attributes_only():
+    package = {
+        "a": "class P:\n    def used(self): pass\n    @property\n    def prop(self): return self._helper()\n"
+        "    def _helper(self): pass\n    def __add__(self, o): pass\n    def dead(self): pass",
+        "b": "class Q:\n    def named(self): pass\ndef f(p):\n    return p.prop\nnamed = 1",
+    }
+    readers = list(package.values()) + ["p.used()"]
+    assert unread_methods(package, readers) == ["a.P.dead", "b.Q.named"]
+
+
+def test_every_package_method_is_read():
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    tops = ("src", "scripts", "latbench")
+    readers = [path.read_text() for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
+    assert unread_methods(package, readers) == []
 
 
 def undocumented_exports(init: str, readme: str, readers: list[str]) -> list[str]:

@@ -23,9 +23,10 @@ from latcurve.poly2 import (
     resultant_eliminating_y,
 )
 from latcurve import poly2
-from latcurve.unipoly import UniPoly, _int_mul, primitive_ints
+from latcurve.unipoly import _int_mul, primitive_ints
 
-from fraction_bipoly import FractionBiPoly
+from fraction_bipoly import FractionBiPoly, evaluate_bipoly
+from fraction_unipoly import UniPoly
 from reference_helpers import branch_from_point, divide_lc_power, reduce_modulo, taylor_coefficients
 
 
@@ -102,7 +103,7 @@ def test_ring_axioms(p, q, r):
 @given(bipoly_strategy(), st.integers(-4, 4), st.integers(-4, 4))
 def test_evaluate_is_ring_morphism(p, x, y):
     q = p * p + p
-    assert q.evaluate(x, y) == p.evaluate(x, y) ** 2 + p.evaluate(x, y)
+    assert evaluate_bipoly(q, x, y) == evaluate_bipoly(p, x, y) ** 2 + evaluate_bipoly(p, x, y)
 
 
 def assert_canonical(p):
@@ -135,13 +136,13 @@ def test_operators_match_fraction_dict_reference(ta, tb, k, n, x, y):
         assert_canonical(got)
         assert got.terms == want.terms
         assert got == BiPoly(want.terms) and hash(got) == hash(BiPoly(want.terms))
-    assert p.evaluate(x, y) == rp.evaluate(x, y)
-    assert type(p.evaluate(x, y)) is Fraction
+    assert evaluate_bipoly(p, x, y) == rp.evaluate(x, y)
+    assert type(evaluate_bipoly(p, x, y)) is Fraction
     assert p.is_zero() == (not rp.terms) and bool(p) == bool(rp.terms)
     assert p.degree == max((j1 + j2 for j1, j2 in rp.terms), default=-1)
     assert p.degree_x() == max((j1 for j1, _ in rp.terms), default=-1)
     assert p.degree_y() == max((j2 for _, j2 in rp.terms), default=-1)
-    assert p.has_integer_coefficients() == all(c.denominator == 1 for c in rp.terms.values())
+    assert (p.content.denominator == 1) == all(c.denominator == 1 for c in rp.terms.values())
     if rp.terms:
         assert p.leading_term() == rp.leading_term()
 
@@ -158,7 +159,7 @@ def test_operators_match_fraction_dict_reference(ta, tb, k, n, x, y):
     ],
 )
 def test_evaluate_examples(text, x, y, val):
-    assert parse(text).evaluate(x, y) == val
+    assert evaluate_bipoly(parse(text), x, y) == val
 
 
 def test_partial_examples():
@@ -180,7 +181,7 @@ def test_partials_commute_random():
 def test_resultant_examples():
     c = parse("x^2 + y^2 - 25")
     assert resultant_eliminating_y(c, parse("y - 3")) == UniPoly([-16, 0, 1])
-    r = resultant_eliminating_y(c, parse("x - y"))
+    r = UniPoly(resultant_eliminating_y(c, parse("x - y")).coeffs)
     # 2x^2 - 25 up to a nonzero constant factor
     expected = UniPoly([-25, 0, 2])
     ratio = r.leading / expected.leading
@@ -341,7 +342,7 @@ def test_reduce_modulo_keeps_the_resultant_up_to_a_leading_power():
         if not (len(f.rows[-1]) == 1 and f.rows[-1][0] > 0):
             e += e % 2
         assert divides(f, lead**e * p - r)
-        want = resultant_eliminating_y(f, p)
+        want = UniPoly(resultant_eliminating_y(f, p).coeffs)
         if r.degree_y() >= 1:
             got = primitive_ints(resultant_eliminating_y(f, r).coeffs)
         else:
@@ -370,8 +371,8 @@ def test_resultant_vanishes_at_common_zeros():
             continue
         for x0 in range(-3, 4):
             for y0 in range(-3, 4):
-                if p.evaluate(x0, y0) == 0 and q.evaluate(x0, y0) == 0:
-                    res = resultant_eliminating_y(p, q)
+                if evaluate_bipoly(p, x0, y0) == 0 and evaluate_bipoly(q, x0, y0) == 0:
+                    res = UniPoly(resultant_eliminating_y(p, q).coeffs)
                     assert res.evaluate(x0) == 0
                     found += 1
     assert found > 5
@@ -409,8 +410,8 @@ def test_divides_points_on_factor():
     for k in range(2, 61):
         x0 = Fraction(k)
         y0 = taylor_coefficients(br, x0, 0)[0]
-        assert f.evaluate(x0, y0) == 0
-        assert g.evaluate(x0, y0) == 0
+        assert evaluate_bipoly(f, x0, y0) == 0
+        assert evaluate_bipoly(g, x0, y0) == 0
         checked += 1
     assert checked >= 50
 
