@@ -15,15 +15,16 @@ column p(x0, y) at the bracket of f(x0), zero included, for the piece
 flags of `partition_by_bounds`, one per run and order, and the slope
 regime of a frame cell.  The implicit derivatives H_k are built with the
 `BiPoly` operators from one (F_x, F_y, M) triple per curve.  A level curve
-L = H_i + F_y^(2i-1) * (i! * c) is kept reduced modulo the curve as a sum
-of two parts built once per curve and order: R = A_i + c * B_i = lc^E * L
-mod F (`_level_curve`), with lc = prim(lc_y F), E even and content 1, has
-L's sign at every branch point, so each level sign reads a column of
-y-degree below deg_y F.  A_i runs the H_k recurrence on reduced forms and
-B_i is order i - 1's times i * F_y^2, reduced; no level is reduced on its
-own.  The eliminant (`_level_resultant`), a primitive integer tuple, is R's
-own row when R is free of y and otherwise Res_y(F, R), with prim(lc_y F)
-divided out of it for as long as it divides exactly.  Either way it
+L = H_i + F_y^(2i-1) * (i! * c), c = p/q with integers p and q > 0, is kept
+reduced modulo the curve as two integer parts built once per curve and
+order: R = prim(q * A_i + p * B_i) (`_level_curve`), a positive multiple of
+lc^E * L mod F with lc = prim(lc_y F) and E even, has L's sign at every
+branch point, so each level sign reads a column of y-degree below deg_y F.
+A_i runs the H_k recurrence on reduced forms and B_i is order i - 1's times
+i * F_y^2, reduced; no level is reduced on its own.  The eliminant
+(`_level_resultant`), a primitive integer tuple, is R's own row when R is
+free of y and otherwise Res_y(F, R), with prim(lc_y F) divided out of it
+for as long as it divides exactly.  Either way it
 differs from Res_y(F, L) only by factors of lc_y(F) and a constant, and no
 branch domain holds a root of lc_y(F), so its roots there hold the level
 set's.  Along the branch the product of the columns of the two reduced
@@ -47,13 +48,14 @@ of lc_y(F) (Rouché's test) and of the discriminant (Rouché's test, retried
 after Graeffe root-squaring steps), from radius 1 up, with a Fujiwara
 bound on the roots of F over each disc about their mean at its centre,
 and up to four stretch widths per disc.  It reads no branch value and no
-column and makes no `Fraction`: positions are integer counts of one unit
-1/U, and the rest is `unipoly.affine_image`, `unipoly.graeffe_step` and
-integer powers.  A proved order reads small on every piece, as its flag
-queries would, finding no crossing.  Every eliminant comes from `poly2`: a frame
-curve's discriminant Res_y(F, F_y) is `poly2.discriminant`, built once per
-curve for the ingestion check, the frame cuts and the disc test, and the
-x-loci of a frame curve (its frame cuts and whether its slope is
+column: positions are integer counts of one unit 1/U, and the rest is
+`unipoly.affine_image`, `unipoly.graeffe_step` and integer powers.  A
+proved order reads small on every piece, as its flag queries would,
+finding no crossing.  No `Fraction` is made here, the thresholds
+N*delta^i being integer pairs too.  Every eliminant comes from `poly2`: a
+frame curve's discriminant Res_y(F, F_y) is `poly2.discriminant`, built
+once per curve for the ingestion check, the frame cuts and the disc test,
+and the x-loci of a frame curve (its frame cuts and whether its slope is
 identically +-1) are one cached `_FrameLoci` record.  A frame is
 decomposed at the partition's unit resolution: the real roots in [0, N]
 of its frame cuts and box-edge columns are read by the integer walk
@@ -286,73 +288,83 @@ def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
 
 
 class _LevelParts(NamedTuple):
-    """The level curves L = H_i + F_y^(2i-1) * (i! * c) of one order i."""
+    """The level curves L = H_i + F_y^(2i-1) * (i! * c) of one order i, as
+    two parts under one positive scale s."""
 
-    a: BiPoly  # lc^e * H_i mod F
-    b: BiPoly  # lc^e * i! * F_y^(2i-1) mod F
+    a: BiPoly  # s * lc^e * H_i mod F
+    b: BiPoly  # s * lc^e * i! * F_y^(2i-1) mod F
     e: int
 
 
 @lru_cache(maxsize=64)
 def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
     """The two parts of order i's level curves reduced modulo the curve F:
-    lc^e * L mod F = a + c * b for every level c, with lc = prim(lc_y F) and
-    the even e = 2(i - 1)(n - 1) + 2, n = deg_y F.
+    s * lc^e * L mod F = a + c * b for every level c, with lc = prim(lc_y F),
+    the even e = 2(i - 1)(n - 1) + 2, n = deg_y F, and a scale s > 0.
 
     a runs the `hk_sequence` recurrence on reduced forms.  The tangent
     derivation D = F_y d/dx - F_x d/dy maps the ideal (F) into itself, so
     from a = lc^E * H_(i-1) mod F, lc^(E+1) * D(H_(i-1)) = lc * D(a) - E *
     D(lc) * a mod F, with D(lc) = F_y * lc'(x).  b is order
     i - 1's times i * F_y^2, reduced.  `reduce_times_lead_power` brings both
-    to the power lc^e.
+    to the power lc^e, each times a power of the content k of lc_y F's row,
+    and the part with the lower power is multiplied up to the other's: on an
+    integer curve a and b keep integer contents.
     """
     n = curve.degree_y()
     fx, fy, mixed = _derivatives(curve)
     lead = _primitive(curve.rows[-1])
+    k = curve.rows[-1][-1] // lead[-1]
     e = 2 * (i - 1) * (n - 1) + 2
+
+    def shared_scale(p: BiPoly, d_p: int, q: BiPoly, d_q: int) -> tuple[BiPoly, BiPoly]:
+        e_p, e_q = (max(r.degree_y() - n + 1, 0) for r in (p, q))
+        a, b = reduce_times_lead_power(curve, p, d_p), reduce_times_lead_power(curve, q, d_q)
+        return a * k ** max(e_q - e_p, 0), b * k ** max(e_p - e_q, 0)
+
     if i == 1:
-        return _LevelParts(reduce_times_lead_power(curve, fx, e), reduce_times_lead_power(curve, fy, e), e)
+        return _LevelParts(*shared_scale(fx, e, fy, e), e)
     prev = _reduced_level_parts(curve, i - 1)
     a, pe = prev.a, prev.e
     d_a = fy * partial(a, "x") - fx * partial(a, "y")
     lc = BiPoly({(j, 0): v for j, v in enumerate(lead)})
     d_lc = fy * partial(lc, "x")
     t = fy * (lc * d_a - d_lc * a * pe) - mixed * lc * a * (2 * i - 3)
-    a = reduce_times_lead_power(curve, t, e - pe - 1)
-    b = reduce_times_lead_power(curve, prev.b * (fy * fy) * i, e - pe)
-    return _LevelParts(a, b, e)
+    return _LevelParts(*shared_scale(t, e - pe - 1, prev.b * (fy * fy) * i, e - pe), e)
 
 
 @lru_cache(maxsize=512)
-def _level_curve(curve: BiPoly, i: int, c: Fraction) -> BiPoly:
-    """R = a + c * b from `_reduced_level_parts`, with content 1, for the
-    level curve L = H_i + F_y^(2i-1) * (i! * c), which vanishes on branch
-    points with f^(i)/i! = c: lc^e * L mod F, of y-degree below the curve's,
-    with L's sign at every branch point.  Its column at x0 is what a flag
-    query of `partition_by_bounds` reads there.  R = 0 means that L vanishes
-    on the curve: `DegenerateLevelSetError`."""
+def _level_curve(curve: BiPoly, i: int, p: int, q: int) -> BiPoly:
+    """R, the primitive part of q * a + p * b for the parts a and b of
+    `_reduced_level_parts`, at the level c = p/q, q > 0, of the level curve
+    L = H_i + F_y^(2i-1) * (i! * c), which vanishes on branch points with
+    f^(i)/i! = c: a positive multiple of lc^e * L mod F, of y-degree below
+    the curve's, with L's sign at every branch point.  Its column at x0 is
+    what a flag query of `partition_by_bounds` reads there.  R = 0 means
+    that L vanishes on the curve: `DegenerateLevelSetError`."""
     parts = _reduced_level_parts(curve, i)
-    reduced = parts.a + parts.b * c
+    reduced = parts.a * q + parts.b * p
     if reduced.is_zero():
         raise DegenerateLevelSetError(
             "degenerate level set: the level curve vanishes on the whole input curve"
         )
     # a positive factor keeps every sign and root; content 1 leaves the
-    # eliminant of an integer curve with no rational rescaling
-    return reduced * (1 / reduced.content)
+    # eliminant of an integer curve with no rescaling
+    level = reduced.primitive_integer()
+    return level if reduced.leading_term()[1] > 0 else -level
 
 
 @lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[int, ...]:
+def _level_resultant(curve: BiPoly, i: int, p: int, q: int) -> tuple[int, ...]:
     """The eliminant of `_level_curve` R, as a primitive integer tuple.
 
-    It is R's own row when R is free of y (R(x) = lc^e(x) * L(x, f(x)) on
-    every branch) and Res_y(F, R) otherwise, with prim(lc_y F) divided out
-    of it for as long as it divides exactly.  R - lc^e * L is a multiple of
-    F, so Res_y(F, R) is Res_y(F, L) times a power of lc_y(F) and a
-    constant; the division only keeps the degree down, since no branch
-    domain holds a root of lc_y(F)."""
-    reduced = _level_curve(curve, i, c)
+    It is R's own row when R is free of y (R(x) = t * lc^e(x) * L(x, f(x))
+    on every branch, t > 0) and Res_y(F, R) otherwise, with prim(lc_y F)
+    divided out of it for as long as it divides exactly.  R - t * lc^e * L
+    is a multiple of F, so Res_y(F, R) is Res_y(F, L) times a power of
+    lc_y(F) and a constant; the division only keeps the degree down, since
+    no branch domain holds a root of lc_y(F)."""
+    reduced = _level_curve(curve, i, p, q)
     if reduced.degree_y() < 1:
         res = list(reduced.rows[0])
     else:
@@ -368,11 +380,11 @@ def _level_resultant(curve: BiPoly, i: int, c: Fraction) -> tuple[int, ...]:
     return _primitive(res)
 
 
-def level_set_abscissas(branch: AlgebraicBranch, i: int, c: Fraction | int) -> list[tuple[int, bool]]:
+def level_set_abscissas(branch: AlgebraicBranch, i: int, p: int, q: int) -> list[tuple[int, bool]]:
     """The unit slots (`unipoly.root_slots`) of the roots in the closed
     domain, whose ends must be integers, of the eliminant of order i's
-    level curve at c: (x, True) for an integer root x, and (x, False) for a
-    root in the open unit gap (x - 1, x).
+    level curve at c = p/q, q > 0: (x, True) for an integer root x, and
+    (x, False) for a root in the open unit gap (x - 1, x).
 
     They hold every x in the domain where f^(i)/i! = c, and may hold more: a
     point of another sheet of the curve on the level curve, or a tangential
@@ -385,7 +397,7 @@ def level_set_abscissas(branch: AlgebraicBranch, i: int, c: Fraction | int) -> l
     lo, hi = branch.domain
     if lo != int(lo) or hi != int(hi):
         raise ValueError("level_set_abscissas needs a domain with integer ends")
-    return root_slots(_level_resultant(branch.curve, i, Fraction(c)), int(lo), int(hi))
+    return root_slots(_level_resultant(branch.curve, i, p, q), int(lo), int(hi))
 
 
 @dataclass
@@ -458,7 +470,9 @@ def _fujiwara_below(bound: Sequence[int], low: int, num: int, den: int) -> bool:
     )
 
 
-def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta: Fraction) -> frozenset[int]:
+def certified_orders(
+    branch: AlgebraicBranch, big_d: int, n_box: Fraction | int, delta: Fraction | int
+) -> frozenset[int]:
     """The orders 1 <= i < D proved to satisfy |f^(i)/i!| < N*delta^i
     strictly on the whole closed domain.
 
@@ -502,7 +516,7 @@ def certified_orders(branch: AlgebraicBranch, big_d: int, n_box: Fraction, delta
     direction where it grows stops at the first order that holds, and the
     cover stops once no order is left.  No column of the curve is read.
 
-    No `Fraction` is made: pos, s, x0, R and hi count the unit 1/U, U =
+    Every number is an `int`: pos, s, x0, R and hi count the unit 1/U, U =
     lcm(den lo, den hi) * 2^9, so the ends, R, s >= 1/256 and pos are even
     and (pos + hi)/2 is exact (a halved centre is the last: x0 + s > hi).
     (a, r, d) = (x0, R, U)/gcd, the same as from x0's and R's denominators.
@@ -609,8 +623,7 @@ def partition_by_bounds(
     """
     if big_d < 2:
         raise ValueError("D must be >= 2")
-    n_box, delta = Fraction(n_box), Fraction(delta)
-    lo, hi = map(Fraction, branch.domain)
+    lo, hi = branch.domain
     if lo.denominator != 1 or hi.denominator != 1:
         raise ValueError("partition_by_bounds needs a domain with integer ends")
     lo, hi = int(lo), int(hi)
@@ -618,22 +631,25 @@ def partition_by_bounds(
     certified = certified_orders(branch, big_d, n_box, delta)
     # the orders that read small on every piece, with no flag query
     forced_small = set(certified)
-    thresholds = {i: n_box * delta**i for i in range(1, big_d) if i not in certified}
-    for i, thr in thresholds.items():
-        for c in (thr, -thr):
+    # N * delta^i as the integer pair (p, q), q > 0
+    n_num, n_den, d_num, d_den = n_box.numerator, n_box.denominator, delta.numerator, delta.denominator
+    thresholds = {i: (n_num * d_num**i, n_den * d_den**i) for i in range(1, big_d) if i not in certified}
+    for i, (p, q) in thresholds.items():
+        for c in (p, -p):
             try:
-                _level_curve(branch.curve, i, c)
+                _level_curve(branch.curve, i, c, q)
                 if lo < hi:  # a one-point domain is one run
-                    slots.update(level_set_abscissas(branch, i, c))
+                    slots.update(level_set_abscissas(branch, i, c, q))
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
                 # bound |f^(i)/i!| <= thr holds everywhere, with no cuts
                 forced_small.add(i)
     fy = partial(branch.curve, "y")
 
-    def flag(bracket: RootInterval, i: int, thr: Fraction, x: int) -> str:
-        plus = _level_curve(branch.curve, i, thr).int_column(x)
-        minus = _level_curve(branch.curve, i, -thr).int_column(x)
+    def flag(bracket: RootInterval, i: int, x: int) -> str:
+        p, q = thresholds[i]
+        plus = _level_curve(branch.curve, i, p, q).int_column(x)
+        minus = _level_curve(branch.curve, i, -p, q).int_column(x)
         s = sign_at_root(bracket, _int_mul(plus, minus))
         if s == 0 and sign_at_root(bracket, fy.int_column(x)) == 0:
             raise BranchError("flag query point where F_y = 0")
@@ -643,17 +659,16 @@ def partition_by_bounds(
     for a, b in slot_runs(sorted(slots), lo, hi):
         # one branch-value bracket per run serves every order left
         bracket = branch_value_bracket(branch, a) if len(forced_small) < big_d - 1 else None
-        flags = tuple("small" if i in forced_small else flag(bracket, i, thresholds[i], a) for i in range(1, big_d))
+        flags = tuple("small" if i in forced_small else flag(bracket, i, a) for i in range(1, big_d))
         pieces.append(Piece(a, b, flags))
     return IntervalPartition(pieces, certified)
 
 
 def large_interval_check(piece: Piece, delta: Fraction | int) -> bool:
     """Length test |piece| <= 2/delta for a piece with a large-derivative flag."""
-    delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return piece.length() <= 2 / delta
+    return piece.length() * delta.numerator <= 2 * delta.denominator
 
 
 # -- box decomposition ---------------------------------------------------------

@@ -370,7 +370,7 @@ def default_delta(d: int, ell: int, n_box: int) -> Fraction:
     short-piece machinery meaningless; the cap keeps every formula valid
     (delta * N >= 1 still holds)."""
     k = (d * ell) ** 2
-    return min(Fraction(1), Fraction(k ** (2 * d), n_box))
+    return Fraction(min(k ** (2 * d), n_box), n_box)
 
 
 def determinant_method_count(
@@ -408,10 +408,11 @@ def determinant_method_count(
     ell = ell if ell is not None else default_ell(d, n_box)
     if ell < d:
         raise CountingError("ell must be at least the curve degree")
+    # the one `Fraction` of a count: thresholds and budgets read its numerator and denominator
     delta = Fraction(delta) if delta is not None else default_delta(d, ell, n_box)
-    if delta <= 0 or delta * n_box < 1:
+    if delta <= 0 or delta.numerator * n_box < delta.denominator:
         raise CountingError("delta must be positive with delta * N >= 1")
-    spec = DerivativeBoundSpec(X=Fraction(n_box), delta=delta, N=Fraction(n_box))
+    spec = DerivativeBoundSpec(X=n_box, delta=delta, N=n_box)
 
     # one check of the input's lines, so its error does not depend on the oracle
     _reject_lines_in_box(g, g.swap_xy(), n_box)

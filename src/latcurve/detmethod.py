@@ -2,10 +2,11 @@
 kernel vector read by back-substitution), greedy covering with one echelon
 per run, and the curve budget of a segment.
 
-The budget compares C(D,2)-th powers in rational arithmetic, so no
-irrational root is ever taken on a decision path.  The lemma evaluators
-behind it (the interpolation-determinant bound, the derivative bounds and
-the single-curve threshold) are test references in
+The budget compares C(D,2)-th powers of integer numerator/denominator
+pairs, so no irrational root is ever taken on a decision path and no
+`Fraction` is made; `DerivativeBoundSpec` takes `Fraction` or `int` values.
+The lemma evaluators behind it (the interpolation-determinant bound, the
+derivative bounds and the single-curve threshold) are test references in
 `tests/reference_helpers.py`.
 """
 
@@ -30,16 +31,16 @@ class LatticePoint(NamedTuple):
 class DerivativeBoundSpec:
     """Certified decay data: |f^(i)(x)/i!| <= X * delta^i for 0 <= i < D."""
 
-    X: Fraction
-    delta: Fraction
-    N: Fraction
+    X: Fraction | int
+    delta: Fraction | int
+    N: Fraction | int
 
     def __post_init__(self) -> None:
         if self.X <= 0:
             raise ValueError("X must be positive")
         if self.N <= 0:
             raise ValueError("N must be positive")
-        if self.delta * self.N < 1:
+        if self.delta.numerator * self.N.numerator < self.delta.denominator * self.N.denominator:
             raise ValueError("delta * N must be at least 1")
 
 
@@ -95,11 +96,13 @@ def extract_cover_curve(
     return _kernel_curve(pivots, mset) if len(pivots) < mset.D else None
 
 
-def _power_form(interval_length: Fraction, spec: DerivativeBoundSpec, mset: MonomialSet) -> Fraction:
-    """(4*delta*|I|)^C(D,2) * (2N)^p * (D*X)^q, all in exact rationals."""
-    b = comb(mset.D, 2)
-    base = 4 * spec.delta * Fraction(interval_length)
-    return base**b * (2 * spec.N) ** mset.p * (mset.D * spec.X) ** mset.q
+def _power_form(interval_length: Fraction | int, spec: DerivativeBoundSpec, mset: MonomialSet) -> tuple[int, int]:
+    """(4*delta*|I|)^C(D,2) * (2N)^p * (D*X)^q as an unreduced pair (num, den > 0)."""
+    b, p, q = comb(mset.D, 2), mset.p, mset.q
+    delta, length, n, x = spec.delta, interval_length, spec.N, spec.X
+    num = (4 * delta.numerator * length.numerator) ** b * (2 * n.numerator) ** p * (mset.D * x.numerator) ** q
+    den = (delta.denominator * length.denominator) ** b * n.denominator**p * x.denominator**q
+    return num, den
 
 
 def curve_budget(
@@ -110,13 +113,12 @@ def curve_budget(
     Equals ceil of the C(D,2)-th root of the power-form product, plus one;
     the root is taken by comparing integer powers only.
     """
-    length = Fraction(interval_length)
-    if length < 0:
+    if interval_length < 0:
         raise ValueError("interval length must be nonnegative")
-    v = _power_form(length, spec, mset)
-    if v == 0:
+    num, den = _power_form(interval_length, spec, mset)
+    if num == 0:
         return 1
-    return integer_kth_root_ceiling(v, comb(mset.D, 2)) + 1
+    return integer_kth_root_ceiling(num, den, comb(mset.D, 2)) + 1
 
 
 def greedy_cover(

@@ -7,7 +7,6 @@ deterministic; no floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence, TypeVar
 
@@ -91,15 +90,13 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     return bareiss_determinant(rows, _int_exact_div)
 
 
-def integer_kth_root_ceiling(v: Fraction | int, k: int) -> int:
-    """Smallest natural m with m**k >= v, for v > 0 and k >= 1."""
-    v = Fraction(v)
-    if v <= 0:
-        raise ValueError("v must be positive")
+def integer_kth_root_ceiling(num: int, den: int, k: int) -> int:
+    """Smallest natural m with m**k >= num/den, for integers num > 0,
+    den > 0 and k >= 1, decided on integers as m**k * den >= num."""
+    if num <= 0 or den <= 0:
+        raise ValueError("num/den must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    num, den = v.numerator, v.denominator
-    # m**k >= v decided on integers, as m**k * den >= num
     hi = 1
     while hi**k * den < num:
         hi *= 2

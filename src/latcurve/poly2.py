@@ -1,13 +1,15 @@
 """Exact bivariate polynomials in x, y over Q.
 
-A `BiPoly` is one positive rational `content` times primitive integer
-y-rows: `rows[j]` is the integer coefficient tuple in x of y^j (index =
-x-degree, () for a zero row), each row and the row tuple end in a nonzero
-entry, and all the coefficients have gcd 1 and the signs of the polynomial.
-This form is canonical, so equality and hashing read it, and `terms` is
-computed from it.  Sums, products, powers, partial derivatives, the x/y
-swap and integer columns run on the rows: a result takes one content
-fraction and one integer gcd.
+A `BiPoly` is one positive rational `content`, an `int` whenever it is
+integral, times primitive integer y-rows: `rows[j]` is the integer
+coefficient tuple in x of y^j (index = x-degree, () for a zero row), each
+row and the row tuple end in a nonzero entry, and all the coefficients have
+gcd 1 and the signs of the polynomial.  This form is canonical, so equality
+and hashing read it, and `terms` is computed from it.  Sums, products,
+powers, partial derivatives, the x/y swap and integer columns run on the
+rows: a result takes one content and one integer gcd, and integer
+polynomials make no `Fraction`.  A coefficient that is not an `int` or a
+`Fraction`, a float among them, is a `TypeError`.
 
 Also provides parsing/printing in a small text grammar, divisibility,
 resultants eliminating y, and the corner index used to build punctured
@@ -15,8 +17,8 @@ monomial sets.  Term order is graded lexicographic with x taking priority
 inside each total degree; printing lists highest terms first.
 
 The one resultant algorithm is a pseudo-remainder descent (Collins) on the
-primitive integer y-rows, the rational contents multiplied back.  The rest
-of the package reads it through `eliminant`, a primitive integer tuple, and
+primitive integer y-rows, the contents multiplied back.  The rest of the
+package reads it through `eliminant`, a primitive integer tuple, and
 `discriminant`, the cached eliminant of a curve and its y-derivative.
 """
 
@@ -54,7 +56,19 @@ def display_order_key(j: ExponentPair) -> tuple[int, int]:
     return (j[0] + j[1], j[0])
 
 
-def _canonical(content: Fraction, rows: list[list[int]]) -> BiPoly:
+def _coefficient(c: object) -> Fraction | int:
+    """c, an `int` or a `Fraction`; anything else, a float among them, is a `TypeError`."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+    return c
+
+
+def _content(q: Fraction | int) -> Fraction | int:
+    """q > 0 in the form of a `content`: an `int` when it is integral."""
+    return q if q.denominator != 1 else q.numerator
+
+
+def _canonical(content: Fraction | int, rows: list[list[int]]) -> BiPoly:
     """content * sum_j rows[j](x) * y^j for a positive rational content and
     integer rows (lists, modified in place): trailing zeros dropped and the
     integer content of the rows moved into `content`."""
@@ -71,7 +85,7 @@ def _canonical(content: Fraction, rows: list[list[int]]) -> BiPoly:
     if not g:
         return _ZERO
     if g > 1:
-        content *= g
+        content = _content(content * g)
         return BiPoly._of(content, tuple(tuple(c // g for c in r) for r in rows))
     return BiPoly._of(content, tuple(map(tuple, rows)))
 
@@ -98,12 +112,12 @@ class BiPoly:
 
     def __init__(self, terms: Mapping[ExponentPair, Fraction | int] | Iterable[tuple[ExponentPair, Fraction | int]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[ExponentPair, Fraction] = {}
+        acc: dict[ExponentPair, Fraction | int] = {}
         for (j1, j2), c in items:
             if j1 < 0 or j2 < 0:
                 raise ValueError("negative exponent")
             key = (int(j1), int(j2))
-            acc[key] = acc.get(key, 0) + Fraction(c)
+            acc[key] = acc.get(key, 0) + _coefficient(c)
         acc = {j: c for j, c in acc.items() if c}
         den = lcm(*(c.denominator for c in acc.values()))
         rows: list[list[int]] = [[] for _ in range(max((j2 for _, j2 in acc), default=-1) + 1)]
@@ -111,7 +125,7 @@ class BiPoly:
             r = rows[j2]
             r.extend([0] * (j1 + 1 - len(r)))
             r[j1] = c.numerator * (den // c.denominator)
-        p = _canonical(Fraction(1, den), rows)
+        p = _canonical(Fraction(1, den) if den > 1 else 1, rows)
         object.__setattr__(self, "content", p.content)
         object.__setattr__(self, "rows", p.rows)
 
@@ -119,7 +133,7 @@ class BiPoly:
         raise AttributeError("BiPoly is immutable")
 
     @staticmethod
-    def _of(content: Fraction, rows: tuple[tuple[int, ...], ...]) -> BiPoly:
+    def _of(content: Fraction | int, rows: tuple[tuple[int, ...], ...]) -> BiPoly:
         """The polynomial with this canonical (content, rows) pair, unchecked."""
         p = object.__new__(BiPoly)
         object.__setattr__(p, "content", content)
@@ -130,11 +144,11 @@ class BiPoly:
 
     @staticmethod
     def constant(c: Fraction | int) -> BiPoly:
-        return BiPoly({(0, 0): Fraction(c)})
+        return BiPoly({(0, 0): c})
 
     @staticmethod
     def monomial(j1: int, j2: int, c: Fraction | int = 1) -> BiPoly:
-        return BiPoly({(j1, j2): Fraction(c)})
+        return BiPoly({(j1, j2): c})
 
     @staticmethod
     def var_x() -> BiPoly:
@@ -147,7 +161,7 @@ class BiPoly:
     # -- structure ----------------------------------------------------------
 
     @property
-    def terms(self) -> dict[ExponentPair, Fraction]:
+    def terms(self) -> dict[ExponentPair, Fraction | int]:
         """The nonzero coefficients keyed by (x-exponent, y-exponent)."""
         k = self.content
         return {(j1, j2): k * c for j2, r in enumerate(self.rows) for j1, c in enumerate(r) if c}
@@ -166,7 +180,7 @@ class BiPoly:
     def degree_y(self) -> int:
         return len(self.rows) - 1
 
-    def leading_term(self) -> tuple[ExponentPair, Fraction]:
+    def leading_term(self) -> tuple[ExponentPair, Fraction | int]:
         """The top term in display order: highest total degree, then highest x-power."""
         if not self.rows:
             raise ValueError("zero polynomial has no leading term")
@@ -202,17 +216,17 @@ class BiPoly:
         num, den = gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)
         ka = a.numerator // num * (den // a.denominator)
         kb = b.numerator // num * (den // b.denominator)
-        return _canonical(Fraction(num, den), _combine_rows(self.rows, ka, other.rows, kb))
+        return _canonical(Fraction(num, den) if den > 1 else num, _combine_rows(self.rows, ka, other.rows, kb))
 
     def __sub__(self, other: BiPoly) -> BiPoly:
         return self + (-other)
 
     def __mul__(self, other: "BiPoly | Fraction | int") -> BiPoly:
         if not isinstance(other, BiPoly):
-            k = Fraction(other)
+            k = _coefficient(other)
             if not k or not self.rows:
                 return _ZERO
-            p = BiPoly._of(self.content * abs(k), self.rows)
+            p = BiPoly._of(_content(self.content * abs(k)), self.rows)
             return p if k > 0 else -p
         if not self.rows or not other.rows:
             return _ZERO
@@ -227,7 +241,7 @@ class BiPoly:
                             if c:
                                 for m, d in enumerate(s, k):
                                     row[m] += c * d
-        return _canonical(self.content * other.content, out)
+        return _canonical(_content(self.content * other.content), out)
 
     __rmul__ = __mul__
 
@@ -274,8 +288,8 @@ class BiPoly:
         leading coefficient (display order) positive."""
         if not self.rows:
             return self
-        p = BiPoly._of(Fraction(1), self.rows)
-        return p if self.leading_term()[1] > 0 else -p
+        p = BiPoly._of(1, self.rows)
+        return p if p.leading_term()[1] > 0 else -p
 
     # -- printing ---------------------------------------------------------------
 
@@ -306,7 +320,7 @@ class BiPoly:
         return " ".join(parts)
 
 
-_ZERO = BiPoly._of(Fraction(1), ())
+_ZERO = BiPoly._of(1, ())
 
 
 def partial(p: BiPoly, variable: str) -> BiPoly:
@@ -327,19 +341,22 @@ def corner_index(p: BiPoly) -> int:
 
 
 def divides(f: BiPoly, g: BiPoly) -> bool:
-    """True iff g = f * h for some polynomial h, by exact term reduction."""
+    """True iff g = f * h for some polynomial h, by exact term reduction of
+    the primitive forms of g by f.  By Gauss's lemma their quotient is then
+    integral, so a leading-coefficient quotient that is not an integer
+    shows at once that f does not divide g."""
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if g.is_zero():
         return True
+    f, r = BiPoly._of(1, f.rows), BiPoly._of(1, g.rows)
     (lt1, lt2), lc = f.leading_term()
-    r = g
     while not r.is_zero():
         (m1, m2), c = r.leading_term()
-        if m1 < lt1 or m2 < lt2:
+        q, rem = divmod(c, lc)
+        if rem or m1 < lt1 or m2 < lt2:
             return False
-        q = BiPoly.monomial(m1 - lt1, m2 - lt2, c / lc)
-        r = r - q * f
+        r = r - BiPoly.monomial(m1 - lt1, m2 - lt2, q) * f
     return True
 
 
@@ -435,15 +452,16 @@ def discriminant(f: BiPoly) -> tuple[int, ...]:
 
 
 def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
-    """prim(lc_y f)^d * p mod f in y, for a d at which that remainder is a
-    polynomial.  prim(lc_y f) is lc_y(f) over its positive content, so a
-    constant leading coefficient only sets the sign.
+    """k^e * prim(lc_y f)^d * p mod f in y, for a d at which prim(lc_y f)^d
+    * p mod f is a polynomial.  prim(lc_y f) is the integer row of lc_y f
+    over its positive content k, so a constant leading coefficient only sets
+    the sign.
 
-    The pseudo-remainder takes lc_y(f)^e with e = max(deg_y p - deg_y f + 1,
-    0); its content is divided out, and the result multiplied by the missing
-    power of prim(lc_y f) or divided by the surplus one.  The remainder
-    modulo f is unique, so that division is exact when the target is a
-    polynomial.
+    The pseudo-remainder takes the row's power e = max(deg_y p - deg_y f +
+    1, 0); k^e is left in, so the content stays p's times an integer, and
+    the result is multiplied by the missing power of prim(lc_y f) or divided
+    by the surplus one.  The remainder modulo f is unique, so that division
+    is exact when the target is a polynomial.
     """
     if f.degree_y() < 1:
         raise ResultantDomainError("reduction requires a curve of positive y-degree")
@@ -457,7 +475,7 @@ def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
     elif d < 0:
         lead_pow = _int_pow(lead, -d)
         rows = [int_exact_quotient(r, lead_pow) if r else [] for r in rows]
-    return _canonical(p.content / Fraction(f.rows[-1][-1] // lead[-1]) ** e, [list(r) for r in rows])
+    return _canonical(p.content, [list(r) for r in rows])
 
 
 # -- ingestion sanity check ---------------------------------------------------

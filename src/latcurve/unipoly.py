@@ -1,8 +1,9 @@
 """Exact real root location on univariate integer polynomials.
 
-All decisions (root counts, signs, refinements) are made in exact rational
-arithmetic.  The one polynomial type, `UniPoly`, is only the record that
-`poly2.resultant_eliminating_y` returns: it has no arithmetic.  Every root
+All decisions (root counts, signs, refinements) are made on integers; a
+`Fraction` is made only for the ends of `RootInterval` brackets, in the
+bisection that makes them.  The one polynomial type, `UniPoly`, is only the
+record that `poly2.resultant_eliminating_y` returns: it has no arithmetic.  Every root
 query takes an integer coefficient list p and works on its primitive form f
 (`_primitive`, once on entry), except that the integer root search keeps any
 p with a nonzero top coefficient as it is: its closed forms, sign variations

@@ -1,7 +1,8 @@
 """Reference bivariate arithmetic on a `Fraction` term dict, independent of
 `latcurve.poly2`: the tests compare every `BiPoly` operator, the implicit
-derivatives and the level curves against it.  `evaluate_bipoly` gives the
-value of a `BiPoly` at a rational point, which no package code needs."""
+derivatives, the level curves and divisibility (`term_reduction`, the
+reduction over Q) against it.  `evaluate_bipoly` gives the value of a
+`BiPoly` at a rational point, which no package code needs."""
 
 from fractions import Fraction
 
@@ -93,3 +94,19 @@ class FractionBiPoly:
         scaled = dict(zip(self.terms, primitive_ints(list(self.terms.values()))))
         sign = 1 if scaled[max(scaled, key=_display_key)] > 0 else -1
         return FractionBiPoly({j: sign * c for j, c in scaled.items()})
+
+
+def term_reduction(f, g):
+    """(whether f divides g, the leading-coefficient quotients taken) for
+    `FractionBiPoly`s f != 0 and g, by exact term reduction over Q: the
+    leading term of g in display order is divided by that of f while its
+    exponents allow, and that multiple of f taken off, until g is zero."""
+    (lt1, lt2), lc = f.leading_term()
+    r, quotients = g, []
+    while r.terms:
+        (m1, m2), c = r.leading_term()
+        if m1 < lt1 or m2 < lt2:
+            return False, quotients
+        quotients.append(c / lc)
+        r = r - FractionBiPoly({(m1 - lt1, m2 - lt2): c / lc}) * f
+    return True, quotients

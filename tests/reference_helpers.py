@@ -11,7 +11,8 @@
   brackets with duplicates of one root dropped (`refine_disjoint`), the
   per-root crossing test of a level set, the disc certificate of
   derivative orders on `Fraction` positions (`fraction_certified_orders`),
-  and a lattice-point sweep over x alone.
+  a lattice-point sweep over x alone, and the latbench workloads, read
+  from their file.
 - The paper's lemmas, which no count runs: the interpolation-determinant
   bound (Ryser's permanent of the derivative bounds), the single-curve
   threshold, a branch through a rational curve point with its exact Taylor
@@ -22,11 +23,14 @@ The package decides each of these inside its own code paths, or does not
 need them to count."""
 
 import dataclasses
+import importlib.util
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, factorial, floor
+from pathlib import Path
 from typing import Optional
 
 from latcurve.branch import (
@@ -320,12 +324,12 @@ def reduce_modulo(f: BiPoly, p: BiPoly) -> tuple[BiPoly, int]:
         raise ResultantDomainError("reduction requires a curve of positive y-degree")
     if m < n:
         return p, 0
-    e = m - n + 1
     lead = f.rows[-1]
-    if e % 2 and (len(lead) > 1 or lead[0] < 0):
-        e += 1
-    # lc_y(f) is prim(lc_y f) times the positive content of its row
-    r = reduce_times_lead_power(f, p, e) * Fraction(lead[-1] // _primitive(lead)[-1]) ** e
+    extra = int((m - n + 1) % 2 == 1 and (len(lead) > 1 or lead[0] < 0))
+    e = m - n + 1 + extra
+    # lc_y(f) is prim(lc_y f) times the positive content k of its row, and
+    # `reduce_times_lead_power` leaves k^(m - n + 1) in: one short when E is raised
+    r = reduce_times_lead_power(f, p, e) * (lead[-1] // _primitive(lead)[-1]) ** extra
     return r, e * n - m + max(r.degree_y(), 0)
 
 
@@ -375,9 +379,9 @@ def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> li
     unless its bracket is exact; a zero of R at a non-exact bracket's end
     is a `BranchError`."""
     c = Fraction(c)
-    level = _level_curve(branch.curve, i, c)
+    level = _level_curve(branch.curve, i, *c.as_integer_ratio())
     lo, hi = branch.domain
-    roots = isolate_real_roots(_level_resultant(branch.curve, i, c), lo, hi)
+    roots = isolate_real_roots(_level_resultant(branch.curve, i, *c.as_integer_ratio()), lo, hi)
     if level.degree_y() < 1 or not roots:
         return roots
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
@@ -487,7 +491,8 @@ def segment_coverable(
     """Single-curve test: the power-form product must be strictly below 1."""
     if Fraction(interval_length) < 0:
         raise ValueError("interval length must be nonnegative")
-    return _power_form(Fraction(interval_length), spec, mset) < 1
+    num, den = _power_form(interval_length, spec, mset)
+    return num < den
 
 
 def fj_derivative_bound(
@@ -792,3 +797,13 @@ def convex_cover_count(
         budget=budget,
         parameters={"d": d, "N": n_box, "delta": str(delta)},
     )
+
+
+def latbench_workloads():
+    """latbench/workloads.py, read from its file."""
+    path = Path(__file__).resolve().parent.parent / "latbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("latbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS

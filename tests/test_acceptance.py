@@ -201,7 +201,7 @@ def test_criterion_5_budgets(pipeline_reports):
     # ceiling C(D,2)-th root of (2N)^p (DX)^q
     b = comb(mset.D, 2)
     power = (2 * spec.N) ** mset.p * (mset.D * spec.X) ** mset.q
-    length = Fraction(1, 4 * (integer_kth_root_ceiling(power, b) + 1)) / delta
+    length = Fraction(1, 4 * (integer_kth_root_ceiling(power.numerator, power.denominator, b) + 1)) / delta
     assert segment_coverable(length, spec, mset)
     dec = graph_decompose(curve, n)
     for branch in filter(None, map(integer_hull, dec.branches)):

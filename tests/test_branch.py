@@ -78,6 +78,7 @@ from reference_helpers import (
     crossing_level_set,
     integer_hull,
     integer_in,
+    latbench_workloads,
     ranked_root_slot,
     reduce_modulo,
     refine_clear_of,
@@ -182,7 +183,7 @@ def _positive_ratio(a, b):
     both `BiPoly`s or both `UniPoly`s."""
     if isinstance(a, BiPoly):
         j = next(iter(b.terms))
-        t = a.terms.get(j, 0) / b.terms[j]
+        t = Fraction(a.terms.get(j, 0)) / b.terms[j]
     else:
         t = a.leading / b.leading
     return t if t > 0 and a == b * t else None
@@ -258,10 +259,11 @@ def test_level_curves_are_positive_multiples_of_fraction_construction():
                         ref_res = UniPoly(ref.swap_xy().at_x(0))
                 if ref_res is None or ref_res.is_zero():
                     with pytest.raises(DegenerateLevelSetError):
-                        branch_module._level_resultant(curve, i, c)
+                        branch_module._level_resultant(curve, i, *c.as_integer_ratio())
                     degenerate += 1
                     continue
-                level, res = branch_module._level_curve(curve, i, c), branch_module._level_resultant(curve, i, c)
+                level = branch_module._level_curve(curve, i, *c.as_integer_ratio())
+                res = branch_module._level_resultant(curve, i, *c.as_integer_ratio())
                 # R == lc^E * ref mod F, E even, deg_y R < deg_y F
                 ref_reduced, e = fraction_reduced(ref, curve)
                 assert e % 2 == 0 and level.degree_y() < curve.degree_y()
@@ -370,9 +372,10 @@ def _check_level_eliminant(curve, i, c):
         want = _unreduced_eliminant(curve, i, c)
     except DegenerateLevelSetError:
         with pytest.raises(DegenerateLevelSetError):
-            branch_module._level_resultant(curve, i, c)
+            branch_module._level_resultant(curve, i, *c.as_integer_ratio())
         return {"degenerate"}
-    reduced, res = branch_module._level_curve(curve, i, c), branch_module._level_resultant(curve, i, c)
+    reduced = branch_module._level_curve(curve, i, *c.as_integer_ratio())
+    res = branch_module._level_resultant(curve, i, *c.as_integer_ratio())
     deg_l = _unreduced_level_curve(curve, i, c).degree_y()
     kinds = {_lead_kind(curve)}
     if _assert_eliminant_matches(curve, reduced, res, deg_l, want):
@@ -393,8 +396,8 @@ def test_level_eliminant_matches_unreduced_route():
     degrees 8 and 12, against 22 and 42 with the factors left in."""
     curve = parse("5*x^2*y - 2")
     for i, degree in ((5, 8), (10, 12)):
-        reduced = branch_module._level_curve(curve, i, Fraction(38))
-        res = branch_module._level_resultant(curve, i, Fraction(38))
+        reduced = branch_module._level_curve(curve, i, 38, 1)
+        res = branch_module._level_resultant(curve, i, 38, 1)
         assert reduced.degree_y() < 1 and len(res) - 1 == degree
         assert _check_level_eliminant(curve, i, Fraction(38)) >= {"reduced_free_of_y"}
     for text, i in (("y^2 + x*y - x^3", 1), ("y^2 + x^2*y - x", 2), ("2*y^3 - x^2*y^2 + y - 5*x", 2)):
@@ -763,7 +766,7 @@ def test_row_search_matches_the_abscissa_loop():
     one unit, with points at a piece end among its hits.  One-point pieces
     keep the loop, and so does a branch built directly as flat whose values
     span more integers than its abscissas, the parabola y = x^2."""
-    workloads = _latbench_workloads()
+    workloads = latbench_workloads()
     cases = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 2) for c in row]
     cases += [(f"x^2 + y^2 - {m}", 60) for m in (625, 1000, 1105, 2000, 3250)]
     cases += [(f"x*y - {m}", 80) for m in (36, 360, 720, 1200)]
@@ -825,7 +828,7 @@ def test_flat_branches_are_monotone_on_their_closed_domains():
     its domain breaks it: the upper arc of the circle x^2 + y^2 = 25 on
     [-3, 3] has |f'| <= 3/4 but turns at x = 0, and the row search, reading
     only the values between f(-3) = f(3) = 4, loses (0, 5)."""
-    workloads = _latbench_workloads()
+    workloads = latbench_workloads()
     cases = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 2) for c in row]
     cases += _fuzz_style_curves(random.Random(72), 300)
     checked = Counter()
@@ -859,7 +862,7 @@ def test_frame_critical_slots_match_the_isolated_loci(monkeypatch):
     gives, one reference `root_slot` per bracket: on both frames of
     two seed-1 rounds of the latbench families, 60 fuzz-style curves and
     seeded dense quartics and quintics with |c| <= 50 at N = 100."""
-    workloads = _latbench_workloads()
+    workloads = latbench_workloads()
     cases = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 2) for c in row]
     cases += _fuzz_style_curves(random.Random(73), 60)
     rng = random.Random(74)
@@ -956,12 +959,12 @@ def test_root_slots_match_the_bracket_reference(monkeypatch):
     eliminants = []
     record = branch_module.level_set_abscissas
 
-    def recorded(br, i, c):
-        eliminants.append((branch_module._level_resultant(br.curve, i, Fraction(c)), *br.domain))
-        return record(br, i, c)
+    def recorded(br, i, p, q):
+        eliminants.append((branch_module._level_resultant(br.curve, i, p, q), *br.domain))
+        return record(br, i, p, q)
 
     monkeypatch.setattr(branch_module, "level_set_abscissas", recorded)
-    for row in _latbench_workloads()["partition"].rounds(1, 2):
+    for row in latbench_workloads()["partition"].rounds(1, 2):
         for case in row:
             determinant_method_count(parse(case.text), case.n_box, compare_oracle=False)
     before = seen["several_below_lo"]
@@ -1030,27 +1033,27 @@ def test_branch_sign_matches_fraction_evaluation():
 
 def test_level_set_parabola():
     br = branch_from_point(parse("y - x^2"), 3, 9, (0, 10))
-    assert level_set_abscissas(br, 1, 2) == [(1, True)]  # f' = 2x = 2 at x = 1
+    assert level_set_abscissas(br, 1, 2, 1) == [(1, True)]  # f' = 2x = 2 at x = 1
 
 
 def test_level_set_empty_out_of_range():
     br = branch_from_point(parse("y - x^2"), Fraction(3, 2), Fraction(9, 4), (1, 2))
-    assert level_set_abscissas(br, 1, 0) == []
+    assert level_set_abscissas(br, 1, 0, 1) == []
 
 
 def test_level_set_hyperbola():
     br = branch_from_point(parse("x*y - 12"), 3, 4, (1, 12))
-    assert level_set_abscissas(br, 1, -3) == [(2, True)]  # f' = -12/x^2 = -3 at x = 2
+    assert level_set_abscissas(br, 1, -3, 1) == [(2, True)]  # f' = -12/x^2 = -3 at x = 2
 
 
 def test_level_set_degenerate_errors():
     br = branch_from_point(parse("y - x^2"), 3, 9, (0, 10))
     with pytest.raises(DegenerateLevelSetError):
-        level_set_abscissas(br, 2, 1)  # f''/2! == 1 identically
+        level_set_abscissas(br, 2, 1, 1)  # f''/2! == 1 identically
     with pytest.raises(ValueError, match="order"):
-        level_set_abscissas(br, 0, 1)
+        level_set_abscissas(br, 0, 1, 1)
     with pytest.raises(ValueError, match="integer ends"):
-        level_set_abscissas(branch_from_point(parse("y - x^2"), 3, 9, (Fraction(1, 2), 10)), 1, 1)
+        level_set_abscissas(branch_from_point(parse("y - x^2"), 3, 9, (Fraction(1, 2), 10)), 1, 1, 1)
 
 
 def test_level_set_bezout_cap():
@@ -1059,7 +1062,7 @@ def test_level_set_bezout_cap():
         br = branch_from_point(curve, *seed, (2, 5))
         for i in (1, 2):
             for c in (1, Fraction(-1, 2)):
-                roots = level_set_abscissas(br, i, c)
+                roots = level_set_abscissas(br, i, *c.as_integer_ratio())
                 level = _unreduced_level_curve(curve, i, Fraction(c))
                 assert len(roots) <= curve.degree * level.degree
 
@@ -1075,7 +1078,7 @@ def test_level_set_rational_root_at_domain_end():
     upper_left = branch_from_point(circle, 0, 5, (-3, 0))
     lower_left = branch_from_point(circle, 0, -5, (-3, 0))
     for br, end in ((upper_right, 3), (upper_left, -3), (lower_left, -3)):
-        assert level_set_abscissas(br, 1, Fraction(-3, 4)) == [(end, True)]
+        assert level_set_abscissas(br, 1, -3, 4) == [(end, True)]
     # f'(-3) = 3/4 on the upper branch: the exact root is the lower
     # branch's, and the crossing test drops it
     assert [(r.lo, r.hi) for r in crossing_level_set(upper_right, 1, Fraction(-3, 4))] == [(3, 3)]
@@ -1103,8 +1106,8 @@ def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
         return original(p, q)
 
     monkeypatch.setattr(poly2_module, "resultant_eliminating_y", counted)
-    assert len(level_set_abscissas(br, 2, Fraction(-1, 8))) >= 1
-    assert calls == [(br.curve, branch_module._level_curve(br.curve, 2, Fraction(-1, 8)))]
+    assert len(level_set_abscissas(br, 2, -1, 8)) >= 1
+    assert calls == [(br.curve, branch_module._level_curve(br.curve, 2, -1, 8))]
 
 
 def _count_sign_queries(monkeypatch):
@@ -1135,8 +1138,8 @@ def test_level_set_rational_tangential_contact(monkeypatch):
     inside = branch_from_point(FIXTURES["circle"], 3, 4, (-3, 4))
     at_end = branch_from_point(FIXTURES["circle"], 3, 4, (0, 4))
     calls = _count_sign_queries(monkeypatch)
-    assert level_set_abscissas(inside, 2, Fraction(-1, 10)) == [(0, True)]
-    assert branch_module._level_resultant(inside.curve, 2, Fraction(-1, 10)) == (0, 0, 1875, 0, -75, 0, 1)
+    assert level_set_abscissas(inside, 2, -1, 10) == [(0, True)]
+    assert branch_module._level_resultant(inside.curve, 2, -1, 10) == (0, 0, 1875, 0, -75, 0, 1)
     assert calls == []
     assert crossing_level_set(inside, 2, Fraction(-1, 10)) == []
     assert len(calls) == 2
@@ -1160,8 +1163,8 @@ def test_level_set_simple_root_without_crossing_skipped(monkeypatch):
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
     hyperbola = branch_from_point(FIXTURES["hyperbola"], 3, 4, (1, 12))
     calls = _count_sign_queries(monkeypatch)
-    assert len(level_set_abscissas(br, 1, Fraction(-3, 4))) == 2 and calls == []
-    assert branch_module._level_resultant(br.curve, 1, Fraction(-3, 4)) == (-9, 0, 1)
+    assert len(level_set_abscissas(br, 1, -3, 4)) == 2 and calls == []
+    assert branch_module._level_resultant(br.curve, 1, -3, 4) == (-9, 0, 1)
     roots = crossing_level_set(br, 1, Fraction(-3, 4))
     assert len(roots) == 1 and roots[0].lo <= 3 <= roots[0].hi
     # two sign queries per bracket decide both roots
@@ -1183,8 +1186,8 @@ def test_level_set_irrational_tangential_contact_is_no_cut(monkeypatch):
     # between two runs with equal flags
     br = branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10))
     calls = _count_sign_queries(monkeypatch)
-    assert level_set_abscissas(br, 1, 1) == [(5, False)]
-    assert branch_module._level_resultant(br.curve, 1, Fraction(1)) == (-4418**2, 0, 2 * 225 * 4418, 0, -(225**2))
+    assert level_set_abscissas(br, 1, 1, 1) == [(5, False)]
+    assert branch_module._level_resultant(br.curve, 1, 1, 1) == (-4418**2, 0, 2 * 225 * 4418, 0, -(225**2))
     assert calls == []
     assert crossing_level_set(br, 1, 1) == []
     assert len(calls) == 2
@@ -1319,7 +1322,7 @@ def _reference_flags(br, big_d, n_box, delta):
             except DegenerateLevelSetError:
                 continue
             raw += crossings
-            skipped += len(level_set_abscissas(br, i, c)) - len(crossings)
+            skipped += len(level_set_abscissas(br, i, *c.as_integer_ratio())) - len(crossings)
     cuts = []
     for r in refine_disjoint(raw, Fraction(1, 4)) if raw else []:
         r = refine_clear_of(r, lo, hi)
@@ -1634,7 +1637,7 @@ def test_reduced_level_signs_match_unreduced_at_branch_points():
             levels += [taylor_coefficients(br, k, i)[i] for k in hits[:1]]
             for c in levels:
                 try:
-                    reduced = branch_module._level_curve(br.curve, i, c)
+                    reduced = branch_module._level_curve(br.curve, i, *c.as_integer_ratio())
                 except DegenerateLevelSetError:
                     continue
                 level = _unreduced_level_curve(br.curve, i, c)
@@ -1706,7 +1709,7 @@ def _candidate_counts(br, big_d, n_box, delta, part):
             continue
         for c in (n_box * delta**i, -(n_box * delta**i)):
             try:
-                elim = branch_module._level_resultant(br.curve, i, Fraction(c))
+                elim = branch_module._level_resultant(br.curve, i, *c.as_integer_ratio())
             except DegenerateLevelSetError:
                 continue
             for k in range(lo, hi + 1):
@@ -1778,7 +1781,7 @@ def test_one_point_run_on_a_level_set_never_merges():
     br = branch_from_point(parse("3*y - 3*x - 3*x^2 + 4*x^3"), 0, 0, (0, 5))
     part = partition_by_bounds(br, 2, 10, Fraction(1, 10))
     assert _pieces(part) == [(0, 0, ("small",)), (1, 1, ("small",)), (2, 5, ("large",))]
-    assert [r for r in (0, 1) if count_real_roots(branch_module._level_resultant(br.curve, 1, Fraction(1)), r, r)] == [0]
+    assert [r for r in (0, 1) if count_real_roots(branch_module._level_resultant(br.curve, 1, 1, 1), r, r)] == [0]
     assert _product_signs(br, Fraction(1, 4), [Fraction(1)]) == [1]
     assert [_product_signs(br, Fraction(k), [Fraction(1)]) for k in (0, 1)] == [[0], [0]]
 
@@ -1866,8 +1869,8 @@ def test_partition_reads_flags_past_a_contact_at_the_midpoint():
         (0, 0, ("small", "small")),
         (1, 3, ("small", "large")),
     ]
-    plus = branch_module._level_curve(br.curve, 2, Fraction(1, 10)).int_column(0)
-    minus = branch_module._level_curve(br.curve, 2, Fraction(-1, 10)).int_column(0)
+    plus = branch_module._level_curve(br.curve, 2, 1, 10).int_column(0)
+    minus = branch_module._level_curve(br.curve, 2, -1, 10).int_column(0)
     assert sign_at_root(branch_value_bracket(br, 0), _int_mul(plus, minus)) == 0
     thresholds = [Fraction(1), Fraction(1, 10)]
     left, contact, right = part.pieces
@@ -1921,8 +1924,8 @@ def _product_signs(br, x, thresholds):
     signs = []
     for i, thr in enumerate(thresholds, start=1):
         try:
-            plus = branch_module._level_curve(br.curve, i, thr).int_column(x)
-            minus = branch_module._level_curve(br.curve, i, -thr).int_column(x)
+            plus = branch_module._level_curve(br.curve, i, *thr.as_integer_ratio()).int_column(x)
+            minus = branch_module._level_curve(br.curve, i, *(-thr).as_integer_ratio()).int_column(x)
         except DegenerateLevelSetError:
             signs.append(0)
             continue
@@ -1956,16 +1959,6 @@ def _pipeline_partitions(text, n_box):
         yield br, thresholds, partition_by_bounds(br, big_d, n_box, delta)
 
 
-def _latbench_workloads():
-    """latbench/workloads.py, read from its file."""
-    path = Path(__file__).resolve().parent.parent / "latbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("latbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
 def test_certificate_strength_on_latbench_rounds():
     """Certificate-strength guard: on eight seed-1 rounds, at the pipeline's
     D and delta, `certified_orders` proves 559 of the 584 orders of the 53
@@ -1975,7 +1968,7 @@ def test_certificate_strength_on_latbench_rounds():
     A domain end can sit within one unit of a branch point, where a disc of
     radius 1 is refused, so some orders next to one are left to the level
     sets."""
-    workloads = _latbench_workloads()
+    workloads = latbench_workloads()
     for name, want_domain, want_hull in (
         ("partition", (53, 559, 584), (53, 559, 584)),
         ("columns", (40, 600, 600), (40, 600, 600)),
@@ -2066,7 +2059,7 @@ def test_certified_orders_match_the_fraction_reference(monkeypatch):
     on which the discs prove 4264 orders above 1 over the twelve settings.
     """
     rng = random.Random(49)
-    workloads = _latbench_workloads()
+    workloads = latbench_workloads()
     texts = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 8) for c in row]
     draw = _fuzz_script().draw
     texts += [(curve.pretty(), n_box) for curve, n_box in (draw(rng) for _ in range(150))]
@@ -2125,7 +2118,7 @@ def test_certified_orders_make_no_fraction_arithmetic():
     and delta.  Its positions are integer counts of one unit and its
     thresholds integer pairs; the `Fraction` reference makes over 100 calls
     on every one of these hulls."""
-    workloads = _latbench_workloads()
+    workloads = latbench_workloads()
     texts = [(c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 2) for c in row]
 
     def fraction_calls(fn, *args):
@@ -2189,7 +2182,7 @@ def test_pipeline_reads_columns_at_integer_abscissas_only(monkeypatch):
         return original(self, x0)
 
     monkeypatch.setattr(BiPoly, "int_column", recorded)
-    cases = [(c.text, c.n_box) for row in _latbench_workloads()["partition"].rounds(1, 2) for c in row]
+    cases = [(c.text, c.n_box) for row in latbench_workloads()["partition"].rounds(1, 2) for c in row]
     for text, n_box in cases + [("y^2 - x^3 + 8*x - 8", 25)]:
         determinant_method_count(parse(text), n_box, compare_oracle=False)
     assert len(abscissas) > 100

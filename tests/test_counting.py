@@ -8,6 +8,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from latcurve.counting import (
     brute_force_count,
     determinant_method_count,
 )
+import latcurve
 from latcurve import branch, counting, poly2, unipoly
 from latcurve.detmethod import LatticePoint
 from latcurve.poly2 import BiPoly, divides, parse, partial, resultant_eliminating_y
@@ -30,7 +32,15 @@ from latcurve.unipoly import (
     run_integer_roots,
 )
 from fraction_bipoly import evaluate_bipoly
-from reference_helpers import x_sweep_count
+from reference_helpers import latbench_workloads, x_sweep_count
+
+
+# the fixture curves of scripts/fixture_report.py, with their boxes
+FIXTURES = [
+    ("x - y^2", 100), ("x - y^3", 100), ("x - y^5", 100), ("x*y - 12", 100),
+    ("x^2 + y^2 - 25", 100), ("x^2 + y^2 - 65", 100),
+    ("y^2 - x^3 - x - 1", 50), ("x^2 - 2*y^2 - 1", 50),
+]
 
 
 # -- brute force -----------------------------------------------------------------
@@ -531,11 +541,7 @@ def test_pipeline_and_oracle_match_a_horner_scan():
     100 at the same x.  Two circles check the oracle's live runs: one meets
     no box edge, so only its discriminant's roots cut them, and one touches
     the edge y = 40."""
-    fixtures = [
-        ("x - y^2", 100), ("x - y^3", 100), ("x - y^5", 100), ("x*y - 12", 100),
-        ("x^2 + y^2 - 25", 100), ("x^2 + y^2 - 65", 100),
-        ("y^2 - x^3 - x - 1", 50), ("x^2 - 2*y^2 - 1", 50),
-    ]
+    fixtures = list(FIXTURES)
     tangent = [("x^2 + y^2 - 20*x - 20*y + 175", 30), ("4*x^2 + y^2 - 80*x - 24*y + 444", 30)]
     circles = [("(x - 50)^2 + (y - 50)^2 - 625", 100), ("(x - 20)^2 + (y - 30)^2 - 100", 40)]
     points = 0
@@ -1094,3 +1100,84 @@ def test_pipeline_csv_rows_cover_total():
     assert {(r[0], r[1]) for r in rows} == {
         (1, 12), (2, 6), (3, 4), (4, 3), (6, 2), (12, 1)
     }
+
+
+# -- one number type inside a count ---------------------------------------------------
+
+# `Fraction.__new__`, and on Pythons whose `fractions` builds arithmetic
+# results through it, `Fraction._from_coprime_ints`
+_FRACTION_CONSTRUCTORS = {Fraction.__new__.__code__} | (
+    {Fraction._from_coprime_ints.__func__.__code__} if hasattr(Fraction, "_from_coprime_ints") else set()
+)
+
+
+def _fraction_constructions(count):
+    """The package frames (module, function), nearest first, above each
+    `Fraction` construction that count() makes; one made outside the
+    package is left out."""
+    package = str(Path(latcurve.__file__).parent)
+    made = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code not in _FRACTION_CONSTRUCTORS:
+            return
+        stack = []
+        while frame is not None:
+            if frame.f_code.co_filename.startswith(package):
+                stack.append((Path(frame.f_code.co_filename).stem, frame.f_code.co_name))
+            frame = frame.f_back
+        if stack:
+            made.append(stack)
+
+    sys.setprofile(profile)
+    try:
+        count()
+    finally:
+        sys.setprofile(None)
+    return made
+
+
+def test_counts_make_fractions_only_for_delta_and_brackets():
+    """Every number inside a count is an `int`: on the fixture curves with
+    the oracle on and on one seed-1 round each of latbench `partition` and
+    `columns`, a count constructs a `Fraction` only for delta on entry
+    (`determinant_method_count` or `default_delta`, at most two), in
+    `DerivativeBoundSpec.__post_init__`, or under `unipoly.isolate_real_roots`
+    and `unipoly.slot_bracket`, for the ends of a branch value's bracket.
+    `poly2`, `branch`, `exactlinalg` and `monomials` construct none."""
+    workloads = latbench_workloads()
+    cases = list(FIXTURES) + [
+        (c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 1) for c in row
+    ]
+    brackets = {("unipoly", "isolate_real_roots"), ("unipoly", "slot_bracket")}
+    at_entry = {("counting", "determinant_method_count"), ("counting", "default_delta")}
+    modules = Counter()
+    for text, n_box in cases:
+        curve = parse(text)
+        made = _fraction_constructions(lambda: determinant_method_count(curve, n_box))
+        modules.update(stack[0][0] for stack in made)
+        stray = Counter(
+            stack[0]
+            for stack in made
+            if stack[0] not in at_entry
+            and stack[0] != ("detmethod", "__post_init__")
+            and not (stack[0][0] == "unipoly" and brackets.intersection(stack))
+        )
+        assert not stray, (text, n_box, stray)
+        assert sum(stack[0] in at_entry for stack in made) <= 2, (text, n_box)
+    assert modules["unipoly"] > 0 and set(modules) <= {"counting", "detmethod", "unipoly"}, modules
+
+
+def test_scaled_negated_and_swapped_inputs_count_alike():
+    """Metamorphic checks with no oracle on the fixture curves: F, -F, 3*F
+    and (2/7)*F ingest to one curve and give byte-identical reports, the
+    rational content of the last being the one place where a rational
+    enters a count; F(y, x) gives the same total."""
+    for text, n_box in FIXTURES:
+        f = parse(text)
+        want = json.dumps(determinant_method_count(f, n_box, compare_oracle=False).to_json_dict(), sort_keys=True)
+        for g in (-f, f * 3, f * Fraction(2, 7)):
+            got = determinant_method_count(g, n_box, compare_oracle=False).to_json_dict()
+            assert json.dumps(got, sort_keys=True) == want, (text, g)
+        swapped = determinant_method_count(f.swap_xy(), n_box, compare_oracle=False)
+        assert swapped.total == json.loads(want)["total"], text

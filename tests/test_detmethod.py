@@ -144,7 +144,7 @@ def test_curve_budget_examples():
     m = full_set(2)
     assert curve_budget(0, spec, m) == 1
     v = 4**15 * 120000**4
-    expected = integer_kth_root_ceiling(v, 15) + 1
+    expected = integer_kth_root_ceiling(v, 1, 15) + 1
     assert curve_budget(100, spec, m) == expected
     # independent power-comparison oracle for the 15th root
     root = 1

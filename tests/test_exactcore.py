@@ -1154,7 +1154,7 @@ def test_descartes_certified_searches_build_no_chain(monkeypatch):
     [(8, 3, 2), (9, 2, 3), (120000, 15, 3), (1, 1, 1), (Fraction(1, 2), 3, 1)],
 )
 def test_kth_root_examples(v, k, expected):
-    assert integer_kth_root_ceiling(v, k) == expected
+    assert integer_kth_root_ceiling(v.numerator, v.denominator, k) == expected
 
 
 @given(
@@ -1164,7 +1164,7 @@ def test_kth_root_examples(v, k, expected):
 )
 def test_kth_root_property(num, den, k):
     v = Fraction(num, den)
-    m = integer_kth_root_ceiling(v, k)
+    m = integer_kth_root_ceiling(num, den, k)
     assert Fraction(m) ** k >= v
     if m >= 1:
         assert Fraction(m - 1) ** k < v

@@ -25,7 +25,7 @@ from latcurve.poly2 import (
 from latcurve import poly2
 from latcurve.unipoly import _int_mul, primitive_ints
 
-from fraction_bipoly import FractionBiPoly, evaluate_bipoly
+from fraction_bipoly import FractionBiPoly, evaluate_bipoly, term_reduction
 from fraction_unipoly import UniPoly
 from reference_helpers import branch_from_point, divide_lc_power, reduce_modulo, taylor_coefficients
 
@@ -107,9 +107,10 @@ def test_evaluate_is_ring_morphism(p, x, y):
 
 
 def assert_canonical(p):
-    """`content` > 0 and primitive integer rows, each row and the row tuple
-    ending in a nonzero entry: the one stored form."""
-    assert type(p.content) is Fraction and p.content > 0
+    """`content` > 0, an `int` when it is integral and a `Fraction` only
+    otherwise, and primitive integer rows, each row and the row tuple ending
+    in a nonzero entry: the one stored form."""
+    assert type(p.content) is (int if p.content.denominator == 1 else Fraction) and p.content > 0
     assert type(p.rows) is tuple and all(type(r) is tuple for r in p.rows)
     assert all(type(c) is int for r in p.rows for c in r)
     assert all(r[-1] for r in p.rows if r) and (not p.rows or p.rows[-1])
@@ -387,7 +388,19 @@ def test_divides_examples():
     assert not divides(parse("x^2 + y^2 - 25"), parse("y - 3"))
 
 
+def _primitive_form(p):
+    """The `FractionBiPoly` of p over its positive content."""
+    return FractionBiPoly(p.terms) * (1 / Fraction(p.content))
+
+
 def test_divides_random_products():
+    """`divides`, which reduces the primitive forms on integers and stops at
+    the first leading-coefficient quotient that is not an integer, against
+    the term reduction over Q (`term_reduction`) on three kinds of seeded
+    pair: f divides g; f does not, and on the primitive forms the first
+    quotient is an integer and a later one is not (g = f * h plus a term
+    whose coefficient the leading coefficient of f does not divide); and
+    pairs with a rational content."""
     rng = random.Random(41)
     for _ in range(60):
         f = rand_bipoly(rng, max_deg=2, max_terms=3)
@@ -398,6 +411,34 @@ def test_divides_random_products():
         g = f * h + BiPoly.constant(1)
         if not divides(f, BiPoly.constant(1)):
             assert not divides(f, g) or h.is_zero()
+    seen = {"divides": 0, "later_quotient_not_integral": 0, "rational_content": 0}
+    while min(seen.values()) < 25:
+        f = rand_bipoly(rng, max_deg=2, max_terms=3)
+        h = rand_bipoly(rng, max_deg=2, max_terms=3)
+        if f.is_zero() or h.is_zero():
+            continue
+        kind = rng.choice(list(seen))
+        if kind == "divides":
+            g = f * h
+        elif kind == "later_quotient_not_integral":
+            (lt1, lt2), lc = f.leading_term()
+            g = f * h + BiPoly.monomial(lt1 + rng.randint(0, 1), lt2 + rng.randint(0, 1), rng.choice([1, -1, 3]))
+        else:
+            f = f * Fraction(rng.choice([1, -2, 5]), rng.choice([3, 4, 7]))
+            g = (f * h + BiPoly.monomial(1, 1, rng.randint(0, 1))) * Fraction(rng.randint(1, 9), rng.choice([2, 9]))
+        want, _ = term_reduction(FractionBiPoly(f.terms), FractionBiPoly(g.terms))
+        assert divides(f, g) == want, (f, g)
+        if g.is_zero():
+            continue
+        primitive_divides, quotients = term_reduction(_primitive_form(f), _primitive_form(g))
+        assert primitive_divides == want
+        if kind == "divides":
+            seen[kind] += want
+        elif kind == "later_quotient_not_integral":
+            integral = [q.denominator == 1 for q in quotients]
+            seen[kind] += not want and len(integral) >= 2 and integral[0] and not all(integral)
+        else:
+            seen[kind] += f.content.denominator != 1 and g.content.denominator != 1
 
 
 def test_divides_points_on_factor():
@@ -448,6 +489,21 @@ def test_swap_and_specializations():
     assert (p.content, p.rows) == (1, ((-1, 0, 1), (), (-2,)))
     q = parse("(3/4)*x*y^2 - (3/2)*x")
     assert (q.content, q.rows) == (Fraction(3, 4), ((0, -2), (), (0, 1)))
+    # an integral content is an int, whichever way it was reached
+    assert type(p.content) is int and type(q.content) is Fraction
+    assert type((q * 4).content) is int and type(BiPoly({(1, 0): Fraction(6, 2)}).content) is int
+    # a float coefficient or scalar is refused, never stored as its binary value
+    for make in (
+        lambda: BiPoly({(0, 0): 0.1}),
+        lambda: BiPoly([((1, 0), 2.0)]),
+        lambda: BiPoly.constant(0.5),
+        lambda: BiPoly.monomial(1, 1, 1.0),
+        lambda: p * 0.5,
+        lambda: 0.5 * p,
+        lambda: p * "2",
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_int_column_is_a_positive_multiple_of_at_x():
