@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle and the determinant-method pipeline on fixed
-rows and write BENCH_49.json at the repository root.
+rows and write BENCH_54.json at the repository root.
 
-Each run is one call in a fresh interpreter (so the package's caches start
-empty, as in a CLI call), timed there from parsing the curve to the result,
-both in wall seconds (`time.perf_counter`) and in CPU seconds of that
-process (`time.process_time`), which a busy shared host inflates less:
-`brute_force_count(curve, N)` for the oracle rows
-(the ROADMAP baseline) and `determinant_method_count(curve, N,
-compare_oracle=False)` for the pipeline rows.
+Each run is one call in a fresh interpreter, as in a CLI call: a count
+keeps what it derives on its own frame records, but the squarefree parts
+of `unipoly.squarefree_part` still outlive it in an `lru_cache`, and a
+fresh process starts each run with them empty.  A run is timed there
+from parsing the curve to the result, both in wall seconds
+(`time.perf_counter`) and in CPU seconds of that process
+(`time.process_time`), which a busy shared host inflates less:
+`brute_force_count(curve, N)` for the oracle rows (the ROADMAP baseline)
+and `determinant_method_count(curve, N, compare_oracle=False)` for the
+pipeline rows.
 
 With `--parent PATH`, the source tree of a second checkout (the one that
 holds `src/latcurve`), every row is timed on both trees: RUNS = 5 pairs of
@@ -140,7 +143,7 @@ ROWS = [
     ),
 ]
 
-OUT = ROOT / "BENCH_49.json"
+OUT = ROOT / "BENCH_54.json"
 RUNS = 5
 
 # one timed call, run in a fresh interpreter with the tree's src on its path

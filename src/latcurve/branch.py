@@ -16,8 +16,8 @@ flags of `partition_by_bounds`, one per run and order, and the slope
 regime of a frame cell.  The implicit derivatives H_k are built with the
 `BiPoly` operators from one (F_x, F_y, M) triple per curve.  A level curve
 L = H_i + F_y^(2i-1) * (i! * c), c = p/q with integers p and q > 0, is kept
-reduced modulo the curve as two integer parts built once per curve and
-order: R = prim(q * A_i + p * B_i) (`_level_curve`), a positive multiple of
+reduced modulo the curve as two integer parts built once per frame record
+and order: R = prim(q * A_i + p * B_i) (`_level_curve`), a positive multiple of
 lc^E * L mod F with lc = prim(lc_y F) and E even, has L's sign at every
 branch point, so each level sign reads a column of y-degree below deg_y F.
 A_i runs the H_k recurrence on reduced forms and B_i is order i - 1's times
@@ -52,11 +52,11 @@ column: positions are integer counts of one unit 1/U, and the rest is
 `unipoly.affine_image`, `unipoly.graeffe_step` and integer powers.  A
 proved order reads small on every piece, as its flag queries would,
 finding no crossing.  No `Fraction` is made here, the thresholds
-N*delta^i being integer pairs too.  Every eliminant comes from `poly2`: a
-frame curve's discriminant Res_y(F, F_y) is `poly2.discriminant`, built
-once per curve for the ingestion check, the frame cuts and the disc test,
-and the x-loci of a frame curve (its frame cuts and whether its slope is
-identically +-1) are one cached `_FrameLoci` record.  A frame is
+N*delta^i being integer pairs too.  Every eliminant comes from `poly2`.
+What a count derives from a frame curve, its discriminant Res_y(F, F_y)
+among it (built once per count for the ingestion check, the frame cuts and
+the disc test), lives on the one `FrameRecord` that `graph_decompose`
+hands to each branch of the frame, and on no module global.  A frame is
 decomposed at the partition's unit resolution: the real roots in [0, N]
 of its frame cuts and box-edge columns are read by the integer walk
 (`unipoly.root_slots`), as the oracle reads its critical loci, an exact
@@ -75,11 +75,11 @@ takes that walk at every abscissa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .detmethod import LatticePoint
 from .poly2 import BiPoly, discriminant, eliminant, partial, reduce_times_lead_power
@@ -139,6 +139,13 @@ class AlgebraicBranch:
     # needs: set by `graph_decompose`, whose cells hold no root of the slope
     # +-1 locus or of the F_x locus; a directly built branch must keep both
     flat: bool = False
+    # the `FrameRecord` of `curve`, shared with the other branches of its
+    # count's frame; not part of the branch's identity, and fresh when not given
+    frame: Optional[FrameRecord] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.frame is None:
+            object.__setattr__(self, "frame", FrameRecord(self.curve))
 
     def describe(self) -> dict:
         return {
@@ -148,32 +155,50 @@ class AlgebraicBranch:
         }
 
 
-class _FrameLoci(NamedTuple):
-    """The integer polynomials in x whose roots bound where the branches of
-    a frame curve F can change.  `cuts` are the x-loci of F_y, F_x, F_x -
-    F_y and F_x + F_y (`poly2.eliminant` with F, or the row itself when free
-    of y and not constant; () for a zero eliminant), then lc_y(F) when not
-    constant.  The F_y locus is `poly2.discriminant(F)` when deg_y F >= 2.
-    `slope_degenerate` marks F_x = +-F_y identically: the whole frame sits
-    on the boundary slope."""
+class FrameRecord:
+    """What one count derives from one frame curve F, kept for the rest of
+    the count: (F_x, F_y, M), the discriminant and the frame cuts, the last
+    two built on first use, and the level parts, level curves, level
+    eliminants and level-set slots, keyed by order i, by (i, p, q) and by
+    (i, p, q, lo, hi).  A discriminant the count already built (the
+    ingestion check's) is passed in."""
 
-    cuts: tuple[tuple[int, ...], ...]
-    slope_degenerate: bool
+    def __init__(self, curve: BiPoly, discriminant: Optional[tuple[int, ...]] = None) -> None:
+        self.curve = curve
+        fx, fy = partial(curve, "x"), partial(curve, "y")
+        # M = F_y F_xy - F_x F_yy, for the reduced recurrence of `_reduced_level_parts`
+        self.derivatives = fx, fy, fy * partial(fx, "y") - fx * partial(fy, "y")
+        # F_x = +-F_y identically: the whole frame sits on the boundary slope
+        self.slope_degenerate = (fx - fy).is_zero() or (fx + fy).is_zero()
+        if discriminant is not None:
+            self.discriminant = discriminant
+        self.level_parts: dict[int, _LevelParts] = {}
+        self.level_curves: dict[tuple[int, int, int], BiPoly] = {}
+        self.level_eliminants: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self.level_slots: dict[tuple[int, int, int, int, int], list[tuple[int, bool]]] = {}
 
+    @cached_property
+    def discriminant(self) -> tuple[int, ...]:
+        """`poly2.discriminant(F)`, Res_y(F, F_y), for deg_y F >= 2."""
+        return discriminant(self.curve)
 
-@lru_cache(maxsize=64)
-def _frame_loci(curve: BiPoly) -> _FrameLoci:
-    """The `_FrameLoci` of a curve of y-degree >= 1, built once per curve."""
-    fx, fy = partial(curve, "x"), partial(curve, "y")
-    cuts = []
-    for p in (fy, fx, fx - fy, fx + fy):
-        if p.degree_y() >= 1:
-            cuts.append(discriminant(curve) if p is fy else eliminant(curve, p))
-        elif p.degree_x() >= 1:
-            cuts.append(p.rows[0])
-    if len(curve.rows[-1]) >= 2:
-        cuts.append(curve.rows[-1])
-    return _FrameLoci(tuple(cuts), (fx - fy).is_zero() or (fx + fy).is_zero())
+    @cached_property
+    def cuts(self) -> tuple[tuple[int, ...], ...]:
+        """The integer polynomials in x whose roots bound where the branches
+        of F, of y-degree >= 1, can change: the x-loci of F_y, F_x, F_x - F_y
+        and F_x + F_y (`poly2.eliminant` with F, or the row itself when free
+        of y and not constant; () for a zero eliminant), then lc_y(F) when
+        not constant.  The F_y locus is the discriminant when deg_y F >= 2."""
+        fx, fy, _ = self.derivatives
+        cuts = []
+        for p in (fy, fx, fx - fy, fx + fy):
+            if p.degree_y() >= 1:
+                cuts.append(self.discriminant if p is fy else eliminant(self.curve, p))
+            elif p.degree_x() >= 1:
+                cuts.append(p.rows[0])
+        if len(self.curve.rows[-1]) >= 2:
+            cuts.append(self.curve.rows[-1])
+        return tuple(cuts)
 
 
 def _ranked_column(branch: AlgebraicBranch, x0: Fraction | int) -> tuple[list[int], list[tuple[int, bool]]]:
@@ -256,14 +281,6 @@ def branch_integer_points(branch: AlgebraicBranch, a: int, b: int) -> list[Latti
 # -- implicit derivative machinery ------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _derivatives(curve: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly]:
-    """(F_x, F_y, M) with M = F_y F_xy - F_x F_yy, built once per curve for
-    `hk_sequence` and for the reduced recurrence of `_reduced_level_parts`."""
-    fx, fy = partial(curve, "x"), partial(curve, "y")
-    return fx, fy, fy * partial(fx, "y") - fx * partial(fy, "y")
-
-
 @lru_cache(maxsize=256)
 def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
     """Polynomials H_1..H_kmax with H_k(x, f) + F_y(x, f)^(2k-1) f^(k)(x) = 0
@@ -276,7 +293,8 @@ def hk_sequence(curve: BiPoly, kmax: int) -> tuple[BiPoly, ...]:
         raise ValueError("curve must be nonconstant")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    fx, fy, mixed = _derivatives(curve)
+    fx, fy = partial(curve, "x"), partial(curve, "y")
+    mixed = fy * partial(fx, "y") - fx * partial(fy, "y")
     seq = [fx]
     for k in range(1, kmax):
         h = seq[-1]
@@ -296,11 +314,11 @@ class _LevelParts(NamedTuple):
     e: int
 
 
-@lru_cache(maxsize=64)
-def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
+def _reduced_level_parts(frame: FrameRecord, i: int) -> _LevelParts:
     """The two parts of order i's level curves reduced modulo the curve F:
     s * lc^e * L mod F = a + c * b for every level c, with lc = prim(lc_y F),
-    the even e = 2(i - 1)(n - 1) + 2, n = deg_y F, and a scale s > 0.
+    the even e = 2(i - 1)(n - 1) + 2, n = deg_y F, and a scale s > 0; built
+    once per order, in `frame.level_parts`.
 
     a runs the `hk_sequence` recurrence on reduced forms.  The tangent
     derivation D = F_y d/dx - F_x d/dy maps the ideal (F) into itself, so
@@ -311,8 +329,11 @@ def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
     and the part with the lower power is multiplied up to the other's: on an
     integer curve a and b keep integer contents.
     """
+    if i in frame.level_parts:
+        return frame.level_parts[i]
+    curve = frame.curve
     n = curve.degree_y()
-    fx, fy, mixed = _derivatives(curve)
+    fx, fy, mixed = frame.derivatives
     lead = _primitive(curve.rows[-1])
     k = curve.rows[-1][-1] // lead[-1]
     e = 2 * (i - 1) * (n - 1) + 2
@@ -323,26 +344,29 @@ def _reduced_level_parts(curve: BiPoly, i: int) -> _LevelParts:
         return a * k ** max(e_q - e_p, 0), b * k ** max(e_p - e_q, 0)
 
     if i == 1:
-        return _LevelParts(*shared_scale(fx, e, fy, e), e)
-    prev = _reduced_level_parts(curve, i - 1)
+        return frame.level_parts.setdefault(i, _LevelParts(*shared_scale(fx, e, fy, e), e))
+    prev = _reduced_level_parts(frame, i - 1)
     a, pe = prev.a, prev.e
     d_a = fy * partial(a, "x") - fx * partial(a, "y")
     lc = BiPoly({(j, 0): v for j, v in enumerate(lead)})
     d_lc = fy * partial(lc, "x")
     t = fy * (lc * d_a - d_lc * a * pe) - mixed * lc * a * (2 * i - 3)
-    return _LevelParts(*shared_scale(t, e - pe - 1, prev.b * (fy * fy) * i, e - pe), e)
+    b = prev.b * (fy * fy) * i
+    return frame.level_parts.setdefault(i, _LevelParts(*shared_scale(t, e - pe - 1, b, e - pe), e))
 
 
-@lru_cache(maxsize=512)
-def _level_curve(curve: BiPoly, i: int, p: int, q: int) -> BiPoly:
+def _level_curve(frame: FrameRecord, i: int, p: int, q: int) -> BiPoly:
     """R, the primitive part of q * a + p * b for the parts a and b of
     `_reduced_level_parts`, at the level c = p/q, q > 0, of the level curve
     L = H_i + F_y^(2i-1) * (i! * c), which vanishes on branch points with
     f^(i)/i! = c: a positive multiple of lc^e * L mod F, of y-degree below
-    the curve's, with L's sign at every branch point.  Its column at x0 is
-    what a flag query of `partition_by_bounds` reads there.  R = 0 means
-    that L vanishes on the curve: `DegenerateLevelSetError`."""
-    parts = _reduced_level_parts(curve, i)
+    the curve's, with L's sign at every branch point; built once per level,
+    in `frame.level_curves`.  Its column at x0 is what a flag query of
+    `partition_by_bounds` reads there.  R = 0 means that L vanishes on the
+    curve: `DegenerateLevelSetError`."""
+    if (i, p, q) in frame.level_curves:
+        return frame.level_curves[i, p, q]
+    parts = _reduced_level_parts(frame, i)
     reduced = parts.a * q + parts.b * p
     if reduced.is_zero():
         raise DegenerateLevelSetError(
@@ -351,12 +375,12 @@ def _level_curve(curve: BiPoly, i: int, p: int, q: int) -> BiPoly:
     # a positive factor keeps every sign and root; content 1 leaves the
     # eliminant of an integer curve with no rescaling
     level = reduced.primitive_integer()
-    return level if reduced.leading_term()[1] > 0 else -level
+    return frame.level_curves.setdefault((i, p, q), level if reduced.leading_term()[1] > 0 else -level)
 
 
-@lru_cache(maxsize=512)
-def _level_resultant(curve: BiPoly, i: int, p: int, q: int) -> tuple[int, ...]:
-    """The eliminant of `_level_curve` R, as a primitive integer tuple.
+def _level_resultant(frame: FrameRecord, i: int, p: int, q: int) -> tuple[int, ...]:
+    """The eliminant of `_level_curve` R, as a primitive integer tuple, built
+    once per level, in `frame.level_eliminants`.
 
     It is R's own row when R is free of y (R(x) = t * lc^e(x) * L(x, f(x))
     on every branch, t > 0) and Res_y(F, R) otherwise, with prim(lc_y F)
@@ -364,7 +388,10 @@ def _level_resultant(curve: BiPoly, i: int, p: int, q: int) -> tuple[int, ...]:
     is a multiple of F, so Res_y(F, R) is Res_y(F, L) times a power of
     lc_y(F) and a constant; the division only keeps the degree down, since
     no branch domain holds a root of lc_y(F)."""
-    reduced = _level_curve(curve, i, p, q)
+    if (i, p, q) in frame.level_eliminants:
+        return frame.level_eliminants[i, p, q]
+    curve = frame.curve
+    reduced = _level_curve(frame, i, p, q)
     if reduced.degree_y() < 1:
         res = list(reduced.rows[0])
     else:
@@ -377,14 +404,16 @@ def _level_resultant(curve: BiPoly, i: int, p: int, q: int) -> tuple[int, ...]:
         if _int_mul(quotient, lead) != res:
             break
         res = quotient
-    return _primitive(res)
+    return frame.level_eliminants.setdefault((i, p, q), _primitive(res))
 
 
 def level_set_abscissas(branch: AlgebraicBranch, i: int, p: int, q: int) -> list[tuple[int, bool]]:
     """The unit slots (`unipoly.root_slots`) of the roots in the closed
     domain, whose ends must be integers, of the eliminant of order i's
     level curve at c = p/q, q > 0: (x, True) for an integer root x, and
-    (x, False) for a root in the open unit gap (x - 1, x).
+    (x, False) for a root in the open unit gap (x - 1, x).  Each (level,
+    domain) pair is walked once per count, in `branch.frame.level_slots`,
+    so branches that share a domain share the walk.
 
     They hold every x in the domain where f^(i)/i! = c, and may hold more: a
     point of another sheet of the curve on the level curve, or a tangential
@@ -397,7 +426,10 @@ def level_set_abscissas(branch: AlgebraicBranch, i: int, p: int, q: int) -> list
     lo, hi = branch.domain
     if lo != int(lo) or hi != int(hi):
         raise ValueError("level_set_abscissas needs a domain with integer ends")
-    return root_slots(_level_resultant(branch.curve, i, p, q), int(lo), int(hi))
+    key, slots = (i, p, q, int(lo), int(hi)), branch.frame.level_slots
+    if key not in slots:
+        slots[key] = root_slots(_level_resultant(branch.frame, i, p, q), int(lo), int(hi))
+    return list(slots[key])
 
 
 @dataclass
@@ -530,7 +562,7 @@ def certified_orders(
     curve = branch.curve
     rows, n, dx = curve.rows, curve.degree_y(), curve.degree_x()
     # lc_y(F) is tested through the margin of the leading coefficient below
-    disc = discriminant(curve) if n >= 2 else None
+    disc = branch.frame.discriminant if n >= 2 else None
     n_num, n_den, d_num, d_den = n_box.numerator, n_box.denominator, delta.numerator, delta.denominator
     t_top = 0
     while hi - lo > unit << t_top:
@@ -637,19 +669,19 @@ def partition_by_bounds(
     for i, (p, q) in thresholds.items():
         for c in (p, -p):
             try:
-                _level_curve(branch.curve, i, c, q)
+                _level_curve(branch.frame, i, c, q)
                 if lo < hi:  # a one-point domain is one run
                     slots.update(level_set_abscissas(branch, i, c, q))
             except DegenerateLevelSetError:
                 # f^(i)/i! is identically +-thr on the branch: the closed
                 # bound |f^(i)/i!| <= thr holds everywhere, with no cuts
                 forced_small.add(i)
-    fy = partial(branch.curve, "y")
+    fy = branch.frame.derivatives[1]
 
     def flag(bracket: RootInterval, i: int, x: int) -> str:
         p, q = thresholds[i]
-        plus = _level_curve(branch.curve, i, p, q).int_column(x)
-        minus = _level_curve(branch.curve, i, -p, q).int_column(x)
+        plus = _level_curve(branch.frame, i, p, q).int_column(x)
+        minus = _level_curve(branch.frame, i, -p, q).int_column(x)
         s = sign_at_root(bracket, _int_mul(plus, minus))
         if s == 0 and sign_at_root(bracket, fy.int_column(x)) == 0:
             raise BranchError("flag query point where F_y = 0")
@@ -688,9 +720,9 @@ def _column(curve: BiPoly, x0: Fraction | int) -> list[int]:
 
 
 def _decompose_frame(
-    curve: BiPoly, n_box: int, swapped: bool
+    frame: FrameRecord, n_box: int, swapped: bool
 ) -> tuple[list[AlgebraicBranch], list[LatticePoint]]:
-    """Branches and critical-column integer points for one orientation.
+    """Branches and critical-column integer points for one frame record.
 
     The real roots in [0, N] of the frame cuts and box-edge columns are
     read by the integer walk, as their `root_slots` (c, exact), and no
@@ -705,15 +737,15 @@ def _decompose_frame(
     query at its `slot_bracket`.  A root in [0, N] is a branch on [a, b]
     when |f'| < 1 there (the slope balance F_x^2 - F_y^2 is negative) or the
     slope is identically +-1; with |f'| > 1 the transposed frame covers it."""
+    curve = frame.curve
     if curve.degree_y() < 1:
         return [], []
-    loci = _frame_loci(curve)
-    if not all(loci.cuts):
+    if not all(frame.cuts):
         raise BranchError("unexpected common component with a derivative locus")
-    if loci.slope_degenerate and swapped:
+    if frame.slope_degenerate and swapped:
         # the slope is identically +-1: the unswapped frame alone covers
         return [], []
-    polys = list(loci.cuts)
+    polys = list(frame.cuts)
     across = curve.swap_xy()
     for edge_val in (0, n_box):
         e = across.int_column(edge_val)
@@ -727,9 +759,9 @@ def _decompose_frame(
     # an exact slot is a critical column, not a cell
     cells = [(a, b) for a, b in slot_runs(slots, 0, n_box) if (a, True) not in slots]
 
-    fx = partial(curve, "x")
-    fy = partial(curve, "y")
+    fx, fy, _ = frame.derivatives
     regime_poly = fx * fx - fy * fy
+    flat = not frame.slope_degenerate
     branches: list[AlgebraicBranch] = []
     for a, b in cells:
         u = _column(curve, a)
@@ -741,17 +773,19 @@ def _decompose_frame(
             # whose ceilings c satisfy 0 < c <= N
             if not 0 < c <= n_box:
                 continue
-            if not loci.slope_degenerate:
+            if flat:
                 s = sign_at_root(slot_bracket(u, ranks, j), regime_poly.int_column(a))
                 if s > 0:
                     continue  # the transposed frame covers this piece
                 if s == 0:
                     raise BranchError("slope-balance locus met a cell interior")
-            branches.append(AlgebraicBranch(curve, j, len(ranks), (a, b), swapped, flat=not loci.slope_degenerate))
+            branches.append(AlgebraicBranch(curve, j, len(ranks), (a, b), swapped, flat, frame))
     return branches, direct
 
 
-def graph_decompose(curve: BiPoly, n_box: int) -> GraphDecomposition:
+def graph_decompose(
+    curve: BiPoly, n_box: int, discriminants: Optional[Mapping[BiPoly, tuple[int, ...]]] = None
+) -> GraphDecomposition:
     """Cover the curve's integer points in [0, n_box]^2 by oriented branches.
 
     Each branch is oriented so the implicit derivative satisfies |f'| < 1
@@ -759,7 +793,8 @@ def graph_decompose(curve: BiPoly, n_box: int) -> GraphDecomposition:
     points on critical columns, the integer roots of the singular, vertical,
     slope +-1, box-exit and leading-coefficient loci, are returned
     separately for direct counting.  The curve is `ingestion_check`'s
-    output, which is not checked again.
+    output, which is not checked again, and each frame's `FrameRecord` takes
+    its discriminant from the check's `discriminants` when it is there.
 
     A curve equal to its transpose is decomposed in one frame: the swapped
     frame is the same curve, so its branches are the unswapped ones with
@@ -767,12 +802,15 @@ def graph_decompose(curve: BiPoly, n_box: int) -> GraphDecomposition:
     points, transposed.  When its slope is identically +-1 the swapped
     frame gives nothing, as for any such frame.
     """
+    known = discriminants or {}
     across = curve.swap_xy()
-    branches, zone = _decompose_frame(curve, n_box, False)
-    if across == curve and not _frame_loci(curve).slope_degenerate:
+    frame = FrameRecord(curve, known.get(curve))
+    branches, zone = _decompose_frame(frame, n_box, False)
+    if across == curve and not frame.slope_degenerate:
         mirrored, mirrored_zone = [replace(b, swapped=True) for b in branches], zone
     else:
-        mirrored, mirrored_zone = _decompose_frame(across, n_box, True)
+        other = frame if across == curve else FrameRecord(across, known.get(across))
+        mirrored, mirrored_zone = _decompose_frame(other, n_box, True)
     direct = set(zone).union(LatticePoint(p.y, p.x) for p in mirrored_zone)
     branches = sorted(branches + mirrored, key=lambda b: (b.swapped, b.domain[0], b.root_index))
     return GraphDecomposition(branches, sorted(direct))

@@ -71,10 +71,10 @@ from .monomials import punctured_set
 from .poly2 import (
     BiPoly,
     corner_index,
+    discriminant,
     divides,
     eliminant,
     ingestion_check,
-    partial,
     x_content,
 )
 from .unipoly import (
@@ -131,8 +131,8 @@ def _live_runs(frame: BiPoly, turned: BiPoly, n_box: int) -> list[tuple[int, int
     """
     loci = [turned.int_column(1), turned.int_column(n_box)]
     if frame.degree_y() >= 2:
-        # not `poly2.discriminant`: the sweep reads no value the pipeline cached
-        disc = eliminant(frame, partial(frame, "y"))
+        # built here: the sweep takes no frame record
+        disc = discriminant(frame)
         if not disc:
             return [(1, n_box)]
         loci.append(disc)
@@ -399,7 +399,7 @@ def determinant_method_count(
     frame, and each of its mirrored branches' reports is written from the
     one shared entry, with its points transposed on the swapped side.
     """
-    g = ingestion_check(curve)
+    g, discriminants = ingestion_check(curve)
     d = g.degree
     if d < 2:
         raise CountingError("the cover pipeline needs degree >= 2")
@@ -421,7 +421,7 @@ def determinant_method_count(
     oracle_total: Optional[int] = None
     if compare_oracle:
         oracle_total, _ = brute_force_count(g, n_box)
-    decomposition = graph_decompose(g, n_box)
+    decomposition = graph_decompose(g, n_box, discriminants)
     curve_points: set[LatticePoint] = set()
     direct_points: set[LatticePoint] = set(decomposition.direct_points)
     branch_reports: list[BranchReport] = []

@@ -19,13 +19,13 @@ inside each total degree; printing lists highest terms first.
 The one resultant algorithm is a pseudo-remainder descent (Collins) on the
 primitive integer y-rows, the contents multiplied back.  The rest of the
 package reads it through `eliminant`, a primitive integer tuple, and
-`discriminant`, the cached eliminant of a curve and its y-derivative.
+`discriminant`, the eliminant of a curve and its y-derivative.  Nothing
+here is cached: a count keeps what it builds (`branch.FrameRecord`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -445,9 +445,8 @@ def eliminant(p: BiPoly, q: BiPoly) -> tuple[int, ...]:
     return tuple(primitive_ints(resultant_eliminating_y(p, q).coeffs))
 
 
-@lru_cache(maxsize=64)
 def discriminant(f: BiPoly) -> tuple[int, ...]:
-    """The eliminant of f and f_y, for deg_y f >= 2, built once per curve."""
+    """The eliminant of f and f_y, for deg_y f >= 2.  Not cached."""
     return eliminant(f, partial(f, "y"))
 
 
@@ -483,10 +482,13 @@ def reduce_times_lead_power(f: BiPoly, p: BiPoly, d: int) -> BiPoly:
 
 def x_content(f: BiPoly) -> list[int]:
     """The x-content of f: the gcd of its y-rows, an integer polynomial in x
-    whose roots c are the lines x = c that divide f."""
+    whose roots c are the lines x = c that divide f.  The rows are taken
+    shortest first, and the chain stops at the first constant gcd, [1]."""
     content: list[int] = []
-    for r in f.rows:
+    for r in sorted(f.rows, key=len):
         content = poly_gcd(content, r)
+        if len(content) == 1:
+            break
     return content
 
 
@@ -494,14 +496,16 @@ class IngestionError(ValueError):
     """The input curve failed the cheap necessary checks."""
 
 
-def ingestion_check(f: BiPoly) -> BiPoly:
+def ingestion_check(f: BiPoly) -> tuple[BiPoly, dict[BiPoly, tuple[int, ...]]]:
     """Necessary (not sufficient) checks for an irreducible input curve.
 
     Returns the primitive integer normalization, the curve that the rest of
-    the pipeline (`graph_decompose` among it) takes.  Rejects constants and
-    repeated factors (a factor involving y through `discriminant(h)`
-    vanishing identically, a factor free of y through the x-content of h).
-    Full irreducibility is a documented precondition and is not verified.
+    the pipeline (`graph_decompose` among it) takes, and the discriminant
+    the check built, keyed by its frame curve h: {h: discriminant(h)}, or
+    {} when deg_y h < 2.  Rejects constants and repeated factors (a factor
+    involving y through `discriminant(h)` vanishing identically, a factor
+    free of y through the x-content of h).  Full irreducibility is a
+    documented precondition and is not verified.
     """
     if f.is_zero() or f.degree < 1:
         raise IngestionError("curve must be a nonconstant polynomial")
@@ -509,13 +513,14 @@ def ingestion_check(f: BiPoly) -> BiPoly:
     # a frame in which the curve depends on y: Res_y(h, h_y) vanishes when h
     # has a repeated factor involving y (not checked at y-degree 1)
     h = g if g.degree_y() >= 1 else g.swap_xy()
-    if h.degree_y() >= 2 and not discriminant(h):
+    discriminants = {h: discriminant(h)} if h.degree_y() >= 2 else {}
+    if discriminants and not discriminants[h]:
         raise IngestionError("curve has a repeated factor")
     # a repeated factor free of y divides the x-content at least twice
     content = x_content(h)
     if len(content) >= 2 and len(poly_gcd(content, [i * c for i, c in enumerate(content)][1:])) >= 2:
         raise IngestionError("curve has a repeated factor")
-    return g
+    return g, discriminants
 
 
 # -- parsing -------------------------------------------------------------------

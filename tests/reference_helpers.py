@@ -38,6 +38,7 @@ from latcurve.branch import (
     _STRETCH_LOG2,
     AlgebraicBranch,
     BranchError,
+    FrameRecord,
     _column,
     _level_curve,
     _level_resultant,
@@ -57,7 +58,7 @@ from latcurve.detmethod import (
 from latcurve.exactlinalg import bareiss_determinant
 from latcurve.jarnik import JarnikConfiguration, smoothed_taylor
 from latcurve.monomials import MonomialSet, full_set
-from latcurve.poly2 import BiPoly, ExponentPair, ResultantDomainError, discriminant, partial, reduce_times_lead_power
+from latcurve.poly2 import BiPoly, ExponentPair, ResultantDomainError, partial, reduce_times_lead_power
 from latcurve.unipoly import (
     RootInterval,
     _coprime_mod_p,
@@ -379,9 +380,9 @@ def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> li
     unless its bracket is exact; a zero of R at a non-exact bracket's end
     is a `BranchError`."""
     c = Fraction(c)
-    level = _level_curve(branch.curve, i, *c.as_integer_ratio())
+    level = _level_curve(branch.frame, i, *c.as_integer_ratio())
     lo, hi = branch.domain
-    roots = isolate_real_roots(_level_resultant(branch.curve, i, *c.as_integer_ratio()), lo, hi)
+    roots = isolate_real_roots(_level_resultant(branch.frame, i, *c.as_integer_ratio()), lo, hi)
     if level.degree_y() < 1 or not roots:
         return roots
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
@@ -420,7 +421,7 @@ def fraction_certified_orders(
         return proved
     curve = branch.curve
     rows, n, dx = curve.rows, curve.degree_y(), curve.degree_x()
-    disc = discriminant(curve) if n >= 2 else None
+    disc = branch.frame.discriminant if n >= 2 else None
     t_top = 0
     while hi - lo > 2**t_top:
         t_top += 1
@@ -580,7 +581,8 @@ def branch_from_point(
         raise BranchError("curve must depend on y in this orientation")
     if evaluate_bipoly(partial(curve, "y"), x0, y0) == 0:
         raise BranchError("branch is singular/vertical at the seed")
-    _certify_smooth_over(curve, lo, hi)
+    frame = FrameRecord(curve)
+    _certify_smooth_over(frame, lo, hi)
     u = _column(curve, x0)
     roots = all_real_roots(u)
     idx = next(
@@ -589,18 +591,18 @@ def branch_from_point(
     )
     if idx is None:
         raise BranchError("seed value is not a root of the specialized curve")
-    return AlgebraicBranch(curve, idx, len(roots), (lo, hi))
+    return AlgebraicBranch(curve, idx, len(roots), (lo, hi), frame=frame)
 
 
-def _certify_smooth_over(curve: BiPoly, lo: Fraction, hi: Fraction) -> None:
-    lead = curve.rows[-1]
+def _certify_smooth_over(frame: FrameRecord, lo: Fraction, hi: Fraction) -> None:
+    curve, lead = frame.curve, frame.curve.rows[-1]
     if len(lead) >= 2 and (_rat_eval(lead, lo) == 0 or _rat_eval(lead, hi) == 0):
         # a level curve reduced modulo the curve keeps its sign only where
         # lc_y(F) != 0, so the closed domain must avoid its roots
         raise BranchError("leading coefficient in y vanishes at a domain end")
     if hi <= lo:
         return
-    for obs in ([discriminant(curve)] if curve.degree_y() >= 2 else []) + ([lead] if len(lead) >= 2 else []):
+    for obs in ([frame.discriminant] if curve.degree_y() >= 2 else []) + ([lead] if len(lead) >= 2 else []):
         if not obs:
             raise BranchError("curve fails the smoothness certificate (zero obstruction)")
         # roots strictly inside (lo, hi) are forbidden

@@ -248,6 +248,7 @@ def test_level_curves_are_positive_multiples_of_fraction_construction():
         if curve.degree_y() < 1:
             continue
         fy = FractionBiPoly(curve.terms).partial("y")
+        frame = branch_module.FrameRecord(curve)
         for i in (1, 2, 3):
             for c in (Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 40))):
                 ref = fraction_hk(curve, i)[-1] + fy ** (2 * i - 1) * (math.factorial(i) * c)
@@ -259,11 +260,11 @@ def test_level_curves_are_positive_multiples_of_fraction_construction():
                         ref_res = UniPoly(ref.swap_xy().at_x(0))
                 if ref_res is None or ref_res.is_zero():
                     with pytest.raises(DegenerateLevelSetError):
-                        branch_module._level_resultant(curve, i, *c.as_integer_ratio())
+                        branch_module._level_resultant(frame, i, *c.as_integer_ratio())
                     degenerate += 1
                     continue
-                level = branch_module._level_curve(curve, i, *c.as_integer_ratio())
-                res = branch_module._level_resultant(curve, i, *c.as_integer_ratio())
+                level = branch_module._level_curve(frame, i, *c.as_integer_ratio())
+                res = branch_module._level_resultant(frame, i, *c.as_integer_ratio())
                 # R == lc^E * ref mod F, E even, deg_y R < deg_y F
                 ref_reduced, e = fraction_reduced(ref, curve)
                 assert e % 2 == 0 and level.degree_y() < curve.degree_y()
@@ -368,14 +369,15 @@ def _check_level_eliminant(curve, i, c):
     """`_level_resultant` of (curve, i, c) against the unreduced route by
     `_assert_eliminant_matches`, or both raising on a degenerate level: the
     kinds of the case, as a set."""
+    frame = branch_module.FrameRecord(curve)
     try:
         want = _unreduced_eliminant(curve, i, c)
     except DegenerateLevelSetError:
         with pytest.raises(DegenerateLevelSetError):
-            branch_module._level_resultant(curve, i, *c.as_integer_ratio())
+            branch_module._level_resultant(frame, i, *c.as_integer_ratio())
         return {"degenerate"}
-    reduced = branch_module._level_curve(curve, i, *c.as_integer_ratio())
-    res = branch_module._level_resultant(curve, i, *c.as_integer_ratio())
+    reduced = branch_module._level_curve(frame, i, *c.as_integer_ratio())
+    res = branch_module._level_resultant(frame, i, *c.as_integer_ratio())
     deg_l = _unreduced_level_curve(curve, i, c).degree_y()
     kinds = {_lead_kind(curve)}
     if _assert_eliminant_matches(curve, reduced, res, deg_l, want):
@@ -395,9 +397,10 @@ def test_level_eliminant_matches_unreduced_route():
     at c = 38, R is free of y and the eliminants of orders 5 and 10 have
     degrees 8 and 12, against 22 and 42 with the factors left in."""
     curve = parse("5*x^2*y - 2")
+    frame = branch_module.FrameRecord(curve)
     for i, degree in ((5, 8), (10, 12)):
-        reduced = branch_module._level_curve(curve, i, 38, 1)
-        res = branch_module._level_resultant(curve, i, 38, 1)
+        reduced = branch_module._level_curve(frame, i, 38, 1)
+        res = branch_module._level_resultant(frame, i, 38, 1)
         assert reduced.degree_y() < 1 and len(res) - 1 == degree
         assert _check_level_eliminant(curve, i, Fraction(38)) >= {"reduced_free_of_y"}
     for text, i in (("y^2 + x*y - x^3", 1), ("y^2 + x^2*y - x", 2), ("2*y^3 - x^2*y^2 + y - 5*x", 2)):
@@ -438,11 +441,12 @@ def _zero_or_positive_ratio(a, b):
     return a.is_zero() and b.is_zero() or not b.is_zero() and _positive_ratio(a, b) is not None
 
 
-def _check_reduced_level_parts(curve, i, c):
-    """The reduced parts of order i against `reduce_modulo` of H_i, of
-    i! * F_y^(2i-1) and of the level curves at 0 and c (the one shared
-    factor)."""
-    parts = branch_module._reduced_level_parts(curve, i)
+def _check_reduced_level_parts(frame, i, c):
+    """The reduced parts of order i of the frame record's curve against
+    `reduce_modulo` of H_i, of i! * F_y^(2i-1) and of the level curves at 0
+    and c (the one shared factor)."""
+    curve = frame.curve
+    parts = branch_module._reduced_level_parts(frame, i)
     assert parts.e % 2 == 0 and parts.a.degree_y() < curve.degree_y() and parts.b.degree_y() < curve.degree_y()
     hk = hk_sequence(curve, i)[-1]
     fy_pow = partial(curve, "y") ** (2 * i - 1) * math.factorial(i)
@@ -464,13 +468,14 @@ def test_reduced_level_parts_match_reduce_modulo():
     seen = {"positive_lead": 0, "negative_lead": 0, "polynomial_lead": 0}
     for _ in range(60):
         curve = _eliminant_case_curve(rng)
+        frame = branch_module.FrameRecord(curve)
         for i in range(1, 7):
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 7)) or Fraction(1)
-            _check_reduced_level_parts(curve, i, c)
+            _check_reduced_level_parts(frame, i, c)
             seen[_lead_kind(curve)] += 1
     assert min(seen.values()) >= 10, seen
     for text in ("x*y^2 + y - 1", "x*y - 12", "x - 7*y^5"):
-        parts = _check_reduced_level_parts(parse(text), 15, Fraction(-3, 2))
+        parts = _check_reduced_level_parts(branch_module.FrameRecord(parse(text)), 15, Fraction(-3, 2))
     # ROADMAP item 3 measured 43 y-rows in the unreduced H_15 of x - 7*y^5
     assert len(parts.a.rows) <= 3
 
@@ -834,7 +839,7 @@ def test_flat_branches_are_monotone_on_their_closed_domains():
     checked = Counter()
     for text, n_box in cases:
         try:
-            branches = graph_decompose(ingestion_check(parse(text)), n_box).branches
+            branches = graph_decompose(ingestion_check(parse(text))[0], n_box).branches
         except (BranchError, IngestionError):
             continue
         for br in branches:
@@ -873,18 +878,19 @@ def test_frame_critical_slots_match_the_isolated_loci(monkeypatch):
     seen = dict.fromkeys(("exact", "gap", "dense"), 0)
     for text, n_box in cases:
         try:
-            curve = ingestion_check(parse(text))
+            curve = ingestion_check(parse(text))[0]
         except IngestionError:
             continue
         for frame in (curve, curve.swap_xy()):
             if frame.degree_y() < 1:
                 continue
             cut.clear()
+            record = branch_module.FrameRecord(frame)
             try:
-                branch_module._decompose_frame(frame, n_box, False)
+                branch_module._decompose_frame(record, n_box, False)
             except BranchError:
                 continue
-            loci = list(branch_module._frame_loci(frame).cuts)
+            loci = list(record.cuts)
             loci += [e for e in (frame.swap_xy().int_column(v) for v in (0, n_box)) if len(e) >= 2]
             want = sorted({root_slot(r) for p in loci for r in isolate_real_roots(p, 0, n_box)})
             assert cut[0] == want, (text, n_box, frame)
@@ -960,7 +966,7 @@ def test_root_slots_match_the_bracket_reference(monkeypatch):
     record = branch_module.level_set_abscissas
 
     def recorded(br, i, p, q):
-        eliminants.append((branch_module._level_resultant(br.curve, i, p, q), *br.domain))
+        eliminants.append((branch_module._level_resultant(br.frame, i, p, q), *br.domain))
         return record(br, i, p, q)
 
     monkeypatch.setattr(branch_module, "level_set_abscissas", recorded)
@@ -1091,13 +1097,13 @@ def test_level_set_rational_root_at_domain_end():
 
 
 def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
-    """From empty caches, one level set takes its eliminant from one call of
-    `poly2.resultant_eliminating_y`, through `poly2`'s own binding, the only
-    one a tracer replaces, with the level curve as its second argument."""
+    """A branch built directly gets a fresh frame record, so one level set
+    takes its eliminant from one call of `poly2.resultant_eliminating_y`,
+    through `poly2`'s own binding, the only one a tracer replaces, with the
+    level curve as its second argument.  The record keeps the eliminant and
+    the slots, so a second read of the level set makes no call."""
     br = branch_from_point(FIXTURES["circle"], 3, 4, (-4, 4))
-    levels = (branch_module._level_resultant, branch_module._level_curve, branch_module._reduced_level_parts)
-    for cached in levels + (hk_sequence,):
-        cached.cache_clear()
+    assert not br.frame.level_curves and not br.frame.level_eliminants
     calls = []
     original = poly2_module.resultant_eliminating_y
 
@@ -1106,8 +1112,11 @@ def test_level_set_eliminant_is_one_traced_resultant(monkeypatch):
         return original(p, q)
 
     monkeypatch.setattr(poly2_module, "resultant_eliminating_y", counted)
-    assert len(level_set_abscissas(br, 2, -1, 8)) >= 1
-    assert calls == [(br.curve, branch_module._level_curve(br.curve, 2, -1, 8))]
+    slots = level_set_abscissas(br, 2, -1, 8)
+    assert len(slots) >= 1
+    assert calls == [(br.curve, branch_module._level_curve(br.frame, 2, -1, 8))]
+    assert level_set_abscissas(br, 2, -1, 8) == slots and len(calls) == 1
+    assert list(br.frame.level_eliminants) == [(2, -1, 8)]
 
 
 def _count_sign_queries(monkeypatch):
@@ -1139,7 +1148,7 @@ def test_level_set_rational_tangential_contact(monkeypatch):
     at_end = branch_from_point(FIXTURES["circle"], 3, 4, (0, 4))
     calls = _count_sign_queries(monkeypatch)
     assert level_set_abscissas(inside, 2, -1, 10) == [(0, True)]
-    assert branch_module._level_resultant(inside.curve, 2, -1, 10) == (0, 0, 1875, 0, -75, 0, 1)
+    assert branch_module._level_resultant(inside.frame, 2, -1, 10) == (0, 0, 1875, 0, -75, 0, 1)
     assert calls == []
     assert crossing_level_set(inside, 2, Fraction(-1, 10)) == []
     assert len(calls) == 2
@@ -1164,7 +1173,7 @@ def test_level_set_simple_root_without_crossing_skipped(monkeypatch):
     hyperbola = branch_from_point(FIXTURES["hyperbola"], 3, 4, (1, 12))
     calls = _count_sign_queries(monkeypatch)
     assert len(level_set_abscissas(br, 1, -3, 4)) == 2 and calls == []
-    assert branch_module._level_resultant(br.curve, 1, -3, 4) == (-9, 0, 1)
+    assert branch_module._level_resultant(br.frame, 1, -3, 4) == (-9, 0, 1)
     roots = crossing_level_set(br, 1, Fraction(-3, 4))
     assert len(roots) == 1 and roots[0].lo <= 3 <= roots[0].hi
     # two sign queries per bracket decide both roots
@@ -1187,7 +1196,7 @@ def test_level_set_irrational_tangential_contact_is_no_cut(monkeypatch):
     br = branch_from_point(parse(_CONTACT_CURVE), 0, 0, (0, 10))
     calls = _count_sign_queries(monkeypatch)
     assert level_set_abscissas(br, 1, 1, 1) == [(5, False)]
-    assert branch_module._level_resultant(br.curve, 1, 1, 1) == (-4418**2, 0, 2 * 225 * 4418, 0, -(225**2))
+    assert branch_module._level_resultant(br.frame, 1, 1, 1) == (-4418**2, 0, 2 * 225 * 4418, 0, -(225**2))
     assert calls == []
     assert crossing_level_set(br, 1, 1) == []
     assert len(calls) == 2
@@ -1637,7 +1646,7 @@ def test_reduced_level_signs_match_unreduced_at_branch_points():
             levels += [taylor_coefficients(br, k, i)[i] for k in hits[:1]]
             for c in levels:
                 try:
-                    reduced = branch_module._level_curve(br.curve, i, *c.as_integer_ratio())
+                    reduced = branch_module._level_curve(br.frame, i, *c.as_integer_ratio())
                 except DegenerateLevelSetError:
                     continue
                 level = _unreduced_level_curve(br.curve, i, c)
@@ -1709,7 +1718,7 @@ def _candidate_counts(br, big_d, n_box, delta, part):
             continue
         for c in (n_box * delta**i, -(n_box * delta**i)):
             try:
-                elim = branch_module._level_resultant(br.curve, i, *c.as_integer_ratio())
+                elim = branch_module._level_resultant(br.frame, i, *c.as_integer_ratio())
             except DegenerateLevelSetError:
                 continue
             for k in range(lo, hi + 1):
@@ -1781,7 +1790,7 @@ def test_one_point_run_on_a_level_set_never_merges():
     br = branch_from_point(parse("3*y - 3*x - 3*x^2 + 4*x^3"), 0, 0, (0, 5))
     part = partition_by_bounds(br, 2, 10, Fraction(1, 10))
     assert _pieces(part) == [(0, 0, ("small",)), (1, 1, ("small",)), (2, 5, ("large",))]
-    assert [r for r in (0, 1) if count_real_roots(branch_module._level_resultant(br.curve, 1, 1, 1), r, r)] == [0]
+    assert [r for r in (0, 1) if count_real_roots(branch_module._level_resultant(br.frame, 1, 1, 1), r, r)] == [0]
     assert _product_signs(br, Fraction(1, 4), [Fraction(1)]) == [1]
     assert [_product_signs(br, Fraction(k), [Fraction(1)]) for k in (0, 1)] == [[0], [0]]
 
@@ -1869,8 +1878,8 @@ def test_partition_reads_flags_past_a_contact_at_the_midpoint():
         (0, 0, ("small", "small")),
         (1, 3, ("small", "large")),
     ]
-    plus = branch_module._level_curve(br.curve, 2, 1, 10).int_column(0)
-    minus = branch_module._level_curve(br.curve, 2, -1, 10).int_column(0)
+    plus = branch_module._level_curve(br.frame, 2, 1, 10).int_column(0)
+    minus = branch_module._level_curve(br.frame, 2, -1, 10).int_column(0)
     assert sign_at_root(branch_value_bracket(br, 0), _int_mul(plus, minus)) == 0
     thresholds = [Fraction(1), Fraction(1, 10)]
     left, contact, right = part.pieces
@@ -1924,8 +1933,8 @@ def _product_signs(br, x, thresholds):
     signs = []
     for i, thr in enumerate(thresholds, start=1):
         try:
-            plus = branch_module._level_curve(br.curve, i, *thr.as_integer_ratio()).int_column(x)
-            minus = branch_module._level_curve(br.curve, i, *(-thr).as_integer_ratio()).int_column(x)
+            plus = branch_module._level_curve(br.frame, i, *thr.as_integer_ratio()).int_column(x)
+            minus = branch_module._level_curve(br.frame, i, *(-thr).as_integer_ratio()).int_column(x)
         except DegenerateLevelSetError:
             signs.append(0)
             continue
@@ -2030,7 +2039,7 @@ def _pipeline_hulls(cases):
     out = []
     for text, n_box in cases:
         try:
-            curve = ingestion_check(parse(text))
+            curve = ingestion_check(parse(text))[0]
             if curve.degree < 2:
                 continue
             branches = graph_decompose(curve, n_box).branches
@@ -2211,15 +2220,12 @@ def test_piece_flags_match_product_queries_at_pipeline_size():
 
 
 def test_pipeline_partitions_one_hull_piece_on_a_pure_flip_branch(monkeypatch):
-    """From empty caches, the count of x - 24*y^4 at N = 100 partitions its
-    only branch, the integer run [1, 100], as one piece; the steep part of
-    the curve lies over 0 < y < 1, where the transposed frame has no integer
-    run, so it has no branch.  The
-    disc certificate proves all 15 orders of the hull, so no level set is
-    built and no product-column query is made."""
-    levels = (branch_module._level_resultant, branch_module._level_curve, branch_module._reduced_level_parts)
-    for cached in levels + (hk_sequence,):
-        cached.cache_clear()
+    """The count of x - 24*y^4 at N = 100 partitions its only branch, the
+    integer run [1, 100], as one piece; the steep part of the curve lies
+    over 0 < y < 1, where the transposed frame has no integer run, so it
+    has no branch.  The disc certificate proves all 15 orders of the hull,
+    so the branch's frame record holds no level part, level curve or
+    eliminant, and no product-column query is made."""
     calls = []
     original = branch_module._int_mul
 
@@ -2245,6 +2251,8 @@ def test_pipeline_partitions_one_hull_piece_on_a_pure_flip_branch(monkeypatch):
     assert not br.swapped and br.domain == (1, 100) and big_d == 16
     assert [(p.lo, p.hi) for p in part.pieces] == [(1, 100)]
     assert part.certified == set(range(1, big_d)) and calls == []
+    frame = br.frame
+    assert not (frame.level_parts or frame.level_curves or frame.level_eliminants or frame.level_slots)
     assert [b.descriptor["domain"] for b in report.per_branch] == [["1", "100"]]
 
 
@@ -2362,7 +2370,7 @@ def test_decompose_domains_are_integer_runs_free_of_critical_roots():
             lo, hi = br.domain
             assert type(lo) is type(hi) is int and 0 <= lo <= hi <= n_box, (curve.pretty(), br)
             across = br.curve.swap_xy()
-            loci = list(branch_module._frame_loci(br.curve).cuts) + [across.int_column(e) for e in (0, n_box)]
+            loci = list(br.frame.cuts) + [across.int_column(e) for e in (0, n_box)]
             loci = [p for p in loci if len(p) >= 2]
             for p in loci:
                 assert count_real_roots(p, lo, hi) == 0, (curve.pretty(), n_box, br, p)
@@ -2382,7 +2390,7 @@ def _reference_sample_branches(curve, sample, n_box):
     (`refine_clear_of`) puts in [0, N], less those that the slope balance
     F_x^2 - F_y^2 hands to the transposed frame."""
     roots = all_real_roots(curve.int_column(sample))
-    flat = not branch_module._frame_loci(curve).slope_degenerate
+    flat = not branch_module.FrameRecord(curve).slope_degenerate
     fx, fy = partial(curve, "x"), partial(curve, "y")
     balance = (fx * fx - fy * fy).int_column(sample)
     kept = []
@@ -2426,10 +2434,11 @@ def test_decompose_range_test_matches_refine_clear_of(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(branch_module, "_column", recording_column)
             dec = graph_decompose(curve, n_box)
-        want = set()
+        want, records = set(), {}
         for frame, sample in samples:
             across = frame.swap_xy()
-            loci = list(branch_module._frame_loci(frame).cuts) + [across.int_column(e) for e in (0, n_box)]
+            record = records.setdefault(frame, branch_module.FrameRecord(frame))
+            loci = list(record.cuts) + [across.int_column(e) for e in (0, n_box)]
             if any(UniPoly(p).evaluate(sample) == 0 for p in loci if len(p) >= 2):
                 continue  # a critical column, enumerated directly
             want |= {(frame, sample, *k) for k in _reference_sample_branches(frame, sample, n_box)}

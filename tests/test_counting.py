@@ -603,10 +603,30 @@ def test_pipeline_parabolas_puncture_each_branch_frame():
 
 
 def _clear_caches():
-    for module in (unipoly, poly2, branch):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    """Empty the three caches left in the package, which latbench reads; a
+    count keeps everything else on its branches' frame records."""
+    for cached in (unipoly.squarefree_part, unipoly.sturm_chain, branch.hk_sequence):
+        cached.cache_clear()
+
+
+def _recorded_partitions(monkeypatch):
+    """Record (branch, D, partition) of each `partition_by_bounds` call a
+    count makes."""
+    parts = []
+    partition = counting.partition_by_bounds
+
+    def recorded(br, big_d, n_box, delta):
+        part = partition(br, big_d, n_box, delta)
+        parts.append((br, big_d, part))
+        return part
+
+    monkeypatch.setattr(counting, "partition_by_bounds", recorded)
+    return parts
+
+
+def _frame_records(parts):
+    """The distinct frame records of the recorded branches."""
+    return list({id(br.frame): br.frame for br, _, _ in parts}.values())
 
 
 def _counted_sturm_chains(monkeypatch):
@@ -916,10 +936,10 @@ def test_cubics_through_nine_lattice_points_match_oracle_and_sweep():
     assert rejected == 1
 
 
-def test_pipeline_takes_level_curves_from_reduced_parts():
-    """Operation-count guard: from empty caches, every level curve of the
-    pipeline is a sum of the two reduced parts of its order, so no
-    unreduced implicit derivative is built (0 `hk_sequence` misses), and
+def test_pipeline_takes_level_curves_from_reduced_parts(monkeypatch):
+    """Operation-count guard: every level curve of the pipeline is a sum of
+    the two reduced parts of its order, kept on the same frame record, so
+    no unreduced implicit derivative is built (no `hk_sequence` call), and
     the totals equal the oracle's.  3*x^2*y + 4*y^3 - 5*y^2 - 2*x at N = 22
     leaves orders of its hulls to the level sets, and so does y^2 - x^3 +
     8*x - 8 at N = 25 on its swapped one-point hull [4, 4], next to a
@@ -934,35 +954,80 @@ def test_pipeline_takes_level_curves_from_reduced_parts():
         ("3*x^2*y + 4*y^3 - 5*y^2 - 2*x", 22, True),
         ("5*x^2*y - 2", 38, True),
     )
+    parts = _recorded_partitions(monkeypatch)
+    unreduced = []
+    hk_sequence = branch.hk_sequence
+    monkeypatch.setattr(branch, "hk_sequence", lambda *args: unreduced.append(args) or hk_sequence(*args))
     for text, n, builds in cases:
-        _clear_caches()
+        parts.clear()
         rep = determinant_method_count(parse(text), n)
         assert rep.ok and rep.total == rep.oracle_total, text
-        assert (branch._reduced_level_parts.cache_info().misses > 0) == builds, text
-        assert branch.hk_sequence.cache_info().misses == 0, text
+        frames = _frame_records(parts)
+        assert any(frame.level_parts for frame in frames) == builds, text
+        assert all(i in frame.level_parts for frame in frames for i, _, _ in frame.level_curves), text
+        assert unreduced == [], text
 
 
 def test_pipeline_builds_level_sets_only_for_uncertified_orders(monkeypatch):
-    """Operation-count guard: from empty caches, x - 2*y^2 - 53*y at N = 500
-    equals the oracle, and `_level_curve` builds exactly the two level
-    curves of each (frame curve, order) that the disc certificate left; here
-    it proves every order of every branch, so none is built."""
-    _clear_caches()
-    parts = []
-
-    def recorded(br, big_d, n_box, delta):
-        part = partition_by_bounds(br, big_d, n_box, delta)
-        parts.append((br, big_d, part))
-        return part
-
-    partition_by_bounds = counting.partition_by_bounds
-    monkeypatch.setattr(counting, "partition_by_bounds", recorded)
+    """Operation-count guard: x - 2*y^2 - 53*y at N = 500 equals the
+    oracle, and its frame records hold exactly the two level curves of each
+    (frame curve, order) that the disc certificate left; here it proves
+    every order of every branch, so none is built, nor any level part."""
+    parts = _recorded_partitions(monkeypatch)
     rep = determinant_method_count(parse("x - 2*y^2 - 53*y"), 500)
     assert rep.ok and rep.total == rep.oracle_total == 7
     left = {(br.curve, i) for br, big_d, part in parts for i in range(1, big_d) if i not in part.certified}
-    assert branch._level_curve.cache_info().misses == 2 * len(left)
+    frames = _frame_records(parts)
+    assert sum(len(frame.level_curves) for frame in frames) == 2 * len(left)
     assert parts and left == set()
-    assert branch._reduced_level_parts.cache_info().misses == 0
+    assert not any(frame.level_parts for frame in frames)
+
+
+def test_second_count_in_one_process_builds_what_the_first_built(monkeypatch):
+    """No value outlives its count: y^2 - x^3 + 5*x + 2 at N = 25, oracle
+    off, makes 18 `poly2.resultant_eliminating_y` calls, and as many when
+    it is counted again in the same process, with a byte-identical report."""
+    calls = []
+    original = poly2.resultant_eliminating_y
+    monkeypatch.setattr(poly2, "resultant_eliminating_y", lambda p, q: calls.append((p, q)) or original(p, q))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        rep = determinant_method_count(parse("y^2 - x^3 + 5*x + 2"), 25, compare_oracle=False)
+        runs.append((list(calls), json.dumps(rep.to_json_dict(), sort_keys=True)))
+    assert len(runs[0][0]) == 18
+    assert runs[1] == runs[0]
+
+
+def test_count_walks_each_level_set_once_per_domain(monkeypatch):
+    """Operation-count guard: branches on one cell share their frame's
+    level sets, so a count walks each (level, domain) pair once.  The cubic
+    (y - 1)(y - 2)(y - 7) - 3(x - 1)(x - 2)(x - 7) at N = 10 asks
+    `level_set_abscissas` 32 times over 16 distinct (eliminant, domain)
+    pairs, and walks 16 times, once per pair; every answer equals a fresh
+    walk of its eliminant."""
+    asked, walks = [], []
+    level_set_abscissas, root_slots = branch.level_set_abscissas, branch.root_slots
+
+    def recorded(br, i, p, q):
+        slots = level_set_abscissas(br, i, p, q)
+        asked.append((br, i, p, q, slots))
+        return slots
+
+    def counted(p, lo=None, hi=None):
+        if sys._getframe(1).f_code.co_name == "level_set_abscissas":
+            walks.append((tuple(p), lo, hi))
+        return root_slots(p, lo, hi)
+
+    monkeypatch.setattr(branch, "level_set_abscissas", recorded)
+    monkeypatch.setattr(branch, "root_slots", counted)
+    rep = determinant_method_count(parse("(y - 1)*(y - 2)*(y - 7) - 3*(x - 1)*(x - 2)*(x - 7)"), 10)
+    assert rep.ok and rep.total == rep.oracle_total
+    pairs = {(br.frame.level_eliminants[i, p, q], *br.domain) for br, i, p, q, _ in asked}
+    assert (len(asked), len(pairs)) == (32, 16)
+    assert sorted(walks) == sorted(pairs)
+    for br, i, p, q, slots in asked:
+        assert slots == unipoly.root_slots(br.frame.level_eliminants[i, p, q], *br.domain), (br, i, p, q)
 
 
 def test_count_builds_each_frame_discriminant_once(monkeypatch):

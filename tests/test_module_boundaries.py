@@ -24,7 +24,10 @@
   `scripts/` or by `latbench/run.py`, which read it from `latcurve`.
 - Every defaulted parameter of a top-level package function is set by at
   least one call in `src`, `tests`, `scripts` or `latbench`: a setting that
-  no caller sets is a constant."""
+  no caller sets is a constant.
+- No value outlives a count: `lru_cache` is bound only to `hk_sequence`,
+  `squarefree_part` and `sturm_chain`, whose `cache_info()` latbench reads.
+  What a count derives from a curve lives on its `branch.FrameRecord`."""
 
 import ast
 import re
@@ -296,3 +299,39 @@ def test_every_default_is_set_by_some_call():
     tops = ("src", "tests", "scripts", "latbench")
     callers = [path.read_text() for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
     assert unset_defaults(package, callers) == []
+
+
+LATBENCH_CACHED = {"hk_sequence", "squarefree_part", "sturm_chain"}
+
+
+def lru_cached_names(source: str) -> list[str]:
+    """The name each `lru_cache` of the module source is bound to: the
+    function it decorates or the name its assignment binds; "?" for any
+    other use, its import aside."""
+    names, bound = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if "lru_cache" in _referenced(dec):
+                    names.append(node.name)
+                    bound.update(map(id, ast.walk(dec)))
+        elif isinstance(node, ast.Assign) and "lru_cache" in _referenced(node.value):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            bound.update(map(id, ast.walk(node.value)))
+        elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in bound:
+            if "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                names.append("?")
+    return names
+
+
+def test_lru_cached_names_reads_decorators_and_assignments():
+    source = (
+        "import functools\nfrom functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(): pass\n"
+        "@functools.lru_cache\ndef g(): pass\nh = lru_cache(maxsize=4)(k)\nuse(lru_cache)"
+    )
+    assert lru_cached_names(source) == ["f", "g", "h", "?"]
+
+
+def test_only_the_latbench_read_caches_are_lru_caches():
+    found = [name for path in sorted(PACKAGE.glob("*.py")) for name in lru_cached_names(path.read_text())]
+    assert set(found) <= LATBENCH_CACHED and len(found) == len(set(found)), found

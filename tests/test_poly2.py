@@ -23,7 +23,7 @@ from latcurve.poly2 import (
     resultant_eliminating_y,
 )
 from latcurve import poly2
-from latcurve.unipoly import _int_mul, primitive_ints
+from latcurve.unipoly import _int_mul, poly_gcd, primitive_ints
 
 from fraction_bipoly import FractionBiPoly, evaluate_bipoly, term_reduction
 from fraction_unipoly import UniPoly
@@ -190,17 +190,25 @@ def test_resultant_examples():
     assert resultant_eliminating_y(parse("y - x^2"), parse("y - x^2")).is_zero()
 
 
-def test_eliminant_is_the_primitive_resultant():
+def test_eliminant_is_the_primitive_resultant(monkeypatch):
     """`eliminant` is Res_y as a primitive integer tuple with its signs, ()
-    when it vanishes; `discriminant` is the eliminant of f and f_y, built
-    once per curve."""
+    when it vanishes; `discriminant` is the eliminant of f and f_y, one
+    resultant per call, since nothing in `poly2` is cached.
+    `ingestion_check` hands on the one it built, keyed by its frame curve,
+    so that a count builds it once."""
     c = parse("(1/3)*x^2 + (1/3)*y^2 - (25/3)")
     assert eliminant(c, parse("y - 3")) == (-16, 0, 1)
     assert eliminant(c, parse("2*x - 2*y")) == (-25, 0, 2)
     assert eliminant(parse("y - x^2"), parse("2*y - 2*x^2")) == ()
-    discriminant.cache_clear()
+    calls = []
+    monkeypatch.setattr(poly2, "resultant_eliminating_y", lambda p, q: calls.append(p) or resultant_eliminating_y(p, q))
     assert discriminant(c) == tuple(primitive_ints(resultant_eliminating_y(c, parse("y")).coeffs)) == (-25, 0, 1)
-    assert discriminant(c) is discriminant(c) and discriminant.cache_info().misses == 1
+    assert discriminant(c) == (-25, 0, 1) and calls == [c, c]
+    g = parse("x^2 + y^2 - 25")
+    assert ingestion_check(c) == (g, {g: (-25, 0, 1)}) and calls == [c, c, g]
+    assert ingestion_check(parse("y - x^2")) == (parse("x^2 - y"), {}) and len(calls) == 3
+    across = parse("x^2 - 3").swap_xy()
+    assert ingestion_check(parse("x^2 - 3")) == (parse("x^2 - 3"), {across: discriminant(across)})
     assert discriminant(parse("(y - x)^2 - x^3")) == (0, 0, 0, -1)  # 4 * f(x, x)
     with pytest.raises(ResultantDomainError):
         discriminant(parse("x*y - 12"))
@@ -469,7 +477,7 @@ def test_corner_index(text, expected):
 
 
 def test_ingestion_normalizes_and_rejects():
-    g = ingestion_check(parse("(1/2)*x^2 + (1/2)*y^2 - (25/2)"))
+    g, _ = ingestion_check(parse("(1/2)*x^2 + (1/2)*y^2 - (25/2)"))
     assert g == parse("x^2 + y^2 - 25")
     with pytest.raises(IngestionError):
         ingestion_check(BiPoly.constant(3))
@@ -479,6 +487,38 @@ def test_ingestion_normalizes_and_rejects():
         ingestion_check(parse("(x - 1)^2"))  # repeated factor free of y
     with pytest.raises(IngestionError):
         ingestion_check(parse("(x*y - 2)*(x - 30)^2"))  # y-free repeated factor of a y-curve
+
+
+def _x_content_of_every_row(f):
+    """The gcd of every y-row of f, taken in order with no early stop."""
+    content = []
+    for r in f.rows:
+        content = poly_gcd(content, r)
+    return content
+
+
+def test_x_content_stops_at_a_constant_gcd(monkeypatch):
+    """`x_content` takes the rows shortest first and stops at the first
+    constant gcd.  On 400 seeded curves, half of them times a factor that
+    all their rows share, (x - 3) or (x - 3) * (x^2 + 2), it equals the gcd
+    of every row in order; a curve whose two shortest rows are coprime takes
+    two gcds where the whole chain takes four."""
+    rng = random.Random(2718)
+    shared = 0
+    for _ in range(400):
+        f = rand_bipoly(rng, max_deg=4, max_terms=7)
+        if f.is_zero():
+            continue
+        if rng.random() < 0.5:
+            f = f * parse(rng.choice(["x - 3", "(x - 3)*(x^2 + 2)"]))
+            assert len(poly2.x_content(f)) >= 2, f
+            shared += 1
+        assert poly2.x_content(f) == _x_content_of_every_row(f), f
+    assert shared >= 150
+    calls = []
+    monkeypatch.setattr(poly2, "poly_gcd", lambda a, b: calls.append(b) or poly_gcd(a, b))
+    f = parse("x*y^3 + (x + 1)*y^2 + (x^7 - 2)*y + x^9 + 5")
+    assert poly2.x_content(f) == [1] and calls == [(1, 1), (0, 1)]
 
 
 def test_swap_and_specializations():
