@@ -160,7 +160,7 @@ class FrameRecord:
     the count: (F_x, F_y, M), the discriminant and the frame cuts, the last
     two built on first use, and the level parts, level curves, level
     eliminants and level-set slots, keyed by order i, by (i, p, q) and by
-    (i, p, q, lo, hi).  A discriminant the count already built (the
+    (eliminant, lo, hi).  A discriminant the count already built (the
     ingestion check's) is passed in."""
 
     def __init__(self, curve: BiPoly, discriminant: Optional[tuple[int, ...]] = None) -> None:
@@ -175,7 +175,7 @@ class FrameRecord:
         self.level_parts: dict[int, _LevelParts] = {}
         self.level_curves: dict[tuple[int, int, int], BiPoly] = {}
         self.level_eliminants: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self.level_slots: dict[tuple[int, int, int, int, int], list[tuple[int, bool]]] = {}
+        self.level_slots: dict[tuple[tuple[int, ...], int, int], list[tuple[int, bool]]] = {}
 
     @cached_property
     def discriminant(self) -> tuple[int, ...]:
@@ -411,9 +411,10 @@ def level_set_abscissas(branch: AlgebraicBranch, i: int, p: int, q: int) -> list
     """The unit slots (`unipoly.root_slots`) of the roots in the closed
     domain, whose ends must be integers, of the eliminant of order i's
     level curve at c = p/q, q > 0: (x, True) for an integer root x, and
-    (x, False) for a root in the open unit gap (x - 1, x).  Each (level,
-    domain) pair is walked once per count, in `branch.frame.level_slots`,
-    so branches that share a domain share the walk.
+    (x, False) for a root in the open unit gap (x - 1, x).  Each
+    (eliminant, domain) pair is walked once per count, in
+    `branch.frame.level_slots`, so branches that share a domain share the
+    walk, and so do levels that share an eliminant.
 
     They hold every x in the domain where f^(i)/i! = c, and may hold more: a
     point of another sheet of the curve on the level curve, or a tangential
@@ -426,9 +427,10 @@ def level_set_abscissas(branch: AlgebraicBranch, i: int, p: int, q: int) -> list
     lo, hi = branch.domain
     if lo != int(lo) or hi != int(hi):
         raise ValueError("level_set_abscissas needs a domain with integer ends")
-    key, slots = (i, p, q, int(lo), int(hi)), branch.frame.level_slots
+    elim = _level_resultant(branch.frame, i, p, q)
+    key, slots = (elim, int(lo), int(hi)), branch.frame.level_slots
     if key not in slots:
-        slots[key] = root_slots(_level_resultant(branch.frame, i, p, q), int(lo), int(hi))
+        slots[key] = root_slots(elim, int(lo), int(hi))
     return list(slots[key])
 
 

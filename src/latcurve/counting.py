@@ -414,13 +414,14 @@ def determinant_method_count(
         raise CountingError("delta must be positive with delta * N >= 1")
     spec = DerivativeBoundSpec(X=n_box, delta=delta, N=n_box)
 
-    # one check of the input's lines, so its error does not depend on the oracle
-    _reject_lines_in_box(g, g.swap_xy(), n_box)
     warnings: list[str] = []
     ok = True
     oracle_total: Optional[int] = None
+    # one check of the input's lines, so its error does not depend on the oracle
     if compare_oracle:
-        oracle_total, _ = brute_force_count(g, n_box)
+        oracle_total, _ = brute_force_count(g, n_box)  # checks the lines first
+    else:
+        _reject_lines_in_box(g, g.swap_xy(), n_box)
     decomposition = graph_decompose(g, n_box, discriminants)
     curve_points: set[LatticePoint] = set()
     direct_points: set[LatticePoint] = set(decomposition.direct_points)

@@ -264,12 +264,12 @@ class BiPoly:
         it is zero: each row's `_int_eval` at an integer x0, and at x0 = a/b
         its `_rat_eval`, b^deg(row) * row(x0), times b^(deg_x - deg(row)), so
         every entry is b^deg_x * row(x0)."""
-        if x0.denominator == 1:
-            a = x0.numerator
+        a, b = x0.numerator, x0.denominator
+        if b == 1:
             out = [_int_eval(r, a) for r in self.rows]
         else:
-            b, top = x0.denominator, self.degree_x() + 1
-            out = [_rat_eval(r, x0) * b ** (top - len(r)) for r in self.rows]
+            top = self.degree_x() + 1
+            out = [_rat_eval(r, a, b) * b ** (top - len(r)) for r in self.rows]
         while out and not out[-1]:
             out.pop()
         return out

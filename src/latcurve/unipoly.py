@@ -1,21 +1,23 @@
 """Exact real root location on univariate integer polynomials.
 
-All decisions (root counts, signs, refinements) are made on integers; a
-`Fraction` is made only for the ends of `RootInterval` brackets, in the
-bisection that makes them.  The one polynomial type, `UniPoly`, is only the
+All decisions (root counts, signs, refinements) are made on integers, and
+every bracket end is an integer over a power of two: a `RootInterval`
+holds lo, hi and k for the bracket [lo/2^k, hi/2^k].  The one polynomial
+type, `UniPoly`, is only the
 record that `poly2.resultant_eliminating_y` returns: it has no arithmetic.  Every root
 query takes an integer coefficient list p and works on its primitive form f
 (`_primitive`, once on entry), except that the integer root search keeps any
 p with a nonzero top coefficient as it is: its closed forms, sign variations
 and sign bisections hold for every integer multiple, and the isolation it
-calls normalises.  Roots are reported as rational-endpoint isolating
-intervals that carry a primitive integer tuple; a degenerate interval
-[r, r] marks an exactly known rational root.
-`isolate_real_roots` tests the domain ends on f, which has the same zeros
-as its squarefree part, and divides the end roots out of f (`_end_roots`).
+calls normalises.  Roots are reported as dyadic isolating intervals that
+carry a primitive integer tuple; a degenerate interval [r, r] marks an
+exactly known root.
+`isolate_real_roots` takes integer ends, tests them on f, which has the
+same zeros as its squarefree part, and divides the end roots out of f
+(`_end_roots`).
 A Descartes bound (`descartes_bound`) then decides the open domain: v = 0
 means no root inside, v = 1 one simple root, whose bracket is the domain
-itself.  It is the sign variations of f mapped from (lo, hi) onto
+itself.  It is the sign variations of f mapped from (lo/d, hi/d) onto
 (0, inf) by an integer Moebius map: the affine map `affine_image`, a
 reversal and one Taylor shift.
 A domain with v >= 2 is bisected on the squarefree part (`squarefree_part`,
@@ -41,17 +43,17 @@ there, by integer sign bisection on p down to its ceiling
 integer points (`descartes_bound` on each part, split at integer
 midpoints) down to parts of bound at most 1 or of width 1, where
 `count_real_roots` counts the roots of the unit gap.
-Bisection keeps `Fraction` endpoints, but every sign it tests is an integer
-evaluation of the bracket polynomial.  The sign of an integer polynomial v
-at an isolated root is a Tarski query (`sign_at_root`): sign variations at
-the bracket ends of the signed remainder sequence of the bracket polynomial
-f and f'*v mod f, built on integers (`_int_sturm_chain`), with no gcd and
-no interval enclosure; a chain element at x = num/den is evaluated as the
-integer den^deg * f(x).  No root is located on a Sturm chain.  Every
-bisection, in isolation and in refinement (`bisect_step`), splits a
-bracket at its midpoint, and a root there is taken as an exact bracket.
+Every bisection, in isolation and in refinement (`refine_root`), maps the
+part (a, b) at scale k to (2a, a + b) and (a + b, 2b) at scale k + 1, and
+a root at the midpoint a + b is taken as an exact bracket.  A polynomial
+at x = num/den is evaluated as the integer den^deg * f(x) (`_rat_eval`).
+The sign of an integer polynomial v at an isolated root is a Tarski query
+(`sign_at_root`): sign variations at the bracket ends of the signed
+remainder sequence of the bracket polynomial f and f'*v mod f, built on
+integers (`_int_sturm_chain`), with no gcd and no interval enclosure.  No
+root is located on a Sturm chain.
 The package locates roots only through this module: one entry normaliser, one affine map, one Descartes bound, one
-squarefree part, one bisection step, one integer root search, one rule
+squarefree part, one bisection rule, one integer root search, one rule
 from slots to runs and one sign test.
 """
 
@@ -280,10 +282,9 @@ def _int_eval(f: Sequence[int], x: int) -> int:
     return acc
 
 
-def _rat_eval(f: Sequence[int], x: Fraction | int) -> int:
-    """den^deg(f) * f(x) for x = num/den, den > 0, by homogeneous Horner: an
-    integer with the sign of f(x)."""
-    num, den = x.numerator, x.denominator
+def _rat_eval(f: Sequence[int], num: int, den: int) -> int:
+    """den^deg(f) * f(num/den), den > 0, by homogeneous Horner: an integer
+    with the sign of f(num/den)."""
     acc = 0
     scale = 1
     for c in reversed(f):
@@ -292,10 +293,9 @@ def _rat_eval(f: Sequence[int], x: Fraction | int) -> int:
     return acc
 
 
-def _int_variations(chain: Sequence[list[int]], x: Fraction | int) -> int:
-    """Sign variations of the chain at the rational x; zero values are skipped."""
-    evaluate = _int_eval if type(x) is int else _rat_eval
-    return sign_variations(evaluate(q, x) for q in chain)
+def _int_variations(chain: Sequence[list[int]], num: int, den: int) -> int:
+    """Sign variations of the chain at num/den, den > 0; zero values are skipped."""
+    return sign_variations(_rat_eval(q, num, den) for q in chain)
 
 
 def _taylor_shift(f: Sequence[int], c: int) -> list[int]:
@@ -337,47 +337,45 @@ def graeffe_step(p: Sequence[int]) -> list[int]:
     return g
 
 
-def descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+def descartes_bound(f: Sequence[int], lo: int, hi: int, d: int) -> int:
     """Descartes' bound v on the roots of the integer polynomial f in the open
-    (lo, hi), lo < hi, where f is nonzero at lo and at hi.
+    (lo/d, hi/d), lo < hi and d > 0, where f is nonzero at both ends.
 
     v is never below the number of roots counted with multiplicity, and has
     its parity, so v = 0 means no root and v = 1 one simple root.  v is the
-    number of sign variations of (1 + t)^n f((lo + hi*t)/(1 + t)), built on
-    integers as the `affine_image` of f onto s in (0, 1), reversed and
+    number of sign variations of (1 + t)^n f((lo + hi*t)/(d(1 + t))), built
+    on integers as the `affine_image` of f onto s in (0, 1), reversed and
     shifted by 1.
     """
-    # lo = a/d and hi = b/d; h(s) = d^n f((b + (a - b) s)/d) maps s = 1/(1 + t)
-    d = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    g = affine_image(f, b, a - b, d, len(f) - 1)
+    # h(s) = d^n f((hi + (lo - hi) s)/d) maps s = 1/(1 + t)
+    g = affine_image(f, hi, lo - hi, d, len(f) - 1)
     g.reverse()
     return sign_variations(_taylor_shift(g, 1))
 
 
-def _deflate(f: Sequence[int], ends: Iterable[Fraction], lo: Fraction, hi: Fraction) -> Sequence[int]:
-    """f with the factor (den*x - num) of each root num/den in `ends` divided
+def _deflate(f: Sequence[int], ends: Iterable[int], lo: int, hi: int) -> Sequence[int]:
+    """f with the factor (x - e) of each integer root e in `ends` divided
     out completely, and its factor x^m when 0 lies outside the open (lo, hi):
     the same zeros in (lo, hi), and none at an end."""
     if not lo < 0 < hi:
         f = f[next(i for i, c in enumerate(f) if c):]
     for e in ends:
-        while _rat_eval(f, e) == 0:
-            f = int_exact_quotient(f, [-e.numerator, e.denominator])
+        while _int_eval(f, e) == 0:
+            f = int_exact_quotient(f, [-e, 1])
     return f
 
 
-def _end_roots(f: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[list[Fraction], Sequence[int], int]:
-    """(the ends of [lo, hi], lo <= hi, where f vanishes; f with their roots
-    divided out; the Descartes bound v of that on (lo, hi), 0 if lo == hi)."""
-    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(f, e) == 0]
+def _end_roots(f: tuple[int, ...], lo: int, hi: int) -> tuple[list[int], Sequence[int], int]:
+    """(the integer ends of [lo, hi], lo <= hi, where f vanishes; f with their
+    roots divided out; the Descartes bound v of that on (lo, hi), 0 if lo == hi)."""
+    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _int_eval(f, e) == 0]
     if hi == lo:
         return ends, f, 0
     inner = _deflate(f, ends, lo, hi)
-    return ends, inner, descartes_bound(inner, lo, hi)
+    return ends, inner, descartes_bound(inner, lo, hi, 1)
 
 
-def count_real_roots(p: Sequence[int], lo: Fraction | int, hi: Fraction | int) -> int:
+def count_real_roots(p: Sequence[int], lo: int, hi: int) -> int:
     """Number of distinct real roots of p in the closed interval [lo, hi]:
     one per bracket of `isolate_real_roots`."""
     return len(isolate_real_roots(p, lo, hi))
@@ -385,10 +383,11 @@ def count_real_roots(p: Sequence[int], lo: Fraction | int, hi: Fraction | int) -
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Rational-endpoint interval isolating one real root of `polynomial`,
-    a primitive integer tuple (coefficient index = degree).
+    """The interval [lo/2^k, hi/2^k], for integers lo, hi and k >= 0,
+    isolating one real root of `polynomial`, a primitive integer tuple
+    (coefficient index = degree).
 
-    Either lo == hi is an exact rational root, at which `polynomial` need
+    Either lo == hi is an exact root, at which `polynomial` need
     only vanish, or lo < hi and `polynomial` is nonzero at both ends, so its
     signs there differ, with exactly one zero in (lo, hi), a simple one.
     The polynomial has the zeros of the isolated one in the bracket but is
@@ -396,8 +395,9 @@ class RootInterval:
     bracket.
     """
 
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
+    k: int
     polynomial: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -408,41 +408,20 @@ class RootInterval:
         return self.lo == self.hi
 
 
-def bisect_step(
-    f: Sequence[int], lo: Fraction, hi: Fraction, s_lo: int
-) -> tuple[Fraction, Fraction, int]:
-    """One exact bisection of a bracket [lo, hi] across which the integer
-    polynomial f changes sign.
-
-    `s_lo` is an integer with the sign of f(lo).  Splits at the midpoint m
-    and returns the half that keeps the sign change as (lo, hi, s_lo), or
-    (m, m, 0) when m is a root of f.
-    """
-    m = (lo + hi) / 2
-    pm = _rat_eval(f, m)
-    if not pm:
-        return m, m, 0
-    if (s_lo > 0) != (pm > 0):
-        return lo, m, s_lo
-    return m, hi, pm
-
-
-def isolate_real_roots(
-    p: Sequence[int], lo: Fraction | int, hi: Fraction | int
-) -> list[RootInterval]:
-    """Disjoint isolating intervals, one per distinct real root in [lo, hi].
+def isolate_real_roots(p: Sequence[int], lo: int, hi: int) -> list[RootInterval]:
+    """Disjoint isolating intervals, one per distinct real root in [lo, hi],
+    for integers lo <= hi, in increasing order.
 
     A part with Descartes bound v >= 2 is split at its midpoint m, and each
     half bounded again, until every part has v <= 1; on a squarefree
     polynomial this ends (Vincent's theorem).  The part's polynomial is the
     deflated squarefree part, so a root at m is simple: it is reported as
-    the exact bracket [m, m] and its factor divided out once, and the halves
-    and their brackets carry the quotient, nonzero at every end.  A part
-    found to hold one root is its bracket, so the brackets are those of
-    bisection on exact root counts.
+    the exact bracket [m, m], between the brackets of the two halves, and
+    its factor divided out once, and the halves and their brackets carry
+    the quotient, nonzero at every end.  A part found to hold one root is
+    its bracket, so the brackets are those of bisection on exact root counts.
     """
     f = _primitive(p)
-    lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("empty range")
     ends, inner, v = _end_roots(f, lo, hi)
@@ -451,41 +430,50 @@ def isolate_real_roots(
         # isolates only for the deflated form
         inner = _deflate(squarefree_part(f), ends, lo, hi)
 
-    def split(g: tuple[int, ...], a: Fraction, b: Fraction, v: int) -> list[RootInterval]:
+    def split(g: tuple[int, ...], a: int, b: int, k: int, v: int) -> list[RootInterval]:
         if v <= 1:
-            return [RootInterval(a, b, g)] if v else []
-        m = (a + b) / 2
-        found, halves = [], g
-        if _rat_eval(g, m) == 0:
-            found = [RootInterval(m, m, g)]
-            halves = tuple(int_exact_quotient(g, [-m.numerator, m.denominator]))
-        for c, d in ((a, m), (m, b)):
-            found += split(halves, c, d, descartes_bound(halves, c, d))
-        return [RootInterval(a, b, g)] if len(found) == 1 else found
+            return [RootInterval(a, b, k, g)] if v else []
+        m, den = a + b, 2 << k
+        mid, halves = [], g
+        if _rat_eval(g, m, den) == 0:
+            mid = [RootInterval(m, m, k + 1, g)]
+            c = gcd(m, den)
+            halves = tuple(int_exact_quotient(g, [-m // c, den // c]))
+        found = split(halves, 2 * a, m, k + 1, descartes_bound(halves, 2 * a, m, den)) + mid
+        found += split(halves, m, 2 * b, k + 1, descartes_bound(halves, m, 2 * b, den))
+        return [RootInterval(a, b, k, g)] if len(found) == 1 else found
 
-    out = [RootInterval(e, e, f) for e in ends] + split(tuple(inner), lo, hi, v)
-    return sorted(out, key=lambda r: r.lo)
+    first = int(lo in ends)  # a root at lo comes first, one at hi last
+    brackets = [RootInterval(e, e, 0, f) for e in ends]
+    return brackets[:first] + split(tuple(inner), lo, hi, 0, v) + brackets[first:]
 
 
 def refine_root(r: RootInterval, width: Fraction | int) -> RootInterval:
     """Shrink the isolating interval to width <= `width` by exact bisection
-    at midpoints (`bisect_step`); a root at a bracket end or at a midpoint
-    is returned as that exact bracket, of width 0."""
-    width = Fraction(width)
-    if width <= 0:
+    at midpoints, each step keeping the half across which the bracket
+    polynomial changes sign; a root at a bracket end or at a midpoint is
+    returned as that exact bracket, of width 0."""
+    num, den = width.numerator, width.denominator
+    if num <= 0:
         raise ValueError("width must be positive")
     if r.is_exact():
         return r
-    f = r.polynomial
-    lo, hi = r.lo, r.hi
-    s_lo = _rat_eval(f, lo)
+    f, lo, hi, k = r.polynomial, r.lo, r.hi, r.k
+    s_lo = _rat_eval(f, lo, 1 << k)
     if s_lo == 0:
-        return RootInterval(lo, lo, f)
-    if _rat_eval(f, hi) == 0:
-        return RootInterval(hi, hi, f)
-    while hi - lo > width:
-        lo, hi, s_lo = bisect_step(f, lo, hi, s_lo)
-    return RootInterval(lo, hi, f)
+        return RootInterval(lo, lo, k, f)
+    if _rat_eval(f, hi, 1 << k) == 0:
+        return RootInterval(hi, hi, k, f)
+    while (hi - lo) * den > num << k:
+        m, k = lo + hi, k + 1
+        pm = _rat_eval(f, m, 1 << k)
+        if not pm:
+            return RootInterval(m, m, k, f)
+        if (s_lo > 0) != (pm > 0):
+            lo, hi = 2 * lo, m
+        else:
+            lo, hi, s_lo = m, 2 * hi, pm
+    return RootInterval(lo, hi, k, f)
 
 
 def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
@@ -503,13 +491,14 @@ def sign_at_root(r: RootInterval, v: Sequence[int]) -> int:
         return 0
     if len(v) == 1:
         return (v[0] > 0) - (v[0] < 0)
+    den = 1 << r.k
     if r.is_exact():
-        val = _rat_eval(v, r.lo)
+        val = _rat_eval(v, r.lo, den)
         return (val > 0) - (val < 0)
     f = r.polynomial
     df = [i * c for i, c in enumerate(f)][1:]
     chain = _int_sturm_chain(f, _int_prem_signed(_int_mul(df, v), f))
-    return _int_variations(chain, r.lo) - _int_variations(chain, r.hi)
+    return _int_variations(chain, r.lo, den) - _int_variations(chain, r.hi, den)
 
 
 # Primes for the modular coprimality test of `squarefree_part`.
@@ -649,7 +638,7 @@ def _half_slots(g: Sequence[int], a: int, b: int, v: int) -> list[tuple[int, boo
             slots.append(part)
             continue
         a, b, h, hb = part
-        v = descartes_bound(h, a, b)
+        v = descartes_bound(h, a, b, 1)
         if v == 1:
             slots.append(_bisect_ceiling(h, a, b, hb))
         elif v and b - a == 1:
@@ -802,6 +791,6 @@ def slot_bracket(p: Sequence[int], slots: Sequence[tuple[int, bool]], j: int) ->
     chosen by its place among the equal gap slots before it."""
     c, exact = slots[j]
     if exact:
-        return RootInterval(Fraction(c), Fraction(c), _primitive(p))
-    gap = [r for r in isolate_real_roots(p, c - 1, c) if r.hi > c - 1]
+        return RootInterval(c, c, 0, _primitive(p))
+    gap = [r for r in isolate_real_roots(p, c - 1, c) if r.hi > (c - 1) << r.k]
     return gap[j - slots.index((c, False))]

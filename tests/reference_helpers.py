@@ -1,6 +1,11 @@
 """Exact helpers that only the tests call, kept here as references.
 
-- Checks of the package's own decisions: a certified sup bound, an integer
+- Checks of the package's own decisions: root isolation, root counts and
+  refinement on `Fraction` ends (`fraction_isolate_real_roots`,
+  `fraction_count_real_roots`, `fraction_refine_root`, with their
+  `FractionInterval` brackets), as the package ran them before its bracket
+  ends became integers over a power of two, and the `Fraction` ends of
+  either bracket (`ends`); a certified sup bound, an integer
   test, a range test and a rational root on an isolating bracket, every
   real root of a polynomial isolated over its root bound, the slot of an
   isolated root (`root_slot`), the slot and the integer root of a given rank, Descartes' bound with its former half-line
@@ -26,7 +31,7 @@ import dataclasses
 import importlib.util
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, factorial, floor
@@ -65,10 +70,8 @@ from latcurve.unipoly import (
     _int_eval,
     _int_root_bound,
     _primitive,
-    _rat_eval,
+    _taylor_shift,
     affine_image,
-    count_real_roots,
-    descartes_bound,
     int_exact_quotient,
     integer_roots,
     isolate_real_roots,
@@ -82,6 +85,185 @@ from latcurve.unipoly import (
 
 from fraction_bipoly import evaluate_bipoly
 from fraction_unipoly import UniPoly
+
+
+# -- root isolation on `Fraction` ends, as it was before dyadic brackets ------
+
+
+def fraction_eval(f: Sequence[int], x: Fraction | int) -> int:
+    """den^deg(f) * f(x) for x = num/den, den > 0, by homogeneous Horner: an
+    integer with the sign of f(x)."""
+    num, den = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(f):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def fraction_descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Descartes' bound v on the roots of the integer polynomial f in the open
+    (lo, hi), lo < hi, where f is nonzero at lo and at hi.
+
+    v is never below the number of roots counted with multiplicity, and has
+    its parity, so v = 0 means no root and v = 1 one simple root.  v is the
+    number of sign variations of (1 + t)^n f((lo + hi*t)/(1 + t)), built on
+    integers as the `affine_image` of f onto s in (0, 1), reversed and
+    shifted by 1.
+    """
+    # lo = a/d and hi = b/d; h(s) = d^n f((b + (a - b) s)/d) maps s = 1/(1 + t)
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    g = affine_image(f, b, a - b, d, len(f) - 1)
+    g.reverse()
+    return sign_variations(_taylor_shift(g, 1))
+
+
+def _fraction_deflate(f: Sequence[int], ends: Iterable[Fraction], lo: Fraction, hi: Fraction) -> Sequence[int]:
+    """f with the factor (den*x - num) of each root num/den in `ends` divided
+    out completely, and its factor x^m when 0 lies outside the open (lo, hi):
+    the same zeros in (lo, hi), and none at an end."""
+    if not lo < 0 < hi:
+        f = f[next(i for i, c in enumerate(f) if c):]
+    for e in ends:
+        while fraction_eval(f, e) == 0:
+            f = int_exact_quotient(f, [-e.numerator, e.denominator])
+    return f
+
+
+def _fraction_end_roots(f: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[list[Fraction], Sequence[int], int]:
+    """(the ends of [lo, hi], lo <= hi, where f vanishes; f with their roots
+    divided out; the Descartes bound v of that on (lo, hi), 0 if lo == hi)."""
+    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if fraction_eval(f, e) == 0]
+    if hi == lo:
+        return ends, f, 0
+    inner = _fraction_deflate(f, ends, lo, hi)
+    return ends, inner, fraction_descartes_bound(inner, lo, hi)
+
+
+def fraction_count_real_roots(p: Sequence[int], lo: Fraction | int, hi: Fraction | int) -> int:
+    """Number of distinct real roots of p in the closed interval [lo, hi]:
+    one per bracket of `fraction_isolate_real_roots`."""
+    return len(fraction_isolate_real_roots(p, lo, hi))
+
+
+@dataclass(frozen=True)
+class FractionInterval:
+    """Rational-endpoint interval isolating one real root of `polynomial`,
+    a primitive integer tuple (coefficient index = degree).
+
+    Either lo == hi is an exact rational root, at which `polynomial` need
+    only vanish, or lo < hi and `polynomial` is nonzero at both ends, so its
+    signs there differ, with exactly one zero in (lo, hi), a simple one.
+    The polynomial has the zeros of the isolated one in the bracket but is
+    not necessarily squarefree: a repeated root may remain outside the
+    bracket.
+    """
+
+    lo: Fraction
+    hi: Fraction
+    polynomial: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError("lo > hi")
+
+    def is_exact(self) -> bool:
+        return self.lo == self.hi
+
+
+def fraction_bisect_step(
+    f: Sequence[int], lo: Fraction, hi: Fraction, s_lo: int
+) -> tuple[Fraction, Fraction, int]:
+    """One exact bisection of a bracket [lo, hi] across which the integer
+    polynomial f changes sign.
+
+    `s_lo` is an integer with the sign of f(lo).  Splits at the midpoint m
+    and returns the half that keeps the sign change as (lo, hi, s_lo), or
+    (m, m, 0) when m is a root of f.
+    """
+    m = (lo + hi) / 2
+    pm = fraction_eval(f, m)
+    if not pm:
+        return m, m, 0
+    if (s_lo > 0) != (pm > 0):
+        return lo, m, s_lo
+    return m, hi, pm
+
+
+def fraction_isolate_real_roots(
+    p: Sequence[int], lo: Fraction | int, hi: Fraction | int
+) -> list[FractionInterval]:
+    """Disjoint isolating intervals, one per distinct real root in [lo, hi].
+
+    A part with Descartes bound v >= 2 is split at its midpoint m, and each
+    half bounded again, until every part has v <= 1; on a squarefree
+    polynomial this ends (Vincent's theorem).  The part's polynomial is the
+    deflated squarefree part, so a root at m is simple: it is reported as
+    the exact bracket [m, m] and its factor divided out once, and the halves
+    and their brackets carry the quotient, nonzero at every end.  A part
+    found to hold one root is its bracket, so the brackets are those of
+    bisection on exact root counts.
+    """
+    f = _primitive(p)
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("empty range")
+    ends, inner, v = _fraction_end_roots(f, lo, hi)
+    if v >= 2:
+        # with an endpoint root deflated away, a bracket ending there
+        # isolates only for the deflated form
+        inner = _fraction_deflate(squarefree_part(f), ends, lo, hi)
+
+    def split(g: tuple[int, ...], a: Fraction, b: Fraction, v: int) -> list[FractionInterval]:
+        if v <= 1:
+            return [FractionInterval(a, b, g)] if v else []
+        m = (a + b) / 2
+        found, halves = [], g
+        if fraction_eval(g, m) == 0:
+            found = [FractionInterval(m, m, g)]
+            halves = tuple(int_exact_quotient(g, [-m.numerator, m.denominator]))
+        for c, d in ((a, m), (m, b)):
+            found += split(halves, c, d, fraction_descartes_bound(halves, c, d))
+        return [FractionInterval(a, b, g)] if len(found) == 1 else found
+
+    out = [FractionInterval(e, e, f) for e in ends] + split(tuple(inner), lo, hi, v)
+    return sorted(out, key=lambda r: r.lo)
+
+
+def fraction_refine_root(r: FractionInterval, width: Fraction | int) -> FractionInterval:
+    """Shrink the isolating interval to width <= `width` by exact bisection
+    at midpoints (`fraction_bisect_step`); a root at a bracket end or at a
+    midpoint is returned as that exact bracket, of width 0."""
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError("width must be positive")
+    if r.is_exact():
+        return r
+    f = r.polynomial
+    lo, hi = r.lo, r.hi
+    s_lo = fraction_eval(f, lo)
+    if s_lo == 0:
+        return FractionInterval(lo, lo, f)
+    if fraction_eval(f, hi) == 0:
+        return FractionInterval(hi, hi, f)
+    while hi - lo > width:
+        lo, hi, s_lo = fraction_bisect_step(f, lo, hi, s_lo)
+    return FractionInterval(lo, hi, f)
+
+
+def ends(r: RootInterval | FractionInterval) -> tuple[Fraction, Fraction]:
+    """The ends of a bracket as `Fraction`s: lo/2^k and hi/2^k of a
+    `RootInterval`, and those of a `FractionInterval` as they are."""
+    if isinstance(r, FractionInterval):
+        return r.lo, r.hi
+    return Fraction(r.lo, 1 << r.k), Fraction(r.hi, 1 << r.k)
+
+
+def as_fraction(r: RootInterval | FractionInterval) -> FractionInterval:
+    """The bracket r with its ends as `Fraction`s, for the references above."""
+    return FractionInterval(*ends(r), r.polynomial)
 
 
 def poly_sup_bound(p: UniPoly, lo: Fraction, hi: Fraction, pieces: int = 16) -> Fraction:
@@ -123,8 +305,9 @@ def integer_in(r: RootInterval) -> int | None:
     evaluation decides.
     """
     r = refine_root(r, Fraction(1, 2))
-    k = math.ceil(r.lo)
-    if k <= r.hi and _int_eval(r.polynomial, k) == 0:
+    lo, hi = ends(r)
+    k = math.ceil(lo)
+    if k <= hi and _int_eval(r.polynomial, k) == 0:
         return k
     return None
 
@@ -153,7 +336,7 @@ def ranked_integer_root(p: Sequence[int], index: int) -> tuple[int, int | None]:
     return count, slot[0] if slot is not None and slot[1] else None
 
 
-def root_slot(r: RootInterval) -> tuple[int, bool]:
+def root_slot(r: RootInterval | FractionInterval) -> tuple[int, bool]:
     """The slot (c, exact) of the root that r isolates, as
     `unipoly.root_slots` gives it: c the ceiling of the root and exact
     whether the root is c.  The bracket-to-slot reference for the integer
@@ -168,18 +351,19 @@ def root_slot(r: RootInterval) -> tuple[int, bool]:
     says whether the root lies in (b, hi) or in (lo, a).  The bracket is
     never refined.
     """
+    lo, hi = ends(r)
     if r.is_exact():
-        c = math.ceil(r.lo)
-        return c, c == r.lo
+        c = math.ceil(lo)
+        return c, c == lo
     f = r.polynomial
-    a, b = math.ceil(r.lo), math.floor(r.hi)
+    a, b = math.ceil(lo), math.floor(hi)
     if a > b:
         return a, False
     sa, sb = _int_eval(f, a), _int_eval(f, b)
     if not sa:
         return a, True
     if sb and (sa > 0) == (sb > 0):
-        return (b + 1, False) if (_rat_eval(f, r.hi) > 0) != (sb > 0) else (a, False)
+        return (b + 1, False) if (fraction_eval(f, hi) > 0) != (sb > 0) else (a, False)
     while sb and b - a > 1:  # the root lies in (a, b]
         m = (a + b) // 2
         sm = _int_eval(f, m)
@@ -191,21 +375,21 @@ def root_slot(r: RootInterval) -> tuple[int, bool]:
 
 
 def half_line_descartes_bound(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
-    """`unipoly.descartes_bound` with the shortcut it had for lo >= 0: the
+    """`fraction_descartes_bound` with the shortcut it had for lo >= 0: the
     sign variations of f's own coefficients bound its roots in (0, inf), so
     at most one variation leaves at most one simple root, which lies in
     (lo, hi) exactly when f changes sign there.  Otherwise, or with two or
-    more variations, the Moebius count of `descartes_bound`."""
+    more variations, the Moebius count of `fraction_descartes_bound`."""
     if lo >= 0:
         v = sign_variations(f)
         if v == 0:
             return 0
         if v == 1:
-            return int((_rat_eval(f, lo) > 0) != (_rat_eval(f, hi) > 0))
-    return descartes_bound(f, lo, hi)
+            return int((fraction_eval(f, lo) > 0) != (fraction_eval(f, hi) > 0))
+    return fraction_descartes_bound(f, lo, hi)
 
 
-def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval:
+def refine_clear_of(r: FractionInterval, lo: Fraction, hi: Fraction) -> FractionInterval:
     """The bracket r refined until it is exact or contains neither lo nor hi.
 
     The result decides whether the isolated root lies in the open range
@@ -217,13 +401,13 @@ def refine_clear_of(r: RootInterval, lo: Fraction, hi: Fraction) -> RootInterval
         if r.is_exact() or not (r.lo <= lo <= r.hi or r.lo <= hi <= r.hi):
             return r
         for end in (lo, hi):
-            if r.lo <= end <= r.hi and _rat_eval(f, end) == 0:
-                return RootInterval(end, end, f)
-        r = refine_root(r, (r.hi - r.lo) / 4)
+            if r.lo <= end <= r.hi and fraction_eval(f, end) == 0:
+                return FractionInterval(end, end, f)
+        r = fraction_refine_root(r, (r.hi - r.lo) / 4)
     raise AssertionError("range test exceeded the refinement depth limit")
 
 
-def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool:
+def _holds_root(r: FractionInterval, lo: Fraction | int, hi: Fraction | int) -> bool:
     """Whether [lo, hi], inside the non-exact bracket r, holds its root.
 
     The bracket polynomial has no other zero in the bracket, and its root is
@@ -231,11 +415,11 @@ def _holds_root(r: RootInterval, lo: Fraction | int, hi: Fraction | int) -> bool
     end or changes sign between them.
     """
     f = r.polynomial
-    s_lo, s_hi = _rat_eval(f, lo), _rat_eval(f, hi)
+    s_lo, s_hi = fraction_eval(f, lo), fraction_eval(f, hi)
     return s_lo == 0 or s_hi == 0 or (s_lo > 0) != (s_hi > 0)
 
 
-def _same_root(a: RootInterval, b: RootInterval) -> bool:
+def _same_root(a: FractionInterval, b: FractionInterval) -> bool:
     """Decide exactly whether two isolating intervals enclose the same real
     root: sign tests on the overlap, then coprimality modulo a prime, then
     an integer gcd and its root count on the overlap."""
@@ -251,13 +435,13 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
         return False
     # a common root inside both brackets must be each bracket's isolated root
     g = poly_gcd(a.polynomial, b.polynomial)
-    return len(g) >= 2 and count_real_roots(g, lo, hi) > 0
+    return len(g) >= 2 and fraction_count_real_roots(g, lo, hi) > 0
 
 
-def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) -> list[RootInterval]:
+def refine_disjoint(intervals: Sequence[FractionInterval], width: Fraction | int) -> list[FractionInterval]:
     """Refine to the given width, drop duplicates of the same root, and
     continue refining until the surviving intervals are pairwise disjoint."""
-    items = sorted((refine_root(r, width) for r in intervals), key=lambda r: (r.lo, r.hi))
+    items = sorted((fraction_refine_root(r, width) for r in intervals), key=lambda r: (r.lo, r.hi))
     i = 0
     while i < len(items) - 1:
         a, b = items[i], items[i + 1]
@@ -272,9 +456,9 @@ def refine_disjoint(intervals: Sequence[RootInterval], width: Fraction | int) ->
             items.pop(i + 1)
             continue
         if not a.is_exact():
-            items[i] = refine_root(a, (a.hi - a.lo) / 4)
+            items[i] = fraction_refine_root(a, (a.hi - a.lo) / 4)
         if not b.is_exact():
-            items[i + 1] = refine_root(b, (b.hi - b.lo) / 4)
+            items[i + 1] = fraction_refine_root(b, (b.hi - b.lo) / 4)
         items.sort(key=lambda r: (r.lo, r.hi))
     return items
 
@@ -288,17 +472,17 @@ def rational_root_in(p: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction |
     """
     f = _primitive(p)
     if lo == hi:
-        return lo if _rat_eval(f, lo) == 0 else None
+        return lo if fraction_eval(f, lo) == 0 else None
     sf = squarefree_part(f)
     lead = abs(f[-1])
     # refine [lo, hi] below 1/(2*lead^2) so at most one denominator-dividing
     # rational fits, then take the best rational approximation
     target = Fraction(1, 2 * lead * lead + 1)
-    r = refine_root(RootInterval(lo, hi, sf), target)
+    r = fraction_refine_root(FractionInterval(lo, hi, sf), target)
     if r.is_exact():
-        return r.lo if _rat_eval(f, r.lo) == 0 else None
+        return r.lo if fraction_eval(f, r.lo) == 0 else None
     cand = ((r.lo + r.hi) / 2).limit_denominator(lead)
-    if r.lo <= cand <= r.hi and _rat_eval(f, cand) == 0:
+    if r.lo <= cand <= r.hi and fraction_eval(f, cand) == 0:
         return cand
     return None
 
@@ -365,7 +549,7 @@ def integer_hull(branch: AlgebraicBranch) -> Optional[AlgebraicBranch]:
     return dataclasses.replace(branch, domain=(Fraction(first), Fraction(last)))
 
 
-def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> list[RootInterval]:
+def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> list[FractionInterval]:
     """The isolated roots in the closed domain of the level-set eliminant
     (`branch._level_resultant`, whose slots `level_set_abscissas` reads)
     where f^(i)/i! crosses c along the branch, and the exact ones where it
@@ -382,11 +566,11 @@ def crossing_level_set(branch: AlgebraicBranch, i: int, c: Fraction | int) -> li
     c = Fraction(c)
     level = _level_curve(branch.frame, i, *c.as_integer_ratio())
     lo, hi = branch.domain
-    roots = isolate_real_roots(_level_resultant(branch.frame, i, *c.as_integer_ratio()), lo, hi)
+    roots = fraction_isolate_real_roots(_level_resultant(branch.frame, i, *c.as_integer_ratio()), lo, hi)
     if level.degree_y() < 1 or not roots:
         return roots
     width = min(Fraction(1, 4), (hi - lo) / (4 * len(roots) + 4)) if hi > lo else Fraction(1, 4)
-    included: list[RootInterval] = []
+    included: list[FractionInterval] = []
     for r in refine_disjoint(roots, width):
         # < 0 across a crossing's bracket, and 0 on an exact bracket of the level set
         s = branch_sign(branch, r.lo, level) * branch_sign(branch, r.hi, level)
@@ -584,9 +768,9 @@ def branch_from_point(
     frame = FrameRecord(curve)
     _certify_smooth_over(frame, lo, hi)
     u = _column(curve, x0)
-    roots = all_real_roots(u)
+    roots = [as_fraction(r) for r in all_real_roots(u)]
     idx = next(
-        (k for k, r in enumerate(roots) if r.lo <= y0 <= r.hi and (r.is_exact() or _rat_eval(u, y0) == 0)),
+        (k for k, r in enumerate(roots) if r.lo <= y0 <= r.hi and (r.is_exact() or fraction_eval(u, y0) == 0)),
         None,
     )
     if idx is None:
@@ -596,7 +780,7 @@ def branch_from_point(
 
 def _certify_smooth_over(frame: FrameRecord, lo: Fraction, hi: Fraction) -> None:
     curve, lead = frame.curve, frame.curve.rows[-1]
-    if len(lead) >= 2 and (_rat_eval(lead, lo) == 0 or _rat_eval(lead, hi) == 0):
+    if len(lead) >= 2 and (fraction_eval(lead, lo) == 0 or fraction_eval(lead, hi) == 0):
         # a level curve reduced modulo the curve keeps its sign only where
         # lc_y(F) != 0, so the closed domain must avoid its roots
         raise BranchError("leading coefficient in y vanishes at a domain end")
@@ -606,7 +790,7 @@ def _certify_smooth_over(frame: FrameRecord, lo: Fraction, hi: Fraction) -> None
         if not obs:
             raise BranchError("curve fails the smoothness certificate (zero obstruction)")
         # roots strictly inside (lo, hi) are forbidden
-        inner = count_real_roots(obs, lo, hi) - (_rat_eval(obs, lo) == 0) - (_rat_eval(obs, hi) == 0)
+        inner = fraction_count_real_roots(obs, lo, hi) - (fraction_eval(obs, lo) == 0) - (fraction_eval(obs, hi) == 0)
         if inner > 0:
             raise BranchError("branch is singular/vertical inside the requested domain")
 
@@ -615,8 +799,8 @@ def branch_value_rational(branch: AlgebraicBranch, x0: Fraction | int) -> Option
     """The exact branch value f(x0) when rational, else None (certified)."""
     bracket = branch_value_bracket(branch, Fraction(x0))
     if bracket.is_exact():
-        return bracket.lo
-    return rational_root_in(_column(branch.curve, Fraction(x0)), bracket.lo, bracket.hi)
+        return ends(bracket)[0]
+    return rational_root_in(_column(branch.curve, Fraction(x0)), *ends(bracket))
 
 
 def _undetermined_taylor(

@@ -71,11 +71,15 @@ from fraction_bipoly import FractionBiPoly, evaluate_bipoly
 from fraction_unipoly import UniPoly
 import reference_helpers
 from reference_helpers import (
+    FractionInterval,
     all_real_roots,
+    as_fraction,
     branch_from_point,
     branch_sign,
     branch_value_rational,
     crossing_level_set,
+    ends,
+    fraction_count_real_roots,
     integer_hull,
     integer_in,
     latbench_workloads,
@@ -557,8 +561,8 @@ def test_branch_value_identification():
     bottom = branch_from_point(c, 3, -4, (1, Fraction(7, 2)))
     assert branch_value_rational(top, 3) == 4
     assert branch_value_rational(bottom, 3) == -4
-    b = branch_value_bracket(top, 2)
-    assert b.lo * b.lo <= 21 <= b.hi * b.hi or (b.lo <= 0 <= b.hi)
+    lo, hi = ends(branch_value_bracket(top, 2))
+    assert lo * lo <= 21 <= hi * hi or (lo <= 0 <= hi)
     assert branch_value_rational(top, 2) is None
     assert branch_integer_point(top, 3) == LatticePoint(3, 4)
     assert branch_integer_point(top, 2) is None
@@ -582,11 +586,12 @@ def test_branch_value_at_the_construction_abscissa():
         br = branch_from_point(parse(text), x0, y0, domain)
         bracket = branch_value_bracket(br, x0)
         u = br.curve.int_column(Fraction(x0))
-        assert reference_helpers._same_root(bracket, all_real_roots(u)[br.root_index]), text
+        assert reference_helpers._same_root(as_fraction(bracket), as_fraction(all_real_roots(u)[br.root_index])), text
+        lo, hi = ends(bracket)
         if Fraction(y0).denominator == 1:
-            assert bracket.lo == bracket.hi == y0, text
+            assert lo == hi == y0, text
         else:
-            assert bracket.lo < y0 < bracket.hi and floor(bracket.lo) == floor(y0) == ceil(bracket.hi) - 1, text
+            assert lo < y0 < hi and floor(lo) == floor(y0) == ceil(hi) - 1, text
         assert branch_value_rational(br, x0) == y0, text
         assert taylor_coefficients(br, x0, 2)[0] == y0, text
 
@@ -918,10 +923,10 @@ def test_root_slots_match_the_bracket_reference(monkeypatch):
         a, b = -bound if lo is None else lo, bound if hi is None else hi
         want = [root_slot(r) for r in isolate_real_roots(p, a, b)] if a <= b else []
         assert root_slots(p, lo, hi) == want, (p, lo, hi)
-        below = a <= b and len([r for r in isolate_real_roots(p, a - 1, a) if r.hi < a]) or 0
+        below = a <= b and len([r for r in isolate_real_roots(p, a - 1, a) if ends(r)[1] < a]) or 0
         seen["several_below_lo"] += below >= 2
         seen["root_below_lo"] += below >= 1
-        seen["root_above_hi"] += a <= b and any(r.lo > b for r in isolate_real_roots(p, b, b + 1))
+        seen["root_above_hi"] += a <= b and any(ends(r)[0] > b for r in isolate_real_roots(p, b, b + 1))
         seen["root_at_lo"] += (a, True) in want
         seen["root_at_hi"] += (b, True) in want
         seen["cluster"] += any(x == y == z and not x[1] for x, y, z in zip(want, want[1:], want[2:]))
@@ -956,9 +961,9 @@ def test_root_slots_match_the_bracket_reference(monkeypatch):
             p = [0] * rng.randint(1, 3) + p
             seen["x_power"] += 1
             check(p, rng.randint(-6, 0), rng.randint(0, 6))
-        ends = [None] + [c + d for c in centres for d in (0, 1, -1)]
+        range_ends = [None] + [c + d for c in centres for d in (0, 1, -1)]
         for _ in range(3):
-            lo, hi = rng.choice(ends), rng.choice(ends)
+            lo, hi = rng.choice(range_ends), rng.choice(range_ends)
             if lo is not None and hi is not None and lo > hi:
                 lo, hi = hi, lo
             check(p, lo, hi)
@@ -1271,17 +1276,17 @@ def test_partition_integer_root_inside_cut():
 def test_root_slot_edge_cases():
     sqrt2 = (-2, 0, 1)
     # an integer bracket end, and no integer between two ends
-    assert root_slot(RootInterval(Fraction(1), Fraction(3, 2), sqrt2)) == (2, False)
-    assert root_slot(RootInterval(Fraction(5, 4), Fraction(2), sqrt2)) == (2, False)
-    assert root_slot(RootInterval(Fraction(-2), Fraction(-1), sqrt2)) == (-1, False)
-    assert root_slot(RootInterval(Fraction(2), Fraction(5, 2), (-5, 0, 1))) == (3, False)
-    assert root_slot(RootInterval(Fraction(1, 3), Fraction(2, 3), (-1, 2))) == (1, False)
+    assert root_slot(RootInterval(2, 3, 1, sqrt2)) == (2, False)
+    assert root_slot(RootInterval(5, 8, 2, sqrt2)) == (2, False)
+    assert root_slot(RootInterval(-2, -1, 0, sqrt2)) == (-1, False)
+    assert root_slot(RootInterval(4, 5, 1, (-5, 0, 1))) == (3, False)
+    assert root_slot(FractionInterval(Fraction(1, 3), Fraction(2, 3), (-1, 2))) == (1, False)
     # an exact root, integer or not
-    assert root_slot(RootInterval(Fraction(3), Fraction(3), (-3, 1))) == (3, True)
-    assert root_slot(RootInterval(Fraction(-5, 2), Fraction(-5, 2), (5, 2))) == (-2, False)
+    assert root_slot(RootInterval(3, 3, 0, (-3, 1))) == (3, True)
+    assert root_slot(RootInterval(-5, -5, 1, (5, 2))) == (-2, False)
     # an integer strictly inside the bracket: the root below, above or at it
     for poly, want in (((-299, 100), (3, False)), ((-301, 100), (4, False)), ((-3, 1), (3, True))):
-        assert root_slot(RootInterval(Fraction(5, 2), Fraction(7, 2), poly)) == want
+        assert root_slot(RootInterval(5, 7, 1, poly)) == want
 
 
 def test_root_slot_reads_a_wide_bracket_unrefined(monkeypatch):
@@ -1296,10 +1301,11 @@ def test_root_slot_reads_a_wide_bracket_unrefined(monkeypatch):
     value = branch_value_bracket(br, 99)
     assert (value.lo, value.hi) == (21, 22) and root_slot(value) == (22, False)
     with monkeypatch.context() as m:
-        m.setattr(unipoly_module, "bisect_step", _not_called)
+        m.setattr(unipoly_module, "refine_root", _not_called)
+        m.setattr(reference_helpers, "refine_root", _not_called)
         assert root_slot(bracket) == (22, False)
     fine = refine_root(bracket, Fraction(1, 4))
-    assert 21 < fine.lo and fine.hi < 22 and root_slot(fine) == (22, False)
+    assert 21 < ends(fine)[0] and ends(fine)[1] < 22 and root_slot(fine) == (22, False)
 
 
 def _interior_points(a, b):
@@ -1345,7 +1351,7 @@ def _reference_flags(br, big_d, n_box, delta):
             return 1
         if UniPoly(cut.polynomial).evaluate(k) == 0:
             return 0
-        return 1 if count_real_roots(cut.polynomial, cut.lo, Fraction(k)) > 0 else -1
+        return 1 if fraction_count_real_roots(cut.polynomial, cut.lo, Fraction(k)) > 0 else -1
 
     assigned = [[] for _ in range(len(cuts) + 1)]
     for k in range(ceil(lo), floor(hi) + 1):
@@ -2395,8 +2401,8 @@ def _reference_sample_branches(curve, sample, n_box):
     balance = (fx * fx - fy * fy).int_column(sample)
     kept = []
     for j, r in enumerate(roots):
-        r = refine_clear_of(r, Fraction(0), Fraction(n_box))
-        if not 0 <= r.lo <= r.hi <= n_box:
+        clear = refine_clear_of(as_fraction(r), Fraction(0), Fraction(n_box))
+        if not 0 <= clear.lo <= clear.hi <= n_box:
             continue
         if flat and sign_at_root(r, balance) > 0:
             continue
@@ -2443,7 +2449,7 @@ def test_decompose_range_test_matches_refine_clear_of(monkeypatch):
                 continue  # a critical column, enumerated directly
             want |= {(frame, sample, *k) for k in _reference_sample_branches(frame, sample, n_box)}
             for r in all_real_roots(frame.int_column(sample)):
-                r = refine_clear_of(r, Fraction(0), Fraction(n_box))
+                r = refine_clear_of(as_fraction(r), Fraction(0), Fraction(n_box))
                 sides["below" if r.hi < 0 else "above" if r.lo > n_box else "inside"] += 1
         got = {(b.curve, b.domain[0], b.root_index, b.root_count, b.flat) for b in dec.branches}
         assert got == want, text

@@ -110,9 +110,12 @@ def test_brute_rejects_lines_in_box():
     assert total == 0
 
 
-def test_line_factor_error_does_not_depend_on_the_oracle():
-    """One check of the exact x- and y-content runs before the oracle and the
-    decomposition, so both routes name the same line with the same error."""
+def test_line_factor_error_does_not_depend_on_the_oracle(monkeypatch):
+    """One check of the exact x- and y-content runs before the
+    decomposition, the oracle's own when the oracle runs, so both routes
+    name the same line with the same error, and a count takes each frame's
+    x-content once: two `x_content` calls for y^2 - x^3 + 6*x + 33 at
+    N = 100, with the oracle on or off."""
     for text, message in (
         ("(x - 3)*(y - x)", "vertical line x = 3 lies inside the box"),
         ("(y - 2)*(x - y^2)", "horizontal line y = 2 lies inside the box"),
@@ -127,6 +130,12 @@ def test_line_factor_error_does_not_depend_on_the_oracle():
                 determinant_method_count(curve, 10, compare_oracle=compare_oracle)
     # lines outside the box are no error of the check
     assert brute_force_count(parse("(x - 30)*(y + 2)*(x - y^2)"), 10)[0] == 3
+    calls = []
+    monkeypatch.setattr(counting, "x_content", lambda f: calls.append(f) or poly2.x_content(f))
+    for compare_oracle in (True, False):
+        calls.clear()
+        determinant_method_count(parse("y^2 - x^3 + 6*x + 33"), 100, compare_oracle=compare_oracle)
+        assert len(calls) == 2, compare_oracle
 
 
 def test_brute_model_family():
@@ -1001,11 +1010,13 @@ def test_second_count_in_one_process_builds_what_the_first_built(monkeypatch):
 
 def test_count_walks_each_level_set_once_per_domain(monkeypatch):
     """Operation-count guard: branches on one cell share their frame's
-    level sets, so a count walks each (level, domain) pair once.  The cubic
+    level sets, and levels that share an eliminant share its walk, so a
+    count walks each (eliminant, domain) pair once.  The cubic
     (y - 1)(y - 2)(y - 7) - 3(x - 1)(x - 2)(x - 7) at N = 10 asks
     `level_set_abscissas` 32 times over 16 distinct (eliminant, domain)
-    pairs, and walks 16 times, once per pair; every answer equals a fresh
-    walk of its eliminant."""
+    pairs, and -3x^3 + 6xy^2 - 5 at N = 34 asks 18 times over 16, two
+    levels there sharing eliminants; each walks once per pair, and every
+    answer equals a fresh walk of its eliminant."""
     asked, walks = [], []
     level_set_abscissas, root_slots = branch.level_set_abscissas, branch.root_slots
 
@@ -1021,13 +1032,17 @@ def test_count_walks_each_level_set_once_per_domain(monkeypatch):
 
     monkeypatch.setattr(branch, "level_set_abscissas", recorded)
     monkeypatch.setattr(branch, "root_slots", counted)
-    rep = determinant_method_count(parse("(y - 1)*(y - 2)*(y - 7) - 3*(x - 1)*(x - 2)*(x - 7)"), 10)
-    assert rep.ok and rep.total == rep.oracle_total
-    pairs = {(br.frame.level_eliminants[i, p, q], *br.domain) for br, i, p, q, _ in asked}
-    assert (len(asked), len(pairs)) == (32, 16)
-    assert sorted(walks) == sorted(pairs)
-    for br, i, p, q, slots in asked:
-        assert slots == unipoly.root_slots(br.frame.level_eliminants[i, p, q], *br.domain), (br, i, p, q)
+    cases = (("(y - 1)*(y - 2)*(y - 7) - 3*(x - 1)*(x - 2)*(x - 7)", 10, 32), ("-3*x^3 + 6*x*y^2 - 5", 34, 18))
+    for text, n_box, n_asked in cases:
+        asked.clear()
+        walks.clear()
+        rep = determinant_method_count(parse(text), n_box)
+        assert rep.ok and rep.total == rep.oracle_total, text
+        pairs = {(br.frame.level_eliminants[i, p, q], *br.domain) for br, i, p, q, _ in asked}
+        assert (len(asked), len(pairs)) == (n_asked, 16), text
+        assert sorted(walks) == sorted(pairs), text
+        for br, i, p, q, slots in asked:
+            assert slots == unipoly.root_slots(br.frame.level_eliminants[i, p, q], *br.domain), (br, i, p, q)
 
 
 def test_count_builds_each_frame_discriminant_once(monkeypatch):
@@ -1202,19 +1217,18 @@ def _fraction_constructions(count):
     return made
 
 
-def test_counts_make_fractions_only_for_delta_and_brackets():
+def test_counts_make_fractions_only_for_delta():
     """Every number inside a count is an `int`: on the fixture curves with
     the oracle on and on one seed-1 round each of latbench `partition` and
     `columns`, a count constructs a `Fraction` only for delta on entry
-    (`determinant_method_count` or `default_delta`, at most two), in
-    `DerivativeBoundSpec.__post_init__`, or under `unipoly.isolate_real_roots`
-    and `unipoly.slot_bracket`, for the ends of a branch value's bracket.
-    `poly2`, `branch`, `exactlinalg` and `monomials` construct none."""
+    (`determinant_method_count` or `default_delta`, at most two) and in
+    `DerivativeBoundSpec.__post_init__`.  `unipoly`, whose bracket ends are
+    integers over a power of two, `poly2`, `branch`, `exactlinalg` and
+    `monomials` construct none."""
     workloads = latbench_workloads()
     cases = list(FIXTURES) + [
         (c.text, c.n_box) for name in ("partition", "columns") for row in workloads[name].rounds(1, 1) for c in row
     ]
-    brackets = {("unipoly", "isolate_real_roots"), ("unipoly", "slot_bracket")}
     at_entry = {("counting", "determinant_method_count"), ("counting", "default_delta")}
     modules = Counter()
     for text, n_box in cases:
@@ -1222,15 +1236,11 @@ def test_counts_make_fractions_only_for_delta_and_brackets():
         made = _fraction_constructions(lambda: determinant_method_count(curve, n_box))
         modules.update(stack[0][0] for stack in made)
         stray = Counter(
-            stack[0]
-            for stack in made
-            if stack[0] not in at_entry
-            and stack[0] != ("detmethod", "__post_init__")
-            and not (stack[0][0] == "unipoly" and brackets.intersection(stack))
+            stack[0] for stack in made if stack[0] not in at_entry and stack[0] != ("detmethod", "__post_init__")
         )
         assert not stray, (text, n_box, stray)
         assert sum(stack[0] in at_entry for stack in made) <= 2, (text, n_box)
-    assert modules["unipoly"] > 0 and set(modules) <= {"counting", "detmethod", "unipoly"}, modules
+    assert set(modules) <= {"counting", "detmethod"}, modules
 
 
 def test_scaled_negated_and_swapped_inputs_count_alike():

@@ -17,7 +17,6 @@ from latcurve.unipoly import (
     RootInterval,
     _int_prem_signed,
     _int_variations,
-    _rat_eval,
     affine_image,
     descartes_bound,
     graeffe_step,
@@ -41,9 +40,16 @@ from latcurve.unipoly import (
 from fraction_unipoly import UniPoly
 import reference_helpers
 from reference_helpers import (
+    FractionInterval,
     _same_root,
     all_real_roots,
+    as_fraction,
+    ends,
+    fraction_count_real_roots,
     fraction_determinant,
+    fraction_eval,
+    fraction_isolate_real_roots,
+    fraction_refine_root,
     half_line_descartes_bound,
     integer_in,
     poly_sup_bound,
@@ -209,8 +215,9 @@ def test_isolate_sqrt2():
     roots = isolate_real_roots(p, 0, 2)
     assert len(roots) == 1
     r = roots[0]
-    assert r.lo <= Fraction(3, 2) and r.hi >= Fraction(1)  # contains sqrt(2)
-    assert UniPoly(r.polynomial).evaluate(r.lo) * UniPoly(r.polynomial).evaluate(r.hi) <= 0
+    lo, hi = ends(r)
+    assert lo <= Fraction(3, 2) and hi >= Fraction(1)  # contains sqrt(2)
+    assert UniPoly(r.polynomial).evaluate(lo) * UniPoly(r.polynomial).evaluate(hi) <= 0
 
 
 def test_isolate_no_real_roots():
@@ -224,7 +231,7 @@ def test_isolate_three_roots():
     assert len(roots) == 3
     assert all(r.lo <= r.hi for r in roots)
     for a, b in zip(roots, roots[1:]):
-        assert a.hi <= b.lo or (a.hi == b.lo)
+        assert ends(a)[1] <= ends(b)[0] or (ends(a)[1] == ends(b)[0])
     assert count_real_roots(p, 0, 4) == 3
     assert integer_roots(p) == [1, 2, 3]
 
@@ -242,22 +249,48 @@ def test_isolate_endpoint_roots_degenerate():
     assert len(roots) == 1 and roots[0].is_exact() and roots[0].lo == 0
 
 
+def _root_layer(lo, hi):
+    """(lo, hi, isolate, count, refine): the package's root layer on integer
+    ends, and the `Fraction` reference on others."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo.denominator == hi.denominator == 1:
+        return int(lo), int(hi), isolate_real_roots, count_real_roots, refine_root
+    return lo, hi, fraction_isolate_real_roots, fraction_count_real_roots, fraction_refine_root
+
+
+def isolate_on(p, lo, hi):
+    """The brackets of p on [lo, hi] as `FractionInterval`s, from the
+    package's isolation on integer ends and the `Fraction` reference's on
+    others."""
+    lo, hi, isolate, _, _ = _root_layer(lo, hi)
+    return [as_fraction(r) for r in isolate(p, lo, hi)]
+
+
+def count_on(p, lo, hi):
+    """The root count of p on [lo, hi], as `isolate_on` chooses its layer."""
+    lo, hi, _, count, _ = _root_layer(lo, hi)
+    return count(p, lo, hi)
+
+
 def _check_isolation(p, lo, hi):
-    roots = isolate_real_roots(ints(p), lo, hi)
+    lo, hi, isolate, count, refine = _root_layer(lo, hi)
+    roots = isolate(ints(p), lo, hi)
     # counts agree with an independent Sturm count
-    assert len(roots) == count_real_roots(ints(p), lo, hi) == naive_sturm_count(p, lo, hi), (p, lo, hi)
+    assert len(roots) == count(ints(p), lo, hi) == naive_sturm_count(p, lo, hi), (p, lo, hi)
     for r in roots:
-        assert lo <= r.lo <= r.hi <= hi
+        r_lo, r_hi = ends(r)
+        assert lo <= r_lo <= r_hi <= hi
         if r.is_exact():
-            assert p.evaluate(r.lo) == 0
+            assert p.evaluate(r_lo) == 0
             continue
-        for q in (r, refine_root(r, Fraction(1, 1000))):
+        for q in (r, refine(r, Fraction(1, 1000))):
+            q_lo, q_hi = ends(q)
             if q.is_exact():  # refinement met the root at a midpoint
-                assert p.evaluate(q.lo) == 0 and r.lo < q.lo < r.hi, (p, lo, hi, q)
+                assert p.evaluate(q_lo) == 0 and r_lo < q_lo < r_hi, (p, lo, hi, q)
                 continue
-            assert UniPoly(q.polynomial).evaluate(q.lo) * UniPoly(q.polynomial).evaluate(q.hi) < 0, (p, lo, hi, q)
+            assert UniPoly(q.polynomial).evaluate(q_lo) * UniPoly(q.polynomial).evaluate(q_hi) < 0, (p, lo, hi, q)
     for a, b in zip(roots, roots[1:]):
-        assert a.hi <= b.lo
+        assert ends(a)[1] <= ends(b)[0]
 
 
 def test_isolation_properties_random():
@@ -303,7 +336,7 @@ def test_brackets_hold_primitive_integer_tuples(coeffs, scale, lo, width, root_a
         coeffs = [a - lo * b for a, b in zip([0] + coeffs, coeffs + [0])]
     p = [c * scale for c in coeffs]
     brackets = isolate_real_roots(p, lo, lo + width) + all_real_roots(p)
-    brackets += refine_disjoint(brackets, Fraction(1, 8))
+    brackets += refine_disjoint([as_fraction(r) for r in brackets], Fraction(1, 8))
     assert all(_is_primitive_tuple(r.polynomial) for r in brackets), (p, brackets)
 
 
@@ -324,24 +357,25 @@ def test_refine_root():
     p = [-2, 0, 1]
     [r] = isolate_real_roots(p, 0, 2)
     fine = refine_root(r, Fraction(1, 100))
-    assert fine.hi - fine.lo <= Fraction(1, 100)
-    assert UniPoly(fine.polynomial).evaluate(fine.lo) * UniPoly(fine.polynomial).evaluate(fine.hi) <= 0
+    lo, hi = ends(fine)
+    assert hi - lo <= Fraction(1, 100)
+    assert UniPoly(fine.polynomial).evaluate(lo) * UniPoly(fine.polynomial).evaluate(hi) <= 0
     # still contains sqrt(2)
-    assert fine.lo * fine.lo <= 2 <= fine.hi * fine.hi
+    assert lo * lo <= 2 <= hi * hi
 
 
 def test_refine_degenerate():
     p = (-2, 1)
-    r = RootInterval(Fraction(2), Fraction(2), p)
+    r = RootInterval(2, 2, 0, p)
     assert refine_root(r, Fraction(1, 7)) == r
 
 
 def test_refine_root_inside_wide_interval():
     p = (-3, 1)  # root 3
-    r = RootInterval(Fraction(0), Fraction(4), p)
-    fine = refine_root(r, Fraction(1, 2))
-    assert fine.hi - fine.lo <= Fraction(1, 2)
-    assert fine.lo <= 3 <= fine.hi
+    r = RootInterval(0, 4, 0, p)
+    lo, hi = ends(refine_root(r, Fraction(1, 2)))
+    assert hi - lo <= Fraction(1, 2)
+    assert lo <= 3 <= hi
 
 
 def test_refine_disjoint_merges_same_root():
@@ -349,14 +383,14 @@ def test_refine_disjoint_merges_same_root():
     p2 = [2, -3, 0, 1]  # (x-1)(x^2+x-2) = has root 1, also sqrt-2-ish? use x^3-3x+2
     # use two isolations of the same polynomial root through different polys
     q = [-4, 0, 2]  # 2x^2-4: same roots as p1
-    r1 = isolate_real_roots(p1, 0, 2)[0]
-    r2 = isolate_real_roots(q, 0, 2)[0]
+    r1 = as_fraction(isolate_real_roots(p1, 0, 2)[0])
+    r2 = as_fraction(isolate_real_roots(q, 0, 2)[0])
     merged = refine_disjoint([r1, r2], Fraction(1, 4))
     assert len(merged) == 1
     # sqrt 2 from three polynomials, 1 and 3 from (x - 1)(x - 3), and -sqrt 2
-    sqrt2 = [isolate_real_roots(p, 0, 2)[0] for p in ([-2, 0, 1], [-4, 0, 2], [-2, 0, 1, 0, 0])]
-    one, three = isolate_real_roots([3, -4, 1], 0, 4)
-    [minus] = isolate_real_roots([-2, 0, 1], -2, 0)
+    sqrt2 = [as_fraction(isolate_real_roots(p, 0, 2)[0]) for p in ([-2, 0, 1], [-4, 0, 2], [-2, 0, 1, 0, 0])]
+    one, three = map(as_fraction, isolate_real_roots([3, -4, 1], 0, 4))
+    [minus] = map(as_fraction, isolate_real_roots([-2, 0, 1], -2, 0))
     inputs = [three, sqrt2[0], minus, sqrt2[1], one, sqrt2[2]]
     kept = refine_disjoint(inputs, Fraction(1, 4))
     assert len(kept) == 4 and all(a.hi <= b.lo for a, b in zip(kept, kept[1:]))
@@ -370,8 +404,8 @@ def test_refine_disjoint_merges_same_root():
 def test_refine_disjoint_keeps_distinct_roots_of_one_polynomial():
     # overlapping brackets of one polynomial around its two different roots
     p = [3, -4, 1]  # (x - 1)(x - 3)
-    [r1] = isolate_real_roots(p, 0, Fraction(5, 2))
-    [r3] = isolate_real_roots(p, 2, 4)
+    [r1] = fraction_isolate_real_roots(p, 0, Fraction(5, 2))
+    [r3] = map(as_fraction, isolate_real_roots(p, 2, 4))
     assert r1.hi > r3.lo
     kept = refine_disjoint([r1, r3], 10)
     assert len(kept) == 2
@@ -391,20 +425,20 @@ def reference_refine(r, width, exact):
     p = UniPoly(f)
     s_lo = p.evaluate(lo)
     if s_lo == 0:
-        return RootInterval(lo, lo, f)
+        return FractionInterval(lo, lo, f)
     if p.evaluate(hi) == 0:
-        return RootInterval(hi, hi, f)
+        return FractionInterval(hi, hi, f)
     while hi - lo > width:
         m = (lo + hi) / 2
         pm = p.evaluate(m)
         if pm == 0:
             exact.append(m)
-            return RootInterval(m, m, f)
+            return FractionInterval(m, m, f)
         if (s_lo > 0) != (pm > 0):
             hi = m
         else:
             lo, s_lo = m, pm
-    return RootInterval(lo, hi, f)
+    return FractionInterval(lo, hi, f)
 
 
 def reference_integer_in(r, exact):
@@ -413,19 +447,20 @@ def reference_integer_in(r, exact):
     return k if k <= r.hi and UniPoly(r.polynomial).evaluate(k) == 0 else None
 
 
-def _midpoint_root_brackets(rng, count):
+def _midpoint_root_brackets(rng, count, dens=range(1, 10)):
     """Sign-changing brackets [a, b] of polynomials with rational `Fraction`
     coefficients whose rational roots, some double, lie on the successive
     midpoints of a random walk of halvings from [a, b], so that refinement
-    often meets a root at a midpoint."""
+    often meets a root at a midpoint.  The ends that are not integers have
+    their denominators in `dens`."""
     out = []
     while len(out) < count:
         if rng.random() < 0.3:
             a = Fraction(rng.randint(-20, 20))
             b = a + rng.choice([6, 12, 24, 64])  # integer midpoints
         else:
-            a = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-            b = a + Fraction(rng.randint(1, 40), rng.randint(1, 9))
+            a = Fraction(rng.randint(-40, 40), rng.choice(dens))
+            b = a + Fraction(rng.randint(1, 40), rng.choice(dens))
         p = UniPoly([Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([-1, 1])])
         lo, hi = a, b
         for _ in range(rng.randint(1, 8)):
@@ -437,19 +472,70 @@ def _midpoint_root_brackets(rng, count):
         c = a + (b - a) * Fraction(rng.randint(1, 99), 100)
         p = p * (UniPoly([-c, 1]) if rng.random() < 0.5 else UniPoly([-c * c - Fraction(1, 7), 0, 1]))
         if p.evaluate(a) * p.evaluate(b) < 0:
-            out.append(RootInterval(a, b, ints(p)))
+            out.append(FractionInterval(a, b, ints(p)))
     return out
 
 
+def dyadic(r):
+    """The `RootInterval` of the `FractionInterval` r, whose ends have
+    power-of-two denominators."""
+    k = max(r.lo.denominator, r.hi.denominator).bit_length() - 1
+    return RootInterval(int(r.lo * 2**k), int(r.hi * 2**k), k, r.polynomial)
+
+
 def test_brackets_identical_to_fraction_reference():
+    """`refine_root` on dyadic brackets gives the brackets of bisection at
+    `Fraction` midpoints, end for end, exact ones included."""
     rng = random.Random(2024)
     exact = []
-    for r in _midpoint_root_brackets(rng, 120):
+    for r in _midpoint_root_brackets(rng, 120, dens=(1, 2, 4, 8)):
         for width in ((r.hi - r.lo) / 3, Fraction(1, 64), Fraction(1, 10**6)):
-            assert refine_root(r, width) == reference_refine(r, width, exact), (r, width)
-        assert integer_in(r) == reference_integer_in(r, exact), r
+            assert as_fraction(refine_root(dyadic(r), width)) == reference_refine(r, width, exact), (r, width)
+        assert integer_in(dyadic(r)) == reference_integer_in(r, exact), r
     # refinement often ended on a root at a midpoint
     assert len(exact) > 100, len(exact)
+
+
+def test_isolation_matches_the_fraction_reference_on_integer_ends():
+    """On seeded integer polynomials and integer ranges, `isolate_real_roots`
+    gives the brackets of the `Fraction` reference
+    (`fraction_isolate_real_roots`), end for end, polynomial for polynomial
+    and in order, `count_real_roots` their number, and `refine_root` the
+    reference's refinements.  The draws put a root at the midpoint of the
+    range with a root on each side of it, two roots in one unit gap, roots
+    at both range ends, irrational pairs and repeated factors."""
+    rng = random.Random(55)
+    seen = Counter()
+    for _ in range(400):
+        lo = rng.randint(-30, 30)
+        hi = lo + rng.choice([0, 1, rng.randint(2, 40)])
+        p = UniPoly([rng.choice([-3, -1, 1, 2])])
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(5)
+            if kind == 0:  # the midpoint m of the range, and m - 1/3 and m + 1/5
+                m = Fraction(lo + hi, 2)
+                p = p * UniPoly([-m, 1]) * UniPoly([-m + Fraction(1, 3), 1]) * UniPoly([-m - Fraction(1, 5), 1])
+                seen["midpoint"] += hi - lo >= 1
+            elif kind == 1:  # a + 3/10 and a + 6/10
+                a = rng.randint(lo - 1, hi)
+                p = p * UniPoly([-(10 * a + 3), 10]) * UniPoly([-(10 * a + 6), 10])
+                seen["twins"] += lo <= a < hi
+            elif kind == 2:
+                p = p * UniPoly([-lo, 1]) * UniPoly([-hi, 1])
+                seen["both_ends"] += lo < hi
+            elif kind == 3:  # a +- sqrt(q)
+                p = p * (UniPoly([-rng.randint(lo, hi), 1]) ** 2 - UniPoly([rng.choice([2, 3, 5])]))
+            else:
+                f = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 5)])
+                p = p * (f**2 if rng.random() < 0.3 else f)
+        f = ints(p)
+        got, want = isolate_real_roots(f, lo, hi), fraction_isolate_real_roots(f, lo, hi)
+        assert [as_fraction(r) for r in got] == want, (p, lo, hi)
+        assert count_real_roots(f, lo, hi) == len(want), (p, lo, hi)
+        for r, s in zip(got, want):
+            assert as_fraction(refine_root(r, Fraction(1, 64))) == fraction_refine_root(s, Fraction(1, 64)), (p, r)
+        seen["between"] += any(r.is_exact() and 0 < k < len(want) - 1 for k, r in enumerate(want))
+    assert min(seen.values()) >= 30, seen
 
 
 def test_isolation_takes_a_midpoint_root_as_exact():
@@ -460,13 +546,13 @@ def test_isolation_takes_a_midpoint_root_as_exact():
     p = UniPoly([-6, 1]) * UniPoly([-2, 0, 1]) * UniPoly([-9, 1])
     roots = isolate_real_roots(ints(p), 0, 12)
     assert len(roots) == count_real_roots(ints(p), 0, 12) == naive_sturm_count(p, 0, 12) == 3
-    assert [r for r in roots if r.is_exact()] == [RootInterval(Fraction(6), Fraction(6), ints(p))]
+    assert [as_fraction(r) for r in roots if r.is_exact()] == [FractionInterval(Fraction(6), Fraction(6), ints(p))]
     for r in roots:
         if not r.is_exact():
             f = UniPoly(r.polynomial)
-            assert f.evaluate(r.lo) * f.evaluate(r.hi) < 0 and f.evaluate(6) != 0, r
-    wide = RootInterval(Fraction(4), Fraction(8), ints(p))
-    assert refine_root(wide, Fraction(1, 8)) == RootInterval(Fraction(6), Fraction(6), ints(p))
+            assert f.evaluate(ends(r)[0]) * f.evaluate(ends(r)[1]) < 0 and f.evaluate(6) != 0, r
+    wide = RootInterval(4, 8, 0, ints(p))
+    assert as_fraction(refine_root(wide, Fraction(1, 8))) == FractionInterval(Fraction(6), Fraction(6), ints(p))
 
 
 # -- signs at an isolated root ----------------------------------------------------------
@@ -480,14 +566,15 @@ def reference_sign_at_root(r, v):
     if vp.is_zero():
         return 0
     if r.is_exact():
-        val = vp.evaluate(r.lo)
+        val = vp.evaluate(ends(r)[0])
         return (val > 0) - (val < 0)
     g = poly_gcd(r.polynomial, ints(vp))
-    if len(g) >= 2 and count_real_roots(g, r.lo, r.hi) > 0:
+    if len(g) >= 2 and fraction_count_real_roots(g, *ends(r)) > 0:
         return 0
-    while count_real_roots(ints(vp), r.lo, r.hi) > 0:
-        r = refine_root(r, (r.hi - r.lo) / 2)
-    val = vp.evaluate(r.lo)
+    while fraction_count_real_roots(ints(vp), *ends(r)) > 0:
+        lo, hi = ends(r)
+        r = refine_root(r, (hi - lo) / 2)
+    val = vp.evaluate(ends(r)[0])
     return (val > 0) - (val < 0)
 
 
@@ -496,7 +583,7 @@ def test_sign_at_root_sqrt2(monkeypatch):
         raise AssertionError("sign_at_root must not take a gcd")
 
     monkeypatch.setattr("latcurve.unipoly.poly_gcd", no_gcd)
-    sqrt2 = RootInterval(Fraction(1), Fraction(2), (-2, 0, 1))
+    sqrt2 = RootInterval(1, 2, 0, (-2, 0, 1))
     assert sign_at_root(sqrt2, [0, -2, 0, 1]) == 0  # y^3 - 2y
     assert sign_at_root(sqrt2, [-10, -2, 5, 1]) == 0  # (y^2 - 2)(y + 5)
     # 4y - 5 has its root 5/4 inside (1, 2) but below sqrt(2)
@@ -507,12 +594,12 @@ def test_sign_at_root_sqrt2(monkeypatch):
 
 
 def test_sign_at_root_exact_bracket():
-    three = RootInterval(Fraction(3), Fraction(3), (-3, 1))
+    three = RootInterval(3, 3, 0, (-3, 1))
     assert sign_at_root(three, [-9, 0, 1]) == 0
     assert sign_at_root(three, [1, 1]) == 1
     assert sign_at_root(three, [-4, 1]) == -1
     assert sign_at_root(three, []) == 0
-    half = RootInterval(Fraction(1, 2), Fraction(1, 2), (-1, 2))
+    half = RootInterval(1, 1, 1, (-1, 2))
     assert sign_at_root(half, [-1, 2]) == 0
     assert sign_at_root(half, [-1, 0, 8]) == 1  # 8/4 - 1
 
@@ -617,8 +704,8 @@ def test_primitive_ints():
 
 def test_integer_in():
     p = (-6, 1, 1)  # (x - 2)(x + 3)
-    assert integer_in(RootInterval(Fraction(2), Fraction(2), p)) == 2
-    assert integer_in(RootInterval(Fraction(5, 2), Fraction(5, 2), (-5, 2))) is None
+    assert integer_in(RootInterval(2, 2, 0, p)) == 2
+    assert integer_in(RootInterval(5, 5, 1, (-5, 2))) is None
     assert [integer_in(r) for r in isolate_real_roots(p, -10, 10)] == [-3, 2]
     # sqrt(10^12 + 1) lies within 10^-6 of the integer 10^6
     near = UniPoly([-(10**12 + 1), 0, 1])
@@ -639,7 +726,7 @@ def test_rational_root_in():
     # the irrational roots +-1/sqrt(2)
     assert rational_root_in(ints(p), half, Fraction(1)) is None
     assert rational_root_in(ints(p), Fraction(-1), Fraction(0)) is None
-    assert [rational_root_in(r.polynomial, r.lo, r.hi) for r in isolate_real_roots(ints(p), -2, 2)] == [None, third, None]
+    assert [rational_root_in(r.polynomial, *ends(r)) for r in isolate_real_roots(ints(p), -2, 2)] == [None, third, None]
     # an exact bracket decides by one evaluation
     assert rational_root_in(ints(p), third, third) == third
     assert rational_root_in(ints(p), half, half) is None
@@ -984,14 +1071,14 @@ def chain_integer_roots(p, lo=None, hi=None):
     if lo > hi:
         return []
     found = [lo] if unipoly._int_eval(sf, lo) == 0 else []
-    parts = [(lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))]
+    parts = [(lo, hi, _int_variations(chain, lo, 1), _int_variations(chain, hi, 1))]
     while parts:
         a, b, va, vb = parts.pop()
         if va == vb:
             continue
         if va - vb > 1 and b - a > 1:
             m = (a + b) // 2
-            vm = _int_variations(chain, m)
+            vm = _int_variations(chain, m, 1)
             parts.append((m, b, vm, vb))
             parts.append((a, m, va, vm))
             continue
@@ -1022,7 +1109,7 @@ def chain_ranked_integer_root(p, index):
     a, b, count_b = -bound, bound, n
     while b - a > 1:
         m = (a + b) // 2
-        count_m = v_neg - _int_variations(chain, m)
+        count_m = v_neg - _int_variations(chain, m, 1)
         if count_m > index:
             b, count_b = m, count_m
         else:
@@ -1199,7 +1286,7 @@ def test_all_real_roots_finds_every_root():
     assert [integer_in(r) for r in roots] == [-3, 10**6]
     # (3x - 1)^2 (x^2 - 2): -sqrt(2) < 1/3 < sqrt(2), the double root once
     p = UniPoly([-1, 3]) ** 2 * UniPoly([-2, 0, 1])
-    low, third, high = all_real_roots(ints(p))
+    low, third, high = map(as_fraction, all_real_roots(ints(p)))
     assert low.hi <= third.lo and third.hi <= high.lo
     assert low.hi <= 0 and low.lo * low.lo >= 2 >= low.hi * low.hi
     assert third.lo <= Fraction(1, 3) <= third.hi
@@ -1216,7 +1303,13 @@ def sturm_only_count(p, lo, hi):
     """`count_real_roots` as it was before the Descartes certificates: every
     count on the Sturm chain of p's squarefree part."""
     sf, chain = integer_squarefree_chain(p)
-    return (_rat_eval(sf, lo) == 0) + _int_variations(chain, lo) - _int_variations(chain, hi)
+    return (fraction_eval(sf, lo) == 0) + _variations(chain, lo) - _variations(chain, hi)
+
+
+def _variations(chain, x):
+    """Sign variations of the integer chain at the rational x."""
+    x = Fraction(x)
+    return _int_variations(chain, x.numerator, x.denominator)
 
 
 def sturm_only_isolation(p, lo, hi):
@@ -1224,34 +1317,34 @@ def sturm_only_isolation(p, lo, hi):
     splitting at midpoints and taking a root there as exact."""
     lo, hi = Fraction(lo), Fraction(hi)
     sf, chain = integer_squarefree_chain(p)
-    ends = [e for e in ((lo, hi) if hi > lo else (lo,)) if _rat_eval(sf, e) == 0]
-    out = [RootInterval(e, e, tuple(sf)) for e in ends]
+    roots = [e for e in ((lo, hi) if hi > lo else (lo,)) if fraction_eval(sf, e) == 0]
+    out = [FractionInterval(e, e, tuple(sf)) for e in roots]
     inner = sf
-    for e in ends:
+    for e in roots:
         inner = int_exact_quotient(inner, [-e.numerator, e.denominator])
     if hi == lo or len(inner) < 2:
         return out
     # V(a) - V(b) counts the roots of sf in (a, b], so a root at b reported
     # exact is taken off
-    exact = set(ends)
+    exact = set(roots)
 
     def split(g, a, b, va, vb):
         k = va - vb - (b in exact)
         if k == 0:
             return
         if k == 1:
-            out.append(RootInterval(a, b, tuple(g)))
+            out.append(FractionInterval(a, b, tuple(g)))
             return
         m = (a + b) / 2
-        if _rat_eval(g, m) == 0:
-            out.append(RootInterval(m, m, tuple(g)))
+        if fraction_eval(g, m) == 0:
+            out.append(FractionInterval(m, m, tuple(g)))
             exact.add(m)
             g = int_exact_quotient(g, [-m.numerator, m.denominator])
-        vm = _int_variations(chain, m)
+        vm = _variations(chain, m)
         split(g, a, m, va, vm)
         split(g, m, b, vm, vb)
 
-    split(inner, lo, hi, _int_variations(chain, lo), _int_variations(chain, hi))
+    split(inner, lo, hi, _variations(chain, lo), _variations(chain, hi))
     return sorted(out, key=lambda r: r.lo)
 
 
@@ -1313,10 +1406,10 @@ def test_isolation_and_count_match_sturm_only_reference():
     # domains whose midpoints of successive halvings hold roots
     cases += [(UniPoly(r.polynomial), r.lo, r.hi) for r in _midpoint_root_brackets(rng, 60)]
     for p, lo, hi in cases:
-        got, want = isolate_real_roots(ints(p), lo, hi), sturm_only_isolation(ints(p), lo, hi)
+        got, want = isolate_on(ints(p), lo, hi), sturm_only_isolation(ints(p), lo, hi)
         seen["midpoint_root"] += sum(r.is_exact() and lo < r.lo < hi for r in got)
         assert [(r.lo, r.hi) for r in got] == [(r.lo, r.hi) for r in want], (p, lo, hi)
-        assert count_real_roots(ints(p), lo, hi) == sturm_only_count(ints(p), lo, hi) == len(want), (p, lo, hi)
+        assert count_on(ints(p), lo, hi) == sturm_only_count(ints(p), lo, hi) == len(want), (p, lo, hi)
         for r, s in zip(got, want):
             if r.is_exact():
                 assert p.evaluate(r.lo) == 0
@@ -1325,7 +1418,7 @@ def test_isolation_and_count_match_sturm_only_reference():
             # but refines to the same brackets as the squarefree one
             assert UniPoly(r.polynomial).evaluate(r.lo) * UniPoly(r.polynomial).evaluate(r.hi) < 0
             for w in ((r.hi - r.lo) / 5, Fraction(1, 10**4)):
-                a, b = refine_root(r, w), refine_root(s, w)
+                a, b = fraction_refine_root(r, w), fraction_refine_root(s, w)
                 assert (a.lo, a.hi) == (b.lo, b.hi)
         sf = UniPoly(squarefree_part(ints(p)))
         seen["negative_lo"] += lo < 0
@@ -1343,8 +1436,8 @@ def test_same_root_matches_sturm_only_reference():
     agree = {True: 0, False: 0}
     for p, lo, hi in _certificate_cases(rng, 150):
         q = p * UniPoly([rng.randint(-9, 9), rng.randint(1, 4)])
-        brackets = isolate_real_roots(ints(p), lo, hi) + isolate_real_roots(ints(q), lo - 1, hi + 1)
-        brackets += [refine_root(r, (r.hi - r.lo) / 3) for r in brackets if not r.is_exact()]
+        brackets = isolate_on(ints(p), lo, hi) + isolate_on(ints(q), lo - 1, hi + 1)
+        brackets += [fraction_refine_root(r, (r.hi - r.lo) / 3) for r in brackets if not r.is_exact()]
         for a in brackets:
             for b in brackets:
                 want = sturm_only_same_root(a, b)
@@ -1375,7 +1468,7 @@ def test_same_root_modular_coprimality(monkeypatch):
     monkeypatch.setattr(reference_helpers, "poly_gcd", counted)
     for p, q, lo, hi, want in cases:
         (a,), (b,) = isolate_real_roots(ints(p), lo, hi), isolate_real_roots(ints(q), lo, hi)
-        a, b = refine_root(a, Fraction(1, 10**4)), refine_root(b, Fraction(1, 10**4))
+        a, b = as_fraction(refine_root(a, Fraction(1, 10**4))), as_fraction(refine_root(b, Fraction(1, 10**4)))
         assert (a.lo, a.hi) == (b.lo, b.hi) and a.polynomial != b.polynomial
         gcd_calls.clear()
         assert _same_root(a, b) == sturm_only_same_root(a, b) == want
@@ -1436,6 +1529,13 @@ def test_graeffe_step_squares_integer_roots():
     assert graeffe_step([]) == []
 
 
+def descartes_on(f, lo, hi):
+    """`descartes_bound` on the rational (lo, hi), over the lcm d of the
+    reduced denominators of its ends."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    return descartes_bound(f, lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d)
+
+
 def test_descartes_bound_is_an_upper_bound_of_the_same_parity():
     rng = random.Random(162)
     decided = {0: 0, 1: 0, "more": 0}
@@ -1457,9 +1557,9 @@ def test_descartes_bound_is_an_upper_bound_of_the_same_parity():
         f = unipoly.primitive_ints(p.coeffs)
         lo = Fraction(rng.randint(-40, 40), rng.randint(1, 3))
         hi = lo + Fraction(rng.randint(1, 60), rng.randint(1, 3))
-        if _rat_eval(f, lo) == 0 or _rat_eval(f, hi) == 0:
+        if fraction_eval(f, lo) == 0 or fraction_eval(f, hi) == 0:
             continue
-        v = descartes_bound(f, lo, hi)
+        v = descartes_on(f, lo, hi)
         true = _true_open_count(factors, lo, hi)
         assert v >= true and (v - true) % 2 == 0, (p, lo, hi, v, true)
         decided[v if v <= 1 else "more"] += 1
@@ -1486,9 +1586,9 @@ def test_descartes_bound_matches_its_former_half_line_shortcut():
         f = unipoly.primitive_ints(p.coeffs)
         lo = Fraction(rng.randint(0, 40), rng.randint(1, 3))
         hi = lo + Fraction(rng.randint(1, 40), rng.randint(1, 3))
-        if _rat_eval(f, lo) == 0 or _rat_eval(f, hi) == 0:
+        if fraction_eval(f, lo) == 0 or fraction_eval(f, hi) == 0:
             continue
-        v = descartes_bound(f, lo, hi)
+        v = descartes_on(f, lo, hi)
         assert v == half_line_descartes_bound(f, lo, hi), (f, lo, hi)
         regime[min(unipoly.sign_variations(f), 2), min(v, 2)] += 1
     # the shortcut's regime, with no root and with one root in (lo, hi)
@@ -1573,16 +1673,19 @@ def test_root_slot_matches_count_real_roots():
     rng = random.Random(87)
     seen = {"exact": 0, "gap": 0, "bisected": 0, "no_integer": 0}
     for p, lo, hi in _certificate_cases(rng, 300):
-        for r in isolate_real_roots(ints(p), lo, hi):
-            for s in (r, refine_root(r, 1), refine_root(r, Fraction(1, 3)), refine_root(r, (r.hi - r.lo) / 7 or 1)):
-                k = math.ceil(s.lo)
-                while count_real_roots(s.polynomial, s.lo, min(Fraction(k), s.hi)) == 0:
+        lo, hi, isolate, _, refine = _root_layer(lo, hi)
+        for r in isolate(ints(p), lo, hi):
+            r_lo, r_hi = ends(r)
+            for s in (r, refine(r, 1), refine(r, Fraction(1, 3)), refine(r, (r_hi - r_lo) / 7 or 1)):
+                s_lo, s_hi = ends(s)
+                k = math.ceil(s_lo)
+                while fraction_count_real_roots(s.polynomial, s_lo, min(Fraction(k), s_hi)) == 0:
                     k += 1
-                exact = k <= s.hi and UniPoly(s.polynomial).evaluate(k) == 0
+                exact = k <= s_hi and UniPoly(s.polynomial).evaluate(k) == 0
                 assert root_slot(s) == (k, exact), s
                 seen["exact" if exact else "gap"] += 1
-                seen["bisected"] += math.ceil(s.lo) < k <= math.floor(s.hi) - 1
-                seen["no_integer"] += math.ceil(s.lo) > math.floor(s.hi)
+                seen["bisected"] += math.ceil(s_lo) < k <= math.floor(s_hi) - 1
+                seen["no_integer"] += math.ceil(s_lo) > math.floor(s_hi)
     assert min(seen.values()) > 50, seen
 
 
@@ -1645,7 +1748,7 @@ def test_root_slots_match_isolation():
     for p in _slot_reader_cases(rng, 250):
         bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])  # every root lies in (-bound, bound)
         whole = isolate_real_roots(p, -bound, bound)
-        centres = [r.lo for r in whole]
+        centres = [ends(r)[0] for r in whole]
         for _ in range(3):
             lo, hi = _range_end(rng, centres, -bound), _range_end(rng, centres, bound)
             if lo is not None and hi is not None and lo > hi:
@@ -1675,7 +1778,7 @@ def test_slot_runs_tile_the_range_between_the_roots():
     seen = Counter()
     for p in _slot_reader_cases(rng, 200):
         bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])
-        centres = [r.lo for r in isolate_real_roots(p, -bound, bound)] or [0]
+        centres = [ends(r)[0] for r in isolate_real_roots(p, -bound, bound)] or [0]
         for _ in range(3):
             lo = math.floor(rng.choice(centres)) + rng.choice([-6, -1, 0, 0, 1])
             hi = lo + rng.randint(0, 20)
@@ -1715,14 +1818,15 @@ def test_slot_bracket_reads_the_root_of_the_whole_line_bracket():
         whole = all_real_roots(p)
         assert len(whole) == len(slots), p
         vs = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] for _ in range(3)]
-        vs += [list(ints(UniPoly([-r.lo, 1]))) for r in whole if r.is_exact()][:2]
+        vs += [list(ints(UniPoly([-ends(r)[0], 1]))) for r in whole if r.is_exact()][:2]
         vs += [[-(2 * c - 1), 2] for c, exact in slots if not exact][:1]
         for j, ((c, exact), ref) in enumerate(zip(slots, whole)):
             got = slot_bracket(p, slots, j)
+            lo, hi = ends(got)
             if exact:
-                assert got.lo == got.hi == c, (p, j)
+                assert lo == hi == c, (p, j)
             else:
-                assert c - 1 <= got.lo and got.hi <= c and not (got.is_exact() and got.lo == c - 1), (p, j)
+                assert c - 1 <= lo and hi <= c and not (got.is_exact() and lo == c - 1), (p, j)
             assert root_slot(got) == root_slot(ref) == (c, exact), (p, j)
             for v in vs:
                 s = sign_at_root(got, v)

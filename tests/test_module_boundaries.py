@@ -27,7 +27,9 @@
   no caller sets is a constant.
 - No value outlives a count: `lru_cache` is bound only to `hk_sequence`,
   `squarefree_part` and `sturm_chain`, whose `cache_info()` latbench reads.
-  What a count derives from a curve lives on its `branch.FrameRecord`."""
+  What a count derives from a curve lives on its `branch.FrameRecord`.
+- The integer core makes no rational: `unipoly`, `branch`, `exactlinalg`
+  and `monomials` call no `Fraction`."""
 
 import ast
 import re
@@ -113,6 +115,30 @@ def test_nothing_isolates_outside_unipoly():
         if path.stem != "unipoly"
         for name in ("isolate_real_roots", "root_slot")
         if (lines := references(path.read_text(), name))
+    }
+    assert found == {}
+
+
+def fraction_calls(source: str) -> list[int]:
+    """The line of each call of `Fraction`, by name or as an attribute, in
+    the module source."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Fraction" or getattr(node.func, "attr", None) == "Fraction")
+    ]
+
+
+def test_the_integer_core_calls_no_fraction():
+    assert fraction_calls(
+        "from fractions import Fraction\nx: Fraction | int = 0\nhalf = Fraction(1, 2)\n"
+        "def f(w: Fraction) -> Fraction:\n    return fractions.Fraction(w)\nmake = Fraction\n"
+    ) == [3, 5]
+    found = {
+        name: lines
+        for name in ("unipoly", "branch", "exactlinalg", "monomials")
+        if (lines := fraction_calls((PACKAGE / f"{name}.py").read_text()))
     }
     assert found == {}
 
