@@ -415,7 +415,6 @@ def determinant_method_count(
     spec = DerivativeBoundSpec(X=n_box, delta=delta, N=n_box)
 
     warnings: list[str] = []
-    ok = True
     oracle_total: Optional[int] = None
     # one check of the input's lines, so its error does not depend on the oracle
     if compare_oracle:
@@ -449,7 +448,6 @@ def determinant_method_count(
                         f"curve budget exceeded on piece {interval}: "
                         f"{len(hits_by_curve)} > {budget}"
                     )
-                    ok = False
                 curve_dicts = []
                 for cov, frame_hits in hits_by_curve:
                     hits = _unswap(frame_hits, br.swapped)
@@ -465,7 +463,6 @@ def determinant_method_count(
                     warnings.append(
                         f"large-derivative piece {interval} exceeds 2/delta"
                     )
-                    ok = False
                 boxed = [p for p in _unswap(pts, br.swapped) if _in_box(p, n_box)]
                 direct_points.update(boxed)
                 piece_reports.append(
@@ -478,7 +475,6 @@ def determinant_method_count(
 
     if compare_oracle and oracle_total != total:
         warnings.append(f"oracle mismatch: pipeline {total} vs sweep {oracle_total}")
-        ok = False
 
     return CountReport(
         parameters={
@@ -494,5 +490,5 @@ def determinant_method_count(
         per_branch=branch_reports,
         exceptions=exceptions,
         warnings=warnings,
-        ok=ok,
+        ok=not warnings,
     )

@@ -6,7 +6,7 @@ holds lo, hi and k for the bracket [lo/2^k, hi/2^k].  The one polynomial
 type, `UniPoly`, is only the
 record that `poly2.resultant_eliminating_y` returns: it has no arithmetic.  Every root
 query takes an integer coefficient list p and works on its primitive form f
-(`_primitive`, once on entry), except that the integer root search keeps any
+(`_primitive`, once on entry), except that the integer root walk keeps any
 p with a nonzero top coefficient as it is: its closed forms, sign variations
 and sign bisections hold for every integer multiple, and the isolation it
 calls normalises.  Roots are reported as dyadic isolating intervals that
@@ -23,38 +23,39 @@ reversal and one Taylor shift.
 A domain with v >= 2 is bisected on the squarefree part (`squarefree_part`,
 proved squarefree by a gcd modulo a prime where it can be) until every part
 has v <= 1; `count_real_roots` counts the brackets.  Integer roots are found
-on integer endpoints only, by one search (`_root_slots`) that lists the
-real roots in increasing order as slots (c, exact), c the ceiling of the
-root and exact whether the root is c:
-`root_slots` keeps the slots of the roots in a range, one per root, and
-`integer_roots`, in its own pass, the exact ones; `run_integer_roots`
-gives those of a run of columns of a bivariate polynomial's rows, solving
-columns of degree 1 and 2 in one loop with no call per column; `slot_runs`
-cuts an integer range into the runs between those slots.  `slot_bracket`
-turns the slot of one root into its isolating interval by one isolation
-over its unit gap.  The search decides degree <= 2 in closed form, with
-`math.isqrt` for the ceilings of irrational roots.  Otherwise each
-half-line the range meets is certified by Descartes' rule on p's own
-coefficients (`_half_line_bounds`) and searched from its end of the range
-(`_half_slots`).  A half with bound at most 1 locates its one simple root
-by a sign test at the ends of its part of the range and, when it lies
-there, by integer sign bisection on p down to its ceiling
-(`_bisect_ceiling`).  A half with bound >= 2 runs Descartes bisection at
-integer points (`descartes_bound` on each part, split at integer
-midpoints) down to parts of bound at most 1 or of width 1, where
+on integer endpoints only, by one walk (`root_slots`) that lists the real
+roots in a range, increasing, as slots (c, exact), one per root, c the
+ceiling of the root and exact whether the root is c.  `integer_roots`
+keeps the exact slots; `run_integer_roots` gives those of a run of
+columns of a bivariate polynomial's rows, solving columns of degree 1 and
+2 in one loop; `slot_runs` cuts an integer range into the runs between
+the slots; `slot_bracket` turns one slot into an isolating interval by
+one isolation over its unit gap.  The walk decides degree <= 2 in closed
+form, with `math.isqrt` for irrational roots.  Otherwise it clips the
+range to a root bound (`_int_root_bound`: Cauchy's or Fujiwara's) and
+searches each half-line where Descartes' rule on p's own coefficients
+leaves a root from its end of the range (`_half_slots`).  A half with
+bound 1 takes a sign test at the ends of its part of the range and, when
+the root lies there, integer sign bisection on p down to its ceiling
+(`_bisect_ceiling`).  A larger bound runs Descartes bisection at integer
+points down to parts of bound at most 1 or of width 1, where
 `count_real_roots` counts the roots of the unit gap.
-Every bisection, in isolation and in refinement (`refine_root`), maps the
-part (a, b) at scale k to (2a, a + b) and (a + b, 2b) at scale k + 1, and
-a root at the midpoint a + b is taken as an exact bracket.  A polynomial
-at x = num/den is evaluated as the integer den^deg * f(x) (`_rat_eval`).
+Bisection at dyadic points, in isolation and in refinement (`refine_root`),
+maps the part (a, b) at scale k to (2a, a + b) and (a + b, 2b) at scale
+k + 1, and a root at the midpoint a + b is taken as an exact bracket.  A
+polynomial at x = num/den is evaluated as the integer den^deg * f(x)
+(`_rat_eval`).
 The sign of an integer polynomial v at an isolated root is a Tarski query
 (`sign_at_root`): sign variations at the bracket ends of the signed
 remainder sequence of the bracket polynomial f and f'*v mod f, built on
 integers (`_int_sturm_chain`), with no gcd and no interval enclosure.  No
-root is located on a Sturm chain.
-The package locates roots only through this module: one entry normaliser, one affine map, one Descartes bound, one
-squarefree part, one bisection rule, one integer root search, one rule
-from slots to runs and one sign test.
+root is located on a Sturm chain; `integer_squarefree_chain`, a squarefree
+part with its Sturm chain, serves only latbench and the tests.
+The package locates roots only through this module: two normalisers
+(`_primitive` on integers, `primitive_ints` on rationals), one affine map,
+one Descartes bound, one squarefree part, bisection at dyadic and at
+integer points, one integer root walk, one rule from slots to runs and one
+sign test.
 """
 
 from __future__ import annotations
@@ -270,8 +271,19 @@ def squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _int_root_bound(f: Sequence[int]) -> int:
-    """An integer B > |r| for every complex root r of the nonzero f."""
-    return 1 + -(-max(map(abs, f[:-1]), default=0) // abs(f[-1]))
+    """An integer B > |r| for every complex root r of the nonzero f of
+    degree n: the smaller of Cauchy's bound 1 + ceil(max |c_k/c_n|) and
+    1 + 2^e, for the least e >= 1 with 2^e at least Fujiwara's bound
+    2 max(|c_(n-k)/c_n|^(1/k) for k < n, |c_0/(2 c_n)|^(1/n)).  A term with
+    ratio ceiling q asks 2^((e - 1)k) >= q, that is e - 1 >= ceil(L/k) for
+    the bit length L of q - 1: no root is taken."""
+    n, lead = len(f) - 1, abs(f[-1])
+    e = 1
+    for k in range(1, n + 1):
+        if f[n - k]:
+            q = -(-abs(f[n - k]) // (2 * lead if k == n else lead))
+            e = max(e, 1 - (-(q - 1).bit_length() // k))
+    return min(1 + -(-max(map(abs, f[:-1]), default=0) // lead), (1 << e) + 1)
 
 
 def _int_eval(f: Sequence[int], x: int) -> int:
@@ -533,10 +545,10 @@ def _coprime_mod_p(f: Sequence[int], g: Sequence[int]) -> bool:
     return True
 
 
-def _small_real_roots(f: Sequence[int]) -> list[tuple[int, bool]]:
-    """The slots of the distinct real roots of the nonzero integer polynomial
-    f of degree at most 2, increasing: (c, exact) with c the ceiling of the
-    root and exact whether the root is c.
+def _small_real_roots(f: Sequence[int], lo: int | None, hi: int | None) -> list[tuple[int, bool]]:
+    """The slots of the distinct real roots in [lo, hi] (unbounded where
+    None) of the nonzero integer polynomial f of degree at most 2,
+    increasing, as `root_slots` gives them.
 
     Degree 0 has no root and degree 1 one floor division.  Degree 2 reads
     the sign of D = b^2 - 4ac: a negative one means no real root.  The roots
@@ -549,41 +561,25 @@ def _small_real_roots(f: Sequence[int]) -> list[tuple[int, bool]]:
         return []
     if len(f) == 2:
         q, r = divmod(-f[0], f[1])
-        return [(q + (r != 0), not r)]
-    c, b, a = f
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    u, v = (-b, 2 * a) if a > 0 else (b, -2 * a)
-    s = math.isqrt(disc)
-    if s * s != disc:
-        return [(-((s - u) // v), False), ((u + s) // v + 1, False)]
-    slots = []
-    for num in ((u,) if s == 0 else (u - s, u + s)):
-        q, r = divmod(num, v)
-        slots.append((q + (r != 0), not r))
-    return slots
-
-
-def _half_line_bounds(f: Sequence[int], neg: bool, pos: bool) -> tuple[Sequence[int], bool, int, int]:
-    """(g, whether 0 is a root, v_neg, v_pos) for the nonzero integer f.
-
-    g is f with its factor x^m divided out.  v_neg and v_pos are Descartes'
-    bounds on the roots in (-inf, 0) and (0, inf), the sign variations of
-    g(-y) and of g(y), for the halves that `neg` and `pos` ask for; a half
-    not asked for reads 0.  A bound of 0 means no root on that half-line,
-    and 1 one simple root.
-    """
-    m = 0
-    while not f[m]:
-        m += 1
-    g = f[m:]
-    v_neg = 0
-    if neg:
-        reflected = list(g)
-        reflected[1::2] = [-c for c in reflected[1::2]]
-        v_neg = sign_variations(reflected)
-    return g, m > 0, v_neg, sign_variations(g) if pos else 0
+        slots = [(q + (r != 0), not r)]
+    else:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        u, v = (-b, 2 * a) if a > 0 else (b, -2 * a)
+        s = math.isqrt(disc)
+        if s * s != disc:
+            slots = [(-((s - u) // v), False), ((u + s) // v + 1, False)]
+        else:
+            slots = []
+            for num in ((u,) if s == 0 else (u - s, u + s)):
+                q, r = divmod(num, v)
+                slots.append((q + (r != 0), not r))
+    return [
+        (c, exact) for c, exact in slots
+        if (lo is None or lo < c or exact and c == lo) and (hi is None or c <= hi)
+    ]
 
 
 def _bisect_ceiling(f: Sequence[int], a: int, b: int, sb: int) -> tuple[int, bool]:
@@ -655,45 +651,47 @@ def _half_slots(g: Sequence[int], a: int, b: int, v: int) -> list[tuple[int, boo
     return slots
 
 
-def _root_slots(p: Sequence[int], lo: int | None, hi: int | None) -> list[tuple[int, bool]]:
-    """Slots for the real roots of p, increasing: (c, exact) with c the
-    ceiling of the root and exact whether the root is c.  They hold every
-    real root in [lo, hi] (unbounded where None), one slot per distinct
-    root; only the closed form may hold roots outside the range.
+def root_slots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[tuple[int, bool]]:
+    """The slots (c, exact) of the distinct real roots of p in [lo, hi]
+    (unbounded where None), increasing, one per root (two roots in one unit
+    interval give one slot twice): c is the ceiling of the root and exact
+    whether the root is c, and the root lies in [lo, hi] exactly when
+    lo < c <= hi, or c == lo and the root is c.
 
-    Degree at most 2 takes the closed form (`_small_real_roots`), unfiltered.
-    Otherwise the range is clipped to the root bound and each half-line it
-    meets is certified by Descartes' rule on p's own coefficients
-    (`_half_line_bounds`), then searched from its end of the range by
-    `_half_slots`: a bound of at most 1 takes two evaluations and, when the
-    root lies there, sign bisection on p itself, and a larger one Descartes
-    bisection at integer points.
+    Degree <= 2 takes the closed form (`_small_real_roots`).  Otherwise the
+    range is clipped to the root bound, and each half-line it meets is
+    searched from its end of the range (`_half_slots`) when Descartes' rule
+    on p's own coefficients, with x^m divided out, leaves a root there.
     """
     f = p if p and p[-1] else _primitive(p)
     if len(f) <= 3:
-        return _small_real_roots(f)
+        return _small_real_roots(f, lo, hi)
     bound = _int_root_bound(f)
     lo = -bound if lo is None else max(lo, -bound)
     hi = bound if hi is None else min(hi, bound)
     if lo > hi:
         return []
-    g, zero, v_neg, v_pos = _half_line_bounds(f, lo < 0, hi > 0)
-    slots = _half_slots(g, lo, min(hi, 0), v_neg) if v_neg else []
-    if zero and lo <= 0 <= hi:
+    m = 0
+    while not f[m]:
+        m += 1
+    g = f[m:]
+    slots = []
+    if lo < 0:
+        reflected = list(g)
+        reflected[1::2] = [-c for c in reflected[1::2]]
+        if v := sign_variations(reflected):
+            slots = _half_slots(g, lo, min(hi, 0), v)
+    if m and lo <= 0 <= hi:
         slots.append((0, True))
-    if v_pos:
-        slots += _half_slots(g, max(lo, 0), hi, v_pos)
+    if hi > 0 and (v := sign_variations(g)):
+        slots += _half_slots(g, max(lo, 0), hi, v)
     return slots
 
 
 def integer_roots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[int]:
     """The integer roots of p in [lo, hi] (unbounded where None), increasing:
-    the exact slots of `_root_slots` that lie in the range.  Every decision
-    is made on integers."""
-    return [
-        c for c, exact in _root_slots(p, lo, hi)
-        if exact and (lo is None or lo <= c) and (hi is None or c <= hi)
-    ]
+    the exact slots of `root_slots`."""
+    return [c for c, exact in root_slots(p, lo, hi) if exact]
 
 
 _RUN_BLOCK = 4096  # columns evaluated at once: lists of a whole long run cost time and memory
@@ -751,20 +749,6 @@ def run_integer_roots(rows: Sequence[Sequence[int]], first: int, last: int, lo: 
                 if not r and lo <= q <= hi:
                     found.append((a, q))
     return found
-
-
-def root_slots(p: Sequence[int], lo: int | None = None, hi: int | None = None) -> list[tuple[int, bool]]:
-    """The slots (c, exact) of the distinct real roots of p in [lo, hi]
-    (unbounded where None), increasing, one per root (two roots in one unit
-    interval give one slot twice): those of the `_root_slots` walk whose
-    roots lie in the range.  A root with the ceiling c lies in [lo, hi]
-    exactly when lo < c <= hi, or c == lo and the root is c."""
-    slots = _root_slots(p, lo, hi)
-    if lo is not None:
-        slots = [s for s in slots if lo < s[0] or s == (lo, True)]
-    if hi is not None:
-        slots = [s for s in slots if s[0] <= hi]
-    return slots
 
 
 def slot_runs(slots: Sequence[tuple[int, bool]], lo: int, hi: int) -> list[tuple[int, int]]:

@@ -1291,13 +1291,13 @@ def test_root_slot_edge_cases():
 
 def test_root_slot_reads_a_wide_bracket_unrefined(monkeypatch):
     """The column at 99 of the swapped branch of y^2 - x^3 - x - 1, isolated
-    over its root bound, has the one bracket (-9801, 9801), around a root
+    over its root bound, has the one wide bracket (-65, 65), around a root
     near 21.4: `root_slot` reads its slot (22, False) by integer sign
     bisection, with no refinement, and the bracket refined to width 1/4
     agrees, as does the branch's value bracket, isolated over that unit gap."""
     [br] = [b for b in graph_decompose(parse("y^2 - x^3 - x - 1"), 10**4).branches if b.swapped]
     bracket = all_real_roots(br.curve.int_column(99))[br.root_index]
-    assert (bracket.lo, bracket.hi) == (-9801, 9801)
+    assert (bracket.lo, bracket.hi) == (-65, 65)
     value = branch_value_bracket(br, 99)
     assert (value.lo, value.hi) == (21, 22) and root_slot(value) == (22, False)
     with monkeypatch.context() as m:

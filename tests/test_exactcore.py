@@ -1742,26 +1742,58 @@ def test_root_slots_match_isolation():
     [lo, hi], in order, with an integer root bound standing in for an end
     that is None: on seeded polynomials of degree 1 to 8 with twins in one
     unit gap, integer roots at a gap's lower end, repeated factors and roots
-    near 10^6, over ranges with either end None."""
+    near 10^6, over ranges with either end None; and on polynomials of
+    degree 1 and 2 with roots at lo, at hi, in (lo - 1, lo) and in
+    (hi, hi + 1), which the closed form keeps to the range.  Every root
+    lies strictly inside the walk's bound +-`_int_root_bound(p)`, which is
+    at most Cauchy's."""
     rng = random.Random(44)
-    seen = dict.fromkeys(("twins", "lower_end", "repeated", "near_1e6", "lo_none", "hi_none", "both_none"), 0)
+    seen = dict.fromkeys(("twins", "lower_end", "repeated", "near_1e6", "lo_none", "hi_none", "both_none", "fujiwara"), 0)
+    ends_seen = Counter()
+
+    def check(p, lo, hi):
+        cauchy = 1 + -(-max(map(abs, p[:-1])) // abs(p[-1]))
+        bound = cauchy + 1  # every root lies in (-bound, bound)
+        a, b = -bound if lo is None else lo, bound if hi is None else hi
+        want = [root_slot(r) for r in isolate_real_roots(p, a, b)] if a <= b else []
+        assert root_slots(p, lo, hi) == want, (p, lo, hi)
+        walk_bound = unipoly._int_root_bound(p)
+        assert walk_bound <= cauchy, p
+        assert count_real_roots(p, -bound, bound) == count_real_roots(p, -walk_bound, walk_bound), p
+        assert all(sum(c * e**i for i, c in enumerate(p)) for e in (-walk_bound, walk_bound)), p
+        seen["fujiwara"] += walk_bound < cauchy
+        return want
+
     for p in _slot_reader_cases(rng, 250):
-        bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])  # every root lies in (-bound, bound)
+        bound = 2 + max(map(abs, p[:-1])) // abs(p[-1])
         whole = isolate_real_roots(p, -bound, bound)
         centres = [ends(r)[0] for r in whole]
         for _ in range(3):
             lo, hi = _range_end(rng, centres, -bound), _range_end(rng, centres, bound)
             if lo is not None and hi is not None and lo > hi:
                 lo, hi = hi, lo
-            a, b = -bound if lo is None else lo, bound if hi is None else hi
-            want = [root_slot(r) for r in isolate_real_roots(p, a, b)] if a <= b else []
-            assert root_slots(p, lo, hi) == want, (p, lo, hi)
+            want = check(p, lo, hi)
             seen["lo_none" if hi is not None else "both_none" if lo is None else "hi_none"] += lo is None or hi is None
             seen["twins"] += any(x == y and not x[1] for x, y in zip(want, want[1:]))
             seen["lower_end"] += any(x[1] and y == (x[0] + 1, False) for x, y in zip(want, want[1:]))
             seen["near_1e6"] += any(abs(c) > 10**6 - 20 for c, _ in want)
         seen["repeated"] += squarefree_part(ints(UniPoly(p))) != ints(UniPoly(p))
     assert min(seen.values()) >= 10, seen
+    # degree 1 and 2: integer, rational, irrational and double roots
+    small = [(-3, 1), (-2, 1), (-7, 2), (7, -2), (15, -8, 1), (77, -36, 4), (-1, -2, 1), (9, -6, 1), (49, -28, 4), (-5, 0, -3)]
+    for p in small:
+        slots = root_slots(p)
+        floors = [c - (not exact) for c, exact in slots]
+        los, his = {f + d for f in floors for d in (0, 1)}, {f + d for f in floors for d in (-1, 0, 1)}
+        for lo, hi in itertools.product([None, *sorted(los)], [None, *sorted(his)]):
+            check(p, lo, hi)
+            ends_seen["at_lo"] += lo is not None and (lo, True) in slots
+            ends_seen["at_hi"] += hi is not None and (hi, True) in slots
+            ends_seen["below_lo"] += lo is not None and (lo, False) in slots
+            ends_seen["above_hi"] += hi is not None and (hi + 1, False) in slots
+            ends_seen["lo_none"] += lo is None
+            ends_seen["hi_none"] += hi is None
+    assert min(ends_seen.values()) >= 5 and len(ends_seen) == 6, ends_seen
     assert root_slots([-3, 1], 3, 3) == [(3, True)] and root_slots([-3, 1], 4) == root_slots([-3, 1], None, 2) == []
     assert root_slots([-7, 2], 3, 4) == [(4, False)] and root_slots([-7, 2], 4, 5) == []
     assert root_slots([5]) == [] and root_slots([1, 0, 1]) == []

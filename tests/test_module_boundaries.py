@@ -5,8 +5,10 @@
 - `poly2` is the one place that eliminates: no other module of the package
   references `resultant_eliminating_y`, so its `UniPoly` stays behind
   `poly2.eliminant` and `poly2.discriminant`.
-- `unipoly` reads its integer root walk `_root_slots` alone: every other
-  module reads it through `root_slots` or `integer_roots`.
+- `unipoly` keeps its integer root walk whole: no other module references
+  the walk's helpers `_half_slots`, `_bisect_ceiling` or
+  `_small_real_roots`, so every other module reads it through `root_slots`
+  or `integer_roots`.
 - Outside `unipoly`, nothing isolates or reads a bracket's slot: no other
   module imports or reads `isolate_real_roots` or a `root_slot`, and every
   locus, the level-set eliminants among them, is read by the integer walk.
@@ -90,15 +92,19 @@ def references(source: str, name: str) -> list[int]:
 
 
 def test_only_unipoly_reads_the_root_walk():
-    assert references(
-        "from .unipoly import (\n    _root_slots,\n    root_slots,\n)\nslots = unipoly._root_slots(p, 0, 1)\n"
-        "walk = root_slots\ndef f():\n    return _root_slots(p, None, None)",
-        "_root_slots",
-    ) == [1, 5, 7]
+    walk_helpers = ("_half_slots", "_bisect_ceiling", "_small_real_roots")
+    for name in walk_helpers:
+        assert references(
+            f"from .unipoly import (\n    {name},\n    root_slots,\n)\nslots = unipoly.{name}(p, 0, 1)\n"
+            f"walk = root_slots\ndef f():\n    return {name}(p, None, None)",
+            name,
+        ) == [1, 5, 7]
     found = {
-        path.name: lines
+        (path.name, name): lines
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "unipoly" and (lines := references(path.read_text(), "_root_slots"))
+        if path.stem != "unipoly"
+        for name in walk_helpers
+        if (lines := references(path.read_text(), name))
     }
     assert found == {}
 
